@@ -40,13 +40,8 @@ fn main() {
             t0.elapsed()
         );
         eprintln!(
-            "speculation: {}/{} items replayed ({} footprint checks, {} cells replayed, \
-             {} re-propagated)",
-            stats.replayed,
-            stats.items,
-            stats.footprint_checks,
-            stats.cells_replayed,
-            stats.cells_repropagated,
+            "speculation: {}/{} items replayed ({} footprint checks, {} re-propagated)",
+            stats.cells_replayed, stats.items, stats.footprint_checks, stats.cells_repropagated,
         );
         println!(
             "\n=== traffic intercepted by the attacker (ROV adoption {:.0}%) ===\n",

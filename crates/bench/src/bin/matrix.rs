@@ -57,12 +57,12 @@ fn main() {
         report.cells.len(),
         stats.compilations,
         matrix.cell_count(),
-        stats.replayed,
+        stats.cells_replayed,
         stats.items,
     );
     eprintln!(
-        "speculation: {} footprint checks, {} cells replayed, {} re-propagated",
-        stats.footprint_checks, stats.cells_replayed, stats.cells_repropagated,
+        "speculation: {} footprint checks, {} re-propagated",
+        stats.footprint_checks, stats.cells_repropagated,
     );
     record_bench_json(
         "matrix/grid/run_par",

@@ -110,21 +110,6 @@ impl AttackOutcome {
     }
 }
 
-/// Runs one attack and measures interception.
-///
-/// Since the strategy generalization, each [`AttackKind`] *is* an
-/// [`crate::AttackerStrategy`]; this is the legacy entry point,
-/// equivalent to `run_strategy(&kind, setup)` — the dispatch is open,
-/// not a closed four-way match.
-///
-/// # Panics
-///
-/// Panics if `attacker == victim`, if `sub_prefix` is not covered by
-/// `victim_prefix`, or if `policies.len() != topology.len()`.
-pub fn run_attack(kind: AttackKind, setup: &AttackSetup<'_>) -> AttackOutcome {
-    crate::strategy::run_strategy(&kind, setup)
-}
-
 /// A forged-origin subprefix trial against a victim with an arbitrary
 /// announcement portfolio — the shape real ROA configurations produce
 /// (§6's measured world has victims announcing parents, partial subtrees,
@@ -221,6 +206,7 @@ pub fn run_forged_origin_trial_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::run_strategy;
     use crate::topology::TopologyConfig;
     use rpki_roa::Vrp;
 
@@ -250,8 +236,8 @@ mod tests {
 
     fn run(w: &World, kind: AttackKind, vrps: &VrpIndex, policy: RovPolicy) -> AttackOutcome {
         let policies = vec![policy; w.topology.len()];
-        run_attack(
-            kind,
+        run_strategy(
+            &kind,
             &AttackSetup {
                 topology: &w.topology,
                 victim: w.victim,
@@ -408,8 +394,8 @@ mod tests {
         let w = world();
         let vrps = VrpIndex::new();
         let policies = vec![RovPolicy::AcceptAll; w.topology.len()];
-        run_attack(
-            AttackKind::PrefixHijack,
+        run_strategy(
+            &AttackKind::PrefixHijack,
             &AttackSetup {
                 topology: &w.topology,
                 victim: w.victim,
@@ -426,6 +412,7 @@ mod tests {
 #[cfg(test)]
 mod trial_tests {
     use super::*;
+    use crate::strategy::run_strategy;
     use crate::topology::TopologyConfig;
     use rpki_roa::Vrp;
 
@@ -447,8 +434,8 @@ mod trial_tests {
         let q: Prefix = "168.122.0.0/24".parse().unwrap();
         let vrps: VrpIndex = [Vrp::new(p, 24, t.asn(victim))].into_iter().collect();
 
-        let simple = run_attack(
-            AttackKind::ForgedOriginSubprefixHijack,
+        let simple = run_strategy(
+            &AttackKind::ForgedOriginSubprefixHijack,
             &AttackSetup {
                 topology: &t,
                 victim,

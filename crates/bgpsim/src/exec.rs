@@ -8,7 +8,7 @@
 //!
 //! * [`TrialPlan`] — the IR: an enumeration of `(topology, strategy,
 //!   deployment, ROA, trial)` work items for any grid or sweep;
-//! * [`Executor`] — sequential and rayon backends scheduling those items
+//! * [`Executor`] — sequential and threaded backends scheduling those items
 //!   over the per-thread [`crate::engine::Workspace`] pool, with a
 //!   deployment-keyed policy cache and cross-deployment outcome replay;
 //! * [`Accumulator`] — streaming per-cell monoids ([`CellAccumulator`],
@@ -16,7 +16,7 @@
 //!   so memory stays O(cells), not O(cells × trials);
 //! * [`PlanCursor`] — a resumable checkpoint over the item stream, so a
 //!   multi-hour grid can stop and restart deterministically
-//!   ([`Executor::run_until`]).
+//!   ([`PlanSession::run_until`]).
 //!
 //! # Determinism contract
 //!
@@ -76,10 +76,10 @@
 //!   computation never consulted are replayed too.
 
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
-use rayon::prelude::*;
 use rpki_prefix::Prefix;
 use rpki_rov::RovPolicy;
 
@@ -89,8 +89,7 @@ use crate::engine::{CompiledPolicies, FilterFootprint, OriginFilter};
 use crate::experiment::{destination_pair, trial_pair, RoaConfig};
 use crate::routing::Propagation;
 use crate::strategy::{
-    run_strategy_compiled, run_strategy_shared, run_strategy_speculative, AttackerStrategy,
-    SpecRecorder,
+    run_strategy_compiled, run_strategy_speculative, AttackerStrategy, SpecRecorder,
 };
 use crate::topology::Topology;
 
@@ -547,16 +546,12 @@ pub struct ExecStats {
     pub compilations: usize,
     /// Strategy stagings actually propagated.
     pub executed: usize,
-    /// Items satisfied by replaying a speculated outcome instead of
-    /// re-propagating it (always equal to [`ExecStats::cells_replayed`];
-    /// kept for the pre-speculation accounting identity
-    /// `executed + replayed == items`).
-    pub replayed: usize,
     /// Footprint validations performed: one per `(strategy, deployment)`
     /// cell beyond the speculated first deployment.
     pub footprint_checks: usize,
     /// Footprint validations that passed — cells whose outcome was
-    /// replayed from the speculative execution.
+    /// replayed from the speculative execution instead of re-propagated
+    /// (`executed + cells_replayed == items`).
     pub cells_replayed: usize,
     /// Footprint validations that failed — cells whose filter decisions
     /// genuinely diverged and were re-propagated.
@@ -566,7 +561,7 @@ pub struct ExecStats {
 /// A resumable checkpoint over a plan's item stream.
 ///
 /// The cursor owns the streaming accumulators (O(cells) state) and the
-/// next unprocessed trial group; [`Executor::run_until`] advances it.
+/// next unprocessed trial group; [`PlanSession::run_until`] advances it.
 /// Interrupt, [`encode`](Self::encode) to stable storage, restart,
 /// [`decode`](Self::decode), resume: the finished grid is bit-identical
 /// to a straight-through run.
@@ -697,7 +692,7 @@ fn resolve_policies(plan: &TrialPlan<'_>) -> (Vec<Vec<Arc<DeploymentPolicies>>>,
     (resolved, compilations)
 }
 
-/// The scheduling backend: sequential, or fanned out over rayon workers.
+/// The scheduling backend: sequential, or fanned out over worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     parallel: bool,
@@ -709,8 +704,8 @@ impl Executor {
         Executor { parallel: false }
     }
 
-    /// Fans trial groups out over rayon worker threads
-    /// (`RAYON_NUM_THREADS` honored); each worker reuses its thread's
+    /// Fans trial groups out over `rayon::current_num_threads()` worker
+    /// threads (`RAYON_NUM_THREADS` honored); each worker reuses its thread's
     /// propagation [`crate::engine::Workspace`]. Bit-identical to
     /// [`Executor::sequential`] at every thread count.
     pub fn parallel() -> Executor {
@@ -742,23 +737,6 @@ impl Executor {
     /// [`Self::run`] plus the run's [`ExecStats`].
     pub fn run_with_stats<A: Accumulator>(&self, plan: &TrialPlan<'_>) -> (Vec<A>, ExecStats) {
         self.session(plan).run_with_stats()
-    }
-
-    /// One-shot convenience for [`PlanSession::run_until`]. Resolves the
-    /// policy axis **on every call** — a loop advancing a cursor in
-    /// small chunks should create one [`Self::session`] and call its
-    /// `run_until` instead, paying the resolution once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cursor` was created for a plan of a different shape.
-    pub fn run_until<A: Accumulator>(
-        &self,
-        plan: &TrialPlan<'_>,
-        cursor: &mut PlanCursor<A>,
-        max_items: usize,
-    ) -> bool {
-        self.session(plan).run_until(cursor, max_items)
     }
 }
 
@@ -807,12 +785,13 @@ impl PlanSession<'_, '_> {
     /// Runs the whole plan, returning one accumulator per cell in
     /// canonical cell order, plus the run's [`ExecStats`].
     ///
-    /// The parallel backend fans **trial groups** out over rayon
-    /// workers in bounded windows (so buffered-outcome memory stays
+    /// The parallel backend hands **trial groups** to worker threads one
+    /// at a time and streams each group's buffered outcomes back to the
+    /// calling thread (so buffered-outcome memory stays about
     /// O(threads × group size), and total state O(cells)); every cell's
     /// accumulator still absorbs its outcomes in ascending group order
     /// on the calling thread, so the result is bit-identical to the
-    /// sequential backend at any thread count and any window size.
+    /// sequential backend at any thread count.
     pub fn run_with_stats<A: Accumulator>(&self) -> (Vec<A>, ExecStats) {
         let plan = self.plan;
         let mut stats = ExecStats {
@@ -829,24 +808,39 @@ impl PlanSession<'_, '_> {
             }
         };
         if self.parallel {
-            // Bounded windows: wide enough to feed every worker, small
-            // enough that the buffered outcomes stay negligible.
-            let window = (rayon::current_num_threads() * 8)
-                .max(32)
-                .min(groups.max(1));
-            let mut start = 0;
-            while start < groups {
-                let end = (start + window).min(groups);
-                let results: Vec<(GroupOutcomes, GroupTally)> = (start..end)
-                    .into_par_iter()
-                    .map(|g| self.run_group_buffered(g))
-                    .collect();
-                for (offset, (outcomes, tally)) in results.iter().enumerate() {
-                    tally.fold_into(&mut stats);
-                    absorb_group(start + offset, outcomes, &mut accs);
+            // One set of workers for the whole pass, each claiming the
+            // next unclaimed group: no worker is bound to a share fixed
+            // in advance, and none is started or joined in mid-pass, so
+            // on a machine busy with other work a pass slows by the CPU
+            // it lost and not by what the unluckiest worker lost.
+            let workers = rayon::current_num_threads().clamp(1, groups.max(1));
+            let next = AtomicUsize::new(0);
+            let (done, finished) = mpsc::channel();
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    let done = done.clone();
+                    let next = &next;
+                    scope.spawn(move || loop {
+                        let g = next.fetch_add(1, Ordering::Relaxed);
+                        if g >= groups || done.send((g, self.run_group_buffered(g))).is_err() {
+                            break;
+                        }
+                    });
                 }
-                start = end;
-            }
+                drop(done);
+                // Groups finish out of order; `early` holds those that
+                // finished ahead of the oldest one still running.
+                let mut early = BTreeMap::new();
+                let mut due = 0;
+                for (g, result) in finished {
+                    early.insert(g, result);
+                    while let Some((outcomes, tally)) = early.remove(&due) {
+                        tally.fold_into(&mut stats);
+                        absorb_group(due, &outcomes, &mut accs);
+                        due += 1;
+                    }
+                }
+            });
         } else {
             for g in 0..groups {
                 let (ti, ri, trial) = self.group_axes(g);
@@ -907,7 +901,7 @@ impl PlanSession<'_, '_> {
                 },
             );
             cursor.executed += tally.executed;
-            cursor.replayed += tally.replayed;
+            cursor.replayed += tally.cells_replayed;
             cursor.next_group += 1;
             processed += group_items;
         }
@@ -930,7 +924,6 @@ fn plan_pair(plan: &TrialPlan<'_>, topology: &Topology, trial: usize) -> (usize,
 #[derive(Debug, Clone, Copy, Default)]
 struct GroupTally {
     executed: usize,
-    replayed: usize,
     footprint_checks: usize,
     cells_replayed: usize,
     cells_repropagated: usize,
@@ -939,7 +932,6 @@ struct GroupTally {
 impl GroupTally {
     fn fold_into(&self, stats: &mut ExecStats) {
         stats.executed += self.executed;
-        stats.replayed += self.replayed;
         stats.footprint_checks += self.footprint_checks;
         stats.cells_replayed += self.cells_replayed;
         stats.cells_repropagated += self.cells_repropagated;
@@ -1062,15 +1054,15 @@ fn run_trial_group(
                     && (!observed_baseline.get()
                         || scratch.base.borrow().validates(&deployment.compiled));
                 if valid {
-                    tally.replayed += 1;
                     tally.cells_replayed += 1;
                     absorb(si, di, &outcome, false);
                 } else {
-                    let (diverged, _) = run_strategy_shared(
+                    let (diverged, _) = run_strategy_speculative(
                         *strategy,
                         &setup_for(di),
                         &deployment.compiled,
                         baseline_for(di),
+                        None,
                     );
                     tally.executed += 1;
                     tally.cells_repropagated += 1;
@@ -1265,10 +1257,10 @@ mod tests {
             ],
         );
         let (_, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
-        assert_eq!(stats.executed + stats.replayed, stats.items);
+        assert_eq!(stats.executed + stats.cells_replayed, stats.items);
         // The forged-origin subprefix hijack is transparent under NoRoa
         // and the loose ROA (Valid/NotFound): those columns replay.
-        assert!(stats.replayed > 0, "{stats:?}");
+        assert!(stats.cells_replayed > 0, "{stats:?}");
         // Under the minimal ROA it validates Invalid: those cells must
         // re-propagate per deployment.
         assert!(stats.executed > stats.items / 3, "{stats:?}");
@@ -1289,15 +1281,17 @@ mod tests {
         let (_, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
         // Every beyond-first-deployment item is exactly one footprint
         // check, which either licenses a replay or forces a
-        // re-propagation — and "replayed" is the same count it always
-        // was, now generalized past full transparency.
+        // re-propagation.
         assert_eq!(
             stats.footprint_checks,
             stats.cells_replayed + stats.cells_repropagated,
             "{stats:?}"
         );
-        assert_eq!(stats.replayed, stats.cells_replayed, "{stats:?}");
-        assert_eq!(stats.executed + stats.replayed, stats.items, "{stats:?}");
+        assert_eq!(
+            stats.executed + stats.cells_replayed,
+            stats.items,
+            "{stats:?}"
+        );
         let groups = plan.roas.len() * plan.trials;
         assert_eq!(
             stats.footprint_checks,
@@ -1342,9 +1336,10 @@ mod tests {
         );
         let straight: Vec<CellAccumulator> = Executor::sequential().run(&plan);
         let exec = Executor::sequential();
+        let session = exec.session(&plan);
         let mut cursor = plan.cursor::<CellAccumulator>();
         let mut rounds = 0;
-        while !exec.run_until(&plan, &mut cursor, 2) {
+        while !session.run_until(&mut cursor, 2) {
             rounds += 1;
             assert!(cursor.progress() > 0.0 && cursor.progress() < 1.0);
             // Round-trip through the textual checkpoint every step.
@@ -1354,7 +1349,7 @@ mod tests {
         assert!(cursor.is_done());
         assert_eq!(cursor.accumulators(), &straight[..]);
         // Running an exhausted cursor is a no-op.
-        assert!(exec.run_until(&plan, &mut cursor, usize::MAX));
+        assert!(session.run_until(&mut cursor, usize::MAX));
         assert_eq!(cursor.into_accumulators(), straight);
     }
 

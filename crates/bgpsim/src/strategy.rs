@@ -387,12 +387,13 @@ pub fn run_strategy_compiled(
     setup: &AttackSetup<'_>,
     compiled: &CompiledPolicies,
 ) -> AttackOutcome {
-    run_strategy_shared(strategy, setup, compiled, &OnceCell::new()).0
+    run_strategy_speculative(strategy, setup, compiled, &OnceCell::new(), None).0
 }
 
 /// The trial executor's entry point: [`run_strategy_compiled`] with the
-/// baseline propagation cell owned by the caller, plus an observation of
-/// whether the outcome was **deployment-independent**.
+/// baseline propagation cell owned by the caller, an observation of
+/// whether the outcome was **deployment-independent**, and optional
+/// footprint recording.
 ///
 /// * `baseline` — a cell the caller may share across every strategy of
 ///   one trial group. The cell must only be shared between calls with an
@@ -407,22 +408,12 @@ pub fn run_strategy_compiled(
 ///   baseline — is bit-identical under **every** policy vector. The
 ///   executor replays such outcomes across its deployment axis instead
 ///   of re-propagating them.
-pub(crate) fn run_strategy_shared(
-    strategy: &dyn AttackerStrategy,
-    setup: &AttackSetup<'_>,
-    compiled: &CompiledPolicies,
-    baseline: &OnceCell<Propagation>,
-) -> (AttackOutcome, bool) {
-    run_strategy_speculative(strategy, setup, compiled, baseline, None)
-}
-
-/// [`run_strategy_shared`] with optional footprint recording: when
-/// `spec` is supplied, every adopter-bitset consultation any of the
-/// trial's propagations performs is mirrored into the recorder's
-/// [`FilterFootprint`] sinks — the execute half of the executor's
-/// Block-STM-style execute-then-validate scheme
-/// ([`crate::exec`] module docs). The outcome is bit-identical with and
-/// without recording.
+/// * `spec` — when supplied, every adopter-bitset consultation any of
+///   the trial's propagations performs is mirrored into the recorder's
+///   [`FilterFootprint`] sinks — the execute half of the executor's
+///   Block-STM-style execute-then-validate scheme ([`crate::exec`]
+///   module docs). The outcome is bit-identical with and without
+///   recording.
 pub(crate) fn run_strategy_speculative(
     strategy: &dyn AttackerStrategy,
     setup: &AttackSetup<'_>,

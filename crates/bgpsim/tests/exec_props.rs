@@ -194,7 +194,7 @@ proptest! {
         let distinct: std::collections::BTreeSet<&(usize, u8)> =
             shape.deployments.iter().collect();
         prop_assert_eq!(stats.compilations, distinct.len(), "{:?}", duplicated.deployments);
-        prop_assert_eq!(stats.executed + stats.replayed, stats.items);
+        prop_assert_eq!(stats.executed + stats.cells_replayed, stats.items);
 
         let d = plan.deployments.len();
         let base = shape.deployments.len();

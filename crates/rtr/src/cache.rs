@@ -7,11 +7,10 @@
 //! that serial has aged out of the history window.
 //!
 //! The state machine is sans-io: [`CacheServer::handle`] maps one request
-//! PDU to response PDUs; [`CacheServer::handle_wire`] does the same
+//! PDU to response PDUs, and [`CacheServer::handle_wire`] does the same
 //! straight over bytes — zero-copy decode via [`crate::wire`], version
-//! negotiation, and the recoverable/fatal teardown split; and
-//! [`CacheServer::serve_one`] runs the loop over a blocking
-//! [`crate::transport::Transport`] adapter.
+//! negotiation, and the recoverable/fatal teardown split. Serving real
+//! connections is [`crate::server`]'s job.
 
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
@@ -22,7 +21,6 @@ use rpki_roa::Vrp;
 use rpki_rov::FrozenVrpIndex;
 
 use crate::pdu::{ErrorCode, Flags, Pdu, Timing, PROTOCOL_V1};
-use crate::transport::{Transport, TransportError};
 use crate::wire::{self, Negotiation, PduError, PduRef, HEADER_LEN, MAX_PDU_LEN};
 
 /// One recorded delta between consecutive serials.
@@ -505,27 +503,6 @@ impl CacheServer {
             session_id: self.session_id,
             serial: self.serial,
             timing: self.timing,
-        }
-    }
-
-    /// Serves exactly one request over a blocking transport (used by the
-    /// per-connection server loop and tests).
-    pub fn serve_one<T: Transport>(&mut self, transport: &mut T) -> Result<(), TransportError> {
-        let request = transport.recv()?;
-        for pdu in self.handle(&request) {
-            transport.send(&pdu)?;
-        }
-        Ok(())
-    }
-
-    /// Serves requests until the transport closes.
-    pub fn serve<T: Transport>(&mut self, transport: &mut T) -> Result<(), TransportError> {
-        loop {
-            match self.serve_one(transport) {
-                Ok(()) => {}
-                Err(TransportError::Closed) => return Ok(()),
-                Err(e) => return Err(e),
-            }
         }
     }
 }

@@ -13,8 +13,8 @@
 //!   to a live byte pipe, faithfully modelling the TCP reality that a
 //!   stream cannot lose a *middle* frame: every loss-class fault
 //!   surfaces as a connection break the endpoints must recover from.
-//! * [`ChaosSession`] — a cache ↔ router pair on one shared manual
-//!   [`Clock`], with a fault plan spliced between them and the full
+//! * [`ChaosSession`] — a [`LiveSession`] on a manual [`Clock`] with a
+//!   seeded fault plan spliced into its pipes, wrapped in the full
 //!   RFC 8210 §6 recovery loop on the router side: capped exponential
 //!   [`Backoff`] with seeded jitter, Reset Query fallback after
 //!   repeated failures, stale-data flushing past Expire, and a
@@ -56,10 +56,10 @@ use rpki_roa::Vrp;
 use crate::cache::CacheServer;
 use crate::client::{Freshness, RouterClient};
 use crate::clock::Clock;
-use crate::pdu::{Pdu, Timing, PROTOCOL_V0, PROTOCOL_V1};
-use crate::server::{FanoutServer, ServerConfig, SessionId};
+use crate::pdu::{Pdu, Timing, PROTOCOL_V1};
+use crate::session::{AttemptError, LiveSession};
 use crate::transport::{Transport, TransportError};
-use crate::wire::{self, ErrorClass, Negotiation, PduError, HEADER_LEN};
+use crate::wire::{PduError, HEADER_LEN};
 
 /// Domain constant for the cache → router fault stream.
 const TO_ROUTER_DOMAIN: u64 = 0xD6E8_FEB8_6659_FD93;
@@ -261,6 +261,57 @@ impl FaultPlan {
         }
         FaultAction::Deliver
     }
+
+    /// Sends `frame` in `dir` through the plan: draws its fate, logs it
+    /// to `trace`, and appends whatever still arrives to `out`. Returns
+    /// `false` if the fault cut the connection.
+    pub(crate) fn transmit(
+        &mut self,
+        dir: Direction,
+        frame: &[u8],
+        out: &mut Vec<u8>,
+        clock: &Clock,
+        trace: Option<&mut Vec<TraceEvent>>,
+    ) -> bool {
+        let action = self.decide(dir, frame.len());
+        let connected = match &action {
+            FaultAction::Deliver => {
+                out.extend_from_slice(frame);
+                true
+            }
+            FaultAction::Stall { delay } => {
+                // Latency, not loss: the frame arrives late, and the
+                // router's freshness timers feel every second of it.
+                clock.advance(*delay);
+                out.extend_from_slice(frame);
+                true
+            }
+            FaultAction::Drop | FaultAction::Disconnect => false,
+            FaultAction::Truncate { keep } => {
+                out.extend_from_slice(&frame[..(*keep).min(frame.len())]);
+                false
+            }
+            FaultAction::Corrupt { offset, xor } => {
+                let at = out.len() + (*offset).min(frame.len().saturating_sub(1));
+                out.extend_from_slice(frame);
+                if let Some(byte) = out.get_mut(at) {
+                    *byte ^= xor;
+                }
+                true
+            }
+            FaultAction::Garbage { bytes } => {
+                // Noise in place of a query still gets decoded and
+                // answered (usually with a fatal report); noise inside
+                // a response loses the frame boundary for good.
+                out.extend_from_slice(bytes);
+                dir == Direction::ToCache
+            }
+        };
+        if let Some(trace) = trace {
+            trace.push(TraceEvent::Fault { dir, action });
+        }
+        connected
+    }
 }
 
 /// Capped exponential backoff with seeded jitter, per RFC 8210 §6's
@@ -361,6 +412,18 @@ pub enum FailureKind {
     /// match the cache oracle — survivable corruption committed wrong
     /// data. The settle loop forces a full rebuild.
     Desync,
+}
+
+impl From<&AttemptError> for FailureKind {
+    fn from(e: &AttemptError) -> FailureKind {
+        match e {
+            AttemptError::QueryLost => FailureKind::QueryLost,
+            AttemptError::Teardown(_) => FailureKind::Teardown,
+            AttemptError::Protocol(_) => FailureKind::Protocol,
+            AttemptError::Client(_) => FailureKind::Client,
+            AttemptError::Incomplete => FailureKind::Incomplete,
+        }
+    }
 }
 
 /// One entry in a [`ChaosSession`]'s recovery trace. The trace is the
@@ -482,10 +545,6 @@ impl Default for ChaosOptions {
 /// Legitimate recoveries finish orders of magnitude earlier.
 const SETTLE_HARD_CAP: u32 = 100_000;
 
-/// Rounds one attempt may spend following Cache Resets or downgrades
-/// before it is declared incomplete.
-const ATTEMPT_ROUNDS: u32 = 4;
-
 /// A cache ↔ router pair under fault injection on one shared manual
 /// clock — the chaos harness the proptest suite and the `rtr_chaos`
 /// bench drive.
@@ -497,18 +556,11 @@ const ATTEMPT_ROUNDS: u32 = 4;
 /// the module docs for the contract.
 #[derive(Debug)]
 pub struct ChaosSession {
-    server: FanoutServer,
-    session: SessionId,
-    router: RouterClient,
-    router_negotiation: Negotiation,
-    /// Bytes in flight cache → router (post-fault).
-    to_router: Vec<u8>,
-    plan: FaultPlan,
+    /// Both endpoints, the pipes, and the fault plan spliced into them.
+    link: LiveSession,
     backoff: Backoff,
     recovery: RecoveryConfig,
-    clock: Clock,
     trace: Vec<TraceEvent>,
-    attempts_total: u32,
     consecutive_failures: u32,
 }
 
@@ -531,51 +583,39 @@ impl ChaosSession {
         config: FaultConfig,
         options: ChaosOptions,
     ) -> ChaosSession {
-        let clock = Clock::manual();
         let mut cache = CacheServer::with_version(session_id, vrps, options.cache_version);
         cache.set_timing(options.timing);
-        let server_config = ServerConfig {
-            outbox_limit: usize::MAX,
-            ..ServerConfig::default()
-        };
-        let mut server = FanoutServer::with_clock(cache, server_config, clock.clone());
-        let session = server.open_session();
-        let mut router = RouterClient::with_version(options.router_version);
-        router.set_clock(clock.clone());
-        let router_negotiation = Negotiation::with_max(options.router_version);
         ChaosSession {
-            server,
-            session,
-            router,
-            router_negotiation,
-            to_router: Vec::new(),
-            plan: FaultPlan::new(seed, config),
+            link: LiveSession::over(
+                cache,
+                options.router_version,
+                Clock::manual(),
+                FaultPlan::new(seed, config),
+            ),
             backoff: Backoff::new(
                 seed,
                 options.recovery.backoff_base,
                 options.recovery.backoff_cap,
             ),
             recovery: options.recovery,
-            clock,
             trace: Vec::new(),
-            attempts_total: 0,
             consecutive_failures: 0,
         }
     }
 
     /// The cache oracle.
     pub fn cache(&self) -> &CacheServer {
-        self.server.cache()
+        self.link.cache()
     }
 
     /// The router under test.
     pub fn router(&self) -> &RouterClient {
-        &self.router
+        self.link.router()
     }
 
     /// The shared manual clock.
     pub fn clock(&self) -> &Clock {
-        &self.clock
+        &self.link.clock
     }
 
     /// The recovery trace so far — the determinism witness.
@@ -586,15 +626,15 @@ impl ChaosSession {
     /// `true` if the router's VRP set and serial match the cache.
     /// Checked against the state machines directly, never the wire.
     pub fn converged(&self) -> bool {
-        self.router.serial() == self.cache().serial()
-            && self.router.vrps().iter().eq(self.server.cache().vrps())
+        self.router().serial() == self.cache().serial()
+            && self.router().vrps().iter().eq(self.cache().vrps())
     }
 
     /// Applies one churn epoch to the cache (queuing a Serial Notify on
     /// the session). Call [`ChaosSession::settle`] to let the router
     /// catch up through the faults.
     pub fn apply_epoch(&mut self, announced: &[Vrp], withdrawn: &[Vrp]) {
-        self.server.update_delta_and_notify(announced, withdrawn);
+        self.link.update_cache(announced, withdrawn);
         self.trace.push(TraceEvent::Epoch {
             serial: self.cache().serial(),
         });
@@ -610,58 +650,61 @@ impl ChaosSession {
     /// Panics if the loop exceeds its hard iteration cap — the
     /// deadlock/livelock gate the chaos suite converts into a failure.
     pub fn settle(&mut self) -> Settled {
-        let started = self.clock.now();
+        let started = self.link.clock.now();
         let mut attempts = 0u32;
         for _guard in 0..SETTLE_HARD_CAP {
             attempts += 1;
-            self.attempts_total += 1;
             self.trace.push(TraceEvent::Attempt {
                 n: attempts,
-                reset: matches!(self.router.query(), Pdu::ResetQuery),
+                reset: matches!(self.link.router.query(), Pdu::ResetQuery),
             });
-            let reason = match self.attempt() {
-                Ok(()) => {
+            let reason = match self.link.attempt(Some(&mut self.trace)) {
+                Ok(_stats) => {
                     self.backoff.reset();
                     if self.converged() {
                         self.consecutive_failures = 0;
                         self.trace.push(TraceEvent::Synced {
-                            serial: self.router.serial(),
-                            vrps: self.router.vrps().len(),
+                            serial: self.link.router.serial(),
+                            vrps: self.link.router.vrps().len(),
                         });
                         return Settled {
                             converged: true,
                             attempts,
-                            freshness: self.router.freshness(),
-                            virtual_elapsed: self.clock.now() - started,
+                            freshness: self.link.router.freshness(),
+                            virtual_elapsed: self.link.clock.now() - started,
                         };
                     }
                     // Survivable corruption committed wrong data under
                     // a clean-looking exchange: validate-then-commit
                     // says this is a failure. Rebuild from scratch —
                     // the connection itself is fine, so no reconnect.
-                    self.router.force_reset();
+                    self.link.router.force_reset();
                     FailureKind::Desync
                 }
-                Err(reason) => {
-                    self.reconnect();
-                    reason
+                Err(error) => {
+                    self.link.reconnect();
+                    self.trace.push(TraceEvent::Reconnect {
+                        version: self.link.router.version(),
+                    });
+                    FailureKind::from(&error)
                 }
             };
             self.trace.push(TraceEvent::Failed { reason });
             self.consecutive_failures += 1;
             if self.consecutive_failures >= self.recovery.reset_after {
-                self.router.force_reset();
+                self.link.router.force_reset();
             }
-            if attempts >= self.recovery.max_attempts && self.router.freshness() != Freshness::Fresh
+            if attempts >= self.recovery.max_attempts
+                && self.link.router.freshness() != Freshness::Fresh
             {
                 self.trace.push(TraceEvent::GaveUp {
-                    freshness: self.router.freshness(),
+                    freshness: self.link.router.freshness(),
                 });
                 return Settled {
                     converged: self.converged(),
                     attempts,
-                    freshness: self.router.freshness(),
-                    virtual_elapsed: self.clock.now() - started,
+                    freshness: self.link.router.freshness(),
+                    virtual_elapsed: self.link.clock.now() - started,
                 };
             }
             // Each failure advances virtual time by at least the
@@ -670,230 +713,33 @@ impl ChaosSession {
             // eventually open — settle always terminates.
             let delay = self.backoff.next_delay();
             self.trace.push(TraceEvent::Backoff { delay });
-            self.clock.advance(delay);
-            if self.router.flush_expired() {
+            self.link.clock.advance(delay);
+            if self.link.router.flush_expired() {
                 self.trace.push(TraceEvent::Expired);
             }
         }
         panic!("settle exceeded {SETTLE_HARD_CAP} iterations: livelock");
-    }
-
-    /// One synchronization attempt through the faulted pipes. `Ok(())`
-    /// means the router saw End of Data; convergence is validated by
-    /// the caller.
-    fn attempt(&mut self) -> Result<(), FailureKind> {
-        let mut downgraded = false;
-        for _round in 0..ATTEMPT_ROUNDS {
-            // Router → cache: the query, through the ToCache stream.
-            if !self.send_query()? {
-                // Query mangled in a way that cut the connection.
-                return Err(FailureKind::QueryLost);
-            }
-
-            // Cache side: drain the outbox, check for teardown.
-            let mut raw = Vec::new();
-            self.server.drain_output(self.session, &mut raw);
-            if let Some(error) = self.server.session_error(self.session).cloned() {
-                let can_downgrade = error.class() == ErrorClass::Recoverable
-                    && !downgraded
-                    && self.router.version() > PROTOCOL_V0;
-                if !can_downgrade {
-                    return Err(FailureKind::Teardown);
-                }
-                downgraded = true;
-                self.reconnect_downgrade();
-                continue;
-            }
-
-            // Cache → router: each response frame through the ToRouter
-            // stream. A loss-class fault cuts the rest of the response.
-            self.deliver_to_router(&raw);
-
-            // Router side: decode whatever made it through.
-            let mut reset = false;
-            loop {
-                let frame_bytes = match wire::decode_frame(&self.to_router) {
-                    Ok(Some(frame)) => {
-                        if self.router_negotiation.accept(frame.version).is_err() {
-                            return Err(FailureKind::Protocol);
-                        }
-                        let pdu = frame.pdu.to_owned();
-                        let len = frame.len;
-                        self.to_router.drain(..len);
-                        Some((pdu, len))
-                    }
-                    Ok(None) => None,
-                    Err(_) => return Err(FailureKind::Protocol),
-                };
-                let Some((pdu, _len)) = frame_bytes else {
-                    break;
-                };
-                if matches!(pdu, Pdu::CacheReset) {
-                    reset = true;
-                }
-                match self.router.handle(&pdu) {
-                    Ok(true) => return Ok(()),
-                    Ok(false) => {}
-                    Err(_) => return Err(FailureKind::Client),
-                }
-                if reset {
-                    break; // fall back to a Reset Query round
-                }
-            }
-            if !reset {
-                // Ran dry without End of Data: the response was cut.
-                return Err(FailureKind::Incomplete);
-            }
-        }
-        Err(FailureKind::Incomplete)
-    }
-
-    /// Encodes and sends the router's next query through the ToCache
-    /// fault stream. Returns `Ok(false)` if a fault cut the connection
-    /// before or while the query travelled.
-    fn send_query(&mut self) -> Result<bool, FailureKind> {
-        let query = self.router.query();
-        let mut bytes = Vec::new();
-        query
-            .as_wire()
-            .encode_into(self.router.version(), &mut bytes);
-        let action = self.plan.decide(Direction::ToCache, bytes.len());
-        self.trace.push(TraceEvent::Fault {
-            dir: Direction::ToCache,
-            action: action.clone(),
-        });
-        match action {
-            FaultAction::Deliver => {
-                self.server.receive(self.session, &bytes);
-                Ok(true)
-            }
-            FaultAction::Stall { delay } => {
-                // Latency, not loss: the query arrives late, and the
-                // router's freshness timers feel every second of it.
-                self.clock.advance(delay);
-                self.server.receive(self.session, &bytes);
-                Ok(true)
-            }
-            FaultAction::Drop | FaultAction::Disconnect => Ok(false),
-            FaultAction::Truncate { keep } => {
-                // The prefix still reaches the cache (it will sit as an
-                // incomplete frame or tear the session down), but the
-                // connection is gone.
-                self.server
-                    .receive(self.session, &bytes[..keep.min(bytes.len())]);
-                Ok(false)
-            }
-            FaultAction::Corrupt { offset, xor } => {
-                // A poisoned query still travels: the cache answers
-                // whatever it decodes (often a teardown), and the round
-                // proceeds to observe the consequences.
-                let mut mutated = bytes;
-                let at = offset.min(mutated.len().saturating_sub(1));
-                if let Some(byte) = mutated.get_mut(at) {
-                    *byte ^= xor;
-                }
-                self.server.receive(self.session, &mutated);
-                Ok(true)
-            }
-            FaultAction::Garbage { bytes: garbage } => {
-                // Garbage in place of the query: the cache will decode
-                // noise and respond (usually with a fatal report).
-                self.server.receive(self.session, &garbage);
-                Ok(true)
-            }
-        }
-    }
-
-    /// Splits `raw` into wire frames and pushes each through the
-    /// ToRouter fault stream onto the in-flight buffer. Loss-class
-    /// faults cut the connection: the rest of the response is dropped.
-    fn deliver_to_router(&mut self, raw: &[u8]) {
-        for frame in split_frames(raw) {
-            let action = self.plan.decide(Direction::ToRouter, frame.len());
-            self.trace.push(TraceEvent::Fault {
-                dir: Direction::ToRouter,
-                action: action.clone(),
-            });
-            match action {
-                FaultAction::Deliver => self.to_router.extend_from_slice(frame),
-                FaultAction::Stall { delay } => {
-                    self.clock.advance(delay);
-                    self.to_router.extend_from_slice(frame);
-                }
-                FaultAction::Drop | FaultAction::Disconnect => return,
-                FaultAction::Truncate { keep } => {
-                    self.to_router
-                        .extend_from_slice(&frame[..keep.min(frame.len())]);
-                    return;
-                }
-                FaultAction::Corrupt { offset, xor } => {
-                    let mut mutated = frame.to_vec();
-                    let at = offset.min(mutated.len().saturating_sub(1));
-                    if let Some(byte) = mutated.get_mut(at) {
-                        *byte ^= xor;
-                    }
-                    self.to_router.extend_from_slice(&mutated);
-                }
-                FaultAction::Garbage { bytes } => {
-                    self.to_router.extend_from_slice(&bytes);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Re-establishes the connection after a failed attempt: the old
-    /// session is torn off the registry, the router renegotiates from
-    /// its *preferred* version (downgrades are per-connection, RFC 6810
-    /// §7), any half-applied delta is aborted, and the pipes start
-    /// clean.
-    fn reconnect(&mut self) {
-        self.router.abort_response();
-        self.router.renegotiate();
-        self.server.close_session(self.session);
-        self.session = self.server.open_session();
-        self.router_negotiation = Negotiation::with_max(self.router.version());
-        self.to_router.clear();
-        self.trace.push(TraceEvent::Reconnect {
-            version: self.router.version(),
-        });
-    }
-
-    /// The downgrade flavour of reconnect: one version down, keeping
-    /// the synchronized state (RFC 6810 §7 — the data is still good,
-    /// only the connection version changes).
-    fn reconnect_downgrade(&mut self) {
-        let from = self.router.version();
-        let to = from - 1;
-        self.router.downgrade_to(to);
-        self.server.close_session(self.session);
-        self.session = self.server.open_session();
-        self.router_negotiation = Negotiation::with_max(to);
-        self.to_router.clear();
-        self.trace.push(TraceEvent::Downgrade { from, to });
     }
 }
 
 /// Splits a byte run into wire frames on the declared big-endian
 /// length at offset 4, clamped to the run — trailing partial bytes
 /// form the final "frame" so faults can still hit them.
-fn split_frames(raw: &[u8]) -> Vec<&[u8]> {
-    let mut frames = Vec::new();
-    let mut rest = raw;
-    while !rest.is_empty() {
-        if rest.len() < HEADER_LEN {
-            frames.push(rest);
-            break;
+pub(crate) fn split_frames(mut rest: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
         }
-        let declared = u32::from_be_bytes([rest[4], rest[5], rest[6], rest[7]]) as usize;
-        let len = declared
-            .clamp(HEADER_LEN, rest.len().max(HEADER_LEN))
-            .min(rest.len());
-        let (frame, tail) = rest.split_at(len.max(1));
-        frames.push(frame);
+        let len = if rest.len() < HEADER_LEN {
+            rest.len()
+        } else {
+            let declared = u32::from_be_bytes([rest[4], rest[5], rest[6], rest[7]]) as usize;
+            declared.clamp(HEADER_LEN, rest.len())
+        };
+        let (frame, tail) = rest.split_at(len);
         rest = tail;
-    }
-    frames
+        Some(frame)
+    })
 }
 
 /// A [`Transport`] wrapper that applies a [`FaultPlan`] to a live
@@ -993,10 +839,23 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::memory_pair;
+    use crate::pdu::PROTOCOL_V0;
 
     fn vrps(list: &[&str]) -> Vec<Vrp> {
         list.iter().map(|s| s.parse().unwrap()).collect()
+    }
+
+    /// An inner pipe with nobody on the other end.
+    struct DeadEnd;
+
+    impl Transport for DeadEnd {
+        fn send(&mut self, _pdu: &Pdu) -> Result<(), TransportError> {
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<Pdu, TransportError> {
+            Err(TransportError::Closed)
+        }
     }
 
     #[test]
@@ -1167,12 +1026,12 @@ mod tests {
         };
         let mut chaos = ChaosSession::new(3, &vrps(&["10.0.0.0/8 => AS1"]), 8, blackout);
         // First, sync cleanly by swapping in a quiet plan.
-        chaos.plan = FaultPlan::quiet();
+        chaos.link.plan = FaultPlan::quiet();
         assert!(chaos.settle().converged);
         assert_eq!(chaos.router().freshness(), Freshness::Fresh);
 
         // Now the blackout: churn the cache, watch the router degrade.
-        chaos.plan = FaultPlan::new(8, blackout);
+        chaos.link.plan = FaultPlan::new(8, blackout);
         chaos.apply_epoch(&vrps(&["11.0.0.0/8 => AS2"]), &[]);
         let settled = chaos.settle();
         assert!(!settled.converged);
@@ -1185,7 +1044,7 @@ mod tests {
         assert!(chaos.router().vrps().is_empty(), "expired data is flushed");
 
         // Heal the pipe: full recovery to Fresh and convergence.
-        chaos.plan = FaultPlan::quiet();
+        chaos.link.plan = FaultPlan::quiet();
         let settled = chaos.settle();
         assert!(settled.converged);
         assert_eq!(settled.freshness, Freshness::Fresh);
@@ -1197,8 +1056,7 @@ mod tests {
             drop: 1.0,
             ..FaultConfig::none()
         };
-        let (a, _b) = memory_pair();
-        let mut faulty = FaultyTransport::new(a, FaultPlan::new(1, all_drop));
+        let mut faulty = FaultyTransport::new(DeadEnd, FaultPlan::new(1, all_drop));
         assert!(!faulty.is_broken());
         let err = faulty.send(&Pdu::ResetQuery).unwrap_err();
         assert_eq!(err, TransportError::Closed);
@@ -1207,8 +1065,7 @@ mod tests {
         assert!(faulty.send(&Pdu::ResetQuery).is_err());
         assert!(faulty.recv().is_err());
         // ...until a reconnect installs a fresh pipe.
-        let (a2, _b2) = memory_pair();
-        faulty.reconnect(a2);
+        faulty.reconnect(DeadEnd);
         assert!(!faulty.is_broken());
     }
 
@@ -1225,11 +1082,11 @@ mod tests {
         }
         .as_wire()
         .encode_into(PROTOCOL_V1, &mut bytes);
-        let frames = split_frames(&bytes);
+        let frames: Vec<&[u8]> = split_frames(&bytes).collect();
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].len(), one);
         // A trailing partial frame still comes out as a chunk.
-        let frames = split_frames(&bytes[..one + 3]);
+        let frames: Vec<&[u8]> = split_frames(&bytes[..one + 3]).collect();
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[1].len(), 3);
     }

@@ -8,8 +8,8 @@
 //! itself, letting examples and tests measure end-to-end exactly what the
 //! paper counts.
 //!
-//! Following the event-driven style of embedded network stacks, the
-//! protocol logic is *sans-io*:
+//! The protocol logic is *sans-io* — state machines that map bytes to
+//! bytes — with one way to do each job:
 //!
 //! * [`wire`] — the wire layer: borrowed-buffer cursors, strict
 //!   zero-copy decoding of every PDU type of RFC 8210 (minus router
@@ -19,40 +19,46 @@
 //!   in; encode/decode delegates to [`wire`].
 //! * [`cache`] — the cache-server state machine: versioned VRP sets,
 //!   serial numbers, delta computation, query handling.
+//! * [`server`] — the cache-side service: a sans-io fan-out core
+//!   ([`FanoutServer`]: bytes in through `receive`, bytes out through
+//!   `drain_output`) sharing each epoch's serialized responses across
+//!   every session, under a non-blocking TCP event loop
+//!   ([`TcpCacheServer`]; no async runtime — one thread multiplexes
+//!   the fleet).
 //! * [`client`] — the router-side state machine: session tracking,
-//!   serial/reset synchronization, applying announce/withdraw deltas.
-//! * [`transport`] — thin blocking adapters: a wire-framed in-memory
-//!   channel pair for tests and a TCP dialer for the router side.
-//! * [`server`] — the concurrent cache-side service: a sans-io fan-out
-//!   core sharing each epoch's serialized responses across every
-//!   session, plus a non-blocking TCP event loop with a session
-//!   registry (no async runtime — one thread multiplexes the fleet).
-//! * [`session`] — a cache ↔ router pair joined by in-memory byte
-//!   pipes, driving churn timelines through the fan-out core as real
-//!   PDUs.
-//! * [`clock`] — virtual time: every RFC 8210 timer reads a [`Clock`]
-//!   that tests drive manually, so timer behaviour is deterministic.
+//!   serial/reset synchronization, applying announce/withdraw deltas,
+//!   the RFC 8210 §6 freshness timers.
+//! * [`transport`] — the blocking PDU pipe a router dials a cache
+//!   with ([`transport::TcpTransport`]).
+//! * [`session`] — the one in-memory session driver ([`LiveSession`]):
+//!   a cache ↔ router pair joined by byte pipes through the fan-out
+//!   core, following Cache Resets and version downgrades, counting
+//!   what crossed the wire.
 //! * [`faults`] — seeded, replayable fault injection ([`FaultPlan`],
-//!   [`FaultyTransport`]) and the chaos recovery harness
+//!   [`FaultyTransport`]) and the recovery loop around the same driver
 //!   ([`ChaosSession`]): capped backoff, Reset Query fallback, stale
 //!   flushing, and the convergence-or-Stale invariant the chaos suite
 //!   gates on.
+//! * [`clock`] — virtual time: every RFC 8210 timer reads a [`Clock`]
+//!   that tests drive manually, so timer behaviour is deterministic.
 //!
 //! ```
-//! use rpki_rtr::cache::CacheServer;
-//! use rpki_rtr::client::RouterClient;
-//! use rpki_rtr::transport::memory_pair;
+//! use rpki_rtr::LiveSession;
 //! use rpki_roa::Vrp;
 //!
 //! let vrps: Vec<Vrp> = vec!["168.122.0.0/16 => AS111".parse().unwrap()];
-//! let mut cache = CacheServer::new(42, &vrps);
-//! let (mut a, mut b) = memory_pair();
+//! let mut session = LiveSession::new(42, &vrps);
 //!
-//! // Router connects, resets, and synchronizes.
-//! let mut router = RouterClient::new();
-//! std::thread::spawn(move || cache.serve_one(&mut b));
-//! router.synchronize(&mut a).unwrap();
-//! assert_eq!(router.vrps().len(), 1);
+//! // The router connects, sends a Reset Query, and synchronizes:
+//! // Cache Response, one IPv4 Prefix, End of Data.
+//! let stats = session.synchronize().unwrap();
+//! assert_eq!((stats.announced, stats.pdus), (1, 3));
+//! assert_eq!(session.router().vrps().len(), 1);
+//!
+//! // A churn epoch travels as Serial Notify → Serial Query → delta.
+//! let stats = session.apply_epoch(&["10.0.0.0/8 => AS7".parse().unwrap()], &vrps).unwrap();
+//! assert_eq!((stats.announced, stats.withdrawn), (1, 1));
+//! assert_eq!(session.router().serial(), session.cache().serial());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -79,5 +85,5 @@ pub use pdu::{Pdu, PduError, PROTOCOL_V0, PROTOCOL_V1};
 pub use server::{
     FanoutServer, FanoutStats, ServerConfig, ServerHandle, SessionId, TcpCacheServer,
 };
-pub use session::{LiveSession, SessionConfig, SessionError, SyncStats};
+pub use session::{LiveSession, SessionError, SyncStats};
 pub use wire::{decode_frame, ErrorClass, Frame, Negotiation, PduRef};

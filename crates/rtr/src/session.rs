@@ -22,14 +22,20 @@
 //! down, and a fresh synchronization (visible in
 //! [`SyncStats::downgraded`]).
 //!
-//! [`LiveSession`] owns both endpoints plus the byte pipes; tests, the
-//! `churn` bench bin, and `examples/live_cache.rs` all drive it.
+//! [`LiveSession`] owns both endpoints plus the byte pipes, and its
+//! round loop (`LiveSession::attempt`) is the only one in the crate:
+//! every frame passes through a [`FaultPlan`] — the quiet plan for the
+//! `churn` bench bin, `examples/live_cache.rs` and the tests that drive
+//! a `LiveSession` directly, a seeded one when
+//! [`ChaosSession`](crate::faults::ChaosSession) wraps the same loop in
+//! its retry/backoff policy.
 
 use rpki_roa::Vrp;
 
 use crate::cache::CacheServer;
 use crate::client::{ClientError, RouterClient};
 use crate::clock::Clock;
+use crate::faults::{split_frames, Direction, FaultPlan, TraceEvent};
 use crate::pdu::{Flags, Pdu, PduError, PROTOCOL_V0, PROTOCOL_V1};
 use crate::server::{FanoutServer, ServerConfig, SessionId};
 use crate::transport::TransportError;
@@ -63,9 +69,8 @@ pub struct SyncStats {
 /// or [`SessionError::Client`] means the *peer* (or the stream carrying
 /// it) is misbehaving and a reconnect-plus-resync is the only cure,
 /// while a [`SessionError::Timeout`] means both endpoints were polite
-/// but the exchange never completed inside the configured round budget
-/// ([`SessionConfig::max_rounds`]) — the caller should back off and
-/// retry rather than escalate.
+/// but the exchange never completed inside the round budget — the
+/// caller should back off and retry rather than escalate.
 #[derive(Debug)]
 pub enum SessionError {
     /// The router-side state machine rejected a PDU it decoded fine —
@@ -127,105 +132,100 @@ impl From<PduError> for SessionError {
     }
 }
 
-/// Knobs for a [`LiveSession`]: version caps on each endpoint, the
-/// retry budget, and the clock the router's RFC 8210 timers read.
-#[derive(Debug, Clone)]
-pub struct SessionConfig {
-    /// Highest protocol version the cache side speaks.
-    pub cache_version: u8,
-    /// Version the router opens with (downgrades on rejection).
-    pub router_version: u8,
-    /// Upper bound on query/response rounds inside one
-    /// [`LiveSession::synchronize`] call before it fails with
-    /// [`SessionError::Timeout`]. Each round is one query plus its full
-    /// response; a Cache Reset fallback or a version downgrade each
-    /// consume a round. The default of 3 covers the deepest legitimate
-    /// chain (downgrade → Cache Reset → full rebuild).
-    pub max_rounds: usize,
-    /// Clock handed to the router client for freshness bookkeeping;
-    /// defaults to the system clock, tests pass [`Clock::manual`].
-    pub clock: Clock,
+/// Query/response rounds one synchronization attempt may spend: the
+/// deepest legitimate chain is downgrade → Cache Reset → full rebuild,
+/// plus one round of slack for a fault that decodes as another reset.
+const SYNC_ROUNDS: usize = 4;
+
+/// Why one synchronization attempt failed — the round loop's own
+/// taxonomy, mapped to [`SessionError`] for [`LiveSession`] callers and
+/// to [`FailureKind`](crate::faults::FailureKind) for the chaos trace.
+#[derive(Debug)]
+pub(crate) enum AttemptError {
+    /// A fault cut the connection before the query fully arrived.
+    QueryLost,
+    /// The cache tore the session down and no downgrade applies.
+    Teardown(PduError),
+    /// The router-bound bytes failed to parse or negotiate.
+    Protocol(PduError),
+    /// The router-side state machine rejected a decoded PDU.
+    Client(ClientError),
+    /// The response ran dry before End of Data, or the round budget
+    /// ran out.
+    Incomplete,
 }
 
-impl Default for SessionConfig {
-    fn default() -> SessionConfig {
-        SessionConfig {
-            cache_version: PROTOCOL_V1,
-            router_version: PROTOCOL_V1,
-            max_rounds: 3,
-            clock: Clock::system(),
+impl From<AttemptError> for SessionError {
+    fn from(e: AttemptError) -> Self {
+        match e {
+            AttemptError::QueryLost => SessionError::Transport(TransportError::Closed),
+            AttemptError::Teardown(e) | AttemptError::Protocol(e) => SessionError::Protocol(e),
+            AttemptError::Client(e) => e.into(),
+            AttemptError::Incomplete => SessionError::Timeout {
+                rounds: SYNC_ROUNDS,
+            },
         }
     }
 }
 
+/// How one round's response ended on the router side.
+enum Round {
+    /// End of Data: the router is synchronized.
+    Done,
+    /// Cache Reset: the next round sends a Reset Query.
+    Reset,
+    /// The bytes ran out first.
+    Dry,
+}
+
 /// A cache server and a router client joined by in-memory byte pipes,
 /// stepped serially: update the cache, then let the router catch up.
+///
+/// This is the crate's one session driver. Every frame in either
+/// direction passes through a [`FaultPlan`]; [`LiveSession::new`]
+/// installs the quiet plan, [`ChaosSession`](crate::faults::ChaosSession)
+/// a seeded one plus the retry loop around the same `attempt`.
 #[derive(Debug)]
 pub struct LiveSession {
     /// The cache side, behind the same fan-out core the TCP service
     /// uses, with one registered session.
     server: FanoutServer,
     session: SessionId,
-    router: RouterClient,
+    pub(crate) router: RouterClient,
     /// The router's view (it accepts responses up to its own version).
     router_negotiation: Negotiation,
-    /// Bytes in flight cache → router.
+    /// Bytes in flight cache → router (post-fault).
     to_router: Vec<u8>,
-    /// Round budget per synchronization call.
-    max_rounds: usize,
+    pub(crate) plan: FaultPlan,
+    /// Shared by the cache, the router's timers, and stall faults.
+    pub(crate) clock: Clock,
 }
 
 impl LiveSession {
     /// Wires a cache holding `vrps` to a fresh, unsynchronized router,
-    /// both speaking protocol version 1.
+    /// both speaking protocol version 1, over a fault-free pipe.
     pub fn new(session_id: u16, vrps: &[Vrp]) -> LiveSession {
-        LiveSession::with_versions(session_id, vrps, PROTOCOL_V1, PROTOCOL_V1)
-    }
-
-    /// A session pinned to one protocol version on both sides — the
-    /// version scenario axis for tests and benches.
-    pub fn with_version(session_id: u16, vrps: &[Vrp], version: u8) -> LiveSession {
-        LiveSession::with_versions(session_id, vrps, version, version)
-    }
-
-    /// A session with independent version caps: `cache_version` is the
-    /// highest version the cache speaks, `router_version` what the
-    /// router opens with. A router above the cache's cap triggers the
-    /// RFC 6810 downgrade on first synchronization.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown versions.
-    pub fn with_versions(
-        session_id: u16,
-        vrps: &[Vrp],
-        cache_version: u8,
-        router_version: u8,
-    ) -> LiveSession {
-        LiveSession::with_session_config(
-            session_id,
-            vrps,
-            SessionConfig {
-                cache_version,
-                router_version,
-                ..SessionConfig::default()
-            },
+        LiveSession::over(
+            CacheServer::new(session_id, vrps),
+            PROTOCOL_V1,
+            Clock::system(),
+            FaultPlan::quiet(),
         )
     }
 
-    /// The fully-parameterized constructor: version caps, round budget,
-    /// and the clock the router's freshness timers read all come from
-    /// `config`.
+    /// Wires `cache` to a fresh router opening at `router_version`
+    /// (above the cache's cap it triggers the RFC 6810 downgrade on
+    /// first synchronization), with `plan` spliced into both pipes.
     ///
     /// # Panics
     ///
-    /// Panics on unknown versions.
-    pub fn with_session_config(
-        session_id: u16,
-        vrps: &[Vrp],
-        config: SessionConfig,
+    /// Panics on an unknown router version.
+    pub(crate) fn over(
+        cache: CacheServer,
+        router_version: u8,
+        clock: Clock,
+        plan: FaultPlan,
     ) -> LiveSession {
-        let cache = CacheServer::with_version(session_id, vrps, config.cache_version);
         // The single-session driver always drains between rounds, so
         // backpressure would only get in the way of deterministic
         // byte accounting.
@@ -233,30 +233,24 @@ impl LiveSession {
             outbox_limit: usize::MAX,
             ..ServerConfig::default()
         };
-        let mut server = FanoutServer::with_clock(cache, server_config, config.clock.clone());
+        let mut server = FanoutServer::with_clock(cache, server_config, clock.clone());
         let session = server.open_session();
-        let mut router = RouterClient::with_version(config.router_version);
-        router.set_clock(config.clock);
-        let router_negotiation = Negotiation::with_max(config.router_version);
+        let mut router = RouterClient::with_version(router_version);
+        router.set_clock(clock.clone());
         LiveSession {
             server,
             session,
             router,
-            router_negotiation,
+            router_negotiation: Negotiation::with_max(router_version),
             to_router: Vec::new(),
-            max_rounds: config.max_rounds,
+            plan,
+            clock,
         }
     }
 
     /// The cache endpoint (e.g. to inspect serial/history state).
     pub fn cache(&self) -> &CacheServer {
         self.server.cache()
-    }
-
-    /// The fan-out core the cache side runs on (e.g. to mutate the
-    /// cache without notifying, or to read fan-out stats).
-    pub fn server_mut(&mut self) -> &mut FanoutServer {
-        &mut self.server
     }
 
     /// The router endpoint (e.g. to read the synchronized VRP set).
@@ -269,6 +263,12 @@ impl LiveSession {
         self.server.negotiated_version(self.session)
     }
 
+    /// Applies one churn epoch to the cache and queues the Serial
+    /// Notify on the session, without letting the router catch up.
+    pub(crate) fn update_cache(&mut self, announced: &[Vrp], withdrawn: &[Vrp]) {
+        self.server.update_delta_and_notify(announced, withdrawn);
+    }
+
     /// Applies one churn epoch to the cache, pushes the Serial Notify down
     /// the wire, and runs the router's synchronization round to
     /// completion. Returns the on-wire stats.
@@ -277,110 +277,153 @@ impl LiveSession {
         announced: &[Vrp],
         withdrawn: &[Vrp],
     ) -> Result<SyncStats, SessionError> {
-        self.server.update_delta_and_notify(announced, withdrawn);
+        self.update_cache(announced, withdrawn);
         self.synchronize()
     }
 
-    /// One full synchronization round: the router sends the query its
-    /// state calls for, the cache serves it over the byte pipe, and the
-    /// router consumes the response — following a Cache Reset with a
-    /// Reset Query (RFC 8210 §8), and a recoverable version rejection
-    /// with a reconnect one version down (RFC 6810 §7).
+    /// One full synchronization: a single `attempt` of the round loop with
+    /// no trace sink, so a full-table sync records nothing per PDU.
     pub fn synchronize(&mut self) -> Result<SyncStats, SessionError> {
+        Ok(self.attempt(None)?)
+    }
+
+    /// One synchronization attempt through the (possibly faulted)
+    /// pipes: the router sends the query its state calls for, the cache
+    /// serves it, and the router consumes the response — following a
+    /// Cache Reset with a Reset Query (RFC 8210 §8), and a recoverable
+    /// version rejection with a reconnect one version down (RFC 6810
+    /// §7). Every fault drawn and every downgrade is logged to `trace`.
+    /// `Ok` means the router saw End of Data; whether it *converged* is
+    /// for the caller to validate.
+    pub(crate) fn attempt(
+        &mut self,
+        mut trace: Option<&mut Vec<TraceEvent>>,
+    ) -> Result<SyncStats, AttemptError> {
         let mut stats = SyncStats::default();
-        // Bounded retries: at most one version downgrade plus one Cache
-        // Reset fallback inside the default budget; anything beyond
-        // that is a protocol loop and times out.
-        let mut downgraded = false;
-        let max_rounds = self.max_rounds.max(1);
-        for _attempt in 0..max_rounds {
-            self.send_query(&mut stats);
-            if let Some(error) = self.pump_cache(&mut stats) {
+        for _round in 0..SYNC_ROUNDS {
+            // Router → cache: the query, through the ToCache stream.
+            // Whatever survives still reaches the cache (a truncated
+            // prefix sits as an incomplete frame, a poisoned query gets
+            // whatever answer it decodes to).
+            let mut query = Vec::new();
+            self.router
+                .query()
+                .as_wire()
+                .encode_into(self.router.version(), &mut query);
+            stats.bytes += query.len();
+            let mut arrived = Vec::new();
+            let connected = self.plan.transmit(
+                Direction::ToCache,
+                &query,
+                &mut arrived,
+                &self.clock,
+                trace.as_deref_mut(),
+            );
+            self.server.receive(self.session, &arrived);
+            if !connected {
+                return Err(AttemptError::QueryLost);
+            }
+
+            // Cache side: drain the outbox, check for teardown.
+            let mut response = Vec::new();
+            stats.bytes += self.server.drain_output(self.session, &mut response);
+            if let Some(error) = self.server.session_error(self.session).cloned() {
                 let can_downgrade = error.class() == ErrorClass::Recoverable
-                    && !downgraded
+                    && !stats.downgraded
                     && self.router.version() > PROTOCOL_V0;
                 if !can_downgrade {
-                    return Err(error.into());
+                    return Err(AttemptError::Teardown(error));
                 }
-                downgraded = true;
+                // The closing Error Report crossed the wire; then a
+                // fresh connection one version down (RFC 6810 §7 — the
+                // data is still good, only the version changes).
                 stats.downgraded = true;
-                // Account for the closing Error Report on the wire, then
-                // reconnect one version down (a fresh connection: empty
-                // pipes, unpinned negotiations).
-                while self.recv_pdu(&mut stats)?.is_some() {}
-                self.reconnect(self.router.version() - 1);
+                stats.pdus += split_frames(&response).count();
+                let from = self.router.version();
+                self.router.downgrade_to(from - 1);
+                self.reopen();
+                if let Some(trace) = trace.as_deref_mut() {
+                    trace.push(TraceEvent::Downgrade { from, to: from - 1 });
+                }
                 continue;
             }
-            let mut reset = false;
-            while let Some(pdu) = self.recv_pdu(&mut stats)? {
-                match &pdu {
-                    Pdu::Prefix { flags, .. } => match flags {
-                        Flags::Announce => stats.announced += 1,
-                        Flags::Withdraw => stats.withdrawn += 1,
-                    },
-                    Pdu::CacheReset => {
-                        stats.reset = true;
-                        reset = true;
-                    }
+
+            // Cache → router: each response frame through the ToRouter
+            // stream. A loss-class fault cuts the rest of the response.
+            for frame in split_frames(&response) {
+                let connected = self.plan.transmit(
+                    Direction::ToRouter,
+                    frame,
+                    &mut self.to_router,
+                    &self.clock,
+                    trace.as_deref_mut(),
+                );
+                if !connected {
+                    break;
+                }
+            }
+
+            // Router side: decode whatever made it through, walking the
+            // pipe by offset and draining it once.
+            let mut consumed = 0;
+            let ended = loop {
+                let frame = match wire::decode_frame(&self.to_router[consumed..]) {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break Ok(Round::Dry),
+                    Err(e) => break Err(AttemptError::Protocol(e)),
+                };
+                if let Err(e) = self.router_negotiation.accept(frame.version) {
+                    break Err(AttemptError::Protocol(e));
+                }
+                let pdu = frame.pdu.to_owned();
+                consumed += frame.len;
+                stats.pdus += 1;
+                match pdu {
+                    Pdu::Prefix {
+                        flags: Flags::Announce,
+                        ..
+                    } => stats.announced += 1,
+                    Pdu::Prefix {
+                        flags: Flags::Withdraw,
+                        ..
+                    } => stats.withdrawn += 1,
+                    Pdu::CacheReset => stats.reset = true,
                     _ => {}
                 }
-                if self.router.handle(&pdu)? {
-                    return Ok(stats);
+                match self.router.handle(&pdu) {
+                    Ok(true) => break Ok(Round::Done),
+                    Ok(false) if pdu == Pdu::CacheReset => break Ok(Round::Reset),
+                    Ok(false) => {}
+                    Err(e) => break Err(AttemptError::Client(e)),
                 }
-                if reset {
-                    break; // fall back to a Reset Query
-                }
-            }
-            if !reset {
-                // The response ran dry without an End of Data: the
-                // round made no progress and no further round can.
-                return Err(SessionError::Timeout { rounds: max_rounds });
+            };
+            self.to_router.drain(..consumed);
+            match ended? {
+                Round::Done => return Ok(stats),
+                Round::Reset => {}
+                Round::Dry => return Err(AttemptError::Incomplete),
             }
         }
-        Err(SessionError::Timeout { rounds: max_rounds })
+        Err(AttemptError::Incomplete)
     }
 
-    /// Encodes the router's next query and feeds it to the fan-out core
-    /// at the router's version.
-    fn send_query(&mut self, stats: &mut SyncStats) {
-        let query = self.router.query();
-        let mut bytes = Vec::new();
-        query
-            .as_wire()
-            .encode_into(self.router.version(), &mut bytes);
-        stats.bytes += bytes.len();
-        self.server.receive(self.session, &bytes);
+    /// Re-establishes the connection after a failed attempt: the router
+    /// aborts any half-applied delta and renegotiates from its
+    /// *preferred* version (downgrades are per-connection, RFC 6810
+    /// §7), and the pipes start clean.
+    pub(crate) fn reconnect(&mut self) {
+        self.router.abort_response();
+        self.router.renegotiate();
+        self.reopen();
     }
 
-    /// Drains the session's outbox onto the router-bound pipe. Returns
-    /// the teardown error, if the cache tore the session down.
-    fn pump_cache(&mut self, stats: &mut SyncStats) -> Option<PduError> {
-        stats.bytes += self.server.drain_output(self.session, &mut self.to_router);
-        self.server.session_error(self.session).cloned()
-    }
-
-    /// Decodes the next PDU off the router-bound pipe, if one is
-    /// complete, checking it against the router-side negotiation.
-    fn recv_pdu(&mut self, stats: &mut SyncStats) -> Result<Option<Pdu>, SessionError> {
-        let Some(frame) = wire::decode_frame(&self.to_router)? else {
-            return Ok(None);
-        };
-        self.router_negotiation.accept(frame.version)?;
-        let pdu = frame.pdu.to_owned();
-        let len = frame.len;
-        self.to_router.drain(..len);
-        stats.pdus += 1;
-        Ok(Some(pdu))
-    }
-
-    /// Re-establishes the connection at a lower version after a
-    /// recoverable rejection: the torn session is closed on the
-    /// registry and a fresh one opened, like a real reconnect.
-    fn reconnect(&mut self, version: u8) {
-        self.router.downgrade_to(version);
+    /// Closes the session on the registry and opens a fresh one at the
+    /// router's current version, like a real reconnect: empty pipes,
+    /// unpinned negotiations.
+    fn reopen(&mut self) {
         self.server.close_session(self.session);
         self.session = self.server.open_session();
-        self.router_negotiation = Negotiation::with_max(version);
+        self.router_negotiation = Negotiation::with_max(self.router.version());
         self.to_router.clear();
     }
 }
@@ -395,6 +438,31 @@ mod tests {
 
     fn vrps(list: &[&str]) -> Vec<Vrp> {
         list.iter().map(|s| s.parse().unwrap()).collect()
+    }
+
+    /// A fault-free session with independent version caps.
+    fn versioned(
+        session_id: u16,
+        vrps: &[Vrp],
+        cache_version: u8,
+        router_version: u8,
+    ) -> LiveSession {
+        LiveSession::over(
+            CacheServer::with_version(session_id, vrps, cache_version),
+            router_version,
+            Clock::system(),
+            FaultPlan::quiet(),
+        )
+    }
+
+    /// Ages the router's serial out of the history window without
+    /// letting it catch up (no notify: mutate the cache directly).
+    fn age_cache(s: &mut LiveSession, updates: u32) {
+        for i in 0..updates {
+            s.server.with_cache(|c| {
+                c.update_delta(&[vrp(&format!("172.16.{}.0/24 => AS7", i % 256))], &[]);
+            });
+        }
     }
 
     #[test]
@@ -434,13 +502,7 @@ mod tests {
     fn stale_router_recovers_via_cache_reset() {
         let mut s = LiveSession::new(8, &vrps(&["10.0.0.0/8 => AS1"]));
         s.synchronize().unwrap();
-        // Age the router's serial out of the history window without
-        // letting it catch up (no notify: mutate the cache directly).
-        for i in 0u32..40 {
-            s.server_mut().with_cache(|c| {
-                c.update_delta(&[vrp(&format!("172.16.{}.0/24 => AS7", i % 256))], &[]);
-            });
-        }
+        age_cache(&mut s, 40);
         let stats = s.synchronize().unwrap();
         assert!(stats.reset, "stale serial must force a Cache Reset");
         // Recovery delivers the full current set.
@@ -452,7 +514,7 @@ mod tests {
 
     #[test]
     fn v0_session_end_to_end() {
-        let mut s = LiveSession::with_version(5, &vrps(&["10.0.0.0/8 => AS1"]), PROTOCOL_V0);
+        let mut s = versioned(5, &vrps(&["10.0.0.0/8 => AS1"]), PROTOCOL_V0, PROTOCOL_V0);
         let stats = s.synchronize().unwrap();
         assert_eq!(stats.announced, 1);
         assert!(!stats.downgraded);
@@ -465,7 +527,7 @@ mod tests {
 
     #[test]
     fn v1_router_downgrades_to_v0_cache() {
-        let mut s = LiveSession::with_versions(
+        let mut s = versioned(
             9,
             &vrps(&["10.0.0.0/8 => AS1", "11.0.0.0/8 => AS2"]),
             PROTOCOL_V0,
@@ -482,29 +544,57 @@ mod tests {
         assert_eq!(s.router().vrps().len(), 3);
     }
 
+    /// Byte accounting across the driver merge: the per-epoch stats of
+    /// a fixed timeline — a downgrade on first contact, three deltas, a
+    /// Cache Reset fallback, one more delta — equal the values the
+    /// separate `LiveSession` loop produced at the commit before it was
+    /// folded into the shared round loop.
     #[test]
-    fn exhausted_round_budget_is_a_timeout() {
-        // A stale router needs two rounds (Serial Query → Cache Reset,
-        // then the Reset Query rebuild); a budget of one must fail with
-        // the typed timeout, not a transport error.
-        let mut s = LiveSession::with_session_config(
-            8,
-            &vrps(&["10.0.0.0/8 => AS1"]),
-            SessionConfig {
-                max_rounds: 1,
-                ..SessionConfig::default()
-            },
+    fn sync_stats_match_the_pre_merge_driver() {
+        let initial: Vec<Vrp> = (0..12u32)
+            .map(|i| vrp(&format!("10.{i}.0.0/16-20 => AS{}", 100 + i)))
+            .chain([vrp("2001:db8::/32-48 => AS64500")])
+            .collect();
+        let mut s = versioned(77, &initial, PROTOCOL_V0, PROTOCOL_V1);
+        let mut got = vec![s.synchronize().unwrap()];
+        for epoch in 0..3u32 {
+            let announced: Vec<Vrp> = (0..=epoch)
+                .map(|i| vrp(&format!("11.{epoch}.{i}.0/24 => AS{}", 200 + epoch)))
+                .collect();
+            let withdrawn = &initial[epoch as usize * 2..epoch as usize * 3];
+            got.push(s.apply_epoch(&announced, withdrawn).unwrap());
+        }
+        age_cache(&mut s, 20);
+        got.push(s.synchronize().unwrap());
+        got.push(
+            s.apply_epoch(&[vrp("2001:db8:1::/48 => AS64501")], &initial[12..])
+                .unwrap(),
         );
-        s.synchronize().unwrap();
-        for i in 0u32..40 {
-            s.server_mut().with_cache(|c| {
-                c.update_delta(&[vrp(&format!("172.16.{}.0/24 => AS7", i % 256))], &[]);
-            });
-        }
-        match s.synchronize() {
-            Err(SessionError::Timeout { rounds }) => assert_eq!(rounds, 1),
-            other => panic!("expected Timeout, got {other:?}"),
-        }
+
+        let stats = |announced, withdrawn, pdus, bytes| SyncStats {
+            announced,
+            withdrawn,
+            pdus,
+            bytes,
+            reset: false,
+            downgraded: false,
+        };
+        let want = [
+            SyncStats {
+                downgraded: true,
+                ..stats(13, 0, 16, 362)
+            },
+            stats(1, 0, 4, 64),
+            stats(2, 1, 6, 104),
+            stats(3, 2, 8, 144),
+            SyncStats {
+                reset: true,
+                ..stats(36, 0, 39, 780)
+            },
+            stats(1, 1, 5, 108),
+        ];
+        assert_eq!(got, want);
+        assert_eq!((s.router().serial(), s.router().vrps().len()), (24, 36));
     }
 
     #[test]
@@ -514,21 +604,13 @@ mod tests {
         use std::time::Duration;
 
         let clock = Clock::manual();
-        let mut s = LiveSession::with_session_config(
-            4,
-            &vrps(&["10.0.0.0/8 => AS1"]),
-            SessionConfig {
-                clock: clock.clone(),
-                ..SessionConfig::default()
-            },
-        );
-        s.server_mut().with_cache(|c| {
-            c.set_timing(Timing {
-                refresh: 10,
-                retry: 5,
-                expire: 30,
-            })
+        let mut cache = CacheServer::new(4, &vrps(&["10.0.0.0/8 => AS1"]));
+        cache.set_timing(Timing {
+            refresh: 10,
+            retry: 5,
+            expire: 30,
         });
+        let mut s = LiveSession::over(cache, PROTOCOL_V1, clock.clone(), FaultPlan::quiet());
         s.synchronize().unwrap();
         assert_eq!(s.router().freshness(), Freshness::Fresh);
         clock.advance(Duration::from_secs(11));
@@ -544,8 +626,7 @@ mod tests {
     fn v0_router_works_against_v1_cache() {
         // The other direction needs no downgrade: the v1-capable cache
         // simply answers at the router's v0.
-        let mut s =
-            LiveSession::with_versions(2, &vrps(&["10.0.0.0/8 => AS1"]), PROTOCOL_V1, PROTOCOL_V0);
+        let mut s = versioned(2, &vrps(&["10.0.0.0/8 => AS1"]), PROTOCOL_V1, PROTOCOL_V0);
         let stats = s.synchronize().unwrap();
         assert!(!stats.downgraded);
         assert_eq!(s.negotiated_version(), Some(PROTOCOL_V0));

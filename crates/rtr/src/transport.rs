@@ -2,24 +2,19 @@
 //!
 //! The protocol machines in [`cache`](crate::cache) and
 //! [`client`](crate::client) are sans-io; a [`Transport`] is the thin
-//! blocking pipe between them. Two implementations:
+//! blocking pipe [`RouterClient::synchronize`](crate::RouterClient::synchronize)
+//! talks through, and [`TcpTransport`] is the real socket behind it on
+//! the router (client) side.
 //!
-//! * [`memory_pair`] — an in-process duplex channel (tests, examples).
-//!   The channel carries **encoded frames**, not `Pdu` clones, so every
-//!   memory-transport test exercises the canonical wire codec and the
-//!   per-end version negotiation exactly like a socket would.
-//! * [`TcpTransport`] — a real socket for the router (client) side.
-//!
-//! The concurrent cache-side server lives in [`crate::server`]: a
-//! non-blocking event loop fanning shared response images to every
-//! session, replacing the old thread-per-connection server.
+//! The cache side has no blocking transport: it is served by the
+//! non-blocking event loop in [`crate::server`]. In-memory sessions go
+//! through [`crate::session::LiveSession`]'s byte pipes instead.
 
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::pdu::{Pdu, PduError, PROTOCOL_V0, PROTOCOL_V1};
 use crate::wire::{self, Negotiation, HEADER_LEN, MAX_PDU_LEN};
@@ -75,85 +70,6 @@ pub trait Transport {
     fn send(&mut self, pdu: &Pdu) -> Result<(), TransportError>;
     /// Receives the next PDU, blocking until one arrives.
     fn recv(&mut self) -> Result<Pdu, TransportError>;
-}
-
-/// One end of an in-memory duplex transport.
-///
-/// Sends travel the channel as encoded wire frames at the end's
-/// protocol version; receives run the zero-copy decoder and a real
-/// per-end [`Negotiation`] — the same codec path a socket exercises, so
-/// a PDU that cannot survive the wire cannot sneak through an in-memory
-/// test either.
-#[derive(Debug)]
-pub struct MemoryTransport {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-    /// Received frame bytes not yet decoded (a sender always ships whole
-    /// frames, but the decoder must not rely on that).
-    buf: Vec<u8>,
-    version: u8,
-    negotiation: Negotiation,
-}
-
-/// Creates a connected pair of in-memory transports at protocol
-/// version 1.
-pub fn memory_pair() -> (MemoryTransport, MemoryTransport) {
-    memory_pair_with_version(PROTOCOL_V1)
-}
-
-/// Creates a connected pair of in-memory transports pinned to
-/// `version` on both ends.
-///
-/// # Panics
-///
-/// Panics on unknown versions.
-pub fn memory_pair_with_version(version: u8) -> (MemoryTransport, MemoryTransport) {
-    assert!(
-        version == PROTOCOL_V0 || version == PROTOCOL_V1,
-        "unknown protocol version {version}"
-    );
-    let (tx_a, rx_a) = unbounded();
-    let (tx_b, rx_b) = unbounded();
-    let end = |tx, rx| MemoryTransport {
-        tx,
-        rx,
-        buf: Vec::new(),
-        version,
-        negotiation: Negotiation::with_max(version),
-    };
-    (end(tx_a, rx_b), end(tx_b, rx_a))
-}
-
-impl Transport for MemoryTransport {
-    fn send(&mut self, pdu: &Pdu) -> Result<(), TransportError> {
-        let mut frame = Vec::new();
-        pdu.as_wire().encode_into(self.version, &mut frame);
-        self.tx.send(frame).map_err(|_| TransportError::Closed)
-    }
-
-    fn recv(&mut self) -> Result<Pdu, TransportError> {
-        loop {
-            if let Some(frame) = wire::decode_frame(&self.buf)? {
-                self.negotiation.accept(frame.version)?;
-                let pdu = frame.pdu.to_owned();
-                let used = frame.len;
-                self.buf.drain(..used);
-                return Ok(pdu);
-            }
-            match self.rx.recv() {
-                Ok(chunk) => self.buf.extend_from_slice(&chunk),
-                Err(_) if self.buf.is_empty() => return Err(TransportError::Closed),
-                Err(_) => {
-                    // The peer hung up mid-frame: a truncation, not a
-                    // clean close.
-                    return Err(TransportError::Protocol(PduError::BadLength {
-                        type_code: 0xFF,
-                        length: self.buf.len(),
-                    }));
-                }
-            }
-        }
-    }
 }
 
 /// A PDU transport over a TCP stream, buffering partial frames.
@@ -275,82 +191,35 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheServer;
-    use crate::client::RouterClient;
-    use rpki_roa::Vrp;
     use std::net::TcpListener;
     use std::thread;
 
-    fn vrps(list: &[&str]) -> Vec<Vrp> {
-        list.iter().map(|s| s.parse().unwrap()).collect()
-    }
-
     #[test]
-    fn memory_pair_moves_pdus() {
-        let (mut a, mut b) = memory_pair();
-        a.send(&Pdu::ResetQuery).unwrap();
-        assert_eq!(b.recv().unwrap(), Pdu::ResetQuery);
-        b.send(&Pdu::CacheReset).unwrap();
-        assert_eq!(a.recv().unwrap(), Pdu::CacheReset);
-    }
-
-    #[test]
-    fn memory_sync_end_to_end() {
-        let set = vrps(&["10.0.0.0/8 => AS1", "2001:db8::/32-48 => AS2"]);
-        let mut cache = CacheServer::new(5, &set);
-        let (mut router_side, mut cache_side) = memory_pair();
-        let server = thread::spawn(move || cache.serve_one(&mut cache_side));
-        let mut router = RouterClient::new();
-        router.synchronize(&mut router_side).unwrap();
-        server.join().unwrap().unwrap();
-        assert_eq!(router.vrps().len(), 2);
-    }
-
-    // The channel carries frames, not Pdu clones: a PDU that cannot
-    // encode must fail at `send`, inside the codec, not arrive pristine
-    // on the other side. A nested Error Report is exactly the shape the
-    // encoder's nesting guard rejects (RFC 8210 §5.10) — the PR 7 panic
-    // a clone-passing channel would have hidden. The guard is a
-    // debug_assert, hence the cfg.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "must not encapsulate an error report")]
-    fn memory_pair_exercises_the_wire_codec() {
-        let inner = Pdu::ErrorReport {
-            code: crate::pdu::ErrorCode::CorruptData,
-            pdu: bytes::Bytes::new(),
-            text: "inner".into(),
-        };
-        let nested = Pdu::ErrorReport {
-            code: crate::pdu::ErrorCode::CorruptData,
-            pdu: inner.to_bytes(),
-            text: "outer".into(),
-        };
-        let (mut a, _b) = memory_pair();
-        let _ = a.send(&nested);
-    }
-
-    #[test]
-    fn memory_pair_pins_version_like_a_socket() {
-        // A v0 end must reject a v1 frame exactly as the TCP transport
-        // would: the negotiation runs on the receive path.
-        let (mut v1, _keep) = memory_pair();
-        let (_other, mut v0) = memory_pair_with_version(PROTOCOL_V0);
-        // Graft the v1 sender onto the v0 receiver's channel.
-        v0.buf.clear();
-        let mut frame = Vec::new();
-        Pdu::ResetQuery
-            .as_wire()
-            .encode_into(PROTOCOL_V1, &mut frame);
-        v0.buf.extend_from_slice(&frame);
-        assert!(matches!(v0.recv(), Err(TransportError::Protocol(_))));
-        // And the v1 end happily receives its own version.
-        let mut echo = Vec::new();
-        Pdu::ResetQuery
-            .as_wire()
-            .encode_into(PROTOCOL_V1, &mut echo);
-        v1.buf.extend_from_slice(&echo);
-        assert_eq!(v1.recv().unwrap(), Pdu::ResetQuery);
+    fn tcp_version_pinning_and_clean_close() {
+        // The negotiation runs on the receive path: a v0 transport must
+        // reject a v1 frame, a v1 transport receives it and then sees
+        // the writer's clean close as `Closed`.
+        for (version, accepts) in [(PROTOCOL_V0, false), (PROTOCOL_V1, true)] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let writer = thread::spawn(move || {
+                let mut s = TcpStream::connect(addr).unwrap();
+                let mut frame = Vec::new();
+                Pdu::ResetQuery
+                    .as_wire()
+                    .encode_into(PROTOCOL_V1, &mut frame);
+                s.write_all(&frame).unwrap();
+            });
+            let (stream, _) = listener.accept().unwrap();
+            let mut t = TcpTransport::with_version(stream, version);
+            if accepts {
+                assert_eq!(t.recv().unwrap(), Pdu::ResetQuery);
+                assert_eq!(t.recv().unwrap_err(), TransportError::Closed);
+            } else {
+                assert!(matches!(t.recv(), Err(TransportError::Protocol(_))));
+            }
+            writer.join().unwrap();
+        }
     }
 
     #[test]
@@ -437,13 +306,5 @@ mod tests {
         let mut t = TcpTransport::new(stream);
         assert!(matches!(t.recv(), Err(TransportError::Protocol(_))));
         writer.join().unwrap();
-    }
-
-    #[test]
-    fn closed_memory_channel() {
-        let (mut a, b) = memory_pair();
-        drop(b);
-        assert_eq!(a.send(&Pdu::ResetQuery), Err(TransportError::Closed));
-        assert_eq!(a.recv().unwrap_err(), TransportError::Closed);
     }
 }

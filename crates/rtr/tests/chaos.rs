@@ -180,3 +180,42 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a over a trace's `Debug` rendering.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Recovery traces across the driver merge: for one heavy-fault seed,
+/// against a v1 cache and against a v0-capped one (171 downgrades), the
+/// trace hashes equal the values the separate `ChaosSession` round loop
+/// produced at the commit before it was folded into `LiveSession`'s.
+#[test]
+fn heavy_seed_recovery_traces_are_pinned() {
+    let epochs = [
+        (3, 0),
+        (2, 1),
+        (1, 2),
+        (3, 2),
+        (2, 0),
+        (1, 1),
+        (3, 1),
+        (2, 2),
+    ]
+    .map(|(announce, withdraw)| Epoch { announce, withdraw });
+    let v0_cache = ChaosOptions {
+        cache_version: PROTOCOL_V0,
+        router_version: PROTOCOL_V1,
+        ..ChaosOptions::default()
+    };
+    for (options, events, hash) in [
+        (ChaosOptions::default(), 944, 0x9db2_0d14_ab26_7355u64),
+        (v0_cache, 1953, 0x4764_24ef_97d9_393d),
+    ] {
+        let trace = run_chaos(42, FaultConfig::heavy(), &epochs, options);
+        assert_eq!(trace.len(), events);
+        assert_eq!(fnv1a(&format!("{trace:?}")), hash);
+    }
+}

@@ -20,8 +20,12 @@
 //! adversarial-input class the fuzzer covers probabilistically that we
 //! want pinned deterministically.
 
-use rpki_rtr::pdu::{legacy, ErrorCode};
+use rpki_rtr::pdu::ErrorCode;
 use rpki_rtr::wire::{self, ErrorClass};
+
+#[allow(dead_code)] // the corpus only needs the decoder
+#[path = "support/legacy.rs"]
+mod legacy;
 
 /// Numeric RFC 8210 error code (the crate keeps the conversion
 /// internal; the corpus format speaks raw codes).

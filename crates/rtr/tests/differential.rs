@@ -15,7 +15,10 @@ use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, Vrp};
-use rpki_rtr::pdu::{legacy, ErrorCode, Flags, Pdu, Timing, PROTOCOL_V0, PROTOCOL_V1};
+use rpki_rtr::pdu::{ErrorCode, Flags, Pdu, Timing, PROTOCOL_V0, PROTOCOL_V1};
+
+#[path = "support/legacy.rs"]
+mod legacy;
 
 fn v4(bits: u32, len: u8, max_len: u8, asn: u32) -> Vrp {
     Vrp::new(

@@ -6,10 +6,22 @@ use std::thread;
 use rpki_roa::Vrp;
 use rpki_rtr::cache::CacheServer;
 use rpki_rtr::client::{ClientState, RouterClient};
-use rpki_rtr::transport::{memory_pair, Transport};
 
 fn vrps(list: &[&str]) -> Vec<Vrp> {
     list.iter().map(|s| s.parse().unwrap()).collect()
+}
+
+/// Query/response rounds until End of Data. Returns how many rounds it
+/// took (a Cache Reset costs a second one).
+fn synchronize(router: &mut RouterClient, cache: &mut CacheServer) -> usize {
+    for round in 1..=2 {
+        for pdu in cache.handle(&router.query()) {
+            if router.handle(&pdu).unwrap() {
+                return round;
+            }
+        }
+    }
+    panic!("no End of Data within two rounds");
 }
 
 #[test]
@@ -18,14 +30,7 @@ fn router_recovers_from_cache_restart() {
     let set_a = vrps(&["10.0.0.0/8 => AS1", "11.0.0.0/8 => AS2"]);
     let mut cache_a = CacheServer::new(1, &set_a);
     let mut router = RouterClient::new();
-    {
-        let (mut router_side, mut cache_side) = memory_pair();
-        let t = thread::spawn(move || {
-            cache_a.serve_one(&mut cache_side).unwrap();
-        });
-        router.synchronize(&mut router_side).unwrap();
-        t.join().unwrap();
-    }
+    assert_eq!(synchronize(&mut router, &mut cache_a), 1);
     assert_eq!(router.vrps().len(), 2);
     assert_eq!(router.state(), ClientState::Synchronized);
 
@@ -34,16 +39,11 @@ fn router_recovers_from_cache_restart() {
     // which it resets and pulls the full new set.
     let set_b = vrps(&["12.0.0.0/8 => AS3"]);
     let mut cache_b = CacheServer::new(2, &set_b);
-    {
-        let (mut router_side, mut cache_side) = memory_pair();
-        let t = thread::spawn(move || {
-            // Serve two requests: the doomed serial query, then the reset.
-            cache_b.serve_one(&mut cache_side).unwrap();
-            cache_b.serve_one(&mut cache_side).unwrap();
-        });
-        router.synchronize(&mut router_side).unwrap();
-        t.join().unwrap();
-    }
+    assert_eq!(
+        synchronize(&mut router, &mut cache_b),
+        2,
+        "the doomed serial query, then the reset"
+    );
     assert_eq!(router.state(), ClientState::Synchronized);
     assert_eq!(router.vrps().len(), 1);
     assert!(router.vrps().contains(&vrps(&["12.0.0.0/8 => AS3"])[0]));
@@ -55,11 +55,7 @@ fn router_survives_many_incremental_updates() {
     let mut router = RouterClient::new();
 
     // Initial full sync.
-    let (mut router_side, mut cache_side) = memory_pair();
-    for pdu in cache.handle(&rpki_rtr::pdu::Pdu::ResetQuery) {
-        cache_side.send(&pdu).unwrap();
-    }
-    router.synchronize(&mut router_side).unwrap();
+    synchronize(&mut router, &mut cache);
 
     // Twelve updates, each followed by a delta sync, exercising the
     // history window and delta coalescing.

@@ -9,7 +9,8 @@
 //! cargo run --release --example hijack_lab
 //! ```
 
-use maxlength_rpki::bgpsim::attack::{run_attack, AttackKind, AttackSetup};
+use maxlength_rpki::bgpsim::attack::{AttackKind, AttackSetup};
+use maxlength_rpki::bgpsim::run_strategy;
 use maxlength_rpki::bgpsim::topology::{Topology, TopologyConfig};
 use maxlength_rpki::prelude::*;
 
@@ -50,8 +51,8 @@ fn main() {
     for (name, vrps) in &configs {
         println!("\n=== victim publishes: {name} ===");
         for kind in AttackKind::ALL {
-            let outcome = run_attack(
-                kind,
+            let outcome = run_strategy(
+                &kind,
                 &AttackSetup {
                     topology: &topology,
                     victim,

@@ -67,7 +67,7 @@ fn main() {
         report.trials,
         t0.elapsed(),
         stats.compilations,
-        stats.replayed,
+        stats.cells_replayed,
         stats.items,
     );
 
