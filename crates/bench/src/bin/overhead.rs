@@ -3,9 +3,13 @@
 //! scenario.
 //!
 //! The paper (authors' implementation, Intel i7-6700): 2.4 s / 19 MB for
-//! the partially-deployed RPKI; 36 s / 290 MB for full deployment. The
-//! Rust implementation is expected to be 1-2 orders of magnitude faster;
-//! the *ratio* between the two scenarios (~15x) is the comparable shape.
+//! the partially-deployed RPKI; 36 s / 290 MB for full deployment.
+//! Measured here at scale 1.0 (2 vCPUs, one thread): 7 ms for the 39,949
+//! deployed tuples and 84 ms for the 776,945 full-deployment tuples, with
+//! a peak RSS of 399 MB for the whole process including the generated
+//! dataset (the sweep itself holds 12 bytes per tuple beside its input
+//! and output). The *ratio* between the two scenarios (~12x here, ~15x in
+//! the paper) is the comparable shape.
 
 use maxlength_core::bounds::full_deployment_minimal;
 use maxlength_core::compress::{compress_roas, compress_roas_parallel};
@@ -56,7 +60,8 @@ fn main() {
     );
 
     // §7.2's suggested optimization: parallelize across per-(ASN, AFI)
-    // tries. Output is identical; only the wall clock moves.
+    // tries. Output is identical; only the sweep is shared out, so the
+    // sorting and the output list bound what threads can save.
     let threads = threads_from_env();
     let t2 = std::time::Instant::now();
     let full_par = compress_roas_parallel(&full, threads);

@@ -103,9 +103,15 @@ impl BgpTable {
     /// Iterates over every `(prefix, origin)` pair, grouped by prefix in
     /// sorted order.
     pub fn iter(&self) -> impl Iterator<Item = RouteOrigin> + '_ {
-        self.trie
-            .iter()
+        self.buckets()
             .flat_map(|(p, bucket)| bucket.iter().map(move |&a| RouteOrigin::new(p, a)))
+    }
+
+    /// Every announced prefix with its origins (in insertion order), in
+    /// sorted prefix order: IPv4 then IPv6, each in trie pre-order, so a
+    /// prefix comes directly before everything it covers.
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (Prefix, &[Asn])> {
+        self.trie.iter().map(|(p, bucket)| (p, bucket.as_slice()))
     }
 }
 

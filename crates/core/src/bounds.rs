@@ -9,15 +9,23 @@
 //! 6.2% ceiling; `compress_roas` gets within a fraction of a percent of it
 //! without creating any vulnerability.
 
-use rpki_roa::Vrp;
+use rpki_prefix::Prefix;
+use rpki_roa::{Asn, Vrp};
 
 use crate::BgpTable;
 
 /// The "minimal ROAs, no maxLength" PDU set for full deployment: one exact
 /// tuple per announced pair. (Table 1 row 5: 776,945 on the paper's data.)
+///
+/// The table iterates in prefix order and an exact tuple's maxLength is
+/// its length, so only the origins of one prefix need sorting.
 pub fn full_deployment_minimal(bgp: &BgpTable) -> Vec<Vrp> {
-    let mut out: Vec<Vrp> = bgp.iter().map(|r| Vrp::exact(r.prefix, r.origin)).collect();
-    out.sort_unstable();
+    let mut out = Vec::with_capacity(bgp.len());
+    for (prefix, origins) in bgp.buckets() {
+        let bucket = out.len();
+        out.extend(origins.iter().map(|&asn| Vrp::exact(prefix, asn)));
+        out[bucket..].sort_unstable();
+    }
     out
 }
 
@@ -28,13 +36,34 @@ pub fn full_deployment_minimal(bgp: &BgpTable) -> Vec<Vrp> {
 /// This is the fewest PDUs *any* maxLength assignment covering the whole
 /// table can produce — and it is maximally vulnerable to forged-origin
 /// subprefix hijacks, which is why the paper uses it only as a bound.
+///
+/// One pass: the table iterates in trie pre-order, where the announced
+/// strict ancestors of the current prefix are exactly a stack — pop while
+/// the top does not cover it (never again will it cover anything), and
+/// what remains are all its ancestors. That is
+/// [`BgpTable::has_ancestor_same_origin`] for every pair without a
+/// root-to-leaf walk per pair.
 pub fn max_permissive_lower_bound(bgp: &BgpTable) -> Vec<Vrp> {
-    let mut out: Vec<Vrp> = bgp
-        .iter()
-        .filter(|r| !bgp.has_ancestor_same_origin(r.prefix, r.origin))
-        .map(|r| Vrp::max_permissive(r.prefix, r.origin))
-        .collect();
-    out.sort_unstable();
+    // Reserved once, like the list above: grown by doubling, a list this
+    // long moves through the allocator a dozen times, at a cost that
+    // depends on what the heap holds at that moment.
+    let mut out = Vec::with_capacity(bgp.len());
+    let mut ancestors: Vec<(Prefix, &[Asn])> = Vec::new();
+    for (prefix, origins) in bgp.buckets() {
+        while ancestors.last().is_some_and(|(top, _)| !top.covers(prefix)) {
+            ancestors.pop();
+        }
+        let bucket = out.len();
+        let announced_above = |asn| ancestors.iter().any(|(_, above)| above.contains(asn));
+        out.extend(
+            origins
+                .iter()
+                .filter(|asn| !announced_above(asn))
+                .map(|&asn| Vrp::max_permissive(prefix, asn)),
+        );
+        out[bucket..].sort_unstable();
+        ancestors.push((prefix, origins));
+    }
     out
 }
 
@@ -68,6 +97,37 @@ mod tests {
         let minimal = full_deployment_minimal(&table);
         assert_eq!(minimal.len(), 3);
         assert!(minimal.iter().all(|v| !v.uses_max_len()));
+    }
+
+    /// Table order is already `Vrp` order except for the origins of one
+    /// prefix, which keep insertion order in the table.
+    #[test]
+    fn minimal_is_sorted_without_a_global_sort() {
+        let table = bgp(&[
+            "2001:db8::/32 => AS9",
+            "2001:db8::/32 => AS2",
+            "10.0.0.0/8 => AS7",
+            "10.0.0.0/8 => AS3",
+            "10.0.0.0/8 => AS5",
+            "10.0.0.0/16 => AS7",
+            "9.0.0.0/8 => AS8",
+            "::/0 => AS4",
+            "0.0.0.0/0 => AS6",
+            "0.0.0.0/0 => AS1",
+            "2001:db8::/48 => AS2",
+        ]);
+        let minimal = full_deployment_minimal(&table);
+        assert!(minimal.is_sorted());
+        let mut sort_everything: Vec<Vrp> = table
+            .iter()
+            .map(|r| Vrp::exact(r.prefix, r.origin))
+            .collect();
+        assert!(
+            !sort_everything.is_sorted(),
+            "MOAS origins are out of order"
+        );
+        sort_everything.sort_unstable();
+        assert_eq!(minimal, sort_everything);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! The algorithm takes a list of `(IP prefix, maxLength, origin AS)` tuples
 //! (PDUs) and produces a smaller list that authorizes **exactly the same
 //! routes** — so compressing minimal ROAs yields minimal ROAs. Per (ASN,
-//! address family) it builds a binary prefix trie whose nodes are the
-//! tuples, values the maxLengths, and walks it depth-first; as the walk
-//! backtracks through a node whose *both* direct children exist, it raises
-//! the node's maxLength to the minimum of the children's and deletes any
-//! child the parent now covers (Figure 2).
+//! address family) the tuples form a binary prefix trie whose nodes are the
+//! tuples and whose values are the maxLengths; the algorithm walks it
+//! depth-first and, as the walk backtracks through a node whose *both*
+//! direct children exist, raises the node's maxLength to the minimum of
+//! the children's and deletes any child the parent now covers (Figure 2).
 //!
 //! ### Faithfulness note
 //!
@@ -22,176 +22,230 @@
 //! implementation's behaviour on every example in the paper and is what the
 //! minimality property test locks in.
 //!
-//! Two entry points:
+//! ### Layout: a sorted array, no trie
+//!
+//! `Vrp` order is `(prefix, maxLength, origin)` and prefix order is
+//! `(family, bits, length)` — the *pre-order* of a binary prefix trie: a
+//! prefix sorts directly before everything it covers. The input in `Vrp`
+//! order (used as is when already sorted, a sorted copy otherwise),
+//! stably regrouped by origin with one sort of `origin << 32 | position`
+//! words, is therefore every per-(ASN, AFI) trie in pre-order, one after
+//! the other, and Algorithm 1 is one pass over it with a stack:
+//!
+//! * The stack holds the tuples covering the current one. A tuple is
+//!   *closed* (popped) when the first tuple outside its subtree arrives —
+//!   after all its descendants, which is the DFS's backtracking step.
+//! * The tuple beneath a closing one is its nearest covering tuple; one
+//!   bit shorter, it is the trie parent. A closing left child is noted
+//!   there; a closing right child finds the note and runs `compress(node)`
+//!   on the three. No lookup, no hashing, no allocation but the stack.
+//! * Duplicate `(prefix, origin)` tuples are neighbours, smaller maxLength
+//!   first; dropping the earlier one is the union of the two
+//!   authorizations, exact because origin and prefix agree.
+//!
+//! Survivors are marked, with their raised maxLengths, at their position
+//! in the sorted input, so the output is the input order with only the
+//! tuples of one prefix left to reorder. Threads cut the regrouped array
+//! at origin boundaries: shards are the same on every run.
+//!
+//! Entry points, all over the one sweep:
 //!
 //! * [`compress_roas`] — the faithful Algorithm 1 used for every Table 1 /
-//!   Figure 3 number.
+//!   Figure 3 number ([`compress_roas_parallel`]: on several threads).
 //! * [`compress_roas_full`] — an extension that additionally drops tuples
 //!   *dominated* by an ancestor tuple (same origin, `maxLength ≥` theirs).
 //!   On input that already uses maxLength this strictly improves
 //!   compression while preserving the authorized set; the ablation bench
 //!   compares the two.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
-use rpki_prefix::{Afi, Prefix};
+use rpki_prefix::Prefix;
 use rpki_roa::{Asn, RouteOrigin, Vrp};
 
-/// One tuple inside a per-(ASN, AFI) trie: bits are the uniform left-
-/// aligned `u128` embedding from [`Prefix::bits_u128`].
-#[derive(Debug, Clone, Copy)]
-struct Tup {
+/// A worker thread is only worth starting for at least this many tuples:
+/// below it the sweep takes less time than spawning and joining does.
+const MIN_TUPLES_PER_THREAD: usize = 1 << 15;
+
+/// A tuple on the DFS stack: `at` is its position in the group, `bits` the
+/// uniform left-aligned `u128` embedding from [`Prefix::bits_u128`], and
+/// `left` the position of its already-closed left child, if that exists.
+struct Open {
+    at: usize,
     bits: u128,
     len: u8,
-    max_len: u8,
+    left: Option<usize>,
 }
 
-#[inline]
-fn mask128(len: u8) -> u128 {
-    if len == 0 {
-        0
-    } else {
-        u128::MAX << (128 - len as u32)
-    }
-}
-
-/// The per-group trie as level-indexed hash maps: `levels[l]` maps the
-/// embedded bits of every length-`l` tuple to its maxLength. The DFS
-/// post-order of Algorithm 1 is realized as a deepest-level-first sweep —
-/// merges only ever move information one level up, so processing level
-/// `l` after level `l + 1` visits nodes in exactly the order the
-/// backtracking DFS would.
-#[derive(Debug)]
-struct LevelTrie {
-    levels: Vec<HashMap<u128, u8>>,
-    deepest: usize,
-}
-
-impl LevelTrie {
-    fn new(afi: Afi) -> LevelTrie {
-        LevelTrie {
-            levels: vec![HashMap::new(); afi.max_len() as usize + 1],
-            deepest: 0,
+impl Open {
+    fn new(at: usize, prefix: Prefix) -> Open {
+        Open {
+            at,
+            bits: prefix.bits_u128(),
+            len: prefix.len(),
+            left: None,
         }
     }
 
-    /// Inserts a tuple. Duplicate prefixes for the same origin merge by
-    /// taking the larger maxLength (the union of their authorizations,
-    /// which is exact because origin and prefix agree).
-    fn insert(&mut self, bits: u128, len: u8, max_len: u8) {
-        let slot = self.levels[len as usize].entry(bits).or_insert(0);
-        *slot = (*slot).max(max_len.max(len));
-        self.deepest = self.deepest.max(len as usize);
+    fn covers(&self, other: &Open) -> bool {
+        let mask = match self.len {
+            0 => 0,
+            len => u128::MAX << (128 - u32::from(len)),
+        };
+        self.len <= other.len && other.bits & mask == self.bits
     }
+}
 
-    /// Algorithm 1: one bottom-up sweep merging sibling pairs into their
-    /// parent tuple.
-    fn compress(&mut self) {
-        for level in (1..=self.deepest).rev() {
-            // The bit distinguishing left/right children at this level.
-            let sibling_bit = 1u128 << (128 - level as u32);
-            let (upper, lower) = self.levels.split_at_mut(level);
-            let parents = &mut upper[level - 1];
-            let children = &mut lower[0];
+/// The tuple a regrouped `origin << 32 | position` word stands for.
+fn tuple(sorted: &[Vrp], word: u64) -> &Vrp {
+    &sorted[word as u32 as usize]
+}
 
-            // Visit each left child whose sibling and parent tuple exist.
-            let lefts: Vec<u128> = children
-                .keys()
-                .copied()
-                .filter(|&bits| {
-                    bits & sibling_bit == 0
-                        && children.contains_key(&(bits | sibling_bit))
-                        && parents.contains_key(&(bits & !sibling_bit))
-                })
-                .collect();
+/// Algorithm 1 over one (ASN, AFI) group in pre-order. `kept[i]` ends as
+/// the maxLength tuple `i` survives with, or `None` if it was merged away.
+fn sweep_group(sorted: &[Vrp], group: &[u64], kept: &mut [Option<u8>], stack: &mut Vec<Open>) {
+    for (at, &word) in group.iter().enumerate() {
+        let vrp = tuple(sorted, word);
+        let duplicate = |&next: &u64| tuple(sorted, next).prefix == vrp.prefix;
+        if group.get(at + 1).is_some_and(duplicate) {
+            continue; // the next tuple carries the larger maxLength
+        }
+        let open = Open::new(at, vrp.prefix);
+        while stack.last().is_some_and(|top| !top.covers(&open)) {
+            close(stack, kept);
+        }
+        kept[at] = Some(vrp.max_len.max(open.len));
+        stack.push(open);
+    }
+    while !stack.is_empty() {
+        close(stack, kept);
+    }
+}
 
-            for left_bits in lefts {
-                let right_bits = left_bits | sibling_bit;
-                let parent_bits = left_bits;
-                let left_val = children[&left_bits];
-                let right_val = children[&right_bits];
-                let parent_val = parents.get_mut(&parent_bits).expect("filtered");
+/// Backtracks out of the tuple on top of the stack: `compress(node)` of
+/// Algorithm 1 on its parent, once the parent's second child closes.
+fn close(stack: &mut Vec<Open>, kept: &mut [Option<u8>]) {
+    let child = stack.pop().expect("callers check the stack is not empty");
+    let Some(parent) = stack.last_mut().filter(|p| p.len + 1 == child.len) else {
+        return;
+    };
+    // The bit distinguishing left/right children at this length.
+    if child.bits & (1u128 << (128 - u32::from(child.len))) == 0 {
+        parent.left = Some(child.at);
+        return;
+    }
+    let Some(left) = parent.left else { return };
+    let value = |at: usize| kept[at].expect("a tuple is deleted only by this merge");
+    let (left_val, right_val) = (value(left), value(child.at));
+    let parent_val = value(parent.at).max(left_val.min(right_val));
+    kept[parent.at] = Some(parent_val);
+    if left_val <= parent_val {
+        kept[left] = None;
+    }
+    if right_val <= parent_val {
+        kept[child.at] = None;
+    }
+}
 
-                // procedure compress(node) of Algorithm 1:
-                let min_child = left_val.min(right_val);
-                if min_child > *parent_val {
-                    *parent_val = min_child;
-                }
-                if left_val <= *parent_val {
-                    children.remove(&left_bits);
-                }
-                if right_val <= *parent_val {
-                    children.remove(&right_bits);
-                }
+/// Drops every surviving tuple of the group that is covered by an ancestor
+/// tuple whose maxLength is at least as large (the domination extension of
+/// [`compress_roas_full`]). Kept tuples nest with strictly growing
+/// maxLengths, so the top of the stack is always the largest above.
+fn drop_dominated(sorted: &[Vrp], group: &[u64], kept: &mut [Option<u8>], stack: &mut Vec<Open>) {
+    for (at, &word) in group.iter().enumerate() {
+        let Some(max_len) = kept[at] else { continue };
+        let open = Open::new(at, tuple(sorted, word).prefix);
+        while stack.last().is_some_and(|top| !top.covers(&open)) {
+            stack.pop();
+        }
+        let dominates = |top: &Open| kept[top.at] >= Some(max_len);
+        if stack.last().is_some_and(dominates) {
+            kept[at] = None;
+        } else {
+            stack.push(open);
+        }
+    }
+    stack.clear();
+}
+
+/// Sweeps every (ASN, AFI) group of one shard of the regrouped array.
+fn sweep_shard(sorted: &[Vrp], shard: &[u64], kept: &mut [Option<u8>], dominated: bool) {
+    let mut stack = Vec::new();
+    let mut done = 0;
+    let same_group = |&a: &u64, &b: &u64| {
+        a >> 32 == b >> 32 && tuple(sorted, a).prefix.afi() == tuple(sorted, b).prefix.afi()
+    };
+    for group in shard.chunk_by(same_group) {
+        let kept = &mut kept[done..done + group.len()];
+        done += group.len();
+        sweep_group(sorted, group, kept, &mut stack);
+        if dominated {
+            drop_dominated(sorted, group, kept, &mut stack);
+        }
+    }
+}
+
+/// The one kernel behind every entry point: returns the input in `Vrp`
+/// order and, per position in it, the maxLength that tuple survives with
+/// (`None`: merged into another tuple).
+fn sweep(vrps: &[Vrp], threads: usize, dominated: bool) -> (Cow<'_, [Vrp]>, Vec<Option<u8>>) {
+    let mut sorted = Cow::Borrowed(vrps);
+    if !vrps.is_sorted() {
+        sorted.to_mut().sort_unstable();
+    }
+    assert!(u32::try_from(sorted.len()).is_ok(), "positions are 32-bit");
+    // Stable regrouping by origin: the position breaks ties, so each
+    // origin's tuples stay in `Vrp` order — v4 pre-order, then v6.
+    let mut order: Vec<u64> = (0u64..)
+        .zip(sorted.iter())
+        .map(|(at, vrp)| u64::from(vrp.asn.0) << 32 | at)
+        .collect();
+    order.sort_unstable();
+
+    let mut kept_in_order = vec![None; order.len()];
+    let workers = threads.clamp(1, (order.len() / MIN_TUPLES_PER_THREAD).max(1));
+    crossbeam::thread::scope(|scope| {
+        let sorted = &sorted[..];
+        let (mut order, mut kept) = (&order[..], &mut kept_in_order[..]);
+        for remaining in (1..=workers).rev() {
+            // An even share of what is left, extended to the end of its origin.
+            let mut cut = order.len() / remaining;
+            while 0 < cut && cut < order.len() && order[cut] >> 32 == order[cut - 1] >> 32 {
+                cut += 1;
             }
-        }
-    }
-
-    /// Drops every tuple covered by an ancestor tuple whose maxLength is at
-    /// least as large (the domination extension of
-    /// [`compress_roas_full`]).
-    fn drop_dominated(&mut self) {
-        let mut tuples: Vec<Tup> = self.iter().collect();
-        tuples.sort_unstable_by_key(|t| (t.bits, t.len));
-        // A stack of nested ancestors of the current tuple, alongside the
-        // running maximum of their maxLengths.
-        let mut stack: Vec<(Tup, u8)> = Vec::new();
-        for tup in tuples {
-            while let Some((top, _)) = stack.last() {
-                let covers = top.len <= tup.len && (tup.bits & mask128(top.len)) == top.bits;
-                if covers {
-                    break;
-                }
-                stack.pop();
+            let (shard, rest) = order.split_at(cut);
+            let (kept_shard, kept_rest) = kept.split_at_mut(cut);
+            if rest.is_empty() {
+                // The last shard is swept here, not on one more thread.
+                sweep_shard(sorted, shard, kept_shard, dominated);
+                break;
             }
-            let dominating = stack.last().map(|&(_, max)| max).unwrap_or(0);
-            if tup.len > 0 && dominating >= tup.max_len && !stack.is_empty() {
-                self.levels[tup.len as usize].remove(&tup.bits);
-                continue;
-            }
-            let running = dominating.max(tup.max_len);
-            stack.push((tup, running));
+            scope.spawn(move |_| sweep_shard(sorted, shard, kept_shard, dominated));
+            (order, kept) = (rest, kept_rest);
         }
-    }
+    })
+    .expect("compression worker panicked");
 
-    fn iter(&self) -> impl Iterator<Item = Tup> + '_ {
-        self.levels.iter().enumerate().flat_map(|(len, level)| {
-            level.iter().map(move |(&bits, &max_len)| Tup {
-                bits,
-                len: len as u8,
-                max_len,
-            })
-        })
+    let mut kept = vec![None; order.len()];
+    for (&word, &survives) in order.iter().zip(&kept_in_order) {
+        kept[word as u32 as usize] = survives;
     }
-
-    fn count(&self) -> usize {
-        self.levels.iter().map(HashMap::len).sum()
-    }
+    (sorted, kept)
 }
 
-/// Groups VRPs into per-(ASN, AFI) level tries.
-fn build_groups(vrps: &[Vrp]) -> HashMap<(Asn, Afi), LevelTrie> {
-    let mut groups: HashMap<(Asn, Afi), LevelTrie> = HashMap::new();
-    for vrp in vrps {
-        let afi = vrp.prefix.afi();
-        groups
-            .entry((vrp.asn, afi))
-            .or_insert_with(|| LevelTrie::new(afi))
-            .insert(vrp.prefix.bits_u128(), vrp.prefix.len(), vrp.max_len);
+/// The surviving tuples of a [`sweep`], in `Vrp` order.
+fn survivors((sorted, kept): (Cow<'_, [Vrp]>, Vec<Option<u8>>)) -> Vec<Vrp> {
+    let mut out = Vec::with_capacity(kept.iter().flatten().count());
+    out.extend(
+        sorted
+            .iter()
+            .zip(&kept)
+            .filter_map(|(v, max_len)| Some(Vrp::new(v.prefix, (*max_len)?, v.asn))),
+    );
+    // A raised maxLength moves a tuple only among those of its own prefix.
+    for same_prefix in out.chunk_by_mut(|a, b| a.prefix == b.prefix) {
+        same_prefix.sort_unstable();
     }
-    groups
-}
-
-fn collect_groups(groups: HashMap<(Asn, Afi), LevelTrie>) -> Vec<Vrp> {
-    let mut out = Vec::with_capacity(groups.values().map(LevelTrie::count).sum());
-    for ((asn, afi), trie) in groups {
-        for tup in trie.iter() {
-            let prefix = Prefix::from_bits_u128(afi, tup.bits, tup.len)
-                .expect("bits came from a valid prefix");
-            out.push(Vrp::new(prefix, tup.max_len, asn));
-        }
-    }
-    out.sort_unstable();
     out
 }
 
@@ -204,11 +258,7 @@ fn collect_groups(groups: HashMap<(Asn, Afi), LevelTrie>) -> Vec<Vrp> {
 /// that differ only in maxLength are first merged by taking the larger
 /// value.
 pub fn compress_roas(vrps: &[Vrp]) -> Vec<Vrp> {
-    let mut groups = build_groups(vrps);
-    for trie in groups.values_mut() {
-        trie.compress();
-    }
-    collect_groups(groups)
+    compress_roas_parallel(vrps, 1)
 }
 
 /// [`compress_roas`] plus *domination elimination*: tuples entirely covered
@@ -223,53 +273,23 @@ pub fn compress_roas(vrps: &[Vrp]) -> Vec<Vrp> {
 /// the post-sweep domination pass catches tuples the raised parents now
 /// cover (both facts are property-tested).
 pub fn compress_roas_full(vrps: &[Vrp]) -> Vec<Vrp> {
-    let mut groups = build_groups(vrps);
-    for trie in groups.values_mut() {
-        trie.compress();
-        trie.drop_dominated();
-    }
-    collect_groups(groups)
+    survivors(sweep(vrps, 1, true))
 }
 
 /// [`compress_roas`] parallelized across the per-(ASN, AFI) tries — the
 /// optimization §7.2 suggests ("Performance could be improved by
-/// parallelizing across tries"). Tries are fully independent, so the
-/// groups are sharded over `threads` scoped workers; output is identical
-/// to the serial implementation (property-tested).
+/// parallelizing across tries"). Tries are fully independent, so up to
+/// `threads` workers each sweep a run of whole origins; small inputs stay
+/// on the calling thread. Output is identical to the serial call
+/// (property-tested).
 pub fn compress_roas_parallel(vrps: &[Vrp], threads: usize) -> Vec<Vrp> {
-    let threads = threads.max(1);
-    let groups = build_groups(vrps);
-    if threads == 1 || groups.len() <= 1 {
-        let mut groups = groups;
-        for trie in groups.values_mut() {
-            trie.compress();
-        }
-        return collect_groups(groups);
-    }
-    let mut shards: Vec<Vec<((Asn, Afi), LevelTrie)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, entry) in groups.into_iter().enumerate() {
-        shards[i % threads].push(entry);
-    }
-    let compressed: Vec<Vec<((Asn, Afi), LevelTrie)>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|mut shard| {
-                scope.spawn(move |_| {
-                    for (_, trie) in shard.iter_mut() {
-                        trie.compress();
-                    }
-                    shard
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("compression worker panicked"))
-            .collect()
-    })
-    .expect("scope never panics after joins");
-    let merged: HashMap<(Asn, Afi), LevelTrie> = compressed.into_iter().flatten().collect();
-    collect_groups(merged)
+    survivors(sweep(vrps, threads, false))
+}
+
+/// `compress_roas_parallel(vrps, threads).len()` without building the list
+/// (Table 1 needs only the count).
+pub(crate) fn compressed_len(vrps: &[Vrp], threads: usize) -> usize {
+    sweep(vrps, threads, false).1.iter().flatten().count()
 }
 
 /// A deliberately naive reference: repeatedly scans the whole tuple list
@@ -285,7 +305,7 @@ pub fn compress_roas_naive(vrps: &[Vrp]) -> Vec<Vrp> {
     let mut set: BTreeMap<(Asn, Prefix), u8> = BTreeMap::new();
     for vrp in vrps {
         let slot = set.entry((vrp.asn, vrp.prefix)).or_insert(0);
-        *slot = (*slot).max(vrp.max_len);
+        *slot = (*slot).max(vrp.max_len.max(vrp.prefix.len()));
     }
     loop {
         // Find the *deepest* mergeable sibling pair: Algorithm 1's DFS
@@ -606,6 +626,7 @@ mod tests {
 #[cfg(test)]
 mod parallel_tests {
     use super::*;
+    use rpki_prefix::Prefix4;
 
     #[test]
     fn parallel_matches_serial() {
@@ -633,6 +654,40 @@ mod parallel_tests {
                 serial,
                 "{threads} threads"
             );
+        }
+    }
+
+    /// `octet.0.0.0/16` and every subprefix of it down to /24, for one
+    /// origin: 511 tuples that compress to one.
+    fn full_subtree(octet: u32, asn: u32) -> impl Iterator<Item = Vrp> {
+        (16..=24u8).flat_map(move |len| {
+            (0..1u32 << (len - 16)).map(move |i| {
+                let bits = octet << 24 | i << (32 - u32::from(len));
+                Vrp::exact(Prefix::V4(Prefix4::new(bits, len).unwrap()), Asn(asn))
+            })
+        })
+    }
+
+    /// Inputs large enough that workers are really started. Every origin
+    /// is made of complete subtrees, so an origin split across two shards
+    /// would leave more than one tuple per subtree behind.
+    #[test]
+    fn shards_are_cut_between_origins_only() {
+        let even: Vec<Vrp> = (1..=200).flat_map(|asn| full_subtree(10, asn)).collect();
+        assert!(even.len() > 3 * MIN_TUPLES_PER_THREAD);
+        // One origin far larger than an even share, ahead of ten small ones.
+        let lopsided: Vec<Vrp> = (1..=140)
+            .flat_map(|octet| full_subtree(octet, 1))
+            .chain((2..=11).flat_map(|asn| full_subtree(10, asn)))
+            .collect();
+        assert!(lopsided.len() > 2 * MIN_TUPLES_PER_THREAD);
+        for (input, expect) in [(even, 200), (lopsided, 150)] {
+            let serial = compress_roas(&input);
+            assert_eq!(serial.len(), expect);
+            for threads in [2, 3, 7] {
+                assert_eq!(compress_roas_parallel(&input, threads), serial);
+                assert_eq!(compressed_len(&input, threads), expect);
+            }
         }
     }
 

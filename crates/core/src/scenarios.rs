@@ -20,8 +20,8 @@ use std::fmt;
 use rpki_roa::Vrp;
 
 use crate::bounds::{full_deployment_minimal, max_permissive_lower_bound};
-use crate::compress::compress_roas;
-use crate::minimal::minimalize_vrps;
+use crate::compress::{compress_roas, compressed_len};
+use crate::minimal::{minimalize_vrps, minimalize_vrps_par};
 use crate::BgpTable;
 
 /// The seven Table 1 scenarios.
@@ -122,69 +122,50 @@ impl Table1 {
     /// Computes all seven rows. The expensive inputs (minimalized set,
     /// full-deployment set) are shared across rows.
     pub fn compute(vrps: &[Vrp], bgp: &BgpTable) -> Table1 {
-        let mut today = vrps.to_vec();
-        today.sort_unstable();
-        today.dedup();
-        let today_minimal = minimalize_vrps(vrps, bgp);
-        let full_minimal = full_deployment_minimal(bgp);
-        let rows = vec![
-            row(Scenario::Today, today.len()),
-            row(Scenario::TodayCompressed, compress_roas(&today).len()),
-            row(Scenario::TodayMinimal, today_minimal.len()),
-            row(
-                Scenario::TodayMinimalCompressed,
-                compress_roas(&today_minimal).len(),
-            ),
-            row(Scenario::FullMinimal, full_minimal.len()),
-            row(
-                Scenario::FullMinimalCompressed,
-                compress_roas(&full_minimal).len(),
-            ),
-            row(
-                Scenario::FullLowerBound,
-                max_permissive_lower_bound(bgp).len(),
-            ),
-        ];
-        Table1 { rows }
+        Table1::build(vrps, bgp, minimalize_vrps, 1)
     }
 
     /// [`Self::compute`] with the two expensive stages parallelized:
     /// the minimalization scans fan out per tuple
     /// ([`crate::minimal::minimalize_vrps_par`]) and each compression
-    /// pass shards its per-(ASN, AFI) tries over `threads` workers
+    /// pass sweeps its per-(ASN, AFI) tries on up to `threads` workers
     /// ([`crate::compress::compress_roas_parallel`]). Both stages are
     /// output-identical to their sequential forms, so the table equals
     /// [`Self::compute`] exactly.
     pub fn compute_par(vrps: &[Vrp], bgp: &BgpTable, threads: usize) -> Table1 {
-        use crate::compress::compress_roas_parallel;
-        use crate::minimal::minimalize_vrps_par;
-        let mut today = vrps.to_vec();
-        today.sort_unstable();
-        today.dedup();
-        let today_minimal = minimalize_vrps_par(vrps, bgp);
+        Table1::build(vrps, bgp, minimalize_vrps_par, threads)
+    }
+
+    /// The rows, given the minimalizer and the compression thread count.
+    /// Compressed rows count survivors without building their lists.
+    fn build(
+        vrps: &[Vrp],
+        bgp: &BgpTable,
+        minimalize: fn(&[Vrp], &BgpTable) -> Vec<Vrp>,
+        threads: usize,
+    ) -> Table1 {
+        let today = Scenario::Today.pdus(vrps, bgp);
+        let today_minimal = minimalize(vrps, bgp);
         let full_minimal = full_deployment_minimal(bgp);
-        let rows = vec![
-            row(Scenario::Today, today.len()),
-            row(
-                Scenario::TodayCompressed,
-                compress_roas_parallel(&today, threads).len(),
-            ),
-            row(Scenario::TodayMinimal, today_minimal.len()),
-            row(
-                Scenario::TodayMinimalCompressed,
-                compress_roas_parallel(&today_minimal, threads).len(),
-            ),
-            row(Scenario::FullMinimal, full_minimal.len()),
-            row(
-                Scenario::FullMinimalCompressed,
-                compress_roas_parallel(&full_minimal, threads).len(),
-            ),
-            row(
+        let compressed = |list: &[Vrp]| compressed_len(list, threads);
+        let rows = [
+            (Scenario::Today, today.len()),
+            (Scenario::TodayCompressed, compressed(&today)),
+            (Scenario::TodayMinimal, today_minimal.len()),
+            (Scenario::TodayMinimalCompressed, compressed(&today_minimal)),
+            (Scenario::FullMinimal, full_minimal.len()),
+            (Scenario::FullMinimalCompressed, compressed(&full_minimal)),
+            (
                 Scenario::FullLowerBound,
                 max_permissive_lower_bound(bgp).len(),
             ),
-        ];
-        Table1 { rows }
+        ]
+        .map(|(scenario, pdus)| ScenarioRow {
+            scenario,
+            pdus,
+            secure: scenario.secure(),
+        });
+        Table1 { rows: rows.into() }
     }
 
     /// The PDU count of one scenario.
@@ -204,14 +185,6 @@ impl Table1 {
             return 0.0;
         }
         1.0 - self.pdus(compressed) as f64 / base
-    }
-}
-
-fn row(scenario: Scenario, pdus: usize) -> ScenarioRow {
-    ScenarioRow {
-        scenario,
-        pdus,
-        secure: scenario.secure(),
     }
 }
 

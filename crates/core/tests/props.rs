@@ -7,12 +7,13 @@
 //! avoid).
 
 use proptest::prelude::*;
-use rpki_prefix::{Prefix, Prefix4};
+use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, RouteOrigin, Vrp};
 
 use maxlength_core::bounds::{full_deployment_minimal, max_permissive_lower_bound};
 use maxlength_core::compress::{
-    compress_roas, compress_roas_full, compress_roas_naive, expand_authorized,
+    compress_roas, compress_roas_full, compress_roas_naive, compress_roas_parallel,
+    expand_authorized,
 };
 use maxlength_core::minimal::{minimalize_vrps, vrp_is_minimal};
 use maxlength_core::{BgpTable, MaxLengthCensus, Scenario, Table1};
@@ -33,13 +34,75 @@ fn arb_vrps() -> impl Strategy<Value = Vec<Vrp>> {
     prop::collection::vec(arb_vrp(), 0..40)
 }
 
-fn arb_bgp() -> impl Strategy<Value = BgpTable> {
-    prop::collection::vec((arb_prefix(), 1u32..4), 0..60).prop_map(|pairs| {
+/// A MOAS table of up to `max_pairs` announcements over `prefix`.
+fn arb_bgp_over(
+    prefix: impl Strategy<Value = Prefix>,
+    max_pairs: usize,
+) -> impl Strategy<Value = BgpTable> {
+    prop::collection::vec((prefix, 1u32..4), 0..max_pairs).prop_map(|pairs| {
         pairs
             .into_iter()
             .map(|(p, a)| RouteOrigin::new(p, Asn(a)))
             .collect()
     })
+}
+
+fn arb_bgp() -> impl Strategy<Value = BgpTable> {
+    arb_bgp_over(arb_prefix(), 60)
+}
+
+/// Both families, lengths where real tables cluster (v4 /22–24, v6
+/// /46–48) and at both ends (/0–2 and the family maximum). All bits are
+/// fixed except the three that end the cluster and, below /2, the first,
+/// so parents, siblings and duplicates still arise constantly.
+fn arb_wide_prefix() -> impl Strategy<Value = Prefix> {
+    (any::<bool>(), any::<bool>(), 0usize..3, 0u8..3, 0u8..8).prop_map(
+        |(v6, high, cluster, back, low)| {
+            if v6 {
+                let (len, shift) = [(2, 126), (48, 80), (128, 0)][cluster];
+                let bits = u128::from(high) << 127 | 0x2001_0db8 << 96 | u128::from(low) << shift;
+                Prefix::V6(Prefix6::new_truncated(bits, len - back))
+            } else {
+                let (len, shift) = [(2, 30), (24, 8), (32, 0)][cluster];
+                let bits = u32::from(high) << 31 | 10 << 24 | u32::from(low) << shift;
+                Prefix::V4(Prefix4::new_truncated(bits, len - back))
+            }
+        },
+    )
+}
+
+/// Tuples over [`arb_wide_prefix`]; about one in five is a raw literal
+/// whose maxLength `Vrp::new` would have clamped: below the prefix
+/// length, or above the family maximum (mostly on the longest prefixes,
+/// where what the tuple authorizes stays small enough to enumerate).
+fn arb_wide_vrps() -> impl Strategy<Value = Vec<Vrp>> {
+    let vrp =
+        (arb_wide_prefix(), 0u8..=3, 1u32..3, 0u8..20).prop_map(|(prefix, extra, asn, kind)| {
+            let deep = prefix.len() + 3 > prefix.max_len();
+            let max_len = match kind {
+                0 | 1 => prefix.len().saturating_sub(1 + extra),
+                2 | 3 if deep => prefix.max_len() + 1 + 40 * extra,
+                4 => prefix.max_len() + 1 + 40 * extra,
+                _ => return Vrp::new(prefix, prefix.len().saturating_add(extra), Asn(asn)),
+            };
+            Vrp {
+                prefix,
+                max_len,
+                asn: Asn(asn),
+            }
+        });
+    prop::collection::vec(vrp, 0..64)
+}
+
+/// What a tuple list authorizes once out-of-range maxLengths are clamped
+/// the way `Vrp::new` clamps them; `None` when too large to enumerate.
+fn authorized_if_small(vrps: &[Vrp]) -> Option<std::collections::BTreeSet<RouteOrigin>> {
+    let clamped: Vec<Vrp> = vrps
+        .iter()
+        .map(|v| Vrp::new(v.prefix, v.max_len, v.asn))
+        .collect();
+    let routes = clamped.iter().map(Vrp::authorized_prefix_count);
+    (routes.fold(0u128, u128::saturating_add) <= 4096).then(|| expand_authorized(&clamped))
 }
 
 proptest! {
@@ -97,6 +160,41 @@ proptest! {
         let full = compress_roas_full(&vrps);
         prop_assert_eq!(expand_authorized(&full), expand_authorized(&vrps));
         prop_assert!(full.len() <= plain.len());
+    }
+
+    /// The oracle, losslessness, thread-count invariance and the
+    /// domination variant, on mixed-family input with clustered lengths,
+    /// duplicates and out-of-range maxLengths.
+    #[test]
+    fn compress_wide_input(vrps in arb_wide_vrps()) {
+        let out = compress_roas(&vrps);
+        prop_assert_eq!(&out, &compress_roas_naive(&vrps));
+        for threads in [1, 2, 3, 7] {
+            prop_assert_eq!(&compress_roas_parallel(&vrps, threads), &out);
+        }
+        let full = compress_roas_full(&vrps);
+        prop_assert!(full.len() <= out.len());
+        if let Some(authorized) = authorized_if_small(&vrps) {
+            prop_assert_eq!(&expand_authorized(&out), &authorized);
+            prop_assert_eq!(&expand_authorized(&full), &authorized);
+        }
+    }
+
+    /// The stack walk computes the definition: the pairs without a
+    /// same-origin strict ancestor, maximally permissive, in `Vrp` order —
+    /// on MOAS tables that straddle the v4/v6 boundary and contain `/0`.
+    #[test]
+    fn lower_bound_matches_definition(bgp in arb_bgp_over(arb_wide_prefix(), 80)) {
+        let mut expect: Vec<Vrp> = bgp
+            .iter()
+            .filter(|r| !bgp.has_ancestor_same_origin(r.prefix, r.origin))
+            .map(|r| Vrp::max_permissive(r.prefix, r.origin))
+            .collect();
+        expect.sort_unstable();
+        prop_assert_eq!(max_permissive_lower_bound(&bgp), expect);
+        let minimal = full_deployment_minimal(&bgp);
+        prop_assert!(minimal.is_sorted());
+        prop_assert_eq!(minimal.len(), bgp.len());
     }
 
     /// Minimalized sets authorize exactly the announced-and-validated
