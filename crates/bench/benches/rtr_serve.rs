@@ -154,7 +154,7 @@ fn bench_rtr_serve(c: &mut Criterion) {
         "oracle replay must land on the timeline's final set"
     );
     for (i, member) in fleet.iter().enumerate() {
-        let got: Vec<Vrp> = member.router.vrps().iter().copied().collect();
+        let got: Vec<Vrp> = member.router.vrps().iter().collect();
         assert_eq!(got, expect, "router {i} final VRP set != oracle");
         assert_eq!(member.router.serial(), oracle.serial(), "router {i} serial");
     }

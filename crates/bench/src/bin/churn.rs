@@ -145,7 +145,7 @@ fn main() {
     // The acceptance check, end to end: the router's final synchronized
     // set equals the timeline's final set, and validating the table
     // against it from scratch reproduces the chain engine's states.
-    let router_set: Vec<_> = session.router().vrps().iter().copied().collect();
+    let router_set: Vec<_> = session.router().vrps().iter().collect();
     assert_eq!(
         router_set,
         timeline.final_vrps(),

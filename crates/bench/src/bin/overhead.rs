@@ -4,12 +4,13 @@
 //!
 //! The paper (authors' implementation, Intel i7-6700): 2.4 s / 19 MB for
 //! the partially-deployed RPKI; 36 s / 290 MB for full deployment.
-//! Measured here at scale 1.0 (2 vCPUs, one thread): 7 ms for the 39,949
-//! deployed tuples and 84 ms for the 776,945 full-deployment tuples, with
-//! a peak RSS of 399 MB for the whole process including the generated
+//! Measured here at scale 1.0 (2 vCPUs, one thread): 5 ms for the 39,949
+//! deployed tuples and 56 ms for the 776,945 full-deployment tuples, with
+//! a peak RSS of 309 MB for the whole process including the generated
 //! dataset (the sweep itself holds 12 bytes per tuple beside its input
-//! and output). The *ratio* between the two scenarios (~12x here, ~15x in
-//! the paper) is the comparable shape.
+//! and output; tuples and routes are 40 bytes each — at 64 the same run
+//! took 6 ms, 74 ms and 399 MB). The *ratio* between the two scenarios
+//! (~12x here, ~15x in the paper) is the comparable shape.
 
 use maxlength_core::bounds::full_deployment_minimal;
 use maxlength_core::compress::{compress_roas, compress_roas_parallel};

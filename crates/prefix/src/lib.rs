@@ -14,6 +14,29 @@
 //! `compress_roas` algorithm (paper §7, Algorithm 1) and the longest-prefix
 //! match data plane build on.
 //!
+//! # Layout contract
+//!
+//! These types are the key of every large collection in the workspace
+//! (777k-element VRP lists, B-tree sets, frozen arrays), so their size
+//! is part of the interface and pinned by unit tests:
+//!
+//! | type        | size | alignment |
+//! |-------------|-----:|----------:|
+//! | [`Prefix4`] |    8 |         4 |
+//! | [`Prefix6`] |   24 |         8 |
+//! | [`Prefix`]  |   32 |         8 |
+//!
+//! `rpki_roa::Vrp` and `RouteOrigin` add an ASN (and a maxLength) and
+//! come to 40 bytes. [`Prefix6`] gets there by storing its `u128` at
+//! 8-byte alignment — a private `repr(packed(8))` newtype that is
+//! `Copy` and only ever read by value — because `u128`'s own 16-byte
+//! alignment pads `Prefix` to 48 bytes and a VRP to a whole 64-byte
+//! cache line. Nothing observable changes with the alignment: `Ord` and
+//! `Eq` compare the same `(bits, len)` pair, `Debug` prints the same
+//! text, and `Hash` feeds the hasher the same bytes through the same
+//! calls (`write_u128`, then `write_u8`), so hash-derived pins such as
+//! the FNV-1a digests in `tests/core_kernels.rs` are unaffected.
+//!
 //! # Examples
 //!
 //! ```

@@ -10,11 +10,31 @@ use crate::PrefixError;
 /// in a `u128` with everything beyond `len` cleared. See [`Prefix4`]'s
 /// documentation for the trie-navigation model shared by both types.
 ///
+/// The address bits are kept at 8-byte alignment (see the crate docs'
+/// layout contract), so a `Prefix6` is 24 bytes, not 32.
+///
 /// [`Prefix4`]: crate::Prefix4
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix6 {
-    bits: u128,
+    bits: Bits,
     len: u8,
+}
+
+/// A `u128` stored at 8-byte alignment. `u128`'s own 16-byte alignment
+/// would pad [`Prefix6`] to 32 bytes and everything built on it
+/// ([`Prefix`](crate::Prefix), VRPs, route origins) to a full cache
+/// line. The field is only ever read by value, so no reference to the
+/// under-aligned integer exists, and the derives compare and hash a
+/// copy of it exactly as they would the bare `u128`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(C, packed(8))]
+struct Bits(u128);
+
+impl fmt::Debug for Bits {
+    /// Prints as the bare integer, honouring `{:#?}` / `{:x?}`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&{ self.0 }, f)
+    }
 }
 
 impl Prefix6 {
@@ -22,7 +42,10 @@ impl Prefix6 {
     pub const MAX_LEN: u8 = 128;
 
     /// The default route `::/0`.
-    pub const DEFAULT: Prefix6 = Prefix6 { bits: 0, len: 0 };
+    pub const DEFAULT: Prefix6 = Prefix6 {
+        bits: Bits(0),
+        len: 0,
+    };
 
     /// Creates a prefix, rejecting out-of-range lengths and set host bits.
     pub fn new(bits: u128, len: u8) -> Result<Prefix6, PrefixError> {
@@ -35,7 +58,10 @@ impl Prefix6 {
         if bits & !mask(len) != 0 {
             return Err(PrefixError::HostBitsSet);
         }
-        Ok(Prefix6 { bits, len })
+        Ok(Prefix6 {
+            bits: Bits(bits),
+            len,
+        })
     }
 
     /// Creates a prefix, silently clearing any host bits.
@@ -46,7 +72,7 @@ impl Prefix6 {
     pub fn new_truncated(bits: u128, len: u8) -> Prefix6 {
         assert!(len <= Self::MAX_LEN, "prefix length {len} > 128");
         Prefix6 {
-            bits: bits & mask(len),
+            bits: Bits(bits & mask(len)),
             len,
         }
     }
@@ -54,7 +80,7 @@ impl Prefix6 {
     /// Creates a host prefix (`/128`) from an address.
     pub fn host(addr: Ipv6Addr) -> Prefix6 {
         Prefix6 {
-            bits: u128::from(addr),
+            bits: Bits(u128::from(addr)),
             len: 128,
         }
     }
@@ -67,7 +93,7 @@ impl Prefix6 {
     /// The left-aligned address bits (host bits are always zero).
     #[inline]
     pub const fn bits(self) -> u128 {
-        self.bits
+        self.bits.0
     }
 
     /// The prefix length. (A length of 0 is the default route, not an
@@ -87,7 +113,7 @@ impl Prefix6 {
     /// The network address as an [`Ipv6Addr`].
     #[inline]
     pub fn addr(self) -> Ipv6Addr {
-        Ipv6Addr::from(self.bits)
+        Ipv6Addr::from(self.bits())
     }
 
     /// The first address covered by this prefix.
@@ -99,13 +125,13 @@ impl Prefix6 {
     /// The last address covered by this prefix.
     #[inline]
     pub fn last_addr(self) -> Ipv6Addr {
-        Ipv6Addr::from(self.bits | !mask(self.len))
+        Ipv6Addr::from(self.bits() | !mask(self.len))
     }
 
     /// `true` if `self` covers `other` (RFC 6811 covering relation).
     #[inline]
     pub fn covers(self, other: Prefix6) -> bool {
-        self.len <= other.len && (other.bits & mask(self.len)) == self.bits
+        self.len <= other.len && (other.bits() & mask(self.len)) == self.bits()
     }
 
     /// `true` if `self` is covered by `other`.
@@ -117,7 +143,7 @@ impl Prefix6 {
     /// `true` if the prefix contains the given address.
     #[inline]
     pub fn contains_addr(self, addr: Ipv6Addr) -> bool {
-        (u128::from(addr) & mask(self.len)) == self.bits
+        (u128::from(addr) & mask(self.len)) == self.bits()
     }
 
     /// `true` if the two prefixes overlap (one covers the other).
@@ -131,7 +157,7 @@ impl Prefix6 {
     #[inline]
     pub fn bit(self, index: u8) -> bool {
         debug_assert!(index < 128);
-        self.bits & (1u128 << 127 >> index) != 0
+        self.bits() & (1u128 << 127 >> index) != 0
     }
 
     /// The parent prefix (one bit shorter), or `None` for `::/0`.
@@ -142,7 +168,7 @@ impl Prefix6 {
         }
         let len = self.len - 1;
         Some(Prefix6 {
-            bits: self.bits & mask(len),
+            bits: Bits(self.bits() & mask(len)),
             len,
         })
     }
@@ -153,7 +179,7 @@ impl Prefix6 {
             return None;
         }
         Some(Prefix6 {
-            bits: self.bits & mask(len),
+            bits: Bits(self.bits() & mask(len)),
             len,
         })
     }
@@ -165,7 +191,7 @@ impl Prefix6 {
             return None;
         }
         Some(Prefix6 {
-            bits: self.bits ^ (1u128 << 127 >> (self.len - 1)),
+            bits: Bits(self.bits() ^ (1u128 << 127 >> (self.len - 1))),
             len: self.len,
         })
     }
@@ -195,7 +221,7 @@ impl Prefix6 {
             return None;
         }
         Some(Prefix6 {
-            bits: self.bits | (1u128 << 127 >> self.len),
+            bits: Bits(self.bits() | (1u128 << 127 >> self.len)),
             len: self.len + 1,
         })
     }
@@ -239,10 +265,10 @@ impl Prefix6 {
     /// The longest prefix covering both `self` and `other`.
     pub fn common_ancestor(self, other: Prefix6) -> Prefix6 {
         let max = self.len.min(other.len);
-        let diff = self.bits ^ other.bits;
+        let diff = self.bits() ^ other.bits();
         let len = (diff.leading_zeros() as u8).min(max);
         Prefix6 {
-            bits: self.bits & mask(len),
+            bits: Bits(self.bits() & mask(len)),
             len,
         }
     }
@@ -268,10 +294,10 @@ impl Iterator for SubPrefixes6 {
         let bits = if self.cur_len == 0 {
             0 // only the default route lives at length 0
         } else {
-            self.base.bits | (self.cur_index << (128 - self.cur_len as u32))
+            self.base.bits() | (self.cur_index << (128 - self.cur_len as u32))
         };
         let item = Prefix6 {
-            bits,
+            bits: Bits(bits),
             len: self.cur_len,
         };
         self.cur_index += 1;

@@ -194,3 +194,54 @@ proptest! {
         prop_assert!(!pa.covered_by(pb));
     }
 }
+
+/// `Prefix6` as it was before its bits moved to 8-byte alignment
+/// (ISSUE 15): a bare `u128` with the same derives. Same type name, so
+/// the `Debug` text is comparable verbatim.
+mod reference {
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct Prefix6 {
+        pub bits: u128,
+        pub len: u8,
+    }
+}
+
+fn reference_of(p: Prefix6) -> reference::Prefix6 {
+    reference::Prefix6 {
+        bits: p.bits(),
+        len: p.len(),
+    }
+}
+
+/// `DefaultHasher::new()` uses fixed keys, so equal digests mean the
+/// two `Hash` impls fed it the same bytes in the same calls.
+fn digest<T: std::hash::Hash>(value: &T) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+proptest! {
+    #[test]
+    fn v6_orders_hashes_and_prints_like_the_bare_u128_struct(
+        a in arb_prefix6(),
+        b in arb_prefix6(),
+        same_bits_len in 0u8..=128,
+    ) {
+        // Independent pairs almost never share bits; `c` differs from
+        // `a` at most in its length, which is where `len` breaks ties.
+        let c = Prefix6::new_truncated(a.bits(), same_bits_len);
+        for (x, y) in [(a, b), (a, c), (a, a)] {
+            let (rx, ry) = (reference_of(x), reference_of(y));
+            prop_assert_eq!(x.cmp(&y), rx.cmp(&ry));
+            prop_assert_eq!(x.partial_cmp(&y), rx.partial_cmp(&ry));
+            prop_assert_eq!(x == y, rx == ry);
+        }
+        let ra = reference_of(a);
+        prop_assert_eq!(digest(&a), digest(&ra));
+        prop_assert_eq!(format!("{a:?}"), format!("{ra:?}"));
+        prop_assert_eq!(format!("{a:#?}"), format!("{ra:#?}"));
+        prop_assert_eq!(format!("{a:x?}"), format!("{ra:x?}"));
+    }
+}

@@ -104,6 +104,16 @@ impl Vrp {
     }
 }
 
+/// Lets an iterator that yields VRPs by value (the router table in
+/// `rpki_rtr::VrpSet` stores packed keys, not `Vrp`s) be compared with
+/// `Iterator::eq` against one that borrows them from a slice or set.
+impl PartialEq<&Vrp> for Vrp {
+    #[inline]
+    fn eq(&self, other: &&Vrp) -> bool {
+        *self == **other
+    }
+}
+
 impl fmt::Display for Vrp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.uses_max_len() {
@@ -278,5 +288,21 @@ mod tests {
         let b = vrp("10.0.0.0/8-10 => AS1");
         let c = vrp("10.0.0.0/9 => AS1");
         assert!(a < b && b < c);
+    }
+
+    /// 40 bytes, not a 64-byte cache line (ISSUE 15; the contract is in
+    /// `rpki_prefix`'s crate docs): a `u128` at its natural alignment
+    /// under `Prefix` would bring the cache line back.
+    #[test]
+    fn layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<Vrp>(), 40);
+        assert_eq!(std::mem::size_of::<RouteOrigin>(), 40);
+    }
+
+    #[test]
+    fn by_value_iterator_compares_with_borrowing_one() {
+        let held = [vrp("10.0.0.0/8 => AS1"), vrp("2001:db8::/32-48 => AS2")];
+        assert!(held.iter().copied().eq(held.iter()));
+        assert!(!held.iter().copied().eq(held[..1].iter()));
     }
 }

@@ -18,8 +18,23 @@
 //! policy, [`RouterClient::renegotiate`] for a fresh connection — give
 //! drivers ([`crate::session::LiveSession`], [`crate::faults`]) the
 //! exact RFC-shaped moves without reaching into the state machine.
+//!
+//! # The table
+//!
+//! Applying Prefix PDUs to the held set is most of what a router does
+//! with a response — in the 1,024-router fleet of the `rtr_fleet_delta`
+//! benchmark it was ≈ 40 µs of a ≈ 50 µs catch-up — so the set is not a
+//! `BTreeSet<Vrp>` (40-byte keys, most of each the IPv6-sized prefix
+//! slot) but a [`VrpSet`]: per address family, a B-tree of packed keys
+//! holding 12 bytes per IPv4 VRP and 24 per IPv6 VRP, ordered exactly
+//! like `Vrp`. A Duplicate Announcement or Withdrawal of Unknown is
+//! still detected by the insert or remove of the very PDU that causes
+//! it. Because no `Vrp` is stored, [`RouterClient::vrps`] hands out a
+//! set whose `iter()` yields `Vrp`s **by value**; it compares with `==`
+//! against a `BTreeSet<Vrp>` and with `Iterator::eq` against anything
+//! that yields `&Vrp`. Measured fleet numbers are in the README's "RTR
+//! stack" section.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Duration;
 
@@ -28,6 +43,14 @@ use rpki_roa::Vrp;
 use crate::clock::Clock;
 use crate::pdu::{ErrorCode, Flags, Pdu, Timing, PROTOCOL_V0, PROTOCOL_V1};
 use crate::transport::{Transport, TransportError};
+use crate::vrp_set::VrpSet;
+
+/// Query/response rounds one synchronization attempt may spend: the
+/// deepest legitimate chain is downgrade → Cache Reset → full rebuild,
+/// plus one round of slack for a fault that decodes as another reset.
+/// Shared by [`RouterClient::synchronize`] and the in-memory driver in
+/// [`crate::session`].
+pub(crate) const SYNC_ROUNDS: usize = 4;
 
 /// Synchronization state of the router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +85,12 @@ pub enum ClientError {
     CacheError(ErrorCode, String),
     /// Transport failure.
     Transport(TransportError),
+    /// The cache answered every query of the round budget with a Cache
+    /// Reset, so no response ever reached End of Data.
+    Incomplete {
+        /// Queries sent before giving up.
+        rounds: usize,
+    },
 }
 
 impl fmt::Display for ClientError {
@@ -80,6 +109,9 @@ impl fmt::Display for ClientError {
                 write!(f, "cache reported {code:?}: {text}")
             }
             ClientError::Transport(e) => write!(f, "transport: {e}"),
+            ClientError::Incomplete { rounds } => {
+                write!(f, "cache reset all {rounds} synchronization round(s)")
+            }
         }
     }
 }
@@ -127,9 +159,9 @@ pub struct RouterClient {
     state: ClientState,
     session_id: Option<u16>,
     serial: u32,
-    vrps: BTreeSet<Vrp>,
+    vrps: VrpSet,
     /// Working set while receiving a reset response.
-    staging: BTreeSet<Vrp>,
+    staging: VrpSet,
     /// The protocol version this router speaks on the wire. Transports
     /// consult this when encoding queries; see [`RouterClient::downgrade_to`].
     version: u8,
@@ -173,8 +205,8 @@ impl RouterClient {
             state: ClientState::Unsynchronized,
             session_id: None,
             serial: 0,
-            vrps: BTreeSet::new(),
-            staging: BTreeSet::new(),
+            vrps: VrpSet::new(),
+            staging: VrpSet::new(),
             version,
             preferred_version: version,
             clock: Clock::system(),
@@ -325,7 +357,7 @@ impl RouterClient {
     }
 
     /// The synchronized VRP set.
-    pub fn vrps(&self) -> &BTreeSet<Vrp> {
+    pub fn vrps(&self) -> &VrpSet {
         &self.vrps
     }
 
@@ -429,36 +461,28 @@ impl RouterClient {
         self.staging.clear();
     }
 
-    /// Runs one full synchronization round over a blocking transport:
-    /// sends the appropriate query and processes the response to
-    /// completion, following a Cache Reset with a Reset Query.
+    /// Runs one full synchronization over a blocking transport: sends
+    /// the appropriate query and processes the response to completion,
+    /// following a Cache Reset with a Reset Query. A cache that keeps
+    /// answering Cache Reset exhausts the round budget and yields
+    /// [`ClientError::Incomplete`]; the router never waits on a cache
+    /// that owes it nothing.
     pub fn synchronize<T: Transport>(&mut self, transport: &mut T) -> Result<(), ClientError> {
-        for _attempt in 0..2 {
-            let was_synchronized = matches!(self.state, ClientState::Synchronized);
+        for _round in 0..SYNC_ROUNDS {
             transport.send(&self.query())?;
             loop {
                 let pdu = transport.recv()?;
-                if pdu == Pdu::CacheReset {
-                    self.reset();
-                    break; // retry with a reset query
-                }
                 if self.handle(&pdu)? {
                     return Ok(());
                 }
-            }
-            // Only loop once after a cache reset.
-            if !was_synchronized {
-                break;
-            }
-        }
-        // Second attempt after reset.
-        transport.send(&self.query())?;
-        loop {
-            let pdu = transport.recv()?;
-            if self.handle(&pdu)? {
-                return Ok(());
+                if matches!(pdu, Pdu::CacheReset) {
+                    break; // `handle` dropped to unsynchronized: re-query
+                }
             }
         }
+        Err(ClientError::Incomplete {
+            rounds: SYNC_ROUNDS,
+        })
     }
 }
 
@@ -797,6 +821,84 @@ mod tests {
         c.force_reset();
         assert_eq!(c.query(), Pdu::ResetQuery);
         assert_eq!(c.vrps().len(), 1, "data kept until the rebuild lands");
+    }
+
+    /// A cache that answers each query with the next scripted response.
+    /// Reading past a response is the router waiting on a cache that has
+    /// nothing more to say — over TCP that blocks forever; here it panics.
+    struct Scripted {
+        responses: std::collections::VecDeque<Vec<Pdu>>,
+        pending: std::collections::VecDeque<Pdu>,
+        queries: Vec<Pdu>,
+    }
+
+    impl Scripted {
+        fn new(responses: impl IntoIterator<Item = Vec<Pdu>>) -> Scripted {
+            Scripted {
+                responses: responses.into_iter().collect(),
+                pending: Default::default(),
+                queries: Vec::new(),
+            }
+        }
+    }
+
+    impl Transport for Scripted {
+        fn send(&mut self, pdu: &Pdu) -> Result<(), TransportError> {
+            self.queries.push(pdu.clone());
+            self.pending
+                .extend(self.responses.pop_front().unwrap_or_default());
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<Pdu, TransportError> {
+            Ok(self
+                .pending
+                .pop_front()
+                .expect("synchronize would block on a silent cache"))
+        }
+    }
+
+    #[test]
+    fn synchronize_follows_one_cache_reset_with_a_reset_query() {
+        let mut c = synced();
+        let mut cache = Scripted::new([
+            vec![Pdu::CacheReset],
+            vec![
+                Pdu::CacheResponse { session_id: 9 },
+                announce("20.0.0.0/8 => AS5"),
+                eod(9, 4),
+            ],
+        ]);
+        c.synchronize(&mut cache).unwrap();
+        assert_eq!(
+            cache.queries,
+            vec![
+                Pdu::SerialQuery {
+                    session_id: 7,
+                    serial: 1
+                },
+                Pdu::ResetQuery
+            ]
+        );
+        assert_eq!((c.serial(), c.vrps().len()), (4, 1));
+        assert!(c.vrps().contains(&vrp("20.0.0.0/8 => AS5")));
+    }
+
+    #[test]
+    fn synchronize_gives_up_on_a_cache_that_only_resets() {
+        let mut c = synced();
+        let mut cache = Scripted::new(std::iter::repeat_n(vec![Pdu::CacheReset], 100));
+        let err = c.synchronize(&mut cache).unwrap_err();
+        assert!(
+            matches!(err, ClientError::Incomplete { rounds } if rounds == SYNC_ROUNDS),
+            "{err}"
+        );
+        assert_eq!(cache.queries.len(), SYNC_ROUNDS);
+        assert!(cache.queries[1..].iter().all(|q| *q == Pdu::ResetQuery));
+        assert!(cache.pending.is_empty(), "no read past the last response");
+        // The held data survives for the next attempt (graceful restart).
+        assert_eq!(c.state(), ClientState::Unsynchronized);
+        assert_eq!(c.vrps().len(), 1);
     }
 }
 

@@ -28,6 +28,8 @@
 //! * [`client`] — the router-side state machine: session tracking,
 //!   serial/reset synchronization, applying announce/withdraw deltas,
 //!   the RFC 8210 §6 freshness timers.
+//! * [`vrp_set`] — the router's table ([`VrpSet`]): packed 12-byte
+//!   (IPv4) and 24-byte (IPv6) keys in `Vrp` order, iterated by value.
 //! * [`transport`] — the blocking PDU pipe a router dials a cache
 //!   with ([`transport::TcpTransport`]).
 //! * [`session`] — the one in-memory session driver ([`LiveSession`]):
@@ -72,6 +74,7 @@ pub mod pdu;
 pub mod server;
 pub mod session;
 pub mod transport;
+pub mod vrp_set;
 pub mod wire;
 
 pub use cache::{CacheServer, WireOutcome};
@@ -86,4 +89,5 @@ pub use server::{
     FanoutServer, FanoutStats, ServerConfig, ServerHandle, SessionId, TcpCacheServer,
 };
 pub use session::{LiveSession, SessionError, SyncStats};
+pub use vrp_set::VrpSet;
 pub use wire::{decode_frame, ErrorClass, Frame, Negotiation, PduRef};

@@ -33,7 +33,7 @@
 use rpki_roa::Vrp;
 
 use crate::cache::CacheServer;
-use crate::client::{ClientError, RouterClient};
+use crate::client::{ClientError, RouterClient, SYNC_ROUNDS};
 use crate::clock::Clock;
 use crate::faults::{split_frames, Direction, FaultPlan, TraceEvent};
 use crate::pdu::{Flags, Pdu, PduError, PROTOCOL_V0, PROTOCOL_V1};
@@ -131,11 +131,6 @@ impl From<PduError> for SessionError {
         SessionError::Protocol(e)
     }
 }
-
-/// Query/response rounds one synchronization attempt may spend: the
-/// deepest legitimate chain is downgrade → Cache Reset → full rebuild,
-/// plus one round of slack for a fault that decodes as another reset.
-const SYNC_ROUNDS: usize = 4;
 
 /// Why one synchronization attempt failed — the round loop's own
 /// taxonomy, mapped to [`SessionError`] for [`LiveSession`] callers and
@@ -480,7 +475,7 @@ mod tests {
             .unwrap();
         assert_eq!((stats.announced, stats.withdrawn), (1, 1));
         assert_eq!(s.router().serial(), 1);
-        let got: Vec<Vrp> = s.router().vrps().iter().copied().collect();
+        let got: Vec<Vrp> = s.router().vrps().iter().collect();
         assert_eq!(got, vrps(&["11.0.0.0/8 => AS2"]));
     }
 
@@ -492,7 +487,7 @@ mod tests {
             let fresh = vrp(&format!("10.{}.0.0/16 => AS{}", i % 200, 100 + i));
             s.apply_epoch(&[fresh], &[]).unwrap();
             let cache_set: Vec<Vrp> = s.cache().vrps().cloned().collect();
-            let router_set: Vec<Vrp> = s.router().vrps().iter().cloned().collect();
+            let router_set: Vec<Vrp> = s.router().vrps().iter().collect();
             assert_eq!(cache_set, router_set, "epoch {i}");
             assert_eq!(s.router().serial(), s.cache().serial());
         }
@@ -506,7 +501,7 @@ mod tests {
         let stats = s.synchronize().unwrap();
         assert!(stats.reset, "stale serial must force a Cache Reset");
         // Recovery delivers the full current set.
-        let got: Vec<Vrp> = s.router().vrps().iter().cloned().collect();
+        let got: Vec<Vrp> = s.router().vrps().iter().collect();
         let expect: Vec<Vrp> = s.cache().vrps().cloned().collect();
         assert_eq!(got, expect);
         assert_eq!(s.router().serial(), s.cache().serial());

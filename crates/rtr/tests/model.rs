@@ -333,7 +333,7 @@ proptest! {
             router.handle(&pdu).unwrap();
         }
         prop_assert_eq!(router.serial(), model.serial);
-        let got: BTreeSet<Vrp> = router.vrps().iter().copied().collect();
+        let got: BTreeSet<Vrp> = router.vrps().iter().collect();
         prop_assert_eq!(&got, model.current());
     }
 }

@@ -149,4 +149,39 @@ proptest! {
         prop_assert_eq!(router.vrps(), &updated);
         prop_assert_eq!(router.serial(), cache.serial());
     }
+
+    /// `update_delta` with large lists that overlap each other, the
+    /// served set and themselves (duplicates) records exactly what
+    /// `update` records for the resulting set on a twin cache: the set
+    /// difference between the two serials, one record per VRP.
+    #[test]
+    fn update_delta_on_overlapping_lists_records_what_update_does(
+        served in prop::collection::vec(0u32..1500, 0..1200),
+        announced in prop::collection::vec(0u32..1500, 0..1200),
+        withdrawn in prop::collection::vec(0u32..1500, 0..1200),
+    ) {
+        let vrp = |i: &u32| {
+            let prefix = Prefix::V4(Prefix4::new_truncated(0x0a00_0000 | i << 8, 24));
+            Vrp::new(prefix, 24 + (i % 3) as u8, Asn(i % 11))
+        };
+        let served: Vec<Vrp> = served.iter().map(vrp).collect();
+        let announced: Vec<Vrp> = announced.iter().map(vrp).collect();
+        let withdrawn: Vec<Vrp> = withdrawn.iter().map(vrp).collect();
+
+        let mut by_delta = CacheServer::new(4, &served);
+        let mut by_set = by_delta.clone();
+        by_delta.update_delta(&announced, &withdrawn);
+        // Announcements first, withdrawals winning.
+        let mut new_set: std::collections::BTreeSet<Vrp> =
+            served.iter().chain(&announced).copied().collect();
+        for v in &withdrawn {
+            new_set.remove(v);
+        }
+        by_set.update(&new_set.iter().copied().collect::<Vec<_>>());
+
+        prop_assert!(by_delta.vrps().eq(new_set.iter()));
+        prop_assert_eq!(by_delta.serial(), by_set.serial());
+        let catch_up = Pdu::SerialQuery { session_id: 4, serial: 0 };
+        prop_assert_eq!(by_delta.handle(&catch_up), by_set.handle(&catch_up));
+    }
 }

@@ -236,7 +236,7 @@ fn fleet_converges_under_ragged_drain_schedules() {
         "fan-out cache must replay identically to the standalone oracle"
     );
     for (i, (_, router)) in fleet.iter().enumerate() {
-        let got: Vec<Vrp> = router.vrps().iter().cloned().collect();
+        let got: Vec<Vrp> = router.vrps().iter().collect();
         assert_eq!(got, expect, "router {i} final VRP set");
         assert_eq!(router.serial(), oracle.serial(), "router {i} serial");
     }
@@ -275,7 +275,7 @@ fn backpressured_sessions_recover_through_cache_reset() {
     // Once the consumer drains again, the reset flow rebuilds the exact
     // oracle set.
     synchronize(&mut server, id, &mut router);
-    let got: Vec<Vrp> = router.vrps().iter().cloned().collect();
+    let got: Vec<Vrp> = router.vrps().iter().collect();
     let expect: Vec<Vrp> = oracle.vrps().cloned().collect();
     assert_eq!(got, expect);
     assert_eq!(router.serial(), oracle.serial());
@@ -315,7 +315,7 @@ fn notify_query_delta_cycle_survives_the_u32_wrap() {
     assert_eq!(live_router.serial(), 3);
     let expect: Vec<Vrp> = oracle.vrps().cloned().collect();
     assert_eq!(
-        live_router.vrps().iter().cloned().collect::<Vec<_>>(),
+        live_router.vrps().iter().collect::<Vec<_>>(),
         expect,
         "delta path across the wrap"
     );
@@ -325,7 +325,7 @@ fn notify_query_delta_cycle_survives_the_u32_wrap() {
     // `fleet_converges_under_ragged_drain_schedules` covers.
     synchronize(&mut server, stale, &mut stale_router);
     assert_eq!(
-        stale_router.vrps().iter().cloned().collect::<Vec<_>>(),
+        stale_router.vrps().iter().collect::<Vec<_>>(),
         expect,
         "catch-up path across the wrap"
     );

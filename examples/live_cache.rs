@@ -83,7 +83,7 @@ fn main() {
     // --- 4. The differential check: three views, one truth. -------------
     // The router's synchronized set, the timeline's arithmetic, and the
     // chain engine's logical set must all be the same world ...
-    let router_set: Vec<Vrp> = session.router().vrps().iter().copied().collect();
+    let router_set: Vec<Vrp> = session.router().vrps().iter().collect();
     assert_eq!(router_set, timeline.final_vrps());
     assert_eq!(router_set, engine.current_vrps());
     // ... and batch-revalidating that world from scratch reproduces every

@@ -90,7 +90,7 @@ fn main() {
 
     // Builder → freeze: the synchronized VRP set is read-only until the
     // next rtr delta, so the router validates against a frozen snapshot.
-    let index: VrpIndex = router.vrps().iter().copied().collect();
+    let index: VrpIndex = router.vrps().iter().collect();
     let frozen = index.freeze();
     let updates = [
         "87.254.32.0/20 => AS31283", // legitimate de-aggregate

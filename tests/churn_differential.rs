@@ -49,13 +49,11 @@ fn rtr_replayed_timeline_matches_batch_revalidation_at_scale_005() {
     for epoch in &timeline.epochs {
         // The epoch rides the wire; the engine consumes what the router
         // actually synchronized, not the generator's lists.
-        let before: std::collections::BTreeSet<Vrp> =
-            session.router().vrps().iter().copied().collect();
+        let before: std::collections::BTreeSet<Vrp> = session.router().vrps().iter().collect();
         session
             .apply_epoch(&epoch.announced, &epoch.withdrawn)
             .expect("session epoch");
-        let after: std::collections::BTreeSet<Vrp> =
-            session.router().vrps().iter().copied().collect();
+        let after: std::collections::BTreeSet<Vrp> = session.router().vrps().iter().collect();
         let announced: Vec<Vrp> = after.difference(&before).copied().collect();
         let withdrawn: Vec<Vrp> = before.difference(&after).copied().collect();
         assert_eq!(announced, epoch.announced, "wire delta == generator delta");
@@ -66,7 +64,7 @@ fn rtr_replayed_timeline_matches_batch_revalidation_at_scale_005() {
     assert_eq!(engine.chain_len() as u64, engine.summary().refreezes);
 
     // Router, timeline arithmetic, and engine agree on the final world.
-    let final_set: Vec<Vrp> = session.router().vrps().iter().copied().collect();
+    let final_set: Vec<Vrp> = session.router().vrps().iter().collect();
     assert_eq!(final_set, timeline.final_vrps());
     assert_eq!(final_set, engine.current_vrps());
 
@@ -192,7 +190,7 @@ fn lagging_router_converges_via_cache_reset() {
         router.handle(&pdu).unwrap();
     }
     assert_eq!(router.serial(), cache.serial());
-    let rebuilt: Vec<Vrp> = router.vrps().iter().copied().collect();
+    let rebuilt: Vec<Vrp> = router.vrps().iter().collect();
     assert_eq!(rebuilt, final_set);
 
     let fresh: VrpIndex = rebuilt.into_iter().collect();

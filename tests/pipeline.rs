@@ -84,7 +84,7 @@ fn disk_to_router_pipeline() {
 
     // --- Stage 5: validation behaves identically pre- and post-wire. -----
     let local_index: VrpIndex = compressed.iter().copied().collect();
-    let wire_index: VrpIndex = router.vrps().iter().copied().collect();
+    let wire_index: VrpIndex = router.vrps().iter().collect();
     for route in routes.iter().step_by(37) {
         assert_eq!(local_index.validate(route), wire_index.validate(route));
     }

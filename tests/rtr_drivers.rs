@@ -2,10 +2,15 @@
 //! `LiveSession` and a `ChaosSession` with no faults configured run the
 //! same round loop, so they must land on the same router state — and
 //! the recovery wrapper must still carry a version downgrade through.
+//! Both keep what they learn in the router's packed-key table, which one
+//! fixed PDU stream checks here against a plain `BTreeSet<Vrp>` (the
+//! randomized version is `crates/rtr/tests/vrp_set_props.rs`).
 
 use maxlength_rpki::prelude::*;
+use maxlength_rpki::rtr::client::ClientError;
 use maxlength_rpki::rtr::faults::{ChaosOptions, ChaosSession, FaultConfig, TraceEvent};
-use maxlength_rpki::rtr::{PROTOCOL_V0, PROTOCOL_V1};
+use maxlength_rpki::rtr::pdu::{Flags, Pdu, Timing};
+use maxlength_rpki::rtr::{RouterClient, PROTOCOL_V0, PROTOCOL_V1};
 
 fn timeline() -> ChurnTimeline {
     let vrps = World::generate(GeneratorConfig {
@@ -47,7 +52,7 @@ fn live_and_faultless_chaos_sessions_converge_identically() {
         assert_eq!(live.router().serial(), chaos.router().serial());
     }
 
-    let final_set: Vec<Vrp> = live.router().vrps().iter().copied().collect();
+    let final_set: Vec<Vrp> = live.router().vrps().iter().collect();
     assert_eq!(final_set, timeline.final_vrps());
     assert!(chaos.router().vrps().iter().eq(final_set.iter()));
     assert_eq!(live.router().serial(), 6);
@@ -91,4 +96,69 @@ fn v1_router_downgrades_once_against_a_v0_cache_and_converges() {
         .iter()
         .eq(timeline.final_vrps().iter()));
     assert_eq!(chaos.router().serial(), chaos.cache().serial());
+}
+
+#[test]
+fn router_table_tracks_a_btree_set_through_a_mixed_family_stream() {
+    use std::collections::BTreeSet;
+    use Flags::{Announce, Withdraw};
+
+    // Edge keys of both families, neighbours that differ in one field,
+    // sent out of order; `false` marks the records a router must reject.
+    let stream = [
+        (Announce, "2001:db8::/32-48 => AS65000", true),
+        (Announce, "10.0.0.0/8-16 => AS1", true),
+        (Announce, "::/0-128 => AS0", true),
+        (Announce, "10.0.0.0/8-17 => AS1", true),
+        (Announce, "255.255.255.255/32 => AS4294967295", true),
+        (Announce, "10.0.0.0/8-16 => AS2", true),
+        (Announce, "0.0.0.0/0 => AS0", true),
+        (Announce, "10.0.0.0/8-16 => AS1", false),
+        (Announce, "ffff:ffff::/32-128 => AS4294967295", true),
+        (Withdraw, "10.0.0.0/9-16 => AS1", false),
+        (Withdraw, "10.0.0.0/8-17 => AS1", true),
+        (Withdraw, "::/0 => AS0", false),
+        (Announce, "10.0.0.0/9-16 => AS1", true),
+        (Withdraw, "::/0-128 => AS0", true),
+    ];
+
+    let mut router = RouterClient::new();
+    let mut model: BTreeSet<Vrp> = BTreeSet::new();
+    router
+        .handle(&Pdu::CacheResponse { session_id: 3 })
+        .expect("a response may open");
+    for (flags, text, accepted) in stream {
+        let vrp: Vrp = text.parse().expect("fixture VRP parses");
+        let expected = match flags {
+            Announce => model.insert(vrp),
+            Withdraw => model.remove(&vrp),
+        };
+        assert_eq!(expected, accepted, "fixture: {text}");
+        // The verdict comes on the very PDU, not at End of Data.
+        match (router.handle(&Pdu::Prefix { flags, vrp }), flags) {
+            (Ok(false), _) => assert!(accepted, "{text} accepted"),
+            (Err(ClientError::DuplicateAnnouncement(v)), Announce) => {
+                assert!(!accepted && v == vrp, "{text}")
+            }
+            (Err(ClientError::WithdrawalOfUnknown(v)), Withdraw) => {
+                assert!(!accepted && v == vrp, "{text}")
+            }
+            (other, _) => panic!("{text}: {other:?}"),
+        }
+    }
+    let done = router.handle(&Pdu::EndOfData {
+        session_id: 3,
+        serial: 1,
+        timing: Timing::default(),
+    });
+    assert!(matches!(done, Ok(true)));
+
+    let table = router.vrps();
+    assert_eq!((table.len(), model.len()), (7, 7));
+    assert!(table.iter().eq(model.iter()), "{table:?} != {model:?}");
+    assert!(*table == model, "table == BTreeSet");
+    assert!(model == *table, "BTreeSet == table");
+    assert!(model.iter().all(|v| table.contains(v)));
+    let gone: Vrp = "::/0-128 => AS0".parse().expect("fixture VRP parses");
+    assert!(!table.contains(&gone));
 }
