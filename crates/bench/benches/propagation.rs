@@ -11,7 +11,7 @@
 //! * `rov-filtered` — the shape every staged trial actually runs: the
 //!   engine side uses a precomputed [`OriginFilter`] (one VRP resolution
 //!   per origin + a compiled adopter bitset), the reference side pays a
-//!   trie validation per edge relaxation, exactly as `run_strategy` did
+//!   `VrpIndex` validation per edge relaxation, exactly as `run_strategy` did
 //!   before the engine landed.
 //!
 //! Set `MAXLENGTH_BENCH_JSON=path` to append machine-readable

@@ -1,7 +1,9 @@
-//! Ablation: trie-backed route origin validation vs a linear VRP scan.
+//! Ablation: indexed route origin validation vs a linear VRP scan, and
+//! the mutable builder vs the frozen snapshot.
 //!
 //! RFC 6811 validation is on every BGP update's hot path; this bench
-//! justifies the radix-trie `VrpIndex` over the obvious `Vec` scan.
+//! justifies the ordered-set `VrpIndex` over the obvious `Vec` scan, and
+//! `freeze()` over the builder for anything table-sized.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -33,7 +35,7 @@ fn bench_validation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/rov");
     group.throughput(Throughput::Elements(routes.len() as u64));
     group.bench_with_input(
-        BenchmarkId::new("trie_index", vrps.len()),
+        BenchmarkId::new("builder", vrps.len()),
         &routes,
         |b, routes| {
             b.iter(|| {
@@ -61,7 +63,7 @@ fn bench_validation(c: &mut Criterion) {
 
 fn bench_table_validation(c: &mut Criterion) {
     // The tentpole comparison: the same whole-table validation on the
-    // mutable trie, on the frozen snapshot, and on the frozen snapshot
+    // mutable builder, on the frozen snapshot, and on the frozen snapshot
     // with the parallel reduction — at two world scales.
     for scale in [0.05, 0.2] {
         let world = World::generate(GeneratorConfig {
@@ -82,7 +84,7 @@ fn bench_table_validation(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("rov/validate_table/scale-{scale}"));
         group.throughput(Throughput::Elements(routes.len() as u64));
         group.bench_with_input(
-            BenchmarkId::new("sequential_trie", routes.len()),
+            BenchmarkId::new("builder", routes.len()),
             &routes,
             |b, routes| b.iter(|| index.validate_table(routes.iter())),
         );

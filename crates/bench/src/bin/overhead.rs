@@ -76,18 +76,18 @@ fn main() {
         full_time.as_secs_f64() / par_time.as_secs_f64().max(1e-9)
     );
 
-    // The validation hot path: mutable trie vs frozen snapshot vs
+    // The validation hot path: mutable builder vs frozen snapshot vs
     // frozen + parallel, all over the same table.
     println!("\nRFC 6811 whole-table validation (same inputs, three engines):");
     let routes: Vec<RouteOrigin> = bgp.iter().collect();
     let index: VrpIndex = vrps.iter().copied().collect();
     let t3 = std::time::Instant::now();
     let seq = index.validate_table(routes.iter());
-    let trie_time = t3.elapsed();
+    let builder_time = t3.elapsed();
     println!(
-        "mutable trie      : {:>8} routes in {:>10.2?}   ({})",
+        "mutable builder   : {:>8} routes in {:>10.2?}   ({})",
         routes.len(),
-        trie_time,
+        builder_time,
         seq
     );
     let t4 = std::time::Instant::now();
@@ -98,21 +98,21 @@ fn main() {
     let frozen_time = t5.elapsed();
     assert_eq!(frozen_seq, seq, "frozen snapshot must agree with builder");
     println!(
-        "frozen snapshot   : {:>8} routes in {:>10.2?}   (freeze took {:.2?}; {:.1}x vs trie)",
+        "frozen snapshot   : {:>8} routes in {:>10.2?}   (freeze took {:.2?}; {:.1}x vs builder)",
         routes.len(),
         frozen_time,
         freeze_time,
-        trie_time.as_secs_f64() / frozen_time.as_secs_f64().max(1e-9)
+        builder_time.as_secs_f64() / frozen_time.as_secs_f64().max(1e-9)
     );
     let t6 = std::time::Instant::now();
     let frozen_par = frozen.validate_table_par(&routes);
     let par_val_time = t6.elapsed();
     assert_eq!(frozen_par, seq, "parallel reduction must agree");
     println!(
-        "frozen, {threads:>2} threads: {:>8} routes in {:>10.2?}   ({:.1}x vs trie)",
+        "frozen, {threads:>2} threads: {:>8} routes in {:>10.2?}   ({:.1}x vs builder)",
         routes.len(),
         par_val_time,
-        trie_time.as_secs_f64() / par_val_time.as_secs_f64().max(1e-9)
+        builder_time.as_secs_f64() / par_val_time.as_secs_f64().max(1e-9)
     );
 
     if let Some(mb) = peak_rss_mb() {

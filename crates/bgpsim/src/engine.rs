@@ -25,7 +25,7 @@
 //!    claimed origin's ROV verdict against the VRPs **once per
 //!    propagation** and each deployment's adopter set into a
 //!    [`CompiledPolicies`] bitset **once per deployment**, making
-//!    `accept` a word-indexed bit test instead of a trie walk plus
+//!    `accept` a word-indexed bit test instead of an index walk plus
 //!    policy dispatch per edge.
 //! 4. **Single-pass interception counting** —
 //!    [`PropagationEngine::propagate_outcome`] tallies where every AS's
@@ -378,7 +378,7 @@ const MAX_FILTER_ORIGINS: usize = 8;
 /// [`VrpIndex`] **once** (at construction) and keeps only the origins
 /// that validate Invalid for the propagated prefix. Per edge,
 /// `accept` is then a comparison against at most two words plus a
-/// [`CompiledPolicies`] bit test: no trie walk, no policy dispatch.
+/// [`CompiledPolicies`] bit test: no index walk, no policy dispatch.
 ///
 /// Semantics are exactly `policies[at].permits(vrps.validate(route))`
 /// for the RFC 6811 policy set.

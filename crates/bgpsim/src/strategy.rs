@@ -14,7 +14,7 @@
 //! [`run_strategy`] stages the plan under Gao–Rexford propagation with
 //! per-AS ROV filtering and a longest-prefix-match data plane, riding
 //! the [`crate::engine::PropagationEngine`] hot path: precomputed
-//! [`OriginFilter`]s instead of per-edge trie validation, the calling
+//! [`OriginFilter`]s instead of per-edge index validation, the calling
 //! thread's reusable [`crate::engine::Workspace`], and single-pass
 //! interception counting. Trial loops that fix one deployment should
 //! compile its policy vector once ([`CompiledPolicies::compile`]) and

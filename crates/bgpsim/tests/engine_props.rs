@@ -148,7 +148,7 @@ proptest! {
     }
 
     /// The precomputed OriginFilter path (compiled adopter bitset + one
-    /// VRP resolution per origin) equals per-edge trie validation fed to
+    /// VRP resolution per origin) equals per-edge index validation fed to
     /// the reference implementation.
     #[test]
     fn origin_filter_equals_per_edge_validation(

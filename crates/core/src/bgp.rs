@@ -2,7 +2,7 @@
 //! measurement pipeline (§6).
 //!
 //! The analyses need four queries over the set of announced
-//! `(prefix, origin AS)` pairs, all answered here in trie time:
+//! `(prefix, origin AS)` pairs:
 //!
 //! 1. *is this exact pair announced?* (minimality checks),
 //! 2. *how many subprefixes of `p` up to length `m` does AS `a`
@@ -11,16 +11,23 @@
 //!    lower bound), and
 //! 4. *which announced pairs does a given VRP make valid?*
 //!    (minimalization).
+//!
+//! The table is built once and never mutated, and [`Prefix`]'s order puts
+//! a prefix directly before everything it covers, so the index is the
+//! sort order itself: an exact lookup is a binary search and "announced
+//! under `p`" is the contiguous run starting at `p`'s lower bound.
 
 use rpki_prefix::Prefix;
 use rpki_roa::{Asn, RouteOrigin, Vrp};
-use rpki_trie::DualTrie;
 
 /// A deduplicated, indexed set of `(prefix, origin AS)` pairs.
 #[derive(Debug, Clone, Default)]
 pub struct BgpTable {
-    trie: DualTrie<Vec<Asn>>,
-    len: usize,
+    /// The distinct pairs, ascending: by prefix, then by origin.
+    routes: Vec<RouteOrigin>,
+    /// Each pair's origin again, in the same order, so that the origins
+    /// of one prefix are a slice.
+    origins: Vec<Asn>,
 }
 
 impl BgpTable {
@@ -32,48 +39,38 @@ impl BgpTable {
     /// The number of distinct `(prefix, origin)` pairs — the paper's
     /// "777K advertised (IP prefix, AS) pairs" metric.
     pub fn len(&self) -> usize {
-        self.len
+        self.routes.len()
     }
 
     /// `true` if the table holds no routes.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts a pair; returns `false` if it was already present.
-    pub fn insert(&mut self, route: RouteOrigin) -> bool {
-        let bucket = self.trie.get_or_insert_with(route.prefix, Vec::new);
-        if bucket.contains(&route.origin) {
-            return false;
-        }
-        bucket.push(route.origin);
-        self.len += 1;
-        true
+        self.routes.is_empty()
     }
 
     /// `true` if this exact `(prefix, origin)` pair is announced.
     pub fn contains(&self, route: &RouteOrigin) -> bool {
-        self.trie
-            .get(route.prefix)
-            .is_some_and(|b| b.contains(&route.origin))
+        self.routes.binary_search(route).is_ok()
     }
 
     /// `true` if `prefix` is announced by *any* origin.
     pub fn prefix_announced(&self, prefix: Prefix) -> bool {
-        self.trie.get(prefix).is_some()
+        !self.origins_of(prefix).is_empty()
     }
 
-    /// The origins announcing exactly `prefix`.
+    /// The origins announcing exactly `prefix`, ascending.
     pub fn origins_of(&self, prefix: Prefix) -> &[Asn] {
-        self.trie.get(prefix).map(Vec::as_slice).unwrap_or(&[])
+        let first = self.lower_bound(prefix);
+        let on_prefix = self.routes[first..]
+            .iter()
+            .take_while(|r| r.prefix == prefix);
+        &self.origins[first..first + on_prefix.count()]
     }
 
     /// Counts the distinct subprefixes of `prefix` (inclusive), up to
     /// `max_len`, that `asn` announces.
     pub fn count_announced_under(&self, prefix: Prefix, max_len: u8, asn: Asn) -> u64 {
-        self.trie
-            .iter_covered_by(prefix)
-            .filter(|(k, bucket)| k.len() <= max_len && bucket.contains(&asn))
+        self.covered_by(prefix)
+            .filter(|r| r.prefix.len() <= max_len && r.origin == asn)
             .count() as u64
     }
 
@@ -82,9 +79,10 @@ impl BgpTable {
     /// the same origin. The complement of these pairs forms the
     /// maximally-permissive ROA lower bound (§6).
     pub fn has_ancestor_same_origin(&self, prefix: Prefix, asn: Asn) -> bool {
-        self.trie
-            .iter_covering(prefix)
-            .any(|(k, bucket)| k.len() < prefix.len() && bucket.contains(&asn))
+        (0..prefix.len()).any(|len| {
+            let above = prefix.ancestor_at(len).expect("shorter than the prefix");
+            self.contains(&RouteOrigin::new(above, asn))
+        })
     }
 
     /// The announced pairs that `vrp` makes RPKI-valid: announced
@@ -94,48 +92,44 @@ impl BgpTable {
         &'a self,
         vrp: &'a Vrp,
     ) -> impl Iterator<Item = RouteOrigin> + 'a {
-        self.trie
-            .iter_covered_by(vrp.prefix)
-            .filter(move |(k, bucket)| k.len() <= vrp.max_len && bucket.contains(&vrp.asn))
-            .map(move |(k, _)| RouteOrigin::new(k, vrp.asn))
+        self.covered_by(vrp.prefix)
+            .filter(move |r| r.prefix.len() <= vrp.max_len && r.origin == vrp.asn)
+            .copied()
     }
 
-    /// Iterates over every `(prefix, origin)` pair, grouped by prefix in
-    /// sorted order.
+    /// Iterates over every `(prefix, origin)` pair, ascending: IPv4 then
+    /// IPv6, and a prefix comes directly before everything it covers.
     pub fn iter(&self) -> impl Iterator<Item = RouteOrigin> + '_ {
-        self.buckets()
-            .flat_map(|(p, bucket)| bucket.iter().map(move |&a| RouteOrigin::new(p, a)))
+        self.routes.iter().copied()
     }
 
-    /// Every announced prefix with its origins (in insertion order), in
-    /// sorted prefix order: IPv4 then IPv6, each in trie pre-order, so a
-    /// prefix comes directly before everything it covers.
-    pub(crate) fn buckets(&self) -> impl Iterator<Item = (Prefix, &[Asn])> {
-        self.trie.iter().map(|(p, bucket)| (p, bucket.as_slice()))
+    /// The pairs whose prefix `prefix` covers (itself included): the run
+    /// of the sort order starting at its lower bound.
+    fn covered_by(&self, prefix: Prefix) -> impl Iterator<Item = &RouteOrigin> {
+        self.routes[self.lower_bound(prefix)..]
+            .iter()
+            .take_while(move |r| prefix.covers(r.prefix))
+    }
+
+    /// Where the pairs on `prefix` start, or would.
+    fn lower_bound(&self, prefix: Prefix) -> usize {
+        self.routes.partition_point(|r| r.prefix < prefix)
     }
 }
 
 impl FromIterator<RouteOrigin> for BgpTable {
     fn from_iter<I: IntoIterator<Item = RouteOrigin>>(iter: I) -> BgpTable {
-        let mut t = BgpTable::new();
-        for r in iter {
-            t.insert(r);
-        }
-        t
+        let mut routes: Vec<RouteOrigin> = iter.into_iter().collect();
+        routes.sort_unstable();
+        routes.dedup();
+        let origins = routes.iter().map(|r| r.origin).collect();
+        BgpTable { routes, origins }
     }
 }
 
 impl<'a> FromIterator<&'a RouteOrigin> for BgpTable {
     fn from_iter<I: IntoIterator<Item = &'a RouteOrigin>>(iter: I) -> BgpTable {
         iter.into_iter().copied().collect()
-    }
-}
-
-impl Extend<RouteOrigin> for BgpTable {
-    fn extend<I: IntoIterator<Item = RouteOrigin>>(&mut self, iter: I) {
-        for r in iter {
-            self.insert(r);
-        }
     }
 }
 
@@ -152,13 +146,18 @@ mod tests {
     }
 
     #[test]
-    fn insert_dedups() {
-        let mut t = BgpTable::new();
-        assert!(t.insert(route("10.0.0.0/8 => AS1")));
-        assert!(!t.insert(route("10.0.0.0/8 => AS1")));
-        assert!(t.insert(route("10.0.0.0/8 => AS2"))); // MOAS is a thing
+    fn collect_dedups() {
+        let t = table(&[
+            "10.0.0.0/8 => AS2", // MOAS is a thing
+            "10.0.0.0/8 => AS1",
+            "10.0.0.0/8 => AS2",
+        ]);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.origins_of("10.0.0.0/8".parse().unwrap()).len(), 2);
+        assert_eq!(
+            t.origins_of("10.0.0.0/8".parse().unwrap()),
+            [Asn(1), Asn(2)]
+        );
+        assert!(t.origins_of("10.0.0.0/9".parse().unwrap()).is_empty());
     }
 
     #[test]

@@ -9,24 +9,17 @@
 //! 6.2% ceiling; `compress_roas` gets within a fraction of a percent of it
 //! without creating any vulnerability.
 
-use rpki_prefix::Prefix;
-use rpki_roa::{Asn, Vrp};
+use rpki_roa::{RouteOrigin, Vrp};
 
 use crate::BgpTable;
 
 /// The "minimal ROAs, no maxLength" PDU set for full deployment: one exact
 /// tuple per announced pair. (Table 1 row 5: 776,945 on the paper's data.)
 ///
-/// The table iterates in prefix order and an exact tuple's maxLength is
-/// its length, so only the origins of one prefix need sorting.
+/// The table iterates in `(prefix, origin)` order and an exact tuple's
+/// maxLength is its length, so the list comes out in `Vrp` order.
 pub fn full_deployment_minimal(bgp: &BgpTable) -> Vec<Vrp> {
-    let mut out = Vec::with_capacity(bgp.len());
-    for (prefix, origins) in bgp.buckets() {
-        let bucket = out.len();
-        out.extend(origins.iter().map(|&asn| Vrp::exact(prefix, asn)));
-        out[bucket..].sort_unstable();
-    }
-    out
+    bgp.iter().map(|r| Vrp::exact(r.prefix, r.origin)).collect()
 }
 
 /// The maximally-permissive lower bound (Table 1 row 7): tuples for exactly
@@ -37,32 +30,32 @@ pub fn full_deployment_minimal(bgp: &BgpTable) -> Vec<Vrp> {
 /// table can produce — and it is maximally vulnerable to forged-origin
 /// subprefix hijacks, which is why the paper uses it only as a bound.
 ///
-/// One pass: the table iterates in trie pre-order, where the announced
-/// strict ancestors of the current prefix are exactly a stack — pop while
-/// the top does not cover it (never again will it cover anything), and
-/// what remains are all its ancestors. That is
-/// [`BgpTable::has_ancestor_same_origin`] for every pair without a
-/// root-to-leaf walk per pair.
+/// One pass: the table iterates in prefix order, a prefix directly before
+/// everything it covers, so the announced strict ancestors of the current
+/// prefix are exactly a stack — pop while the top does not cover it (never
+/// again will it cover anything), and what remains are all its ancestors
+/// (and the other origins of the prefix itself). That is
+/// [`BgpTable::has_ancestor_same_origin`] for every pair without a probe
+/// per shorter length per pair.
 pub fn max_permissive_lower_bound(bgp: &BgpTable) -> Vec<Vrp> {
-    // Reserved once, like the list above: grown by doubling, a list this
-    // long moves through the allocator a dozen times, at a cost that
-    // depends on what the heap holds at that moment.
+    // Reserved once: grown by doubling, a list this long moves through
+    // the allocator a dozen times, at a cost that depends on what the heap
+    // holds at that moment.
     let mut out = Vec::with_capacity(bgp.len());
-    let mut ancestors: Vec<(Prefix, &[Asn])> = Vec::new();
-    for (prefix, origins) in bgp.buckets() {
-        while ancestors.last().is_some_and(|(top, _)| !top.covers(prefix)) {
+    let mut ancestors: Vec<RouteOrigin> = Vec::new();
+    for route in bgp.iter() {
+        while ancestors
+            .last()
+            .is_some_and(|top| !top.prefix.covers(route.prefix))
+        {
             ancestors.pop();
         }
-        let bucket = out.len();
-        let announced_above = |asn| ancestors.iter().any(|(_, above)| above.contains(asn));
-        out.extend(
-            origins
-                .iter()
-                .filter(|asn| !announced_above(asn))
-                .map(|&asn| Vrp::max_permissive(prefix, asn)),
-        );
-        out[bucket..].sort_unstable();
-        ancestors.push((prefix, origins));
+        // Pairs are distinct, so a same-origin pair on the stack is on a
+        // strictly shorter prefix.
+        if !ancestors.iter().any(|above| above.origin == route.origin) {
+            out.push(Vrp::max_permissive(route.prefix, route.origin));
+        }
+        ancestors.push(route);
     }
     out
 }
@@ -78,7 +71,6 @@ pub fn max_compression_ratio(bgp: &BgpTable) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpki_roa::RouteOrigin;
 
     fn bgp(routes: &[&str]) -> BgpTable {
         routes
@@ -99,8 +91,8 @@ mod tests {
         assert!(minimal.iter().all(|v| !v.uses_max_len()));
     }
 
-    /// Table order is already `Vrp` order except for the origins of one
-    /// prefix, which keep insertion order in the table.
+    /// Whatever order the pairs arrive in, the table iterates strictly
+    /// ascending, so neither bound needs a sort of its own.
     #[test]
     fn minimal_is_sorted_without_a_global_sort() {
         let table = bgp(&[
@@ -116,18 +108,13 @@ mod tests {
             "0.0.0.0/0 => AS1",
             "2001:db8::/48 => AS2",
         ]);
-        let minimal = full_deployment_minimal(&table);
-        assert!(minimal.is_sorted());
-        let mut sort_everything: Vec<Vrp> = table
-            .iter()
-            .map(|r| Vrp::exact(r.prefix, r.origin))
-            .collect();
-        assert!(
-            !sort_everything.is_sorted(),
-            "MOAS origins are out of order"
-        );
-        sort_everything.sort_unstable();
-        assert_eq!(minimal, sort_everything);
+        let routes: Vec<RouteOrigin> = table.iter().collect();
+        assert_eq!(routes.len(), 11);
+        assert!(routes.windows(2).all(|w| w[0] < w[1]));
+        assert!(full_deployment_minimal(&table)
+            .windows(2)
+            .all(|w| w[0] < w[1]));
+        assert!(max_permissive_lower_bound(&table).is_sorted());
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //!
 //! The crate has five pieces, mapping one-to-one onto the paper:
 //!
-//! * [`bgp`] — an indexed view of a global BGP table (the Route Views side
-//!   of the measurement pipeline).
-//! * [`compress`] — **`compress_roas`**, the trie-based Algorithm 1 (§7):
-//!   losslessly re-introduces maxLength into a PDU list so routers process
-//!   fewer tuples, *without* creating forged-origin subprefix hijack
-//!   exposure.
+//! * [`bgp`] — a global BGP table (the Route Views side of the measurement
+//!   pipeline), indexed by its own sort order.
+//! * [`compress`] — **`compress_roas`**, Algorithm 1 (§7) as a sweep over
+//!   a sorted array: losslessly re-introduces maxLength into a PDU list so
+//!   routers process fewer tuples, *without* creating forged-origin
+//!   subprefix hijack exposure.
 //! * [`minimal`] — conversion of arbitrary ROAs/VRPs into *minimal* ones
 //!   that authorize exactly what is announced in BGP (§6).
 //! * [`vulnerability`] — the §4/§6 census: which maxLength-using tuples

@@ -34,17 +34,26 @@ fn arb_vrps() -> impl Strategy<Value = Vec<Vrp>> {
     prop::collection::vec(arb_vrp(), 0..40)
 }
 
-/// A MOAS table of up to `max_pairs` announcements over `prefix`.
-fn arb_bgp_over(
+/// Up to `max_pairs` MOAS announcements over `prefix`, in no order and
+/// with duplicates.
+fn arb_routes_over(
     prefix: impl Strategy<Value = Prefix>,
     max_pairs: usize,
-) -> impl Strategy<Value = BgpTable> {
+) -> impl Strategy<Value = Vec<RouteOrigin>> {
     prop::collection::vec((prefix, 1u32..4), 0..max_pairs).prop_map(|pairs| {
         pairs
             .into_iter()
             .map(|(p, a)| RouteOrigin::new(p, Asn(a)))
             .collect()
     })
+}
+
+/// A MOAS table of up to `max_pairs` announcements over `prefix`.
+fn arb_bgp_over(
+    prefix: impl Strategy<Value = Prefix>,
+    max_pairs: usize,
+) -> impl Strategy<Value = BgpTable> {
+    arb_routes_over(prefix, max_pairs).prop_map(|routes| routes.into_iter().collect())
 }
 
 fn arb_bgp() -> impl Strategy<Value = BgpTable> {
@@ -177,6 +186,51 @@ proptest! {
         if let Some(authorized) = authorized_if_small(&vrps) {
             prop_assert_eq!(&expand_authorized(&out), &authorized);
             prop_assert_eq!(&expand_authorized(&full), &authorized);
+        }
+    }
+
+    /// Every `BgpTable` query against a scan of the announcement list it
+    /// was built from — unsorted, with duplicates and MOAS, straddling the
+    /// v4/v6 boundary and containing `/0`.
+    #[test]
+    fn bgp_table_matches_scan(
+        routes in arb_routes_over(arb_wide_prefix(), 80),
+        probes in prop::collection::vec((arb_wide_prefix(), 0u8..=3), 1..6),
+    ) {
+        let bgp: BgpTable = routes.iter().collect();
+        let mut distinct = routes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(bgp.len(), distinct.len());
+        prop_assert_eq!(bgp.is_empty(), distinct.is_empty());
+        prop_assert_eq!(bgp.iter().collect::<Vec<_>>(), distinct);
+
+        let announced = distinct.iter().map(|r| (r.prefix, 0));
+        for (prefix, extra) in announced.chain(probes) {
+            let here: Vec<Asn> =
+                distinct.iter().filter(|r| r.prefix == prefix).map(|r| r.origin).collect();
+            prop_assert_eq!(bgp.origins_of(prefix), here.as_slice());
+            prop_assert_eq!(bgp.prefix_announced(prefix), !here.is_empty());
+            for asn in (0..4).map(Asn) {
+                prop_assert_eq!(
+                    bgp.contains(&RouteOrigin::new(prefix, asn)),
+                    here.contains(&asn)
+                );
+                prop_assert_eq!(
+                    bgp.has_ancestor_same_origin(prefix, asn),
+                    distinct
+                        .iter()
+                        .any(|r| r.origin == asn && r.prefix != prefix && r.prefix.covers(prefix))
+                );
+                let vrp = Vrp::new(prefix, prefix.len().saturating_add(extra), asn);
+                let validated: Vec<RouteOrigin> =
+                    distinct.iter().filter(|r| vrp.matches(r)).copied().collect();
+                prop_assert_eq!(
+                    bgp.count_announced_under(prefix, vrp.max_len, asn),
+                    validated.len() as u64
+                );
+                prop_assert_eq!(bgp.routes_validated_by(&vrp).collect::<Vec<_>>(), validated);
+            }
         }
     }
 

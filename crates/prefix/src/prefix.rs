@@ -10,7 +10,9 @@ use crate::{Afi, Prefix4, Prefix6, PrefixError};
 /// IPv6 entries in the same collections; this enum lets them share indexes
 /// and algorithms while the family-specific types do the bit work.
 /// Cross-family comparisons are well-defined and never "cover" each other:
-/// all relational predicates return `false` across families.
+/// all relational predicates return `false` across families. The derived
+/// `Ord` puts all of IPv4 before IPv6 and keeps each family's order (see
+/// [`Prefix4`]), so a prefix still sorts directly before what it covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Prefix {
     /// An IPv4 prefix.
@@ -168,6 +170,16 @@ impl Prefix {
         match self {
             Prefix::V4(p) => p.ancestor_at(len).map(Prefix::V4),
             Prefix::V6(p) => p.ancestor_at(len).map(Prefix::V6),
+        }
+    }
+
+    /// The longest prefix covering both `self` and `other`, or `None`
+    /// across families (nothing covers both).
+    pub fn common_ancestor(self, other: Prefix) -> Option<Prefix> {
+        match (self, other) {
+            (Prefix::V4(a), Prefix::V4(b)) => Some(Prefix::V4(a.common_ancestor(b))),
+            (Prefix::V6(a), Prefix::V6(b)) => Some(Prefix::V6(a.common_ancestor(b))),
+            _ => None,
         }
     }
 

@@ -8,11 +8,15 @@ use crate::PrefixError;
 ///
 /// The address bits are stored left-aligned in a `u32` with all bits beyond
 /// `len` cleared, so two equal prefixes always compare equal bit-for-bit and
-/// the type can serve directly as a trie key.
+/// the type can serve directly as a map key.
 ///
-/// The derived `Ord` sorts by `(bits, len)`, which places a prefix
-/// immediately before its own subprefixes — the order used when building
-/// tries from sorted input.
+/// The derived `Ord` sorts by `(bits, len)`: the pre-order of the binary
+/// prefix trie. A prefix sorts directly before everything it covers, and
+/// whatever sorts between a prefix and one it covers is covered too. That
+/// order *is* the workspace's prefix index: in any sorted container "covered
+/// by `p`" is one contiguous run starting at `p`, and "covers `q`" is a few
+/// steps backwards from `q` (`rpki_rov::VrpIndex::covering`). Property-tested
+/// in `tests/props.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix4 {
     bits: u32,

@@ -195,6 +195,76 @@ proptest! {
     }
 }
 
+/// What every sorted index in the workspace rests on: the derived order is
+/// the pre-order of the prefix trie. A prefix sorts at or before whatever
+/// it covers, and whatever sorts between the two is covered as well — so
+/// "covered by `a`" is one contiguous run of any sorted container.
+///
+/// Each test also runs it with `a` replaced by the common ancestor of `a`
+/// and `b`, which always covers `b`, so the premise is never vacuous.
+fn check_preorder<P: Copy + Ord>(covers: impl Fn(P, P) -> bool, a: P, x: P, b: P) {
+    if covers(a, b) {
+        assert!(a <= b);
+        if a <= x && x <= b {
+            assert!(covers(a, x));
+        }
+    }
+}
+
+/// Three free bits at the top and three at the bottom, lengths `/0`–`/3`
+/// and the last four up to the host length, so ancestors, siblings and
+/// in-between prefixes arise constantly.
+fn near_prefix4() -> impl Strategy<Value = Prefix4> {
+    (0u32..8, 0u32..8, 0u8..8).prop_map(|(high, low, l)| {
+        Prefix4::new_truncated(high << 29 | low, if l < 4 { l } else { 25 + l })
+    })
+}
+
+fn near_prefix6() -> impl Strategy<Value = Prefix6> {
+    (0u128..8, 0u128..8, 0u8..8).prop_map(|(high, low, l)| {
+        Prefix6::new_truncated(high << 125 | low, if l < 4 { l } else { 121 + l })
+    })
+}
+
+fn near_prefix() -> impl Strategy<Value = Prefix> {
+    prop_oneof![
+        near_prefix4().prop_map(Prefix::V4),
+        near_prefix6().prop_map(Prefix::V6),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn v4_order_is_preorder(a in near_prefix4(), x in near_prefix4(), b in near_prefix4()) {
+        check_preorder(Prefix4::covers, a, x, b);
+        check_preorder(Prefix4::covers, a.common_ancestor(b), x, b);
+    }
+
+    #[test]
+    fn v6_order_is_preorder(a in near_prefix6(), x in near_prefix6(), b in near_prefix6()) {
+        check_preorder(Prefix6::covers, a, x, b);
+        check_preorder(Prefix6::covers, a.common_ancestor(b), x, b);
+    }
+
+    #[test]
+    fn mixed_family_order_is_preorder(a in near_prefix(), x in near_prefix(), b in near_prefix()) {
+        check_preorder(Prefix::covers, a, x, b);
+        if let Some(above) = a.common_ancestor(b) {
+            check_preorder(Prefix::covers, above, x, b);
+        }
+    }
+
+    #[test]
+    fn common_ancestor_is_per_family_or_none(a in near_prefix(), b in near_prefix()) {
+        let expect = match (a.as_v4().zip(b.as_v4()), a.as_v6().zip(b.as_v6())) {
+            (Some((a, b)), _) => Some(Prefix::V4(a.common_ancestor(b))),
+            (_, Some((a, b))) => Some(Prefix::V6(a.common_ancestor(b))),
+            _ => None,
+        };
+        prop_assert_eq!(a.common_ancestor(b), expect);
+    }
+}
+
 /// `Prefix6` as it was before its bits moved to 8-byte alignment
 /// (ISSUE 15): a bare `u128` with the same derives. Same type name, so
 /// the `Debug` text is comparable verbatim.

@@ -1,7 +1,7 @@
 //! Epoch-aware incremental revalidation over a frozen snapshot chain.
 //!
 //! [`RevalidationEngine`](crate::RevalidationEngine) revalidates against a
-//! single mutable trie. Under a live churn stream that trie is mutated on
+//! single mutable index. Under a live churn stream that index is mutated on
 //! every rpki-rtr delta while the bulk paths (whole-table summaries, full
 //! cache responses) want the frozen flat arrays — so this module keeps the
 //! two in one structure: an immutable [`FrozenVrpIndex`] **base** plus a
@@ -124,8 +124,8 @@ pub struct SnapshotChainEngine {
     /// The frozen bulk of the VRP set.
     base: Arc<FrozenVrpIndex>,
     /// Overlay: VRPs announced since the last freeze (disjoint from the
-    /// visible part of `base`). A small trie so covering queries stay
-    /// sublinear even before compaction.
+    /// visible part of `base`). Indexed so covering queries stay sublinear
+    /// even before compaction.
     added: VrpIndex,
     /// Overlay: base members masked out by a withdrawal.
     removed: BTreeSet<Vrp>,
@@ -146,11 +146,9 @@ impl SnapshotChainEngine {
         vrps: impl IntoIterator<Item = Vrp>,
         config: ChainConfig,
     ) -> SnapshotChainEngine {
-        let index: VrpIndex = vrps.into_iter().collect();
-        let base = Arc::new(index.freeze());
         let mut engine = SnapshotChainEngine {
             routes: RouteTable::default(),
-            base,
+            base: Arc::new(vrps.into_iter().collect()),
             added: VrpIndex::new(),
             removed: BTreeSet::new(),
             config,
@@ -186,15 +184,15 @@ impl SnapshotChainEngine {
 
     /// The logical VRP set, sorted.
     pub fn current_vrps(&self) -> Vec<Vrp> {
-        let mut out: Vec<Vrp> = self
-            .base
-            .iter()
-            .filter(|v| !self.removed.contains(v))
-            .chain(self.added.iter())
-            .copied()
-            .collect();
+        let mut out: Vec<Vrp> = self.logical_vrps().collect();
         out.sort_unstable();
         out
+    }
+
+    /// The logical VRP set, base members first.
+    fn logical_vrps(&self) -> impl Iterator<Item = Vrp> + '_ {
+        let visible = self.base.iter().filter(|v| !self.removed.contains(v));
+        visible.chain(self.added.iter()).copied()
     }
 
     /// The current state of a route, if tracked.
@@ -323,14 +321,8 @@ impl SnapshotChainEngine {
     /// Compacts the overlay into a fresh frozen base, retiring the old
     /// base onto the chain. Query results are unchanged by construction.
     pub fn refreeze(&mut self) {
-        let index: VrpIndex = self
-            .base
-            .iter()
-            .filter(|v| !self.removed.contains(v))
-            .chain(self.added.iter())
-            .copied()
-            .collect();
-        let old = std::mem::replace(&mut self.base, Arc::new(index.freeze()));
+        let fresh: FrozenVrpIndex = self.logical_vrps().collect();
+        let old = std::mem::replace(&mut self.base, Arc::new(fresh));
         self.chain.push(old);
         self.added = VrpIndex::new();
         self.removed.clear();
@@ -341,8 +333,7 @@ impl SnapshotChainEngine {
     /// against. Returns the changes found; the resulting states equal the
     /// incremental path's by the snapshot-chain contract.
     pub fn revalidate_all(&mut self) -> Vec<StateChange> {
-        let index: VrpIndex = self.current_vrps().into_iter().collect();
-        let frozen = index.freeze();
+        let frozen: FrozenVrpIndex = self.logical_vrps().collect();
         let routes = self.routes.all_routes();
         self.routes.reapply(&routes, |r| frozen.validate(r))
     }
@@ -350,9 +341,8 @@ impl SnapshotChainEngine {
     /// Whole-table summary against a fresh freeze of the logical set,
     /// fanned out over worker threads.
     pub fn bulk_summary_par(&self) -> crate::ValidationSummary {
-        let index: VrpIndex = self.current_vrps().into_iter().collect();
-        let routes = self.routes.all_routes();
-        index.freeze().validate_table_par(&routes)
+        let frozen: FrozenVrpIndex = self.logical_vrps().collect();
+        frozen.validate_table_par(&self.routes.all_routes())
     }
 }
 

@@ -1,17 +1,17 @@
 //! Frozen, immutable VRP snapshots: the read-optimized half of the
 //! builder→freeze pipeline.
 //!
-//! [`VrpIndex`](crate::VrpIndex) is a pointer-chasing radix trie built
-//! for cheap mutation. Once a validation run's VRP set is final, the
-//! paper's workloads — RFC 6811 table validation (§2), the §6 census,
-//! the §4/§5 sampled attacks — issue millions of *read-only*
-//! `validate` calls against it. [`FrozenVrpIndex`] compiles the trie
-//! into flat, cache-friendly arrays:
+//! [`VrpIndex`](crate::VrpIndex) is a B-tree set built for cheap
+//! mutation; each of its covering queries is a handful of tree descents.
+//! Once a validation run's VRP set is final, the paper's workloads —
+//! RFC 6811 table validation (§2), the §6 census, the §4/§5 sampled
+//! attacks — issue millions of *read-only* `validate` calls against it.
+//! [`FrozenVrpIndex`] compiles the set into flat, cache-friendly arrays:
 //!
 //! * per address family, prefix nodes are grouped **by prefix length**,
 //!   each group holding its node keys in one sorted array — a covering
 //!   query is at most one binary search per populated length (≤ 33 for
-//!   IPv4, and in practice a handful, instead of a pointer walk);
+//!   IPv4, and in practice a handful, each in one contiguous array);
 //! * each node's VRPs live in one contiguous span of a single flat
 //!   array, sorted by origin AS;
 //! * each node also carries a precomputed `(origin, max maxLength)`

@@ -1,23 +1,41 @@
+use std::collections::BTreeSet;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
 use rpki_prefix::Prefix;
-use rpki_roa::{Roa, RouteOrigin, Vrp};
-use rpki_trie::DualTrie;
+use rpki_roa::{Asn, Roa, RouteOrigin, Vrp};
 
 use crate::{FrozenVrpIndex, ValidationState};
 
-/// A trie-backed index over a set of VRPs, answering RFC 6811 queries in
-/// `O(prefix length)`.
+/// A mutable index over a set of VRPs, answering RFC 6811 queries.
 ///
-/// Multiple VRPs may share a prefix (different origins or maxLengths);
-/// the index stores them per prefix node and deduplicates exact
-/// duplicates.
+/// One ordered set of the VRPs themselves. `Vrp` orders by prefix first
+/// and a prefix sorts directly before everything it covers, so the VRPs
+/// under a prefix are one contiguous range of the set and the VRPs
+/// covering a prefix are found by a few steps backwards from it.
 #[derive(Debug, Clone, Default)]
 pub struct VrpIndex {
-    trie: DualTrie<Vec<Vrp>>,
-    len: usize,
+    vrps: BTreeSet<Vrp>,
+}
+
+/// The least possible VRP on `prefix`: where its VRPs start in the order.
+fn first_on(prefix: Prefix) -> Vrp {
+    Vrp {
+        prefix,
+        max_len: 0,
+        asn: Asn(0),
+    }
+}
+
+/// The greatest possible VRP on `prefix`: everything on it, and on every
+/// prefix sorting before it, is at or below this.
+fn last_on(prefix: Prefix) -> Vrp {
+    Vrp {
+        prefix,
+        max_len: u8::MAX,
+        asn: Asn(u32::MAX),
+    }
 }
 
 impl VrpIndex {
@@ -33,55 +51,49 @@ impl VrpIndex {
 
     /// The number of distinct VRPs stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.vrps.len()
     }
 
     /// `true` if no VRPs are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.vrps.is_empty()
     }
 
     /// Inserts a VRP. Returns `false` if an identical VRP was already
     /// present.
     pub fn insert(&mut self, vrp: Vrp) -> bool {
-        let bucket = self.trie.get_or_insert_with(vrp.prefix, Vec::new);
-        if bucket.contains(&vrp) {
-            return false;
-        }
-        bucket.push(vrp);
-        self.len += 1;
-        true
+        self.vrps.insert(vrp)
     }
 
     /// Removes a VRP. Returns `true` if it was present.
     pub fn remove(&mut self, vrp: &Vrp) -> bool {
-        let Some(bucket) = self.trie.get_mut(vrp.prefix) else {
-            return false;
-        };
-        let Some(at) = bucket.iter().position(|v| v == vrp) else {
-            return false;
-        };
-        bucket.swap_remove(at);
-        self.len -= 1;
-        if bucket.is_empty() {
-            self.trie.remove(vrp.prefix);
-        }
-        true
+        self.vrps.remove(vrp)
     }
 
     /// `true` if exactly this VRP is present.
     pub fn contains(&self, vrp: &Vrp) -> bool {
-        self.trie
-            .get(vrp.prefix)
-            .is_some_and(|bucket| bucket.contains(vrp))
+        self.vrps.contains(vrp)
     }
 
     /// All VRPs whose prefix covers `prefix` (RFC 6811 "covering set"),
-    /// shortest prefix first.
+    /// in descending `Vrp` order: longest prefix first.
+    ///
+    /// Every covering prefix sorts at or before `prefix`, so the walk
+    /// steps backwards from there. A VRP met on the way that does not
+    /// cover `prefix` sits in a sibling subtree: whatever still covers
+    /// `prefix` and sorts before that VRP covers it too, hence covers
+    /// their common ancestor, and the walk jumps there — strictly
+    /// shorter each time — instead of crossing the subtree.
     pub fn covering(&self, prefix: Prefix) -> impl Iterator<Item = &Vrp> {
-        self.trie
-            .iter_covering(prefix)
-            .flat_map(|(_, bucket)| bucket.iter())
+        let mut below = self.vrps.range(..=last_on(prefix));
+        std::iter::from_fn(move || loop {
+            let vrp = below.next_back()?;
+            if vrp.prefix.covers(prefix) {
+                return Some(vrp);
+            }
+            let meet = vrp.prefix.common_ancestor(prefix)?;
+            below = self.vrps.range(..=last_on(meet));
+        })
     }
 
     /// All VRPs that *match* `route` (cover it, within maxLength, same
@@ -92,11 +104,11 @@ impl VrpIndex {
     }
 
     /// All VRPs whose prefix is covered by `prefix` — the subtree under a
-    /// query prefix, used by the §6 census.
+    /// query prefix, used by the §6 census — ascending.
     pub fn covered_by(&self, prefix: Prefix) -> impl Iterator<Item = &Vrp> {
-        self.trie
-            .iter_covered_by(prefix)
-            .flat_map(|(_, bucket)| bucket.iter())
+        self.vrps
+            .range(first_on(prefix)..)
+            .take_while(move |v| prefix.covers(v.prefix))
     }
 
     /// Classifies one announcement per RFC 6811.
@@ -126,9 +138,9 @@ impl VrpIndex {
             .sum()
     }
 
-    /// Iterates over all stored VRPs, grouped by prefix in sorted order.
+    /// Iterates over all stored VRPs, ascending.
     pub fn iter(&self) -> impl Iterator<Item = &Vrp> {
-        self.trie.iter().flat_map(|(_, bucket)| bucket.iter())
+        self.vrps.iter()
     }
 
     /// Compiles the current VRP set into an immutable
@@ -143,19 +155,15 @@ impl VrpIndex {
 
 impl FromIterator<Vrp> for VrpIndex {
     fn from_iter<I: IntoIterator<Item = Vrp>>(iter: I) -> VrpIndex {
-        let mut index = VrpIndex::new();
-        for vrp in iter {
-            index.insert(vrp);
+        VrpIndex {
+            vrps: iter.into_iter().collect(),
         }
-        index
     }
 }
 
 impl Extend<Vrp> for VrpIndex {
     fn extend<I: IntoIterator<Item = Vrp>>(&mut self, iter: I) {
-        for vrp in iter {
-            self.insert(vrp);
-        }
+        self.vrps.extend(iter);
     }
 }
 
@@ -257,7 +265,6 @@ impl fmt::Display for ValidationSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpki_roa::Asn;
 
     fn vrp(s: &str) -> Vrp {
         s.parse().unwrap()
@@ -366,6 +373,34 @@ mod tests {
         let matching: Vec<_> = index.matching(&r).collect();
         assert_eq!(matching.len(), 1);
         assert_eq!(matching[0].max_len, 24);
+    }
+
+    /// Each predecessor the walk meets between two covering prefixes sits
+    /// in a sibling subtree; it has to hop over all of them.
+    #[test]
+    fn covering_hops_over_sibling_subtrees() {
+        let index: VrpIndex = [
+            vrp("0.0.0.0/0 => AS7"),
+            vrp("9.0.0.0/8 => AS6"),
+            vrp("10.0.0.0/8 => AS1"),
+            vrp("10.0.0.0/16 => AS2"),
+            vrp("10.0.1.0/24 => AS3"),
+            vrp("10.64.0.0/10 => AS4"),
+            vrp("10.64.0.0/16 => AS5"),
+            vrp("10.66.0.0/16 => AS8"),
+        ]
+        .into_iter()
+        .collect();
+        let covering: Vec<Vrp> = index
+            .covering("10.65.0.0/16".parse().unwrap())
+            .copied()
+            .collect();
+        let expect = [
+            vrp("10.64.0.0/10 => AS4"),
+            vrp("10.0.0.0/8 => AS1"),
+            vrp("0.0.0.0/0 => AS7"),
+        ];
+        assert_eq!(covering, expect);
     }
 
     #[test]

@@ -13,14 +13,14 @@
 //!
 //! The crate is organized as a **builder → freeze → batch** pipeline:
 //!
-//! * [`VrpIndex`] — the mutable builder: a trie-backed index with
-//!   `O(prefix length)` classification and cheap insert/remove, fed by
-//!   the rtr delta stream and the dataset generator;
+//! * [`VrpIndex`] — the mutable builder: one ordered set of VRPs with
+//!   logarithmic insert/remove and classification by a few predecessor
+//!   hops, fed by the rtr delta stream and the dataset generator;
 //! * [`FrozenVrpIndex`] — an immutable, `Arc`-shareable compilation of
-//!   the trie into flat, cache-friendly arrays ([`VrpIndex::freeze`]),
+//!   the set into flat, cache-friendly arrays ([`VrpIndex::freeze`]),
 //!   answering the same queries with identical results (the
-//!   [snapshot-equivalence contract](frozen)) but without pointer
-//!   chasing;
+//!   [snapshot-equivalence contract](frozen)) several times faster — the
+//!   read path for anything table-sized;
 //! * [`FrozenVrpIndex::validate_table_par`] — embarrassingly-parallel
 //!   whole-table validation, reducing per-thread [`ValidationSummary`]
 //!   tallies with their `Add`/`Sum` impls; the §6 measurement pipeline

@@ -2,24 +2,22 @@
 //!
 //! [`RevalidationEngine`](crate::RevalidationEngine) and
 //! [`SnapshotChainEngine`](crate::SnapshotChainEngine) differ only in
-//! *what they validate against* (a mutable trie vs a frozen base plus
-//! overlay); the route side — a prefix-indexed table of
-//! `(route, current state)` with affected-set collection and
-//! change-recording revalidation — is identical, so it lives here once.
+//! *what they validate against* (a mutable index vs a frozen base plus
+//! overlay); the route side — an ordered table of `(route, current
+//! state)` with affected-set collection and change-recording
+//! revalidation — is identical, so it lives here once.
 
-use std::collections::BTreeSet;
+use std::collections::btree_map::{BTreeMap, Entry};
 
-use rpki_roa::{RouteOrigin, Vrp};
-use rpki_trie::DualTrie;
+use rpki_roa::{Asn, RouteOrigin, Vrp};
 
 use crate::{StateChange, ValidationState};
 
-/// A prefix-indexed route table tracking each route's validation state.
+/// A route table tracking each route's validation state. Routes order by
+/// prefix first, so the routes a prefix covers are one contiguous range.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouteTable {
-    /// Routes grouped by prefix, with their current validation state.
-    routes: DualTrie<Vec<(RouteOrigin, ValidationState)>>,
-    count: usize,
+    routes: BTreeMap<RouteOrigin, ValidationState>,
 }
 
 impl RouteTable {
@@ -30,85 +28,57 @@ impl RouteTable {
         route: RouteOrigin,
         validate: impl FnOnce(&RouteOrigin) -> ValidationState,
     ) -> ValidationState {
-        let state = validate(&route);
-        let bucket = self.routes.get_or_insert_with(route.prefix, Vec::new);
-        if let Some((_, s)) = bucket.iter().find(|(r, _)| *r == route) {
-            return *s;
+        match self.routes.entry(route) {
+            Entry::Occupied(tracked) => *tracked.get(),
+            Entry::Vacant(slot) => *slot.insert(validate(&route)),
         }
-        bucket.push((route, state));
-        self.count += 1;
-        state
     }
 
     /// Removes a route. Returns `true` if it was tracked.
     pub(crate) fn remove(&mut self, route: &RouteOrigin) -> bool {
-        let Some(bucket) = self.routes.get_mut(route.prefix) else {
-            return false;
-        };
-        let Some(at) = bucket.iter().position(|(r, _)| r == route) else {
-            return false;
-        };
-        bucket.swap_remove(at);
-        if bucket.is_empty() {
-            self.routes.remove(route.prefix);
-        }
-        self.count -= 1;
-        true
+        self.routes.remove(route).is_some()
     }
 
     /// Number of routes tracked.
     pub(crate) fn len(&self) -> usize {
-        self.count
+        self.routes.len()
     }
 
     /// The tracked state of a route.
     pub(crate) fn state_of(&self, route: &RouteOrigin) -> Option<ValidationState> {
-        self.routes
-            .get(route.prefix)?
-            .iter()
-            .find(|(r, _)| r == route)
-            .map(|(_, s)| *s)
+        self.routes.get(route).copied()
     }
 
-    /// Every tracked route, in table iteration order.
+    /// Every tracked route, sorted.
     pub(crate) fn all_routes(&self) -> Vec<RouteOrigin> {
-        self.routes
-            .iter()
-            .flat_map(|(_, bucket)| bucket.iter().map(|(r, _)| *r))
-            .collect()
+        self.routes.keys().copied().collect()
     }
 
     /// Every tracked route with its state, sorted by route.
     pub(crate) fn states_sorted(&self) -> Vec<(RouteOrigin, ValidationState)> {
-        let mut out: Vec<(RouteOrigin, ValidationState)> = self
-            .routes
-            .iter()
-            .flat_map(|(_, bucket)| bucket.iter().copied())
-            .collect();
-        out.sort_unstable_by_key(|(r, _)| *r);
-        out
+        self.routes.iter().map(|(r, s)| (*r, *s)).collect()
     }
 
     /// The routes covered by any of `vrps`' prefixes — the only routes a
-    /// delta over those VRPs can re-classify — deduplicated across
-    /// overlapping subtrees.
+    /// delta over those VRPs can re-classify — sorted, and deduplicated
+    /// across overlapping subtrees.
     pub(crate) fn covered_by(&self, vrps: &[Vrp]) -> Vec<RouteOrigin> {
-        let mut seen: BTreeSet<RouteOrigin> = BTreeSet::new();
-        let mut out = Vec::new();
+        let mut out: Vec<RouteOrigin> = Vec::new();
         for vrp in vrps {
-            for (_, bucket) in self.routes.iter_covered_by(vrp.prefix) {
-                for (route, _) in bucket {
-                    if seen.insert(*route) {
-                        out.push(*route);
-                    }
-                }
-            }
+            let under = self.routes.range(RouteOrigin::new(vrp.prefix, Asn(0))..);
+            out.extend(
+                under
+                    .map(|(route, _)| *route)
+                    .take_while(|route| vrp.prefix.covers(route.prefix)),
+            );
         }
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
     /// Re-classifies `affected` with `validate`, updating tracked states
-    /// and returning every transition, sorted by route.
+    /// and returning every transition, in `affected`'s order.
     pub(crate) fn reapply(
         &mut self,
         affected: &[RouteOrigin],
@@ -117,21 +87,16 @@ impl RouteTable {
         let mut changes = Vec::new();
         for route in affected {
             let new = validate(route);
-            let bucket = self.routes.get_mut(route.prefix).expect("route tracked");
-            let slot = bucket
-                .iter_mut()
-                .find(|(r, _)| r == route)
-                .expect("route tracked");
-            if slot.1 != new {
+            let state = self.routes.get_mut(route).expect("route tracked");
+            if *state != new {
                 changes.push(StateChange {
                     route: *route,
-                    old: slot.1,
+                    old: *state,
                     new,
                 });
-                slot.1 = new;
+                *state = new;
             }
         }
-        changes.sort_by_key(|c| c.route);
         changes
     }
 }

@@ -1,4 +1,4 @@
-//! Property tests: the trie-backed validator must agree with a brute-force
+//! Property tests: the ordered-set validator must agree with a brute-force
 //! linear-scan reference implementation on arbitrary VRP sets and routes.
 
 use proptest::prelude::*;
@@ -6,18 +6,58 @@ use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, RouteOrigin, Vrp};
 use rpki_rov::{FrozenVrpIndex, ValidationState, VrpIndex};
 
-/// Small universes so covering/matching cases actually collide.
+/// A small universe in both families so covering/matching cases actually
+/// collide: four free bits, lengths `/0`–`/6` and the host length (whose
+/// low bits vary too). Sets drawn from it are full of prefixes whose
+/// predecessor in sort order sits in a sibling subtree.
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
-    (0u32..16, 0u8..=6).prop_map(|(b, l)| Prefix::V4(Prefix4::new_truncated(b << 26, l)))
+    prop_oneof![
+        (0u32..16, 0u8..=7).prop_map(|(b, l)| {
+            Prefix::V4(Prefix4::new_truncated(
+                b << 26 | b,
+                if l == 7 { 32 } else { l },
+            ))
+        }),
+        (0u128..16, 0u8..=7).prop_map(|(b, l)| {
+            Prefix::V6(Prefix6::new_truncated(
+                b << 122 | b,
+                if l == 7 { 128 } else { l },
+            ))
+        }),
+    ]
 }
 
 fn arb_vrp() -> impl Strategy<Value = Vrp> {
-    (arb_prefix(), 0u8..=4, 1u32..5)
+    (arb_prefix(), 0u8..=4, 0u32..5)
         .prop_map(|(p, extra, asn)| Vrp::new(p, p.len().saturating_add(extra), Asn(asn)))
 }
 
 fn arb_route() -> impl Strategy<Value = RouteOrigin> {
-    (arb_prefix(), 1u32..5).prop_map(|(p, asn)| RouteOrigin::new(p, Asn(asn)))
+    (arb_prefix(), 0u32..5).prop_map(|(p, asn)| RouteOrigin::new(p, Asn(asn)))
+}
+
+/// The distinct VRPs of `vrps`, ascending: what an index of them holds.
+fn distinct(vrps: &[Vrp]) -> Vec<Vrp> {
+    let mut out = vrps.to_vec();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Every read query of `index` against a scan of `model`, its distinct
+/// VRPs in ascending order.
+fn assert_reads_match_scan(index: &VrpIndex, model: &[Vrp], query: Prefix) {
+    assert_eq!(index.len(), model.len());
+    assert!(index.iter().eq(model), "iter");
+    // Covering comes longest prefix first, covered-by ascending.
+    let covering = model.iter().rev().filter(|v| v.prefix.covers(query));
+    assert!(index.covering(query).eq(covering), "covering {query}");
+    let under = model.iter().filter(|v| query.covers(v.prefix));
+    assert!(index.covered_by(query).eq(under), "covered by {query}");
+    for asn in 0..5 {
+        let route = RouteOrigin::new(query, Asn(asn));
+        assert_eq!(index.validate(&route), reference_validate(model, &route));
+    }
 }
 
 fn reference_validate(vrps: &[Vrp], route: &RouteOrigin) -> ValidationState {
@@ -47,18 +87,40 @@ proptest! {
     }
 
     #[test]
-    fn covering_matches_scan(
+    fn covering_and_covered_by_match_scan(
         vrps in prop::collection::vec(arb_vrp(), 0..60),
-        route in arb_route(),
+        query in arb_prefix(),
     ) {
         let index: VrpIndex = vrps.iter().copied().collect();
-        let mut got: Vec<Vrp> = index.covering(route.prefix).copied().collect();
-        let mut expect: Vec<Vrp> = vrps.iter().filter(|v| v.covers(&route)).copied().collect();
-        // Dedup the reference the way the index does.
-        expect.sort_unstable();
-        expect.dedup();
-        got.sort_unstable();
-        prop_assert_eq!(got, expect);
+        assert_reads_match_scan(&index, &distinct(&vrps), query);
+    }
+
+    /// Any interleaving of inserts and removes leaves the index answering
+    /// like a scan of the list the same operations were applied to.
+    #[test]
+    fn op_sequence_matches_model(
+        ops in prop::collection::vec((arb_vrp(), any::<bool>()), 0..80),
+        queries in prop::collection::vec(arb_prefix(), 1..8),
+    ) {
+        let mut index = VrpIndex::new();
+        let mut model: Vec<Vrp> = Vec::new();
+        for (vrp, insert) in ops {
+            let present = model.contains(&vrp);
+            if insert {
+                prop_assert_eq!(index.insert(vrp), !present);
+                if !present {
+                    model.push(vrp);
+                }
+            } else {
+                prop_assert_eq!(index.remove(&vrp), present);
+                model.retain(|v| *v != vrp);
+            }
+            prop_assert_eq!(index.contains(&vrp), insert);
+        }
+        let model = distinct(&model);
+        for query in queries {
+            assert_reads_match_scan(&index, &model, query);
+        }
     }
 
     #[test]
@@ -107,23 +169,6 @@ mod frozen_props {
 
     use super::*;
 
-    /// Small mixed-family universes so covering/matching collide often.
-    fn arb_prefix_mixed() -> impl Strategy<Value = Prefix> {
-        prop_oneof![
-            (0u32..16, 0u8..=6).prop_map(|(b, l)| Prefix::V4(Prefix4::new_truncated(b << 26, l))),
-            (0u128..16, 0u8..=6).prop_map(|(b, l)| Prefix::V6(Prefix6::new_truncated(b << 122, l))),
-        ]
-    }
-
-    fn arb_vrp_mixed() -> impl Strategy<Value = Vrp> {
-        (arb_prefix_mixed(), 0u8..=4, 0u32..5)
-            .prop_map(|(p, extra, asn)| Vrp::new(p, p.len().saturating_add(extra), Asn(asn)))
-    }
-
-    fn arb_route_mixed() -> impl Strategy<Value = RouteOrigin> {
-        (arb_prefix_mixed(), 0u32..5).prop_map(|(p, asn)| RouteOrigin::new(p, Asn(asn)))
-    }
-
     fn sorted(vrps: Vec<Vrp>) -> Vec<Vrp> {
         let mut v = vrps;
         v.sort_unstable();
@@ -133,8 +178,8 @@ mod frozen_props {
     proptest! {
         #[test]
         fn frozen_agrees_on_validate(
-            vrps in prop::collection::vec(arb_vrp_mixed(), 0..60),
-            routes in prop::collection::vec(arb_route_mixed(), 1..40),
+            vrps in prop::collection::vec(arb_vrp(), 0..60),
+            routes in prop::collection::vec(arb_route(), 1..40),
         ) {
             let index: VrpIndex = vrps.iter().copied().collect();
             let frozen = index.freeze();
@@ -149,8 +194,8 @@ mod frozen_props {
 
         #[test]
         fn frozen_agrees_on_covering_and_covered_by(
-            vrps in prop::collection::vec(arb_vrp_mixed(), 0..60),
-            query in arb_prefix_mixed(),
+            vrps in prop::collection::vec(arb_vrp(), 0..60),
+            query in arb_prefix(),
         ) {
             let index: VrpIndex = vrps.iter().copied().collect();
             let frozen = index.freeze();
@@ -162,7 +207,7 @@ mod frozen_props {
                 sorted(frozen.covered_by(query).copied().collect()),
                 sorted(index.covered_by(query).copied().collect())
             );
-            // Covering yields shortest-prefix-first, like the builder.
+            // The frozen covering set comes shortest prefix first.
             let lens: Vec<u8> =
                 frozen.covering(query).map(|v| v.prefix.len()).collect();
             prop_assert!(lens.windows(2).all(|w| w[0] <= w[1]));
@@ -170,8 +215,8 @@ mod frozen_props {
 
         #[test]
         fn frozen_preserves_set_and_summaries(
-            vrps in prop::collection::vec(arb_vrp_mixed(), 0..60),
-            routes in prop::collection::vec(arb_route_mixed(), 0..60),
+            vrps in prop::collection::vec(arb_vrp(), 0..60),
+            routes in prop::collection::vec(arb_route(), 0..60),
         ) {
             let index: VrpIndex = vrps.iter().copied().collect();
             let frozen = index.freeze();
@@ -219,12 +264,10 @@ mod delta_props {
                     engine.withdraw_vrp(&vrp);
                     applied.retain(|v| *v != vrp);
                 }
-                // From-scratch reference.
-                let reference: VrpIndex = applied.iter().copied().collect();
                 for route in &routes {
                     prop_assert_eq!(
                         engine.state_of(route),
-                        Some(reference.validate(route)),
+                        Some(reference_validate(&applied, route)),
                         "route {} after {} deltas", route, applied.len()
                     );
                 }

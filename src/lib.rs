@@ -10,8 +10,7 @@
 //! This crate is a facade re-exporting the workspace's public API under
 //! one roof:
 //!
-//! * [`prefix`] — IP prefix types and trie navigation,
-//! * [`trie`] — the radix trie powering all indexes,
+//! * [`prefix`] — IP prefix types, whose sort order is every index,
 //! * [`roa`] — ROA objects, DER codec, `scan_roas`,
 //! * [`rov`] — RFC 6811 route origin validation,
 //! * [`core`] — `compress_roas`, minimalization, census, Table 1/Figure 3,
@@ -51,7 +50,6 @@ pub use rpki_prefix as prefix;
 pub use rpki_roa as roa;
 pub use rpki_rov as rov;
 pub use rpki_rtr as rtr;
-pub use rpki_trie as trie;
 
 /// The most commonly used items, importable in one line.
 pub mod prelude {

@@ -11,7 +11,7 @@ use maxlength_rpki::core::bounds::{full_deployment_minimal, max_permissive_lower
 use maxlength_rpki::core::compress::{compress_roas, compress_roas_full};
 use maxlength_rpki::core::{BgpTable, Table1};
 use maxlength_rpki::datasets::{GeneratorConfig, World};
-use maxlength_rpki::roa::Vrp;
+use maxlength_rpki::roa::{Asn, RouteOrigin, Vrp};
 
 fn snapshot(scale: f64) -> (Vec<Vrp>, BgpTable) {
     let world = World::generate(GeneratorConfig {
@@ -64,5 +64,52 @@ fn table1_is_identical_for_every_thread_count() {
             sequential,
             "{threads} threads"
         );
+    }
+}
+
+/// `BgpTable` is its input sorted: every query answers like a scan of the
+/// announcement list — here unsorted, with a duplicate, MOAS, both
+/// families and both default routes.
+#[test]
+fn bgp_table_answers_like_a_scan_of_its_input() {
+    let mut routes: Vec<RouteOrigin> = [
+        "2001:db8::/32 => AS2",
+        "10.0.0.0/8 => AS3",
+        "10.1.0.0/16 => AS1",
+        "10.0.0.0/8 => AS1",
+        "::/0 => AS2",
+        "10.1.2.0/24 => AS1",
+        "10.1.0.0/16 => AS1",
+        "0.0.0.0/0 => AS3",
+        "2001:db8:1::/48 => AS2",
+        "10.1.2.3/32 => AS3",
+        "10.128.0.0/9 => AS1",
+    ]
+    .iter()
+    .map(|s| s.parse().unwrap())
+    .collect();
+    let bgp: BgpTable = routes.iter().collect();
+    routes.sort_unstable();
+    routes.dedup();
+    assert_eq!(bgp.len(), 10);
+    assert!(bgp.iter().eq(routes.iter().copied()));
+
+    for prefix in routes.iter().map(|r| r.prefix) {
+        let on_prefix = routes.iter().filter(|r| r.prefix == prefix);
+        let origins: Vec<Asn> = on_prefix.map(|r| r.origin).collect();
+        assert_eq!(bgp.origins_of(prefix), origins, "{prefix}");
+        for asn in (1..=3).map(Asn) {
+            let pair = RouteOrigin::new(prefix, asn);
+            assert_eq!(bgp.contains(&pair), routes.contains(&pair), "{pair}");
+            let mut same_origin = routes.iter().filter(|r| r.origin == asn);
+            let above = same_origin.any(|r| r.prefix != prefix && r.prefix.covers(prefix));
+            assert_eq!(bgp.has_ancestor_same_origin(prefix, asn), above, "{pair}");
+            let vrp = Vrp::new(prefix, prefix.len() + 8, asn);
+            let validated = routes.iter().filter(|r| vrp.matches(r));
+            let count = bgp.count_announced_under(prefix, vrp.max_len, asn);
+            assert_eq!(count, validated.clone().count() as u64, "{vrp}");
+            let by_vrp = bgp.routes_validated_by(&vrp);
+            assert!(by_vrp.eq(validated.copied()), "{vrp}");
+        }
     }
 }
