@@ -17,6 +17,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use rpki_prefix::Afi;
 use rpki_roa::Vrp;
 use rpki_rov::FrozenVrpIndex;
 
@@ -352,9 +353,12 @@ impl CacheServer {
             Ok(None) => WireOutcome::NeedBytes,
             Ok(Some(frame)) => match negotiation.accept(frame.version) {
                 Ok(version) => {
-                    let request = frame.pdu.to_owned();
-                    for pdu in self.handle(&request) {
-                        pdu.as_wire().encode_into(version, out);
+                    if frame.pdu == PduRef::ResetQuery {
+                        self.encode_full_response(version, out);
+                    } else {
+                        for pdu in self.handle(&frame.pdu.to_owned()) {
+                            pdu.as_wire().encode_into(version, out);
+                        }
                     }
                     WireOutcome::Responded {
                         consumed: frame.len,
@@ -415,9 +419,26 @@ impl CacheServer {
         report.encode_into(version, out);
     }
 
+    /// Appends the answer to a Reset Query at `version` — the bytes
+    /// [`CacheServer::handle`]'s PDUs encode to — frame by frame from the
+    /// snapshot, into space reserved once.
+    pub fn encode_full_response(&self, version: u8, out: &mut Vec<u8>) {
+        let end = self.end_of_data();
+        let [n4, n6] = [Afi::V4, Afi::V6].map(|afi| self.snapshot.len_for(afi));
+        out.reserve(HEADER_LEN + 20 * n4 + 32 * n6 + end.wire_len(version));
+        let session_id = self.session_id;
+        PduRef::CacheResponse { session_id }.encode_into(version, out);
+        for &vrp in self.snapshot.iter() {
+            let flags = Flags::Announce;
+            PduRef::Prefix { flags, vrp }.encode_into(version, out);
+        }
+        end.as_wire().encode_into(version, out);
+    }
+
+    /// The same answer as owned PDUs. Both serve the snapshot's flat
+    /// array: per family by prefix length, then address, origin,
+    /// maxLength — an order routers must not rely on.
     fn full_response(&self) -> Vec<Pdu> {
-        // Serve the full set from the frozen snapshot's flat VRP array —
-        // a straight memory scan instead of a tree walk.
         let mut out = Vec::with_capacity(self.snapshot.len() + 2);
         out.push(Pdu::CacheResponse {
             session_id: self.session_id,

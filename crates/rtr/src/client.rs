@@ -27,13 +27,16 @@
 //! `BTreeSet<Vrp>` (40-byte keys, most of each the IPv6-sized prefix
 //! slot) but a [`VrpSet`]: per address family, a B-tree of packed keys
 //! holding 12 bytes per IPv4 VRP and 24 per IPv6 VRP, ordered exactly
-//! like `Vrp`. A Duplicate Announcement or Withdrawal of Unknown is
-//! still detected by the insert or remove of the very PDU that causes
-//! it. Because no `Vrp` is stored, [`RouterClient::vrps`] hands out a
-//! set whose `iter()` yields `Vrp`s **by value**; it compares with `==`
-//! against a `BTreeSet<Vrp>` and with `Iterator::eq` against anything
-//! that yields `&Vrp`. Measured fleet numbers are in the README's "RTR
-//! stack" section.
+//! like `Vrp`. A delta is applied to it PDU by PDU; a Reset response is
+//! staged as arrays of the same keys in arrival order and becomes the
+//! table in one bulk build at End of Data (the rule, and why it needs
+//! no particular served order, is in [`crate::vrp_set`]). Either way a
+//! Duplicate Announcement or Withdrawal of Unknown is returned by the
+//! `handle` call that carries the offending PDU. Because no `Vrp` is
+//! stored, [`RouterClient::vrps`] hands out a set whose `iter()` yields
+//! `Vrp`s **by value**; it compares with `==` against a `BTreeSet<Vrp>`
+//! and with `Iterator::eq` against anything that yields `&Vrp`. Measured
+//! numbers are in the README's "RTR stack" section.
 
 use std::fmt;
 use std::time::Duration;
@@ -43,7 +46,8 @@ use rpki_roa::Vrp;
 use crate::clock::Clock;
 use crate::pdu::{ErrorCode, Flags, Pdu, Timing, PROTOCOL_V0, PROTOCOL_V1};
 use crate::transport::{Transport, TransportError};
-use crate::vrp_set::VrpSet;
+use crate::vrp_set::{ResetStaging, VrpSet};
+use crate::wire::PduRef;
 
 /// Query/response rounds one synchronization attempt may spend: the
 /// deepest legitimate chain is downgrade → Cache Reset → full rebuild,
@@ -161,7 +165,7 @@ pub struct RouterClient {
     serial: u32,
     vrps: VrpSet,
     /// Working set while receiving a reset response.
-    staging: VrpSet,
+    staging: ResetStaging,
     /// The protocol version this router speaks on the wire. Transports
     /// consult this when encoding queries; see [`RouterClient::downgrade_to`].
     version: u8,
@@ -206,7 +210,7 @@ impl RouterClient {
             session_id: None,
             serial: 0,
             vrps: VrpSet::new(),
-            staging: VrpSet::new(),
+            staging: ResetStaging::default(),
             version,
             preferred_version: version,
             clock: Clock::system(),
@@ -376,22 +380,27 @@ impl RouterClient {
     /// Feeds one PDU from the cache. Returns `true` when a response
     /// completed (End of Data processed).
     pub fn handle(&mut self, pdu: &Pdu) -> Result<bool, ClientError> {
+        self.handle_wire(pdu.as_wire())
+    }
+
+    /// [`RouterClient::handle`] on a PDU still borrowed from its buffer.
+    pub fn handle_wire(&mut self, pdu: PduRef<'_>) -> Result<bool, ClientError> {
         let unexpected = |state| ClientError::Unexpected {
             type_code: pdu.type_code(),
             state,
         };
-        match (self.state, pdu) {
+        match (self.state, &pdu) {
             // A notify can arrive at any time; it does not change state —
             // the caller reacts by sending `query()`.
-            (_, Pdu::SerialNotify { .. }) => Ok(false),
+            (_, PduRef::SerialNotify { .. }) => Ok(false),
 
-            (ClientState::Unsynchronized, Pdu::CacheResponse { session_id }) => {
+            (ClientState::Unsynchronized, PduRef::CacheResponse { session_id }) => {
                 self.session_id = Some(*session_id);
-                self.staging.clear();
+                self.staging = ResetStaging::default();
                 self.state = ClientState::Receiving { reset: true };
                 Ok(false)
             }
-            (ClientState::Synchronized, Pdu::CacheResponse { session_id }) => {
+            (ClientState::Synchronized, PduRef::CacheResponse { session_id }) => {
                 if Some(*session_id) != self.session_id {
                     // Session changed: our data is void; restart.
                     self.reset();
@@ -400,29 +409,22 @@ impl RouterClient {
                 self.state = ClientState::Receiving { reset: false };
                 Ok(false)
             }
-            (ClientState::Receiving { reset }, Pdu::Prefix { flags, vrp }) => {
-                let set = if reset {
-                    &mut self.staging
-                } else {
-                    &mut self.vrps
+            (ClientState::Receiving { reset }, PduRef::Prefix { flags, vrp }) => {
+                let applied = match (reset, flags) {
+                    (true, Flags::Announce) => self.staging.announce(*vrp),
+                    (true, Flags::Withdraw) => self.staging.spill().remove(vrp),
+                    (false, Flags::Announce) => self.vrps.insert(*vrp),
+                    (false, Flags::Withdraw) => self.vrps.remove(vrp),
                 };
-                match flags {
-                    Flags::Announce => {
-                        if !set.insert(*vrp) {
-                            return Err(ClientError::DuplicateAnnouncement(*vrp));
-                        }
-                    }
-                    Flags::Withdraw => {
-                        if !set.remove(vrp) {
-                            return Err(ClientError::WithdrawalOfUnknown(*vrp));
-                        }
-                    }
+                match (applied, flags) {
+                    (true, _) => Ok(false),
+                    (false, Flags::Announce) => Err(ClientError::DuplicateAnnouncement(*vrp)),
+                    (false, Flags::Withdraw) => Err(ClientError::WithdrawalOfUnknown(*vrp)),
                 }
-                Ok(false)
             }
             (
                 ClientState::Receiving { reset },
-                Pdu::EndOfData {
+                PduRef::EndOfData {
                     session_id,
                     serial,
                     timing,
@@ -433,7 +435,7 @@ impl RouterClient {
                     return Err(unexpected(ClientState::Receiving { reset }));
                 }
                 if reset {
-                    self.vrps = std::mem::take(&mut self.staging);
+                    self.vrps = self.staging.finish();
                 }
                 self.serial = *serial;
                 self.state = ClientState::Synchronized;
@@ -444,12 +446,12 @@ impl RouterClient {
                 self.synced_at = Some(self.clock.now());
                 Ok(true)
             }
-            (_, Pdu::CacheReset) => {
+            (_, PduRef::CacheReset) => {
                 self.reset();
                 Ok(false)
             }
-            (_, Pdu::ErrorReport { code, text, .. }) => {
-                Err(ClientError::CacheError(*code, text.clone()))
+            (_, PduRef::ErrorReport { code, text, .. }) => {
+                Err(ClientError::CacheError(*code, (*text).to_owned()))
             }
             (state, _) => Err(unexpected(state)),
         }
@@ -458,7 +460,7 @@ impl RouterClient {
     fn reset(&mut self) {
         self.state = ClientState::Unsynchronized;
         self.session_id = None;
-        self.staging.clear();
+        self.staging = ResetStaging::default();
     }
 
     /// Runs one full synchronization over a blocking transport: sends
@@ -471,12 +473,13 @@ impl RouterClient {
         for _round in 0..SYNC_ROUNDS {
             transport.send(&self.query())?;
             loop {
-                let pdu = transport.recv()?;
-                if self.handle(&pdu)? {
+                let (done, reset) = transport
+                    .recv_with(|pdu| (self.handle_wire(pdu), pdu == PduRef::CacheReset))?;
+                if done? {
                     return Ok(());
                 }
-                if matches!(pdu, Pdu::CacheReset) {
-                    break; // `handle` dropped to unsynchronized: re-query
+                if reset {
+                    break; // `handle_wire` dropped to unsynchronized: re-query
                 }
             }
         }
@@ -850,11 +853,12 @@ mod tests {
             Ok(())
         }
 
-        fn recv(&mut self) -> Result<Pdu, TransportError> {
-            Ok(self
+        fn recv_with<R>(&mut self, f: impl FnOnce(PduRef<'_>) -> R) -> Result<R, TransportError> {
+            let pdu = self
                 .pending
                 .pop_front()
-                .expect("synchronize would block on a silent cache"))
+                .expect("synchronize would block on a silent cache");
+            Ok(f(pdu.as_wire()))
         }
     }
 

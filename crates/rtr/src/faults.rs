@@ -59,7 +59,7 @@ use crate::clock::Clock;
 use crate::pdu::{Pdu, Timing, PROTOCOL_V1};
 use crate::session::{AttemptError, LiveSession};
 use crate::transport::{Transport, TransportError};
-use crate::wire::{PduError, HEADER_LEN};
+use crate::wire::{PduError, PduRef, HEADER_LEN};
 
 /// Domain constant for the cache → router fault stream.
 const TO_ROUTER_DOMAIN: u64 = 0xD6E8_FEB8_6659_FD93;
@@ -789,50 +789,43 @@ impl<T: Transport> FaultyTransport<T> {
         &self.inner
     }
 
-    fn poisoned() -> TransportError {
-        TransportError::Protocol(PduError::BadLength {
-            type_code: 0xFF,
-            length: 0,
-        })
+    /// Draws the fault for one frame of `len` bytes travelling `dir`
+    /// and, if it may pass, moves it through the inner pipe.
+    fn carry<R>(
+        &mut self,
+        dir: Direction,
+        len: usize,
+        deliver: impl FnOnce(&mut T) -> Result<R, TransportError>,
+    ) -> Result<R, TransportError> {
+        if self.broken {
+            return Err(TransportError::Closed);
+        }
+        let failure = match self.plan.decide(dir, len) {
+            FaultAction::Deliver | FaultAction::Stall { .. } => return deliver(&mut self.inner),
+            FaultAction::Drop | FaultAction::Truncate { .. } | FaultAction::Disconnect => {
+                TransportError::Closed
+            }
+            FaultAction::Corrupt { .. } | FaultAction::Garbage { .. } => {
+                TransportError::Protocol(PduError::BadLength {
+                    type_code: 0xFF,
+                    length: 0,
+                })
+            }
+        };
+        self.broken = true;
+        Err(failure)
     }
 }
 
 impl<T: Transport> Transport for FaultyTransport<T> {
     fn send(&mut self, pdu: &Pdu) -> Result<(), TransportError> {
-        if self.broken {
-            return Err(TransportError::Closed);
-        }
         // Frame length only parameterizes the fault draw.
-        let mut bytes = Vec::new();
-        pdu.as_wire().encode_into(PROTOCOL_V1, &mut bytes);
-        match self.plan.decide(Direction::ToCache, bytes.len()) {
-            FaultAction::Deliver | FaultAction::Stall { .. } => self.inner.send(pdu),
-            FaultAction::Drop | FaultAction::Truncate { .. } | FaultAction::Disconnect => {
-                self.broken = true;
-                Err(TransportError::Closed)
-            }
-            FaultAction::Corrupt { .. } | FaultAction::Garbage { .. } => {
-                self.broken = true;
-                Err(Self::poisoned())
-            }
-        }
+        let len = pdu.wire_len(PROTOCOL_V1);
+        self.carry(Direction::ToCache, len, |inner| inner.send(pdu))
     }
 
-    fn recv(&mut self) -> Result<Pdu, TransportError> {
-        if self.broken {
-            return Err(TransportError::Closed);
-        }
-        match self.plan.decide(Direction::ToRouter, HEADER_LEN) {
-            FaultAction::Deliver | FaultAction::Stall { .. } => self.inner.recv(),
-            FaultAction::Drop | FaultAction::Truncate { .. } | FaultAction::Disconnect => {
-                self.broken = true;
-                Err(TransportError::Closed)
-            }
-            FaultAction::Corrupt { .. } | FaultAction::Garbage { .. } => {
-                self.broken = true;
-                Err(Self::poisoned())
-            }
-        }
+    fn recv_with<R>(&mut self, f: impl FnOnce(PduRef<'_>) -> R) -> Result<R, TransportError> {
+        self.carry(Direction::ToRouter, HEADER_LEN, |inner| inner.recv_with(f))
     }
 }
 
@@ -853,7 +846,7 @@ mod tests {
             Ok(())
         }
 
-        fn recv(&mut self) -> Result<Pdu, TransportError> {
+        fn recv_with<R>(&mut self, _f: impl FnOnce(PduRef<'_>) -> R) -> Result<R, TransportError> {
             Err(TransportError::Closed)
         }
     }

@@ -28,10 +28,10 @@
 //! * [`client`] — the router-side state machine: session tracking,
 //!   serial/reset synchronization, applying announce/withdraw deltas,
 //!   the RFC 8210 §6 freshness timers.
-//! * [`vrp_set`] — the router's table ([`VrpSet`]): packed 12-byte
-//!   (IPv4) and 24-byte (IPv6) keys in `Vrp` order, iterated by value.
-//! * [`transport`] — the blocking PDU pipe a router dials a cache
-//!   with ([`transport::TcpTransport`]).
+//! * [`vrp_set`] — the router's table ([`VrpSet`]): packed 12/24-byte
+//!   keys in `Vrp` order, and the arrays a Reset response is staged in.
+//! * [`transport`] — the blocking pipe a router dials a cache with
+//!   ([`transport::TcpTransport`]), lending each PDU from its buffer.
 //! * [`session`] — the one in-memory session driver ([`LiveSession`]):
 //!   a cache ↔ router pair joined by byte pipes through the fan-out
 //!   core, following Cache Resets and version downgrades, counting

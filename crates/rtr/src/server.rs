@@ -232,7 +232,9 @@ impl ImageStore {
             return Arc::clone(img);
         }
         stats.images_built += 1;
-        let img = Arc::new(encode_response(&cache.handle(&Pdu::ResetQuery), version));
+        let mut img = Vec::new();
+        cache.encode_full_response(version, &mut img);
+        let img = Arc::new(img);
         *slot = Some(Arc::clone(&img));
         img
     }

@@ -36,10 +36,10 @@ use crate::cache::CacheServer;
 use crate::client::{ClientError, RouterClient, SYNC_ROUNDS};
 use crate::clock::Clock;
 use crate::faults::{split_frames, Direction, FaultPlan, TraceEvent};
-use crate::pdu::{Flags, Pdu, PduError, PROTOCOL_V0, PROTOCOL_V1};
+use crate::pdu::{Flags, PduError, PROTOCOL_V0, PROTOCOL_V1};
 use crate::server::{FanoutServer, ServerConfig, SessionId};
 use crate::transport::TransportError;
-use crate::wire::{self, ErrorClass, Negotiation};
+use crate::wire::{self, ErrorClass, Negotiation, PduRef};
 
 /// What one synchronization round did, counted on the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -370,24 +370,24 @@ impl LiveSession {
                 if let Err(e) = self.router_negotiation.accept(frame.version) {
                     break Err(AttemptError::Protocol(e));
                 }
-                let pdu = frame.pdu.to_owned();
+                let pdu = frame.pdu;
                 consumed += frame.len;
                 stats.pdus += 1;
                 match pdu {
-                    Pdu::Prefix {
+                    PduRef::Prefix {
                         flags: Flags::Announce,
                         ..
                     } => stats.announced += 1,
-                    Pdu::Prefix {
+                    PduRef::Prefix {
                         flags: Flags::Withdraw,
                         ..
                     } => stats.withdrawn += 1,
-                    Pdu::CacheReset => stats.reset = true,
+                    PduRef::CacheReset => stats.reset = true,
                     _ => {}
                 }
-                match self.router.handle(&pdu) {
+                match self.router.handle_wire(pdu) {
                     Ok(true) => break Ok(Round::Done),
-                    Ok(false) if pdu == Pdu::CacheReset => break Ok(Round::Reset),
+                    Ok(false) if pdu == PduRef::CacheReset => break Ok(Round::Reset),
                     Ok(false) => {}
                     Err(e) => break Err(AttemptError::Client(e)),
                 }

@@ -9,15 +9,22 @@
 //! The cache side has no blocking transport: it is served by the
 //! non-blocking event loop in [`crate::server`]. In-memory sessions go
 //! through [`crate::session::LiveSession`]'s byte pipes instead.
+//!
+//! # The receive buffer
+//!
+//! [`TcpTransport`] reads into one fixed allocation and decodes frames
+//! where they land: `buf[pos..end]` is unread, `pos <= end <= buf.len()`,
+//! and a frame only advances `pos`. When the unread bytes are not a whole
+//! frame they move to the front — less than one frame, so `end <
+//! MAX_PDU_LEN` — and one `read` fills in behind them, into at least
+//! `READ_CHUNK` bytes of room.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
-use bytes::BytesMut;
-
 use crate::pdu::{Pdu, PduError, PROTOCOL_V0, PROTOCOL_V1};
-use crate::wire::{self, Negotiation, HEADER_LEN, MAX_PDU_LEN};
+use crate::wire::{self, Negotiation, PduRef, HEADER_LEN, MAX_PDU_LEN};
 
 /// Transport failures.
 #[derive(Debug)]
@@ -68,8 +75,82 @@ impl PartialEq for TransportError {
 pub trait Transport {
     /// Sends one PDU.
     fn send(&mut self, pdu: &Pdu) -> Result<(), TransportError>;
-    /// Receives the next PDU, blocking until one arrives.
-    fn recv(&mut self) -> Result<Pdu, TransportError>;
+    /// Receives the next PDU, blocking until one arrives, and lends it to
+    /// `f` where it was decoded: nothing is copied unless `f` copies it.
+    fn recv_with<R>(&mut self, f: impl FnOnce(PduRef<'_>) -> R) -> Result<R, TransportError>;
+    /// Receives the next PDU as an owned value.
+    fn recv(&mut self) -> Result<Pdu, TransportError> {
+        self.recv_with(|pdu| pdu.to_owned())
+    }
+}
+
+/// Free bytes the receive buffer offers a `read` at the very least.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// The receive half of a [`TcpTransport`], apart from the socket so its
+/// reads can be scripted. See the [module docs](self).
+#[derive(Debug)]
+struct Receiver {
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+    negotiation: Negotiation,
+}
+
+impl Receiver {
+    fn new(version: u8) -> Receiver {
+        Receiver {
+            buf: vec![0; MAX_PDU_LEN + READ_CHUNK],
+            pos: 0,
+            end: 0,
+            // Accept responses up to our own version; a frame above it
+            // is the recoverable BadVersion, below it the fatal mismatch
+            // once pinned.
+            negotiation: Negotiation::with_max(version),
+        }
+    }
+
+    fn recv_with<R>(
+        &mut self,
+        stream: &mut impl Read,
+        f: impl FnOnce(PduRef<'_>) -> R,
+    ) -> Result<R, TransportError> {
+        loop {
+            let unread = &self.buf[self.pos..self.end];
+            // Fail fast on a hostile length claim: the moment the 8-byte
+            // header is in, a declared frame length outside the legal
+            // PDU range is a CorruptData-class protocol error — never
+            // wait on a 4 GiB promise to see the "complete" frame.
+            if let [_, type_code, _, _, a, b, c, d, ..] = *unread {
+                let length = u32::from_be_bytes([a, b, c, d]) as usize;
+                if !(HEADER_LEN..=MAX_PDU_LEN).contains(&length) {
+                    return Err(PduError::BadLength { type_code, length }.into());
+                }
+            }
+            if let Some(frame) = wire::decode_frame(unread)? {
+                self.negotiation.accept(frame.version)?;
+                self.pos += frame.len;
+                return Ok(f(frame.pdu));
+            }
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            let n = loop {
+                match stream.read(&mut self.buf[self.end..]) {
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    read => break read?,
+                }
+            };
+            match (n, self.end) {
+                (0, 0) => return Err(TransportError::Closed),
+                (0, length) => {
+                    let type_code = 0xFF; // not a frame: the stream ended inside one
+                    return Err(PduError::BadLength { type_code, length }.into());
+                }
+                _ => self.end += n,
+            }
+        }
+    }
 }
 
 /// A PDU transport over a TCP stream, buffering partial frames.
@@ -81,9 +162,10 @@ pub trait Transport {
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
-    buf: BytesMut,
+    rx: Receiver,
+    /// The encoded query; one allocation for the connection's life.
+    query: Vec<u8>,
     version: u8,
-    negotiation: Negotiation,
 }
 
 impl TcpTransport {
@@ -106,12 +188,9 @@ impl TcpTransport {
         );
         TcpTransport {
             stream,
-            buf: BytesMut::with_capacity(4096),
+            rx: Receiver::new(version),
+            query: Vec::new(),
             version,
-            // Accept responses up to our own version; a frame above it is
-            // the recoverable BadVersion, below it the fatal mismatch
-            // once pinned.
-            negotiation: Negotiation::with_max(version),
         }
     }
 
@@ -139,52 +218,14 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&mut self, pdu: &Pdu) -> Result<(), TransportError> {
-        let mut bytes = BytesMut::new();
-        pdu.encode_versioned(self.version, &mut bytes);
-        self.stream.write_all(&bytes)?;
+        self.query.clear();
+        pdu.as_wire().encode_into(self.version, &mut self.query);
+        self.stream.write_all(&self.query)?;
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<Pdu, TransportError> {
-        loop {
-            // Fail fast on a hostile length claim: the moment the 8-byte
-            // header is in, a declared frame length outside the legal
-            // PDU range is a CorruptData-class protocol error — the
-            // buffer must never grow toward a 4 GiB promise waiting for
-            // the decoder to see the "complete" frame.
-            if self.buf.len() >= HEADER_LEN {
-                let declared =
-                    u32::from_be_bytes(self.buf[4..8].try_into().expect("4 bytes")) as usize;
-                if !(HEADER_LEN..=MAX_PDU_LEN).contains(&declared) {
-                    return Err(TransportError::Protocol(PduError::BadLength {
-                        type_code: self.buf[1],
-                        length: declared,
-                    }));
-                }
-            }
-            // Zero-copy decode straight from the receive buffer; the
-            // owned Pdu is only materialized for accepted frames.
-            if let Some(frame) = wire::decode_frame(&self.buf)? {
-                self.negotiation.accept(frame.version)?;
-                let pdu = frame.pdu.to_owned();
-                let used = frame.len;
-                let _ = self.buf.split_to(used);
-                return Ok(pdu);
-            }
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return if self.buf.is_empty() {
-                    Err(TransportError::Closed)
-                } else {
-                    Err(TransportError::Protocol(PduError::BadLength {
-                        type_code: 0xFF,
-                        length: self.buf.len(),
-                    }))
-                };
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
+    fn recv_with<R>(&mut self, f: impl FnOnce(PduRef<'_>) -> R) -> Result<R, TransportError> {
+        self.rx.recv_with(&mut self.stream, f)
     }
 }
 
@@ -286,11 +327,100 @@ mod tests {
         }
         // The 8 header bytes are all the transport ever held.
         assert!(
-            t.buf.len() <= 8,
-            "buffer must not grow toward the declared length (held {})",
-            t.buf.len()
+            t.rx.end - t.rx.pos <= 8,
+            "the transport must not read toward the declared length (held {})",
+            t.rx.end - t.rx.pos
         );
         drop(writer.join().unwrap());
+    }
+
+    /// A socket whose reads are scripted; end of stream after the last.
+    struct Script(std::collections::VecDeque<std::io::Result<Vec<u8>>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            assert!(buf.len() >= READ_CHUNK, "room for one chunk, always");
+            let Some(step) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            let bytes = step?;
+            buf[..bytes.len()].copy_from_slice(&bytes);
+            Ok(bytes.len())
+        }
+    }
+
+    fn recv(rx: &mut Receiver, stream: &mut Script) -> Result<Pdu, TransportError> {
+        rx.recv_with(stream, |pdu| pdu.to_owned())
+    }
+
+    #[test]
+    fn interrupted_read_mid_frame_is_retried() {
+        let first = Pdu::SerialNotify {
+            session_id: 2,
+            serial: 9,
+        };
+        let mut bytes = first.to_bytes().to_vec();
+        bytes.extend_from_slice(&Pdu::CacheReset.to_bytes());
+        let eintr = || Err(std::io::Error::from(ErrorKind::Interrupted));
+        let mut stream = Script(
+            [
+                eintr(),
+                Ok(bytes[..5].to_vec()),
+                eintr(),
+                eintr(),
+                Ok(bytes[5..14].to_vec()),
+                Ok(bytes[14..].to_vec()),
+            ]
+            .into(),
+        );
+        let mut rx = Receiver::new(PROTOCOL_V1);
+        assert_eq!(recv(&mut rx, &mut stream).unwrap(), first);
+        assert_eq!(recv(&mut rx, &mut stream).unwrap(), Pdu::CacheReset);
+        assert_eq!(
+            recv(&mut rx, &mut stream).unwrap_err(),
+            TransportError::Closed
+        );
+        // Any other error is the caller's to see, unread bytes kept.
+        let mut stream = Script(
+            [
+                Ok(bytes[..5].to_vec()),
+                Err(std::io::Error::from(ErrorKind::ConnectionReset)),
+            ]
+            .into(),
+        );
+        assert!(matches!(
+            recv(&mut rx, &mut stream),
+            Err(TransportError::Io(e)) if e.kind() == ErrorKind::ConnectionReset
+        ));
+        assert_eq!((rx.pos, rx.end), (0, 5));
+    }
+
+    /// The largest frame the protocol allows, promised by a valid header
+    /// and then trickled, twice back to back: the transport waits inside
+    /// its one allocation — `MAX_PDU_LEN` + one read chunk, never grown
+    /// (`Script::read` checks the room on every read) — and delivers both.
+    #[test]
+    fn maximal_frames_trickled_stay_inside_the_fixed_buffer() {
+        let report = Pdu::ErrorReport {
+            code: crate::pdu::ErrorCode::InternalError,
+            pdu: bytes::Bytes::new(),
+            text: "x".repeat(MAX_PDU_LEN - HEADER_LEN - 8),
+        };
+        let frame = report.to_bytes();
+        assert_eq!(frame.len(), MAX_PDU_LEN);
+        let wire = [&frame[..], &frame[..]].concat();
+        for chunk in [1, 7, 977, 40_000, READ_CHUNK + 1] {
+            let mut stream = Script(wire.chunks(chunk).map(|c| Ok(c.to_vec())).collect());
+            let mut rx = Receiver::new(PROTOCOL_V1);
+            let capacity = rx.buf.capacity();
+            for _ in 0..2 {
+                assert_eq!(recv(&mut rx, &mut stream).unwrap(), report);
+                assert!(rx.pos <= rx.end && rx.end <= rx.buf.len());
+            }
+            assert_eq!(rx.pos, rx.end, "chunk {chunk}: nothing left over");
+            assert_eq!(rx.buf.len(), MAX_PDU_LEN + READ_CHUNK);
+            assert_eq!(rx.buf.capacity(), capacity);
+        }
     }
 
     #[test]

@@ -21,7 +21,26 @@
 //! rebuilt from the keys. Packing is lossless for any `Vrp` (a prefix
 //! length and a maxLength are a byte each), so a round trip returns the
 //! very value that went in.
+//!
+//! # Staging
+//!
+//! A Reset response is a whole table; inserting it key by key into an
+//! empty B-tree costs more than building the tree. `ResetStaging`
+//! appends the keys to one array per family and makes each tree once, at
+//! End of Data (`BTreeSet::from_iter`: a sort of a few ascending runs and
+//! a bulk build). A Duplicate Announcement is still refused on its own
+//! PDU, from arrival order alone: equal keys have equal prefixes, so
+//! while addresses of one prefix length never decrease, a key can only
+//! repeat an entry that arrived since its prefix first did. Per length
+//! the staging keeps where its highest-address prefix starts; an
+//! announcement above that address is appended unseen, one at it is
+//! compared with the entries from there on (in `Vrp` order and in a
+//! cache's length-major order, its prefix's own 1–3 records), and
+//! anything else — a lower address, a tail past `TAIL_SCAN_MAX`, a
+//! withdrawal — moves the arrays into a `VrpSet` for good and is answered
+//! by its insert or remove. No served order is relied on.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -137,6 +156,77 @@ impl VrpSet {
     }
 }
 
+/// A Reset response on its way to becoming the table: the packed keys
+/// in arrival order, per family. See "Staging" in the [module docs](self).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ResetStaging {
+    v4: Run<3>,
+    v6: Run<6>,
+    /// `Some` once an arrival needed a lookup: the arrays moved in here.
+    spilled: Option<VrpSet>,
+}
+
+/// One family's keys: address words, `len << 8 | max_len`, ASN.
+#[derive(Debug, Clone, Default)]
+struct Run<const N: usize> {
+    keys: Vec<[u32; N]>,
+    /// Per prefix length: where its highest address starts (`usize::MAX`: none).
+    groups: Vec<usize>,
+}
+
+/// Entries compared in place for one arrival; a longer tail is a lookup.
+const TAIL_SCAN_MAX: usize = 32;
+
+impl<const N: usize> Run<N> {
+    /// Appends `key` if arrival order alone decides whether it is new:
+    /// `Some(false)` is a duplicate, `None` needs a lookup.
+    fn push(&mut self, key: [u32; N]) -> Option<bool> {
+        let len = (key[N - 2] >> 8) as usize;
+        if self.groups.len() <= len {
+            self.groups.resize(len + 1, usize::MAX);
+        }
+        let tail = self.keys.get(self.groups[len]..).unwrap_or_default();
+        let order = tail.first().map(|first| key[..N - 2].cmp(&first[..N - 2]));
+        match order.unwrap_or(Ordering::Greater) {
+            Ordering::Less => return None,
+            Ordering::Equal if tail.len() > TAIL_SCAN_MAX => return None,
+            Ordering::Equal if tail.contains(&key) => return Some(false),
+            Ordering::Equal => {}
+            Ordering::Greater => self.groups[len] = self.keys.len(),
+        }
+        self.keys.push(key);
+        Some(true)
+    }
+}
+
+impl ResetStaging {
+    /// Adds `vrp`; `false` if this response already announced it.
+    pub(crate) fn announce(&mut self, vrp: Vrp) -> bool {
+        let pushed = match (&self.spilled, vrp.prefix) {
+            (Some(_), _) => None,
+            (None, Prefix::V4(p)) => self.v4.push(key4(p, &vrp)),
+            (None, Prefix::V6(p)) => self.v6.push(key6(p, &vrp)),
+        };
+        pushed.unwrap_or_else(|| self.spill().insert(vrp))
+    }
+
+    /// The staged set as B-trees, the arrays (distinct keys, by `push`'s
+    /// rule) moved into them on the first call.
+    pub(crate) fn spill(&mut self) -> &mut VrpSet {
+        let (v4, v6) = (&mut self.v4, &mut self.v6);
+        self.spilled.get_or_insert_with(|| VrpSet {
+            v4: std::mem::take(v4).keys.into_iter().collect(),
+            v6: std::mem::take(v6).keys.into_iter().collect(),
+        })
+    }
+
+    /// End of Data: hands the set over and keeps no capacity behind.
+    pub(crate) fn finish(&mut self) -> VrpSet {
+        self.spill();
+        std::mem::take(self).spilled.unwrap_or_default()
+    }
+}
+
 impl fmt::Debug for VrpSet {
     /// Prints the VRPs, as `BTreeSet<Vrp>` would, not the packed keys.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -196,6 +286,70 @@ mod tests {
         set.clear();
         assert!(set.is_empty());
         assert_eq!(set.len(), 0);
+    }
+
+    fn capacity(s: &ResetStaging) -> usize {
+        s.v4.keys.capacity()
+            + s.v4.groups.capacity()
+            + s.v6.keys.capacity()
+            + s.v6.groups.capacity()
+    }
+
+    /// The arrays are the response's only copy while it arrives, and a
+    /// router keeps the staging for its whole life: whichever way the
+    /// arrays end — End of Data or a spill — no allocation stays behind.
+    #[test]
+    fn staging_keeps_no_capacity_after_end_of_data_or_a_spill() {
+        let ordered = [
+            vrp("10.0.0.0/8 => AS1"),
+            vrp("10.0.0.0/8 => AS2"),
+            vrp("11.0.0.0/8 => AS1"),
+            vrp("10.0.0.0/16 => AS1"),
+            vrp("::/0 => AS0"),
+            vrp("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128 => AS4294967295"),
+        ];
+        let mut staging = ResetStaging::default();
+        for v in ordered {
+            assert!(staging.announce(v));
+        }
+        assert!(!staging.announce(ordered[3]), "trailing group is compared");
+        assert!(!staging.announce(ordered[5]), "the all-ones /128 too");
+        assert!(staging.spilled.is_none(), "an ordered stream never spills");
+        assert!(capacity(&staging) > 0);
+        let set = staging.finish();
+        assert!(set
+            .iter()
+            .eq(ordered.iter().copied().collect::<BTreeSet<_>>()));
+        assert!(staging.spilled.is_none());
+        assert_eq!(capacity(&staging), 0, "after End of Data");
+
+        // A lower address of a length already seen needs a lookup.
+        for v in ordered {
+            staging.announce(v);
+        }
+        assert!(staging.announce(vrp("9.0.0.0/8 => AS1")));
+        assert!(staging.spilled.is_some());
+        assert_eq!(capacity(&staging), 0, "after a spill");
+        assert!(!staging.announce(ordered[0]), "the spilled set knows it");
+        assert!(staging.spill().remove(&ordered[0]));
+        assert!(!staging.spill().remove(&ordered[0]));
+        assert_eq!(staging.finish().len(), ordered.len());
+        assert_eq!(capacity(&staging), 0);
+    }
+
+    /// One prefix under very many origins would make the in-place
+    /// comparison quadratic; past `TAIL_SCAN_MAX` it becomes lookups.
+    #[test]
+    fn an_oversized_tail_spills() {
+        let mut staging = ResetStaging::default();
+        for asn in 0..=TAIL_SCAN_MAX as u32 {
+            assert!(staging.announce(vrp(&format!("10.0.0.0/8 => AS{asn}"))));
+            assert!(staging.spilled.is_none());
+        }
+        assert!(staging.announce(vrp("10.0.0.0/8 => AS99")));
+        assert!(staging.spilled.is_some());
+        assert!(!staging.announce(vrp("10.0.0.0/8 => AS7")));
+        assert_eq!(staging.finish().len(), TAIL_SCAN_MAX + 2);
     }
 
     #[test]

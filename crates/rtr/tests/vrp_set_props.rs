@@ -1,7 +1,9 @@
 //! `VrpSet` against its model, `BTreeSet<Vrp>` — the table it replaced
 //! inside `RouterClient` — first operation by operation, then through
 //! `RouterClient::handle` against a reference client that still keeps
-//! `BTreeSet<Vrp>`s.
+//! `BTreeSet<Vrp>`s: on arbitrary PDU streams, and on whole Reset
+//! responses in the arrival orders that decide whether the router's
+//! staging appends, compares a trailing group, or spills to lookups.
 //!
 //! The VRP strategy draws every field from a small pool of edge values
 //! (`/0`, `/32`, `/128`, maxLength at either end of its range and
@@ -16,7 +18,7 @@ use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, Vrp};
 use rpki_rtr::client::{ClientError, ClientState};
 use rpki_rtr::pdu::{ErrorCode, Flags, Pdu, Timing};
-use rpki_rtr::{RouterClient, VrpSet};
+use rpki_rtr::{CacheServer, RouterClient, VrpSet};
 
 /// Picks one of `pool` with the low bits of a generated index.
 fn pick<T: Copy>(pool: &[T], index: u8) -> T {
@@ -230,13 +232,267 @@ proptest! {
     fn router_client_agrees_with_the_btree_set_client(
         stream in prop::collection::vec(arb_cache_pdu(), 0..120),
     ) {
-        let mut client = RouterClient::new();
-        let mut reference = ReferenceClient::default();
-        for (i, pdu) in stream.iter().enumerate() {
-            let got = observable(client.handle(pdu));
-            prop_assert_eq!(got, reference.handle(pdu), "PDU {}: {:?}", i, pdu);
-            prop_assert_eq!(client.state(), reference.state(), "after PDU {}", i);
-            prop_assert_eq!(client.vrps(), &reference.vrps, "after PDU {}", i);
+        feed(&mut RouterClient::new(), &mut ReferenceClient::default(), &stream);
+    }
+}
+
+/// Feeds `stream` to both clients: the same verdict on every PDU, the
+/// same state and the same visible set after each. Returns how many
+/// PDUs were rejected.
+fn feed(client: &mut RouterClient, reference: &mut ReferenceClient, stream: &[Pdu]) -> usize {
+    let mut rejected = 0;
+    for (i, pdu) in stream.iter().enumerate() {
+        let got = observable(client.handle(pdu));
+        assert_eq!(got, reference.handle(pdu), "PDU {i}: {pdu:?}");
+        assert_eq!(client.state(), reference.state(), "after PDU {i}");
+        assert_eq!(client.vrps(), &reference.vrps, "after PDU {i}");
+        rejected += usize::from(got.is_err());
+    }
+    rejected
+}
+
+fn prefix(flags: Flags, vrp: Vrp) -> Pdu {
+    Pdu::Prefix { flags, vrp }
+}
+
+fn end_of_data(serial: u32) -> Pdu {
+    Pdu::EndOfData {
+        session_id: 7,
+        serial,
+        timing: Timing::default(),
+    }
+}
+
+/// `body` as one Reset response of session 7.
+fn reset_response(body: impl IntoIterator<Item = Pdu>, serial: u32) -> Vec<Pdu> {
+    let mut stream = vec![Pdu::CacheResponse { session_id: 7 }];
+    stream.extend(body);
+    stream.push(end_of_data(serial));
+    stream
+}
+
+/// Both clients holding `10.0.0.0/8 => AS1` from a first Reset response
+/// and told to reset: what a later response stages must stay invisible
+/// behind this set until its End of Data.
+fn resynchronizing() -> (RouterClient, ReferenceClient) {
+    let (mut client, mut reference) = (RouterClient::new(), ReferenceClient::default());
+    let held = prefix(Flags::Announce, "10.0.0.0/8 => AS1".parse().unwrap());
+    let mut stream = reset_response([held], 1);
+    stream.push(Pdu::CacheReset);
+    feed(&mut client, &mut reference, &stream);
+    (client, reference)
+}
+
+/// The order a real cache serves `vrps` in: per family by prefix
+/// length, then address, then origin, then maxLength.
+fn cache_order(vrps: &BTreeSet<Vrp>) -> Vec<Vrp> {
+    let all: Vec<Vrp> = vrps.iter().copied().collect();
+    CacheServer::new(7, &all)
+        .handle(&Pdu::ResetQuery)
+        .into_iter()
+        .filter_map(|pdu| match pdu {
+            Pdu::Prefix { vrp, .. } => Some(vrp),
+            _ => None,
+        })
+        .collect()
+}
+
+fn shuffle<T>(items: &mut [T], mut seed: u64) {
+    for i in (1..items.len()).rev() {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        items.swap(i, (seed >> 33) as usize % (i + 1));
+    }
+}
+
+proptest! {
+    /// Whole Reset responses over the edge pool, in four arrival orders
+    /// — `Vrp` order, the cache's length-major order, reversed, shuffled
+    /// — with up to five records injected at random positions: repeats
+    /// of a record of the response (a Duplicate Announcement on whichever
+    /// copy arrives second) and withdrawals (of a record already staged,
+    /// or a Withdrawal of Unknown). About a sixth of the cases inject
+    /// nothing.
+    #[test]
+    fn reset_responses_agree_in_every_arrival_order(
+        vrps in prop::collection::btree_set(arb_vrp(), 0..60),
+        order in 0u8..4,
+        seed in any::<u64>(),
+        inject in prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>(), any::<bool>()),
+            0..6,
+        ),
+    ) {
+        let mut body: Vec<Vrp> = match order {
+            0 | 2 => vrps.iter().copied().collect(),
+            _ => cache_order(&vrps),
+        };
+        prop_assert_eq!(body.len(), vrps.len());
+        match order {
+            2 => body.reverse(),
+            3 => shuffle(&mut body, seed),
+            _ => {}
+        }
+        let mut body: Vec<Pdu> = body.into_iter().map(|v| prefix(Flags::Announce, v)).collect();
+        if !vrps.is_empty() {
+            for (at, which, withdraw) in inject {
+                let vrp = *vrps.iter().nth(which.index(vrps.len())).unwrap();
+                let flags = if withdraw { Flags::Withdraw } else { Flags::Announce };
+                body.insert(at.index(body.len() + 1), prefix(flags, vrp));
+            }
+        }
+        let (mut client, mut reference) = resynchronizing();
+        feed(&mut client, &mut reference, &reset_response(body, 2));
+        prop_assert_eq!(client.state(), ClientState::Synchronized);
+    }
+}
+
+fn announce(text: &str) -> Pdu {
+    prefix(Flags::Announce, text.parse().unwrap())
+}
+
+fn withdraw(text: &str) -> Pdu {
+    prefix(Flags::Withdraw, text.parse().unwrap())
+}
+
+/// The arrivals the staging rule turns on, one fixed stream each. The
+/// reference says which records are rejected; the count beside each
+/// stream pins how many, so a fixture cannot drift off its case.
+#[test]
+fn reset_staging_fixed_cases() {
+    const ONES: &str = "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128 => AS4294967295";
+    let cases: [(&str, Vec<Pdu>, usize); 7] = [
+        (
+            "a prefix's records split by another length's; duplicates before and after a spill",
+            vec![
+                announce("10.0.0.0/8 => AS1"),
+                announce("10.0.0.0/16 => AS1"),
+                announce("10.0.0.0/8 => AS2"),
+                announce("10.0.0.0/8 => AS1"),
+                announce("10.0.0.0/16 => AS1"),
+                announce("9.0.0.0/8 => AS1"),
+                announce("10.0.0.0/8 => AS2"),
+                announce("9.0.0.0/8 => AS1"),
+                announce("10.0.0.0/8 => AS3"),
+            ],
+            4,
+        ),
+        (
+            "duplicates inside a trailing multi-origin group",
+            vec![
+                announce("10.0.0.0/8 => AS1"),
+                announce("10.0.0.0/8 => AS2"),
+                announce("10.0.0.0/8 => AS3"),
+                announce("10.0.0.0/8 => AS2"),
+                announce("10.0.0.0/8 => AS1"),
+                announce("11.0.0.0/8 => AS1"),
+                announce("11.0.0.0/8 => AS1"),
+                announce("10.0.0.0/8 => AS3"),
+            ],
+            4,
+        ),
+        (
+            "one prefix, (asn, maxLength) arriving against key order",
+            vec![
+                announce("10.0.0.0/8-24 => AS1"),
+                announce("10.0.0.0/8-20 => AS2"),
+                announce("10.0.0.0/8-24 => AS1"),
+                announce("10.0.0.0/8-20 => AS2"),
+                announce("10.0.0.0/8-20 => AS1"),
+            ],
+            2,
+        ),
+        (
+            "the lowest and highest address of each family",
+            vec![
+                announce("0.0.0.0/0 => AS0"),
+                announce("0.0.0.0/0 => AS0"),
+                announce("255.255.255.255/32 => AS4294967295"),
+                announce("255.255.255.255/32 => AS4294967295"),
+                announce("::/0 => AS0"),
+                announce(ONES),
+                announce("::/0 => AS0"),
+                announce(ONES),
+                announce("::/0-128 => AS0"),
+                announce("0.0.0.0/0-32 => AS0"),
+            ],
+            4,
+        ),
+        (
+            "withdrawals inside a Reset response",
+            vec![
+                announce("10.0.0.0/8 => AS1"),
+                withdraw("11.0.0.0/8 => AS1"),
+                announce("11.0.0.0/8 => AS1"),
+                withdraw("10.0.0.0/8 => AS1"),
+                withdraw("10.0.0.0/8 => AS1"),
+                announce("10.0.0.0/8 => AS1"),
+                announce("11.0.0.0/8 => AS1"),
+            ],
+            3,
+        ),
+        (
+            "one prefix under more origins than are compared in place",
+            (0..40)
+                .chain([5, 39, 40, 40])
+                .map(|asn| announce(&format!("10.0.0.0/8 => AS{asn}")))
+                .collect(),
+            3,
+        ),
+        ("an empty response", vec![], 0),
+    ];
+    for (name, body, rejected) in cases {
+        let (mut client, mut reference) = resynchronizing();
+        let got = feed(&mut client, &mut reference, &reset_response(body, 2));
+        assert_eq!(got, rejected, "{name}");
+        assert_eq!(client.state(), ClientState::Synchronized, "{name}");
+    }
+}
+
+/// A Reset response abandoned half way — by a Cache Reset, a dead
+/// transport, the fall-back policy — leaves nothing staged: the records
+/// it announced are not duplicates in the clean response that follows,
+/// and the ones only it carried are not in the table.
+#[test]
+fn an_abandoned_reset_response_leaves_nothing_staged() {
+    type Abandon = fn(&mut RouterClient, &mut ReferenceClient);
+    let abandons: [(&str, Abandon); 3] = [
+        ("Cache Reset", |c, r| {
+            feed(c, r, &[Pdu::CacheReset]);
+        }),
+        ("abort_response", |c, r| {
+            c.abort_response();
+            r.reset();
+        }),
+        ("force_reset", |c, r| {
+            c.force_reset();
+            r.reset();
+        }),
+    ];
+    for spilled in [false, true] {
+        for (name, abandon) in &abandons {
+            let (mut client, mut reference) = resynchronizing();
+            let mut half = vec![
+                Pdu::CacheResponse { session_id: 7 },
+                announce("10.0.0.0/8 => AS1"),
+                announce("12.0.0.0/8 => AS3"),
+                announce("2001:db8::/32 => AS3"),
+            ];
+            if spilled {
+                half.push(announce("11.0.0.0/8 => AS2"));
+            }
+            feed(&mut client, &mut reference, &half);
+            abandon(&mut client, &mut reference);
+            assert_eq!(client.state(), ClientState::Unsynchronized, "{name}");
+            assert_eq!(client.vrps().len(), 1, "{name}: the old set is still held");
+            let clean = [
+                announce("10.0.0.0/8 => AS1"),
+                announce("2001:db8::/32 => AS3"),
+            ];
+            feed(&mut client, &mut reference, &reset_response(clean, 3));
+            assert_eq!(client.state(), ClientState::Synchronized, "{name}");
+            assert_eq!(client.vrps().len(), 2, "{name}, spilled: {spilled}");
         }
     }
 }

@@ -3,14 +3,16 @@
 //! same round loop, so they must land on the same router state — and
 //! the recovery wrapper must still carry a version downgrade through.
 //! Both keep what they learn in the router's packed-key table, which one
-//! fixed PDU stream checks here against a plain `BTreeSet<Vrp>` (the
-//! randomized version is `crates/rtr/tests/vrp_set_props.rs`).
+//! fixed PDU stream checks here against a plain `BTreeSet<Vrp>`, and a
+//! Reset response in the cache's own order checks the arrival-ordered
+//! staging in front of it (the randomized versions are in
+//! `crates/rtr/tests/vrp_set_props.rs`).
 
 use maxlength_rpki::prelude::*;
 use maxlength_rpki::rtr::client::ClientError;
 use maxlength_rpki::rtr::faults::{ChaosOptions, ChaosSession, FaultConfig, TraceEvent};
 use maxlength_rpki::rtr::pdu::{Flags, Pdu, Timing};
-use maxlength_rpki::rtr::{RouterClient, PROTOCOL_V0, PROTOCOL_V1};
+use maxlength_rpki::rtr::{CacheServer, RouterClient, PROTOCOL_V0, PROTOCOL_V1};
 
 fn timeline() -> ChurnTimeline {
     let vrps = World::generate(GeneratorConfig {
@@ -161,4 +163,80 @@ fn router_table_tracks_a_btree_set_through_a_mixed_family_stream() {
     assert!(model.iter().all(|v| table.contains(v)));
     let gone: Vrp = "::/0-128 => AS0".parse().expect("fixture VRP parses");
     assert!(!table.contains(&gone));
+}
+
+#[test]
+fn reset_response_in_cache_order_stages_like_a_btree_set() {
+    use std::collections::BTreeSet;
+
+    // Length-major within each family, IPv4 first — the order
+    // `CacheServer` serves, which is not `Vrp` order — with one prefix
+    // under three records whose (origin, maxLength) arrive against key
+    // order.
+    let served = [
+        "10.0.0.0/8 => AS1",
+        "11.0.0.0/8-24 => AS1",
+        "11.0.0.0/8-20 => AS2",
+        "11.0.0.0/8-24 => AS2",
+        "192.0.2.0/24 => AS3",
+        "10.0.0.0/25-32 => AS1",
+        "255.255.255.255/32 => AS4294967295",
+        "::/0 => AS0",
+        "2001:db8::/32-48 => AS65000",
+        "2001:db8:1::/48 => AS65000",
+        "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128 => AS4294967295",
+    ];
+    let served: Vec<Vrp> = served
+        .iter()
+        .map(|text| text.parse().expect("fixture VRP parses"))
+        .collect();
+    let cache_order: Vec<Vrp> = CacheServer::new(3, &served)
+        .handle(&Pdu::ResetQuery)
+        .into_iter()
+        .filter_map(|pdu| match pdu {
+            Pdu::Prefix { vrp, .. } => Some(vrp),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(cache_order, served, "the fixture is in served order");
+    assert!(!served.is_sorted(), "which is not `Vrp` order");
+
+    // The stream as served, then with one record repeated behind the
+    // other two of its prefix.
+    let mut repeated = served.clone();
+    repeated.insert(4, served[2]);
+    let mut router = RouterClient::new();
+    for (serial, stream) in [(1, &served), (2, &repeated)] {
+        router.force_reset();
+        router
+            .handle(&Pdu::CacheResponse { session_id: 3 })
+            .expect("a response may open");
+        let mut model: BTreeSet<Vrp> = BTreeSet::new();
+        for &vrp in stream {
+            let pdu = Pdu::Prefix {
+                flags: Flags::Announce,
+                vrp,
+            };
+            // The verdict comes on the very PDU, not at End of Data.
+            match (router.handle(&pdu), model.insert(vrp)) {
+                (Ok(false), true) => {}
+                (Err(ClientError::DuplicateAnnouncement(v)), false) => assert_eq!(v, vrp),
+                (got, fresh) => panic!("{vrp} (fresh: {fresh}): {got:?}"),
+            }
+            assert_eq!(
+                router.vrps().len(),
+                if serial == 1 { 0 } else { served.len() }
+            );
+        }
+        assert_eq!(model.len(), served.len());
+        let done = router.handle(&Pdu::EndOfData {
+            session_id: 3,
+            serial,
+            timing: Timing::default(),
+        });
+        assert!(matches!(done, Ok(true)));
+        let table = router.vrps();
+        assert!(table.iter().eq(model.iter().copied()), "{table:?}");
+        assert!(*table == model && router.serial() == serial);
+    }
 }
