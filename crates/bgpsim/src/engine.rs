@@ -15,7 +15,10 @@
 //! 2. **Reusable [`Workspace`]** — bitset membership stamps over packed
 //!    16-byte route words plus a path-length bucket queue of bare `u32`
 //!    AS indices replacing the `BinaryHeap` (path lengths are small
-//!    bounded integers). Steady-state trials allocate nothing in the
+//!    bounded integers). A bucket is drained as a *set*: scattered into
+//!    a one-bit-per-AS bitmap whose words are then walked, which visits
+//!    ASes in ascending order without a sort. Steady-state trials
+//!    allocate nothing in the
 //!    engine's scratch; [`with_workspace`] hands every caller its
 //!    thread's workspace, so rayon fan-outs reuse one workspace per
 //!    worker thread, and the whole hot state for an 80k-AS internet
@@ -30,8 +33,7 @@
 //! 4. **Single-pass interception counting** —
 //!    [`PropagationEngine::propagate_outcome`] tallies where every AS's
 //!    traffic lands directly off the workspace, without materializing a
-//!    route vector, and [`Propagation::from_routes`] caches
-//!    `reached`/`delivered_to` counters in its one construction pass.
+//!    route vector.
 //!
 //! # Bit-identical contract
 //!
@@ -156,8 +158,8 @@ impl PackedRoute {
 ///
 /// # Bitset-stamp invariant
 ///
-/// Hot state is two packed bitsets plus two [`PackedRoute`] arrays —
-/// ~32.3 bytes per AS, down from the 132 bytes/AS of the earlier
+/// Hot state is three packed bitsets plus two [`PackedRoute`] arrays —
+/// ~32.4 bytes per AS, down from the 132 bytes/AS of the earlier
 /// epoch-stamped layout (three `u32` stamp arrays + three 40-byte
 /// `RouteInfo` arrays), which is what lets an 80k-AS internet-scale
 /// workspace stay cache-resident:
@@ -177,6 +179,9 @@ impl PackedRoute {
 ///   indices (see [`Workspace::push`] for why that preserves the
 ///   reference heap's tie-breaks) and bucket vectors are drained, not
 ///   deallocated, so their capacity is retained across trials.
+/// * `drain_set` — one bit per AS: the bucket being drained, as a set.
+///   The drain clears each word as it reads it, so the bitmap is
+///   all-zero between drains and `begin` never touches it.
 #[derive(Debug, Default)]
 pub struct Workspace {
     n: usize,
@@ -189,6 +194,8 @@ pub struct Workspace {
     /// `buckets[len]` holds the AS indices awaiting settlement at path
     /// length `len`.
     buckets: Vec<Vec<u32>>,
+    /// `n / 64` words: the bucket being drained, all-zero otherwise.
+    drain_set: Vec<u64>,
     /// Highest bucket index holding entries for the current phase.
     hi: usize,
 }
@@ -206,6 +213,7 @@ impl Workspace {
     pub fn memory_bytes(&self) -> usize {
         self.route_set.capacity() * 8
             + self.pend_set.capacity() * 8
+            + self.drain_set.capacity() * 8
             + self.routes.capacity() * std::mem::size_of::<PackedRoute>()
             + self.pending.capacity() * std::mem::size_of::<PackedRoute>()
             + self.buckets.capacity() * std::mem::size_of::<Vec<u32>>()
@@ -221,6 +229,8 @@ impl Workspace {
             self.route_set.resize(words, 0);
             self.pend_set.clear();
             self.pend_set.resize(words, 0);
+            self.drain_set.clear();
+            self.drain_set.resize(words, 0);
             self.routes.clear();
             self.routes.resize(n, PackedRoute::EMPTY);
             self.pending.clear();
@@ -275,7 +285,9 @@ impl Workspace {
     ///
     /// Entries are bare AS indices: settling a bucket in ascending `at`
     /// order produces the same propagation as the reference heap's
-    /// `(path_len, claimed_origin, delivers_to, as_index)` order.
+    /// `(path_len, claimed_origin, delivers_to, as_index)` order, and
+    /// visiting an AS once per bucket is the same as visiting it once
+    /// per entry: a second visit finds it settled and does nothing.
     /// Within one bucket every settlement reads the *current best*
     /// pending slot and exports only into the next bucket, so the drain
     /// order can influence the result only where two same-length
@@ -294,6 +306,48 @@ impl Workspace {
         self.buckets[l].push(at as u32);
         if l > self.hi {
             self.hi = l;
+        }
+    }
+
+    /// Empties bucket `len` into `drain_set`, returning the word range
+    /// its entries touched: an empty bucket costs O(1), not `n / 64`.
+    #[inline]
+    fn scatter_bucket(&mut self, len: usize) -> std::ops::Range<usize> {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &at in &self.buckets[len] {
+            let w = (at >> 6) as usize;
+            self.drain_set[w] |= 1 << (at & 63);
+            lo = lo.min(w);
+            hi = hi.max(w + 1);
+        }
+        self.buckets[len].clear();
+        lo.min(hi)..hi
+    }
+
+    /// Settles the queued ASes — ascending path length, ascending AS
+    /// index within one length (through `drain_set`, not a sort) —
+    /// handing each to `export`, which queues at the next length only.
+    #[inline]
+    fn drain(&mut self, export: impl Fn(&mut Workspace, usize, PackedRoute)) {
+        let mut len = 0;
+        while len <= self.hi && len < self.buckets.len() {
+            for w in self.scatter_bucket(len) {
+                let mut bits = std::mem::take(&mut self.drain_set[w]);
+                while bits != 0 {
+                    let at = (w << 6) + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if !self.has_pending(at) {
+                        continue;
+                    }
+                    let info = self.pending[at];
+                    if info.path_len() as usize != len || self.routed(at) {
+                        continue; // stale bucket entry or already settled
+                    }
+                    self.settle(at, info);
+                    export(self, at, info);
+                }
+            }
+            len += 1;
         }
     }
 
@@ -600,10 +654,26 @@ impl<'t> PropagationEngine<'t> {
     where
         F: Fn(usize, Asn) -> bool + ?Sized,
     {
+        self.propagate_into(seeds, accept, ws, Vec::new())
+    }
+
+    /// [`Self::propagate`] into `routes` (cleared first), for loops that
+    /// recycle one table's vector ([`Propagation::into_routes`]).
+    pub(crate) fn propagate_into<F>(
+        &self,
+        seeds: &[Seed],
+        accept: &F,
+        ws: &mut Workspace,
+        mut routes: Vec<Option<RouteInfo>>,
+    ) -> Propagation
+    where
+        F: Fn(usize, Asn) -> bool + ?Sized,
+    {
         if let Some(fallback) = self.run(seeds, accept, ws) {
             return fallback;
         }
-        let routes = (0..self.topology.len()).map(|at| ws.route(at)).collect();
+        routes.clear();
+        routes.extend((0..self.topology.len()).map(|at| ws.route(at)));
         Propagation::from_routes(routes)
     }
 
@@ -685,45 +755,10 @@ impl<'t> PropagationEngine<'t> {
                 ws.push(seed.path_len, seed.at);
             }
         }
-        let mut len = 0;
-        while len <= ws.hi && len < ws.buckets.len() {
-            let mut bucket = std::mem::take(&mut ws.buckets[len]);
-            bucket.sort_unstable();
-            for &entry in &bucket {
-                let at = entry as usize;
-                if !ws.has_pending(at) {
-                    continue;
-                }
-                let info = ws.pending[at];
-                if info.path_len() as usize != len || ws.routed(at) {
-                    continue; // stale bucket entry or already settled
-                }
-                ws.settle(at, info);
-                // Export to providers: they learn a customer route.
-                for &provider in t.providers(at) {
-                    let provider = provider as usize;
-                    if ws.routed(provider) {
-                        continue;
-                    }
-                    if !accept(provider, info.claimed_origin()) {
-                        continue;
-                    }
-                    let candidate = PackedRoute::new(
-                        RouteClass::Customer,
-                        info.path_len() + 1,
-                        info.claimed_origin(),
-                        info.delivers_to(),
-                        Some(at),
-                    );
-                    if ws.improve_pending(provider, candidate) {
-                        ws.push(info.path_len() + 1, provider);
-                    }
-                }
-            }
-            bucket.clear();
-            ws.buckets[len] = bucket;
-            len += 1;
-        }
+        // Export to providers: they learn a customer route.
+        ws.drain(|ws, at, info| {
+            self.offer(info, at, t.providers(at), RouteClass::Customer, accept, ws)
+        });
 
         // --- Phase 2: one peer hop. Only customer/origin routes are
         // exported to peers; collect all offers (the `pending` array
@@ -772,55 +807,46 @@ impl<'t> PropagationEngine<'t> {
         for at in 0..n {
             if ws.routed(at) {
                 let info = ws.routes[at];
-                self.offer_down(info, at, accept, ws);
+                self.offer(info, at, t.customers(at), RouteClass::Provider, accept, ws);
             }
         }
-        let mut len = 0;
-        while len <= ws.hi && len < ws.buckets.len() {
-            let mut bucket = std::mem::take(&mut ws.buckets[len]);
-            bucket.sort_unstable();
-            for &entry in &bucket {
-                let at = entry as usize;
-                if !ws.has_pending(at) {
-                    continue;
-                }
-                let info = ws.pending[at];
-                if info.path_len() as usize != len || ws.routed(at) {
-                    continue;
-                }
-                ws.settle(at, info);
-                self.offer_down(info, at, accept, ws);
-            }
-            bucket.clear();
-            ws.buckets[len] = bucket;
-            len += 1;
-        }
+        ws.drain(|ws, at, info| {
+            self.offer(info, at, t.customers(at), RouteClass::Provider, accept, ws)
+        });
         None
     }
 
-    /// Offers `from`'s route to its customers (phase 3's relaxation).
+    /// Offers `from`'s route to `neighbors`, who would hold it as a
+    /// `class` route (the relaxation of phases 1 and 3).
     #[inline]
-    fn offer_down<F>(&self, from_info: PackedRoute, from: usize, accept: &F, ws: &mut Workspace)
-    where
+    fn offer<F>(
+        &self,
+        from_info: PackedRoute,
+        from: usize,
+        neighbors: &[u32],
+        class: RouteClass,
+        accept: &F,
+        ws: &mut Workspace,
+    ) where
         F: Fn(usize, Asn) -> bool + ?Sized,
     {
-        for &customer in self.topology.customers(from) {
-            let customer = customer as usize;
-            if ws.routed(customer) {
+        for &to in neighbors {
+            let to = to as usize;
+            if ws.routed(to) {
                 continue;
             }
-            if !accept(customer, from_info.claimed_origin()) {
+            if !accept(to, from_info.claimed_origin()) {
                 continue;
             }
             let candidate = PackedRoute::new(
-                RouteClass::Provider,
+                class,
                 from_info.path_len() + 1,
                 from_info.claimed_origin(),
                 from_info.delivers_to(),
                 Some(from),
             );
-            if ws.improve_pending(customer, candidate) {
-                ws.push(from_info.path_len() + 1, customer);
+            if ws.improve_pending(to, candidate) {
+                ws.push(from_info.path_len() + 1, to);
             }
         }
     }
@@ -886,6 +912,41 @@ mod tests {
             let reused = engine.propagate(&seeds, &accept_all, &mut shared);
             let fresh = engine.propagate(&seeds, &accept_all, &mut Workspace::new());
             assert_eq!(reused.routes(), fresh.routes(), "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn drain_set_is_all_zero_after_every_run() {
+        // `begin` never touches the bitmap: it relies on the drain
+        // having cleared every word it set, whatever the queue held.
+        let t = topo(250);
+        let stubs = t.stubs();
+        let engine = PropagationEngine::new(&t);
+        let mut ws = Workspace::new();
+        let reject_some = |at: usize, _: Asn| at % 5 != 1;
+        for trial in 0..6 {
+            // Duplicate seeds, a stale entry (the same AS queued at two
+            // lengths) and a far-away bucket behind a run of empty ones.
+            let seeds = [
+                Seed::origin(stubs[trial], t.asn(stubs[trial])),
+                Seed::origin(stubs[trial], t.asn(stubs[trial])),
+                Seed {
+                    at: stubs[trial + 7],
+                    path_len: 3,
+                    claimed_origin: t.asn(stubs[trial]),
+                },
+                Seed::forged(stubs[trial + 7], t.asn(stubs[trial])),
+                Seed {
+                    at: stubs[trial + 9],
+                    path_len: (DENSE_SLACK * (t.len() + 2)) as u32,
+                    claimed_origin: t.asn(stubs[trial]),
+                },
+            ];
+            engine.propagate(&seeds, &accept_all, &mut ws);
+            assert!(ws.drain_set.iter().all(|&w| w == 0), "trial {trial}");
+            engine.propagate_outcome(&seeds, &reject_some, &mut ws, None, stubs[0], stubs[1]);
+            assert!(ws.drain_set.iter().all(|&w| w == 0), "trial {trial}");
+            assert_eq!(ws.drain_set.len(), t.len().div_ceil(64));
         }
     }
 

@@ -18,6 +18,16 @@
 //!   multi-hour grid can stop and restart deterministically
 //!   ([`PlanSession::run_until`]).
 //!
+//! What a worker claims and a cursor counts is a **trial group**: one
+//! `(topology, trial)` — one attacker/victim placement — across every
+//! ROA configuration, strategy and deployment; group `g` is trial
+//! `g % trials` of topology `g / trials`. Sharing happens inside a
+//! group, never in a per-worker cache, so what a run computes
+//! ([`ExecStats`]) does not depend on which worker claimed what. An
+//! encoded cursor carries the numbering in its magic
+//! (`maxlength-cursor-v2`): a `v1` text counted `(topology, ROA, trial)`
+//! groups, and [`PlanCursor::decode`] refuses it.
+//!
 //! # Determinism contract
 //!
 //! Every number the executor produces is a pure function of the plan:
@@ -50,17 +60,23 @@
 //!   ([`DeploymentModel::uniform_thresholds`]), which is bit-identical
 //!   to replaying `policies()` per level.
 //! * **Baselines** (the victim-only propagation a strategy may observe)
-//!   are computed once per trial group and shared by every strategy in
-//!   it — the inputs are identical, so so is the propagation.
+//!   are computed on first use, at most once per trial group, and
+//!   shared by every strategy, deployment **and ROA configuration** in
+//!   it: the victim's own origin is Valid or NotFound under every
+//!   [`RoaConfig`], so its filter accepts at every AS and the
+//!   propagation is a function of `(topology, victim)` alone. (VRPs
+//!   that made it Invalid fail the group's per-ROA transparency test
+//!   and get a baseline per deployment.) [`ExecStats::baselines`]
+//!   counts the ones actually run.
 //! * **Speculative cross-cell execution (Block-STM style).** Per trial
-//!   group, each strategy is propagated **once**, against the first
-//!   deployment on the axis, while the engine records its *filter
+//!   group and ROA, each strategy is propagated **once**, against the
+//!   first deployment on the axis, while the engine records its *filter
 //!   footprint* ([`crate::engine::FilterFootprint`]): the exact set of
 //!   (AS, decision) pairs for which an [`crate::engine::OriginFilter`]
 //!   consulted the adopter bitset. For every other deployment the
 //!   footprint is validated in O(|footprint|) — if every recorded
-//!   decision reproduces under that cell's bitset, the baseline outcome
-//!   is replayed; only genuinely divergent cells re-propagate.
+//!   decision reproduces under that cell's bitset, the speculated
+//!   outcome is replayed; only genuinely divergent cells re-propagate.
 //!
 //!   The **footprint-soundness invariant**: every adopter-bitset
 //!   consultation any of the trial's propagations performs is recorded
@@ -87,7 +103,7 @@ use crate::attack::{AttackOutcome, AttackSetup};
 use crate::deployment::DeploymentModel;
 use crate::engine::{CompiledPolicies, FilterFootprint, OriginFilter};
 use crate::experiment::{destination_pair, trial_pair, RoaConfig};
-use crate::routing::Propagation;
+use crate::routing::{Propagation, RouteInfo};
 use crate::strategy::{
     run_strategy_compiled, run_strategy_speculative, AttackerStrategy, SpecRecorder,
 };
@@ -280,10 +296,14 @@ impl<'a> TrialPlan<'a> {
         PlanCursor {
             accs: vec![A::empty(); self.cell_count()],
             next_group: 0,
-            total_groups: self.topologies.len() * self.roas.len() * self.trials,
-            executed: 0,
-            replayed: 0,
+            total_groups: self.group_count(),
+            stats: ExecStats::default(),
         }
+    }
+
+    /// Trial groups: one per `(topology, trial)`.
+    fn group_count(&self) -> usize {
+        self.topologies.len() * self.trials
     }
 
     fn validate(&self) {
@@ -556,6 +576,22 @@ pub struct ExecStats {
     /// Footprint validations that failed — cells whose filter decisions
     /// genuinely diverged and were re-propagated.
     pub cells_repropagated: usize,
+    /// Victim-only baseline propagations computed, on top of
+    /// `executed`: one per `(topology, trial)` in which some strategy
+    /// observed the baseline.
+    pub baselines: usize,
+}
+
+impl ExecStats {
+    /// Adds one trial group's counters (`items` and `compilations`
+    /// belong to the plan, not to a group).
+    fn add_group(&mut self, group: &ExecStats) {
+        self.executed += group.executed;
+        self.footprint_checks += group.footprint_checks;
+        self.cells_replayed += group.cells_replayed;
+        self.cells_repropagated += group.cells_repropagated;
+        self.baselines += group.baselines;
+    }
 }
 
 /// A resumable checkpoint over a plan's item stream.
@@ -570,8 +606,8 @@ pub struct PlanCursor<A> {
     accs: Vec<A>,
     next_group: usize,
     total_groups: usize,
-    executed: usize,
-    replayed: usize,
+    /// Group counters only; see [`PlanSession::cursor_stats`].
+    stats: ExecStats,
 }
 
 impl<A: Accumulator> PlanCursor<A> {
@@ -602,12 +638,21 @@ impl<A: Accumulator> PlanCursor<A> {
         self.accs
     }
 
-    /// Serializes the full cursor state (position + every accumulator,
-    /// floats as exact bit patterns) into one line of text.
+    /// Serializes the full cursor state (position, counters, and every
+    /// accumulator, floats as exact bit patterns) into one line of text.
     pub fn encode(&self) -> String {
+        let ExecStats {
+            executed,
+            footprint_checks,
+            cells_replayed,
+            cells_repropagated,
+            baselines,
+            ..
+        } = self.stats;
         let mut out = format!(
-            "maxlength-cursor-v1 {} {} {} {}",
-            self.next_group, self.total_groups, self.executed, self.replayed
+            "{CURSOR_MAGIC} {} {} {executed} {footprint_checks} {cells_replayed} \
+             {cells_repropagated} {baselines}",
+            self.next_group, self.total_groups
         );
         for a in &self.accs {
             out.push(' ');
@@ -616,26 +661,35 @@ impl<A: Accumulator> PlanCursor<A> {
         out
     }
 
-    /// Parses [`Self::encode`]'s output. `None` on malformed input.
+    /// Parses [`Self::encode`]'s output. `None` on malformed input,
+    /// which a `maxlength-cursor-v1` line is (see the module docs).
     pub fn decode(s: &str) -> Option<PlanCursor<A>> {
         let mut fields = s.split(' ');
-        if fields.next()? != "maxlength-cursor-v1" {
+        if fields.next()? != CURSOR_MAGIC {
             return None;
         }
-        let next_group = fields.next()?.parse().ok()?;
-        let total_groups = fields.next()?.parse().ok()?;
-        let executed = fields.next()?.parse().ok()?;
-        let replayed = fields.next()?.parse().ok()?;
+        let mut number = || fields.next()?.parse::<usize>().ok();
+        let (next_group, total_groups) = (number()?, number()?);
+        let stats = ExecStats {
+            executed: number()?,
+            footprint_checks: number()?,
+            cells_replayed: number()?,
+            cells_repropagated: number()?,
+            baselines: number()?,
+            ..ExecStats::default()
+        };
         let accs = fields.map(A::decode).collect::<Option<Vec<A>>>()?;
         Some(PlanCursor {
             accs,
             next_group,
             total_groups,
-            executed,
-            replayed,
+            stats,
         })
     }
 }
+
+/// First field of an encoded [`PlanCursor`]; versions its group numbering.
+const CURSOR_MAGIC: &str = "maxlength-cursor-v2";
 
 /// One compiled deployment: the per-AS policy vector and its adopter
 /// bitset, shared by every cell (and every sweep point) that uses it.
@@ -752,34 +806,30 @@ pub struct PlanSession<'p, 'a> {
 }
 
 /// One trial group's buffered absorb calls, in deterministic call order:
-/// `(strategy index, deployment index, outcome, freshly propagated)`.
-type GroupOutcomes = Vec<(usize, usize, AttackOutcome, bool)>;
+/// `(cell index, outcome)`.
+type GroupOutcomes = Vec<(usize, AttackOutcome)>;
 
 impl PlanSession<'_, '_> {
-    /// Decodes group `g` into `(topology, roa, trial)` axis indices.
-    fn group_axes(&self, g: usize) -> (usize, usize, usize) {
-        let r = self.plan.roas.len();
-        let (u, trial) = (g / self.plan.trials, g % self.plan.trials);
-        (u / r, u % r, trial)
-    }
-
     /// Runs group `g` into a buffer instead of absorbing directly — the
     /// unit of parallel scheduling. Outcomes are recorded in the exact
     /// order the sequential path would absorb them.
-    fn run_group_buffered(&self, g: usize) -> (GroupOutcomes, GroupTally) {
-        let (ti, ri, trial) = self.group_axes(g);
-        let mut out = Vec::with_capacity(self.plan.strategies.len() * self.plan.deployments.len());
-        let tally = run_trial_group(
-            self.plan,
-            &self.resolved,
-            ti,
-            ri,
-            trial,
-            &mut |si, di, outcome, fresh| {
-                out.push((si, di, *outcome, fresh));
-            },
-        );
+    fn run_group_buffered(&self, g: usize) -> (GroupOutcomes, ExecStats) {
+        let mut out = Vec::with_capacity(self.plan.item_count() / self.plan.group_count());
+        let mut tally = ExecStats::default();
+        self.run_group(g, &mut tally, &mut |cell, outcome| {
+            out.push((cell, *outcome))
+        });
         (out, tally)
+    }
+
+    /// `cursor`'s counters as a run's [`ExecStats`]: equal to
+    /// [`Self::run_with_stats`]'s once the cursor is done.
+    pub fn cursor_stats<A>(&self, cursor: &PlanCursor<A>) -> ExecStats {
+        ExecStats {
+            items: self.plan.item_count(),
+            compilations: self.compilations,
+            ..cursor.stats
+        }
     }
 
     /// Runs the whole plan, returning one accumulator per cell in
@@ -799,14 +849,8 @@ impl PlanSession<'_, '_> {
             compilations: self.compilations,
             ..ExecStats::default()
         };
-        let groups = plan.topologies.len() * plan.roas.len() * plan.trials;
+        let groups = plan.group_count();
         let mut accs = vec![A::empty(); plan.cell_count()];
-        let absorb_group = |g: usize, outcomes: &GroupOutcomes, accs: &mut Vec<A>| {
-            let (ti, ri, _) = self.group_axes(g);
-            for &(si, di, ref outcome, _) in outcomes {
-                accs[plan.cell_index(ti, si, di, ri)].absorb(outcome);
-            }
-        };
         if self.parallel {
             // One set of workers for the whole pass, each claiming the
             // next unclaimed group: no worker is bound to a share fixed
@@ -835,26 +879,19 @@ impl PlanSession<'_, '_> {
                 for (g, result) in finished {
                     early.insert(g, result);
                     while let Some((outcomes, tally)) = early.remove(&due) {
-                        tally.fold_into(&mut stats);
-                        absorb_group(due, &outcomes, &mut accs);
+                        stats.add_group(&tally);
+                        for (cell, outcome) in &outcomes {
+                            accs[*cell].absorb(outcome);
+                        }
                         due += 1;
                     }
                 }
             });
         } else {
             for g in 0..groups {
-                let (ti, ri, trial) = self.group_axes(g);
-                let tally = run_trial_group(
-                    plan,
-                    &self.resolved,
-                    ti,
-                    ri,
-                    trial,
-                    &mut |si, di, outcome, _fresh| {
-                        accs[plan.cell_index(ti, si, di, ri)].absorb(outcome);
-                    },
-                );
-                tally.fold_into(&mut stats);
+                self.run_group(g, &mut stats, &mut |cell, outcome| {
+                    accs[cell].absorb(outcome)
+                });
             }
         }
         (accs, stats)
@@ -878,30 +915,21 @@ impl PlanSession<'_, '_> {
         );
         assert_eq!(
             cursor.total_groups,
-            plan.topologies.len() * plan.roas.len() * plan.trials,
+            plan.group_count(),
             "cursor does not belong to this plan shape"
         );
         if cursor.is_done() {
             return true;
         }
-        let group_items = plan.strategies.len() * plan.deployments.len();
+        let group_items = plan.item_count() / plan.group_count();
         let mut processed = 0;
         while !cursor.is_done() && (processed == 0 || processed + group_items <= max_items) {
-            let g = cursor.next_group;
-            let (ti, ri, trial) = self.group_axes(g);
             let accs = &mut cursor.accs;
-            let tally = run_trial_group(
-                plan,
-                &self.resolved,
-                ti,
-                ri,
-                trial,
-                &mut |si, di, outcome, _fresh| {
-                    accs[plan.cell_index(ti, si, di, ri)].absorb(outcome);
-                },
+            self.run_group(
+                cursor.next_group,
+                &mut cursor.stats,
+                &mut |cell, outcome| accs[cell].absorb(outcome),
             );
-            cursor.executed += tally.executed;
-            cursor.replayed += tally.cells_replayed;
             cursor.next_group += 1;
             processed += group_items;
         }
@@ -919,159 +947,145 @@ fn plan_pair(plan: &TrialPlan<'_>, topology: &Topology, trial: usize) -> (usize,
     }
 }
 
-/// What one trial group's scheduler actually did — folded into
-/// [`ExecStats`] (or a [`PlanCursor`]) by the caller.
-#[derive(Debug, Clone, Copy, Default)]
-struct GroupTally {
-    executed: usize,
-    footprint_checks: usize,
-    cells_replayed: usize,
-    cells_repropagated: usize,
-}
-
-impl GroupTally {
-    fn fold_into(&self, stats: &mut ExecStats) {
-        stats.executed += self.executed;
-        stats.footprint_checks += self.footprint_checks;
-        stats.cells_replayed += self.cells_replayed;
-        stats.cells_repropagated += self.cells_repropagated;
-    }
-}
-
-/// Per-thread footprint scratch for the speculative scheduler: one
-/// footprint for the group's shared baseline propagation, one for the
-/// current strategy's staging. Holding them in a thread-local keeps the
-/// epoch-stamp tables warm across every group a worker processes — the
-/// same zero-allocation discipline as the propagation
+/// Per-thread scratch for the speculative scheduler: one footprint for
+/// the baseline propagation, one for the current strategy's staging,
+/// and the last group's baseline route vector (40 bytes per AS) for the
+/// next group's baseline to fill. Holding them in a thread-local keeps
+/// them warm across every group a worker processes — the same
+/// zero-allocation discipline as the propagation
 /// [`crate::engine::Workspace`].
+#[derive(Default)]
 struct SpecScratch {
     base: RefCell<FilterFootprint>,
     strat: RefCell<FilterFootprint>,
+    routes: RefCell<Vec<Option<RouteInfo>>>,
 }
 
 thread_local! {
-    static SPEC_SCRATCH: SpecScratch = SpecScratch {
-        base: RefCell::new(FilterFootprint::new()),
-        strat: RefCell::new(FilterFootprint::new()),
-    };
+    static SPEC_SCRATCH: SpecScratch = SpecScratch::default();
 }
 
-/// Runs one trial of one `(topology, ROA)` unit across every strategy
-/// and deployment with Block-STM-style speculation, reporting each
-/// `(strategy, deployment)` outcome to `absorb` — `fresh = false` marks
-/// an outcome replayed after footprint validation.
-///
-/// Per strategy: execute once against deployment 0 while recording the
-/// filter footprint, then for each further deployment validate the
-/// footprint against that deployment's adopter bitset
-/// ([`FilterFootprint::validates`]) and replay on success; only cells
-/// whose recorded decisions genuinely diverge re-propagate. The shared
-/// baseline propagation records into its own group-lifetime footprint,
-/// checked only for strategies whose outcome observed the baseline.
-fn run_trial_group(
-    plan: &TrialPlan<'_>,
-    resolved: &[Vec<Arc<DeploymentPolicies>>],
-    ti: usize,
-    ri: usize,
-    trial: usize,
-    absorb: &mut dyn FnMut(usize, usize, &AttackOutcome, bool),
-) -> GroupTally {
-    let topology = plan.topologies[ti].topology;
-    let roa = plan.roas[ri];
-    let (victim, attacker) = plan_pair(plan, topology, trial);
-    let victim_asn = topology.asn(victim);
-    let vrps = roa.vrps(plan.victim_prefix, plan.sub_prefix.len(), victim_asn);
-
-    // If the victim's own announcement validates non-Invalid, the
-    // baseline propagation never consults the adopter bitset and is the
-    // same under every deployment: share one cell. (Transparency is a
-    // property of the VRPs alone, so probing it with any deployment's
-    // bitset is equivalent.) Otherwise re-propagated deployments each
-    // get their own cell — the deployment-0 baseline is only reused
-    // where its footprint validated.
-    let victim_transparent = OriginFilter::new(
-        &vrps,
-        plan.victim_prefix,
-        &[victim_asn],
-        &resolved[ti][0].compiled,
-    )
-    .is_transparent();
-    let d = plan.deployments.len();
-    let shared_baseline = OnceCell::new();
-    let per_deployment: Vec<OnceCell<Propagation>> = if victim_transparent {
-        Vec::new()
-    } else {
-        (0..d).map(|_| OnceCell::new()).collect()
-    };
-    let baseline_for = |di: usize| -> &OnceCell<Propagation> {
-        if victim_transparent {
-            &shared_baseline
-        } else {
-            &per_deployment[di]
-        }
-    };
-
-    let mut tally = GroupTally::default();
-    SPEC_SCRATCH.with(|scratch| {
-        // The baseline footprint lives for the whole group: whichever
-        // strategy first computes the shared baseline records it here.
-        scratch.base.borrow_mut().begin(topology.len());
-        let observed_baseline = Cell::new(false);
-        for (si, strategy) in plan.strategies.iter().enumerate() {
-            let setup_for = |di: usize| AttackSetup {
-                topology,
-                victim,
-                attacker,
-                victim_prefix: plan.victim_prefix,
-                sub_prefix: plan.sub_prefix,
-                vrps: &vrps,
-                policies: &resolved[ti][di].policies,
-            };
-            scratch.strat.borrow_mut().begin(topology.len());
-            observed_baseline.set(false);
-            let spec = SpecRecorder {
-                base: &scratch.base,
-                strat: &scratch.strat,
-                observed_baseline: &observed_baseline,
-            };
-            let (outcome, _) = run_strategy_speculative(
-                *strategy,
-                &setup_for(0),
-                &resolved[ti][0].compiled,
-                baseline_for(0),
-                Some(&spec),
-            );
-            tally.executed += 1;
-            absorb(si, 0, &outcome, true);
-            for (di, deployment) in resolved[ti].iter().enumerate().skip(1) {
-                // The validate half: O(|footprint|) against this cell's
-                // adopter bitset. The baseline footprint only gates the
-                // replay if this strategy's outcome observed the
-                // baseline (an unobserved baseline cannot influence the
-                // outcome, and validated control flow is identical).
-                tally.footprint_checks += 1;
-                let valid = scratch.strat.borrow().validates(&deployment.compiled)
-                    && (!observed_baseline.get()
-                        || scratch.base.borrow().validates(&deployment.compiled));
-                if valid {
-                    tally.cells_replayed += 1;
-                    absorb(si, di, &outcome, false);
+impl PlanSession<'_, '_> {
+    /// Runs group `g` — trial `g % trials` of topology `g / trials` —
+    /// across every ROA configuration, strategy and deployment with
+    /// Block-STM-style speculation, reporting each `(cell index, outcome)`
+    /// to `absorb` (ROA by ROA, strategies in axis order, deployments in
+    /// axis order) and counting into `stats`.
+    ///
+    /// Per ROA and strategy: execute once against deployment 0 while
+    /// recording the filter footprint, then for each further deployment
+    /// validate the footprint against that deployment's adopter bitset
+    /// ([`FilterFootprint::validates`]) and replay on success; only cells
+    /// whose recorded decisions genuinely diverge re-propagate. The baseline
+    /// propagation records into its own footprint, begun per ROA and checked
+    /// only for strategies whose outcome observed the baseline.
+    fn run_group(
+        &self,
+        g: usize,
+        stats: &mut ExecStats,
+        absorb: &mut dyn FnMut(usize, &AttackOutcome),
+    ) {
+        let (plan, resolved) = (self.plan, &self.resolved);
+        let (ti, trial) = (g / plan.trials, g % plan.trials);
+        let topology = plan.topologies[ti].topology;
+        let (victim, attacker) = plan_pair(plan, topology, trial);
+        let victim_asn = topology.asn(victim);
+        // One cell for every ROA under which the victim's own announcement
+        // is non-Invalid: its filter then accepts at every AS, whatever the
+        // VRPs and adopters are.
+        let shared_baseline = OnceCell::new();
+        SPEC_SCRATCH.with(|scratch| {
+            for (ri, roa) in plan.roas.iter().enumerate() {
+                let vrps = roa.vrps(plan.victim_prefix, plan.sub_prefix.len(), victim_asn);
+                // Transparency is a property of the VRPs alone, so probing
+                // it with any deployment's bitset is equivalent. Where it
+                // fails, deployments each get their own cell.
+                let victim_transparent = OriginFilter::new(
+                    &vrps,
+                    plan.victim_prefix,
+                    &[victim_asn],
+                    &resolved[ti][0].compiled,
+                )
+                .is_transparent();
+                let per_deployment: Vec<OnceCell<Propagation>> = if victim_transparent {
+                    Vec::new()
                 } else {
-                    let (diverged, _) = run_strategy_speculative(
+                    resolved[ti].iter().map(|_| OnceCell::new()).collect()
+                };
+                let baseline_for = |di: usize| -> &OnceCell<Propagation> {
+                    if victim_transparent {
+                        &shared_baseline
+                    } else {
+                        &per_deployment[di]
+                    }
+                };
+
+                // Whichever strategy first computes a baseline under this
+                // ROA records here (a shared one records nothing).
+                scratch.base.borrow_mut().begin(topology.len());
+                let observed_baseline = Cell::new(false);
+                for (si, strategy) in plan.strategies.iter().enumerate() {
+                    let setup_for = |di: usize| AttackSetup {
+                        topology,
+                        victim,
+                        attacker,
+                        victim_prefix: plan.victim_prefix,
+                        sub_prefix: plan.sub_prefix,
+                        vrps: &vrps,
+                        policies: &resolved[ti][di].policies,
+                    };
+                    scratch.strat.borrow_mut().begin(topology.len());
+                    observed_baseline.set(false);
+                    let spec = SpecRecorder {
+                        base: &scratch.base,
+                        strat: &scratch.strat,
+                        observed_baseline: &observed_baseline,
+                        routes: &scratch.routes,
+                    };
+                    let (outcome, _) = run_strategy_speculative(
                         *strategy,
-                        &setup_for(di),
-                        &deployment.compiled,
-                        baseline_for(di),
-                        None,
+                        &setup_for(0),
+                        &resolved[ti][0].compiled,
+                        baseline_for(0),
+                        Some(&spec),
                     );
-                    tally.executed += 1;
-                    tally.cells_repropagated += 1;
-                    absorb(si, di, &diverged, true);
+                    stats.executed += 1;
+                    absorb(plan.cell_index(ti, si, 0, ri), &outcome);
+                    for (di, deployment) in resolved[ti].iter().enumerate().skip(1) {
+                        // The validate half: O(|footprint|) against this cell's
+                        // adopter bitset. The baseline footprint only gates the
+                        // replay if this strategy's outcome observed the
+                        // baseline (an unobserved baseline cannot influence the
+                        // outcome, and validated control flow is identical).
+                        stats.footprint_checks += 1;
+                        let valid = scratch.strat.borrow().validates(&deployment.compiled)
+                            && (!observed_baseline.get()
+                                || scratch.base.borrow().validates(&deployment.compiled));
+                        if valid {
+                            stats.cells_replayed += 1;
+                            absorb(plan.cell_index(ti, si, di, ri), &outcome);
+                        } else {
+                            let (diverged, _) = run_strategy_speculative(
+                                *strategy,
+                                &setup_for(di),
+                                &deployment.compiled,
+                                baseline_for(di),
+                                None,
+                            );
+                            stats.executed += 1;
+                            stats.cells_repropagated += 1;
+                            absorb(plan.cell_index(ti, si, di, ri), &diverged);
+                        }
+                    }
                 }
+                stats.baselines += per_deployment.iter().filter(|c| c.get().is_some()).count();
             }
-        }
-    });
-    tally
+            if let Some(baseline) = shared_baseline.into_inner() {
+                stats.baselines += 1;
+                scratch.routes.replace(baseline.into_routes());
+            }
+        });
+    }
 }
 
 /// The pre-executor orchestration, kept as the differential reference
@@ -1357,8 +1371,13 @@ mod tests {
     fn cursor_decode_rejects_garbage() {
         assert!(PlanCursor::<CellAccumulator>::decode("").is_none());
         assert!(PlanCursor::<CellAccumulator>::decode("wrong-magic 0 1 0 0").is_none());
+        assert!(PlanCursor::<CellAccumulator>::decode(
+            "maxlength-cursor-v2 0 1 0 0 0 0 0 nonsense"
+        )
+        .is_none());
         assert!(
-            PlanCursor::<CellAccumulator>::decode("maxlength-cursor-v1 0 1 0 0 nonsense").is_none()
+            PlanCursor::<CellAccumulator>::decode("maxlength-cursor-v2 0 1 0 0").is_none(),
+            "too few counters"
         );
         let mut enc = String::new();
         CellAccumulator::empty().encode(&mut enc);

@@ -108,45 +108,29 @@ impl Seed {
 
 /// The result of propagating one prefix.
 ///
-/// [`Propagation::reached`] and [`Propagation::delivered_to`] are
-/// answered from counters computed in a single pass at construction —
-/// the per-table rescans the trial loops used to pay are gone.
+/// [`Propagation::reached`] and [`Propagation::delivered_to`] count on
+/// demand: the trial loops tally straight off the engine's workspace and
+/// read only [`Propagation::routes`], so construction pays for neither.
 #[derive(Debug, Clone)]
 pub struct Propagation {
-    /// `routes[a]` is AS `a`'s selected route, if any. Private so the
-    /// cached counters below can never desync from it; read through
-    /// [`Propagation::routes`].
+    /// `routes[a]` is AS `a`'s selected route, if any.
     routes: Vec<Option<RouteInfo>>,
-    /// ASes holding a route (cached at construction).
-    reached: usize,
-    /// `(deliverer, count)` pairs — one entry per announcement entry
-    /// point, so the list stays as small as the seed set.
-    delivered: Vec<(usize, usize)>,
 }
 
 impl Propagation {
-    /// Wraps a routes vector, computing the reach and per-deliverer
-    /// counters in one pass.
+    /// Wraps a routes vector.
     pub fn from_routes(routes: Vec<Option<RouteInfo>>) -> Propagation {
-        let mut reached = 0;
-        let mut delivered: Vec<(usize, usize)> = Vec::new();
-        for info in routes.iter().flatten() {
-            reached += 1;
-            match delivered.iter_mut().find(|(d, _)| *d == info.delivers_to) {
-                Some((_, count)) => *count += 1,
-                None => delivered.push((info.delivers_to, 1)),
-            }
-        }
-        Propagation {
-            routes,
-            reached,
-            delivered,
-        }
+        Propagation { routes }
+    }
+
+    /// Unwraps the routes vector, so a caller done with this table can
+    /// reuse its allocation for the next one.
+    pub fn into_routes(self) -> Vec<Option<RouteInfo>> {
+        self.routes
     }
 
     /// The per-AS selected routes: `routes()[a]` is AS `a`'s route, if
-    /// any. Read-only — the `reached`/`delivered_to` counters are
-    /// derived from this vector once, at construction.
+    /// any.
     pub fn routes(&self) -> &[Option<RouteInfo>] {
         &self.routes
     }
@@ -174,17 +158,15 @@ impl Propagation {
         }
     }
 
-    /// Number of ASes holding a route (O(1), cached).
+    /// Number of ASes holding a route (one O(n) pass).
     pub fn reached(&self) -> usize {
-        self.reached
+        self.routes.iter().flatten().count()
     }
 
-    /// Number of ASes whose traffic lands at `target` (O(#seeds), cached).
+    /// Number of ASes whose traffic lands at `target` (one O(n) pass).
     pub fn delivered_to(&self, target: usize) -> usize {
-        self.delivered
-            .iter()
-            .find(|(d, _)| *d == target)
-            .map_or(0, |&(_, count)| count)
+        let lands = |info: &&RouteInfo| info.delivers_to == target;
+        self.routes.iter().flatten().filter(lands).count()
     }
 }
 

@@ -43,7 +43,7 @@ use crate::attack::{AttackKind, AttackOutcome, AttackSetup};
 use crate::engine::{
     with_workspace, CompiledPolicies, FilterFootprint, OriginFilter, PropagationEngine,
 };
-use crate::routing::{Propagation, Seed};
+use crate::routing::{Propagation, RouteInfo, Seed};
 use crate::topology::Topology;
 
 /// Everything an attacker can observe before announcing: the graph, the
@@ -101,9 +101,9 @@ impl StrategyContext<'_> {
 
     fn compute_baseline(&self) -> Propagation {
         let accept = recording(self.accept_p, self.spec.map(|s| s.base));
-        with_workspace(|ws| {
-            PropagationEngine::new(self.topology).propagate(&[self.victim_seed], &accept, ws)
-        })
+        let routes = self.spec.map_or_else(Vec::new, |s| s.routes.take());
+        let engine = PropagationEngine::new(self.topology);
+        with_workspace(|ws| engine.propagate_into(&[self.victim_seed], &accept, ws, routes))
     }
 }
 
@@ -120,6 +120,8 @@ pub(crate) struct SpecRecorder<'a> {
     pub strat: &'a RefCell<FilterFootprint>,
     /// Set when the plan or the staging consulted the baseline.
     pub observed_baseline: &'a Cell<bool>,
+    /// The worker's spare route buffer, for a baseline to be built in.
+    pub routes: &'a RefCell<Vec<Option<RouteInfo>>>,
 }
 
 /// Wraps `filter` as a propagation `accept` closure that mirrors every
@@ -395,11 +397,13 @@ pub fn run_strategy_compiled(
 /// whether the outcome was **deployment-independent**, and optional
 /// footprint recording.
 ///
-/// * `baseline` — a cell the caller may share across every strategy of
-///   one trial group. The cell must only be shared between calls with an
-///   identical `(topology, victim, victim_prefix, vrps, compiled)`
-///   tuple: the victim-only propagation is a pure function of those, so
-///   the first strategy to look computes it and the rest reuse it.
+/// * `baseline` — a cell the caller may share between calls: the first
+///   strategy to look computes the victim-only propagation and the rest
+///   reuse it. Calls sharing a cell must agree on `(topology, victim,
+///   victim_prefix)` and either on `(vrps, compiled)` too, or on the
+///   victim's own origin being non-Invalid under each call's `vrps` —
+///   the victim filter is then transparent, accepts at every AS, and
+///   the propagation depends on neither `vrps` nor `compiled`.
 /// * The returned `bool` is `true` iff every [`OriginFilter`] this trial
 ///   constructed was transparent (no origin validated Invalid — see
 ///   [`OriginFilter::is_transparent`]). A transparent filter accepts

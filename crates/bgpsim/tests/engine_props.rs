@@ -6,21 +6,25 @@
 //! deterministic tie-breaks, same `next_hop` choices — on:
 //!
 //! * random topologies (sizes, tier mixes, peering densities),
-//! * random multi-seed sets (origins, forged origins, prepended paths),
+//! * random multi-seed sets (origins, forged origins, prepended paths —
+//!   up to the longest claimed path the bucket queue takes, so queues
+//!   hold duplicate and stale entries and long runs of empty buckets),
 //! * random import filters (hash-derived accept/reject worlds), and
 //! * precomputed [`bgpsim::OriginFilter`]s vs the equivalent per-edge
 //!   VRP validation closure.
 //!
 //! It must also be **reuse-clean**: back-to-back runs through one
 //! [`bgpsim::Workspace`] are identical to fresh-workspace runs — the
-//! test that catches stale-epoch scratch bugs.
+//! test that catches stale-epoch scratch bugs — and **order-exact**: the
+//! sequence of import decisions, not only the routes they lead to, is
+//! pinned against the sorted-bucket engine it replaced.
 
 use proptest::prelude::*;
 
 use bgpsim::engine::{CompiledPolicies, OriginFilter};
 use bgpsim::routing::{propagate_reference, Seed};
 use bgpsim::topology::{Topology, TopologyConfig};
-use bgpsim::{PropagationEngine, Workspace};
+use bgpsim::{FilterFootprint, PropagationEngine, Workspace};
 use rpki_prefix::Prefix;
 use rpki_roa::{Asn, RouteOrigin, Vrp};
 use rpki_rov::{RovPolicy, VrpIndex};
@@ -37,17 +41,26 @@ fn arb_config() -> impl Strategy<Value = TopologyConfig> {
     )
 }
 
-/// Random seed sets: placement, initial path length (0 = origin, 1 =
-/// forged, more = prepended), and claimed origin all vary — including
-/// claimed origins that belong to *other* ASes (hijack shapes).
+/// The engine's private `DENSE_SLACK`: seeds claiming a path longer than
+/// `DENSE_SLACK * (n + 2)` take the reference fallback, so that product
+/// is the longest claimed path the bucket queue itself ever sees.
+const DENSE_SLACK: u32 = 4;
+
+/// Random seed sets: placement, initial path length, and claimed origin
+/// all vary — including claimed origins that belong to *other* ASes
+/// (hijack shapes) and several seeds at one AS. The length pick is
+/// topology-relative (see [`materialize_seeds`]): below 4 it is the
+/// length itself (0 = origin, 1 = forged, more = prepended); from 4 up
+/// it counts back from the longest length the queue takes, the near
+/// picks weighted so that the cap itself is drawn often.
 fn arb_seeds() -> impl Strategy<Value = Vec<(prop::sample::Index, u32, prop::sample::Index)>> {
     prop::collection::vec(
         (
             any::<prop::sample::Index>(),
-            0u32..4,
+            prop_oneof![0u32..4, 4u32..8, 8u32..700],
             any::<prop::sample::Index>(),
         ),
-        1..5,
+        1..9,
     )
 }
 
@@ -55,11 +68,16 @@ fn materialize_seeds(
     t: &Topology,
     picks: &[(prop::sample::Index, u32, prop::sample::Index)],
 ) -> Vec<Seed> {
+    let cap = DENSE_SLACK * (t.len() as u32 + 2);
     picks
         .iter()
-        .map(|(at, path_len, claimed)| Seed {
+        .map(|(at, pick, claimed)| Seed {
             at: at.index(t.len()),
-            path_len: *path_len,
+            path_len: if *pick < 4 {
+                *pick
+            } else {
+                cap - (*pick - 4) % (cap - 3)
+            },
             claimed_origin: t.asn(claimed.index(t.len())),
         })
         .collect()
@@ -103,7 +121,12 @@ proptest! {
         let filtered_reference = propagate_reference(&t, &seeds, &|at, o| filter(at, o));
         prop_assert_eq!(filtered_engine.routes(), filtered_reference.routes());
 
-        // Cached counters agree with the reference's.
+        // And the open world once more: whatever the filtered run left
+        // in the workspace's queue and bitmaps must not leak into it.
+        let open_again = engine.propagate(&seeds, &|_: usize, _: Asn| true, &mut ws);
+        prop_assert_eq!(open_again.routes(), open_reference.routes());
+
+        // Counters agree with the reference's.
         prop_assert_eq!(filtered_engine.reached(), filtered_reference.reached());
         for seed in &seeds {
             prop_assert_eq!(
@@ -215,4 +238,74 @@ fn long_reuse_chain_stays_clean() {
         let reference = propagate_reference(&t, &seeds, &|_, _| true);
         assert_eq!(reused.routes(), reference.routes(), "iteration {i}");
     }
+}
+
+/// The import decisions of one fixed trial — a forged-origin subprefix
+/// hijack against a minimal ROA on 400 ASes, every third AS dropping
+/// Invalid routes — as [`FilterFootprint::decisions`] lists them: `AS
+/// index << 1 | accepted`, in first-consulted order. Taken from the
+/// engine that sorted each bucket before draining it.
+const FOOTPRINT_400: [u32; 318] = [
+    559, 71, 17, 32, 44, 13, 14, 5, 1, 2, 7, 8, 11, 707, 50, 59, 74, 197, 35, 37, 38, 53, 73, 115,
+    119, 122, 125, 134, 149, 188, 247, 248, 254, 271, 275, 281, 329, 385, 416, 476, 511, 577, 751,
+    757, 787, 20, 31, 55, 62, 140, 143, 155, 307, 326, 467, 487, 527, 533, 578, 623, 709, 49, 86,
+    61, 65, 77, 92, 98, 109, 113, 139, 145, 200, 221, 236, 277, 305, 313, 323, 332, 392, 410, 463,
+    475, 512, 553, 557, 629, 743, 745, 19, 23, 29, 83, 89, 95, 121, 185, 218, 356, 359, 383, 397,
+    571, 601, 697, 722, 739, 776, 779, 79, 116, 137, 152, 203, 227, 278, 320, 404, 491, 541, 656,
+    734, 791, 151, 158, 167, 170, 179, 353, 529, 793, 341, 395, 223, 632, 260, 266, 377, 584, 683,
+    758, 773, 409, 439, 613, 85, 317, 347, 452, 107, 131, 479, 769, 163, 265, 427, 434, 572, 458,
+    583, 26, 173, 176, 194, 199, 272, 349, 403, 499, 679, 782, 788, 80, 67, 68, 181, 182, 209, 229,
+    235, 241, 283, 289, 343, 344, 521, 565, 608, 641, 731, 224, 431, 530, 551, 653, 665, 691, 799,
+    110, 169, 217, 253, 398, 493, 625, 175, 215, 505, 589, 595, 692, 755, 193, 206, 367, 469, 470,
+    649, 661, 230, 350, 523, 536, 631, 325, 331, 425, 617, 515, 673, 593, 524, 457, 695, 728, 581,
+    157, 233, 319, 703, 437, 554, 721, 794, 239, 667, 337, 518, 187, 407, 245, 494, 650, 727, 719,
+    422, 368, 500, 269, 482, 542, 560, 662, 674, 428, 290, 374, 635, 710, 733, 781, 545, 677, 619,
+    620, 461, 599, 602, 566, 91, 127, 263, 725, 740, 365, 386, 251, 293, 419, 668, 362, 161, 464,
+    749, 211, 761, 637, 335, 535, 737, 308, 443, 767, 497, 644, 785, 752, 611, 133, 146, 446, 257,
+    361, 539, 575, 680, 775,
+];
+
+/// The executor replays an outcome when another deployment reproduces
+/// the recorded footprint, so the engine owes it not just the same
+/// routes but the same decisions in the same order: the bitmap drain
+/// must consult ASes exactly as the sorted drain did.
+#[test]
+fn footprint_order_matches_the_sorted_bucket_engine() {
+    let t = Topology::generate(TopologyConfig {
+        n: 400,
+        tier1: 6,
+        ..TopologyConfig::default()
+    });
+    let stubs = t.stubs();
+    let (victim, attacker) = (stubs[0], stubs[stubs.len() / 2]);
+    let p: Prefix = "168.122.0.0/16".parse().unwrap();
+    let q: Prefix = "168.122.0.0/24".parse().unwrap();
+    let vrps: VrpIndex = [Vrp::exact(p, t.asn(victim))].into_iter().collect();
+    let policies: Vec<RovPolicy> = (0..t.len())
+        .map(|at| match at % 3 {
+            1 => RovPolicy::DropInvalid,
+            _ => RovPolicy::AcceptAll,
+        })
+        .collect();
+    let compiled = CompiledPolicies::compile(&policies);
+    let accept_q = OriginFilter::new(&vrps, q, &[t.asn(victim)], &compiled);
+    let footprint = std::cell::RefCell::new(FilterFootprint::new());
+    footprint.borrow_mut().begin(t.len());
+    PropagationEngine::new(&t).propagate(
+        &[Seed::forged(attacker, t.asn(victim))],
+        &|at: usize, origin: Asn| {
+            let accepted = accept_q.accept(at, origin);
+            if accept_q.origin_is_invalid(origin) {
+                footprint.borrow_mut().note(at, accepted);
+            }
+            accepted
+        },
+        &mut Workspace::new(),
+    );
+    let got: Vec<u32> = footprint
+        .borrow()
+        .decisions()
+        .map(|(at, accepted)| (at as u32) << 1 | u32::from(accepted))
+        .collect();
+    assert_eq!(got, FOOTPRINT_400);
 }

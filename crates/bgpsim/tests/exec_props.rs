@@ -16,7 +16,12 @@
 //!   threshold pass is bit-identical to fresh `policies()` draws;
 //! * the **parallel backend** is bit-identical to the sequential one
 //!   (the `RAYON_NUM_THREADS` sweep lives in `tests/thread_sweep.rs`,
-//!   which may mutate the environment safely).
+//!   which may mutate the environment safely);
+//! * the **ROA axis inside a trial group**: a group is one `(topology,
+//!   trial)` and shares one victim-only baseline across every ROA
+//!   configuration, so reordering or repeating ROAs moves no cell,
+//!   [`ExecStats::baselines`] counts one propagation per group that
+//!   looked, and every backend reports the same counters.
 
 use proptest::prelude::*;
 
@@ -26,7 +31,8 @@ use bgpsim::strategy::{MaxLengthGapProber, PathForgery, RouteLeak};
 use bgpsim::topology::{Topology, TopologyConfig};
 use bgpsim::{
     Accumulator, AttackKind, AttackerStrategy, CellAccumulator, CellStats, DeploymentModel,
-    DestinationSampler, Executor, FractionAccumulator, PlanCursor,
+    DestinationSampler, ExecStats, Executor, FractionAccumulator, InternetConfig, PlanCursor,
+    ScenarioMatrix, TopologyFamily,
 };
 
 /// The strategy menu plans draw from (index-encoded for proptest).
@@ -244,6 +250,226 @@ proptest! {
             prop_assert_eq!(sweep.points[i], (fraction, cell.mean_interception));
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The ROA axis lives inside a trial group, where the configurations
+    /// share one baseline: a cell must not notice which ROAs ran before
+    /// it in the group, nor how often. Permuting and duplicating
+    /// `plan.roas` leaves every `(strategy, deployment, RoaConfig)`
+    /// cell's encoded accumulator identical.
+    #[test]
+    fn roa_axis_order_and_duplicates_leave_every_cell_unchanged(
+        shape in arb_shape(),
+        picks in proptest::collection::vec(any::<prop::sample::Index>(), 1..7),
+    ) {
+        let topology = topology_for(&shape);
+        let strategies: Vec<Box<dyn AttackerStrategy>> =
+            shape.strategies.iter().map(|&i| strategy_at(i)).collect();
+        let plan = build_plan(&shape, &topology, &strategies);
+        // Every original ROA at least once (rotated), then random repeats.
+        let mut shuffled = shape.clone();
+        shuffled.roas.rotate_left(picks[0].index(shape.roas.len()));
+        shuffled.roas.extend(picks.iter().map(|pick| shape.roas[pick.index(shape.roas.len())]));
+        let shuffled_plan = build_plan(&shuffled, &topology, &strategies);
+
+        let encoded = |acc: &CellAccumulator| {
+            let mut text = String::new();
+            acc.encode(&mut text);
+            text
+        };
+        let original: Vec<CellAccumulator> = Executor::sequential().run(&plan);
+        let permuted: Vec<CellAccumulator> = Executor::sequential().run(&shuffled_plan);
+        for (cell, acc) in permuted.iter().enumerate() {
+            let (ti, si, di, ri) = shuffled_plan.cell_axes(cell);
+            let roa = shuffled_plan.roas[ri];
+            let home = shape.roas.iter().position(|&r| r == roa).expect("drawn from the original");
+            prop_assert_eq!(
+                encoded(acc),
+                encoded(&original[plan.cell_index(ti, si, di, home)]),
+                "cell {} ({:?}) of {:?}",
+                cell,
+                roa,
+                shuffled.roas
+            );
+        }
+    }
+
+    /// One baseline per `(topology, trial)` — however many ROAs,
+    /// strategies and deployments observe it — and none at all when no
+    /// strategy on the axis looks (same-prefix plans never do).
+    #[test]
+    fn baselines_are_one_per_group_and_lazy(shape in arb_shape(), observer in 0usize..2) {
+        let topology = topology_for(&shape);
+        let mut strategies: Vec<Box<dyn AttackerStrategy>> =
+            shape.strategies.iter().map(|&i| strategy_at(i)).collect();
+        strategies.push(match observer {
+            0 => Box::new(RouteLeak),
+            _ => Box::new(AttackKind::ForgedOriginSubprefixHijack),
+        });
+        let plan = build_plan(&shape, &topology, &strategies);
+        let (_, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
+        prop_assert_eq!(stats.baselines, plan.topologies.len() * plan.trials, "{:?}", shape);
+
+        let blind: Vec<Box<dyn AttackerStrategy>> = vec![
+            Box::new(AttackKind::ForgedOriginPrefixHijack),
+            Box::new(PathForgery::prepended(2)),
+        ];
+        let blind_plan = build_plan(&shape, &topology, &blind);
+        let (_, stats) = Executor::parallel().run_with_stats::<CellAccumulator>(&blind_plan);
+        prop_assert_eq!(stats.baselines, 0, "{:?}", shape);
+    }
+
+    /// Sequential == parallel == checkpointed at every chunk size (the
+    /// cursor through its text form at every step) — on the accumulators
+    /// and on every counter of `ExecStats`, `baselines` included.
+    #[test]
+    fn stats_are_identical_across_backends_and_chunkings(shape in arb_shape()) {
+        let topology = topology_for(&shape);
+        let strategies: Vec<Box<dyn AttackerStrategy>> =
+            shape.strategies.iter().map(|&i| strategy_at(i)).collect();
+        let plan = build_plan(&shape, &topology, &strategies);
+
+        let (seq, seq_stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
+        let (par, par_stats) = Executor::parallel().run_with_stats::<CellAccumulator>(&plan);
+        prop_assert_eq!(&seq, &par);
+        prop_assert_eq!(seq_stats, par_stats);
+        prop_assert!(seq_stats.baselines <= plan.topologies.len() * plan.trials);
+
+        let session = Executor::sequential().session(&plan);
+        for chunk in 1..=plan.item_count() + 1 {
+            let mut cursor = plan.cursor::<CellAccumulator>();
+            while !session.run_until(&mut cursor, chunk) {
+                cursor = PlanCursor::decode(&cursor.encode()).expect("cursor round-trip");
+            }
+            prop_assert_eq!(session.cursor_stats(&cursor), seq_stats, "chunk {}", chunk);
+            prop_assert_eq!(cursor.accumulators(), &seq[..], "chunk {}", chunk);
+        }
+    }
+}
+
+/// A version-1 cursor counted `(topology, ROA, trial)` groups; resuming
+/// one against `(topology, trial)` groups would skip or repeat trials,
+/// so `decode` refuses it by its magic.
+#[test]
+fn cursor_decode_refuses_a_v1_line() {
+    let topology = Topology::generate(TopologyConfig {
+        n: 80,
+        tier1: 3,
+        ..TopologyConfig::default()
+    });
+    let strategy = AttackKind::SubprefixHijack;
+    let plan = TrialPlan::new(
+        vec![PlanTopology {
+            label: "n=80".into(),
+            topology: &topology,
+        }],
+        vec![&strategy],
+        vec![DeploymentModel::Uniform { p: 0.5 }],
+        RoaConfig::ALL.to_vec(),
+        2,
+        7,
+    );
+    let v2 = plan.cursor::<CellAccumulator>().encode();
+    assert!(v2.starts_with("maxlength-cursor-v2 "), "{v2}");
+    assert!(PlanCursor::<CellAccumulator>::decode(&v2).is_some());
+    // The same cursor as PR 19 wrote it: four counters after the magic.
+    let cells = v2
+        .splitn(8, ' ')
+        .nth(7)
+        .expect("accumulators follow the counters");
+    let v1 = format!("maxlength-cursor-v1 0 6 0 0 {cells}");
+    assert!(PlanCursor::<CellAccumulator>::decode(&v1).is_none());
+    // Nor does a new magic on the old layout parse: the counters differ.
+    assert!(PlanCursor::<CellAccumulator>::decode(&v1.replace("-v1", "-v2")).is_none());
+}
+
+/// The counts named for the two benchmark plans at seed 2017, built here
+/// as `benchmark/src/workloads/grid.rs` builds them: 192 and 500 victim-
+/// only baselines (384 and 1,500 were propagated, uncounted, when groups
+/// were per-ROA), every older counter where it was, sequential and
+/// parallel alike. Release-scale — an 80,000-AS topology — so opt-in:
+/// `cargo test --release -p bgpsim --test exec_props -- --ignored`.
+#[test]
+#[ignore = "release-scale: two full benchmark plans, ~20 s optimised"]
+fn benchmark_plans_run_one_baseline_per_topology_and_trial() {
+    let seed = 2017;
+    let expect = |plan: &TrialPlan<'_>, want: ExecStats| {
+        let (seq, seq_stats) = Executor::sequential().run_with_stats::<CellAccumulator>(plan);
+        let (par, par_stats) = Executor::parallel().run_with_stats::<CellAccumulator>(plan);
+        assert_eq!(seq_stats, want);
+        assert_eq!(par_stats, want);
+        assert_eq!(seq, par);
+    };
+
+    // internet_trials
+    let internet = Topology::generate_internet(InternetConfig {
+        n: 80_000,
+        seed,
+        ..InternetConfig::default()
+    });
+    let (hijack, leak) = (AttackKind::ForgedOriginSubprefixHijack, RouteLeak);
+    let plan = TrialPlan::new(
+        vec![PlanTopology {
+            label: "internet n=80000".into(),
+            topology: &internet,
+        }],
+        vec![&hijack as &dyn AttackerStrategy, &leak],
+        vec![DeploymentModel::Uniform { p: 0.75 }],
+        vec![RoaConfig::NonMinimalMaxLen, RoaConfig::Minimal],
+        192,
+        seed,
+    )
+    .with_destination_sampler(&DestinationSampler { count: 192, seed });
+    expect(
+        &plan,
+        ExecStats {
+            items: 768,
+            compilations: 1,
+            executed: 768,
+            footprint_checks: 0,
+            cells_replayed: 0,
+            cells_repropagated: 0,
+            baselines: 192,
+        },
+    );
+
+    // attack_grid
+    let matrix = ScenarioMatrix {
+        topologies: TopologyFamily::standard(10_000)
+            .into_iter()
+            .map(|family| {
+                TopologyFamily::new(TopologyConfig {
+                    seed,
+                    ..family.config
+                })
+            })
+            .collect(),
+        strategies: ScenarioMatrix::standard_strategies(),
+        deployments: DeploymentModel::standard(),
+        roas: RoaConfig::ALL.to_vec(),
+        trials: 250,
+        seed,
+    };
+    let topologies: Vec<Topology> = matrix
+        .topologies
+        .iter()
+        .map(|family| Topology::generate(family.config))
+        .collect();
+    expect(
+        &matrix.plan(&topologies),
+        ExecStats {
+            items: 36_000,
+            compilations: 8,
+            executed: 9_762,
+            footprint_checks: 27_000,
+            cells_replayed: 26_238,
+            cells_repropagated: 762,
+            baselines: 500,
+        },
+    );
 }
 
 proptest! {

@@ -74,8 +74,10 @@ fn executor_accumulators_are_thread_count_invariant() {
     };
 
     let (cells, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
+    // One victim-only baseline per trial, whoever claims the trial.
+    assert_eq!(stats.baselines, plan.trials);
     let experiment_reference = experiment.run();
-    for threads in ["1", "2", "4", "9"] {
+    for threads in ["1", "2", "4", "7", "9"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         let (par_cells, par_stats) = Executor::parallel().run_with_stats::<CellAccumulator>(&plan);
         assert_eq!(par_cells, cells, "cells moved at {threads} threads");

@@ -46,3 +46,76 @@ fn matrix_small_report_matches_golden_fixture() {
          MAXLENGTH_BLESS=1 cargo test --test matrix_golden"
     );
 }
+
+/// The executor under the matrix, pinned directly: one fixed plan — two
+/// ROA configurations × {forged-origin subprefix hijack, route leak} ×
+/// two deployments on 400 ASes — with what the run did ([`ExecStats`])
+/// and every cell's accumulator, exactly as [`Accumulator::encode`]
+/// writes it (counts, then float bit patterns). The cells and every
+/// counter but `baselines` are the values of the executor whose trial
+/// groups were per-ROA; `baselines` is one victim-only propagation per
+/// trial, shared by both ROA configurations — two per trial ran,
+/// uncounted, before.
+#[test]
+fn executor_stats_and_cells_match_pinned_values() {
+    use maxlength_rpki::bgpsim::{
+        Accumulator, AttackKind, AttackerStrategy, CellAccumulator, DeploymentModel, ExecStats,
+        Executor, PlanTopology, RoaConfig, RouteLeak, Topology, TopologyConfig, TrialPlan,
+    };
+    let topology = Topology::generate(TopologyConfig {
+        n: 400,
+        tier1: 6,
+        ..TopologyConfig::default()
+    });
+    let (hijack, leak) = (AttackKind::ForgedOriginSubprefixHijack, RouteLeak);
+    let plan = TrialPlan::new(
+        vec![PlanTopology {
+            label: "n=400".into(),
+            topology: &topology,
+        }],
+        vec![&hijack as &dyn AttackerStrategy, &leak],
+        vec![
+            DeploymentModel::Uniform { p: 0.75 },
+            DeploymentModel::StubsOnly { p: 1.0 },
+        ],
+        vec![RoaConfig::NonMinimalMaxLen, RoaConfig::Minimal],
+        6,
+        2017,
+    );
+    let (cells, stats) = Executor::parallel().run_with_stats::<CellAccumulator>(&plan);
+    let encoded: Vec<String> = cells
+        .iter()
+        .map(|cell| {
+            let mut text = String::new();
+            cell.encode(&mut text);
+            text
+        })
+        .collect();
+    assert_eq!(
+        stats,
+        ExecStats {
+            items: 48,
+            compilations: 2,
+            executed: 25,
+            footprint_checks: 24,
+            cells_replayed: 23,
+            cells_repropagated: 1,
+            baselines: plan.trials,
+        }
+    );
+    // Cell order: strategy, then deployment, then ROA (fastest).
+    let leak_cell = "6:6:3fe46c0f6feb6ac6:3f949539e3b2d067:3fd4be64577a3608:0";
+    assert_eq!(
+        encoded,
+        [
+            "6:6:4018000000000000:3ff0000000000000:3ff0000000000000:0",
+            "6:6:3f89ba885c9f8481:0:3f89ba885c9f8481:0",
+            "6:6:4018000000000000:3ff0000000000000:3ff0000000000000:0",
+            "6:6:0:0:0:0",
+            leak_cell,
+            leak_cell,
+            leak_cell,
+            leak_cell,
+        ]
+    );
+}
