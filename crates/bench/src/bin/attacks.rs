@@ -3,18 +3,15 @@
 //! under full and partial route-origin-validation adoption.
 //!
 //! Knobs: `MAXLENGTH_TOPOLOGY` (topology size), `MAXLENGTH_TRIALS`
-//! (attacker/victim pairs per cell), `MAXLENGTH_BENCH_JSON` (append
-//! machine-readable timing records), `MAXLENGTH_TOPO_N` (AS count for
-//! the internet-scale memory diagnostic printed at startup).
+//! (attacker/victim pairs per cell).
 
 use bgpsim::experiment::AttackExperiment;
 use bgpsim::topology::TopologyConfig;
-use rpki_bench::harness::{print_memory_diagnostics, record_bench_json, usize_from_env};
+use rpki_bench::harness::usize_from_env;
 
 fn main() {
     let n = usize_from_env("MAXLENGTH_TOPOLOGY", 2000);
     let trials = usize_from_env("MAXLENGTH_TRIALS", 30);
-    print_memory_diagnostics();
 
     for rov_fraction in [1.0, 0.5] {
         let t0 = std::time::Instant::now();
@@ -29,11 +26,6 @@ fn main() {
             seed: 99,
         }
         .run_par_with_stats();
-        record_bench_json(
-            &format!("attacks/experiment/rov-{rov_fraction}"),
-            n as f64,
-            t0.elapsed().as_nanos() as f64,
-        );
         eprintln!(
             "topology n={n}, {trials} attacker/victim samples, ROV adoption {:.0}% ({:.1?})",
             rov_fraction * 100.0,
@@ -62,7 +54,6 @@ fn main() {
         seed: 99,
     };
     let fractions = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let t0 = std::time::Instant::now();
     // One executor plan per sweep: the topology is generated once, the
     // uniform adopter draws share one threshold pass, and sweep points
     // whose trials are RPKI-transparent are replayed, not re-propagated.
@@ -75,11 +66,6 @@ fn main() {
         bgpsim::AttackKind::ForgedOriginSubprefixHijack,
         bgpsim::experiment::RoaConfig::NonMinimalMaxLen,
         &fractions,
-    );
-    record_bench_json(
-        "attacks/adoption-sweep/pair",
-        n as f64,
-        t0.elapsed().as_nanos() as f64,
     );
     println!(
         "

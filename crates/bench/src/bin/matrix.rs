@@ -13,23 +13,19 @@
 //! `MAXLENGTH_TRIALS` (attacker/victim pairs per cell),
 //! `MAXLENGTH_SCALE` (world scale for the census weighting),
 //! `RAYON_NUM_THREADS` (worker threads), `MAXLENGTH_CSV` (write
-//! `matrix.csv` + `risk.csv`), `MAXLENGTH_BENCH_JSON` (append
-//! machine-readable timing records), `MAXLENGTH_TOPO_N` (AS count for
-//! the internet-scale memory diagnostic printed at startup).
+//! `matrix.csv` + `risk.csv`).
 
 use bgpsim::ScenarioMatrix;
 use maxlength_core::report::{matrix_csv, risk_csv};
 use maxlength_core::vulnerability::{assess_risk, MaxLengthCensus};
 use rpki_bench::harness::{
-    final_snapshot, print_memory_diagnostics, record_bench_json, scale_from_env, threads_from_env,
-    usize_from_env, world,
+    final_snapshot, scale_from_env, threads_from_env, usize_from_env, world,
 };
 
 fn main() {
     let n = usize_from_env("MAXLENGTH_TOPOLOGY", 2000);
     let trials = usize_from_env("MAXLENGTH_TRIALS", 30);
     let threads = threads_from_env();
-    print_memory_diagnostics();
 
     let matrix = ScenarioMatrix {
         topologies: bgpsim::TopologyFamily::standard(n),
@@ -64,21 +60,14 @@ fn main() {
         "speculation: {} footprint checks, {} re-propagated",
         stats.footprint_checks, stats.cells_repropagated,
     );
-    record_bench_json(
-        "matrix/grid/run_par",
-        matrix.cell_count() as f64,
-        par.as_nanos() as f64,
-    );
 
     // The census weighting: what the generated world's actual ROAs imply.
     let scale = scale_from_env();
     let world = world(scale);
     let (_, vrps, bgp) = final_snapshot(&world);
     let census = MaxLengthCensus::analyze_par(&vrps, &bgp);
-    let t1 = std::time::Instant::now();
     let risk = assess_risk(&census, &report);
     println!("{}", risk.render());
-    record_bench_json("matrix/risk/assess", scale, t1.elapsed().as_nanos() as f64);
 
     if std::env::var_os("MAXLENGTH_CSV").is_some() {
         std::fs::write("matrix.csv", matrix_csv(&report)).expect("write matrix.csv");

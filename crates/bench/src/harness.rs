@@ -93,80 +93,6 @@ pub fn usize_from_env(var: &str, default: usize) -> usize {
     }
 }
 
-/// The internet-scale topology size: `MAXLENGTH_TOPO_N` if set to a
-/// positive integer (whitespace trimmed, one warning on garbage), else
-/// 80,000 — the real AS-level internet's order of magnitude. Shared by
-/// the `topology` bench and the harness bins so every internet-scale
-/// path sizes its graph identically.
-pub fn topo_n_from_env() -> usize {
-    usize_from_env("MAXLENGTH_TOPO_N", 80_000)
-}
-
-/// Prints the internet-scale memory footprint to stderr: the CSR graph
-/// and the per-thread propagation scratch at [`topo_n_from_env`] ASes,
-/// measured after one full accept-all propagation (so the bucket queue
-/// is grown to its working size). Called by the `matrix` and `attacks`
-/// bins so a memory regression shows up in every harness run, without
-/// a profiler.
-pub fn print_memory_diagnostics() {
-    use bgpsim::routing::Seed;
-    use bgpsim::topology::{InternetConfig, Topology};
-    use bgpsim::{PropagationEngine, Workspace};
-
-    let n = topo_n_from_env();
-    let topology = Topology::generate_internet(InternetConfig {
-        n,
-        ..InternetConfig::default()
-    });
-    let victim = topology.stubs()[0];
-    let mut ws = Workspace::new();
-    let _ = PropagationEngine::new(&topology).propagate(
-        &[Seed::origin(victim, topology.asn(victim))],
-        &|_: usize, _| true,
-        &mut ws,
-    );
-    eprintln!(
-        "memory: internet n={n} ({} links) topology_bytes={} workspace_bytes={} \
-         ({:.1} B/AS scratch per thread)",
-        topology.link_count(),
-        topology.memory_bytes(),
-        ws.memory_bytes(),
-        ws.memory_bytes() as f64 / n as f64,
-    );
-}
-
-/// Appends one machine-readable benchmark record to the file named by
-/// the `MAXLENGTH_BENCH_JSON` environment variable, as a JSON line
-/// `{"bench": ..., "scale": ..., "ns_per_iter": ...}` — the perf paper
-/// trail PRs attach as `BENCH_*.json`. A no-op when the variable is
-/// unset or empty; warns (without failing the bench) when the file
-/// cannot be opened.
-pub fn record_bench_json(bench: &str, scale: f64, ns_per_iter: f64) {
-    let Ok(path) = std::env::var("MAXLENGTH_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    use std::io::Write;
-    match std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        Ok(mut file) => {
-            let escaped = bench.replace('\\', "\\\\").replace('"', "\\\"");
-            let _ = writeln!(
-                file,
-                "{{\"bench\":\"{escaped}\",\"scale\":{scale},\"ns_per_iter\":{ns_per_iter}}}"
-            );
-        }
-        Err(err) => {
-            eprintln!("warning: cannot append to MAXLENGTH_BENCH_JSON={path:?}: {err}");
-        }
-    }
-}
-
 /// Generates the world at the requested scale.
 pub fn world(scale: f64) -> World {
     World::generate(GeneratorConfig {
@@ -234,33 +160,5 @@ mod tests {
             );
         }
         std::env::remove_var("MAXLENGTH_EPOCHS");
-
-        std::env::remove_var("MAXLENGTH_TOPO_N");
-        assert_eq!(super::topo_n_from_env(), 80_000);
-        std::env::set_var("MAXLENGTH_TOPO_N", " 4000 ");
-        assert_eq!(super::topo_n_from_env(), 4000);
-        std::env::set_var("MAXLENGTH_TOPO_N", "eighty-thousand");
-        assert_eq!(super::topo_n_from_env(), 80_000); // warns, falls back
-        std::env::remove_var("MAXLENGTH_TOPO_N");
-
-        // MAXLENGTH_BENCH_JSON: unset is a no-op, set appends JSON lines.
-        std::env::remove_var("MAXLENGTH_BENCH_JSON");
-        super::record_bench_json("noop", 1.0, 10.0); // must not create anything
-        let dir = std::env::temp_dir().join(format!("bench_json_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("records.json");
-        std::env::set_var("MAXLENGTH_BENCH_JSON", &path);
-        super::record_bench_json("propagation/engine", 1000.0, 123.5);
-        super::record_bench_json("odd \"name\"", 0.05, 7.0);
-        std::env::remove_var("MAXLENGTH_BENCH_JSON");
-        let written = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = written.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"bench\":\"propagation/engine\",\"scale\":1000,\"ns_per_iter\":123.5}"
-        );
-        assert!(lines[1].contains("odd \\\"name\\\""));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

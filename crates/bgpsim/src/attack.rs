@@ -138,23 +138,14 @@ pub struct ForgedOriginTrial<'a> {
 /// for an address inside `target` then follows each AS's longest matching
 /// prefix among `target` and every covering victim announcement.
 ///
-/// Compiles `trial.policies` on the fly; loops that hold one policy
-/// vector fixed across many trials should compile once
-/// ([`CompiledPolicies::compile`]) and call
-/// [`run_forged_origin_trial_compiled`].
-pub fn run_forged_origin_trial(trial: &ForgedOriginTrial<'_>) -> AttackOutcome {
-    run_forged_origin_trial_compiled(trial, &CompiledPolicies::compile(trial.policies))
-}
-
-/// [`run_forged_origin_trial`] with the deployment's policy vector
-/// already compiled to its adopter bitset — the form batch callers use,
-/// so the O(n) policy scan happens once per deployment instead of once
-/// per trial.
+/// `compiled` is `trial.policies` compiled to its adopter bitset
+/// ([`CompiledPolicies::compile`]), so a loop that holds one deployment
+/// fixed across many trials scans the policy vector once, not per trial.
 ///
 /// # Panics
 ///
-/// As [`run_forged_origin_trial`], plus if `compiled` covers a different
-/// number of ASes than `trial.policies`.
+/// Panics if attacker and victim coincide, or if `trial.policies` or
+/// `compiled` covers a different number of ASes than the topology.
 pub fn run_forged_origin_trial_compiled(
     trial: &ForgedOriginTrial<'_>,
     compiled: &CompiledPolicies,
@@ -427,6 +418,10 @@ mod trial_tests {
         (t.clone(), stubs[0], stubs[stubs.len() / 2], policies)
     }
 
+    fn run_trial(trial: &ForgedOriginTrial<'_>) -> AttackOutcome {
+        run_forged_origin_trial_compiled(trial, &CompiledPolicies::compile(trial.policies))
+    }
+
     #[test]
     fn trial_matches_simple_runner_on_single_prefix_victim() {
         let (t, victim, attacker, policies) = setup();
@@ -446,7 +441,7 @@ mod trial_tests {
                 policies: &policies,
             },
         );
-        let multi = run_forged_origin_trial(&ForgedOriginTrial {
+        let multi = run_trial(&ForgedOriginTrial {
             topology: &t,
             victim,
             attacker,
@@ -473,7 +468,7 @@ mod trial_tests {
         let vrps: VrpIndex = [Vrp::new(roa_parent, 24, t.asn(victim))]
             .into_iter()
             .collect();
-        let outcome = run_forged_origin_trial(&ForgedOriginTrial {
+        let outcome = run_trial(&ForgedOriginTrial {
             topology: &t,
             victim,
             attacker,
@@ -496,7 +491,7 @@ mod trial_tests {
         let right: Prefix = "10.0.128.0/17".parse().unwrap();
         let announced = vec![parent, left, right];
         let vrps: VrpIndex = [Vrp::new(parent, 17, t.asn(victim))].into_iter().collect();
-        let outcome = run_forged_origin_trial(&ForgedOriginTrial {
+        let outcome = run_trial(&ForgedOriginTrial {
             topology: &t,
             victim,
             attacker,
@@ -515,7 +510,7 @@ mod trial_tests {
         let (t, victim, attacker, policies) = setup();
         let p: Prefix = "168.122.0.0/16".parse().unwrap();
         let vrps: VrpIndex = [Vrp::exact(p, t.asn(victim))].into_iter().collect();
-        let outcome = run_forged_origin_trial(&ForgedOriginTrial {
+        let outcome = run_trial(&ForgedOriginTrial {
             topology: &t,
             victim,
             attacker,

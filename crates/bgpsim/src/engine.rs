@@ -1,12 +1,14 @@
-//! The flat-graph propagation engine: the zero-allocation production
-//! path behind [`crate::routing::propagate`].
+//! The flat-graph propagation engine: the zero-allocation path behind
+//! [`crate::routing::propagate`], and the only propagation the crate
+//! ships.
 //!
 //! Every number the reproduction reports is a mean over thousands of
 //! propagation calls, so per-call cost is the scaling bottleneck. The
-//! reference implementation ([`crate::routing::propagate_reference`])
-//! pays for generality on every edge relaxation: heap allocations per
-//! call, `&dyn Fn` import-filter dispatch, and relationship branching
-//! over mixed adjacency lists. The engine removes all three:
+//! heap-based implementation the engine replaced (now the test oracle in
+//! `tests/support/reference.rs`) pays for generality on every edge
+//! relaxation: heap allocations per call, `&dyn Fn` import-filter
+//! dispatch, and relationship branching over mixed adjacency lists. The
+//! engine removes all three:
 //!
 //! 1. **CSR phase slices** — the [`Topology`] stores each AS's neighbors
 //!    partitioned into contiguous customer/peer/provider ranges, so the
@@ -37,15 +39,18 @@
 //!
 //! # Bit-identical contract
 //!
-//! On every input the engine produces the same [`Propagation`] as
-//! [`crate::routing::propagate_reference`] — same routes, same
-//! deterministic tie-breaks, same `next_hop` choices. The reference
-//! pops a `BinaryHeap` ordered by `(path_len, claimed_origin,
-//! delivers_to, as_index)`; the engine buckets entries by `path_len`
-//! and drains each bucket in ascending AS-index order, which settles
-//! the same routes (see [`Workspace::push`] for the argument). The
-//! contract is pinned by the `engine_props` differential proptests and
-//! the golden fixtures.
+//! On every input it takes, the engine produces the same
+//! [`Propagation`] as the reference — same routes, same deterministic
+//! tie-breaks, same `next_hop` choices. The reference pops a
+//! `BinaryHeap` ordered by `(path_len, claimed_origin, delivers_to,
+//! as_index)`; the engine buckets entries by `path_len` and drains each
+//! bucket in ascending AS-index order, which settles the same routes
+//! (see [`Workspace::push`] for the argument). The contract is pinned by
+//! the `engine_props` differential proptests and the golden fixtures.
+//!
+//! The engine does not take every input: a seed claiming a path longer
+//! than [`PropagationEngine::max_seed_len`] is refused with a panic, not
+//! handed to a second implementation.
 
 use std::cell::RefCell;
 
@@ -54,19 +59,16 @@ use rpki_roa::{Asn, RouteOrigin};
 use rpki_rov::{RovPolicy, VrpIndex};
 
 use crate::attack::AttackOutcome;
-use crate::routing::{propagate_reference, Propagation, RouteClass, RouteInfo, Seed};
+use crate::routing::{Propagation, RouteClass, RouteInfo, Seed};
 use crate::topology::Topology;
 
-/// Seeds with claimed path lengths beyond `DENSE_SLACK * (n + 2)` fall
-/// back to the reference implementation rather than sizing the dense
-/// bucket array after an adversarial `path_len` (every shipped strategy
-/// stays far below this).
-const DENSE_SLACK: usize = 4;
+/// Seeds may claim paths up to `DENSE_SLACK * (n + 2)` long: the dense
+/// bucket array is never sized after an adversarial `path_len` (every
+/// shipped strategy stays far below this).
+const DENSE_SLACK: u64 = 4;
 
-/// `path_len` bits in a [`PackedRoute`]. Propagations whose lengths
-/// could exceed this fall back to the reference implementation (the
-/// [`DENSE_SLACK`] guard already triggers first for every topology the
-/// CSR can represent).
+/// `path_len` bits in a [`PackedRoute`]: the second cap on seed lengths
+/// (the [`DENSE_SLACK`] one is lower for every topology under 2²⁷ ASes).
 const PATH_LEN_BITS: u32 = 30;
 
 /// The `next_hop` sentinel for "entered the graph here". Safe because
@@ -78,7 +80,7 @@ const NO_HOP: u32 = u32::MAX;
 ///
 /// ```text
 /// bits 126..128  route class        (preference order, 2 bits)
-/// bits  96..126  path_len           (< 2^30, guarded by the fallback)
+/// bits  96..126  path_len           (< 2^30, see `max_seed_len`)
 /// bits  64..96   claimed origin ASN
 /// bits  32..64   delivers_to        (AS index)
 /// bits   0..32   next_hop           (AS index; u32::MAX = none)
@@ -646,10 +648,23 @@ impl<'t> PropagationEngine<'t> {
         PropagationEngine { topology }
     }
 
+    /// The longest [`Seed::path_len`] the engine takes on this topology
+    /// (`n` ASes): `4 * (n + 2)`, which bounds the bucket queue, capped
+    /// so the longest settled path — at most `n + 1` hops past its seed
+    /// — still fits the packed 30-bit length field.
+    pub fn max_seed_len(&self) -> u32 {
+        let n = self.topology.len() as u64;
+        let packed = ((1u64 << PATH_LEN_BITS) - 1).saturating_sub(n + 2);
+        (DENSE_SLACK * (n + 2)).min(packed) as u32
+    }
+
     /// Propagates `seeds` under the `accept` import filter, reusing
-    /// `ws`'s scratch. Bit-identical to
-    /// [`propagate_reference`]; the returned route
-    /// vector is the only allocation in steady state.
+    /// `ws`'s scratch. The returned route vector is the only allocation
+    /// in steady state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seed's `path_len` exceeds [`Self::max_seed_len`].
     pub fn propagate<F>(&self, seeds: &[Seed], accept: &F, ws: &mut Workspace) -> Propagation
     where
         F: Fn(usize, Asn) -> bool + ?Sized,
@@ -669,9 +684,7 @@ impl<'t> PropagationEngine<'t> {
     where
         F: Fn(usize, Asn) -> bool + ?Sized,
     {
-        if let Some(fallback) = self.run(seeds, accept, ws) {
-            return fallback;
-        }
+        self.run(seeds, accept, ws);
         routes.clear();
         routes.extend((0..self.topology.len()).map(|at| ws.route(at)));
         Propagation::from_routes(routes)
@@ -684,6 +697,10 @@ impl<'t> PropagationEngine<'t> {
     /// table fall back to their route in `fallback` (the less-specific
     /// table of a longest-prefix-match data plane), if given.
     /// `attacker` and `victim` themselves are excluded from the count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seed's `path_len` exceeds [`Self::max_seed_len`].
     pub fn propagate_outcome<F>(
         &self,
         seeds: &[Seed],
@@ -696,46 +713,42 @@ impl<'t> PropagationEngine<'t> {
     where
         F: Fn(usize, Asn) -> bool + ?Sized,
     {
-        if let Some(materialized) = self.run(seeds, accept, ws) {
-            return tally(
-                |at| materialized.routes()[at],
-                fallback,
-                attacker,
-                victim,
-                self.topology.len(),
-            );
+        self.run(seeds, accept, ws);
+        let mut outcome = AttackOutcome {
+            intercepted: 0,
+            legitimate: 0,
+            disconnected: 0,
+        };
+        for at in 0..self.topology.len() {
+            if at == attacker || at == victim {
+                continue;
+            }
+            let chosen = ws
+                .route(at)
+                .or_else(|| fallback.and_then(|p| p.routes()[at]));
+            match chosen {
+                Some(info) if info.delivers_to == attacker => outcome.intercepted += 1,
+                Some(_) => outcome.legitimate += 1,
+                None => outcome.disconnected += 1,
+            }
         }
-        tally(
-            |at| ws.route(at),
-            fallback,
-            attacker,
-            victim,
-            self.topology.len(),
-        )
+        outcome
     }
 
-    /// Runs the three phases into `ws`. Returns `Some(propagation)` only
-    /// on the adversarial-path-length fallback to the reference
-    /// implementation; otherwise the result lives in `ws`'s bitsets and
-    /// route array.
-    fn run<F>(&self, seeds: &[Seed], accept: &F, ws: &mut Workspace) -> Option<Propagation>
+    /// Runs the three phases into `ws`: the result lives in its bitsets
+    /// and route array.
+    fn run<F>(&self, seeds: &[Seed], accept: &F, ws: &mut Workspace)
     where
         F: Fn(usize, Asn) -> bool + ?Sized,
     {
         let t = self.topology;
         let n = t.len();
-        let max_seed_len = seeds.iter().map(|s| s.path_len).max().unwrap_or(0) as u64;
-        // Fall back on adversarial seed lengths: either the dense bucket
-        // array would be sized after the claimed length, or the longest
-        // settled path (≤ max_seed_len + n + 1) would not fit the packed
-        // 30-bit `path_len` field.
-        if max_seed_len > (DENSE_SLACK * (n + 2)) as u64
-            || max_seed_len + n as u64 + 2 >= 1 << PATH_LEN_BITS
-        {
-            return Some(propagate_reference(t, seeds, &|at, origin| {
-                accept(at, origin)
-            }));
-        }
+        let longest = seeds.iter().map(|s| s.path_len).max().unwrap_or(0);
+        assert!(
+            longest <= self.max_seed_len(),
+            "seed path length {longest} exceeds the engine's bound {}",
+            self.max_seed_len()
+        );
         ws.begin(n);
 
         // --- Phase 1: origins and customer-learned routes (travel upward
@@ -813,7 +826,6 @@ impl<'t> PropagationEngine<'t> {
         ws.drain(|ws, at, info| {
             self.offer(info, at, t.customers(at), RouteClass::Provider, accept, ws)
         });
-        None
     }
 
     /// Offers `from`'s route to `neighbors`, who would hold it as a
@@ -852,38 +864,9 @@ impl<'t> PropagationEngine<'t> {
     }
 }
 
-/// Counts where every AS's traffic lands: `primary` is the
-/// longest-matching table, `fallback` the covering one.
-fn tally(
-    primary: impl Fn(usize) -> Option<RouteInfo>,
-    fallback: Option<&Propagation>,
-    attacker: usize,
-    victim: usize,
-    n: usize,
-) -> AttackOutcome {
-    let mut outcome = AttackOutcome {
-        intercepted: 0,
-        legitimate: 0,
-        disconnected: 0,
-    };
-    for at in 0..n {
-        if at == attacker || at == victim {
-            continue;
-        }
-        let chosen = primary(at).or_else(|| fallback.and_then(|p| p.routes()[at]));
-        match chosen {
-            Some(info) if info.delivers_to == attacker => outcome.intercepted += 1,
-            Some(_) => outcome.legitimate += 1,
-            None => outcome.disconnected += 1,
-        }
-    }
-    outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::propagate_reference;
     use crate::topology::TopologyConfig;
 
     fn topo(n: usize) -> Topology {
@@ -938,7 +921,7 @@ mod tests {
                 Seed::forged(stubs[trial + 7], t.asn(stubs[trial])),
                 Seed {
                     at: stubs[trial + 9],
-                    path_len: (DENSE_SLACK * (t.len() + 2)) as u32,
+                    path_len: engine.max_seed_len(),
                     claimed_origin: t.asn(stubs[trial]),
                 },
             ];
@@ -948,36 +931,6 @@ mod tests {
             assert!(ws.drain_set.iter().all(|&w| w == 0), "trial {trial}");
             assert_eq!(ws.drain_set.len(), t.len().div_ceil(64));
         }
-    }
-
-    #[test]
-    fn workspace_survives_topology_size_changes() {
-        let mut ws = Workspace::new();
-        for n in [60, 200, 60, 140] {
-            let t = topo(n);
-            let stub = t.stubs()[0];
-            let seeds = [Seed::origin(stub, t.asn(stub))];
-            let engine = PropagationEngine::new(&t);
-            let got = engine.propagate(&seeds, &accept_all, &mut ws);
-            let reference = propagate_reference(&t, &seeds, &accept_all);
-            assert_eq!(got.routes(), reference.routes(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn adversarial_seed_length_falls_back_to_reference() {
-        let t = topo(60);
-        let stubs = t.stubs();
-        let huge = Seed {
-            at: stubs[0],
-            path_len: u32::MAX - 2,
-            claimed_origin: t.asn(stubs[0]),
-        };
-        let seeds = [huge, Seed::origin(stubs[1], t.asn(stubs[1]))];
-        let engine = PropagationEngine::new(&t);
-        let got = engine.propagate(&seeds, &accept_all, &mut Workspace::new());
-        let reference = propagate_reference(&t, &seeds, &accept_all);
-        assert_eq!(got.routes(), reference.routes());
     }
 
     #[test]

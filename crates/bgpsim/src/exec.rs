@@ -1088,13 +1088,15 @@ impl PlanSession<'_, '_> {
     }
 }
 
-/// The pre-executor orchestration, kept as the differential reference
-/// (the analogue of [`crate::routing::propagate_reference`]): per cell,
-/// per trial, a fresh [`run_strategy_compiled`] staging with its own
-/// baseline, collected into a `Vec<AttackOutcome>` per cell. The
+/// The pre-executor orchestration, kept as the differential reference:
+/// per cell, per trial, a fresh [`run_strategy_compiled`] staging with
+/// its own baseline, collected into a `Vec<AttackOutcome>` per cell. The
 /// executor must match a fold of this output bit-for-bit — asserted by
-/// the `exec_props` differential suite and the `matrix` criterion bench
-/// (which also times the two, pinning the executor's wall-clock win).
+/// the `exec_props` and `spec_props` differential suites. (The
+/// propagation engine's own reference is out of the crate, in
+/// `tests/support/reference.rs`; every path here, this one included,
+/// runs the one engine, which refuses a seed past
+/// [`crate::PropagationEngine::max_seed_len`].)
 ///
 /// Not a production path: it costs O(trials) memory per cell and
 /// re-propagates every baseline and every deployment-independent

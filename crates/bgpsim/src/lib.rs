@@ -24,8 +24,10 @@
 //! * [`engine`] — the flat-graph [`PropagationEngine`] behind
 //!   [`routing::propagate`]: reusable per-thread [`Workspace`] scratch,
 //!   a path-length bucket queue, precomputed [`OriginFilter`] import
-//!   filters, and single-pass interception counting — bit-identical to
-//!   the kept [`routing::propagate_reference`] baseline.
+//!   filters, and single-pass interception counting. It is the only
+//!   propagation that ships: the heap search it replaced is the oracle
+//!   in `tests/support/reference.rs`, and a seed past
+//!   [`PropagationEngine::max_seed_len`] is refused, not rerouted.
 //! * [`attack`] — the four hijack types and the longest-prefix-match
 //!   data plane that measures who delivers traffic to whom.
 //! * [`strategy`] — the pluggable [`AttackerStrategy`] trait behind the

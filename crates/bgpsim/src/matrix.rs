@@ -408,8 +408,8 @@ impl ScenarioMatrix {
     /// Runs the matrix through the **pre-executor** collect-then-fold
     /// orchestration (fresh baselines, per-deployment re-propagation,
     /// O(trials) memory per cell) — the differential reference the
-    /// `exec_props` suite and the `matrix` criterion bench compare the
-    /// executor against. Not a production path.
+    /// `exec_props` and `spec_props` suites compare the executor
+    /// against. Not a production path.
     pub fn run_collected(&self) -> MatrixReport {
         let topologies = self.generate_topologies();
         let plan = self.plan(&topologies);

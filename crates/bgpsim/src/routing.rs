@@ -19,26 +19,19 @@
 //! shortest-path search — no iterative convergence needed because
 //! Gao–Rexford preferences are hierarchical.
 //!
-//! Two implementations share this module's contract:
-//!
-//! * [`propagate`] — the production path, backed by
-//!   [`crate::engine::PropagationEngine`] (flat CSR phase slices, a
-//!   reusable per-thread scratch [`crate::engine::Workspace`], and a
-//!   path-length bucket queue instead of a [`std::collections::BinaryHeap`]);
-//! * [`propagate_reference`] — the original heap-based implementation,
-//!   kept as the differential-testing and benchmarking baseline.
-//!
-//! The two are **bit-identical** on every input (same routes, same
-//! deterministic tie-breaks, same `next_hop` choices), a contract pinned
-//! by the `engine_props` proptest suite and the golden fixtures.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! One implementation ships: [`propagate`], backed by
+//! [`crate::engine::PropagationEngine`] (flat CSR phase slices, a
+//! reusable per-thread scratch [`crate::engine::Workspace`], and a
+//! path-length bucket queue). The original `BinaryHeap` implementation
+//! of the same contract lives on as the differential oracle in
+//! `tests/support/reference.rs`; the `engine_props` suite holds the
+//! engine **bit-identical** to it (same routes, same deterministic
+//! tie-breaks, same `next_hop` choices) on every input the engine takes.
 
 use rpki_roa::Asn;
 
 use crate::engine::{with_workspace, PropagationEngine};
-use crate::topology::{Relationship, Topology};
+use crate::topology::Topology;
 
 /// How an AS learned its best route (order = preference, best first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -176,181 +169,20 @@ impl Propagation {
 /// return `false` to model the AS dropping the route as RPKI-Invalid.
 /// The filter sees the claimed origin, exactly like RFC 6811 validation.
 ///
-/// This is the engine-backed production path: it runs on the calling
-/// thread's reusable [`crate::engine::Workspace`], allocating only the
-/// returned route vector. It is bit-identical to
-/// [`propagate_reference`] on every input.
+/// Runs the engine on the calling thread's reusable
+/// [`crate::engine::Workspace`], allocating only the returned route
+/// vector.
+///
+/// # Panics
+///
+/// Panics if a seed's `path_len` exceeds
+/// [`PropagationEngine::max_seed_len`] for `topology`.
 pub fn propagate(
     topology: &Topology,
     seeds: &[Seed],
     accept: &dyn Fn(usize, Asn) -> bool,
 ) -> Propagation {
     with_workspace(|ws| PropagationEngine::new(topology).propagate(seeds, accept, ws))
-}
-
-/// The original heap-based implementation of [`propagate`], kept as the
-/// reference the engine is differentially tested (and benchmarked)
-/// against. Allocates its scratch on every call; prefer [`propagate`].
-pub fn propagate_reference(
-    topology: &Topology,
-    seeds: &[Seed],
-    accept: &dyn Fn(usize, Asn) -> bool,
-) -> Propagation {
-    let n = topology.len();
-    let mut routes: Vec<Option<RouteInfo>> = vec![None; n];
-
-    // Deterministic priority: (path_len, claimed origin, deliverer, AS).
-    type Key = (u32, u32, usize, usize);
-    let entry = |len: u32, r: &RouteInfo, at: usize| -> Reverse<(Key, usize)> {
-        Reverse(((len, r.claimed_origin.into_u32(), r.delivers_to, at), at))
-    };
-
-    // --- Phase 1: origins and customer-learned routes (travel upward
-    // over customer→provider edges only).
-    let mut heap: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
-    let mut pending: Vec<Option<RouteInfo>> = vec![None; n];
-    for seed in seeds {
-        if !accept(seed.at, seed.claimed_origin) {
-            continue;
-        }
-        let info = RouteInfo {
-            class: RouteClass::Origin,
-            path_len: seed.path_len,
-            claimed_origin: seed.claimed_origin,
-            delivers_to: seed.at,
-            next_hop: None,
-        };
-        if better_candidate(&pending[seed.at], &info) {
-            pending[seed.at] = Some(info);
-            heap.push(entry(info.path_len, &info, seed.at));
-        }
-    }
-    while let Some(Reverse((key, at))) = heap.pop() {
-        let Some(info) = pending[at] else { continue };
-        if info.path_len != key.0 || routes[at].is_some() {
-            continue; // stale heap entry or already settled
-        }
-        routes[at] = Some(info);
-        // Export to providers: they learn a customer route.
-        for (provider, rel) in topology.neighbors(at) {
-            if rel != Relationship::Provider || routes[provider].is_some() {
-                continue;
-            }
-            if !accept(provider, info.claimed_origin) {
-                continue;
-            }
-            let candidate = RouteInfo {
-                class: RouteClass::Customer,
-                path_len: info.path_len + 1,
-                claimed_origin: info.claimed_origin,
-                delivers_to: info.delivers_to,
-                next_hop: Some(at),
-            };
-            if better_candidate(&pending[provider], &candidate) {
-                pending[provider] = Some(candidate);
-                heap.push(entry(candidate.path_len, &candidate, provider));
-            }
-        }
-    }
-
-    // --- Phase 2: one peer hop. Only customer/origin routes are exported
-    // to peers; collect all offers, then adopt the best per AS.
-    let mut peer_offers: Vec<Option<RouteInfo>> = vec![None; n];
-    for at in 0..n {
-        let Some(info) = routes[at] else { continue };
-        for (peer, rel) in topology.neighbors(at) {
-            if rel != Relationship::Peer || routes[peer].is_some() {
-                continue;
-            }
-            if !accept(peer, info.claimed_origin) {
-                continue;
-            }
-            let candidate = RouteInfo {
-                class: RouteClass::Peer,
-                path_len: info.path_len + 1,
-                claimed_origin: info.claimed_origin,
-                delivers_to: info.delivers_to,
-                next_hop: Some(at),
-            };
-            if better_candidate(&peer_offers[peer], &candidate) {
-                peer_offers[peer] = Some(candidate);
-            }
-        }
-    }
-    for at in 0..n {
-        if routes[at].is_none() {
-            routes[at] = peer_offers[at];
-        }
-    }
-
-    // --- Phase 3: provider-learned routes flow down to customers; any
-    // route may be exported to a customer, and provider routes keep
-    // flowing to customers-of-customers.
-    let mut heap: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
-    let mut pending: Vec<Option<RouteInfo>> = vec![None; n];
-    let offer_down = |from_info: RouteInfo,
-                      from: usize,
-                      pending: &mut Vec<Option<RouteInfo>>,
-                      heap: &mut BinaryHeap<Reverse<(Key, usize)>>,
-                      routes: &Vec<Option<RouteInfo>>| {
-        for (customer, rel) in topology.neighbors(from) {
-            if rel != Relationship::Customer || routes[customer].is_some() {
-                continue;
-            }
-            if !accept(customer, from_info.claimed_origin) {
-                continue;
-            }
-            let candidate = RouteInfo {
-                class: RouteClass::Provider,
-                path_len: from_info.path_len + 1,
-                claimed_origin: from_info.claimed_origin,
-                delivers_to: from_info.delivers_to,
-                next_hop: Some(from),
-            };
-            if better_candidate(&pending[customer], &candidate) {
-                pending[customer] = Some(candidate);
-                heap.push(entry(candidate.path_len, &candidate, customer));
-            }
-        }
-    };
-    for at in 0..n {
-        if let Some(info) = routes[at] {
-            offer_down(info, at, &mut pending, &mut heap, &routes);
-        }
-    }
-    while let Some(Reverse((key, at))) = heap.pop() {
-        let Some(info) = pending[at] else { continue };
-        if info.path_len != key.0 || routes[at].is_some() {
-            continue;
-        }
-        routes[at] = Some(info);
-        offer_down(info, at, &mut pending, &mut heap, &routes);
-    }
-
-    Propagation::from_routes(routes)
-}
-
-/// `true` if `candidate` beats the current pending offer under the
-/// deterministic tie-break.
-pub(crate) fn better_candidate(current: &Option<RouteInfo>, candidate: &RouteInfo) -> bool {
-    match current {
-        None => true,
-        Some(cur) => {
-            let cur_key = (
-                cur.class,
-                cur.path_len,
-                cur.claimed_origin.into_u32(),
-                cur.delivers_to,
-            );
-            let cand_key = (
-                candidate.class,
-                candidate.path_len,
-                candidate.claimed_origin.into_u32(),
-                candidate.delivers_to,
-            );
-            cand_key < cur_key
-        }
-    }
 }
 
 #[cfg(test)]
@@ -512,25 +344,6 @@ mod tests {
         let t = topo();
         let prop = propagate(&t, &[], &accept_all);
         assert_eq!(prop.reached(), 0);
-    }
-
-    #[test]
-    fn engine_matches_reference_on_the_standard_world() {
-        // The full differential suite lives in `tests/engine_props.rs`;
-        // this pins the contract on the canonical topology.
-        let t = topo();
-        let stubs = t.stubs();
-        let seeds = [
-            origin_seed(&t, stubs[0]),
-            Seed::forged(stubs[stubs.len() / 2], t.asn(stubs[0])),
-        ];
-        let engine = propagate(&t, &seeds, &accept_all);
-        let reference = propagate_reference(&t, &seeds, &accept_all);
-        assert_eq!(engine.routes(), reference.routes());
-        assert_eq!(engine.reached(), reference.reached());
-        for s in [stubs[0], stubs[stubs.len() / 2]] {
-            assert_eq!(engine.delivered_to(s), reference.delivered_to(s));
-        }
     }
 
     #[test]

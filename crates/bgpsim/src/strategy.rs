@@ -549,7 +549,7 @@ pub(crate) fn run_strategy_speculative(
 /// Longest-prefix-match counting over materialized tables, most specific
 /// first — the generic fallback for table orders the single-pass engine
 /// tally does not cover (also the data plane of
-/// [`crate::attack::run_forged_origin_trial`]).
+/// [`crate::attack::run_forged_origin_trial_compiled`]).
 pub(crate) fn outcome_from_tables(
     tables: &[&Propagation],
     attacker: usize,

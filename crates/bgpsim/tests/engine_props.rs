@@ -1,13 +1,13 @@
 //! Differential property suite for the flat-graph propagation engine.
 //!
 //! The engine ([`bgpsim::PropagationEngine`]) must be **bit-identical**
-//! to the kept reference implementation
-//! ([`bgpsim::routing::propagate_reference`]) — same routes, same
-//! deterministic tie-breaks, same `next_hop` choices — on:
+//! to the reference implementation (`support/reference.rs`, the heap
+//! search the engine replaced) — same routes, same deterministic
+//! tie-breaks, same `next_hop` choices — on:
 //!
 //! * random topologies (sizes, tier mixes, peering densities),
 //! * random multi-seed sets (origins, forged origins, prepended paths —
-//!   up to the longest claimed path the bucket queue takes, so queues
+//!   up to and including [`PropagationEngine::max_seed_len`], so queues
 //!   hold duplicate and stale entries and long runs of empty buckets),
 //! * random import filters (hash-derived accept/reject worlds), and
 //! * precomputed [`bgpsim::OriginFilter`]s vs the equivalent per-edge
@@ -17,17 +17,23 @@
 //! [`bgpsim::Workspace`] are identical to fresh-workspace runs — the
 //! test that catches stale-epoch scratch bugs — and **order-exact**: the
 //! sequence of import decisions, not only the routes they lead to, is
-//! pinned against the sorted-bucket engine it replaced.
+//! pinned against the sorted-bucket engine it replaced. Past its bound
+//! the engine must **refuse**: there is no second implementation to
+//! fall back to.
 
 use proptest::prelude::*;
 
 use bgpsim::engine::{CompiledPolicies, OriginFilter};
-use bgpsim::routing::{propagate_reference, Seed};
+use bgpsim::routing::Seed;
 use bgpsim::topology::{Topology, TopologyConfig};
 use bgpsim::{FilterFootprint, PropagationEngine, Workspace};
 use rpki_prefix::Prefix;
 use rpki_roa::{Asn, RouteOrigin, Vrp};
 use rpki_rov::{RovPolicy, VrpIndex};
+
+#[path = "support/reference.rs"]
+mod reference;
+use reference::propagate_reference;
 
 fn arb_config() -> impl Strategy<Value = TopologyConfig> {
     (30usize..160, 2usize..6, 1usize..4, 0u32..6, 0u64..1000).prop_map(
@@ -41,18 +47,13 @@ fn arb_config() -> impl Strategy<Value = TopologyConfig> {
     )
 }
 
-/// The engine's private `DENSE_SLACK`: seeds claiming a path longer than
-/// `DENSE_SLACK * (n + 2)` take the reference fallback, so that product
-/// is the longest claimed path the bucket queue itself ever sees.
-const DENSE_SLACK: u32 = 4;
-
 /// Random seed sets: placement, initial path length, and claimed origin
 /// all vary — including claimed origins that belong to *other* ASes
 /// (hijack shapes) and several seeds at one AS. The length pick is
 /// topology-relative (see [`materialize_seeds`]): below 4 it is the
 /// length itself (0 = origin, 1 = forged, more = prepended); from 4 up
-/// it counts back from the longest length the queue takes, the near
-/// picks weighted so that the cap itself is drawn often.
+/// it counts back from the longest length the engine takes, the near
+/// picks weighted so that the bound itself is drawn often.
 fn arb_seeds() -> impl Strategy<Value = Vec<(prop::sample::Index, u32, prop::sample::Index)>> {
     prop::collection::vec(
         (
@@ -68,7 +69,7 @@ fn materialize_seeds(
     t: &Topology,
     picks: &[(prop::sample::Index, u32, prop::sample::Index)],
 ) -> Vec<Seed> {
-    let cap = DENSE_SLACK * (t.len() as u32 + 2);
+    let cap = PropagationEngine::new(t).max_seed_len();
     picks
         .iter()
         .map(|(at, pick, claimed)| Seed {
@@ -237,6 +238,147 @@ fn long_reuse_chain_stays_clean() {
         let reused = engine.propagate(&seeds, &|_: usize, _: Asn| true, &mut shared);
         let reference = propagate_reference(&t, &seeds, &|_, _| true);
         assert_eq!(reused.routes(), reference.routes(), "iteration {i}");
+    }
+}
+
+/// The five-tier-1 default shape the relocated unit tests ran on.
+fn topo(n: usize) -> Topology {
+    Topology::generate(TopologyConfig {
+        n,
+        tier1: 5,
+        ..TopologyConfig::default()
+    })
+}
+
+/// One staged forged-origin trial — a loose-maxLength ROA, three ASes in
+/// four dropping Invalid routes — at the sizes the proptests do not
+/// reach: open and filtered routes, and the single-pass tally, all
+/// against the reference with per-edge validation.
+#[test]
+fn staged_trial_matches_reference_at_a_thousand_and_ten_thousand_ases() {
+    for n in [1_000usize, 10_000] {
+        let t = Topology::generate(TopologyConfig {
+            n,
+            ..TopologyConfig::default()
+        });
+        let stubs = t.stubs();
+        let (victim, attacker) = (stubs[0], stubs[stubs.len() / 2]);
+        let p: Prefix = "168.122.0.0/16".parse().unwrap();
+        let vrps: VrpIndex = [Vrp::new(p, 24, t.asn(victim))].into_iter().collect();
+        let policies: Vec<RovPolicy> = (0..t.len())
+            .map(|at| match at % 4 {
+                0 => RovPolicy::AcceptAll,
+                _ => RovPolicy::DropInvalid,
+            })
+            .collect();
+        let compiled = CompiledPolicies::compile(&policies);
+        let seeds = [
+            Seed::origin(victim, t.asn(victim)),
+            Seed::forged(attacker, t.asn(victim)),
+        ];
+        let fast = OriginFilter::new(&vrps, p, &[t.asn(victim)], &compiled);
+        let fast = |at: usize, o: Asn| fast.accept(at, o);
+        let per_edge =
+            |at: usize, o: Asn| policies[at].permits(vrps.validate(&RouteOrigin::new(p, o)));
+        let engine = PropagationEngine::new(&t);
+        let mut ws = Workspace::new();
+
+        let open = engine.propagate(&seeds, &|_: usize, _: Asn| true, &mut ws);
+        let open_reference = propagate_reference(&t, &seeds, &|_, _| true);
+        assert_eq!(open.routes(), open_reference.routes(), "accept-all, n={n}");
+        let filtered = engine.propagate(&seeds, &fast, &mut ws);
+        let reference = propagate_reference(&t, &seeds, &per_edge);
+        assert_eq!(filtered.routes(), reference.routes(), "rov-filtered, n={n}");
+
+        let outcome = engine.propagate_outcome(&seeds, &fast, &mut ws, None, attacker, victim);
+        let others = || (0..n).filter(|&at| at != attacker && at != victim);
+        let lands = |at: usize| reference.routes()[at].map(|r| r.delivers_to);
+        assert_eq!(
+            outcome.intercepted,
+            others().filter(|&at| lands(at) == Some(attacker)).count()
+        );
+        assert_eq!(
+            outcome.disconnected,
+            others().filter(|&at| lands(at).is_none()).count()
+        );
+        assert_eq!(
+            outcome.intercepted + outcome.legitimate + outcome.disconnected,
+            n - 2,
+            "the tally covers every other AS, n={n}"
+        );
+    }
+}
+
+/// One workspace carried across topologies of different sizes resizes
+/// its arrays without leaking state from the previous one.
+#[test]
+fn workspace_survives_topology_size_changes() {
+    let mut ws = Workspace::new();
+    for n in [60, 200, 60, 140] {
+        let t = topo(n);
+        let stub = t.stubs()[0];
+        let seeds = [Seed::origin(stub, t.asn(stub))];
+        let got = PropagationEngine::new(&t).propagate(&seeds, &|_: usize, _: Asn| true, &mut ws);
+        let reference = propagate_reference(&t, &seeds, &|_, _| true);
+        assert_eq!(got.routes(), reference.routes(), "n={n}");
+    }
+}
+
+/// `routing::propagate` — the thread-local-workspace entry point — on
+/// the canonical 300-AS hijack.
+#[test]
+fn propagate_matches_reference_on_the_standard_world() {
+    let t = topo(300);
+    let stubs = t.stubs();
+    let (victim, attacker) = (stubs[0], stubs[stubs.len() / 2]);
+    let seeds = [
+        Seed::origin(victim, t.asn(victim)),
+        Seed::forged(attacker, t.asn(victim)),
+    ];
+    let engine = bgpsim::routing::propagate(&t, &seeds, &|_, _| true);
+    let reference = propagate_reference(&t, &seeds, &|_, _| true);
+    assert_eq!(engine.routes(), reference.routes());
+    assert_eq!(engine.reached(), reference.reached());
+    for s in [victim, attacker] {
+        assert_eq!(engine.delivered_to(s), reference.delivered_to(s));
+    }
+}
+
+/// A seed past the bound is refused by both entry points, whether it
+/// is one too long or adversarially long; at the bound the engine runs.
+#[test]
+fn seed_lengths_past_the_bound_are_refused() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let t = topo(60);
+    let stubs = t.stubs();
+    let engine = PropagationEngine::new(&t);
+    let bound = engine.max_seed_len();
+    assert_eq!(bound, 4 * (t.len() as u32 + 2));
+    let seeds = |path_len| {
+        [
+            Seed {
+                at: stubs[0],
+                path_len,
+                claimed_origin: t.asn(stubs[0]),
+            },
+            Seed::origin(stubs[1], t.asn(stubs[1])),
+        ]
+    };
+    let accept_all = |_: usize, _: Asn| true;
+    let at_bound = engine.propagate(&seeds(bound), &accept_all, &mut Workspace::new());
+    let reference = propagate_reference(&t, &seeds(bound), &|_, _| true);
+    assert_eq!(at_bound.routes(), reference.routes());
+    for path_len in [bound + 1, u32::MAX - 2] {
+        let refused = catch_unwind(AssertUnwindSafe(|| {
+            engine.propagate(&seeds(path_len), &accept_all, &mut Workspace::new())
+        }));
+        assert!(refused.is_err(), "propagate took length {path_len}");
+        let refused = catch_unwind(AssertUnwindSafe(|| {
+            let (attacker, victim) = (stubs[0], stubs[1]);
+            let ws = &mut Workspace::new();
+            engine.propagate_outcome(&seeds(path_len), &accept_all, ws, None, attacker, victim)
+        }));
+        assert!(refused.is_err(), "propagate_outcome took length {path_len}");
     }
 }
 

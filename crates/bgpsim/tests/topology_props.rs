@@ -168,3 +168,19 @@ proptest! {
         prop_assert!(peer_links >= clique + target - target / 50);
     }
 }
+
+/// The default shape lands about six links per AS; a broad band, so
+/// knob tweaks don't trip it, tight enough to catch a broken phase.
+#[test]
+fn default_shape_link_count_is_internet_like() {
+    let n = 10_000;
+    let t = Topology::generate_internet(InternetConfig {
+        n,
+        ..InternetConfig::default()
+    });
+    let links = t.link_count();
+    assert!(
+        (4 * n..=9 * n).contains(&links),
+        "link count {links} is outside the internet-like band for n={n}"
+    );
+}

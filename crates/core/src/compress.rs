@@ -204,7 +204,8 @@ fn sweep(vrps: &[Vrp], threads: usize, dominated: bool) -> (Cow<'_, [Vrp]>, Vec<
 
     let mut kept_in_order = vec![None; order.len()];
     let workers = threads.clamp(1, (order.len() / MIN_TUPLES_PER_THREAD).max(1));
-    crossbeam::thread::scope(|scope| {
+    // A panicking worker panics the scope once every worker has joined.
+    std::thread::scope(|scope| {
         let sorted = &sorted[..];
         let (mut order, mut kept) = (&order[..], &mut kept_in_order[..]);
         for remaining in (1..=workers).rev() {
@@ -220,11 +221,10 @@ fn sweep(vrps: &[Vrp], threads: usize, dominated: bool) -> (Cow<'_, [Vrp]>, Vec<
                 sweep_shard(sorted, shard, kept_shard, dominated);
                 break;
             }
-            scope.spawn(move |_| sweep_shard(sorted, shard, kept_shard, dominated));
+            scope.spawn(move || sweep_shard(sorted, shard, kept_shard, dominated));
             (order, kept) = (rest, kept_rest);
         }
-    })
-    .expect("compression worker panicked");
+    });
 
     let mut kept = vec![None; order.len()];
     for (&word, &survives) in order.iter().zip(&kept_in_order) {

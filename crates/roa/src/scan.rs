@@ -207,11 +207,11 @@ pub fn scan_dir_parallel(dir: &Path, threads: usize) -> io::Result<ScanResult> {
     }
 
     type Validated = (usize, PathBuf, Result<crate::Roa, EnvelopeError>);
-    let results: io::Result<Vec<Validated>> = crossbeam::thread::scope(|scope| {
+    let results: io::Result<Vec<Validated>> = std::thread::scope(|scope| {
         let files = &files;
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
-                scope.spawn(move |_| -> io::Result<Vec<Validated>> {
+                scope.spawn(move || -> io::Result<Vec<Validated>> {
                     let mut out = Vec::new();
                     for (i, path) in files.iter().enumerate() {
                         if i % threads != worker {
@@ -229,8 +229,7 @@ pub fn scan_dir_parallel(dir: &Path, threads: usize) -> io::Result<ScanResult> {
             all.extend(h.join().expect("scan worker panicked")?);
         }
         Ok(all)
-    })
-    .expect("scope joins cleanly");
+    });
 
     let mut all = results?;
     all.sort_by_key(|(i, _, _)| *i);

@@ -329,8 +329,8 @@ impl SnapshotChainEngine {
     }
 
     /// Full revalidation of the tracked table from a fresh freeze of the
-    /// logical set — the naive per-epoch baseline the churn bench compares
-    /// against. Returns the changes found; the resulting states equal the
+    /// logical set — what a router without the chain would do every
+    /// epoch. Returns the changes found; the resulting states equal the
     /// incremental path's by the snapshot-chain contract.
     pub fn revalidate_all(&mut self) -> Vec<StateChange> {
         let frozen: FrozenVrpIndex = self.logical_vrps().collect();

@@ -6,23 +6,27 @@
 //! announce/withdraw delta since the router's serial, or a Cache Reset if
 //! that serial has aged out of the history window.
 //!
-//! The state machine is sans-io: [`CacheServer::handle`] maps one request
-//! PDU to response PDUs, and [`CacheServer::handle_wire`] does the same
-//! straight over bytes — zero-copy decode via [`crate::wire`], version
-//! negotiation, and the recoverable/fatal teardown split. Serving real
-//! connections is [`crate::server`]'s job.
+//! The state machine is sans-io and has one responder: a private
+//! traversal emits the answer to any request as borrowed
+//! [`PduRef`]s, `respond` encodes them as they come, and
+//! [`CacheServer::handle`] is the same traversal collected into owned
+//! PDUs. [`CacheServer::handle_wire`] puts the frame step in front —
+//! zero-copy decode via [`crate::wire`], version negotiation, and the
+//! recoverable/fatal teardown split — and [`crate::server`], which
+//! serves real connections, takes that same step. What a cache must
+//! answer is specified independently by the set-history model in
+//! `tests/model.rs`.
 
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use rpki_prefix::Afi;
 use rpki_roa::Vrp;
 use rpki_rov::FrozenVrpIndex;
 
 use crate::pdu::{ErrorCode, Flags, Pdu, Timing, PROTOCOL_V1};
-use crate::wire::{self, Negotiation, PduError, PduRef, HEADER_LEN, MAX_PDU_LEN};
+use crate::wire::{self, Frame, Negotiation, PduError, PduRef, HEADER_LEN, MAX_PDU_LEN};
 
 /// One recorded delta between consecutive serials.
 #[derive(Debug, Clone, Default)]
@@ -35,7 +39,7 @@ struct Delta {
 /// `input`: its declared length, if that length is in protocol range and
 /// the bytes are all present. Used to decide how much of a rejected
 /// buffer can still be identified as "the offending PDU".
-pub(crate) fn frame_extent(input: &[u8]) -> Option<usize> {
+fn frame_extent(input: &[u8]) -> Option<usize> {
     if input.len() < HEADER_LEN {
         return None;
     }
@@ -181,13 +185,6 @@ impl CacheServer {
         self.timing = timing;
     }
 
-    /// How many deltas the history currently retains (at most
-    /// [`HISTORY_WINDOW`]) — the fan-out server uses this to key shared
-    /// delta images by lag.
-    pub(crate) fn history_len(&self) -> usize {
-        self.history.len()
-    }
-
     /// The current VRP set.
     pub fn vrps(&self) -> impl Iterator<Item = &Vrp> {
         self.vrps.iter()
@@ -296,31 +293,90 @@ impl CacheServer {
         }
     }
 
-    /// Handles one request PDU, producing the response sequence.
+    /// Handles one request PDU, producing the response sequence — the
+    /// PDUs [`CacheServer::handle_wire`] encodes, owned.
     pub fn handle(&self, request: &Pdu) -> Vec<Pdu> {
+        let mut out = Vec::new();
+        self.answer(request.as_wire(), |pdu| out.push(pdu.to_owned()));
+        out
+    }
+
+    /// Appends the encoded answer to `request` at `version` — what
+    /// [`CacheServer::handle_wire`] sends for an accepted frame and what
+    /// [`crate::server`] caches as a shared image.
+    pub(crate) fn respond(&self, request: PduRef<'_>, version: u8, out: &mut Vec<u8>) {
+        if request == PduRef::ResetQuery {
+            // The one large answer: reserve the whole image once.
+            let [n4, n6] = [Afi::V4, Afi::V6].map(|afi| self.snapshot.len_for(afi));
+            out.reserve(HEADER_LEN + 20 * n4 + 32 * n6 + self.end_of_data().wire_len(version));
+        }
+        self.answer(request, |pdu| pdu.encode_into(version, out));
+    }
+
+    /// The answer to any well-formed `request`, one PDU at a time in
+    /// wire order — the only place the cache decides what to say.
+    fn answer(&self, request: PduRef<'_>, mut emit: impl FnMut(PduRef<'_>)) {
+        let session_id = self.session_id;
         match request {
-            Pdu::ResetQuery => self.full_response(),
-            Pdu::SerialQuery { session_id, serial } => {
-                if *session_id != self.session_id {
-                    // RFC 8210 §5.4: wrong session → the router must reset.
-                    return vec![Pdu::CacheReset];
+            // The snapshot's flat array: per family by prefix length,
+            // then address, origin, maxLength — an order routers must
+            // not rely on.
+            PduRef::ResetQuery => {
+                emit(PduRef::CacheResponse { session_id });
+                for &vrp in self.snapshot.iter() {
+                    let flags = Flags::Announce;
+                    emit(PduRef::Prefix { flags, vrp });
                 }
-                self.delta_response(*serial)
+                emit(self.end_of_data());
             }
-            other => {
-                // RFC 8210 §5.10: an Error Report must not encapsulate
-                // an Error Report — when the unexpected request *is*
-                // one, report without embedding it.
-                let pdu = if other.type_code() == 10 {
-                    Bytes::from(Vec::new())
-                } else {
-                    other.to_bytes()
+            PduRef::SerialQuery {
+                session_id: theirs,
+                serial,
+            } => {
+                let Some(behind) = self.serial_lag(theirs, serial) else {
+                    emit(PduRef::CacheReset);
+                    return;
                 };
-                vec![Pdu::ErrorReport {
+                emit(PduRef::CacheResponse { session_id });
+                // Coalesce the deltas: a VRP announced then withdrawn (or
+                // vice versa) across the window must not be sent twice.
+                // A router already current (`behind == 0`) gets the empty
+                // response confirming its serial.
+                let mut announced: BTreeSet<Vrp> = BTreeSet::new();
+                let mut withdrawn: BTreeSet<Vrp> = BTreeSet::new();
+                for delta in self.history.iter().skip(self.history.len() - behind) {
+                    for &v in &delta.announced {
+                        if !withdrawn.remove(&v) {
+                            announced.insert(v);
+                        }
+                    }
+                    for &v in &delta.withdrawn {
+                        if !announced.remove(&v) {
+                            withdrawn.insert(v);
+                        }
+                    }
+                }
+                for (flags, set) in [(Flags::Announce, announced), (Flags::Withdraw, withdrawn)] {
+                    for vrp in set {
+                        emit(PduRef::Prefix { flags, vrp });
+                    }
+                }
+                emit(self.end_of_data());
+            }
+            // Valid but not a query: the Invalid-Request report, and the
+            // session continues. It embeds the request as encoded at v1 —
+            // except an Error Report, which RFC 8210 §5.10 forbids
+            // encapsulating.
+            other => {
+                let mut pdu = Vec::new();
+                if other.type_code() != 10 {
+                    other.encode_into(PROTOCOL_V1, &mut pdu);
+                }
+                emit(PduRef::ErrorReport {
                     code: ErrorCode::InvalidRequest,
-                    pdu,
-                    text: format!("unexpected PDU type {}", other.type_code()),
-                }]
+                    pdu: &pdu,
+                    text: &format!("unexpected PDU type {}", other.type_code()),
+                });
             }
         }
     }
@@ -331,9 +387,8 @@ impl CacheServer {
     /// session's negotiated version.
     ///
     /// This is the entry point transports use — the decode borrows
-    /// straight from the receive buffer, so no intermediate PDU
-    /// allocation happens on the error/robustness path at all, and on
-    /// the happy path only the response construction allocates.
+    /// straight from the receive buffer and the answer is encoded as it
+    /// is produced, so no owned PDU exists on either side.
     ///
     /// On a malformed frame or a negotiation violation the appended
     /// response is the closing Error Report (RFC 8210 §5.10: carrying
@@ -341,54 +396,57 @@ impl CacheServer {
     /// itself an Error Report), and the outcome says whether the error
     /// class invites a downgraded retry. Valid-but-unexpected request
     /// PDUs (e.g. a Cache Response sent *to* the cache) are not wire
-    /// errors: they get the Invalid-Request report from
-    /// [`CacheServer::handle`] and the session continues.
+    /// errors: they get the Invalid-Request report and the session
+    /// continues.
     pub fn handle_wire(
         &self,
         input: &[u8],
         negotiation: &mut Negotiation,
         out: &mut Vec<u8>,
     ) -> WireOutcome {
-        match wire::decode_frame(input) {
+        match self.next_request(input, negotiation, out) {
             Ok(None) => WireOutcome::NeedBytes,
-            Ok(Some(frame)) => match negotiation.accept(frame.version) {
-                Ok(version) => {
-                    if frame.pdu == PduRef::ResetQuery {
-                        self.encode_full_response(version, out);
-                    } else {
-                        for pdu in self.handle(&frame.pdu.to_owned()) {
-                            pdu.as_wire().encode_into(version, out);
-                        }
-                    }
-                    WireOutcome::Responded {
-                        consumed: frame.len,
-                    }
+            Ok(Some(frame)) => {
+                self.respond(frame.pdu, frame.version, out);
+                WireOutcome::Responded {
+                    consumed: frame.len,
                 }
-                Err(error) => {
-                    self.report_teardown(&error, &input[..frame.len], negotiation, out);
-                    WireOutcome::Teardown {
-                        consumed: frame.len,
-                        error,
-                    }
-                }
-            },
-            Err(error) => {
-                // The frame boundary may itself be a lie; trust the
-                // declared length only when it is in range and the bytes
-                // are all present, otherwise the whole buffer is
-                // poisoned (the session closes either way).
-                let consumed = match frame_extent(input) {
-                    Some(len) => len,
-                    None => input.len(),
-                };
-                self.report_teardown(&error, &input[..consumed], negotiation, out);
-                WireOutcome::Teardown { consumed, error }
             }
+            Err((consumed, error)) => WireOutcome::Teardown { consumed, error },
         }
     }
 
+    /// The frame step every byte-level server takes: decodes the frame
+    /// at the front of `input` and checks its version against
+    /// `negotiation`. `Ok(Some(frame))` is a request to answer at
+    /// `frame.version` (now the session's); `Ok(None)` wants more bytes.
+    /// `Err` ends the session: the closing Error Report is appended to
+    /// `report`, and the pair says how many bytes of `input` the error
+    /// consumed and what it was.
+    pub(crate) fn next_request<'a>(
+        &self,
+        input: &'a [u8],
+        negotiation: &mut Negotiation,
+        report: &mut Vec<u8>,
+    ) -> Result<Option<Frame<'a>>, (usize, PduError)> {
+        let (consumed, error) = match wire::decode_frame(input) {
+            Ok(None) => return Ok(None),
+            Ok(Some(frame)) => match negotiation.accept(frame.version) {
+                Ok(_) => return Ok(Some(frame)),
+                Err(error) => (frame.len, error),
+            },
+            // The frame boundary may itself be a lie; trust the declared
+            // length only when it is in range and the bytes are all
+            // present, otherwise the whole buffer is poisoned (the
+            // session closes either way).
+            Err(error) => (frame_extent(input).unwrap_or(input.len()), error),
+        };
+        self.report_teardown(&error, &input[..consumed], negotiation, report);
+        Err((consumed, error))
+    }
+
     /// Builds and appends the closing Error Report for a wire error.
-    pub(crate) fn report_teardown(
+    fn report_teardown(
         &self,
         error: &PduError,
         offending: &[u8],
@@ -419,41 +477,10 @@ impl CacheServer {
         report.encode_into(version, out);
     }
 
-    /// Appends the answer to a Reset Query at `version` — the bytes
-    /// [`CacheServer::handle`]'s PDUs encode to — frame by frame from the
-    /// snapshot, into space reserved once.
-    pub fn encode_full_response(&self, version: u8, out: &mut Vec<u8>) {
-        let end = self.end_of_data();
-        let [n4, n6] = [Afi::V4, Afi::V6].map(|afi| self.snapshot.len_for(afi));
-        out.reserve(HEADER_LEN + 20 * n4 + 32 * n6 + end.wire_len(version));
-        let session_id = self.session_id;
-        PduRef::CacheResponse { session_id }.encode_into(version, out);
-        for &vrp in self.snapshot.iter() {
-            let flags = Flags::Announce;
-            PduRef::Prefix { flags, vrp }.encode_into(version, out);
-        }
-        end.as_wire().encode_into(version, out);
-    }
-
-    /// The same answer as owned PDUs. Both serve the snapshot's flat
-    /// array: per family by prefix length, then address, origin,
-    /// maxLength — an order routers must not rely on.
-    fn full_response(&self) -> Vec<Pdu> {
-        let mut out = Vec::with_capacity(self.snapshot.len() + 2);
-        out.push(Pdu::CacheResponse {
-            session_id: self.session_id,
-        });
-        out.extend(self.snapshot.iter().map(|&vrp| Pdu::Prefix {
-            flags: Flags::Announce,
-            vrp,
-        }));
-        out.push(self.end_of_data());
-        out
-    }
-
     /// RFC 1982-style serial comparison against the history window: how
-    /// many deltas behind the cache `router_serial` is, if — and only if
-    /// — that serial is inside the window.
+    /// many deltas behind the cache a router claiming `router_serial` in
+    /// session `session_id` is, if — and only if — the session is this
+    /// cache's (RFC 8210 §5.4) and the serial is inside the window.
     ///
     /// Serial arithmetic is mod 2³², so "behind by `k`" and "ahead by
     /// `2³² − k`" are the same number; the only deterministic rule is
@@ -461,64 +488,17 @@ impl CacheServer {
     /// (mod 2³²)` exceeds the retained history — which covers serials
     /// that aged out, serials from the cache's future (a cache restarted
     /// at a lower serial), and the far side of the `u32::MAX` wrap alike
-    /// — gets `None`, and the caller answers Cache Reset instead of
-    /// fabricating a delta. A lag of 0 (router already current) is inside
-    /// the window by definition, history or not.
-    fn serial_lag(&self, router_serial: u32) -> Option<usize> {
+    /// — gets `None`, and the answer is Cache Reset instead of a
+    /// fabricated delta. A lag of 0 (router already current) is inside
+    /// the window by definition, history or not. The fan-out server keys
+    /// its shared delta images by this lag.
+    pub(crate) fn serial_lag(&self, session_id: u16, router_serial: u32) -> Option<usize> {
         let lag = self.serial.wrapping_sub(router_serial) as usize;
-        (lag <= self.history.len()).then_some(lag)
+        (session_id == self.session_id && lag <= self.history.len()).then_some(lag)
     }
 
-    fn delta_response(&self, router_serial: u32) -> Vec<Pdu> {
-        let behind = match self.serial_lag(router_serial) {
-            Some(behind) => behind,
-            // Outside the history window on either side — too old, from
-            // the future, or across the wrap: force a reset.
-            None => return vec![Pdu::CacheReset],
-        };
-        if behind == 0 {
-            // Nothing new: empty response confirming the serial.
-            return vec![
-                Pdu::CacheResponse {
-                    session_id: self.session_id,
-                },
-                self.end_of_data(),
-            ];
-        }
-        let mut out = vec![Pdu::CacheResponse {
-            session_id: self.session_id,
-        }];
-        let start = self.history.len() - behind;
-        // Coalesce the deltas: a VRP announced then withdrawn (or vice
-        // versa) across the window must not be sent twice.
-        let mut announced: BTreeSet<Vrp> = BTreeSet::new();
-        let mut withdrawn: BTreeSet<Vrp> = BTreeSet::new();
-        for delta in self.history.iter().skip(start) {
-            for &v in &delta.announced {
-                if !withdrawn.remove(&v) {
-                    announced.insert(v);
-                }
-            }
-            for &v in &delta.withdrawn {
-                if !announced.remove(&v) {
-                    withdrawn.insert(v);
-                }
-            }
-        }
-        out.extend(announced.into_iter().map(|vrp| Pdu::Prefix {
-            flags: Flags::Announce,
-            vrp,
-        }));
-        out.extend(withdrawn.into_iter().map(|vrp| Pdu::Prefix {
-            flags: Flags::Withdraw,
-            vrp,
-        }));
-        out.push(self.end_of_data());
-        out
-    }
-
-    fn end_of_data(&self) -> Pdu {
-        Pdu::EndOfData {
+    fn end_of_data(&self) -> PduRef<'static> {
+        PduRef::EndOfData {
             session_id: self.session_id,
             serial: self.serial,
             timing: self.timing,
@@ -529,6 +509,7 @@ impl CacheServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     fn vrp(s: &str) -> Vrp {
         s.parse().unwrap()
@@ -948,7 +929,7 @@ mod tests {
     }
 
     #[test]
-    fn full_response_serves_snapshot_set() {
+    fn reset_response_serves_snapshot_set() {
         let c = cache();
         let response = c.handle(&Pdu::ResetQuery);
         let served: Vec<Vrp> = response

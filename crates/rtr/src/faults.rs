@@ -546,8 +546,8 @@ impl Default for ChaosOptions {
 const SETTLE_HARD_CAP: u32 = 100_000;
 
 /// A cache ↔ router pair under fault injection on one shared manual
-/// clock — the chaos harness the proptest suite and the `rtr_chaos`
-/// bench drive.
+/// clock — the chaos harness the `tests/chaos.rs` proptest suite
+/// drives.
 ///
 /// The churn side is [`ChaosSession::apply_epoch`]; the recovery side
 /// is [`ChaosSession::settle`], which retries with backoff until the

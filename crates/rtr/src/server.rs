@@ -22,11 +22,14 @@
 //!
 //! Every response image is built from the cache state at one serial and
 //! cached keyed by `(response kind, negotiated version)` until the next
-//! cache update invalidates the store. Because the images are produced
-//! by encoding exactly what [`CacheServer::handle`] returns, a session
-//! served from a shared image receives **bit-identical** bytes to one
-//! served by [`CacheServer::handle_wire`] — the model-checked cache
-//! remains the oracle for every session, shared or not. Serial (delta)
+//! cache update invalidates the store. Every image is the output of
+//! the cache's one responder — the `respond` that
+//! [`CacheServer::handle_wire`] also encodes with — and
+//! [`FanoutServer::receive`] takes the cache's own frame step, so a
+//! session served from a shared image receives **bit-identical** bytes
+//! to one served by `handle_wire`: sharing changes *when* an answer is
+//! serialized, never *what* it is (`tests/server_props.rs` pins both,
+//! the second by digest). Serial (delta)
 //! responses are keyed by the router's *lag* behind the cache rather
 //! than its raw serial, so the image store stays bounded by the history
 //! window ([`crate::cache::HISTORY_WINDOW`] + 1 lags × 2 versions) no
@@ -57,17 +60,15 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rpki_roa::Vrp;
 
-use crate::cache::{frame_extent, CacheServer};
+use crate::cache::{CacheServer, HISTORY_WINDOW};
 use crate::clock::Clock;
-use crate::pdu::Pdu;
 use crate::transport::TransportError;
-use crate::wire::{self, Negotiation, PduError};
+use crate::wire::{Negotiation, PduError, PduRef};
 
 /// Identifies one open session on a [`FanoutServer`].
 pub type SessionId = u64;
@@ -209,34 +210,35 @@ struct ImageStore {
     notify: [Option<Arc<Vec<u8>>>; 2],
     /// Cache Reset answer for any out-of-window serial, per version.
     reset: [Option<Arc<Vec<u8>>>; 2],
-    /// Delta responses keyed by (lag behind the cache, version) — lag
-    /// keying bounds the map by the history window regardless of the
+    /// Delta responses by lag behind the cache, per version — lag
+    /// keying bounds the store by the history window regardless of the
     /// serials routers actually claim.
-    delta: HashMap<(usize, u8), Arc<Vec<u8>>>,
-}
-
-/// Encodes a `handle()` response sequence at `version`.
-fn encode_response(pdus: &[Pdu], version: u8) -> Vec<u8> {
-    let mut out = Vec::new();
-    for pdu in pdus {
-        pdu.as_wire().encode_into(version, &mut out);
-    }
-    out
+    delta: [[Option<Arc<Vec<u8>>>; 2]; HISTORY_WINDOW + 1],
 }
 
 impl ImageStore {
-    fn full(&mut self, cache: &CacheServer, stats: &mut FanoutStats, version: u8) -> Arc<Vec<u8>> {
-        let slot = &mut self.full[version as usize];
-        if let Some(img) = slot {
+    /// Serves `slot`'s image, encoding it with `build` on first use.
+    fn share(
+        slot: &mut Option<Arc<Vec<u8>>>,
+        stats: &mut FanoutStats,
+        build: impl FnOnce(&mut Vec<u8>),
+    ) -> Arc<Vec<u8>> {
+        if slot.is_some() {
             stats.images_reused += 1;
-            return Arc::clone(img);
+        } else {
+            stats.images_built += 1;
         }
-        stats.images_built += 1;
-        let mut img = Vec::new();
-        cache.encode_full_response(version, &mut img);
-        let img = Arc::new(img);
-        *slot = Some(Arc::clone(&img));
-        img
+        Arc::clone(slot.get_or_insert_with(|| {
+            let mut img = Vec::new();
+            build(&mut img);
+            Arc::new(img)
+        }))
+    }
+
+    fn full(&mut self, cache: &CacheServer, stats: &mut FanoutStats, version: u8) -> Arc<Vec<u8>> {
+        Self::share(&mut self.full[version as usize], stats, |img| {
+            cache.respond(PduRef::ResetQuery, version, img)
+        })
     }
 
     fn notify(
@@ -245,60 +247,32 @@ impl ImageStore {
         stats: &mut FanoutStats,
         version: u8,
     ) -> Arc<Vec<u8>> {
-        let slot = &mut self.notify[version as usize];
-        if let Some(img) = slot {
-            stats.images_reused += 1;
-            return Arc::clone(img);
-        }
-        stats.images_built += 1;
-        let notify = Pdu::SerialNotify {
+        let notify = PduRef::SerialNotify {
             session_id: cache.session_id(),
             serial: cache.serial(),
         };
-        let img = Arc::new(encode_response(&[notify], version));
-        *slot = Some(Arc::clone(&img));
-        img
+        Self::share(&mut self.notify[version as usize], stats, |img| {
+            notify.encode_into(version, img)
+        })
     }
 
     fn delta(
         &mut self,
         cache: &CacheServer,
         stats: &mut FanoutStats,
-        query_session: u16,
+        session_id: u16,
         serial: u32,
         version: u8,
     ) -> Arc<Vec<u8>> {
-        let query = Pdu::SerialQuery {
-            session_id: query_session,
-            serial,
-        };
-        let lag = cache.serial().wrapping_sub(serial) as usize;
-        let in_window = query_session == cache.session_id() && lag <= cache.history_len();
-        if !in_window {
+        let query = PduRef::SerialQuery { session_id, serial };
+        let slot = match cache.serial_lag(session_id, serial) {
+            Some(lag) => &mut self.delta[lag][version as usize],
             // Every out-of-window serial — too old, from the future,
             // across the u32 wrap — and every wrong-session query gets
             // the identical Cache Reset bytes; share one image.
-            if let Some(img) = &self.reset[version as usize] {
-                stats.images_reused += 1;
-                return Arc::clone(img);
-            }
-            stats.images_built += 1;
-            let img = Arc::new(encode_response(&cache.handle(&query), version));
-            self.reset[version as usize] = Some(Arc::clone(&img));
-            return img;
-        }
-        match self.delta.entry((lag, version)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                stats.images_reused += 1;
-                Arc::clone(e.get())
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                stats.images_built += 1;
-                let img = Arc::new(encode_response(&cache.handle(&query), version));
-                e.insert(Arc::clone(&img));
-                img
-            }
-        }
+            None => &mut self.reset[version as usize],
+        };
+        Self::share(slot, stats, |img| cache.respond(query, version, img))
     }
 }
 
@@ -339,7 +313,8 @@ fn enqueue(
             // The router is waiting on an answer we just threw away: the
             // answer becomes "start over from the snapshot".
             stats.overflow_resets += 1;
-            let reset = encode_response(&[Pdu::CacheReset], reset_version);
+            let mut reset = Vec::new();
+            PduRef::CacheReset.encode_into(reset_version, &mut reset);
             session.queued += reset.len();
             session.outbox.push_back(Outbound {
                 chunk: Chunk::Owned(reset),
@@ -416,11 +391,11 @@ impl FanoutServer {
     /// Mutable access to the wrapped cache, e.g. for a silent update
     /// (no notify fan-out — the "cache restarted / churned while the
     /// routers were away" test axis). Any mutation invalidates the
-    /// shared image store.
+    /// shared image store — up front, so an `f` that panics half way
+    /// leaves no image of the old state behind.
     pub fn with_cache<R>(&mut self, f: impl FnOnce(&mut CacheServer) -> R) -> R {
-        let r = f(&mut self.cache);
         self.images = ImageStore::default();
-        r
+        f(&mut self.cache)
     }
 
     /// Counters for tests and benches.
@@ -558,78 +533,49 @@ impl FanoutServer {
             if input.is_empty() {
                 break;
             }
-            match wire::decode_frame(input) {
+            let mut report = Vec::new();
+            match self
+                .cache
+                .next_request(input, &mut session.negotiation, &mut report)
+            {
                 Ok(None) => break,
                 Ok(Some(frame)) => {
-                    let frame_len = frame.len;
-                    match session.negotiation.accept(frame.version) {
-                        Ok(version) => {
-                            let request = frame.pdu.to_owned();
-                            consumed += frame_len;
-                            let chunk = match request {
-                                Pdu::ResetQuery => Chunk::Shared(self.images.full(
-                                    &self.cache,
-                                    &mut self.stats,
-                                    version,
-                                )),
-                                Pdu::SerialQuery { session_id, serial } => {
-                                    Chunk::Shared(self.images.delta(
-                                        &self.cache,
-                                        &mut self.stats,
-                                        session_id,
-                                        serial,
-                                        version,
-                                    ))
-                                }
-                                // Valid-but-unexpected requests get the
-                                // per-session Invalid-Request report and
-                                // the session continues — not a shared
-                                // image, not a teardown.
-                                other => Chunk::Owned(encode_response(
-                                    &self.cache.handle(&other),
-                                    version,
-                                )),
-                            };
-                            enqueue(
-                                session,
+                    let version = frame.version;
+                    let chunk = match frame.pdu {
+                        PduRef::ResetQuery => {
+                            Chunk::Shared(self.images.full(&self.cache, &mut self.stats, version))
+                        }
+                        PduRef::SerialQuery { session_id, serial } => {
+                            Chunk::Shared(self.images.delta(
+                                &self.cache,
                                 &mut self.stats,
-                                self.config.outbox_limit,
-                                ChunkKind::Response,
-                                chunk,
+                                session_id,
+                                serial,
                                 version,
-                            );
+                            ))
                         }
-                        Err(error) => {
-                            let end = consumed + frame_len;
-                            let mut report = Vec::new();
-                            self.cache.report_teardown(
-                                &error,
-                                &session.inbox[consumed..end],
-                                &session.negotiation,
-                                &mut report,
-                            );
-                            consumed = end;
-                            Self::tear_down(session, &mut self.stats, report, error, max_version);
-                            break;
+                        // Valid-but-unexpected requests get the
+                        // per-session Invalid-Request report and the
+                        // session continues — not a shared image, not a
+                        // teardown.
+                        other => {
+                            let mut out = Vec::new();
+                            self.cache.respond(other, version, &mut out);
+                            Chunk::Owned(out)
                         }
-                    }
-                }
-                Err(error) => {
-                    // Same consumption rule as `CacheServer::handle_wire`:
-                    // trust the declared frame boundary only when it is
-                    // in range and fully present; otherwise the rest of
-                    // the buffer is poisoned.
-                    let rest = &session.inbox[consumed..];
-                    let extent = frame_extent(rest).unwrap_or(rest.len());
-                    let end = consumed + extent;
-                    let mut report = Vec::new();
-                    self.cache.report_teardown(
-                        &error,
-                        &session.inbox[consumed..end],
-                        &session.negotiation,
-                        &mut report,
+                    };
+                    consumed += frame.len;
+                    enqueue(
+                        session,
+                        &mut self.stats,
+                        self.config.outbox_limit,
+                        ChunkKind::Response,
+                        chunk,
+                        version,
                     );
-                    consumed = end;
+                }
+                Err((poisoned, error)) => {
+                    consumed += poisoned;
                     Self::tear_down(session, &mut self.stats, report, error, max_version);
                     break;
                 }
@@ -790,7 +736,7 @@ impl FanoutServer {
 /// bump the generation and are serviced immediately).
 #[derive(Debug, Default)]
 struct Registry {
-    state: StdMutex<RegistryState>,
+    state: Mutex<RegistryState>,
     changed: Condvar,
 }
 
@@ -881,6 +827,18 @@ struct Shared {
     core: Mutex<FanoutServer>,
     registry: Registry,
     shutdown: AtomicBool,
+}
+
+impl Shared {
+    /// Locks the core, recovering it from a poisoned mutex: a
+    /// [`ServerHandle::with_core`] closure that panicked must not wedge
+    /// the event loop and every other handle. A `FanoutServer` method
+    /// that panics (an unknown session id, say) does so between whole
+    /// updates of the session table and outboxes, never inside one, so
+    /// the state behind a poisoned lock is still servable.
+    fn core(&self) -> MutexGuard<'_, FanoutServer> {
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The non-blocking TCP adapter over [`FanoutServer`]: one event-loop
@@ -982,7 +940,7 @@ impl TcpCacheServer {
     pub fn serve(&self) -> Result<(), TransportError> {
         let mut conns: Vec<Conn> = Vec::new();
         let mut buf = [0u8; 4096];
-        let poll_interval = self.shared.core.lock().config().poll_interval;
+        let poll_interval = self.shared.core().config().poll_interval;
         loop {
             // Sample the wake generation *before* the shutdown check and
             // the socket pass: a handle-side wake (update, shutdown)
@@ -994,13 +952,13 @@ impl TcpCacheServer {
                 // reports; push them before the sockets close.
                 self.drain_on_shutdown(&mut conns, poll_interval);
                 for conn in conns.drain(..) {
-                    self.shared.core.lock().close_session(conn.id);
+                    self.shared.core().close_session(conn.id);
                     self.shared.registry.closed();
                 }
                 return Ok(());
             }
             let mut progressed = false;
-            if !self.shared.core.lock().evict_idle().is_empty() {
+            if !self.shared.core().evict_idle().is_empty() {
                 // Evicted sessions report is_finished below and are
                 // reaped this same pass.
                 progressed = true;
@@ -1010,7 +968,7 @@ impl TcpCacheServer {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
                         stream.set_nonblocking(true)?;
-                        let id = self.shared.core.lock().open_session();
+                        let id = self.shared.core().open_session();
                         conns.push(Conn {
                             stream,
                             id,
@@ -1035,7 +993,7 @@ impl TcpCacheServer {
                             break;
                         }
                         Ok(n) => {
-                            self.shared.core.lock().receive(conn.id, &buf[..n]);
+                            self.shared.core().receive(conn.id, &buf[..n]);
                             progressed = true;
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -1048,7 +1006,7 @@ impl TcpCacheServer {
                 }
                 // Flush as much queued output as the socket accepts.
                 while !conn.dead {
-                    let mut core = self.shared.core.lock();
+                    let mut core = self.shared.core();
                     let chunk = core.peek_output(conn.id);
                     if chunk.is_empty() {
                         break;
@@ -1070,13 +1028,13 @@ impl TcpCacheServer {
                 }
                 // A torn-down session whose closing report has been
                 // flushed closes from our side.
-                if !conn.dead && self.shared.core.lock().is_finished(conn.id) {
+                if !conn.dead && self.shared.core().is_finished(conn.id) {
                     conn.dead = true;
                 }
             }
             conns.retain(|conn| {
                 if conn.dead {
-                    self.shared.core.lock().close_session(conn.id);
+                    self.shared.core().close_session(conn.id);
                     self.shared.registry.closed();
                     progressed = true;
                 }
@@ -1107,7 +1065,7 @@ impl TcpCacheServer {
                         conn.dead = true;
                         break;
                     }
-                    Ok(n) => self.shared.core.lock().receive(conn.id, &buf[..n]),
+                    Ok(n) => self.shared.core().receive(conn.id, &buf[..n]),
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                     Err(_) => {
@@ -1121,7 +1079,7 @@ impl TcpCacheServer {
             let mut blocked = false;
             for conn in conns.iter_mut() {
                 while !conn.dead {
-                    let mut core = self.shared.core.lock();
+                    let mut core = self.shared.core();
                     let chunk = core.peek_output(conn.id);
                     if chunk.is_empty() {
                         break;
@@ -1160,7 +1118,7 @@ impl ServerHandle {
     /// immediately rather than on the next poll tick. Returns the number
     /// of sessions notified.
     pub fn update_and_notify(&self, vrps: &[Vrp]) -> usize {
-        let notified = self.shared.core.lock().update_and_notify(vrps);
+        let notified = self.shared.core().update_and_notify(vrps);
         self.shared.registry.wake();
         notified
     }
@@ -1170,8 +1128,7 @@ impl ServerHandle {
     pub fn update_delta_and_notify(&self, announced: &[Vrp], withdrawn: &[Vrp]) -> usize {
         let notified = self
             .shared
-            .core
-            .lock()
+            .core()
             .update_delta_and_notify(announced, withdrawn);
         self.shared.registry.wake();
         notified
@@ -1180,7 +1137,7 @@ impl ServerHandle {
     /// Runs `f` against the fan-out core under its lock, then wakes the
     /// event loop (`f` may have queued output or advanced timers).
     pub fn with_core<R>(&self, f: impl FnOnce(&mut FanoutServer) -> R) -> R {
-        let result = f(&mut self.shared.core.lock());
+        let result = f(&mut self.shared.core());
         self.shared.registry.wake();
         result
     }
@@ -1188,7 +1145,7 @@ impl ServerHandle {
     /// Runs `f` against the cache under the core lock, without any
     /// notify fan-out (see [`FanoutServer::with_cache`]).
     pub fn with_cache<R>(&self, f: impl FnOnce(&mut CacheServer) -> R) -> R {
-        let result = self.shared.core.lock().with_cache(f);
+        let result = self.shared.core().with_cache(f);
         self.shared.registry.wake();
         result
     }
@@ -1225,8 +1182,9 @@ impl ServerHandle {
 mod tests {
     use super::*;
     use crate::client::RouterClient;
-    use crate::pdu::PROTOCOL_V1;
+    use crate::pdu::{Pdu, PROTOCOL_V1};
     use crate::transport::{TcpTransport, Transport};
+    use crate::wire;
     use std::thread;
 
     fn vrps(list: &[&str]) -> Vec<Vrp> {
@@ -1503,6 +1461,37 @@ mod tests {
         router.synchronize(&mut transport).unwrap();
         assert_eq!(router.vrps().len(), 2);
         assert_eq!(router.serial(), 1);
+        handle.shutdown();
+        serving.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_with_core_closure_does_not_wedge_the_server() {
+        let (handle, serving) = spawn_server(&vrps(&["10.0.0.0/8 => AS1"]));
+        let mut first = TcpTransport::connect(handle.addr()).unwrap();
+        RouterClient::new().synchronize(&mut first).unwrap();
+        let poisoner = handle.clone();
+        let panicked = thread::spawn(move || poisoner.with_core(|_| panic!("closure bug")));
+        assert!(panicked.join().is_err());
+        // The core mutex is poisoned now; the event loop and every
+        // handle must keep locking it. A closure that dies after
+        // changing the cache must not leave the old image to be served.
+        let next = vrps(&["10.0.0.0/8 => AS1", "11.0.0.0/8 => AS2"]);
+        let poisoner = handle.clone();
+        let panicked = thread::spawn(move || {
+            poisoner.with_cache(|cache| {
+                cache.update(&next);
+                panic!("closure bug");
+            })
+        });
+        assert!(panicked.join().is_err());
+        let mut transport = TcpTransport::connect(handle.addr()).unwrap();
+        let mut router = RouterClient::new();
+        router.synchronize(&mut transport).unwrap();
+        assert_eq!((router.vrps().len(), router.serial()), (2, 1));
+        assert_eq!(handle.update_and_notify(&[]), 2, "both routers notified");
+        router.synchronize(&mut transport).unwrap();
+        assert_eq!((router.vrps().len(), router.serial()), (0, 2));
         handle.shutdown();
         serving.join().unwrap().unwrap();
     }

@@ -77,8 +77,7 @@ fn router_survives_many_incremental_updates() {
 
 #[test]
 fn concurrent_routers_share_one_cache_state() {
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     let cache = Arc::new(Mutex::new(CacheServer::new(
         9,
@@ -89,7 +88,10 @@ fn concurrent_routers_share_one_cache_state() {
         let cache = Arc::clone(&cache);
         handles.push(thread::spawn(move || {
             let mut router = RouterClient::new();
-            let response = cache.lock().handle(&rpki_rtr::pdu::Pdu::ResetQuery);
+            let response = cache
+                .lock()
+                .unwrap()
+                .handle(&rpki_rtr::pdu::Pdu::ResetQuery);
             for pdu in response {
                 router.handle(&pdu).unwrap();
             }

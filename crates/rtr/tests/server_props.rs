@@ -16,8 +16,8 @@
 
 use proptest::prelude::*;
 use rpki_roa::Vrp;
-use rpki_rtr::cache::{CacheServer, HISTORY_WINDOW};
-use rpki_rtr::pdu::{Pdu, PROTOCOL_V0, PROTOCOL_V1};
+use rpki_rtr::cache::{CacheServer, WireOutcome, HISTORY_WINDOW};
+use rpki_rtr::pdu::{ErrorCode, Flags, Pdu, Timing, PROTOCOL_V0, PROTOCOL_V1};
 use rpki_rtr::server::{FanoutServer, ServerConfig, SessionId};
 use rpki_rtr::wire::decode_frame;
 use rpki_rtr::RouterClient;
@@ -330,4 +330,199 @@ fn notify_query_delta_cycle_survives_the_u32_wrap() {
         "catch-up path across the wrap"
     );
     assert_eq!(stale_router.serial(), 3);
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A cache 20 epochs old whose serial crossed `u32::MAX` (it ends at
+/// 10): the history is full, VRPs announced in one epoch are withdrawn
+/// three later (so deltas coalesce), and both families are served.
+fn scripted_cache() -> CacheServer {
+    let mut initial: Vec<Vrp> = (0..8).map(vrp).collect();
+    initial.push("2001:db8::/32-48 => AS64500".parse().unwrap());
+    let mut cache = CacheServer::with_initial_serial(SESSION, &initial, u32::MAX - 9);
+    for e in 0..20u32 {
+        let mut announced = vec![vrp(1000 + e)];
+        if e % 5 == 0 {
+            announced.push(format!("2001:db8:{e:x}::/48 => AS64501").parse().unwrap());
+        }
+        let mut withdrawn = Vec::new();
+        if e >= 3 {
+            withdrawn.push(vrp(1000 + e - 3));
+        }
+        if e < 8 {
+            withdrawn.push(vrp(e));
+        }
+        let _ = cache.update_delta(&announced, &withdrawn);
+    }
+    assert_eq!(cache.serial(), 10);
+    cache
+}
+
+/// Every kind of request a cache answers without closing the session.
+fn scripted_requests() -> Vec<Pdu> {
+    let serial = |lag: u32| Pdu::SerialQuery {
+        session_id: SESSION,
+        serial: 10u32.wrapping_sub(lag),
+    };
+    let window = HISTORY_WINDOW as u32;
+    vec![
+        Pdu::ResetQuery,
+        serial(0),
+        serial(1),
+        serial(5),
+        serial(12), // a pre-wrap serial inside the window
+        serial(window),
+        serial(window + 1),
+        serial(u32::MAX - 2), // three ahead of the cache
+        serial(1 << 31),
+        Pdu::SerialQuery {
+            session_id: SESSION + 1,
+            serial: 10,
+        },
+        // Valid PDUs a router has no business sending.
+        Pdu::SerialNotify {
+            session_id: SESSION,
+            serial: 10,
+        },
+        Pdu::CacheResponse {
+            session_id: SESSION,
+        },
+        Pdu::Prefix {
+            flags: Flags::Announce,
+            vrp: vrp(7),
+        },
+        Pdu::Prefix {
+            flags: Flags::Withdraw,
+            vrp: "2001:db8::/32-48 => AS64500".parse().unwrap(),
+        },
+        Pdu::EndOfData {
+            session_id: SESSION,
+            serial: 10,
+            timing: Timing {
+                refresh: 11,
+                retry: 7,
+                expire: 13,
+            },
+        },
+        Pdu::CacheReset,
+        Pdu::ErrorReport {
+            code: ErrorCode::InternalError,
+            pdu: Vec::new().into(),
+            text: "router-side complaint".into(),
+        },
+        Pdu::ErrorReport {
+            code: ErrorCode::NoDataAvailable,
+            pdu: encode(&Pdu::ResetQuery, PROTOCOL_V1).into(),
+            text: String::new(),
+        },
+        // Second askers are served from the shared images.
+        serial(5),
+        Pdu::ResetQuery,
+    ]
+}
+
+/// Buffers that end a session: (what they test, bytes sent after a
+/// Reset Query at `version` pinned the session).
+fn scripted_poison(version: u8) -> Vec<(&'static str, Vec<u8>)> {
+    let reset_at = |v: u8| encode(&Pdu::ResetQuery, v);
+    let mut complete_bad_length = vec![version, 2, 0, 0, 0, 0, 0, 12, 1, 2, 3, 4];
+    complete_bad_length.extend_from_slice(&reset_at(version));
+    let mut nested = vec![version, 10, 0, 0, 0, 0, 0, 26, 0, 0, 0, 10];
+    nested.extend_from_slice(&[version, 10, 0, 0, 0, 0, 0, 16, 0, 0]);
+    nested.extend_from_slice(&[0, 0, 0, 0]);
+    vec![
+        ("version above the maximum", vec![9, 2, 0, 0, 0, 0, 0, 8]),
+        ("version switch mid-session", reset_at(1 - version)),
+        ("unknown type, complete frame, trailing query", {
+            let mut b = vec![version, 9, 0, 0, 0, 0, 0, 8];
+            b.extend_from_slice(&reset_at(version));
+            b
+        }),
+        (
+            "bad length, complete frame, trailing query",
+            complete_bad_length,
+        ),
+        ("length out of range poisons the buffer", {
+            let mut b = vec![version, 2, 0, 0, 0xFF, 0, 0, 0];
+            b.extend_from_slice(&reset_at(version));
+            b
+        }),
+        (
+            "non-zero reserved field",
+            vec![version, 2, 0, 1, 0, 0, 0, 8],
+        ),
+        ("malformed error report is not embedded", nested),
+    ]
+}
+
+/// The response bytes [`CacheServer::handle_wire`] and
+/// [`FanoutServer::receive`] produce for the script above, hashed at the
+/// commit before the two shared one responder and one frame step. A
+/// changed byte anywhere — a response, an embedded PDU, a report text, a
+/// consumed count — changes it.
+const RESPONSE_DIGEST: [u64; 2] = [0x06ae_3649_347c_5b73, 0xa132_1629_d8da_8d6a];
+
+#[test]
+fn scripted_responses_hash_to_the_pinned_digest() {
+    for version in [PROTOCOL_V0, PROTOCOL_V1] {
+        let mut server = FanoutServer::new(scripted_cache());
+        let cache = server.cache().clone();
+        let one_by_one = server.open_session();
+        let pipelined = server.open_session();
+        let mut negotiation = cache.negotiation();
+        let mut all = Vec::new();
+        let mut sent = Vec::new();
+        for request in scripted_requests() {
+            let input = encode(&request, version);
+            let mut expect = Vec::new();
+            let outcome = cache.handle_wire(&input, &mut negotiation, &mut expect);
+            let consumed = input.len();
+            assert_eq!(outcome, WireOutcome::Responded { consumed }, "{request:?}");
+            server.receive(one_by_one, &input);
+            let mut got = Vec::new();
+            server.drain_output(one_by_one, &mut got);
+            assert_eq!(got, expect, "v{version} {request:?}");
+            assert!(server.session_error(one_by_one).is_none(), "{request:?}");
+            all.extend_from_slice(&expect);
+            sent.extend_from_slice(&input);
+        }
+        // The same requests in one buffer get the same bytes.
+        server.receive(pipelined, &sent);
+        let mut got = Vec::new();
+        server.drain_output(pipelined, &mut got);
+        assert_eq!(got, all, "v{version} pipelined");
+
+        for (what, poison) in scripted_poison(version) {
+            let opening = encode(&Pdu::ResetQuery, version);
+            let mut negotiation = cache.negotiation();
+            let mut expect = Vec::new();
+            let _ = cache.handle_wire(&opening, &mut negotiation, &mut expect);
+            let outcome = cache.handle_wire(&poison, &mut negotiation, &mut expect);
+            let WireOutcome::Teardown { consumed, error } = outcome else {
+                panic!("v{version} {what}: expected a teardown, got {outcome:?}");
+            };
+            let id = server.open_session();
+            server.receive(id, &opening);
+            server.receive(id, &poison);
+            let mut got = Vec::new();
+            server.drain_output(id, &mut got);
+            assert_eq!(got, expect, "v{version} {what}");
+            assert_eq!(server.session_error(id), Some(&error), "v{version} {what}");
+            all.extend_from_slice(&expect);
+            all.extend_from_slice(&(consumed as u32).to_be_bytes());
+        }
+        assert_eq!(
+            fnv1a(&all),
+            RESPONSE_DIGEST[version as usize],
+            "v{version} digest {:#018x} over {} bytes",
+            fnv1a(&all),
+            all.len()
+        );
+    }
 }
