@@ -1,89 +1,73 @@
 //! Regenerates the §4/§5 attack analysis: mean traffic interception for
 //! every (attack, ROA configuration) pair, on a synthetic AS topology
-//! under full and partial route-origin-validation adoption.
+//! under five levels of route-origin-validation adoption — one
+//! [`ScenarioMatrix`], one executor pass.
 //!
 //! Knobs: `MAXLENGTH_TOPOLOGY` (topology size), `MAXLENGTH_TRIALS`
 //! (attacker/victim pairs per cell).
 
-use bgpsim::experiment::AttackExperiment;
+use bgpsim::experiment::RoaConfig;
 use bgpsim::topology::TopologyConfig;
+use bgpsim::{AttackKind, DeploymentModel, ScenarioMatrix, TopologyFamily};
 use rpki_bench::harness::usize_from_env;
 
 fn main() {
     let n = usize_from_env("MAXLENGTH_TOPOLOGY", 2000);
     let trials = usize_from_env("MAXLENGTH_TRIALS", 30);
+    let fractions = [0.0, 0.25, 0.5, 0.75, 1.0];
 
-    for rov_fraction in [1.0, 0.5] {
-        let t0 = std::time::Instant::now();
-        // Per-trial seed derivation makes this bit-identical to `.run()`.
-        let (report, stats) = AttackExperiment {
-            topology: TopologyConfig {
-                n,
-                ..TopologyConfig::default()
-            },
-            trials,
-            rov_fraction,
-            seed: 99,
-        }
-        .run_par_with_stats();
-        eprintln!(
-            "topology n={n}, {trials} attacker/victim samples, ROV adoption {:.0}% ({:.1?})",
-            rov_fraction * 100.0,
-            t0.elapsed()
-        );
-        eprintln!(
-            "speculation: {}/{} items replayed ({} footprint checks, {} re-propagated)",
-            stats.cells_replayed, stats.items, stats.footprint_checks, stats.cells_repropagated,
-        );
-        println!(
-            "\n=== traffic intercepted by the attacker (ROV adoption {:.0}%) ===\n",
-            rov_fraction * 100.0
-        );
-        print!("{}", report.render());
-    }
-
-    // The adoption sweep: §2 notes few ASes filtered in 2017; show how the
-    // two decisive attacks respond to growing enforcement.
-    let base = AttackExperiment {
-        topology: TopologyConfig {
+    let t0 = std::time::Instant::now();
+    let (report, stats) = ScenarioMatrix {
+        topologies: vec![TopologyFamily::new(TopologyConfig {
             n,
             ..TopologyConfig::default()
-        },
+        })],
+        strategies: AttackKind::ALL.iter().map(|&k| Box::new(k) as _).collect(),
+        deployments: fractions
+            .iter()
+            .map(|&p| DeploymentModel::Uniform { p })
+            .collect(),
+        roas: RoaConfig::ALL.to_vec(),
         trials,
-        rov_fraction: 1.0,
         seed: 99,
-    };
-    let fractions = [0.0, 0.25, 0.5, 0.75, 1.0];
-    // One executor plan per sweep: the topology is generated once, the
-    // uniform adopter draws share one threshold pass, and sweep points
-    // whose trials are RPKI-transparent are replayed, not re-propagated.
-    let classic = base.adoption_sweep(
-        bgpsim::AttackKind::SubprefixHijack,
-        bgpsim::experiment::RoaConfig::Minimal,
-        &fractions,
+    }
+    .run_par_with_stats();
+    eprintln!(
+        "topology n={n}, {trials} attacker/victim samples, {} ROV adoption levels ({:.1?})",
+        fractions.len(),
+        t0.elapsed()
     );
-    let forged = base.adoption_sweep(
-        bgpsim::AttackKind::ForgedOriginSubprefixHijack,
-        bgpsim::experiment::RoaConfig::NonMinimalMaxLen,
-        &fractions,
+    eprintln!(
+        "speculation: {}/{} items replayed ({} footprint checks, {} re-propagated)",
+        stats.cells_replayed, stats.items, stats.footprint_checks, stats.cells_repropagated,
     );
-    println!(
-        "
-=== mean interception vs ROV adoption ===
-"
-    );
+    println!("=== traffic intercepted by the attacker ===\n");
+    print!("{}", report.render());
+
+    // The adoption sweep: §2 notes few ASes filtered in 2017; show how the
+    // two decisive attacks respond to growing enforcement — two rows of
+    // the grid above, read across its deployment axis.
+    println!("\n=== mean interception vs ROV adoption ===\n");
     print!("{:<52}", "attack / ROA");
     for f in fractions {
         print!(" {:>6.0}%", f * 100.0);
     }
     println!();
-    for (label, sweep) in [
-        ("subprefix hijack vs minimal ROA", &classic),
-        ("forged-origin subprefix vs non-minimal ROA", &forged),
+    for (label, kind, roa) in [
+        (
+            "subprefix hijack vs minimal ROA",
+            AttackKind::SubprefixHijack,
+            RoaConfig::Minimal,
+        ),
+        (
+            "forged-origin subprefix vs non-minimal ROA",
+            AttackKind::ForgedOriginSubprefixHijack,
+            RoaConfig::NonMinimalMaxLen,
+        ),
     ] {
         print!("{label:<52}");
-        for (_, v) in &sweep.points {
-            print!(" {:>6.1}%", v * 100.0);
+        for cell in report.cells_for(kind.label(), roa) {
+            print!(" {:>6.1}%", cell.stats.mean_interception * 100.0);
         }
         println!();
     }

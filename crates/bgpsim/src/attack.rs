@@ -7,7 +7,7 @@
 //! longest-matching-prefix route, and we count where the packets land.
 
 use rpki_prefix::Prefix;
-use rpki_rov::{RovPolicy, VrpIndex};
+use rpki_rov::VrpIndex;
 
 use crate::engine::{with_workspace, CompiledPolicies, OriginFilter, PropagationEngine};
 use crate::routing::{Propagation, Seed};
@@ -82,8 +82,10 @@ pub struct AttackSetup<'a> {
     pub sub_prefix: Prefix,
     /// The published VRPs (the ROA configuration under test).
     pub vrps: &'a VrpIndex,
-    /// Per-AS validation policy.
-    pub policies: &'a [RovPolicy],
+    /// Which ASes drop RPKI-Invalid routes: the deployment, compiled
+    /// once ([`CompiledPolicies::compile`]) for every trial staged
+    /// under it.
+    pub policies: &'a CompiledPolicies,
 }
 
 /// Where each AS's traffic for the attacked block ends up.
@@ -98,6 +100,50 @@ pub struct AttackOutcome {
 }
 
 impl AttackOutcome {
+    /// The longest-prefix-match data plane: every AS other than
+    /// `attacker` and `victim` forwards along its route in the first of
+    /// `tables` (most specific prefix first) that holds one, and lands
+    /// at `attacker`, at a legitimate deliverer, or — with no route in
+    /// any table — nowhere. Word-parallel over the membership bits; of a
+    /// route it reads only `delivers_to`.
+    pub(crate) fn tally(tables: &[&Propagation], attacker: usize, victim: usize) -> AttackOutcome {
+        let n = tables[0].len();
+        assert!(tables.iter().all(|t| t.len() == n), "tables of one graph");
+        let mut outcome = AttackOutcome {
+            intercepted: 0,
+            legitimate: 0,
+            disconnected: 0,
+        };
+        for w in 0..n.div_ceil(64) {
+            // The ASes of this word still looking for a route.
+            let mut open = if (w + 1) * 64 <= n {
+                !0u64
+            } else {
+                (1u64 << (n % 64)) - 1
+            };
+            for excluded in [attacker, victim] {
+                if excluded >> 6 == w {
+                    open &= !(1 << (excluded & 63));
+                }
+            }
+            for table in tables {
+                let mut hits = table.set[w] & open;
+                open &= !hits;
+                while hits != 0 {
+                    let at = (w << 6) + hits.trailing_zeros() as usize;
+                    hits &= hits - 1;
+                    if table.routes[at].delivers_to() == attacker {
+                        outcome.intercepted += 1;
+                    } else {
+                        outcome.legitimate += 1;
+                    }
+                }
+            }
+            outcome.disconnected += open.count_ones() as usize;
+        }
+        outcome
+    }
+
     /// The attacker's share of routed traffic: `intercepted /
     /// (intercepted + legitimate)`, the metric of §4.
     pub fn interception_fraction(&self) -> f64 {
@@ -128,8 +174,8 @@ pub struct ForgedOriginTrial<'a> {
     pub target: Prefix,
     /// The published VRPs.
     pub vrps: &'a VrpIndex,
-    /// Per-AS validation policy.
-    pub policies: &'a [RovPolicy],
+    /// Which ASes drop RPKI-Invalid routes (the compiled deployment).
+    pub policies: &'a CompiledPolicies,
 }
 
 /// Runs a forged-origin subprefix hijack against a multi-prefix victim.
@@ -138,60 +184,41 @@ pub struct ForgedOriginTrial<'a> {
 /// for an address inside `target` then follows each AS's longest matching
 /// prefix among `target` and every covering victim announcement.
 ///
-/// `compiled` is `trial.policies` compiled to its adopter bitset
-/// ([`CompiledPolicies::compile`]), so a loop that holds one deployment
-/// fixed across many trials scans the policy vector once, not per trial.
-///
 /// # Panics
 ///
-/// Panics if attacker and victim coincide, or if `trial.policies` or
-/// `compiled` covers a different number of ASes than the topology.
-pub fn run_forged_origin_trial_compiled(
-    trial: &ForgedOriginTrial<'_>,
-    compiled: &CompiledPolicies,
-) -> AttackOutcome {
+/// Panics if attacker and victim coincide, or if `trial.policies` covers
+/// a different number of ASes than the topology.
+pub fn run_forged_origin_trial(trial: &ForgedOriginTrial<'_>) -> AttackOutcome {
     let t = trial.topology;
     assert_ne!(trial.attacker, trial.victim);
-    assert_eq!(trial.policies.len(), t.len());
-    assert_eq!(compiled.len(), t.len(), "compiled policies cover the graph");
+    assert_eq!(trial.policies.len(), t.len(), "policies cover the graph");
     let victim_asn = t.asn(trial.victim);
 
-    // Engine path: each table's ROV verdict resolved once per propagated
-    // prefix (the only claimed origin in play is the victim's — the
-    // forged path claims it too).
+    // The only claimed origin in play is the victim's (the forged path
+    // claims it too): one ROV verdict per propagated prefix.
     let engine = PropagationEngine::new(t);
-    let propagate_with = |prefix: Prefix, seeds: &[Seed]| -> Propagation {
-        let accept = OriginFilter::new(trial.vrps, prefix, &[victim_asn], compiled);
+    let propagate = |prefix: Prefix, seeds: &[Seed]| -> Propagation {
+        let accept = OriginFilter::new(trial.vrps, prefix, &[victim_asn], trial.policies);
         with_workspace(|ws| engine.propagate(seeds, &|at, origin| accept.accept(at, origin), ws))
     };
 
-    // Propagate the attacked prefix: the attacker's forged announcement,
-    // plus the victim's own if the victim announces exactly `target`.
+    // The table stack, most specific first: the attacked prefix (the
+    // forged announcement, plus the victim's own if it announces exactly
+    // `target`), then every victim announcement covering it — the routes
+    // traffic falls back to where the forged one was filtered.
+    let mut covering: Vec<Prefix> = trial.victim_prefixes.to_vec();
+    covering.retain(|p| p.covers(trial.target) && *p != trial.target);
+    covering.sort_by_key(|p| std::cmp::Reverse(p.len()));
     let mut target_seeds = vec![Seed::forged(trial.attacker, victim_asn)];
     if trial.victim_prefixes.contains(&trial.target) {
         target_seeds.push(Seed::origin(trial.victim, victim_asn));
     }
-    let target_routes = propagate_with(trial.target, &target_seeds);
-
-    // Propagate every victim announcement that covers the target, longest
-    // first — these are the fallback routes traffic takes where the
-    // attacker's announcement was filtered.
-    let mut covering: Vec<Prefix> = trial
-        .victim_prefixes
-        .iter()
-        .copied()
-        .filter(|p| p.covers(trial.target) && *p != trial.target)
+    let victim_seed = [Seed::origin(trial.victim, victim_asn)];
+    let stack: Vec<Propagation> = std::iter::once(propagate(trial.target, &target_seeds))
+        .chain(covering.iter().map(|&p| propagate(p, &victim_seed)))
         .collect();
-    covering.sort_by_key(|p| std::cmp::Reverse(p.len()));
-    let fallbacks: Vec<Propagation> = covering
-        .iter()
-        .map(|&p| propagate_with(p, &[Seed::origin(trial.victim, victim_asn)]))
-        .collect();
-
-    let tables: Vec<&Propagation> = std::iter::once(&target_routes)
-        .chain(fallbacks.iter())
-        .collect();
-    crate::strategy::outcome_from_tables(&tables, trial.attacker, trial.victim, t.len())
+    let tables: Vec<&Propagation> = stack.iter().collect();
+    AttackOutcome::tally(&tables, trial.attacker, trial.victim)
 }
 
 #[cfg(test)]
@@ -200,6 +227,7 @@ mod tests {
     use crate::strategy::run_strategy;
     use crate::topology::TopologyConfig;
     use rpki_roa::Vrp;
+    use rpki_rov::RovPolicy;
 
     struct World {
         topology: Topology,
@@ -226,7 +254,7 @@ mod tests {
     }
 
     fn run(w: &World, kind: AttackKind, vrps: &VrpIndex, policy: RovPolicy) -> AttackOutcome {
-        let policies = vec![policy; w.topology.len()];
+        let policies = CompiledPolicies::compile(&vec![policy; w.topology.len()]);
         run_strategy(
             &kind,
             &AttackSetup {
@@ -384,7 +412,7 @@ mod tests {
     fn rejects_self_attack() {
         let w = world();
         let vrps = VrpIndex::new();
-        let policies = vec![RovPolicy::AcceptAll; w.topology.len()];
+        let policies = CompiledPolicies::compile(&vec![RovPolicy::AcceptAll; w.topology.len()]);
         run_strategy(
             &AttackKind::PrefixHijack,
             &AttackSetup {
@@ -401,25 +429,97 @@ mod tests {
 }
 
 #[cfg(test)]
+mod tally_tests {
+    use super::*;
+    use crate::routing::{RouteClass, RouteInfo};
+    use proptest::prelude::*;
+    use rpki_roa::Asn;
+
+    fn mix(x: u64) -> u64 {
+        (x ^ (x >> 31))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29)
+    }
+
+    proptest! {
+        /// The word-parallel tally equals the per-AS definition — the
+        /// first table holding a route wins — on stacks of 1–4 random
+        /// tables whose AS count is not a multiple of 64, with attacker
+        /// and victim in one word or in two, and with a last word that
+        /// may hold no route at all.
+        #[test]
+        fn tally_equals_first_table_with_a_route_wins(
+            n in prop_oneof![Just(70usize), Just(100usize), Just(130usize), Just(191usize)],
+            depth in 1usize..5,
+            salt in any::<u64>(),
+            attacker in any::<prop::sample::Index>(),
+            victim in any::<prop::sample::Index>(),
+            same_word in any::<bool>(),
+            empty_last_word in any::<bool>(),
+        ) {
+            let attacker = attacker.index(n);
+            let victim = match (same_word, attacker < 64) {
+                (true, _) if attacker ^ 1 < n => attacker ^ 1,
+                (true, _) => attacker - 1,
+                (false, true) => 64 + victim.index(n - 64),
+                (false, false) => victim.index(64),
+            };
+            prop_assert_eq!(attacker >> 6 == victim >> 6, same_word);
+            let last_word = n / 64 * 64;
+            let stack: Vec<Vec<_>> = (0..depth as u64)
+                .map(|k| {
+                    (0..n)
+                        .map(|at| {
+                            let h = mix(salt ^ mix(k << 32 | at as u64));
+                            let routed = h & 1 == 1 && !(empty_last_word && at >= last_word);
+                            routed.then(|| RouteInfo {
+                                class: RouteClass::Provider,
+                                path_len: 3,
+                                claimed_origin: Asn(7),
+                                delivers_to: match (h >> 1) & 3 {
+                                    0 | 1 => attacker,
+                                    2 => victim,
+                                    _ => (h >> 8) as usize % n,
+                                },
+                                next_hop: None,
+                            })
+                        })
+                        .collect()
+                })
+                .collect();
+
+            let mut naive = AttackOutcome { intercepted: 0, legitimate: 0, disconnected: 0 };
+            for at in (0..n).filter(|&at| at != attacker && at != victim) {
+                match stack.iter().find_map(|table| table[at]) {
+                    Some(route) if route.delivers_to == attacker => naive.intercepted += 1,
+                    Some(_) => naive.legitimate += 1,
+                    None => naive.disconnected += 1,
+                }
+            }
+            let packed: Vec<Propagation> = stack.iter().map(|t| Propagation::pack(t)).collect();
+            let tables: Vec<&Propagation> = packed.iter().collect();
+            prop_assert_eq!(AttackOutcome::tally(&tables, attacker, victim), naive);
+        }
+    }
+}
+
+#[cfg(test)]
 mod trial_tests {
     use super::*;
     use crate::strategy::run_strategy;
     use crate::topology::TopologyConfig;
     use rpki_roa::Vrp;
+    use rpki_rov::RovPolicy;
 
-    fn setup() -> (Topology, usize, usize, Vec<RovPolicy>) {
+    fn setup() -> (Topology, usize, usize, CompiledPolicies) {
         let t = Topology::generate(TopologyConfig {
             n: 400,
             tier1: 6,
             ..TopologyConfig::default()
         });
         let stubs = t.stubs();
-        let policies = vec![RovPolicy::DropInvalid; t.len()];
+        let policies = CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; t.len()]);
         (t.clone(), stubs[0], stubs[stubs.len() / 2], policies)
-    }
-
-    fn run_trial(trial: &ForgedOriginTrial<'_>) -> AttackOutcome {
-        run_forged_origin_trial_compiled(trial, &CompiledPolicies::compile(trial.policies))
     }
 
     #[test]
@@ -441,7 +541,7 @@ mod trial_tests {
                 policies: &policies,
             },
         );
-        let multi = run_trial(&ForgedOriginTrial {
+        let multi = run_forged_origin_trial(&ForgedOriginTrial {
             topology: &t,
             victim,
             attacker,
@@ -468,7 +568,7 @@ mod trial_tests {
         let vrps: VrpIndex = [Vrp::new(roa_parent, 24, t.asn(victim))]
             .into_iter()
             .collect();
-        let outcome = run_trial(&ForgedOriginTrial {
+        let outcome = run_forged_origin_trial(&ForgedOriginTrial {
             topology: &t,
             victim,
             attacker,
@@ -491,7 +591,7 @@ mod trial_tests {
         let right: Prefix = "10.0.128.0/17".parse().unwrap();
         let announced = vec![parent, left, right];
         let vrps: VrpIndex = [Vrp::new(parent, 17, t.asn(victim))].into_iter().collect();
-        let outcome = run_trial(&ForgedOriginTrial {
+        let outcome = run_forged_origin_trial(&ForgedOriginTrial {
             topology: &t,
             victim,
             attacker,
@@ -510,7 +610,7 @@ mod trial_tests {
         let (t, victim, attacker, policies) = setup();
         let p: Prefix = "168.122.0.0/16".parse().unwrap();
         let vrps: VrpIndex = [Vrp::exact(p, t.asn(victim))].into_iter().collect();
-        let outcome = run_trial(&ForgedOriginTrial {
+        let outcome = run_forged_origin_trial(&ForgedOriginTrial {
             topology: &t,
             victim,
             attacker,

@@ -2,13 +2,12 @@
 //!
 //! §2's sobering observation is that ROAs protect nothing until routers
 //! drop Invalid routes, and in the measured world only a handful did.
-//! The original experiment encoded that as a single uniform adoption
-//! probability; [`DeploymentModel`] generalizes it into an axis of the
-//! scenario matrix:
+//! [`DeploymentModel`] makes who validates an axis of the scenario
+//! matrix:
 //!
 //! * [`DeploymentModel::Uniform`] — every AS enforces independently with
-//!   probability `p` (subsumes the old `rov_fraction` boolean world and
-//!   the [`crate::AdoptionSweep`]);
+//!   probability `p` (several levels of it on one axis are an adoption
+//!   sweep);
 //! * [`DeploymentModel::TopIspsFirst`] — the fraction `p` of ASes with
 //!   the most customers adopt first, the "large ISPs deploy first"
 //!   hypothesis of ROV-adoption studies;

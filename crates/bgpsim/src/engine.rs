@@ -32,10 +32,11 @@
 //!    [`CompiledPolicies`] bitset **once per deployment**, making
 //!    `accept` a word-indexed bit test instead of an index walk plus
 //!    policy dispatch per edge.
-//! 4. **Single-pass interception counting** —
-//!    [`PropagationEngine::propagate_outcome`] tallies where every AS's
-//!    traffic lands directly off the workspace, without materializing a
-//!    route vector.
+//! 4. **One data-plane tally** —
+//!    [`PropagationEngine::propagate_outcome`] hands the table still in
+//!    the workspace (and the less-specific one, if any) to
+//!    `AttackOutcome::tally`, the crate's one longest-prefix-match
+//!    count, without copying it out.
 //!
 //! # Bit-identical contract
 //!
@@ -59,102 +60,14 @@ use rpki_roa::{Asn, RouteOrigin};
 use rpki_rov::{RovPolicy, VrpIndex};
 
 use crate::attack::AttackOutcome;
-use crate::routing::{Propagation, RouteClass, RouteInfo, Seed};
+use crate::routing::{PackedRoute, Propagation, RouteClass, Seed, PATH_LEN_BITS};
 use crate::topology::Topology;
 
 /// Seeds may claim paths up to `DENSE_SLACK * (n + 2)` long: the dense
 /// bucket array is never sized after an adversarial `path_len` (every
-/// shipped strategy stays far below this).
+/// shipped strategy stays far below this). The packed length field
+/// ([`PATH_LEN_BITS`]) is the second cap, lower only past 2²⁷ ASes.
 const DENSE_SLACK: u64 = 4;
-
-/// `path_len` bits in a [`PackedRoute`]: the second cap on seed lengths
-/// (the [`DENSE_SLACK`] one is lower for every topology under 2²⁷ ASes).
-const PATH_LEN_BITS: u32 = 30;
-
-/// The `next_hop` sentinel for "entered the graph here". Safe because
-/// AS indices are `< n ≤ u32::MAX`, i.e. at most `u32::MAX - 1`.
-const NO_HOP: u32 = u32::MAX;
-
-/// A whole workspace route slot in one 16-byte word, `u32` indices
-/// throughout — 2.5x smaller than the 40-byte [`RouteInfo`] it encodes:
-///
-/// ```text
-/// bits 126..128  route class        (preference order, 2 bits)
-/// bits  96..126  path_len           (< 2^30, see `max_seed_len`)
-/// bits  64..96   claimed origin ASN
-/// bits  32..64   delivers_to        (AS index)
-/// bits   0..32   next_hop           (AS index; u32::MAX = none)
-/// ```
-///
-/// The field order makes the deterministic route preference — strictly
-/// smaller `(class, path_len, claimed_origin, delivers_to)` — a single
-/// integer comparison of the top 96 bits ([`PackedRoute::pref`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PackedRoute(u128);
-
-impl PackedRoute {
-    /// Placeholder for slots whose membership bit is clear; never read.
-    const EMPTY: PackedRoute = PackedRoute(0);
-
-    #[inline]
-    fn new(
-        class: RouteClass,
-        path_len: u32,
-        claimed_origin: Asn,
-        delivers_to: usize,
-        next_hop: Option<usize>,
-    ) -> PackedRoute {
-        debug_assert!(path_len < 1 << PATH_LEN_BITS);
-        let hop = next_hop.map_or(NO_HOP, |h| h as u32);
-        PackedRoute(
-            ((class as u8 as u128) << 126)
-                | ((path_len as u128) << 96)
-                | ((claimed_origin.into_u32() as u128) << 64)
-                | ((delivers_to as u32 as u128) << 32)
-                | hop as u128,
-        )
-    }
-
-    /// The preference key: `(class, path_len, claimed_origin,
-    /// delivers_to)` as one integer — `a.pref() < b.pref()` iff `a`
-    /// strictly beats `b` under the deterministic tie-break.
-    #[inline]
-    fn pref(self) -> u128 {
-        self.0 >> 32
-    }
-
-    #[inline]
-    fn path_len(self) -> u32 {
-        ((self.0 >> 96) as u32) & ((1 << PATH_LEN_BITS) - 1)
-    }
-
-    #[inline]
-    fn claimed_origin(self) -> Asn {
-        Asn((self.0 >> 64) as u32)
-    }
-
-    #[inline]
-    fn delivers_to(self) -> usize {
-        (self.0 >> 32) as u32 as usize
-    }
-
-    fn unpack(self) -> RouteInfo {
-        let class = match (self.0 >> 126) as u8 {
-            0 => RouteClass::Origin,
-            1 => RouteClass::Customer,
-            2 => RouteClass::Peer,
-            _ => RouteClass::Provider,
-        };
-        let hop = self.0 as u32;
-        RouteInfo {
-            class,
-            path_len: self.path_len(),
-            claimed_origin: self.claimed_origin(),
-            delivers_to: self.delivers_to(),
-            next_hop: (hop != NO_HOP).then_some(hop as usize),
-        }
-    }
-}
 
 /// Reusable per-thread propagation scratch.
 ///
@@ -166,8 +79,10 @@ impl PackedRoute {
 /// `RouteInfo` arrays), which is what lets an 80k-AS internet-scale
 /// workspace stay cache-resident:
 ///
-/// * `route_set` — one bit per AS: "this AS has settled its route this
-///   propagation". A slot of `routes` is live **iff** its bit is set.
+/// * `settled` — the route table being built, in the form a stored
+///   [`Propagation`] has: one bit per AS ("this AS has settled its route
+///   this propagation") over the packed slots, a slot live **iff** its
+///   bit is set.
 /// * `pend_set` — one bit per AS for the *current phase's* best pending
 ///   candidate in `pending`. The array is reused three times per
 ///   propagation (phase-1 pending, phase-2 peer offers, phase-3
@@ -187,11 +102,9 @@ impl PackedRoute {
 #[derive(Debug, Default)]
 pub struct Workspace {
     n: usize,
-    /// `n / 64` words of settled-route membership.
-    route_set: Vec<u64>,
+    settled: Propagation,
     /// `n / 64` words of pending/offer membership (reused per phase).
     pend_set: Vec<u64>,
-    routes: Vec<PackedRoute>,
     pending: Vec<PackedRoute>,
     /// `buckets[len]` holds the AS indices awaiting settlement at path
     /// length `len`.
@@ -213,10 +126,10 @@ impl Workspace {
     /// an internet-scale fan-out multiplies by the worker count. Counts
     /// array capacities (what the allocator holds), not lengths.
     pub fn memory_bytes(&self) -> usize {
-        self.route_set.capacity() * 8
+        self.settled.set.capacity() * 8
             + self.pend_set.capacity() * 8
             + self.drain_set.capacity() * 8
-            + self.routes.capacity() * std::mem::size_of::<PackedRoute>()
+            + self.settled.routes.capacity() * std::mem::size_of::<PackedRoute>()
             + self.pending.capacity() * std::mem::size_of::<PackedRoute>()
             + self.buckets.capacity() * std::mem::size_of::<Vec<u32>>()
             + self.buckets.iter().map(|b| b.capacity() * 4).sum::<usize>()
@@ -227,18 +140,18 @@ impl Workspace {
         let words = n.div_ceil(64);
         if self.n != n {
             self.n = n;
-            self.route_set.clear();
-            self.route_set.resize(words, 0);
+            self.settled.set.clear();
+            self.settled.set.resize(words, 0);
             self.pend_set.clear();
             self.pend_set.resize(words, 0);
             self.drain_set.clear();
             self.drain_set.resize(words, 0);
-            self.routes.clear();
-            self.routes.resize(n, PackedRoute::EMPTY);
+            self.settled.routes.clear();
+            self.settled.routes.resize(n, PackedRoute::EMPTY);
             self.pending.clear();
             self.pending.resize(n, PackedRoute::EMPTY);
         } else {
-            self.route_set.fill(0);
+            self.settled.set.fill(0);
             self.pend_set.fill(0);
         }
         self.hi = 0;
@@ -253,14 +166,14 @@ impl Workspace {
     /// `true` if AS `at` settled its route this propagation.
     #[inline]
     fn routed(&self, at: usize) -> bool {
-        (self.route_set[at >> 6] >> (at & 63)) & 1 != 0
+        self.settled.routed(at)
     }
 
     /// Marks AS `at` settled.
     #[inline]
     fn settle(&mut self, at: usize, info: PackedRoute) {
-        self.route_set[at >> 6] |= 1 << (at & 63);
-        self.routes[at] = info;
+        self.settled.set[at >> 6] |= 1 << (at & 63);
+        self.settled.routes[at] = info;
     }
 
     /// `true` if AS `at` holds a pending candidate this phase.
@@ -351,12 +264,6 @@ impl Workspace {
             }
             len += 1;
         }
-    }
-
-    /// AS `at`'s settled route this propagation, if any.
-    #[inline]
-    fn route(&self, at: usize) -> Option<RouteInfo> {
-        self.routed(at).then(|| self.routes[at].unpack())
     }
 }
 
@@ -563,10 +470,10 @@ impl<'a> OriginFilter<'a> {
 ///
 /// # Cost
 ///
-/// Recording reuses the engine's epoch-stamp discipline: `begin` bumps
-/// an epoch instead of clearing the per-AS stamp table, so a footprint
-/// held in a thread-local is allocation-free in steady state and `note`
-/// is a stamp compare plus (first time per AS) one push.
+/// The per-AS stamps are the footprint's own: `begin` bumps an epoch
+/// instead of clearing the stamp table, so a footprint held in a
+/// thread-local is allocation-free in steady state and `note` is a stamp
+/// compare plus (first time per AS) one push.
 #[derive(Debug, Default)]
 pub struct FilterFootprint {
     stamps: Vec<u64>,
@@ -659,8 +566,8 @@ impl<'t> PropagationEngine<'t> {
     }
 
     /// Propagates `seeds` under the `accept` import filter, reusing
-    /// `ws`'s scratch. The returned route vector is the only allocation
-    /// in steady state.
+    /// `ws`'s scratch. The returned table — a copy of the two arrays the
+    /// run settled into — is the only allocation in steady state.
     ///
     /// # Panics
     ///
@@ -669,29 +576,12 @@ impl<'t> PropagationEngine<'t> {
     where
         F: Fn(usize, Asn) -> bool + ?Sized,
     {
-        self.propagate_into(seeds, accept, ws, Vec::new())
-    }
-
-    /// [`Self::propagate`] into `routes` (cleared first), for loops that
-    /// recycle one table's vector ([`Propagation::into_routes`]).
-    pub(crate) fn propagate_into<F>(
-        &self,
-        seeds: &[Seed],
-        accept: &F,
-        ws: &mut Workspace,
-        mut routes: Vec<Option<RouteInfo>>,
-    ) -> Propagation
-    where
-        F: Fn(usize, Asn) -> bool + ?Sized,
-    {
         self.run(seeds, accept, ws);
-        routes.clear();
-        routes.extend((0..self.topology.len()).map(|at| ws.route(at)));
-        Propagation::from_routes(routes)
+        ws.settled.clone()
     }
 
-    /// Propagates `seeds` and tallies, in the same pass and without
-    /// materializing a route vector, where each AS's traffic for the
+    /// Propagates `seeds` and tallies, straight off the workspace and
+    /// without copying a table out, where each AS's traffic for the
     /// measured target lands: at `attacker`, at the legitimate
     /// deliverer, or nowhere. ASes without a route in the propagated
     /// table fall back to their route in `fallback` (the less-specific
@@ -714,25 +604,12 @@ impl<'t> PropagationEngine<'t> {
         F: Fn(usize, Asn) -> bool + ?Sized,
     {
         self.run(seeds, accept, ws);
-        let mut outcome = AttackOutcome {
-            intercepted: 0,
-            legitimate: 0,
-            disconnected: 0,
-        };
-        for at in 0..self.topology.len() {
-            if at == attacker || at == victim {
-                continue;
+        match fallback {
+            Some(less_specific) => {
+                AttackOutcome::tally(&[&ws.settled, less_specific], attacker, victim)
             }
-            let chosen = ws
-                .route(at)
-                .or_else(|| fallback.and_then(|p| p.routes()[at]));
-            match chosen {
-                Some(info) if info.delivers_to == attacker => outcome.intercepted += 1,
-                Some(_) => outcome.legitimate += 1,
-                None => outcome.disconnected += 1,
-            }
+            None => AttackOutcome::tally(&[&ws.settled], attacker, victim),
         }
-        outcome
     }
 
     /// Runs the three phases into `ws`: the result lives in its bitsets
@@ -781,7 +658,7 @@ impl<'t> PropagationEngine<'t> {
             if !ws.routed(at) {
                 continue;
             }
-            let info = ws.routes[at];
+            let info = ws.settled.routes[at];
             for &peer in t.peers(at) {
                 let peer = peer as usize;
                 if ws.routed(peer) {
@@ -804,7 +681,7 @@ impl<'t> PropagationEngine<'t> {
         // its offer. Word-wise `pend & !route` walks only the offer
         // bits.
         for w in 0..ws.pend_set.len() {
-            let mut bits = ws.pend_set[w] & !ws.route_set[w];
+            let mut bits = ws.pend_set[w] & !ws.settled.set[w];
             while bits != 0 {
                 let at = (w << 6) + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -819,7 +696,7 @@ impl<'t> PropagationEngine<'t> {
         ws.hi = 0;
         for at in 0..n {
             if ws.routed(at) {
-                let info = ws.routes[at];
+                let info = ws.settled.routes[at];
                 self.offer(info, at, t.customers(at), RouteClass::Provider, accept, ws);
             }
         }
@@ -894,7 +771,7 @@ mod tests {
             ];
             let reused = engine.propagate(&seeds, &accept_all, &mut shared);
             let fresh = engine.propagate(&seeds, &accept_all, &mut Workspace::new());
-            assert_eq!(reused.routes(), fresh.routes(), "trial {trial}");
+            assert!(reused.iter().eq(fresh.iter()), "trial {trial}");
         }
     }
 
@@ -931,38 +808,6 @@ mod tests {
             assert!(ws.drain_set.iter().all(|&w| w == 0), "trial {trial}");
             assert_eq!(ws.drain_set.len(), t.len().div_ceil(64));
         }
-    }
-
-    #[test]
-    fn propagate_outcome_matches_materialized_counting() {
-        let t = topo(300);
-        let stubs = t.stubs();
-        let (victim, attacker) = (stubs[0], stubs[stubs.len() / 2]);
-        let seeds = [
-            Seed::origin(victim, t.asn(victim)),
-            Seed::forged(attacker, t.asn(victim)),
-        ];
-        let engine = PropagationEngine::new(&t);
-        let mut ws = Workspace::new();
-        let outcome =
-            engine.propagate_outcome(&seeds, &accept_all, &mut ws, None, attacker, victim);
-        let materialized = engine.propagate(&seeds, &accept_all, &mut ws);
-        let mut expect = AttackOutcome {
-            intercepted: 0,
-            legitimate: 0,
-            disconnected: 0,
-        };
-        for at in 0..t.len() {
-            if at == attacker || at == victim {
-                continue;
-            }
-            match materialized.routes()[at] {
-                Some(info) if info.delivers_to == attacker => expect.intercepted += 1,
-                Some(_) => expect.legitimate += 1,
-                None => expect.disconnected += 1,
-            }
-        }
-        assert_eq!(outcome, expect);
     }
 
     #[test]
@@ -1028,7 +873,7 @@ mod tests {
             // it falls back to a fresh scratch.
             let inner = crate::routing::propagate(&t, &seeds, &|_, _| true);
             let outer = PropagationEngine::new(&t).propagate(&seeds, &accept_all, ws);
-            assert_eq!(inner.routes(), outer.routes());
+            assert!(inner.iter().eq(outer.iter()));
             outer
         });
         assert_eq!(outer.reached(), t.len());

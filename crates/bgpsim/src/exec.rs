@@ -1,19 +1,15 @@
-//! The unified trial executor: one orchestration layer under every
-//! simulation loop.
-//!
-//! Before this module, each trial loop — [`crate::AttackExperiment`],
-//! [`crate::ScenarioMatrix`], the census-weighted risk path — hand-rolled
-//! the same seeding, scheduling, policy compilation, and collect-then-fold
-//! aggregation. The executor collapses them into one pipeline:
+//! The trial executor: the one orchestration layer under every
+//! simulation loop — seeding, scheduling, policy compilation and
+//! per-cell aggregation for any grid or sweep.
 //!
 //! * [`TrialPlan`] — the IR: an enumeration of `(topology, strategy,
-//!   deployment, ROA, trial)` work items for any grid or sweep;
+//!   deployment, ROA, trial)` work items;
 //! * [`Executor`] — sequential and threaded backends scheduling those items
 //!   over the per-thread [`crate::engine::Workspace`] pool, with a
 //!   deployment-keyed policy cache and cross-deployment outcome replay;
-//! * [`Accumulator`] — streaming per-cell monoids ([`CellAccumulator`],
-//!   [`FractionAccumulator`]) replacing `Vec<AttackOutcome>` collection,
-//!   so memory stays O(cells), not O(cells × trials);
+//! * [`Accumulator`] — a streaming per-cell monoid ([`CellAccumulator`]
+//!   is the one that ships), so memory stays O(cells), not
+//!   O(cells × trials);
 //! * [`PlanCursor`] — a resumable checkpoint over the item stream, so a
 //!   multi-hour grid can stop and restart deterministically
 //!   ([`PlanSession::run_until`]).
@@ -45,17 +41,17 @@
 //!   then strategy, then deployment, then ROA (ROA varies fastest) —
 //!   and every `run*` method returns accumulators in that order.
 //! * **Fold ordering.** Each cell's accumulator absorbs that cell's
-//!   outcomes in ascending trial order, exactly as the collect-then-fold
-//!   loops folded their vectors, so the floating-point reductions are
-//!   bit-identical to [`run_plan_collected`] — and therefore to the
-//!   pre-executor `run`/`run_par` implementations — at any thread count
-//!   and any checkpoint granularity.
+//!   outcomes in ascending trial order, so the floating-point
+//!   reductions are bit-identical to folding [`run_plan_collected`]'s
+//!   per-cell vectors, at any thread count and any checkpoint
+//!   granularity.
 //!
 //! # What the executor reuses (and why it is still bit-identical)
 //!
 //! * **Policies** are compiled once per *distinct* `(topology,
 //!   deployment)` pair — never per cell — through a deployment-keyed
-//!   cache; uniform deployments at many adoption levels (a sweep) share
+//!   cache that keeps only the [`CompiledPolicies`] bitset; uniform
+//!   deployments at many adoption levels (a sweep) share
 //!   one pass over the threshold stream
 //!   ([`DeploymentModel::uniform_thresholds`]), which is bit-identical
 //!   to replaying `policies()` per level.
@@ -85,11 +81,9 @@
 //!   of the bitset at that AS — so footprint-equal ⇒ the propagation
 //!   unfolds through the identical import decisions ⇒ outcome-equal,
 //!   bit for bit. A trial whose filters were all transparent records an
-//!   *empty* footprint and validates against every deployment — the
-//!   transparent-replay contract of the original executor is exactly
-//!   the empty-footprint special case, and the speculative scheduler
-//!   strictly generalizes it: cells that differ only in ASes the route
-//!   computation never consulted are replayed too.
+//!   *empty* footprint and validates against every deployment; cells
+//!   that differ only in ASes the route computation never consulted
+//!   are replayed too.
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -97,16 +91,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 use rpki_prefix::Prefix;
-use rpki_rov::RovPolicy;
 
 use crate::attack::{AttackOutcome, AttackSetup};
 use crate::deployment::DeploymentModel;
 use crate::engine::{CompiledPolicies, FilterFootprint, OriginFilter};
 use crate::experiment::{destination_pair, trial_pair, RoaConfig};
-use crate::routing::{Propagation, RouteInfo};
-use crate::strategy::{
-    run_strategy_compiled, run_strategy_speculative, AttackerStrategy, SpecRecorder,
-};
+use crate::routing::Propagation;
+use crate::strategy::{run_strategy, run_strategy_speculative, AttackerStrategy, SpecRecorder};
 use crate::topology::Topology;
 
 /// Seeded sampling of destination (victim) stubs — the axis that makes
@@ -283,7 +274,11 @@ impl<'a> TrialPlan<'a> {
     /// `seed ^ trial` otherwise), exposed so tests can reconstruct a
     /// trial's world from the outside.
     pub fn trial_endpoints(&self, ti: usize, trial: usize) -> (usize, usize) {
-        plan_pair(self, self.topologies[ti].topology, trial)
+        let stubs = self.topologies[ti].topology.stubs();
+        match &self.destinations {
+            Some(dests) => destination_pair(self.seed, stubs, dests[trial]),
+            None => trial_pair(self.seed, stubs, trial),
+        }
     }
 
     /// The canonical index of a cell from its axis indices.
@@ -480,81 +475,6 @@ impl Accumulator for CellAccumulator {
     }
 }
 
-/// Mean/min/max of the interception fraction — the per-cell statistic of
-/// [`crate::AttackExperiment`] and the adoption sweeps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FractionAccumulator {
-    count: usize,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-/// [`FractionAccumulator::finish`]'s rendered statistic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FractionStats {
-    /// Trials folded.
-    pub count: usize,
-    /// Mean interception fraction (0.0 when empty).
-    pub mean: f64,
-    /// Minimum observed fraction (0.0 when empty).
-    pub min: f64,
-    /// Maximum observed fraction.
-    pub max: f64,
-}
-
-impl Accumulator for FractionAccumulator {
-    type Output = FractionStats;
-
-    fn empty() -> FractionAccumulator {
-        FractionAccumulator {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: 0.0,
-        }
-    }
-
-    fn absorb(&mut self, o: &AttackOutcome) {
-        let f = o.interception_fraction();
-        self.count += 1;
-        self.sum += f;
-        self.min = f64::min(self.min, f);
-        self.max = f64::max(self.max, f);
-    }
-
-    fn finish(&self) -> FractionStats {
-        FractionStats {
-            count: self.count,
-            mean: self.sum / self.count.max(1) as f64,
-            min: if self.min.is_finite() { self.min } else { 0.0 },
-            max: self.max,
-        }
-    }
-
-    fn encode(&self, out: &mut String) {
-        push_bits(
-            out,
-            &[
-                self.count as u64,
-                self.sum.to_bits(),
-                self.min.to_bits(),
-                self.max.to_bits(),
-            ],
-        );
-    }
-
-    fn decode(s: &str) -> Option<FractionAccumulator> {
-        let [count, sum, min, max] = parse_bits::<4>(s)?;
-        Some(FractionAccumulator {
-            count: count as usize,
-            sum: f64::from_bits(sum),
-            min: f64::from_bits(min),
-            max: f64::from_bits(max),
-        })
-    }
-}
-
 /// What a run actually did — the observability the policy-cache and
 /// replay regressions assert on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -661,8 +581,9 @@ impl<A: Accumulator> PlanCursor<A> {
         out
     }
 
-    /// Parses [`Self::encode`]'s output. `None` on malformed input,
-    /// which a `maxlength-cursor-v1` line is (see the module docs).
+    /// Parses [`Self::encode`]'s output. `None` on malformed input —
+    /// which a `maxlength-cursor-v1` line is (see the module docs), and
+    /// a position past the last group.
     pub fn decode(s: &str) -> Option<PlanCursor<A>> {
         let mut fields = s.split(' ');
         if fields.next()? != CURSOR_MAGIC {
@@ -679,6 +600,10 @@ impl<A: Accumulator> PlanCursor<A> {
             ..ExecStats::default()
         };
         let accs = fields.map(A::decode).collect::<Option<Vec<A>>>()?;
+        // A position past the end would read as a finished grid.
+        if next_group > total_groups {
+            return None;
+        }
         Some(PlanCursor {
             accs,
             next_group,
@@ -691,25 +616,18 @@ impl<A: Accumulator> PlanCursor<A> {
 /// First field of an encoded [`PlanCursor`]; versions its group numbering.
 const CURSOR_MAGIC: &str = "maxlength-cursor-v2";
 
-/// One compiled deployment: the per-AS policy vector and its adopter
-/// bitset, shared by every cell (and every sweep point) that uses it.
-struct DeploymentPolicies {
-    policies: Vec<RovPolicy>,
-    compiled: CompiledPolicies,
-}
-
 /// Resolves every `(topology, deployment)` pair of the plan through a
 /// deployment-keyed cache: duplicate deployments on the axis share one
 /// compilation, and uniform deployments share one pass over the
 /// threshold stream regardless of how many adoption levels the axis
-/// sweeps.
-fn resolve_policies(plan: &TrialPlan<'_>) -> (Vec<Vec<Arc<DeploymentPolicies>>>, usize) {
+/// sweeps. Only the compiled bitset of a deployment is kept.
+fn resolve_policies(plan: &TrialPlan<'_>) -> (Vec<Vec<Arc<CompiledPolicies>>>, usize) {
     let mut compilations = 0;
     let resolved = plan
         .topologies
         .iter()
         .map(|pt| {
-            let mut cache: HashMap<(u8, u64), Arc<DeploymentPolicies>> = HashMap::new();
+            let mut cache: HashMap<(u8, u64), Arc<CompiledPolicies>> = HashMap::new();
             let mut thresholds: Option<Vec<f64>> = None;
             plan.deployments
                 .iter()
@@ -735,9 +653,8 @@ fn resolve_policies(plan: &TrialPlan<'_>) -> (Vec<Vec<Arc<DeploymentPolicies>>>,
                             }
                             _ => d.policies(pt.topology, plan.seed),
                         };
-                        let compiled = CompiledPolicies::compile(&policies);
                         compilations += 1;
-                        Arc::new(DeploymentPolicies { policies, compiled })
+                        Arc::new(CompiledPolicies::compile(&policies))
                     }))
                 })
                 .collect()
@@ -801,7 +718,7 @@ impl Executor {
 pub struct PlanSession<'p, 'a> {
     plan: &'p TrialPlan<'a>,
     parallel: bool,
-    resolved: Vec<Vec<Arc<DeploymentPolicies>>>,
+    resolved: Vec<Vec<Arc<CompiledPolicies>>>,
     compilations: usize,
 }
 
@@ -937,28 +854,15 @@ impl PlanSession<'_, '_> {
     }
 }
 
-/// The attacker/victim pair of trial `trial` under the plan's sampling
-/// mode: destination-keyed when a destination set is installed, classic
-/// `seed ^ trial` otherwise.
-fn plan_pair(plan: &TrialPlan<'_>, topology: &Topology, trial: usize) -> (usize, usize) {
-    match &plan.destinations {
-        Some(dests) => destination_pair(plan.seed, topology.stubs(), dests[trial]),
-        None => trial_pair(plan.seed, topology.stubs(), trial),
-    }
-}
-
 /// Per-thread scratch for the speculative scheduler: one footprint for
-/// the baseline propagation, one for the current strategy's staging,
-/// and the last group's baseline route vector (40 bytes per AS) for the
-/// next group's baseline to fill. Holding them in a thread-local keeps
-/// them warm across every group a worker processes — the same
-/// zero-allocation discipline as the propagation
-/// [`crate::engine::Workspace`].
+/// the baseline propagation, one for the current strategy's staging.
+/// Holding them in a thread-local keeps them warm across every group a
+/// worker processes — the same zero-allocation discipline as the
+/// propagation [`crate::engine::Workspace`].
 #[derive(Default)]
 struct SpecScratch {
     base: RefCell<FilterFootprint>,
     strat: RefCell<FilterFootprint>,
-    routes: RefCell<Vec<Option<RouteInfo>>>,
 }
 
 thread_local! {
@@ -988,7 +892,7 @@ impl PlanSession<'_, '_> {
         let (plan, resolved) = (self.plan, &self.resolved);
         let (ti, trial) = (g / plan.trials, g % plan.trials);
         let topology = plan.topologies[ti].topology;
-        let (victim, attacker) = plan_pair(plan, topology, trial);
+        let (victim, attacker) = plan.trial_endpoints(ti, trial);
         let victim_asn = topology.asn(victim);
         // One cell for every ROA under which the victim's own announcement
         // is non-Invalid: its filter then accepts at every AS, whatever the
@@ -1000,13 +904,9 @@ impl PlanSession<'_, '_> {
                 // Transparency is a property of the VRPs alone, so probing
                 // it with any deployment's bitset is equivalent. Where it
                 // fails, deployments each get their own cell.
-                let victim_transparent = OriginFilter::new(
-                    &vrps,
-                    plan.victim_prefix,
-                    &[victim_asn],
-                    &resolved[ti][0].compiled,
-                )
-                .is_transparent();
+                let victim_transparent =
+                    OriginFilter::new(&vrps, plan.victim_prefix, &[victim_asn], &resolved[ti][0])
+                        .is_transparent();
                 let per_deployment: Vec<OnceCell<Propagation>> = if victim_transparent {
                     Vec::new()
                 } else {
@@ -1032,7 +932,7 @@ impl PlanSession<'_, '_> {
                         victim_prefix: plan.victim_prefix,
                         sub_prefix: plan.sub_prefix,
                         vrps: &vrps,
-                        policies: &resolved[ti][di].policies,
+                        policies: &resolved[ti][di],
                     };
                     scratch.strat.borrow_mut().begin(topology.len());
                     observed_baseline.set(false);
@@ -1040,12 +940,10 @@ impl PlanSession<'_, '_> {
                         base: &scratch.base,
                         strat: &scratch.strat,
                         observed_baseline: &observed_baseline,
-                        routes: &scratch.routes,
                     };
-                    let (outcome, _) = run_strategy_speculative(
+                    let outcome = run_strategy_speculative(
                         *strategy,
                         &setup_for(0),
-                        &resolved[ti][0].compiled,
                         baseline_for(0),
                         Some(&spec),
                     );
@@ -1058,17 +956,16 @@ impl PlanSession<'_, '_> {
                         // baseline (an unobserved baseline cannot influence the
                         // outcome, and validated control flow is identical).
                         stats.footprint_checks += 1;
-                        let valid = scratch.strat.borrow().validates(&deployment.compiled)
+                        let valid = scratch.strat.borrow().validates(deployment)
                             && (!observed_baseline.get()
-                                || scratch.base.borrow().validates(&deployment.compiled));
+                                || scratch.base.borrow().validates(deployment));
                         if valid {
                             stats.cells_replayed += 1;
                             absorb(plan.cell_index(ti, si, di, ri), &outcome);
                         } else {
-                            let (diverged, _) = run_strategy_speculative(
+                            let diverged = run_strategy_speculative(
                                 *strategy,
                                 &setup_for(di),
-                                &deployment.compiled,
                                 baseline_for(di),
                                 None,
                             );
@@ -1080,20 +977,17 @@ impl PlanSession<'_, '_> {
                 }
                 stats.baselines += per_deployment.iter().filter(|c| c.get().is_some()).count();
             }
-            if let Some(baseline) = shared_baseline.into_inner() {
-                stats.baselines += 1;
-                scratch.routes.replace(baseline.into_routes());
-            }
+            stats.baselines += usize::from(shared_baseline.get().is_some());
         });
     }
 }
 
-/// The pre-executor orchestration, kept as the differential reference:
-/// per cell, per trial, a fresh [`run_strategy_compiled`] staging with
-/// its own baseline, collected into a `Vec<AttackOutcome>` per cell. The
-/// executor must match a fold of this output bit-for-bit — asserted by
-/// the `exec_props` and `spec_props` differential suites. (The
-/// propagation engine's own reference is out of the crate, in
+/// The differential reference for the executor: per cell, per trial, a
+/// fresh [`run_strategy`] staging with its own baseline and no
+/// cross-deployment cache, collected into a `Vec<AttackOutcome>` per
+/// cell. The executor must match a fold of this output bit-for-bit —
+/// asserted by the `exec_props` and `spec_props` differential suites.
+/// (The propagation engine's own reference is out of the crate, in
 /// `tests/support/reference.rs`; every path here, this one included,
 /// runs the one engine, which refuses a seed past
 /// [`crate::PropagationEngine::max_seed_len`].)
@@ -1103,20 +997,14 @@ impl PlanSession<'_, '_> {
 /// outcome.
 pub fn run_plan_collected(plan: &TrialPlan<'_>) -> Vec<Vec<AttackOutcome>> {
     plan.validate();
-    // Policies per (topology, deployment), exactly as the pre-executor
-    // loops hoisted them — but with no cross-deployment cache.
-    let policies: Vec<Vec<(Vec<RovPolicy>, CompiledPolicies)>> = plan
+    let policies: Vec<Vec<CompiledPolicies>> = plan
         .topologies
         .iter()
         .map(|pt| {
-            plan.deployments
-                .iter()
-                .map(|d| {
-                    let p = d.policies(pt.topology, plan.seed);
-                    let compiled = CompiledPolicies::compile(&p);
-                    (p, compiled)
-                })
-                .collect()
+            let compile = |d: &DeploymentModel| {
+                CompiledPolicies::compile(&d.policies(pt.topology, plan.seed))
+            };
+            plan.deployments.iter().map(compile).collect()
         })
         .collect();
     (0..plan.cell_count())
@@ -1124,16 +1012,15 @@ pub fn run_plan_collected(plan: &TrialPlan<'_>) -> Vec<Vec<AttackOutcome>> {
             let (ti, si, di, ri) = plan.cell_axes(cell);
             let topology = plan.topologies[ti].topology;
             let roa = plan.roas[ri];
-            let (per_as, compiled) = &policies[ti][di];
             (0..plan.trials)
                 .map(|trial| {
-                    let (victim, attacker) = plan_pair(plan, topology, trial);
+                    let (victim, attacker) = plan.trial_endpoints(ti, trial);
                     let vrps = roa.vrps(
                         plan.victim_prefix,
                         plan.sub_prefix.len(),
                         topology.asn(victim),
                     );
-                    run_strategy_compiled(
+                    run_strategy(
                         plan.strategies[si],
                         &AttackSetup {
                             topology,
@@ -1142,9 +1029,8 @@ pub fn run_plan_collected(plan: &TrialPlan<'_>) -> Vec<Vec<AttackOutcome>> {
                             victim_prefix: plan.victim_prefix,
                             sub_prefix: plan.sub_prefix,
                             vrps: &vrps,
-                            policies: per_as,
+                            policies: &policies[ti][di],
                         },
-                        compiled,
                     )
                 })
                 .collect()
@@ -1383,6 +1269,15 @@ mod tests {
         );
         let mut enc = String::new();
         CellAccumulator::empty().encode(&mut enc);
+        // A position past the end is a corrupted checkpoint, not a
+        // finished grid; exactly at the end is one.
+        let at = |next: usize| format!("maxlength-cursor-v2 {next} 8 0 0 0 0 0 {enc} {enc}");
+        assert!(PlanCursor::<CellAccumulator>::decode(&at(999)).is_none());
+        assert!(PlanCursor::<CellAccumulator>::decode(&at(9)).is_none());
+        let done = PlanCursor::<CellAccumulator>::decode(&at(8)).expect("a finished cursor");
+        assert!(done.is_done());
+        assert_eq!(done.progress(), 1.0);
+        assert_eq!(done.accumulators().len(), 2);
         assert_eq!(
             CellAccumulator::decode(&enc),
             Some(CellAccumulator::empty())

@@ -1,6 +1,7 @@
-//! Sampled attack experiments: many random attacker/victim pairs, mean
-//! interception per (attack, ROA configuration) cell — the quantitative
-//! backing for §4/§5's qualitative claims.
+//! The plan axes every sampled experiment shares: the victim's ROA
+//! configuration ([`RoaConfig`]) and the per-trial attacker/victim pair
+//! derivations. The experiments themselves — §4/§5's table included —
+//! are [`crate::ScenarioMatrix`] grids.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -9,12 +10,6 @@ use rand::SeedableRng;
 use rpki_prefix::Prefix;
 use rpki_roa::Vrp;
 use rpki_rov::VrpIndex;
-
-use crate::attack::AttackKind;
-use crate::deployment::DeploymentModel;
-use crate::exec::{Executor, FractionAccumulator, PlanTopology, TrialPlan};
-use crate::strategy::AttackerStrategy;
-use crate::topology::{Topology, TopologyConfig};
 
 /// The victim's ROA configuration under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,8 +54,8 @@ impl RoaConfig {
 /// The attacker/victim pair of trial `trial`, derived from its own
 /// `StdRng::seed_from_u64(seed ^ trial)` stream. Trials share no RNG
 /// state, so they can run in any order — or concurrently — and sample
-/// identical pairs; this is what makes the parallel experiment and
-/// matrix runners bit-identical to their sequential paths.
+/// identical pairs; this is what makes the parallel executor
+/// bit-identical to the sequential one.
 pub(crate) fn trial_pair(seed: u64, stubs: &[usize], trial: usize) -> (usize, usize) {
     let mut rng = StdRng::seed_from_u64(seed ^ trial as u64);
     loop {
@@ -96,435 +91,23 @@ pub(crate) fn destination_pair(seed: u64, stubs: &[usize], destination: usize) -
     }
 }
 
-/// Experiment parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AttackExperiment {
-    /// Topology to generate.
-    pub topology: TopologyConfig,
-    /// Number of sampled attacker/victim pairs per cell.
-    pub trials: usize,
-    /// Fraction of ASes enforcing route origin validation (1.0 = the
-    /// paper's "RPKI-validating routers" setting; lower values model
-    /// partial adoption, §2's observation that few ASes filter today).
-    pub rov_fraction: f64,
-    /// Sampling seed.
-    pub seed: u64,
-}
-
-impl Default for AttackExperiment {
-    fn default() -> Self {
-        AttackExperiment {
-            topology: TopologyConfig::default(),
-            trials: 20,
-            rov_fraction: 1.0,
-            seed: 99,
-        }
-    }
-}
-
-/// One cell of the report: an attack against a ROA configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentCell {
-    /// The attack.
-    pub kind: AttackKind,
-    /// The victim's ROA configuration.
-    pub roa: RoaConfig,
-    /// Mean interception fraction over the trials.
-    pub mean_interception: f64,
-    /// Minimum observed fraction.
-    pub min_interception: f64,
-    /// Maximum observed fraction.
-    pub max_interception: f64,
-}
-
-/// The full report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentReport {
-    /// One cell per (attack, ROA configuration).
-    pub cells: Vec<ExperimentCell>,
-    /// The ROV adoption fraction used.
-    pub rov_fraction: f64,
-}
-
-impl ExperimentReport {
-    /// The cell for a given pair.
-    pub fn cell(&self, kind: AttackKind, roa: RoaConfig) -> &ExperimentCell {
-        self.cells
-            .iter()
-            .find(|c| c.kind == kind && c.roa == roa)
-            .expect("all cells computed")
-    }
-
-    /// Renders an aligned text table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<36} {:<28} {:>8} {:>8} {:>8}\n",
-            "attack", "ROA configuration", "mean", "min", "max"
-        ));
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{:<36} {:<28} {:>7.1}% {:>7.1}% {:>7.1}%\n",
-                c.kind.label(),
-                c.roa.label(),
-                c.mean_interception * 100.0,
-                c.min_interception * 100.0,
-                c.max_interception * 100.0,
-            ));
-        }
-        out
-    }
-}
-
-impl AttackExperiment {
-    /// The executor IR for this experiment over an already-generated
-    /// topology: all four legacy [`AttackKind`]s × all three
-    /// [`RoaConfig`]s under one uniform deployment at
-    /// `self.rov_fraction`. The uniform [`DeploymentModel`] replays the
-    /// exact policy stream (seeded through
-    /// [`crate::deployment::POLICY_DOMAIN`]) the experiment always
-    /// used, so results are unchanged.
-    pub fn plan<'a>(&self, topology: &'a Topology) -> TrialPlan<'a> {
-        assert!(topology.stubs().len() >= 2, "need at least two stubs");
-        TrialPlan::new(
-            vec![PlanTopology {
-                label: format!("n={} tier1={}", self.topology.n, self.topology.tier1),
-                topology,
-            }],
-            AttackKind::ALL
-                .iter()
-                .map(|k| k as &dyn AttackerStrategy)
-                .collect(),
-            vec![DeploymentModel::Uniform {
-                p: self.rov_fraction,
-            }],
-            RoaConfig::ALL.to_vec(),
-            self.trials,
-            self.seed,
-        )
-    }
-
-    /// Runs every (attack, ROA configuration) cell sequentially through
-    /// the trial executor.
-    pub fn run(&self) -> ExperimentReport {
-        self.report(Executor::sequential()).0
-    }
-
-    /// [`Self::run`] with the plan's trial groups fanned out over worker
-    /// threads (`RAYON_NUM_THREADS` honored).
-    ///
-    /// Trials are independent by construction — each derives its own
-    /// `StdRng::seed_from_u64(seed ^ trial)` — and the executor folds
-    /// each cell's ordered results exactly as the sequential path
-    /// reduces them, so the report is **bit-identical** to
-    /// [`Self::run`] (asserted by the `parallel_equals_sequential`
-    /// test).
-    pub fn run_par(&self) -> ExperimentReport {
-        self.report(Executor::parallel()).0
-    }
-
-    /// [`Self::run_par`] plus the run's [`crate::ExecStats`] — how many
-    /// items the speculative executor replayed after footprint
-    /// validation versus re-propagated (the harness bins print these
-    /// next to their timings).
-    pub fn run_par_with_stats(&self) -> (ExperimentReport, crate::ExecStats) {
-        self.report(Executor::parallel())
-    }
-
-    fn report(&self, executor: Executor) -> (ExperimentReport, crate::ExecStats) {
-        let topology = Topology::generate(self.topology);
-        let plan = self.plan(&topology);
-        let (accs, exec_stats): (Vec<FractionAccumulator>, _) = executor.run_with_stats(&plan);
-        // Canonical cell order with one topology and one deployment:
-        // strategy-major, ROA fastest — the report's historical layout.
-        let mut cells = Vec::with_capacity(accs.len());
-        for (si, &kind) in AttackKind::ALL.iter().enumerate() {
-            for (ri, &roa) in RoaConfig::ALL.iter().enumerate() {
-                let stats = crate::exec::Accumulator::finish(&accs[si * RoaConfig::ALL.len() + ri]);
-                cells.push(ExperimentCell {
-                    kind,
-                    roa,
-                    mean_interception: stats.mean,
-                    min_interception: stats.min,
-                    max_interception: stats.max,
-                });
-            }
-        }
-        (
-            ExperimentReport {
-                cells,
-                rov_fraction: self.rov_fraction,
-            },
-            exec_stats,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn report() -> ExperimentReport {
-        AttackExperiment {
-            topology: TopologyConfig {
-                n: 300,
-                tier1: 5,
-                ..TopologyConfig::default()
-            },
-            trials: 6,
-            rov_fraction: 1.0,
-            seed: 5,
-        }
-        .run()
-    }
-
-    #[test]
-    fn paper_shape_holds_under_full_rov() {
-        let r = report();
-
-        // §4: forged-origin subprefix hijack against the non-minimal ROA
-        // intercepts everything.
-        let headline = r.cell(
-            AttackKind::ForgedOriginSubprefixHijack,
-            RoaConfig::NonMinimalMaxLen,
-        );
-        assert!(headline.mean_interception > 0.999, "{headline:?}");
-
-        // §5: the minimal ROA reduces it to zero.
-        let fixed = r.cell(AttackKind::ForgedOriginSubprefixHijack, RoaConfig::Minimal);
-        assert_eq!(fixed.mean_interception, 0.0);
-
-        // The attacker's fallback — the prefix-grained forged-origin
-        // hijack — only splits traffic.
-        let fallback = r.cell(AttackKind::ForgedOriginPrefixHijack, RoaConfig::Minimal);
-        assert!(fallback.mean_interception > 0.0);
-        assert!(fallback.mean_interception < headline.mean_interception);
-        assert!(fallback.max_interception < 1.0);
-
-        // Classic hijacks are dead under any ROA + ROV.
-        for roa in [RoaConfig::Minimal, RoaConfig::NonMinimalMaxLen] {
-            assert_eq!(r.cell(AttackKind::PrefixHijack, roa).mean_interception, 0.0);
-            assert_eq!(
-                r.cell(AttackKind::SubprefixHijack, roa).mean_interception,
-                0.0
-            );
-        }
-
-        // Without any ROA, the subprefix hijack is total.
-        assert!(
-            r.cell(AttackKind::SubprefixHijack, RoaConfig::NoRoa)
-                .mean_interception
-                > 0.999
-        );
-    }
-
-    #[test]
-    fn partial_rov_interpolates() {
-        let full = report();
-        let none = AttackExperiment {
-            topology: TopologyConfig {
-                n: 300,
-                tier1: 5,
-                ..TopologyConfig::default()
-            },
-            trials: 6,
-            rov_fraction: 0.0,
-            seed: 5,
-        }
-        .run();
-        // With zero enforcement, ROAs change nothing: the subprefix hijack
-        // wins everywhere despite the minimal ROA.
-        assert!(
-            none.cell(AttackKind::SubprefixHijack, RoaConfig::Minimal)
-                .mean_interception
-                > 0.999
-        );
-        assert_eq!(
-            full.cell(AttackKind::SubprefixHijack, RoaConfig::Minimal)
-                .mean_interception,
-            0.0
-        );
-    }
-
-    #[test]
-    fn report_has_all_cells_and_renders() {
-        let r = report();
-        assert_eq!(r.cells.len(), 12);
-        let text = r.render();
-        for kind in AttackKind::ALL {
-            assert!(text.contains(kind.label()));
-        }
-        for roa in RoaConfig::ALL {
-            assert!(text.contains(roa.label()));
-        }
-    }
-
-    #[test]
-    fn deterministic() {
-        assert_eq!(report(), report());
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        // The per-trial `seed ^ trial` derivation makes the parallel
-        // report bit-identical to the sequential one — every cell, every
-        // float.
-        for seed in [5, 99] {
-            let experiment = AttackExperiment {
-                topology: TopologyConfig {
-                    n: 300,
-                    tier1: 5,
-                    ..TopologyConfig::default()
-                },
-                trials: 6,
-                rov_fraction: 0.7,
-                seed,
-            };
-            assert_eq!(experiment.run(), experiment.run_par());
-        }
-    }
+    use crate::topology::{Topology, TopologyConfig};
 
     #[test]
     fn trials_are_order_independent() {
-        // Same experiment, same pair per trial index regardless of how
-        // many other trials ran first.
-        let experiment = AttackExperiment {
-            topology: TopologyConfig {
-                n: 300,
-                tier1: 5,
-                ..TopologyConfig::default()
-            },
-            trials: 8,
-            rov_fraction: 1.0,
-            seed: 21,
-        };
-        let topology = Topology::generate(experiment.topology);
+        // Same pair per trial index regardless of how many other trials
+        // ran first.
+        let topology = Topology::generate(TopologyConfig {
+            n: 300,
+            tier1: 5,
+            ..TopologyConfig::default()
+        });
         let stubs = topology.stubs();
-        let forward: Vec<_> = (0..8)
-            .map(|t| trial_pair(experiment.seed, stubs, t))
-            .collect();
-        let backward: Vec<_> = (0..8)
-            .rev()
-            .map(|t| trial_pair(experiment.seed, stubs, t))
-            .collect();
+        let forward: Vec<_> = (0..8).map(|t| trial_pair(21, stubs, t)).collect();
+        let backward: Vec<_> = (0..8).rev().map(|t| trial_pair(21, stubs, t)).collect();
         assert_eq!(forward, backward.into_iter().rev().collect::<Vec<_>>());
-    }
-}
-
-/// Interception of one attack/ROA cell as ROV adoption varies — quantifies
-/// §2's observation that ROAs protect nothing until routers actually drop
-/// Invalid routes.
-///
-/// Subsumed by the scenario matrix: a [`crate::ScenarioMatrix`] whose
-/// deployment axis is `DeploymentModel::Uniform` at several adoption
-/// levels covers the same grid (and more attacker strategies); this type
-/// remains for the `attacks` harness binary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdoptionSweep {
-    /// The attack held fixed across the sweep.
-    pub kind: AttackKind,
-    /// The ROA configuration held fixed.
-    pub roa: RoaConfig,
-    /// `(adoption fraction, mean interception)` points.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl AttackExperiment {
-    /// Sweeps ROV adoption over `fractions` for one (attack, ROA) cell,
-    /// holding topology and attacker/victim samples fixed.
-    ///
-    /// The sweep is **one executor plan** whose deployment axis is the
-    /// adoption levels: the topology is generated once (not once per
-    /// point), the uniform adopter draws share one pass over the nested
-    /// threshold stream, and sweep points whose trials never construct a
-    /// non-transparent filter (e.g. the forged-origin subprefix hijack
-    /// against the loose ROA, which is Valid at every adoption level)
-    /// are replayed rather than re-propagated. Results are bit-identical
-    /// to running [`Self::run_par`] per fraction and reading one cell,
-    /// which is what this did before the executor landed.
-    pub fn adoption_sweep(
-        &self,
-        kind: AttackKind,
-        roa: RoaConfig,
-        fractions: &[f64],
-    ) -> AdoptionSweep {
-        let topology = Topology::generate(self.topology);
-        assert!(topology.stubs().len() >= 2, "need at least two stubs");
-        let plan = TrialPlan::new(
-            vec![PlanTopology {
-                label: format!("n={} tier1={}", self.topology.n, self.topology.tier1),
-                topology: &topology,
-            }],
-            vec![&kind as &dyn AttackerStrategy],
-            fractions
-                .iter()
-                .map(|&p| DeploymentModel::Uniform { p })
-                .collect(),
-            vec![roa],
-            self.trials,
-            self.seed,
-        );
-        let accs: Vec<FractionAccumulator> = Executor::parallel().run(&plan);
-        // One strategy × one ROA: canonical cell order is exactly the
-        // deployment (= fraction) axis.
-        let points = fractions
-            .iter()
-            .zip(&accs)
-            .map(|(&fraction, acc)| (fraction, crate::exec::Accumulator::finish(acc).mean))
-            .collect();
-        AdoptionSweep { kind, roa, points }
-    }
-}
-
-#[cfg(test)]
-mod sweep_tests {
-    use super::*;
-
-    #[test]
-    fn subprefix_hijack_decays_with_adoption() {
-        let experiment = AttackExperiment {
-            topology: TopologyConfig {
-                n: 250,
-                tier1: 5,
-                ..TopologyConfig::default()
-            },
-            trials: 4,
-            rov_fraction: 1.0,
-            seed: 11,
-        };
-        let sweep = experiment.adoption_sweep(
-            AttackKind::SubprefixHijack,
-            RoaConfig::Minimal,
-            &[0.0, 0.5, 1.0],
-        );
-        assert_eq!(sweep.points.len(), 3);
-        // Monotone non-increasing from total capture to zero.
-        assert!(sweep.points[0].1 > 0.99);
-        assert!(sweep.points[1].1 <= sweep.points[0].1);
-        assert_eq!(sweep.points[2].1, 0.0);
-    }
-
-    #[test]
-    fn forged_origin_subprefix_immune_to_adoption_with_bad_roa() {
-        // The paper's point sharpened: against the non-minimal ROA, MORE
-        // validation does not help at all — the hijack is Valid.
-        let experiment = AttackExperiment {
-            topology: TopologyConfig {
-                n: 250,
-                tier1: 5,
-                ..TopologyConfig::default()
-            },
-            trials: 4,
-            rov_fraction: 1.0,
-            seed: 11,
-        };
-        let sweep = experiment.adoption_sweep(
-            AttackKind::ForgedOriginSubprefixHijack,
-            RoaConfig::NonMinimalMaxLen,
-            &[0.0, 1.0],
-        );
-        for (_, interception) in &sweep.points {
-            assert!(*interception > 0.99);
-        }
     }
 }

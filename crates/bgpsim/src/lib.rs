@@ -20,19 +20,24 @@
 //!   customer/peer/provider segments.
 //! * [`routing`] — Gao–Rexford route propagation (customer > peer >
 //!   provider preference, standard export rules, shortest-path tie-breaks)
-//!   with per-AS route-origin-validation filtering.
+//!   with per-AS route-origin-validation filtering, and the route
+//!   table it yields: [`Propagation`], 16 packed bytes and one
+//!   membership bit per AS, read through [`Propagation::route`].
 //! * [`engine`] — the flat-graph [`PropagationEngine`] behind
 //!   [`routing::propagate`]: reusable per-thread [`Workspace`] scratch,
 //!   a path-length bucket queue, precomputed [`OriginFilter`] import
-//!   filters, and single-pass interception counting. It is the only
+//!   filters over a deployment's [`CompiledPolicies`] bitset, and
+//!   interception counted straight off the workspace. It is the only
 //!   propagation that ships: the heap search it replaced is the oracle
 //!   in `tests/support/reference.rs`, and a seed past
 //!   [`PropagationEngine::max_seed_len`] is refused, not rerouted.
-//! * [`attack`] — the four hijack types and the longest-prefix-match
-//!   data plane that measures who delivers traffic to whom.
+//! * [`attack`] — the four hijack types and the one
+//!   longest-prefix-match tally that measures who delivers traffic to
+//!   whom, over any stack of route tables.
 //! * [`strategy`] — the pluggable [`AttackerStrategy`] trait behind the
 //!   attack dispatch, with route leaks, path forgery, and the
-//!   maxLength-gap prober beyond the four legacy kinds.
+//!   maxLength-gap prober beyond the four legacy kinds; [`run_strategy`]
+//!   is the one staging call.
 //! * [`deployment`] — [`DeploymentModel`]: who validates (uniform,
 //!   top-ISPs-first, stub-only), generalizing the single adoption
 //!   fraction.
@@ -41,32 +46,40 @@
 //!   items, sequential and rayon [`Executor`] backends over the
 //!   per-thread workspace pool, streaming per-cell [`Accumulator`]s,
 //!   a deployment-keyed policy cache, and resumable [`PlanCursor`]
-//!   checkpoints. Every trial loop below is a thin plan-builder over it.
-//! * [`experiment`] — sampled attacker/victim trials producing the
-//!   interception statistics quoted in EXPERIMENTS.md.
+//!   checkpoints.
+//! * [`experiment`] — the plan axes sampled experiments share:
+//!   [`RoaConfig`] and the per-trial attacker/victim pair derivations.
 //! * [`matrix`] — [`ScenarioMatrix`]: the full strategy × deployment ×
-//!   ROA × topology cross-product, run in parallel bit-identically to
-//!   the sequential fold.
+//!   ROA × topology cross-product — §4/§5's table is one such grid —
+//!   run in parallel bit-identically to the sequential fold.
 //!
 //! ```
-//! use bgpsim::{AttackExperiment, AttackKind};
+//! use bgpsim::{AttackKind, DeploymentModel, ScenarioMatrix, TopologyFamily};
 //! use bgpsim::experiment::RoaConfig;
 //! use bgpsim::topology::TopologyConfig;
 //!
-//! let report = AttackExperiment {
-//!     topology: TopologyConfig { n: 120, tier1: 4, ..TopologyConfig::default() },
+//! // §4/§5's table: the four hijacks × the three ROA configurations
+//! // under universal ROV.
+//! let report = ScenarioMatrix {
+//!     topologies: vec![TopologyFamily::new(TopologyConfig {
+//!         n: 120,
+//!         tier1: 4,
+//!         ..TopologyConfig::default()
+//!     })],
+//!     strategies: AttackKind::ALL.iter().map(|&k| Box::new(k) as _).collect(),
+//!     deployments: vec![DeploymentModel::Uniform { p: 1.0 }],
+//!     roas: RoaConfig::ALL.to_vec(),
 //!     trials: 3,
-//!     rov_fraction: 1.0,
 //!     seed: 1,
 //! }
 //! .run();
+//! let headline = AttackKind::ForgedOriginSubprefixHijack.label();
+//! let cell = |roa| report.cells_for(headline, roa).next().unwrap().stats;
 //!
 //! // §4: the headline attack beats the non-minimal ROA completely...
-//! let bad = report.cell(AttackKind::ForgedOriginSubprefixHijack, RoaConfig::NonMinimalMaxLen);
-//! assert!(bad.mean_interception > 0.99);
+//! assert!(cell(RoaConfig::NonMinimalMaxLen).mean_interception > 0.99);
 //! // ...and the minimal ROA stops it cold (§5).
-//! let good = report.cell(AttackKind::ForgedOriginSubprefixHijack, RoaConfig::Minimal);
-//! assert_eq!(good.mean_interception, 0.0);
+//! assert_eq!(cell(RoaConfig::Minimal).mean_interception, 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -86,14 +99,14 @@ pub use attack::{AttackKind, AttackOutcome, AttackSetup, ForgedOriginTrial};
 pub use deployment::DeploymentModel;
 pub use engine::{CompiledPolicies, FilterFootprint, OriginFilter, PropagationEngine, Workspace};
 pub use exec::{
-    Accumulator, CellAccumulator, DestinationSampler, ExecStats, Executor, FractionAccumulator,
-    PlanCursor, PlanSession, PlanTopology, TrialPlan,
+    Accumulator, CellAccumulator, DestinationSampler, ExecStats, Executor, PlanCursor, PlanSession,
+    PlanTopology, TrialPlan,
 };
-pub use experiment::{AdoptionSweep, AttackExperiment, ExperimentReport, RoaConfig};
+pub use experiment::RoaConfig;
 pub use matrix::{CellStats, MatrixCell, MatrixReport, ScenarioMatrix, TopologyFamily};
 pub use routing::{Propagation, RouteClass, RouteInfo};
 pub use strategy::{
-    run_strategy, run_strategy_compiled, AttackAnnouncement, AttackPlan, AttackerStrategy,
-    MaxLengthGapProber, PathForgery, RouteLeak, StrategyContext,
+    run_strategy, AttackAnnouncement, AttackPlan, AttackerStrategy, MaxLengthGapProber,
+    PathForgery, RouteLeak, StrategyContext,
 };
 pub use topology::{InternetConfig, Relationship, Topology, TopologyConfig};

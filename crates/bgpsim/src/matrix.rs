@@ -17,16 +17,15 @@
 //! Every cell runs the same `trials` attacker/victim pairs (derived per
 //! trial as `seed ^ trial`, independent of cell order), so cells are
 //! directly comparable and [`ScenarioMatrix::run_par`] is **bit-identical**
-//! to [`ScenarioMatrix::run`] at any thread count — the same contract the
-//! PR-1 batch paths established, asserted by `tests/routing_props.rs`
-//! and the golden fixture `tests/golden/matrix_small.txt`.
+//! to [`ScenarioMatrix::run`] at any thread count — asserted by
+//! `tests/routing_props.rs` and the golden fixture
+//! `tests/golden/matrix_small.txt`.
 //!
-//! Since the trial-executor refactor the matrix is a thin plan-builder:
-//! [`ScenarioMatrix::plan`] assembles a [`crate::exec::TrialPlan`] and
-//! every `run*` method schedules it on the [`crate::exec::Executor`] —
-//! the same layer [`crate::AttackExperiment`] and the census-weighted
-//! risk path run on, with its deployment-keyed policy cache, shared
-//! baselines, and streaming per-cell accumulators.
+//! The matrix is a thin plan-builder: [`ScenarioMatrix::plan`] assembles
+//! a [`crate::exec::TrialPlan`] and every `run*` method schedules it on
+//! the [`crate::exec::Executor`] — the layer the census-weighted risk
+//! path and the harness bins run on too — with its deployment-keyed
+//! policy cache, shared baselines, and streaming per-cell accumulators.
 
 use crate::attack::AttackOutcome;
 use crate::deployment::DeploymentModel;
@@ -311,23 +310,11 @@ impl ScenarioMatrix {
         self.topologies.len() * self.strategies.len() * self.deployments.len() * self.roas.len()
     }
 
-    /// Generates the topology axis and assembles the executor IR over
-    /// it. Every `run*` method is a thin wrapper over this plan; the
-    /// generated topologies are returned alongside because the plan
-    /// borrows them.
+    /// Generates the topology axis, which every `run*` method's plan
+    /// borrows.
     fn generate_topologies(&self) -> Vec<Topology> {
-        self.topologies
-            .iter()
-            .map(|family| {
-                let t = Topology::generate(family.config);
-                assert!(
-                    t.stubs().len() >= 2,
-                    "need at least two stubs in {}",
-                    family.label
-                );
-                t
-            })
-            .collect()
+        let generate = |family: &TopologyFamily| Topology::generate(family.config);
+        self.topologies.iter().map(generate).collect()
     }
 
     /// The executor IR for this matrix over already-generated
@@ -351,19 +338,14 @@ impl ScenarioMatrix {
         )
     }
 
-    /// Assembles the rendered report from per-cell statistics in
-    /// canonical cell order.
-    fn report_from(&self, stats: Vec<CellStats>) -> MatrixReport {
+    /// Assembles the rendered report from `plan`'s per-cell statistics
+    /// in canonical cell order.
+    fn report_from(&self, plan: &TrialPlan<'_>, stats: Vec<CellStats>) -> MatrixReport {
         let cells = stats
             .into_iter()
             .enumerate()
             .map(|(cell, stats)| {
-                let r = self.roas.len();
-                let d = self.deployments.len();
-                let ri = cell % r;
-                let di = (cell / r) % d;
-                let si = (cell / (r * d)) % self.strategies.len();
-                let ti = cell / (r * d * self.strategies.len());
+                let (ti, si, di, ri) = plan.cell_axes(cell);
                 MatrixCell {
                     topology: self.topologies[ti].label.clone(),
                     strategy: self.strategies[si].label(),
@@ -405,16 +387,17 @@ impl ScenarioMatrix {
         self.run_with(Executor::parallel())
     }
 
-    /// Runs the matrix through the **pre-executor** collect-then-fold
-    /// orchestration (fresh baselines, per-deployment re-propagation,
-    /// O(trials) memory per cell) — the differential reference the
-    /// `exec_props` and `spec_props` suites compare the executor
-    /// against. Not a production path.
+    /// Runs the matrix through [`crate::exec::run_plan_collected`]
+    /// (fresh baselines, per-deployment re-propagation, O(trials) memory
+    /// per cell) — the differential reference the `exec_props` and
+    /// `spec_props` suites compare the executor against. Not a
+    /// production path.
     pub fn run_collected(&self) -> MatrixReport {
         let topologies = self.generate_topologies();
         let plan = self.plan(&topologies);
         let collected = crate::exec::run_plan_collected(&plan);
         self.report_from(
+            &plan,
             collected
                 .iter()
                 .map(|outcomes| CellStats::from_outcomes(outcomes))
@@ -427,7 +410,7 @@ impl ScenarioMatrix {
         let plan = self.plan(&topologies);
         let (accs, stats) = executor.run_with_stats::<CellAccumulator>(&plan);
         (
-            self.report_from(accs.iter().map(|a| a.finish()).collect()),
+            self.report_from(&plan, accs.iter().map(|a| a.finish()).collect()),
             stats,
         )
     }

@@ -99,33 +99,143 @@ impl Seed {
     }
 }
 
-/// The result of propagating one prefix.
+/// `path_len` bits in a [`PackedRoute`] — what caps
+/// [`PropagationEngine::max_seed_len`] on very large topologies.
+pub(crate) const PATH_LEN_BITS: u32 = 30;
+
+/// The `next_hop` sentinel for "entered the graph here". Safe because
+/// AS indices are `< n ≤ u32::MAX`, i.e. at most `u32::MAX - 1`.
+const NO_HOP: u32 = u32::MAX;
+
+/// A [`RouteInfo`] in one 16-byte word, `u32` indices throughout — what
+/// the engine settles into and a [`Propagation`] stores, 2.5x smaller
+/// than the 40-byte view it unpacks to:
 ///
-/// [`Propagation::reached`] and [`Propagation::delivered_to`] count on
-/// demand: the trial loops tally straight off the engine's workspace and
-/// read only [`Propagation::routes`], so construction pays for neither.
-#[derive(Debug, Clone)]
+/// ```text
+/// bits 126..128  route class        (preference order, 2 bits)
+/// bits  96..126  path_len           (< 2^30, see `max_seed_len`)
+/// bits  64..96   claimed origin ASN
+/// bits  32..64   delivers_to        (AS index)
+/// bits   0..32   next_hop           (AS index; u32::MAX = none)
+/// ```
+///
+/// The field order makes the deterministic route preference — strictly
+/// smaller `(class, path_len, claimed_origin, delivers_to)` — a single
+/// integer comparison of the top 96 bits ([`PackedRoute::pref`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PackedRoute(u128);
+
+impl PackedRoute {
+    /// Placeholder for slots whose membership bit is clear; never read.
+    pub(crate) const EMPTY: PackedRoute = PackedRoute(0);
+
+    #[inline]
+    pub(crate) fn new(
+        class: RouteClass,
+        path_len: u32,
+        claimed_origin: Asn,
+        delivers_to: usize,
+        next_hop: Option<usize>,
+    ) -> PackedRoute {
+        debug_assert!(path_len < 1 << PATH_LEN_BITS);
+        let hop = next_hop.map_or(NO_HOP, |h| h as u32);
+        PackedRoute(
+            ((class as u8 as u128) << 126)
+                | ((path_len as u128) << 96)
+                | ((claimed_origin.into_u32() as u128) << 64)
+                | ((delivers_to as u32 as u128) << 32)
+                | hop as u128,
+        )
+    }
+
+    /// The preference key: `(class, path_len, claimed_origin,
+    /// delivers_to)` as one integer — `a.pref() < b.pref()` iff `a`
+    /// strictly beats `b` under the deterministic tie-break.
+    #[inline]
+    pub(crate) fn pref(self) -> u128 {
+        self.0 >> 32
+    }
+
+    #[inline]
+    pub(crate) fn path_len(self) -> u32 {
+        ((self.0 >> 96) as u32) & ((1 << PATH_LEN_BITS) - 1)
+    }
+
+    #[inline]
+    pub(crate) fn claimed_origin(self) -> Asn {
+        Asn((self.0 >> 64) as u32)
+    }
+
+    #[inline]
+    pub(crate) fn delivers_to(self) -> usize {
+        (self.0 >> 32) as u32 as usize
+    }
+
+    fn unpack(self) -> RouteInfo {
+        let class = match (self.0 >> 126) as u8 {
+            0 => RouteClass::Origin,
+            1 => RouteClass::Customer,
+            2 => RouteClass::Peer,
+            _ => RouteClass::Provider,
+        };
+        let hop = self.0 as u32;
+        RouteInfo {
+            class,
+            path_len: self.path_len(),
+            claimed_origin: self.claimed_origin(),
+            delivers_to: self.delivers_to(),
+            next_hop: (hop != NO_HOP).then_some(hop as usize),
+        }
+    }
+}
+
+/// The result of propagating one prefix, in the form the engine settles
+/// it: a membership bit per AS over 16-byte packed route slots (a slot
+/// is live **iff** its bit is set; bits at and past the AS count are
+/// clear). [`RouteInfo`] is the unpacked view [`Propagation::route`] and
+/// [`Propagation::iter`] hand out.
+#[derive(Clone, Default)]
 pub struct Propagation {
-    /// `routes[a]` is AS `a`'s selected route, if any.
-    routes: Vec<Option<RouteInfo>>,
+    pub(crate) set: Vec<u64>,
+    pub(crate) routes: Vec<PackedRoute>,
+}
+
+impl std::fmt::Debug for Propagation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl Propagation {
-    /// Wraps a routes vector.
-    pub fn from_routes(routes: Vec<Option<RouteInfo>>) -> Propagation {
-        Propagation { routes }
+    /// `true` if AS `at` holds a route.
+    #[inline]
+    pub(crate) fn routed(&self, at: usize) -> bool {
+        (self.set[at >> 6] >> (at & 63)) & 1 != 0
     }
 
-    /// Unwraps the routes vector, so a caller done with this table can
-    /// reuse its allocation for the next one.
-    pub fn into_routes(self) -> Vec<Option<RouteInfo>> {
-        self.routes
+    /// Number of ASes the table covers (routed or not).
+    pub fn len(&self) -> usize {
+        self.routes.len()
     }
 
-    /// The per-AS selected routes: `routes()[a]` is AS `a`'s route, if
-    /// any.
-    pub fn routes(&self) -> &[Option<RouteInfo>] {
-        &self.routes
+    /// `true` for the table of an empty topology.
+    pub fn is_empty(&self) -> bool {
+        self.routes.is_empty()
+    }
+
+    /// AS `at`'s selected route, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at >= self.len()`.
+    pub fn route(&self, at: usize) -> Option<RouteInfo> {
+        assert!(at < self.len(), "AS index {at} out of range");
+        self.routed(at).then(|| self.routes[at].unpack())
+    }
+
+    /// Every AS's selected route, in AS-index order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<RouteInfo>> + '_ {
+        (0..self.len()).map(|at| self.route(at))
     }
 
     /// The hop-by-hop forwarding path from `from` to its route's entry
@@ -133,33 +243,31 @@ impl Propagation {
     /// panics are impossible because propagation only installs next hops
     /// pointing at routed neighbors.
     pub fn forwarding_path(&self, from: usize) -> Option<Vec<usize>> {
-        self.routes[from]?;
+        let mut info = self.route(from)?;
         let mut path = vec![from];
-        let mut at = from;
-        let mut guard = self.routes.len() + 1;
-        loop {
-            let info = self.routes[at]
-                .as_ref()
-                .expect("next_hop always points at a routed AS");
-            let Some(next) = info.next_hop else {
-                return Some(path); // reached the announcement's entry point
-            };
+        while let Some(next) = info.next_hop {
+            assert!(
+                path.len() <= self.len(),
+                "forwarding loop: control plane is broken"
+            );
             path.push(next);
-            at = next;
-            guard -= 1;
-            assert!(guard > 0, "forwarding loop: control plane is broken");
+            info = self
+                .route(next)
+                .expect("next_hop always points at a routed AS");
         }
+        Some(path) // reached the announcement's entry point
     }
 
-    /// Number of ASes holding a route (one O(n) pass).
+    /// Number of ASes holding a route (a popcount of the membership
+    /// bits).
     pub fn reached(&self) -> usize {
-        self.routes.iter().flatten().count()
+        self.set.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of ASes whose traffic lands at `target` (one O(n) pass).
     pub fn delivered_to(&self, target: usize) -> usize {
-        let lands = |info: &&RouteInfo| info.delivers_to == target;
-        self.routes.iter().flatten().filter(lands).count()
+        let lands = |&at: &usize| self.routed(at) && self.routes[at].delivers_to() == target;
+        (0..self.len()).filter(lands).count()
     }
 }
 
@@ -170,8 +278,7 @@ impl Propagation {
 /// The filter sees the claimed origin, exactly like RFC 6811 validation.
 ///
 /// Runs the engine on the calling thread's reusable
-/// [`crate::engine::Workspace`], allocating only the returned route
-/// vector.
+/// [`crate::engine::Workspace`], allocating only the returned table.
 ///
 /// # Panics
 ///
@@ -186,12 +293,61 @@ pub fn propagate(
 }
 
 #[cfg(test)]
+impl Propagation {
+    /// Packs a per-AS route vector — the form tests build tables in.
+    pub(crate) fn pack(routes: &[Option<RouteInfo>]) -> Propagation {
+        let mut set = vec![0u64; routes.len().div_ceil(64)];
+        let pack = |(at, route): (usize, &Option<RouteInfo>)| {
+            let Some(r) = route else {
+                return PackedRoute::EMPTY;
+            };
+            set[at >> 6] |= 1 << (at & 63);
+            PackedRoute::new(
+                r.class,
+                r.path_len,
+                r.claimed_origin,
+                r.delivers_to,
+                r.next_hop,
+            )
+        };
+        let routes = routes.iter().enumerate().map(pack).collect();
+        Propagation { set, routes }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::TopologyConfig;
 
     fn accept_all(_: usize, _: Asn) -> bool {
         true
+    }
+
+    #[test]
+    fn packed_routes_unpack_to_what_was_packed() {
+        let route = |class, path_len, delivers_to, next_hop| {
+            Some(RouteInfo {
+                class,
+                path_len,
+                claimed_origin: Asn(u32::MAX - path_len),
+                delivers_to,
+                next_hop,
+            })
+        };
+        let longest = (1 << PATH_LEN_BITS) - 1;
+        let routes = [
+            route(RouteClass::Origin, 0, 0, None),
+            None,
+            route(RouteClass::Customer, 1, 2, Some(0)),
+            route(RouteClass::Peer, longest, u32::MAX as usize - 1, Some(3)),
+            route(RouteClass::Provider, 7, 3, Some(u32::MAX as usize - 1)),
+        ];
+        let packed = Propagation::pack(&routes);
+        assert_eq!(packed.len(), routes.len());
+        assert_eq!(packed.iter().collect::<Vec<_>>(), routes);
+        assert_eq!(packed.reached(), 4);
+        assert_eq!(packed.delivered_to(3), 1);
     }
 
     fn topo() -> Topology {
@@ -217,7 +373,7 @@ mod tests {
         let prop = propagate(&t, &[origin_seed(&t, stub)], &accept_all);
         assert_eq!(prop.reached(), t.len(), "graph is connected");
         assert_eq!(prop.delivered_to(stub), t.len());
-        assert_eq!(prop.routes()[stub].unwrap().class, RouteClass::Origin);
+        assert_eq!(prop.route(stub).unwrap().class, RouteClass::Origin);
     }
 
     #[test]
@@ -230,7 +386,7 @@ mod tests {
         let stub = t.stubs()[0];
         let prop = propagate(&t, &[origin_seed(&t, stub)], &accept_all);
         for a in 0..t.len() {
-            let Some(info) = prop.routes()[a] else {
+            let Some(info) = prop.route(a) else {
                 continue;
             };
             match info.class {
@@ -326,7 +482,7 @@ mod tests {
         // Everyone but one specific AS accepts.
         let blocked = t.stubs()[1];
         let prop = propagate(&t, &[origin_seed(&t, stub)], &|a, _| a != blocked);
-        assert!(prop.routes()[blocked].is_none());
+        assert!(prop.route(blocked).is_none());
         assert!(prop.reached() >= t.len() - 2); // blocking a stub strands ≤ itself
     }
 
@@ -336,7 +492,7 @@ mod tests {
         let stub = t.stubs()[3];
         let a = propagate(&t, &[origin_seed(&t, stub)], &accept_all);
         let b = propagate(&t, &[origin_seed(&t, stub)], &accept_all);
-        assert_eq!(a.routes(), b.routes());
+        assert!(a.iter().eq(b.iter()));
     }
 
     #[test]
@@ -355,10 +511,9 @@ mod tests {
             &[origin_seed(&t, stubs[0]), origin_seed(&t, stubs[1])],
             &accept_all,
         );
-        assert_eq!(prop.reached(), prop.routes().iter().flatten().count());
+        assert_eq!(prop.reached(), prop.iter().flatten().count());
         for target in [stubs[0], stubs[1], 0] {
             let rescan = prop
-                .routes()
                 .iter()
                 .flatten()
                 .filter(|r| r.delivers_to == target)
@@ -400,7 +555,7 @@ mod forwarding_tests {
         ];
         let prop = propagate(&t, &seeds, &accept_all);
         for from in 0..t.len() {
-            let Some(info) = prop.routes()[from] else {
+            let Some(info) = prop.route(from) else {
                 continue;
             };
             let path = prop.forwarding_path(from).expect("routed AS has a path");
@@ -443,7 +598,7 @@ mod forwarding_tests {
             &accept_all,
         );
         for from in 0..t.len() {
-            if prop.routes()[from].is_none() {
+            if prop.route(from).is_none() {
                 continue;
             }
             let path = prop.forwarding_path(from).unwrap();

@@ -12,13 +12,13 @@
 //! observe) — and returns an [`AttackPlan`]: at most one crafted
 //! announcement plus the address block whose traffic is measured.
 //! [`run_strategy`] stages the plan under Gao–Rexford propagation with
-//! per-AS ROV filtering and a longest-prefix-match data plane, riding
-//! the [`crate::engine::PropagationEngine`] hot path: precomputed
-//! [`OriginFilter`]s instead of per-edge index validation, the calling
-//! thread's reusable [`crate::engine::Workspace`], and single-pass
-//! interception counting. Trial loops that fix one deployment should
-//! compile its policy vector once ([`CompiledPolicies::compile`]) and
-//! call [`run_strategy_compiled`].
+//! per-AS ROV filtering and a longest-prefix-match data plane, on the
+//! [`crate::engine::PropagationEngine`]: precomputed [`OriginFilter`]s
+//! instead of per-edge index validation, the calling thread's reusable
+//! [`crate::engine::Workspace`], and the one data-plane tally
+//! ([`AttackOutcome`]'s) read straight off it. A deployment enters as
+//! its [`crate::engine::CompiledPolicies`] bitset, compiled once for
+//! every trial staged under it.
 //!
 //! Shipped strategies:
 //!
@@ -40,10 +40,8 @@ use rpki_roa::Asn;
 use rpki_rov::VrpIndex;
 
 use crate::attack::{AttackKind, AttackOutcome, AttackSetup};
-use crate::engine::{
-    with_workspace, CompiledPolicies, FilterFootprint, OriginFilter, PropagationEngine,
-};
-use crate::routing::{Propagation, RouteInfo, Seed};
+use crate::engine::{with_workspace, FilterFootprint, OriginFilter, PropagationEngine};
+use crate::routing::{Propagation, Seed};
 use crate::topology::Topology;
 
 /// Everything an attacker can observe before announcing: the graph, the
@@ -96,14 +94,11 @@ impl StrategyContext<'_> {
             // replay is only licensed if *its* footprint also validates.
             spec.observed_baseline.set(true);
         }
-        self.baseline.get_or_init(|| self.compute_baseline())
-    }
-
-    fn compute_baseline(&self) -> Propagation {
-        let accept = recording(self.accept_p, self.spec.map(|s| s.base));
-        let routes = self.spec.map_or_else(Vec::new, |s| s.routes.take());
-        let engine = PropagationEngine::new(self.topology);
-        with_workspace(|ws| engine.propagate_into(&[self.victim_seed], &accept, ws, routes))
+        self.baseline.get_or_init(|| {
+            let accept = recording(self.accept_p, self.spec.map(|s| s.base));
+            let engine = PropagationEngine::new(self.topology);
+            with_workspace(|ws| engine.propagate(&[self.victim_seed], &accept, ws))
+        })
     }
 }
 
@@ -120,8 +115,6 @@ pub(crate) struct SpecRecorder<'a> {
     pub strat: &'a RefCell<FilterFootprint>,
     /// Set when the plan or the staging consulted the baseline.
     pub observed_baseline: &'a Cell<bool>,
-    /// The worker's spare route buffer, for a baseline to be built in.
-    pub routes: &'a RefCell<Vec<Option<RouteInfo>>>,
 }
 
 /// Wraps `filter` as a propagation `accept` closure that mirrors every
@@ -220,11 +213,14 @@ impl AttackerStrategy for RouteLeak {
 
     fn plan(&self, ctx: &StrategyContext<'_>) -> AttackPlan {
         AttackPlan {
-            announcement: ctx.baseline().routes()[ctx.attacker].map(|learned| AttackAnnouncement {
-                prefix: ctx.victim_prefix,
-                claimed_origin: learned.claimed_origin,
-                path_len: learned.path_len,
-            }),
+            announcement: ctx
+                .baseline()
+                .route(ctx.attacker)
+                .map(|learned| AttackAnnouncement {
+                    prefix: ctx.victim_prefix,
+                    claimed_origin: learned.claimed_origin,
+                    path_len: learned.path_len,
+                }),
             target: ctx.sub_prefix,
         }
     }
@@ -363,55 +359,27 @@ impl AttackerStrategy for MaxLengthGapProber {
 /// every AS forwards a packet addressed inside the plan's target along
 /// its longest matching prefix.
 ///
-/// Compiles `setup.policies` on the fly; trial loops holding one
-/// deployment fixed should compile once and use
-/// [`run_strategy_compiled`].
-///
 /// # Panics
 ///
 /// Panics if `attacker == victim`, if `sub_prefix` (or the planned
-/// target) is not covered by `victim_prefix`, or if
-/// `policies.len() != topology.len()`.
+/// target) is not covered by `victim_prefix`, or if `setup.policies`
+/// covers a different number of ASes than the topology.
 pub fn run_strategy(strategy: &dyn AttackerStrategy, setup: &AttackSetup<'_>) -> AttackOutcome {
-    run_strategy_compiled(strategy, setup, &CompiledPolicies::compile(setup.policies))
+    run_strategy_speculative(strategy, setup, &OnceCell::new(), None)
 }
 
-/// [`run_strategy`] with the deployment's policy vector already compiled
-/// to its adopter bitset — the form every trial loop uses, so the O(n)
-/// policy scan happens once per deployment instead of once per trial.
-///
-/// # Panics
-///
-/// As [`run_strategy`], plus if `compiled` covers a different number of
-/// ASes than `setup.policies`.
-pub fn run_strategy_compiled(
-    strategy: &dyn AttackerStrategy,
-    setup: &AttackSetup<'_>,
-    compiled: &CompiledPolicies,
-) -> AttackOutcome {
-    run_strategy_speculative(strategy, setup, compiled, &OnceCell::new(), None).0
-}
-
-/// The trial executor's entry point: [`run_strategy_compiled`] with the
-/// baseline propagation cell owned by the caller, an observation of
-/// whether the outcome was **deployment-independent**, and optional
-/// footprint recording.
+/// The trial executor's entry point: [`run_strategy`] with the baseline
+/// propagation cell owned by the caller and optional footprint
+/// recording.
 ///
 /// * `baseline` — a cell the caller may share between calls: the first
 ///   strategy to look computes the victim-only propagation and the rest
 ///   reuse it. Calls sharing a cell must agree on `(topology, victim,
-///   victim_prefix)` and either on `(vrps, compiled)` too, or on the
+///   victim_prefix)` and either on `(vrps, policies)` too, or on the
 ///   victim's own origin being non-Invalid under each call's `vrps` —
-///   the victim filter is then transparent, accepts at every AS, and
-///   the propagation depends on neither `vrps` nor `compiled`.
-/// * The returned `bool` is `true` iff every [`OriginFilter`] this trial
-///   constructed was transparent (no origin validated Invalid — see
-///   [`OriginFilter::is_transparent`]). A transparent filter accepts
-///   every route regardless of which ASes adopt ROV, so the outcome —
-///   *and* the plan, which can only observe the deployment through the
-///   baseline — is bit-identical under **every** policy vector. The
-///   executor replays such outcomes across its deployment axis instead
-///   of re-propagating them.
+///   the victim filter is then transparent
+///   ([`OriginFilter::is_transparent`]), accepts at every AS, and the
+///   propagation depends on neither `vrps` nor `policies`.
 /// * `spec` — when supplied, every adopter-bitset consultation any of
 ///   the trial's propagations performs is mirrored into the recorder's
 ///   [`FilterFootprint`] sinks — the execute half of the executor's
@@ -421,36 +389,33 @@ pub fn run_strategy_compiled(
 pub(crate) fn run_strategy_speculative(
     strategy: &dyn AttackerStrategy,
     setup: &AttackSetup<'_>,
-    compiled: &CompiledPolicies,
     baseline: &OnceCell<Propagation>,
     spec: Option<&SpecRecorder<'_>>,
-) -> (AttackOutcome, bool) {
-    let t = setup.topology;
-    assert_ne!(
-        setup.attacker, setup.victim,
-        "attacker must differ from victim"
-    );
+) -> AttackOutcome {
+    let (t, compiled) = (setup.topology, setup.policies);
+    let (attacker, victim) = (setup.attacker, setup.victim);
+    assert_ne!(attacker, victim, "attacker must differ from victim");
     assert!(
         setup.victim_prefix.covers(setup.sub_prefix),
         "sub_prefix must be inside victim_prefix"
     );
-    assert_eq!(setup.policies.len(), t.len());
-    assert_eq!(compiled.len(), t.len(), "compiled policies cover the graph");
+    assert_eq!(compiled.len(), t.len(), "policies cover the graph");
 
     let engine = PropagationEngine::new(t);
-    let victim_asn = t.asn(setup.victim);
-    let victim_seed = Seed::origin(setup.victim, victim_asn);
+    let victim_asn = t.asn(victim);
+    let victim_seed = Seed::origin(victim, victim_asn);
     // Import filter for the victim's prefix: the ROV verdict of every
     // claimed origin the baseline can query, resolved once.
     let accept_p = OriginFilter::new(setup.vrps, setup.victim_prefix, &[victim_asn], compiled);
 
     // The pre-attack world is offered to the strategy lazily: only
-    // strategies that observe it (and subprefix plans, which reuse it as
-    // the fallback table) pay for the extra propagation.
+    // strategies that observe it (and plans for another prefix, which
+    // stack it under or over the attacker's table) pay for the extra
+    // propagation.
     let ctx = StrategyContext {
         topology: t,
-        victim: setup.victim,
-        attacker: setup.attacker,
+        victim,
+        attacker,
         victim_prefix: setup.victim_prefix,
         sub_prefix: setup.sub_prefix,
         vrps: setup.vrps,
@@ -459,125 +424,56 @@ pub(crate) fn run_strategy_speculative(
         accept_p: &accept_p,
         spec,
     };
-    let strat_sink = spec.map(|s| s.strat);
     let plan = strategy.plan(&ctx);
     assert!(
         setup.victim_prefix.covers(plan.target),
         "measurement target must be inside the victim's prefix"
     );
-    let victim_transparent = accept_p.is_transparent();
-
-    // The attacked world: either a head-to-head propagation on the
-    // victim's prefix, or the attacker's prefix propagated next to the
-    // untouched baseline; traffic for the target then follows each AS's
-    // longest matching prefix, counted in a single engine pass.
-    match plan.announcement {
-        Some(ann) if ann.prefix == setup.victim_prefix => {
-            // Head to head on the victim's prefix: one propagation, no
-            // materialized table at all.
-            let accept = OriginFilter::new(
-                setup.vrps,
-                setup.victim_prefix,
-                &[victim_asn, ann.claimed_origin],
-                compiled,
-            );
-            let transparent = accept.is_transparent();
-            let seeds = [
-                victim_seed,
-                Seed {
-                    at: setup.attacker,
-                    path_len: ann.path_len,
-                    claimed_origin: ann.claimed_origin,
-                },
-            ];
-            let accept = recording(&accept, strat_sink);
-            let outcome = with_workspace(|ws| {
-                engine.propagate_outcome(&seeds, &accept, ws, None, setup.attacker, setup.victim)
-            });
-            (outcome, victim_transparent && transparent)
-        }
-        Some(ann) if ann.prefix.covers(plan.target) => {
-            let baseline = ctx.baseline();
-            let accept_q =
-                OriginFilter::new(setup.vrps, ann.prefix, &[ann.claimed_origin], compiled);
-            let seed = Seed {
-                at: setup.attacker,
-                path_len: ann.path_len,
-                claimed_origin: ann.claimed_origin,
-            };
-            let independent = victim_transparent && accept_q.is_transparent();
-            let accept = recording(&accept_q, strat_sink);
-            if ann.prefix.len() > setup.victim_prefix.len() {
-                // The usual shape: the attacker's more-specific table
-                // wins longest-prefix match, the baseline is the
-                // fallback — tallied straight off the workspace.
-                let outcome = with_workspace(|ws| {
-                    engine.propagate_outcome(
-                        &[seed],
-                        &accept,
-                        ws,
-                        Some(baseline),
-                        setup.attacker,
-                        setup.victim,
-                    )
-                });
-                (outcome, independent)
-            } else {
-                // A *less*-specific announcement: the victim's own table
-                // stays primary (rare — only custom strategies announce
-                // super-prefixes).
-                let attacked = with_workspace(|ws| engine.propagate(&[seed], &accept, ws));
-                let outcome = outcome_from_tables(
-                    &[baseline, &attacked],
-                    setup.attacker,
-                    setup.victim,
-                    t.len(),
-                );
-                (outcome, independent)
-            }
-        }
-        Some(_) | None => {
-            // Nothing announced toward the target: only the baseline
-            // carries traffic.
-            let baseline = ctx.baseline();
-            let outcome = outcome_from_tables(&[baseline], setup.attacker, setup.victim, t.len());
-            (outcome, victim_transparent)
-        }
-    }
-}
-
-/// Longest-prefix-match counting over materialized tables, most specific
-/// first — the generic fallback for table orders the single-pass engine
-/// tally does not cover (also the data plane of
-/// [`crate::attack::run_forged_origin_trial_compiled`]).
-pub(crate) fn outcome_from_tables(
-    tables: &[&Propagation],
-    attacker: usize,
-    victim: usize,
-    n: usize,
-) -> AttackOutcome {
-    let mut outcome = AttackOutcome {
-        intercepted: 0,
-        legitimate: 0,
-        disconnected: 0,
+    let Some(ann) = plan
+        .announcement
+        .filter(|ann| ann.prefix.covers(plan.target))
+    else {
+        // Nothing announced toward the target: only the baseline
+        // carries traffic.
+        return AttackOutcome::tally(&[ctx.baseline()], attacker, victim);
     };
-    for a in 0..n {
-        if a == attacker || a == victim {
-            continue;
-        }
-        let chosen = tables.iter().find_map(|prop| prop.routes()[a]);
-        match chosen {
-            Some(info) if info.delivers_to == attacker => outcome.intercepted += 1,
-            Some(_) => outcome.legitimate += 1,
-            None => outcome.disconnected += 1,
-        }
+
+    // The attacked world. On the victim's own prefix the two
+    // announcements compete head to head in one propagation; on any
+    // other prefix the attacker's propagates alone, next to the
+    // untouched baseline. Traffic for the target then follows each AS's
+    // longest matching prefix ([`AttackOutcome::tally`]).
+    let head_to_head = ann.prefix == setup.victim_prefix;
+    let baseline = (!head_to_head).then(|| ctx.baseline());
+    let attacker_seed = Seed {
+        at: attacker,
+        path_len: ann.path_len,
+        claimed_origin: ann.claimed_origin,
+    };
+    // Victim first; alone, the attacker's announcement is the tail.
+    let alone = usize::from(!head_to_head);
+    let seeds = &[victim_seed, attacker_seed][alone..];
+    let origins = &[victim_asn, ann.claimed_origin][alone..];
+    let filter = OriginFilter::new(setup.vrps, ann.prefix, origins, compiled);
+    let accept = recording(&filter, spec.map(|s| s.strat));
+    if ann.prefix.len() >= setup.victim_prefix.len() {
+        // The attacker's table is the most specific one: tallied
+        // straight off the workspace, the baseline under it.
+        with_workspace(|ws| {
+            engine.propagate_outcome(seeds, &accept, ws, baseline, attacker, victim)
+        })
+    } else {
+        // A *less*-specific announcement: the victim's own table stays
+        // primary (rare — only custom strategies announce super-prefixes).
+        let attacked = with_workspace(|ws| engine.propagate(seeds, &accept, ws));
+        AttackOutcome::tally(&[ctx.baseline(), &attacked], attacker, victim)
     }
-    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CompiledPolicies;
     use crate::topology::TopologyConfig;
     use rpki_roa::Vrp;
     use rpki_rov::RovPolicy;
@@ -606,7 +502,7 @@ mod tests {
         p: Prefix,
         q: Prefix,
         vrps: &'a VrpIndex,
-        policies: &'a [RovPolicy],
+        policies: &'a CompiledPolicies,
     ) -> AttackSetup<'a> {
         AttackSetup {
             topology: t,
@@ -625,7 +521,7 @@ mod tests {
         // announced prefix: Valid (or NotFound) everywhere, so the three
         // ROA configurations produce the identical outcome.
         let (t, victim, attacker, p, q) = world();
-        let policies = vec![RovPolicy::DropInvalid; t.len()];
+        let policies = CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; t.len()]);
         let configs: [VrpIndex; 3] = [
             VrpIndex::new(),
             [Vrp::new(p, 24, t.asn(victim))].into_iter().collect(),
@@ -652,7 +548,7 @@ mod tests {
     fn shortened_path_beats_standard_forged_origin() {
         let (t, victim, attacker, p, q) = world();
         let vrps: VrpIndex = [Vrp::exact(p, t.asn(victim))].into_iter().collect();
-        let policies = vec![RovPolicy::DropInvalid; t.len()];
+        let policies = CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; t.len()]);
         let s = setup(&t, victim, attacker, p, q, &vrps, &policies);
         let short = run_strategy(&PathForgery::shortened(), &s);
         let standard = run_strategy(&AttackKind::ForgedOriginPrefixHijack, &s);
@@ -665,7 +561,7 @@ mod tests {
     #[test]
     fn gap_prober_sweeps_loose_roa_and_demotes_on_minimal() {
         let (t, victim, attacker, p, q) = world();
-        let policies = vec![RovPolicy::DropInvalid; t.len()];
+        let policies = CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; t.len()]);
         let loose: VrpIndex = [Vrp::new(p, 24, t.asn(victim))].into_iter().collect();
         let swept = run_strategy(
             &MaxLengthGapProber,
@@ -694,7 +590,7 @@ mod tests {
         // universal ROV: nobody (including the attacker) learns it, so
         // the leak has nothing to replay and nothing is intercepted.
         let (t, victim, attacker, p, q) = world();
-        let policies = vec![RovPolicy::DropInvalid; t.len()];
+        let policies = CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; t.len()]);
         let wrong_origin: VrpIndex = [Vrp::exact(p, t.asn(attacker))].into_iter().collect();
         let outcome = run_strategy(
             &RouteLeak,
@@ -706,33 +602,46 @@ mod tests {
         assert_eq!(outcome.interception_fraction(), 0.0);
     }
 
-    #[test]
-    fn compiled_entry_point_matches_on_the_fly_compilation() {
-        let (t, victim, attacker, p, q) = world();
-        let policies: Vec<RovPolicy> = (0..t.len())
-            .map(|at| {
-                if at % 2 == 0 {
-                    RovPolicy::DropInvalid
-                } else {
-                    RovPolicy::AcceptAll
-                }
-            })
-            .collect();
-        let vrps: VrpIndex = [Vrp::new(p, 24, t.asn(victim))].into_iter().collect();
-        let compiled = CompiledPolicies::compile(&policies);
-        let s = setup(&t, victim, attacker, p, q, &vrps, &policies);
-        for strategy in [
-            &AttackKind::ForgedOriginSubprefixHijack as &dyn AttackerStrategy,
-            &RouteLeak,
-            &MaxLengthGapProber,
-        ] {
-            assert_eq!(
-                run_strategy(strategy, &s),
-                run_strategy_compiled(strategy, &s, &compiled),
-                "{}",
-                strategy.label()
-            );
+    /// Announces the parent of the victim's prefix under its own origin.
+    struct CoveringAnnouncement;
+
+    impl AttackerStrategy for CoveringAnnouncement {
+        fn label(&self) -> String {
+            "covering announcement".to_string()
         }
+
+        fn plan(&self, ctx: &StrategyContext<'_>) -> AttackPlan {
+            AttackPlan {
+                announcement: Some(AttackAnnouncement {
+                    prefix: "168.122.0.0/15".parse().unwrap(),
+                    claimed_origin: ctx.attacker_asn(),
+                    path_len: 0,
+                }),
+                target: ctx.sub_prefix,
+            }
+        }
+    }
+
+    #[test]
+    fn less_specific_announcement_only_catches_what_the_victim_lost() {
+        let (t, victim, attacker, p, q) = world();
+        let policies = CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; t.len()]);
+        // The victim's own table is the more specific one and wins
+        // wherever it holds a route: everywhere, with no ROA in the way.
+        let none = VrpIndex::new();
+        let s = setup(&t, victim, attacker, p, q, &none, &policies);
+        let shadowed = run_strategy(&CoveringAnnouncement, &s);
+        assert_eq!(
+            (shadowed.intercepted, shadowed.legitimate),
+            (0, t.len() - 2)
+        );
+        // A wrong-origin ROA for `p` makes the victim's announcement
+        // Invalid everywhere and leaves the /15 NotFound: every AS falls
+        // through to the attacker's table.
+        let wrong_origin: VrpIndex = [Vrp::exact(p, t.asn(attacker))].into_iter().collect();
+        let s = setup(&t, victim, attacker, p, q, &wrong_origin, &policies);
+        let exposed = run_strategy(&CoveringAnnouncement, &s);
+        assert_eq!((exposed.intercepted, exposed.legitimate), (t.len() - 2, 0));
     }
 
     #[test]

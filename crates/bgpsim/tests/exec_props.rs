@@ -31,8 +31,8 @@ use bgpsim::strategy::{MaxLengthGapProber, PathForgery, RouteLeak};
 use bgpsim::topology::{Topology, TopologyConfig};
 use bgpsim::{
     Accumulator, AttackKind, AttackerStrategy, CellAccumulator, CellStats, DeploymentModel,
-    DestinationSampler, ExecStats, Executor, FractionAccumulator, InternetConfig, PlanCursor,
-    ScenarioMatrix, TopologyFamily,
+    DestinationSampler, ExecStats, Executor, InternetConfig, PlanCursor, ScenarioMatrix,
+    TopologyFamily,
 };
 
 /// The strategy menu plans draw from (index-encoded for proptest).
@@ -170,11 +170,11 @@ proptest! {
             shape.strategies.iter().map(|&i| strategy_at(i)).collect();
         let plan = build_plan(&shape, &topology, &strategies);
 
-        let straight: Vec<FractionAccumulator> = Executor::sequential().run(&plan);
+        let straight: Vec<CellAccumulator> = Executor::sequential().run(&plan);
         // One session resolves the policy axis once; every checkpoint
         // step reuses it.
         let session = Executor::sequential().session(&plan);
-        let mut cursor = plan.cursor::<FractionAccumulator>();
+        let mut cursor = plan.cursor::<CellAccumulator>();
         while !session.run_until(&mut cursor, chunk) {
             if roundtrip {
                 cursor = PlanCursor::decode(&cursor.encode()).expect("cursor round-trip");
@@ -217,37 +217,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// Sweep-aware uniform reuse: an adoption sweep through the executor
-    /// (one plan, one threshold pass, shared topology) matches running
-    /// the full experiment per adoption level — the pre-executor shape.
-    #[test]
-    fn adoption_sweep_matches_per_level_runs(
-        trials in 1usize..4,
-        seed in 0u64..200,
-    ) {
-        let experiment = bgpsim::AttackExperiment {
-            topology: TopologyConfig { n: 150, tier1: 4, ..TopologyConfig::default() },
-            trials,
-            rov_fraction: 1.0,
-            seed,
-        };
-        let fractions = [0.0, 0.4, 1.0];
-        let sweep = experiment.adoption_sweep(
-            AttackKind::SubprefixHijack,
-            RoaConfig::Minimal,
-            &fractions,
-        );
-        for (i, &fraction) in fractions.iter().enumerate() {
-            let per_level = bgpsim::AttackExperiment {
-                rov_fraction: fraction,
-                ..experiment
-            }
-            .run_par();
-            let cell = per_level.cell(AttackKind::SubprefixHijack, RoaConfig::Minimal);
-            prop_assert_eq!(sweep.points[i], (fraction, cell.mean_interception));
         }
     }
 }

@@ -8,10 +8,13 @@
 //! * **minimal-ROA cells never exceed loose-maxLength cells** for any
 //!   strategy, deployment, or topology — §5's claim that minimal ROAs
 //!   only ever help;
-//! * zero-eligible cells aggregate to 0.0, never NaN.
+//! * zero-eligible cells aggregate to 0.0, never NaN;
+//! * **§4/§5's table and the adoption sweep** — the four hijacks × the
+//!   three ROA configurations under uniform ROV at several levels — read
+//!   off one grid each, every cell of which has all its trials eligible.
 
 use bgpsim::experiment::RoaConfig;
-use bgpsim::matrix::{ScenarioMatrix, TopologyFamily};
+use bgpsim::matrix::{MatrixReport, ScenarioMatrix, TopologyFamily};
 use bgpsim::topology::TopologyConfig;
 use bgpsim::{AttackKind, DeploymentModel, MaxLengthGapProber};
 
@@ -198,4 +201,127 @@ fn zero_eligible_cells_report_zero_not_nan() {
         assert!(c.stats.mean_disconnected.is_finite());
     }
     assert!(!report.render().contains("NaN"));
+}
+
+/// §4/§5's grid: `kinds` × every ROA configuration under uniform ROV at
+/// each of `levels`, on one topology. Every trial of every cell routes
+/// somebody, so a cell's mean/min/max run over all its trials.
+fn paper_grid(
+    n: usize,
+    trials: usize,
+    seed: u64,
+    kinds: &[AttackKind],
+    levels: &[f64],
+) -> MatrixReport {
+    let report = ScenarioMatrix {
+        topologies: vec![family(n)],
+        strategies: kinds.iter().map(|&k| Box::new(k) as _).collect(),
+        deployments: levels
+            .iter()
+            .map(|&p| DeploymentModel::Uniform { p })
+            .collect(),
+        roas: RoaConfig::ALL.to_vec(),
+        trials,
+        seed,
+    }
+    .run();
+    assert_eq!(report.cells.len(), kinds.len() * levels.len() * 3);
+    for c in &report.cells {
+        assert_eq!(c.stats.eligible, c.stats.trials, "{c:?}");
+        assert_eq!(c.stats.trials, trials);
+    }
+    report
+}
+
+/// The `(kind, ROA)` cells of `report`, one per adoption level in axis
+/// order.
+fn across_levels(
+    report: &MatrixReport,
+    kind: AttackKind,
+    roa: RoaConfig,
+) -> Vec<bgpsim::CellStats> {
+    report
+        .cells_for(kind.label(), roa)
+        .map(|c| c.stats)
+        .collect()
+}
+
+#[test]
+fn paper_shape_holds_under_full_rov() {
+    let r = paper_grid(300, 6, 5, &AttackKind::ALL, &[1.0]);
+    let cell = |kind, roa| across_levels(&r, kind, roa)[0];
+
+    // §4: forged-origin subprefix hijack against the non-minimal ROA
+    // intercepts everything.
+    let headline = cell(
+        AttackKind::ForgedOriginSubprefixHijack,
+        RoaConfig::NonMinimalMaxLen,
+    );
+    assert!(headline.mean_interception > 0.999, "{headline:?}");
+
+    // §5: the minimal ROA reduces it to zero.
+    let fixed = cell(AttackKind::ForgedOriginSubprefixHijack, RoaConfig::Minimal);
+    assert_eq!(fixed.mean_interception, 0.0);
+
+    // The attacker's fallback — the prefix-grained forged-origin
+    // hijack — only splits traffic.
+    let fallback = cell(AttackKind::ForgedOriginPrefixHijack, RoaConfig::Minimal);
+    assert!(fallback.mean_interception > 0.0);
+    assert!(fallback.mean_interception < headline.mean_interception);
+    assert!(fallback.max_interception < 1.0);
+
+    // Classic hijacks are dead under any ROA + ROV.
+    for roa in [RoaConfig::Minimal, RoaConfig::NonMinimalMaxLen] {
+        assert_eq!(cell(AttackKind::PrefixHijack, roa).mean_interception, 0.0);
+        assert_eq!(
+            cell(AttackKind::SubprefixHijack, roa).mean_interception,
+            0.0
+        );
+    }
+
+    // Without any ROA, the subprefix hijack is total.
+    assert!(cell(AttackKind::SubprefixHijack, RoaConfig::NoRoa).mean_interception > 0.999);
+}
+
+#[test]
+fn partial_rov_interpolates() {
+    let r = paper_grid(300, 6, 5, &AttackKind::ALL, &[0.0, 1.0]);
+    let levels = across_levels(&r, AttackKind::SubprefixHijack, RoaConfig::Minimal);
+    // With zero enforcement, ROAs change nothing: the subprefix hijack
+    // wins everywhere despite the minimal ROA.
+    assert!(levels[0].mean_interception > 0.999);
+    assert_eq!(levels[1].mean_interception, 0.0);
+}
+
+/// The two decisive attacks of the adoption sweep, on its topology.
+const SWEPT: [AttackKind; 2] = [
+    AttackKind::SubprefixHijack,
+    AttackKind::ForgedOriginSubprefixHijack,
+];
+
+#[test]
+fn subprefix_hijack_decays_with_adoption() {
+    let r = paper_grid(250, 4, 11, &SWEPT, &[0.0, 0.5, 1.0]);
+    let sweep = across_levels(&r, AttackKind::SubprefixHijack, RoaConfig::Minimal);
+    assert_eq!(sweep.len(), 3);
+    // Monotone non-increasing from total capture to zero.
+    assert!(sweep[0].mean_interception > 0.99);
+    assert!(sweep[1].mean_interception <= sweep[0].mean_interception);
+    assert_eq!(sweep[2].mean_interception, 0.0);
+}
+
+#[test]
+fn forged_origin_subprefix_immune_to_adoption_with_bad_roa() {
+    // The paper's point sharpened: against the non-minimal ROA, MORE
+    // validation does not help at all — the hijack is Valid.
+    let r = paper_grid(250, 4, 11, &SWEPT, &[0.0, 1.0]);
+    let sweep = across_levels(
+        &r,
+        AttackKind::ForgedOriginSubprefixHijack,
+        RoaConfig::NonMinimalMaxLen,
+    );
+    assert_eq!(sweep.len(), 2);
+    for level in sweep {
+        assert!(level.mean_interception > 0.99);
+    }
 }

@@ -10,9 +10,13 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use bgpsim::routing::{Propagation, RouteClass, RouteInfo, Seed};
+use bgpsim::routing::{RouteClass, RouteInfo, Seed};
 use bgpsim::topology::{Relationship, Topology};
 use rpki_roa::Asn;
+
+/// The reference's route table: entry `a` is AS `a`'s selected route, if
+/// any.
+pub type Routes = Vec<Option<RouteInfo>>;
 
 /// Propagates a prefix announced by `seeds` through `topology` under the
 /// `accept(as_index, claimed_origin)` import filter.
@@ -20,9 +24,9 @@ pub fn propagate_reference(
     topology: &Topology,
     seeds: &[Seed],
     accept: &dyn Fn(usize, Asn) -> bool,
-) -> Propagation {
+) -> Routes {
     let n = topology.len();
-    let mut routes: Vec<Option<RouteInfo>> = vec![None; n];
+    let mut routes: Routes = vec![None; n];
 
     // Deterministic priority: (path_len, claimed origin, deliverer, AS).
     type Key = (u32, u32, usize, usize);
@@ -152,7 +156,7 @@ pub fn propagate_reference(
         offer_down(info, at, &mut pending, &mut heap, &routes);
     }
 
-    Propagation::from_routes(routes)
+    routes
 }
 
 /// `true` if `candidate` beats the current pending offer under the

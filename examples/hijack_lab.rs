@@ -10,8 +10,8 @@
 //! ```
 
 use maxlength_rpki::bgpsim::attack::{AttackKind, AttackSetup};
-use maxlength_rpki::bgpsim::run_strategy;
 use maxlength_rpki::bgpsim::topology::{Topology, TopologyConfig};
+use maxlength_rpki::bgpsim::{run_strategy, CompiledPolicies};
 use maxlength_rpki::prelude::*;
 
 fn main() {
@@ -34,7 +34,8 @@ fn main() {
 
     let p: Prefix = "168.122.0.0/16".parse().unwrap();
     let q: Prefix = "168.122.0.0/24".parse().unwrap();
-    let policies = vec![RovPolicy::DropInvalid; topology.len()];
+    // Universal ROV, compiled once for every attack staged below.
+    let policies = CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; topology.len()]);
 
     let configs: [(&str, VrpIndex); 3] = [
         ("no ROA at all", VrpIndex::new()),

@@ -28,7 +28,7 @@ impl AttackerStrategy for WaitAndLeak {
     }
 
     fn plan(&self, ctx: &StrategyContext<'_>) -> AttackPlan {
-        if ctx.baseline().routes()[ctx.attacker].is_some() {
+        if ctx.baseline().route(ctx.attacker).is_some() {
             RouteLeak.plan(ctx)
         } else {
             MaxLengthGapProber.plan(ctx)

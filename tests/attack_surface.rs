@@ -5,7 +5,7 @@
 //! victim announcing exactly what the dataset says it announces, and check
 //! interception against the census verdict.
 
-use maxlength_rpki::bgpsim::attack::{run_forged_origin_trial_compiled, ForgedOriginTrial};
+use maxlength_rpki::bgpsim::attack::{run_forged_origin_trial, ForgedOriginTrial};
 use maxlength_rpki::bgpsim::topology::{Topology, TopologyConfig};
 use maxlength_rpki::bgpsim::CompiledPolicies;
 use maxlength_rpki::core::minimal::vrp_is_minimal;
@@ -21,8 +21,7 @@ fn stage(
     victim: usize,
     attacker: usize,
     alloc: &maxlength_rpki::datasets::world::Allocation,
-    policies: &[RovPolicy],
-    compiled: &CompiledPolicies,
+    policies: &CompiledPolicies,
 ) -> Option<(f64, bool)> {
     let victim_asn = topology.asn(victim);
     let announced: Vec<Prefix> = alloc.announcements().iter().map(|r| r.prefix).collect();
@@ -53,18 +52,15 @@ fn stage(
     })?;
 
     let index: VrpIndex = vrps_translated.into_iter().collect();
-    let outcome = run_forged_origin_trial_compiled(
-        &ForgedOriginTrial {
-            topology,
-            victim,
-            attacker,
-            victim_prefixes: &announced,
-            target,
-            vrps: &index,
-            policies,
-        },
-        compiled,
-    );
+    let outcome = run_forged_origin_trial(&ForgedOriginTrial {
+        topology,
+        victim,
+        attacker,
+        victim_prefixes: &announced,
+        target,
+        vrps: &index,
+        policies,
+    });
     Some((outcome.interception_fraction(), vulnerable))
 }
 
@@ -82,10 +78,9 @@ fn census_verdicts_match_attack_outcomes() {
     });
     let stubs = topology.stubs();
     let (victim, attacker) = (stubs[0], stubs[stubs.len() / 2]);
-    let policies = vec![RovPolicy::DropInvalid; topology.len()];
-    // One policy vector across every staged allocation: compile its
+    // One deployment across every staged allocation: compile its
     // adopter bitset once, not once per trial.
-    let compiled = CompiledPolicies::compile(&policies);
+    let policies = CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; topology.len()]);
 
     let mut tested_vulnerable = 0;
     let mut tested_safe = 0;
@@ -101,8 +96,7 @@ fn census_verdicts_match_attack_outcomes() {
         if !relevant {
             continue;
         }
-        let Some((fraction, vulnerable)) =
-            stage(&topology, victim, attacker, alloc, &policies, &compiled)
+        let Some((fraction, vulnerable)) = stage(&topology, victim, attacker, alloc, &policies)
         else {
             continue;
         };
@@ -155,8 +149,7 @@ fn minimalized_world_resists_every_staged_attack() {
     });
     let stubs = topology.stubs();
     let (victim, attacker) = (stubs[1], stubs[stubs.len() / 3]);
-    let policies = vec![RovPolicy::DropInvalid; topology.len()];
-    let compiled = CompiledPolicies::compile(&policies);
+    let policies = CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; topology.len()]);
 
     let mut tested = 0;
     for alloc in &world.allocations {
@@ -183,18 +176,15 @@ fn minimalized_world_resists_every_staged_attack() {
         };
         // The fix: minimal ROAs for exactly the announced set.
         let fixed: VrpIndex = minimalize_vrps(&original, &bgp).into_iter().collect();
-        let outcome = run_forged_origin_trial_compiled(
-            &ForgedOriginTrial {
-                topology: &topology,
-                victim,
-                attacker,
-                victim_prefixes: &announced,
-                target,
-                vrps: &fixed,
-                policies: &policies,
-            },
-            &compiled,
-        );
+        let outcome = run_forged_origin_trial(&ForgedOriginTrial {
+            topology: &topology,
+            victim,
+            attacker,
+            victim_prefixes: &announced,
+            target,
+            vrps: &fixed,
+            policies: &policies,
+        });
         assert_eq!(
             outcome.intercepted, 0,
             "minimal ROAs must kill the hijack of {target} ({:?})",

@@ -121,16 +121,21 @@ fn builder_tracks_a_vrp_list_through_inserts_and_removes() {
 
 #[test]
 fn parallel_experiment_is_bit_identical() {
-    use maxlength_rpki::bgpsim::experiment::AttackExperiment;
+    use maxlength_rpki::bgpsim::experiment::RoaConfig;
     use maxlength_rpki::bgpsim::topology::TopologyConfig;
-    let experiment = AttackExperiment {
-        topology: TopologyConfig {
+    use maxlength_rpki::bgpsim::{AttackKind, DeploymentModel, ScenarioMatrix, TopologyFamily};
+    // §4/§5's table under partial ROV: the parallel executor folds to
+    // the sequential report, every cell, every float.
+    let experiment = ScenarioMatrix {
+        topologies: vec![TopologyFamily::new(TopologyConfig {
             n: 400,
             tier1: 6,
             ..TopologyConfig::default()
-        },
+        })],
+        strategies: AttackKind::ALL.iter().map(|&k| Box::new(k) as _).collect(),
+        deployments: vec![DeploymentModel::Uniform { p: 0.8 }],
+        roas: RoaConfig::ALL.to_vec(),
         trials: 10,
-        rov_fraction: 0.8,
         seed: 99,
     };
     assert_eq!(experiment.run(), experiment.run_par());
