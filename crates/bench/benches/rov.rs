@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use rpki_datasets::{GeneratorConfig, World};
 use rpki_roa::{RouteOrigin, Vrp};
-use rpki_rov::{ValidationState, VrpIndex};
+use rpki_rov::{ChainConfig, FrozenVrpIndex, SnapshotChainEngine, ValidationState, VrpIndex};
 
 fn linear_validate(vrps: &[Vrp], route: &RouteOrigin) -> ValidationState {
     if vrps.iter().any(|v| v.matches(route)) {
@@ -117,9 +117,9 @@ fn bench_index_build(c: &mut Criterion) {
 }
 
 fn bench_revalidation(c: &mut Criterion) {
-    use rpki_rov::RevalidationEngine;
-    // RFC 6811 revalidation on VRP change: incremental (affected subtree
-    // only) vs naive full-table revalidation.
+    // RFC 6811 revalidation on VRP change: the chain engine's incremental
+    // epoch (affected subtree only) vs what a router without the chain
+    // does — freeze the new set and validate the whole table.
     let world = World::generate(GeneratorConfig {
         scale: 0.02,
         ..GeneratorConfig::default()
@@ -127,27 +127,31 @@ fn bench_revalidation(c: &mut Criterion) {
     let snap = world.snapshot(7);
     let vrps = snap.vrps();
     let delta: Vrp = "10.0.0.0/8-24 => AS424242".parse().unwrap();
+    let engine = || {
+        SnapshotChainEngine::new(
+            snap.routes.iter().copied(),
+            vrps.iter().copied(),
+            ChainConfig::default(),
+        )
+    };
+    let mut after = engine();
+    after.apply_epoch(&[delta], &[]);
+    let after = after.current_vrps();
 
     let mut group = c.benchmark_group("ablation/revalidation");
     group.sample_size(20);
     group.bench_function(BenchmarkId::new("incremental", snap.routes.len()), |b| {
         b.iter_batched(
-            || RevalidationEngine::new(snap.routes.iter().copied(), vrps.iter().copied()),
-            |mut engine| engine.announce_vrp(delta),
+            engine,
+            |mut engine| engine.apply_epoch(&[delta], &[]),
             criterion::BatchSize::LargeInput,
         )
     });
     group.bench_function(BenchmarkId::new("full_table", snap.routes.len()), |b| {
-        b.iter_batched(
-            || {
-                let mut engine =
-                    RevalidationEngine::new(snap.routes.iter().copied(), vrps.iter().copied());
-                engine.announce_vrp(delta);
-                engine
-            },
-            |mut engine| engine.revalidate_all(),
-            criterion::BatchSize::LargeInput,
-        )
+        b.iter(|| {
+            let frozen: FrozenVrpIndex = after.iter().copied().collect();
+            frozen.validate_table(snap.routes.iter())
+        })
     });
     group.finish();
 }

@@ -46,7 +46,7 @@
 //! `BinaryHeap` ordered by `(path_len, claimed_origin, delivers_to,
 //! as_index)`; the engine buckets entries by `path_len` and drains each
 //! bucket in ascending AS-index order, which settles the same routes
-//! (see [`Workspace::push`] for the argument). The contract is pinned by
+//! (see `Workspace::push` for the argument). The contract is pinned by
 //! the `engine_props` differential proptests and the golden fixtures.
 //!
 //! The engine does not take every input: a seed claiming a path longer
@@ -73,7 +73,7 @@ const DENSE_SLACK: u64 = 4;
 ///
 /// # Bitset-stamp invariant
 ///
-/// Hot state is three packed bitsets plus two [`PackedRoute`] arrays —
+/// Hot state is three packed bitsets plus two `PackedRoute` arrays —
 /// ~32.4 bytes per AS, down from the 132 bytes/AS of the earlier
 /// epoch-stamped layout (three `u32` stamp arrays + three 40-byte
 /// `RouteInfo` arrays), which is what lets an 80k-AS internet-scale
@@ -86,14 +86,14 @@ const DENSE_SLACK: u64 = 4;
 /// * `pend_set` — one bit per AS for the *current phase's* best pending
 ///   candidate in `pending`. The array is reused three times per
 ///   propagation (phase-1 pending, phase-2 peer offers, phase-3
-///   pending); [`Workspace::clear_pending`] zeroes the bitset — an
+///   pending); `Workspace::clear_pending` zeroes the bitset — an
 ///   `n/64`-word memset, not an O(n) slot reset — between phases.
-/// * [`Workspace::begin`] zeroes both bitsets, so a back-to-back run
+/// * `Workspace::begin` zeroes both bitsets, so a back-to-back run
 ///   through one workspace is always identical to a fresh-workspace run
 ///   (pinned by the `engine_props` reuse proptest). No epochs, no wrap
 ///   handling: a cleared bit *is* the absence of the slot.
 /// * `buckets` is the path-length queue; entries are plain `u32` AS
-///   indices (see [`Workspace::push`] for why that preserves the
+///   indices (see `Workspace::push` for why that preserves the
 ///   reference heap's tie-breaks) and bucket vectors are drained, not
 ///   deallocated, so their capacity is retained across trials.
 /// * `drain_set` — one bit per AS: the bucket being drained, as a set.
@@ -363,7 +363,7 @@ impl<'a> OriginFilter<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if more than [`MAX_FILTER_ORIGINS`] distinct origins are
+    /// Panics if more than `MAX_FILTER_ORIGINS` (8) distinct origins are
     /// supplied (staged trials propagate one or two).
     pub fn new(
         vrps: &VrpIndex,

@@ -18,10 +18,12 @@
 //! * no VRP appears in both lists of one epoch (a maxLength edit or ASN
 //!   transfer withdraws one VRP value and announces a *different* one).
 //!
-//! Consumers therefore apply epochs as set operations in either order.
-//! (The rtr `CacheServer::update_delta` is nevertheless defensive against
-//! dirty deltas — see its docs — but timelines from this generator never
-//! need that path.)
+//! Every consumer applies an epoch announcements first, withdrawals
+//! second — [`ChurnTimeline::vrps_at`], the rtr
+//! `CacheServer::update_delta` and `SnapshotChainEngine::apply_epoch`
+//! alike — so a hand-built dirty epoch (a VRP in both lists) resolves the
+//! same way everywhere: the withdrawal wins. On clean epochs the order
+//! cannot matter, and timelines from this generator are always clean.
 //!
 //! Everything is deterministic in [`ChurnConfig::seed`]: equal configs and
 //! equal initial sets give byte-identical timelines, which is what the
@@ -141,7 +143,8 @@ pub struct ChurnTimeline {
 }
 
 impl ChurnTimeline {
-    /// The VRP set after applying epochs `0..=epoch`, sorted.
+    /// The VRP set after applying epochs `0..=epoch`, sorted. Each epoch
+    /// applies its announcements, then its withdrawals.
     ///
     /// # Panics
     ///
@@ -154,11 +157,9 @@ impl ChurnTimeline {
         );
         let mut set: BTreeSet<Vrp> = self.initial.iter().copied().collect();
         for e in &self.epochs[..=epoch] {
+            set.extend(&e.announced);
             for v in &e.withdrawn {
                 set.remove(v);
-            }
-            for v in &e.announced {
-                set.insert(*v);
             }
         }
         set.into_iter().collect()

@@ -57,9 +57,21 @@ pub fn scan_line(vrp: &Vrp) -> String {
 /// Recursively scans `dir` for `.roa` files, validating each one.
 ///
 /// Invalid objects are collected in [`ScanResult::rejected`]; I/O errors
-/// (other than a file vanishing mid-scan) abort the walk.
+/// (other than a file vanishing mid-scan) abort the walk. This is
+/// [`scan_dir_parallel`] at one worker, on the calling thread.
 pub fn scan_dir(dir: &Path) -> io::Result<ScanResult> {
-    let mut result = ScanResult::default();
+    scan_dir_parallel(dir, 1)
+}
+
+/// [`scan_dir`] parallelized over `threads` workers — relying-party
+/// repositories hold tens of thousands of objects, and validation is
+/// embarrassingly parallel. Output order (and therefore the VRP list) is
+/// identical at every thread count.
+pub fn scan_dir_parallel(dir: &Path, threads: usize) -> io::Result<ScanResult> {
+    let threads = threads.max(1);
+    // Enumerate deterministically first (cheap), then validate in
+    // parallel (expensive).
+    let mut files = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
         let mut entries: Vec<_> = fs::read_dir(&d)?.collect::<io::Result<_>>()?;
@@ -70,12 +82,45 @@ pub fn scan_dir(dir: &Path) -> io::Result<ScanResult> {
             if path.is_dir() {
                 stack.push(path);
             } else if path.extension().is_some_and(|e| e == "roa") {
-                let data = fs::read(&path)?;
-                match open_roa(&data) {
-                    Ok(roa) => result.roas.push(roa),
-                    Err(e) => result.rejected.push((path, e)),
-                }
+                files.push(path);
             }
+        }
+    }
+
+    // Worker `w` validates files `w, w + threads, …`. A file that
+    // vanished since the walk is neither a ROA nor a rejection.
+    let validate = |worker: usize| -> io::Result<Vec<(usize, Result<Roa, EnvelopeError>)>> {
+        let mut out = Vec::new();
+        for (i, path) in files.iter().enumerate().skip(worker).step_by(threads) {
+            match fs::read(path) {
+                Ok(data) => out.push((i, open_roa(&data))),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(out)
+    };
+    let mut all = if threads == 1 {
+        validate(0)?
+    } else {
+        std::thread::scope(|scope| {
+            let validate = &validate;
+            let handles: Vec<_> = (0..threads)
+                .map(|worker| scope.spawn(move || validate(worker)))
+                .collect();
+            let mut all = Vec::with_capacity(files.len());
+            for h in handles {
+                all.extend(h.join().expect("scan worker panicked")?);
+            }
+            io::Result::Ok(all)
+        })?
+    };
+    all.sort_by_key(|(i, _)| *i);
+    let mut result = ScanResult::default();
+    for (i, outcome) in all {
+        match outcome {
+            Ok(roa) => result.roas.push(roa),
+            Err(e) => result.rejected.push((files[i].clone(), e)),
         }
     }
     Ok(result)
@@ -183,66 +228,6 @@ mod tests {
     }
 }
 
-/// [`scan_dir`] parallelized over `threads` workers — relying-party
-/// repositories hold tens of thousands of objects, and validation is
-/// embarrassingly parallel. Output order (and therefore the VRP list) is
-/// identical to the serial scan.
-pub fn scan_dir_parallel(dir: &Path, threads: usize) -> io::Result<ScanResult> {
-    let threads = threads.max(1);
-    // Enumerate deterministically first (cheap), then validate in
-    // parallel (expensive).
-    let mut files = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        let mut entries: Vec<_> = fs::read_dir(&d)?.collect::<io::Result<_>>()?;
-        entries.sort_by_key(|e| e.path());
-        for entry in entries {
-            let path = entry.path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "roa") {
-                files.push(path);
-            }
-        }
-    }
-
-    type Validated = (usize, PathBuf, Result<crate::Roa, EnvelopeError>);
-    let results: io::Result<Vec<Validated>> = std::thread::scope(|scope| {
-        let files = &files;
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                scope.spawn(move || -> io::Result<Vec<Validated>> {
-                    let mut out = Vec::new();
-                    for (i, path) in files.iter().enumerate() {
-                        if i % threads != worker {
-                            continue;
-                        }
-                        let data = fs::read(path)?;
-                        out.push((i, path.clone(), open_roa(&data)));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        let mut all = Vec::with_capacity(files.len());
-        for h in handles {
-            all.extend(h.join().expect("scan worker panicked")?);
-        }
-        Ok(all)
-    });
-
-    let mut all = results?;
-    all.sort_by_key(|(i, _, _)| *i);
-    let mut result = ScanResult::default();
-    for (_, path, outcome) in all {
-        match outcome {
-            Ok(roa) => result.roas.push(roa),
-            Err(e) => result.rejected.push((path, e)),
-        }
-    }
-    Ok(result)
-}
-
 #[cfg(test)]
 mod parallel_tests {
     use super::*;
@@ -280,6 +265,30 @@ mod parallel_tests {
             assert_eq!(parallel.roas, serial.roas, "{threads} threads");
             assert_eq!(parallel.rejected.len(), serial.rejected.len());
             assert_eq!(parallel.vrps(), serial.vrps());
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `.roa` entry that is gone by the time it is read — here a
+    /// dangling symlink — is skipped, not fatal, at every thread count.
+    #[cfg(unix)]
+    #[test]
+    fn vanished_file_is_skipped() {
+        let dir =
+            std::env::temp_dir().join(format!("rpki-roa-parscan-gone-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let roa = Roa::new(
+            Asn(7),
+            vec![RoaPrefix::exact("10.0.0.0/8".parse().unwrap())],
+        )
+        .unwrap();
+        fs::write(dir.join("good.roa"), seal_roa(&roa)).unwrap();
+        std::os::unix::fs::symlink(dir.join("missing"), dir.join("gone.roa")).unwrap();
+        for threads in [1, 2, 4] {
+            let result = scan_dir_parallel(&dir, threads).unwrap();
+            assert_eq!(result.roas, vec![roa.clone()], "{threads} threads");
+            assert!(result.rejected.is_empty(), "{threads} threads");
         }
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,12 +1,14 @@
 //! Epoch-aware incremental revalidation over a frozen snapshot chain.
 //!
-//! [`RevalidationEngine`](crate::RevalidationEngine) revalidates against a
-//! single mutable index. Under a live churn stream that index is mutated on
-//! every rpki-rtr delta while the bulk paths (whole-table summaries, full
-//! cache responses) want the frozen flat arrays — so this module keeps the
-//! two in one structure: an immutable [`FrozenVrpIndex`] **base** plus a
-//! small mutable **delta overlay**, re-frozen ("compacted") once the
-//! overlay outgrows a configurable threshold.
+//! RFC 6811 §5: routers MUST revalidate announcements when VRPs change.
+//! Revalidating the whole table on every rpki-rtr delta is exactly the
+//! router load §6 worries about, so [`SnapshotChainEngine`] revalidates
+//! only the *affected set*: when a VRP for prefix `p` appears or
+//! disappears, only routes covered by `p` can change state. It validates
+//! against an immutable [`FrozenVrpIndex`] **base** plus a small mutable
+//! **delta overlay**, re-frozen ("compacted") once the overlay outgrows a
+//! configurable threshold — so a delta stays cheap while anything
+//! table-sized still reads the frozen flat arrays.
 //!
 //! # The snapshot-chain contract
 //!
@@ -35,13 +37,23 @@
 //! O(table); the refreeze amortizes overlay scan costs so the chain never
 //! degrades into the linear-scan regime the paper's §6 worries about.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use rpki_roa::{RouteOrigin, Vrp};
+use rpki_roa::{Asn, RouteOrigin, Vrp};
 
-use crate::route_table::RouteTable;
-use crate::{FrozenVrpIndex, StateChange, ValidationState, VrpIndex};
+use crate::{FrozenVrpIndex, ValidationState, VrpIndex};
+
+/// A route's state transition produced by a VRP delta.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StateChange {
+    /// The affected route.
+    pub route: RouteOrigin,
+    /// Its state before the delta.
+    pub old: ValidationState,
+    /// Its state after the delta.
+    pub new: ValidationState,
+}
 
 /// Tuning for the snapshot chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +132,9 @@ impl ChurnSummary {
 /// snapshot chain (base [`FrozenVrpIndex`] + mutable delta overlay).
 #[derive(Debug, Clone)]
 pub struct SnapshotChainEngine {
-    routes: RouteTable,
+    /// Every tracked route with its state. Routes order by prefix first,
+    /// so the routes a prefix covers are one contiguous range.
+    routes: BTreeMap<RouteOrigin, ValidationState>,
     /// The frozen bulk of the VRP set.
     base: Arc<FrozenVrpIndex>,
     /// Overlay: VRPs announced since the last freeze (disjoint from the
@@ -147,7 +161,7 @@ impl SnapshotChainEngine {
         config: ChainConfig,
     ) -> SnapshotChainEngine {
         let mut engine = SnapshotChainEngine {
-            routes: RouteTable::default(),
+            routes: BTreeMap::new(),
             base: Arc::new(vrps.into_iter().collect()),
             added: VrpIndex::new(),
             removed: BTreeSet::new(),
@@ -156,20 +170,20 @@ impl SnapshotChainEngine {
             summary: ChurnSummary::default(),
             chain: Vec::new(),
         };
-        for route in routes {
-            engine.insert_route(route);
-        }
+        engine.routes = routes
+            .into_iter()
+            .map(|r| (r, engine.validate(&r)))
+            .collect();
         engine
     }
 
     /// Adds a route, returning its state (duplicates re-report theirs).
     pub fn insert_route(&mut self, route: RouteOrigin) -> ValidationState {
-        let view = OverlayView {
-            base: &self.base,
-            added: &self.added,
-            removed: &self.removed,
+        let state = match self.routes.get(&route) {
+            Some(tracked) => *tracked,
+            None => self.validate(&route),
         };
-        self.routes.insert_with(route, |r| view.validate(r))
+        *self.routes.entry(route).or_insert(state)
     }
 
     /// Number of routes tracked.
@@ -197,13 +211,13 @@ impl SnapshotChainEngine {
 
     /// The current state of a route, if tracked.
     pub fn state_of(&self, route: &RouteOrigin) -> Option<ValidationState> {
-        self.routes.state_of(route)
+        self.routes.get(route).copied()
     }
 
     /// Every tracked route with its state, sorted by route — the exact
     /// comparison payload the differential harness diffs.
     pub fn states(&self) -> Vec<(RouteOrigin, ValidationState)> {
-        self.routes.states_sorted()
+        self.routes.iter().map(|(r, s)| (*r, *s)).collect()
     }
 
     /// Epochs applied so far.
@@ -236,12 +250,27 @@ impl SnapshotChainEngine {
     /// Classifies a route against the logical set (base minus masked
     /// removals, plus overlay additions) per RFC 6811.
     pub fn validate(&self, route: &RouteOrigin) -> ValidationState {
-        OverlayView {
-            base: &self.base,
-            added: &self.added,
-            removed: &self.removed,
+        let mut covered = false;
+        for vrp in self.added.covering(route.prefix) {
+            if vrp.matches(route) {
+                return ValidationState::Valid;
+            }
+            covered = true;
         }
-        .validate(route)
+        for vrp in self.base.covering(route.prefix) {
+            if self.removed.contains(vrp) {
+                continue;
+            }
+            if vrp.matches(route) {
+                return ValidationState::Valid;
+            }
+            covered = true;
+        }
+        if covered {
+            ValidationState::Invalid
+        } else {
+            ValidationState::NotFound
+        }
     }
 
     /// Applies one epoch's delta, revalidating exactly the routes covered
@@ -266,13 +295,8 @@ impl SnapshotChainEngine {
         }
 
         // Revalidate the union of affected subtrees once, deduplicated.
-        let affected = self.routes.covered_by(&touched);
-        let view = OverlayView {
-            base: &self.base,
-            added: &self.added,
-            removed: &self.removed,
-        };
-        let changes = self.routes.reapply(&affected, |r| view.validate(r));
+        let affected = self.covered_by(&touched);
+        let changes = self.reapply(&affected);
 
         let refroze = self.overlay_len() >= self.config.refreeze_after;
         if refroze {
@@ -328,57 +352,49 @@ impl SnapshotChainEngine {
         self.removed.clear();
     }
 
-    /// Full revalidation of the tracked table from a fresh freeze of the
-    /// logical set — what a router without the chain would do every
-    /// epoch. Returns the changes found; the resulting states equal the
-    /// incremental path's by the snapshot-chain contract.
-    pub fn revalidate_all(&mut self) -> Vec<StateChange> {
-        let frozen: FrozenVrpIndex = self.logical_vrps().collect();
-        let routes = self.routes.all_routes();
-        self.routes.reapply(&routes, |r| frozen.validate(r))
-    }
-
     /// Whole-table summary against a fresh freeze of the logical set,
     /// fanned out over worker threads.
     pub fn bulk_summary_par(&self) -> crate::ValidationSummary {
         let frozen: FrozenVrpIndex = self.logical_vrps().collect();
-        frozen.validate_table_par(&self.routes.all_routes())
+        let routes: Vec<RouteOrigin> = self.routes.keys().copied().collect();
+        frozen.validate_table_par(&routes)
     }
-}
 
-/// A borrowed read view of the logical set (base minus masked removals,
-/// plus overlay additions): the validator both engines' shared route
-/// table calls back into.
-struct OverlayView<'a> {
-    base: &'a FrozenVrpIndex,
-    added: &'a VrpIndex,
-    removed: &'a BTreeSet<Vrp>,
-}
+    /// The tracked routes covered by any of `vrps`' prefixes — the only
+    /// routes a delta over those VRPs can re-classify — sorted, and
+    /// deduplicated across overlapping subtrees.
+    fn covered_by(&self, vrps: &[Vrp]) -> Vec<RouteOrigin> {
+        let mut out: Vec<RouteOrigin> = Vec::new();
+        for vrp in vrps {
+            let under = self.routes.range(RouteOrigin::new(vrp.prefix, Asn(0))..);
+            out.extend(
+                under
+                    .map(|(route, _)| *route)
+                    .take_while(|route| vrp.prefix.covers(route.prefix)),
+            );
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
 
-impl OverlayView<'_> {
-    /// Classifies a route against the logical set per RFC 6811.
-    fn validate(&self, route: &RouteOrigin) -> ValidationState {
-        let mut covered = false;
-        for vrp in self.added.covering(route.prefix) {
-            if vrp.matches(route) {
-                return ValidationState::Valid;
+    /// Re-classifies `affected` against the logical set, updating tracked
+    /// states and returning every transition, in `affected`'s order.
+    fn reapply(&mut self, affected: &[RouteOrigin]) -> Vec<StateChange> {
+        let mut changes = Vec::new();
+        for route in affected {
+            let new = self.validate(route);
+            let state = self.routes.get_mut(route).expect("route tracked");
+            if *state != new {
+                changes.push(StateChange {
+                    route: *route,
+                    old: *state,
+                    new,
+                });
+                *state = new;
             }
-            covered = true;
         }
-        for vrp in self.base.covering(route.prefix) {
-            if self.removed.contains(vrp) {
-                continue;
-            }
-            if vrp.matches(route) {
-                return ValidationState::Valid;
-            }
-            covered = true;
-        }
-        if covered {
-            ValidationState::Invalid
-        } else {
-            ValidationState::NotFound
-        }
+        changes
     }
 }
 
@@ -529,13 +545,62 @@ mod tests {
     }
 
     #[test]
-    fn revalidate_all_finds_nothing_after_incremental() {
+    fn widening_maxlength_rescues_the_deaggregate() {
         let mut e = engine(1024);
-        e.apply_epoch(
-            &[vrp("168.122.0.0/16 => AS111"), vrp("10.0.0.0/8-16 => AS1")],
-            &[],
+        e.apply_epoch(&[vrp("168.122.0.0/16 => AS111")], &[]);
+        let changes = e
+            .apply_epoch(&[vrp("168.122.0.0/16-24 => AS111")], &[])
+            .changes;
+        assert_eq!(changes.len(), 1);
+        assert_eq!(changes[0].route, route("168.122.225.0/24 => AS111"));
+        assert_eq!(changes[0].old, ValidationState::Invalid);
+        assert_eq!(changes[0].new, ValidationState::Valid);
+    }
+
+    #[test]
+    fn apply_delta_combines_and_dedups() {
+        let mut e = engine(1024);
+        e.apply_epoch(&[vrp("168.122.0.0/16 => AS111")], &[]);
+        // Swap the /16 ROA for a /16-24 in one epoch: the /24 flips
+        // Invalid->Valid; the /16 stays Valid (not reported).
+        let changes = e
+            .apply_epoch(
+                &[vrp("168.122.0.0/16-24 => AS111")],
+                &[vrp("168.122.0.0/16 => AS111")],
+            )
+            .changes;
+        assert_eq!(changes.len(), 1);
+        assert_eq!(changes[0].route, route("168.122.225.0/24 => AS111"));
+        assert_eq!(
+            e.state_of(&route("168.122.0.0/16 => AS111")),
+            Some(ValidationState::Valid)
         );
-        assert!(e.revalidate_all().is_empty(), "incremental path was exact");
+    }
+
+    #[test]
+    fn unrelated_vrp_changes_touch_nothing() {
+        let mut e = engine(1024);
+        e.apply_epoch(&[vrp("168.122.0.0/16 => AS111")], &[]);
+        let report = e.apply_epoch(&[vrp("99.0.0.0/8 => AS9")], &[]);
+        assert_eq!(report.announced, 1);
+        assert!(report.changes.is_empty());
+    }
+
+    #[test]
+    fn inserted_route_validates_on_arrival() {
+        let mut e = engine(1024);
+        e.apply_epoch(&[vrp("10.0.0.0/8 => AS1")], &[]);
+        assert_eq!(
+            e.insert_route(route("10.5.0.0/16 => AS2")),
+            ValidationState::Invalid
+        );
+        assert_eq!(e.route_count(), 5);
+        // A duplicate insert reports the tracked state and adds nothing.
+        assert_eq!(
+            e.insert_route(route("10.5.0.0/16 => AS2")),
+            ValidationState::Invalid
+        );
+        assert_eq!(e.route_count(), 5);
     }
 
     #[test]

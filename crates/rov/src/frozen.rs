@@ -1,7 +1,7 @@
 //! Frozen, immutable VRP snapshots: the read-optimized half of the
 //! builder→freeze pipeline.
 //!
-//! [`VrpIndex`](crate::VrpIndex) is a B-tree set built for cheap
+//! [`VrpIndex`] is a B-tree set built for cheap
 //! mutation; each of its covering queries is a handful of tree descents.
 //! Once a validation run's VRP set is final, the paper's workloads —
 //! RFC 6811 table validation (§2), the §6 census, the §4/§5 sampled
@@ -311,7 +311,7 @@ impl FrozenFamily {
 }
 
 /// An immutable, `Arc`-shareable compilation of a VRP set into flat
-/// arrays, answering the [`VrpIndex`](crate::VrpIndex) read API without
+/// arrays, answering the [`VrpIndex`] read API without
 /// pointer chasing. See the [module docs](self) for the layout and the
 /// snapshot-equivalence contract.
 ///

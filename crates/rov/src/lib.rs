@@ -26,9 +26,10 @@
 //!   tallies with their `Add`/`Sum` impls; the §6 measurement pipeline
 //!   and the `bgpsim` attack experiments both build on it.
 //!
-//! [`RevalidationEngine`] composes both halves: incremental
-//! revalidation against the mutable index on every VRP delta, and
-//! frozen snapshots for the bulk revalidate-everything path.
+//! [`SnapshotChainEngine`] composes both halves for a router following
+//! the rtr delta stream: each delta revalidates only the routes it
+//! covers, against a frozen base plus a small mutable overlay that is
+//! re-frozen once it grows.
 //!
 //! ```
 //! use rpki_rov::{VrpIndex, ValidationState};
@@ -58,15 +59,12 @@
 #![warn(missing_docs)]
 
 pub mod chain;
-pub mod delta;
 pub mod frozen;
 mod index;
 mod policy;
-mod route_table;
 mod state;
 
-pub use chain::{ChainConfig, ChurnSummary, EpochReport, SnapshotChainEngine};
-pub use delta::{RevalidationEngine, StateChange};
+pub use chain::{ChainConfig, ChurnSummary, EpochReport, SnapshotChainEngine, StateChange};
 pub use frozen::FrozenVrpIndex;
 pub use index::{ValidationSummary, VrpIndex};
 pub use policy::RovPolicy;

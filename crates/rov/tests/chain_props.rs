@@ -1,14 +1,16 @@
 //! Differential property tests for the churn path: for arbitrary delta
-//! timelines over mixed IPv4 + IPv6 sets, the states accumulated by the
-//! incremental engines (`RevalidationEngine::apply_delta` and the
-//! snapshot-chain `SnapshotChainEngine::apply_epoch`, across every
-//! refreeze boundary) must be identical to rebuilding a fresh `VrpIndex`
-//! and validating every route from scratch at every epoch.
+//! timelines over mixed IPv4 + IPv6 sets, the states
+//! `SnapshotChainEngine::apply_epoch` accumulates, across every refreeze
+//! boundary, must be identical to rebuilding a fresh `VrpIndex` and
+//! validating every route from scratch at every epoch — and each epoch
+//! must report exactly the states it changed.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, RouteOrigin, Vrp};
-use rpki_rov::{ChainConfig, RevalidationEngine, SnapshotChainEngine, ValidationState, VrpIndex};
+use rpki_rov::{ChainConfig, SnapshotChainEngine, StateChange, ValidationState, VrpIndex};
 
 /// Small universes in both families so covering/matching cases collide.
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -47,11 +49,11 @@ fn reference_states(vrps: &[Vrp], routes: &[RouteOrigin]) -> Vec<(RouteOrigin, V
 }
 
 /// Applies one epoch to the model set with the same net semantics the
-/// engines implement: withdrawals of VRPs also announced in the epoch are
+/// engine implements: withdrawals of VRPs also announced in the epoch are
 /// applied after the announcements (set semantics; order-free because
 /// clean epochs never overlap, and dirty ones resolve to "last writer",
 /// which here is the same as apply-announce-then-withdraw).
-fn model_apply(set: &mut std::collections::BTreeSet<Vrp>, announced: &[Vrp], withdrawn: &[Vrp]) {
+fn model_apply(set: &mut BTreeSet<Vrp>, announced: &[Vrp], withdrawn: &[Vrp]) {
     for v in announced {
         set.insert(*v);
     }
@@ -70,8 +72,7 @@ proptest! {
         timeline in prop::collection::vec(arb_epoch(), 1..12),
         refreeze_after in 1usize..12,
     ) {
-        let mut model: std::collections::BTreeSet<Vrp> =
-            initial.iter().copied().collect();
+        let mut model: BTreeSet<Vrp> = initial.iter().copied().collect();
         let mut engine = SnapshotChainEngine::new(
             routes.iter().copied(),
             initial.iter().copied(),
@@ -100,55 +101,69 @@ proptest! {
         }
     }
 
+    /// Incremental revalidation agrees with validating from scratch
+    /// after any interleaving of single VRP announcements and
+    /// withdrawals, one per epoch.
     #[test]
-    fn apply_delta_matches_fresh_rebuild_every_epoch(
-        initial in prop::collection::vec(arb_vrp(), 0..30),
-        routes in prop::collection::vec(arb_route(), 1..40),
-        timeline in prop::collection::vec(arb_epoch(), 1..12),
+    fn incremental_equals_from_scratch(
+        routes in prop::collection::btree_set(arb_route(), 1..30),
+        deltas in prop::collection::vec((arb_vrp(), any::<bool>()), 0..40),
+        refreeze_after in 1usize..12,
     ) {
-        let mut model: std::collections::BTreeSet<Vrp> =
-            initial.iter().copied().collect();
-        let mut engine = RevalidationEngine::new(
-            routes.iter().copied(),
-            initial.iter().copied(),
-        );
-        for (epoch, (announced, withdrawn)) in timeline.iter().enumerate() {
-            engine.apply_delta(announced, withdrawn);
-            model_apply(&mut model, announced, withdrawn);
-            let current: Vec<Vrp> = model.iter().copied().collect();
-            let reference = reference_states(&current, &routes);
-            for (route, expect) in &reference {
-                prop_assert_eq!(
-                    engine.state_of(route),
-                    Some(*expect),
-                    "epoch {}: {}",
-                    epoch,
-                    route
-                );
+        let routes: Vec<RouteOrigin> = routes.into_iter().collect();
+        let mut engine =
+            SnapshotChainEngine::new(routes.iter().copied(), [], ChainConfig { refreeze_after });
+        let mut applied: BTreeSet<Vrp> = BTreeSet::new();
+        for (i, (vrp, announce)) in deltas.into_iter().enumerate() {
+            if announce {
+                engine.apply_epoch(&[vrp], &[]);
+                applied.insert(vrp);
+            } else {
+                engine.apply_epoch(&[], &[vrp]);
+                applied.remove(&vrp);
             }
+            let current: Vec<Vrp> = applied.iter().copied().collect();
+            prop_assert_eq!(
+                engine.states(),
+                reference_states(&current, &routes),
+                "delta {} (refreeze_after {})",
+                i,
+                refreeze_after
+            );
         }
     }
 
+    /// Every epoch, refreezing ones included, reports exactly the diff of
+    /// `states()` across it: each changed route once, with its old and
+    /// new state, sorted by route.
     #[test]
-    fn chain_and_delta_engines_agree(
-        initial in prop::collection::vec(arb_vrp(), 0..25),
-        routes in prop::collection::vec(arb_route(), 1..30),
-        timeline in prop::collection::vec(arb_epoch(), 1..10),
+    fn changes_are_exact(
+        initial in prop::collection::vec(arb_vrp(), 0..30),
+        routes in prop::collection::vec(arb_route(), 1..40),
+        timeline in prop::collection::vec(arb_epoch(), 1..12),
+        refreeze_after in 1usize..12,
     ) {
-        let mut chain = SnapshotChainEngine::new(
+        let mut engine = SnapshotChainEngine::new(
             routes.iter().copied(),
             initial.iter().copied(),
-            ChainConfig { refreeze_after: 4 },
+            ChainConfig { refreeze_after },
         );
-        let mut flat = RevalidationEngine::new(
-            routes.iter().copied(),
-            initial.iter().copied(),
-        );
-        for (announced, withdrawn) in &timeline {
-            let chain_changes = chain.apply_epoch(announced, withdrawn).changes;
-            let flat_changes = flat.apply_delta(announced, withdrawn);
-            // Same transitions, reported identically (both sorted by route).
-            prop_assert_eq!(chain_changes, flat_changes);
+        for (epoch, (announced, withdrawn)) in timeline.iter().enumerate() {
+            let before = engine.states();
+            let report = engine.apply_epoch(announced, withdrawn);
+            let diff: Vec<StateChange> = before
+                .into_iter()
+                .zip(engine.states())
+                .filter(|((_, old), (_, new))| old != new)
+                .map(|((route, old), (_, new))| StateChange { route, old, new })
+                .collect();
+            prop_assert_eq!(
+                report.changes,
+                diff,
+                "epoch {} (refreeze_after {})",
+                epoch,
+                refreeze_after
+            );
         }
     }
 }

@@ -238,62 +238,3 @@ mod frozen_props {
         }
     }
 }
-
-mod delta_props {
-    use super::*;
-    use rpki_rov::RevalidationEngine;
-
-    proptest! {
-        /// Incremental revalidation must agree with validating from
-        /// scratch after any interleaving of VRP announcements and
-        /// withdrawals.
-        #[test]
-        fn incremental_equals_from_scratch(
-            routes in prop::collection::btree_set(arb_route(), 1..30),
-            deltas in prop::collection::vec((arb_vrp(), any::<bool>()), 0..40),
-        ) {
-            let mut engine = RevalidationEngine::new(routes.iter().copied(), []);
-            let mut applied: Vec<Vrp> = Vec::new();
-            for (vrp, announce) in deltas {
-                if announce {
-                    engine.announce_vrp(vrp);
-                    if !applied.contains(&vrp) {
-                        applied.push(vrp);
-                    }
-                } else {
-                    engine.withdraw_vrp(&vrp);
-                    applied.retain(|v| *v != vrp);
-                }
-                for route in &routes {
-                    prop_assert_eq!(
-                        engine.state_of(route),
-                        Some(reference_validate(&applied, route)),
-                        "route {} after {} deltas", route, applied.len()
-                    );
-                }
-            }
-        }
-
-        /// Reported state changes are exactly the differences.
-        #[test]
-        fn changes_are_exact(
-            routes in prop::collection::btree_set(arb_route(), 1..25),
-            vrp in arb_vrp(),
-        ) {
-            let mut engine = RevalidationEngine::new(routes.iter().copied(), []);
-            let before: Vec<_> = routes.iter().map(|r| engine.state_of(r).unwrap()).collect();
-            let changes = engine.announce_vrp(vrp);
-            for (route, old) in routes.iter().zip(before) {
-                let new = engine.state_of(route).unwrap();
-                let reported = changes.iter().find(|c| c.route == *route);
-                if old == new {
-                    prop_assert!(reported.is_none());
-                } else {
-                    let c = reported.expect("change must be reported");
-                    prop_assert_eq!(c.old, old);
-                    prop_assert_eq!(c.new, new);
-                }
-            }
-        }
-    }
-}

@@ -245,9 +245,9 @@ impl CacheServer {
     ///   desynchronizing the session even though the serial chain looks
     ///   healthy;
     /// * a VRP in **both** lists resolves as announce-then-withdraw (the
-    ///   withdrawal wins) — the same order `RevalidationEngine::apply_delta`
-    ///   and `SnapshotChainEngine::apply_epoch` use, so feeding one dirty
-    ///   delta to the session and an engine side by side cannot diverge.
+    ///   withdrawal wins) — the same order `SnapshotChainEngine::apply_epoch`
+    ///   and `ChurnTimeline::vrps_at` use, so feeding one dirty delta to the
+    ///   session and an engine side by side cannot diverge.
     ///   The intra-epoch flap that nets to nothing (announce of an absent
     ///   VRP, then its withdrawal) cancels out of the recorded delta
     ///   entirely; at most one record per VRP ever enters the history.
@@ -509,7 +509,6 @@ impl CacheServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
 
     fn vrp(s: &str) -> Vrp {
         s.parse().unwrap()
@@ -775,7 +774,7 @@ mod tests {
     fn same_epoch_announce_and_withdraw_resolves_like_the_engines() {
         // The sharp edge: one epoch both announces and withdraws the same
         // VRP. The delta resolves announce-then-withdraw (withdrawal
-        // wins, matching the rov engines), and the history must never
+        // wins, matching the rov chain engine), and the history must never
         // hold an announce+withdraw pair for one VRP — that pair in a
         // delta response is a protocol violation on the router side.
         let present = vrp("10.0.0.0/8 => AS1");
@@ -905,7 +904,7 @@ mod tests {
         let c = cache();
         let request = Pdu::ErrorReport {
             code: ErrorCode::InternalError,
-            pdu: Bytes::from(Vec::new()),
+            pdu: Vec::new(),
             text: "router-side complaint".into(),
         };
         let response = c.handle(&request);
@@ -920,12 +919,15 @@ mod tests {
         // encoder's nesting guard).
         let mut negotiation = c.negotiation();
         let mut out = Vec::new();
-        let wire_request = request.to_bytes();
+        let mut wire_request = Vec::new();
+        request
+            .as_wire()
+            .encode_into(PROTOCOL_V1, &mut wire_request);
         let outcome = c.handle_wire(&wire_request, &mut negotiation, &mut out);
         assert!(matches!(outcome, WireOutcome::Responded { .. }));
-        let (reply, used, _) = Pdu::decode_versioned(&out).unwrap().unwrap();
-        assert_eq!(used, out.len());
-        assert!(matches!(reply, Pdu::ErrorReport { .. }));
+        let reply = wire::decode_frame(&out).unwrap().unwrap();
+        assert_eq!(reply.len, out.len());
+        assert!(matches!(reply.pdu, PduRef::ErrorReport { .. }));
     }
 
     #[test]

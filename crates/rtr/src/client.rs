@@ -632,7 +632,7 @@ mod tests {
         let err = c
             .handle(&Pdu::ErrorReport {
                 code: ErrorCode::NoDataAvailable,
-                pdu: bytes::Bytes::new(),
+                pdu: Vec::new(),
                 text: "try later".into(),
             })
             .unwrap_err();
@@ -912,7 +912,7 @@ impl ClientError {
     pub fn to_error_report(&self) -> Pdu {
         Pdu::ErrorReport {
             code: self.error_code(),
-            pdu: bytes::Bytes::new(),
+            pdu: Vec::new(),
             text: self.to_string(),
         }
     }

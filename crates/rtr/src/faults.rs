@@ -2,17 +2,17 @@
 //!
 //! The fan-out server and the router client are sans-io state machines;
 //! what they have never been subjected to is a *hostile pipe*. This
-//! module closes that gap with three pieces:
+//! module closes that gap with two pieces:
 //!
 //! * [`FaultPlan`] — a seeded, replayable schedule of wire faults
 //!   (frame drops, mid-frame truncation, byte corruption, injected
 //!   garbage, stalls, forced disconnects), drawn from domain-separated
 //!   PRNG streams so the cache-bound and router-bound directions never
-//!   share entropy.
-//! * [`FaultyTransport`] — a [`Transport`] wrapper that applies a plan
-//!   to a live byte pipe, faithfully modelling the TCP reality that a
-//!   stream cannot lose a *middle* frame: every loss-class fault
-//!   surfaces as a connection break the endpoints must recover from.
+//!   share entropy. The one place a plan touches bytes is the in-memory
+//!   session's pipes, every frame in either direction, faithful to the
+//!   TCP reality that a stream cannot lose a *middle* frame: every
+//!   loss-class fault is a connection break the endpoints must recover
+//!   from.
 //! * [`ChaosSession`] — a [`LiveSession`] on a manual [`Clock`] with a
 //!   seeded fault plan spliced into its pipes, wrapped in the full
 //!   RFC 8210 §6 recovery loop on the router side: capped exponential
@@ -58,8 +58,7 @@ use crate::client::{Freshness, RouterClient};
 use crate::clock::Clock;
 use crate::pdu::{Pdu, Timing, PROTOCOL_V1};
 use crate::session::{AttemptError, LiveSession};
-use crate::transport::{Transport, TransportError};
-use crate::wire::{PduError, PduRef, HEADER_LEN};
+use crate::wire::HEADER_LEN;
 
 /// Domain constant for the cache → router fault stream.
 const TO_ROUTER_DOMAIN: u64 = 0xD6E8_FEB8_6659_FD93;
@@ -742,93 +741,6 @@ pub(crate) fn split_frames(mut rest: &[u8]) -> impl Iterator<Item = &[u8]> {
     })
 }
 
-/// A [`Transport`] wrapper that applies a [`FaultPlan`] to a live
-/// pipe, from the router's seat: `send` travels [`Direction::ToCache`],
-/// `recv` travels [`Direction::ToRouter`].
-///
-/// Over a stream transport every fault is **connection-terminating**:
-/// TCP cannot lose or mangle a middle frame and keep the byte stream
-/// coherent, so drops, truncation, stalls-turned-timeouts, corruption
-/// and garbage all surface as either [`TransportError::Closed`] or a
-/// protocol error, and the transport stays broken until
-/// [`FaultyTransport::reconnect`] installs a fresh inner pipe — exactly
-/// the recover-by-reconnect discipline RFC 8210 routers implement.
-#[derive(Debug)]
-pub struct FaultyTransport<T: Transport> {
-    inner: T,
-    plan: FaultPlan,
-    broken: bool,
-}
-
-impl<T: Transport> FaultyTransport<T> {
-    /// Wraps `inner`, faulting per `plan`.
-    pub fn new(inner: T, plan: FaultPlan) -> FaultyTransport<T> {
-        FaultyTransport {
-            inner,
-            plan,
-            broken: false,
-        }
-    }
-
-    /// `true` once a fault has cut the connection; every operation
-    /// fails until [`FaultyTransport::reconnect`].
-    pub fn is_broken(&self) -> bool {
-        self.broken
-    }
-
-    /// Installs a fresh inner pipe after a fault broke the old one.
-    /// The fault plan keeps its position in the seed streams — the
-    /// schedule spans reconnects.
-    pub fn reconnect(&mut self, inner: T) {
-        self.inner = inner;
-        self.broken = false;
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Draws the fault for one frame of `len` bytes travelling `dir`
-    /// and, if it may pass, moves it through the inner pipe.
-    fn carry<R>(
-        &mut self,
-        dir: Direction,
-        len: usize,
-        deliver: impl FnOnce(&mut T) -> Result<R, TransportError>,
-    ) -> Result<R, TransportError> {
-        if self.broken {
-            return Err(TransportError::Closed);
-        }
-        let failure = match self.plan.decide(dir, len) {
-            FaultAction::Deliver | FaultAction::Stall { .. } => return deliver(&mut self.inner),
-            FaultAction::Drop | FaultAction::Truncate { .. } | FaultAction::Disconnect => {
-                TransportError::Closed
-            }
-            FaultAction::Corrupt { .. } | FaultAction::Garbage { .. } => {
-                TransportError::Protocol(PduError::BadLength {
-                    type_code: 0xFF,
-                    length: 0,
-                })
-            }
-        };
-        self.broken = true;
-        Err(failure)
-    }
-}
-
-impl<T: Transport> Transport for FaultyTransport<T> {
-    fn send(&mut self, pdu: &Pdu) -> Result<(), TransportError> {
-        // Frame length only parameterizes the fault draw.
-        let len = pdu.wire_len(PROTOCOL_V1);
-        self.carry(Direction::ToCache, len, |inner| inner.send(pdu))
-    }
-
-    fn recv_with<R>(&mut self, f: impl FnOnce(PduRef<'_>) -> R) -> Result<R, TransportError> {
-        self.carry(Direction::ToRouter, HEADER_LEN, |inner| inner.recv_with(f))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,19 +748,6 @@ mod tests {
 
     fn vrps(list: &[&str]) -> Vec<Vrp> {
         list.iter().map(|s| s.parse().unwrap()).collect()
-    }
-
-    /// An inner pipe with nobody on the other end.
-    struct DeadEnd;
-
-    impl Transport for DeadEnd {
-        fn send(&mut self, _pdu: &Pdu) -> Result<(), TransportError> {
-            Ok(())
-        }
-
-        fn recv_with<R>(&mut self, _f: impl FnOnce(PduRef<'_>) -> R) -> Result<R, TransportError> {
-            Err(TransportError::Closed)
-        }
     }
 
     #[test]
@@ -1041,25 +940,6 @@ mod tests {
         let settled = chaos.settle();
         assert!(settled.converged);
         assert_eq!(settled.freshness, Freshness::Fresh);
-    }
-
-    #[test]
-    fn faulty_transport_breaks_and_reconnects() {
-        let all_drop = FaultConfig {
-            drop: 1.0,
-            ..FaultConfig::none()
-        };
-        let mut faulty = FaultyTransport::new(DeadEnd, FaultPlan::new(1, all_drop));
-        assert!(!faulty.is_broken());
-        let err = faulty.send(&Pdu::ResetQuery).unwrap_err();
-        assert_eq!(err, TransportError::Closed);
-        assert!(faulty.is_broken());
-        // Broken stays broken...
-        assert!(faulty.send(&Pdu::ResetQuery).is_err());
-        assert!(faulty.recv().is_err());
-        // ...until a reconnect installs a fresh pipe.
-        faulty.reconnect(DeadEnd);
-        assert!(!faulty.is_broken());
     }
 
     #[test]

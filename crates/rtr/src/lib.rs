@@ -15,8 +15,9 @@
 //!   zero-copy decoding of every PDU type of RFC 8210 (minus router
 //!   keys), the recoverable/fatal error taxonomy, and v0/v1
 //!   version negotiation.
-//! * [`pdu`] — the owned [`Pdu`] value type the state machines traffic
-//!   in; encode/decode delegates to [`wire`].
+//! * [`pdu`] — the owned [`Pdu`] value the state machines and their
+//!   callers traffic in; it reaches the wire only as a borrowed
+//!   [`PduRef`] ([`Pdu::as_wire`]), so [`wire`] stays the one codec.
 //! * [`cache`] — the cache-server state machine: versioned VRP sets,
 //!   serial numbers, delta computation, query handling.
 //! * [`server`] — the cache-side service: a sans-io fan-out core
@@ -37,10 +38,10 @@
 //!   core, following Cache Resets and version downgrades, counting
 //!   what crossed the wire.
 //! * [`faults`] — seeded, replayable fault injection ([`FaultPlan`],
-//!   [`FaultyTransport`]) and the recovery loop around the same driver
-//!   ([`ChaosSession`]): capped backoff, Reset Query fallback, stale
-//!   flushing, and the convergence-or-Stale invariant the chaos suite
-//!   gates on.
+//!   spliced into the in-memory session's pipes) and the recovery loop
+//!   around the same driver ([`ChaosSession`]): capped backoff, Reset
+//!   Query fallback, stale flushing, and the convergence-or-Stale
+//!   invariant the chaos suite gates on.
 //! * [`clock`] — virtual time: every RFC 8210 timer reads a [`Clock`]
 //!   that tests drive manually, so timer behaviour is deterministic.
 //!
@@ -81,8 +82,8 @@ pub use cache::{CacheServer, WireOutcome};
 pub use client::{Freshness, RouterClient};
 pub use clock::Clock;
 pub use faults::{
-    Backoff, ChaosOptions, ChaosSession, FaultAction, FaultConfig, FaultPlan, FaultyTransport,
-    RecoveryConfig, Settled, TraceEvent,
+    Backoff, ChaosOptions, ChaosSession, FaultAction, FaultConfig, FaultPlan, RecoveryConfig,
+    Settled, TraceEvent,
 };
 pub use pdu::{Pdu, PduError, PROTOCOL_V0, PROTOCOL_V1};
 pub use server::{

@@ -1,16 +1,17 @@
 //! Owned rpki-rtr PDU values (RFC 6810 / RFC 8210).
 //!
 //! The wire format itself — cursors, strict zero-copy decoding, the
-//! error taxonomy, version negotiation — lives in [`crate::wire`]; this
-//! module holds the **owned** [`Pdu`] value type the state machines
-//! ([`CacheServer`](crate::CacheServer), [`RouterClient`](crate::RouterClient))
-//! traffic in, with encode/decode entry points that delegate to the wire
-//! layer.
+//! versioned encoder, the error taxonomy, version negotiation — lives in
+//! [`crate::wire`]; this module holds the **owned** [`Pdu`] value the
+//! state machines ([`CacheServer`](crate::CacheServer),
+//! [`RouterClient`](crate::RouterClient)) and their callers traffic in.
+//! A `Pdu` is a value, not a second codec: [`Pdu::as_wire`] lends it to
+//! the encoder ([`PduRef::encode_into`]), and [`PduRef::to_owned`] copies
+//! a decoded frame into one.
 
-use bytes::{Bytes, BytesMut};
 use rpki_roa::Vrp;
 
-use crate::wire::{self, PduRef, WriteCursor};
+use crate::wire::PduRef;
 
 pub use crate::wire::{ErrorClass, PduError};
 
@@ -122,7 +123,7 @@ impl Default for Timing {
 }
 
 /// One rpki-rtr PDU, owning its payloads. The borrowed counterpart is
-/// [`wire::PduRef`].
+/// [`PduRef`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Pdu {
     /// Type 0: the cache tells routers new data is available.
@@ -169,19 +170,14 @@ pub enum Pdu {
         /// The RFC 8210 error code.
         code: ErrorCode,
         /// The offending PDU's raw bytes, if any.
-        pdu: Bytes,
+        pdu: Vec<u8>,
         /// Diagnostic text.
         text: String,
     },
 }
 
 impl Pdu {
-    /// The PDU type byte.
-    pub fn type_code(&self) -> u8 {
-        self.as_wire().type_code()
-    }
-
-    /// A borrowed [`wire::PduRef`] view over this PDU — the type the
+    /// A borrowed [`PduRef`] view over this PDU — the type the
     /// cursor encoder consumes.
     pub fn as_wire(&self) -> PduRef<'_> {
         match self {
@@ -223,71 +219,29 @@ impl Pdu {
     pub fn wire_len(&self, version: u8) -> usize {
         self.as_wire().wire_len(version)
     }
-
-    /// Encodes the PDU (protocol version 1) into `buf`.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        self.encode_versioned(PROTOCOL_V1, buf);
-    }
-
-    /// Encodes for a specific protocol version. Version 0 (RFC 6810, the
-    /// protocol of the paper's era) differs only in the End of Data PDU,
-    /// which carries no timing parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown versions.
-    pub fn encode_versioned(&self, version: u8, buf: &mut BytesMut) {
-        let r = self.as_wire();
-        let start = buf.len();
-        buf.resize(start + r.wire_len(version), 0);
-        r.write(version, &mut WriteCursor::new(&mut buf[start..]));
-    }
-
-    /// Encodes to a fresh buffer.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.encode(&mut buf);
-        buf.freeze()
-    }
-
-    /// Attempts to decode one PDU from the front of `data`, requiring
-    /// protocol version 1.
-    ///
-    /// Returns `Ok(None)` when more bytes are needed (stream still open),
-    /// `Ok(Some((pdu, consumed)))` on success.
-    pub fn decode(data: &[u8]) -> Result<Option<(Pdu, usize)>, PduError> {
-        match Pdu::decode_versioned(data)? {
-            Some((_, _, version)) if version != PROTOCOL_V1 => Err(PduError::BadVersion(version)),
-            other => Ok(other.map(|(pdu, used, _)| (pdu, used))),
-        }
-    }
-
-    /// Attempts to decode one PDU accepting both protocol versions,
-    /// returning the version alongside. A v0 End of Data (12 bytes, no
-    /// timing) yields RFC 8210's default timing values.
-    ///
-    /// This allocates owned payloads; transports that can hold the
-    /// receive buffer across the decode should use
-    /// [`wire::decode_frame`] directly and stay zero-copy.
-    pub fn decode_versioned(data: &[u8]) -> Result<Option<(Pdu, usize, u8)>, PduError> {
-        Ok(wire::decode_frame(data)?.map(|frame| (frame.pdu.to_owned(), frame.len, frame.version)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BufMut;
+    use crate::wire::decode_frame;
 
     fn vrp(s: &str) -> Vrp {
         s.parse().unwrap()
     }
 
+    /// `pdu` framed at `version` by the one encoder.
+    pub(super) fn encode(pdu: &Pdu, version: u8) -> Vec<u8> {
+        let mut out = Vec::new();
+        pdu.as_wire().encode_into(version, &mut out);
+        out
+    }
+
     fn round_trip(pdu: Pdu) {
-        let bytes = pdu.to_bytes();
-        let (back, used) = Pdu::decode(&bytes).unwrap().unwrap();
-        assert_eq!(back, pdu);
-        assert_eq!(used, bytes.len());
+        let bytes = encode(&pdu, PROTOCOL_V1);
+        let frame = decode_frame(&bytes).unwrap().unwrap();
+        assert_eq!(frame.pdu.to_owned(), pdu);
+        assert_eq!(frame.len, bytes.len());
     }
 
     #[test]
@@ -318,12 +272,12 @@ mod tests {
         round_trip(Pdu::CacheReset);
         round_trip(Pdu::ErrorReport {
             code: ErrorCode::CorruptData,
-            pdu: Pdu::ResetQuery.to_bytes(),
+            pdu: encode(&Pdu::ResetQuery, PROTOCOL_V1),
             text: "bad things".into(),
         });
         round_trip(Pdu::ErrorReport {
             code: ErrorCode::NoDataAvailable,
-            pdu: Bytes::new(),
+            pdu: Vec::new(),
             text: String::new(),
         });
     }
@@ -334,7 +288,7 @@ mod tests {
             flags: Flags::Announce,
             vrp: vrp("10.0.0.0/8-24 => AS65000"),
         };
-        let b = pdu.to_bytes();
+        let b = encode(&pdu, PROTOCOL_V1);
         assert_eq!(b.len(), 20);
         assert_eq!(b[0], PROTOCOL_V1);
         assert_eq!(b[1], 4); // IPv4 prefix PDU
@@ -353,29 +307,28 @@ mod tests {
             serial: 2,
             timing: Timing::default(),
         };
-        let bytes = pdu.to_bytes();
+        let bytes = encode(&pdu, PROTOCOL_V1);
         for cut in 0..bytes.len() {
-            assert_eq!(Pdu::decode(&bytes[..cut]).unwrap(), None, "cut {cut}");
+            assert_eq!(decode_frame(&bytes[..cut]), Ok(None), "cut {cut}");
         }
     }
 
     #[test]
     fn decode_consumes_exactly_one_pdu() {
-        let mut buf = BytesMut::new();
-        Pdu::ResetQuery.encode(&mut buf);
-        Pdu::CacheReset.encode(&mut buf);
-        let (first, used) = Pdu::decode(&buf).unwrap().unwrap();
-        assert_eq!(first, Pdu::ResetQuery);
-        let (second, used2) = Pdu::decode(&buf[used..]).unwrap().unwrap();
-        assert_eq!(second, Pdu::CacheReset);
-        assert_eq!(used + used2, buf.len());
+        let mut buf = encode(&Pdu::ResetQuery, PROTOCOL_V1);
+        buf.extend(encode(&Pdu::CacheReset, PROTOCOL_V1));
+        let first = decode_frame(&buf).unwrap().unwrap();
+        assert_eq!(first.pdu.to_owned(), Pdu::ResetQuery);
+        let second = decode_frame(&buf[first.len..]).unwrap().unwrap();
+        assert_eq!(second.pdu.to_owned(), Pdu::CacheReset);
+        assert_eq!(first.len + second.len, buf.len());
     }
 
     #[test]
     fn rejects_bad_version() {
-        let mut bytes = Pdu::ResetQuery.to_bytes().to_vec();
+        let mut bytes = encode(&Pdu::ResetQuery, PROTOCOL_V1);
         bytes[0] = 9;
-        assert_eq!(Pdu::decode(&bytes), Err(PduError::BadVersion(9)));
+        assert_eq!(decode_frame(&bytes), Err(PduError::BadVersion(9)));
         assert_eq!(
             PduError::BadVersion(9).error_code(),
             ErrorCode::UnsupportedVersion
@@ -384,77 +337,83 @@ mod tests {
 
     #[test]
     fn rejects_bad_type() {
-        let mut bytes = Pdu::ResetQuery.to_bytes().to_vec();
+        let mut bytes = encode(&Pdu::ResetQuery, PROTOCOL_V1);
         bytes[1] = 99;
-        assert_eq!(Pdu::decode(&bytes), Err(PduError::BadType(99)));
+        assert_eq!(decode_frame(&bytes), Err(PduError::BadType(99)));
     }
 
     #[test]
     fn rejects_bad_lengths() {
         // Declared length below the header size.
         let raw = [PROTOCOL_V1, 2, 0, 0, 0, 0, 0, 4];
-        assert!(matches!(Pdu::decode(&raw), Err(PduError::BadLength { .. })));
+        assert!(matches!(
+            decode_frame(&raw),
+            Err(PduError::BadLength { .. })
+        ));
         // Reset query with trailing junk inside the declared length.
         let raw = [PROTOCOL_V1, 2, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0];
         assert!(matches!(
-            Pdu::decode(&raw),
+            decode_frame(&raw),
             Err(PduError::BadLength { type_code: 2, .. })
         ));
     }
 
     #[test]
     fn rejects_bad_flags_prefix_and_maxlen() {
-        let good = Pdu::Prefix {
-            flags: Flags::Announce,
-            vrp: vrp("10.0.0.0/8-24 => AS65000"),
-        }
-        .to_bytes()
-        .to_vec();
+        let good = encode(
+            &Pdu::Prefix {
+                flags: Flags::Announce,
+                vrp: vrp("10.0.0.0/8-24 => AS65000"),
+            },
+            PROTOCOL_V1,
+        );
 
         let mut bad_flags = good.clone();
         bad_flags[8] = 7;
-        assert_eq!(Pdu::decode(&bad_flags), Err(PduError::BadFlags(7)));
+        assert_eq!(decode_frame(&bad_flags), Err(PduError::BadFlags(7)));
 
         let mut bad_maxlen = good.clone();
         bad_maxlen[10] = 4; // below prefix length 8
         assert!(matches!(
-            Pdu::decode(&bad_maxlen),
+            decode_frame(&bad_maxlen),
             Err(PduError::BadMaxLength { len: 8, max_len: 4 })
         ));
 
         let mut bad_prefix = good.clone();
         bad_prefix[13] = 1; // host bits set beyond /8
-        assert_eq!(Pdu::decode(&bad_prefix), Err(PduError::BadPrefix));
+        assert_eq!(decode_frame(&bad_prefix), Err(PduError::BadPrefix));
 
         let mut bad_len = good;
         bad_len[9] = 33; // prefix length beyond IPv4
-        assert_eq!(Pdu::decode(&bad_len), Err(PduError::BadPrefix));
+        assert_eq!(decode_frame(&bad_len), Err(PduError::BadPrefix));
     }
 
     #[test]
     fn error_report_with_truncated_inner_rejected() {
-        // Error report declaring a longer encapsulated PDU than present.
-        let mut buf = BytesMut::new();
-        buf.put_u8(PROTOCOL_V1);
-        buf.put_u8(10);
-        buf.put_u16(0); // CorruptData
-        buf.put_u32(16);
-        buf.put_u32(100); // inner length lies
-        buf.put_u32(0);
+        // Error report declaring a longer encapsulated PDU than present:
+        // CorruptData, length 16, an inner length of 100 (the lie), no text.
+        let raw = [
+            [PROTOCOL_V1, 10, 0, 0],
+            16u32.to_be_bytes(),
+            100u32.to_be_bytes(),
+            0u32.to_be_bytes(),
+        ]
+        .concat();
         assert!(matches!(
-            Pdu::decode(&buf),
+            decode_frame(&raw),
             Err(PduError::BadLength { type_code: 10, .. })
         ));
     }
 
     #[test]
     fn type_codes() {
-        assert_eq!(Pdu::ResetQuery.type_code(), 2);
+        assert_eq!(Pdu::ResetQuery.as_wire().type_code(), 2);
         assert_eq!(
             Pdu::Prefix {
                 flags: Flags::Announce,
                 vrp: vrp("10.0.0.0/8 => AS1")
             }
+            .as_wire()
             .type_code(),
             4
         );
@@ -463,6 +422,7 @@ mod tests {
                 flags: Flags::Announce,
                 vrp: vrp("::/0 => AS1")
             }
+            .as_wire()
             .type_code(),
             6
         );
@@ -487,13 +447,12 @@ mod tests {
             },
             Pdu::ErrorReport {
                 code: ErrorCode::CorruptData,
-                pdu: Pdu::CacheReset.to_bytes(),
+                pdu: encode(&Pdu::CacheReset, PROTOCOL_V1),
                 text: "ß".into(),
             },
         ] {
             for version in [PROTOCOL_V0, PROTOCOL_V1] {
-                let mut buf = BytesMut::new();
-                pdu.encode_versioned(version, &mut buf);
+                let buf = encode(&pdu, version);
                 assert_eq!(buf.len(), pdu.wire_len(version), "{pdu:?} v{version}");
             }
         }
@@ -502,7 +461,9 @@ mod tests {
 
 #[cfg(test)]
 mod v0_tests {
+    use super::tests::encode;
     use super::*;
+    use crate::wire::{decode_frame, Frame};
 
     #[test]
     fn v0_end_of_data_is_12_bytes_without_timing() {
@@ -511,15 +472,18 @@ mod v0_tests {
             serial: 9,
             timing: Timing::default(),
         };
-        let mut buf = BytesMut::new();
-        pdu.encode_versioned(PROTOCOL_V0, &mut buf);
+        let buf = encode(&pdu, PROTOCOL_V0);
         assert_eq!(buf.len(), 12);
         assert_eq!(buf[0], PROTOCOL_V0);
-        let (back, used, version) = Pdu::decode_versioned(&buf).unwrap().unwrap();
+        let Frame {
+            pdu: back,
+            version,
+            len,
+        } = decode_frame(&buf).unwrap().unwrap();
         assert_eq!(version, PROTOCOL_V0);
-        assert_eq!(used, 12);
+        assert_eq!(len, 12);
         // Timing comes back defaulted.
-        assert_eq!(back, pdu);
+        assert_eq!(back.to_owned(), pdu);
     }
 
     #[test]
@@ -536,20 +500,12 @@ mod v0_tests {
                 vrp: "10.0.0.0/8-24 => AS1".parse::<rpki_roa::Vrp>().unwrap(),
             },
         ] {
-            let mut buf = BytesMut::new();
-            pdu.encode_versioned(PROTOCOL_V0, &mut buf);
+            let buf = encode(&pdu, PROTOCOL_V0);
             assert_eq!(buf[0], PROTOCOL_V0);
-            let (back, _, version) = Pdu::decode_versioned(&buf).unwrap().unwrap();
-            assert_eq!(version, PROTOCOL_V0);
-            assert_eq!(back, pdu);
+            let frame = decode_frame(&buf).unwrap().unwrap();
+            assert_eq!(frame.version, PROTOCOL_V0);
+            assert_eq!(frame.pdu.to_owned(), pdu);
         }
-    }
-
-    #[test]
-    fn strict_v1_decode_rejects_v0_frames() {
-        let mut buf = BytesMut::new();
-        Pdu::ResetQuery.encode_versioned(PROTOCOL_V0, &mut buf);
-        assert_eq!(Pdu::decode(&buf), Err(PduError::BadVersion(0)));
     }
 
     #[test]
@@ -557,7 +513,7 @@ mod v0_tests {
         // A v1 frame with the v0 End of Data length is corrupt.
         let raw = [PROTOCOL_V1, 7, 0, 3, 0, 0, 0, 12, 0, 0, 0, 9];
         assert!(matches!(
-            Pdu::decode_versioned(&raw),
+            decode_frame(&raw),
             Err(PduError::BadLength { type_code: 7, .. })
         ));
     }
@@ -591,7 +547,7 @@ mod v0_tests {
             32,
         ];
         assert!(matches!(
-            Pdu::decode_versioned(&raw),
+            decode_frame(&raw),
             Err(PduError::BadLength { type_code: 7, .. })
         ));
     }
@@ -599,7 +555,6 @@ mod v0_tests {
     #[test]
     #[should_panic(expected = "unknown protocol version")]
     fn encode_rejects_unknown_version() {
-        let mut buf = BytesMut::new();
-        Pdu::ResetQuery.encode_versioned(9, &mut buf);
+        encode(&Pdu::ResetQuery, 9);
     }
 }

@@ -235,6 +235,13 @@ mod tests {
     use std::net::TcpListener;
     use std::thread;
 
+    /// `pdu` framed at version 1.
+    fn encode(pdu: &Pdu) -> Vec<u8> {
+        let mut out = Vec::new();
+        pdu.as_wire().encode_into(PROTOCOL_V1, &mut out);
+        out
+    }
+
     #[test]
     fn tcp_version_pinning_and_clean_close() {
         // The negotiation runs on the receive path: a v0 transport must
@@ -270,11 +277,10 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let writer = thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
-            let bytes = Pdu::SerialNotify {
+            let bytes = encode(&Pdu::SerialNotify {
                 session_id: 2,
                 serial: 9,
-            }
-            .to_bytes();
+            });
             for b in bytes.iter() {
                 s.write_all(&[*b]).unwrap();
                 s.flush().unwrap();
@@ -359,8 +365,8 @@ mod tests {
             session_id: 2,
             serial: 9,
         };
-        let mut bytes = first.to_bytes().to_vec();
-        bytes.extend_from_slice(&Pdu::CacheReset.to_bytes());
+        let mut bytes = encode(&first);
+        bytes.extend(encode(&Pdu::CacheReset));
         let eintr = || Err(std::io::Error::from(ErrorKind::Interrupted));
         let mut stream = Script(
             [
@@ -403,10 +409,10 @@ mod tests {
     fn maximal_frames_trickled_stay_inside_the_fixed_buffer() {
         let report = Pdu::ErrorReport {
             code: crate::pdu::ErrorCode::InternalError,
-            pdu: bytes::Bytes::new(),
+            pdu: Vec::new(),
             text: "x".repeat(MAX_PDU_LEN - HEADER_LEN - 8),
         };
-        let frame = report.to_bytes();
+        let frame = encode(&report);
         assert_eq!(frame.len(), MAX_PDU_LEN);
         let wire = [&frame[..], &frame[..]].concat();
         for chunk in [1, 7, 977, 40_000, READ_CHUNK + 1] {
@@ -429,7 +435,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let writer = thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
-            let bytes = Pdu::CacheReset.to_bytes();
+            let bytes = encode(&Pdu::CacheReset);
             s.write_all(&bytes[..4]).unwrap(); // half a header
         });
         let (stream, _) = listener.accept().unwrap();

@@ -4,7 +4,7 @@
 //! transport: the cursor types, the borrowed PDU view, the strict
 //! decoder, the versioned encoder, the error taxonomy, and the
 //! protocol-version negotiation state machine. Everything else in the
-//! crate ([`Pdu`](crate::pdu::Pdu) included) is a consumer.
+//! crate ([`Pdu`] included) is a consumer.
 //!
 //! # Wire-format contract
 //!
@@ -50,7 +50,7 @@
 //!
 //! * every `read_*`/`write_*` advances by exactly the accessor's size;
 //! * accessors do **not** bounds-check individually — callers guard a
-//!   whole fixed part once with [`ensure_size!`] (checked slice indexing
+//!   whole fixed part once with `ensure_size!` (checked slice indexing
 //!   still makes an unguarded overrun a panic, never unsoundness, and
 //!   the fuzz suite proves the decoder never reaches one);
 //! * decoding a frame never reads past `length`, and encoding never
@@ -76,10 +76,11 @@
 //! the current exchange still ends with an Error Report, but the peer may
 //! retry the session at a version both sides support (RFC 8210 §7 / RFC
 //! 6810 §7). **Fatal** means the session is corrupt and must be torn down
-//! with no retry at any version. [`CacheServer::handle_wire`]
-//! (crate::cache::CacheServer::handle_wire) enforces exactly this split,
-//! and `tests/fuzz_props.rs` cross-checks the classification against the
-//! teardown behaviour on thousands of mutated frames.
+//! with no retry at any version.
+//! [`CacheServer::handle_wire`](crate::cache::CacheServer::handle_wire)
+//! enforces exactly this split, and `tests/fuzz_props.rs` cross-checks the
+//! classification against the teardown behaviour on thousands of mutated
+//! frames.
 //!
 //! # Version negotiation
 //!
@@ -515,7 +516,7 @@ impl PduRef<'_> {
             PduRef::CacheReset => Pdu::CacheReset,
             PduRef::ErrorReport { code, pdu, text } => Pdu::ErrorReport {
                 code,
-                pdu: bytes::Bytes::copy_from_slice(pdu),
+                pdu: pdu.to_vec(),
                 text: text.to_owned(),
             },
         }

@@ -11,10 +11,10 @@
 //! decoder rejects what the legacy one waved through; those frames live
 //! in `tests/corpus/` with the strict verdict pinned.)
 
-use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, Vrp};
+use rpki_rtr::decode_frame;
 use rpki_rtr::pdu::{ErrorCode, Flags, Pdu, Timing, PROTOCOL_V0, PROTOCOL_V1};
 
 #[path = "support/legacy.rs"]
@@ -108,7 +108,7 @@ fn deterministic_corpus() -> Vec<Pdu> {
         (vec![], String::new()),
         (vec![], "plain ascii diagnostic".to_string()),
         (
-            Pdu::ResetQuery.to_bytes().to_vec(),
+            encode_new(&Pdu::ResetQuery, PROTOCOL_V1),
             "reset query rejected".to_string(),
         ),
         (vec![0u8; 3], "é€𝄞🦀 multi-byte".to_string()),
@@ -127,7 +127,7 @@ fn deterministic_corpus() -> Vec<Pdu> {
         ] {
             out.push(Pdu::ErrorReport {
                 code,
-                pdu: Bytes::from(inner.clone()),
+                pdu: inner.clone(),
                 text: text.clone(),
             });
         }
@@ -136,15 +136,15 @@ fn deterministic_corpus() -> Vec<Pdu> {
 }
 
 fn encode_new(pdu: &Pdu, version: u8) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    pdu.encode_versioned(version, &mut buf);
-    buf.to_vec()
+    let mut buf = Vec::new();
+    pdu.as_wire().encode_into(version, &mut buf);
+    buf
 }
 
 fn encode_old(pdu: &Pdu, version: u8) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     legacy::encode_versioned(pdu, version, &mut buf);
-    buf.to_vec()
+    buf
 }
 
 /// Asserts full codec agreement on one valid PDU at one version.
@@ -155,15 +155,20 @@ fn assert_agreement(pdu: &Pdu, version: u8) {
         new_bytes, old_bytes,
         "encoders must agree on {pdu:?} at v{version}"
     );
-    let (new_pdu, new_used, new_v) = Pdu::decode_versioned(&new_bytes)
+    let new = decode_frame(&new_bytes)
         .expect("strict decode of a valid frame")
         .expect("complete frame");
     let (old_pdu, old_used, old_v) = legacy::decode_versioned(&new_bytes)
         .expect("legacy decode of a valid frame")
         .expect("complete frame");
-    assert_eq!((new_used, new_v), (old_used, old_v), "framing must agree");
     assert_eq!(
-        new_pdu, old_pdu,
+        (new.len, new.version),
+        (old_used, old_v),
+        "framing must agree"
+    );
+    assert_eq!(
+        new.pdu.to_owned(),
+        old_pdu,
         "decoders must agree on {pdu:?} at v{version}"
     );
 }
@@ -192,11 +197,11 @@ fn codecs_agree_on_concatenated_corpus_stream() {
         let mut view: &[u8] = &stream;
         let mut count = 0;
         while !view.is_empty() {
-            let (new_pdu, new_used, _) = Pdu::decode_versioned(view).unwrap().unwrap();
+            let new = decode_frame(view).unwrap().unwrap();
             let (old_pdu, old_used, _) = legacy::decode_versioned(view).unwrap().unwrap();
-            assert_eq!(new_pdu, old_pdu);
-            assert_eq!(new_used, old_used);
-            view = &view[new_used..];
+            assert_eq!(new.pdu.to_owned(), old_pdu);
+            assert_eq!(new.len, old_used);
+            view = &view[new.len..];
             count += 1;
         }
         assert_eq!(count, corpus.len());
@@ -260,7 +265,7 @@ fn arb_pdu() -> impl Strategy<Value = Pdu> {
             }
             Pdu::ErrorReport {
                 code: ErrorCode::CorruptData,
-                pdu: Bytes::from(inner),
+                pdu: inner,
                 text,
             }
         }),
@@ -286,11 +291,11 @@ proptest! {
         let mut view: &[u8] = &stream;
         let mut decoded = 0usize;
         while !view.is_empty() {
-            let (new_pdu, new_used, _) = Pdu::decode_versioned(view).unwrap().unwrap();
+            let new = decode_frame(view).unwrap().unwrap();
             let (old_pdu, old_used, _) = legacy::decode_versioned(view).unwrap().unwrap();
-            prop_assert_eq!(new_pdu, old_pdu);
-            prop_assert_eq!(new_used, old_used);
-            view = &view[new_used..];
+            prop_assert_eq!(new.pdu.to_owned(), old_pdu);
+            prop_assert_eq!(new.len, old_used);
+            view = &view[new.len..];
             decoded += 1;
         }
         prop_assert_eq!(decoded, pdus.len());

@@ -1,7 +1,7 @@
 //! Adversarial fuzzing + round-trip battery for the zero-copy wire codec.
 //!
 //! Three families of properties, all driven through the *public* entry
-//! points ([`rpki_rtr::decode_frame`], [`Pdu::decode_versioned`],
+//! points ([`rpki_rtr::decode_frame`], [`PduRef::encode_into`],
 //! [`CacheServer::handle_wire`]):
 //!
 //! 1. **Mutation fuzz** — valid frames put through truncation,
@@ -22,13 +22,12 @@
 //! CI runs this suite with `PROPTEST_CASES` raised well beyond the local
 //! default; see `.github/workflows/ci.yml`.
 
-use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, Vrp};
 use rpki_rtr::cache::{CacheServer, WireOutcome};
 use rpki_rtr::pdu::{ErrorCode, Flags, Pdu, Timing, PROTOCOL_V0, PROTOCOL_V1};
-use rpki_rtr::wire::{self, ErrorClass, PduError, HEADER_LEN, MAX_PDU_LEN};
+use rpki_rtr::wire::{self, ErrorClass, PduError, PduRef, HEADER_LEN, MAX_PDU_LEN};
 
 // ---------------------------------------------------------------------
 // Generators
@@ -75,12 +74,12 @@ fn arb_text() -> impl Strategy<Value = String> {
 
 /// Inner bytes for an Error Report: arbitrary, but steered away from an
 /// encapsulated Error Report (forbidden by RFC 8210 §5.10).
-fn arb_inner() -> impl Strategy<Value = Bytes> {
+fn arb_inner() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(any::<u8>(), 0..64).prop_map(|mut inner| {
         if inner.len() >= 2 && inner[1] == 10 {
             inner[1] = 0;
         }
-        Bytes::from(inner)
+        inner
     })
 }
 
@@ -145,9 +144,9 @@ fn arb_version() -> impl Strategy<Value = u8> {
 }
 
 fn encode(pdu: &Pdu, version: u8) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    pdu.encode_versioned(version, &mut buf);
-    buf.to_vec()
+    let mut buf = Vec::new();
+    pdu.as_wire().encode_into(version, &mut buf);
+    buf
 }
 
 /// What a lossless decode at `version` should hand back: v0 has no
@@ -194,15 +193,15 @@ fn max_length_error_report_round_trips() {
     let text_len = payload - inner_len;
     let pdu = Pdu::ErrorReport {
         code: ErrorCode::CorruptData,
-        pdu: Bytes::from(vec![0u8; inner_len]),
+        pdu: vec![0u8; inner_len],
         text: "x".repeat(text_len),
     };
     for version in [PROTOCOL_V0, PROTOCOL_V1] {
         let bytes = encode(&pdu, version);
         assert_eq!(bytes.len(), MAX_PDU_LEN);
-        let (back, used, v) = Pdu::decode_versioned(&bytes).unwrap().unwrap();
-        assert_eq!((used, v), (bytes.len(), version));
-        assert_eq!(back, pdu);
+        let frame = wire::decode_frame(&bytes).unwrap().unwrap();
+        assert_eq!((frame.len, frame.version), (bytes.len(), version));
+        assert_eq!(frame.pdu.to_owned(), pdu);
         assert_canonical(&bytes);
     }
 }
@@ -241,13 +240,13 @@ fn end_of_data_version_layouts() {
     let v0 = encode(&pdu, PROTOCOL_V0);
     let v1 = encode(&pdu, PROTOCOL_V1);
     assert_eq!((v0.len(), v1.len()), (12, 24));
-    let (back0, _, _) = Pdu::decode_versioned(&v0).unwrap().unwrap();
+    let back0 = wire::decode_frame(&v0).unwrap().unwrap().pdu.to_owned();
     assert_eq!(back0, normalize(&pdu, PROTOCOL_V0));
     assert!(
         matches!(back0, Pdu::EndOfData { timing, .. } if timing == Timing::default()),
         "v0 End of Data must surface default timing"
     );
-    let (back1, _, _) = Pdu::decode_versioned(&v1).unwrap().unwrap();
+    let back1 = wire::decode_frame(&v1).unwrap().unwrap().pdu.to_owned();
     assert_eq!(back1, pdu);
 }
 
@@ -262,10 +261,10 @@ proptest! {
     fn round_trip_both_versions(pdu in arb_pdu(), version in arb_version()) {
         let bytes = encode(&pdu, version);
         prop_assert_eq!(bytes.len(), pdu.wire_len(version));
-        let (back, used, v) = Pdu::decode_versioned(&bytes).unwrap().unwrap();
-        prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(v, version);
-        prop_assert_eq!(back, normalize(&pdu, version));
+        let frame = wire::decode_frame(&bytes).unwrap().unwrap();
+        prop_assert_eq!(frame.len, bytes.len());
+        prop_assert_eq!(frame.version, version);
+        prop_assert_eq!(frame.pdu.to_owned(), normalize(&pdu, version));
         assert_canonical(&bytes);
     }
 
@@ -348,7 +347,7 @@ proptest! {
         prop_assert_eq!(wire::decode_frame(&bytes), Err(PduError::BadFlags(flags)));
         bytes[8] = 1;
         bytes[11] = reserved;
-        let type_code = pdu.type_code();
+        let type_code = pdu.as_wire().type_code();
         prop_assert_eq!(
             wire::decode_frame(&bytes),
             Err(PduError::NonZeroReserved { type_code, offset: 11 })
@@ -400,10 +399,10 @@ proptest! {
                     prop_assert_eq!(&error, &e);
                     // The teardown report is itself a valid frame
                     // carrying the error's RFC code.
-                    let (report, used, _) = Pdu::decode_versioned(&out).unwrap().unwrap();
-                    prop_assert_eq!(used, out.len());
-                    match report {
-                        Pdu::ErrorReport { code, .. } => prop_assert_eq!(code, e.error_code()),
+                    let report = wire::decode_frame(&out).unwrap().unwrap();
+                    prop_assert_eq!(report.len, out.len());
+                    match report.pdu {
+                        PduRef::ErrorReport { code, .. } => prop_assert_eq!(code, e.error_code()),
                         other => prop_assert!(false, "teardown must report an error: {:?}", other),
                     }
                 }

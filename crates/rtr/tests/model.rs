@@ -8,7 +8,7 @@
 //! the *set difference* between endpoints, it independently cross-checks
 //! the cache's incremental history coalescing: announce-then-withdraw
 //! across the window must cancel, and a dirty update (the same VRP in
-//! both lists) must resolve exactly like the rov engines do —
+//! both lists) must resolve exactly like the rov chain engine does —
 //! announcements first, withdrawals winning — with at most one history
 //! record per VRP.
 //!
@@ -18,12 +18,11 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use bytes::BytesMut;
 use proptest::prelude::*;
 use rpki_roa::{Asn, Vrp};
 use rpki_rtr::cache::{CacheServer, HISTORY_WINDOW};
 use rpki_rtr::pdu::{Flags, Pdu, PROTOCOL_V0, PROTOCOL_V1};
-use rpki_rtr::RouterClient;
+use rpki_rtr::{decode_frame, RouterClient};
 
 const SESSION: u16 = 600;
 
@@ -34,16 +33,20 @@ const SESSION: u16 = 600;
 /// function-call shortcut; at v0 an End of Data loses its timing to the
 /// RFC 8210 defaults, which `classify` deliberately ignores.
 fn via_wire(pdu: &Pdu, version: u8) -> Pdu {
-    let mut buf = BytesMut::new();
-    pdu.encode_versioned(version, &mut buf);
-    let (back, used, v) = Pdu::decode_versioned(&buf)
+    let mut buf = Vec::new();
+    pdu.as_wire().encode_into(version, &mut buf);
+    let frame = decode_frame(&buf)
         .expect("cache output must decode strictly")
         .expect("cache output is a complete frame");
-    assert_eq!((used, v), (buf.len(), version), "framing must round-trip");
-    let mut re = BytesMut::new();
-    back.encode_versioned(version, &mut re);
+    assert_eq!(
+        (frame.len, frame.version),
+        (buf.len(), version),
+        "framing must round-trip"
+    );
+    let mut re = Vec::new();
+    frame.pdu.encode_into(version, &mut re);
     assert_eq!(re, buf, "cache output must re-encode canonically");
-    back
+    frame.pdu.to_owned()
 }
 
 fn handle_via_wire(cache: &CacheServer, request: &Pdu, version: u8) -> Vec<Pdu> {

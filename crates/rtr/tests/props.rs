@@ -1,12 +1,12 @@
 //! Property tests for the rpki-rtr wire codec and the cache/client pair.
 
-use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, Vrp};
 use rpki_rtr::cache::CacheServer;
 use rpki_rtr::client::RouterClient;
-use rpki_rtr::pdu::{ErrorCode, Flags, Pdu, Timing};
+use rpki_rtr::decode_frame;
+use rpki_rtr::pdu::{ErrorCode, Flags, Pdu, Timing, PROTOCOL_V1};
 
 fn arb_vrp() -> impl Strategy<Value = Vrp> {
     prop_oneof![
@@ -63,33 +63,37 @@ fn arb_pdu() -> impl Strategy<Value = Pdu> {
             }
             Pdu::ErrorReport {
                 code: ErrorCode::CorruptData,
-                pdu: Bytes::from(inner),
+                pdu: inner,
                 text,
             }
         }),
     ]
 }
 
+/// `pdu` framed at version 1.
+fn encode(pdu: &Pdu) -> Vec<u8> {
+    let mut out = Vec::new();
+    pdu.as_wire().encode_into(PROTOCOL_V1, &mut out);
+    out
+}
+
 proptest! {
     #[test]
     fn pdu_round_trip(pdu in arb_pdu()) {
-        let bytes = pdu.to_bytes();
-        let (back, used) = Pdu::decode(&bytes).unwrap().unwrap();
-        prop_assert_eq!(back, pdu);
-        prop_assert_eq!(used, bytes.len());
+        let bytes = encode(&pdu);
+        let frame = decode_frame(&bytes).unwrap().unwrap();
+        prop_assert_eq!(frame.pdu.to_owned(), pdu);
+        prop_assert_eq!(frame.len, bytes.len());
     }
 
     #[test]
     fn concatenated_stream_decodes(pdus in prop::collection::vec(arb_pdu(), 0..10)) {
-        let mut buf = BytesMut::new();
-        for p in &pdus {
-            p.encode(&mut buf);
-        }
+        let buf: Vec<u8> = pdus.iter().flat_map(encode).collect();
         let mut decoded = Vec::new();
         let mut view: &[u8] = &buf;
-        while let Some((p, used)) = Pdu::decode(view).unwrap() {
-            decoded.push(p);
-            view = &view[used..];
+        while let Some(frame) = decode_frame(view).unwrap() {
+            decoded.push(frame.pdu.to_owned());
+            view = &view[frame.len..];
         }
         prop_assert!(view.is_empty());
         prop_assert_eq!(decoded, pdus);
@@ -97,20 +101,20 @@ proptest! {
 
     #[test]
     fn decoder_never_panics(data in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Pdu::decode(&data);
+        let _ = decode_frame(&data);
     }
 
     #[test]
     fn truncated_pdu_is_incomplete_not_error(pdu in arb_pdu(), cut_frac in 0.0f64..1.0) {
-        let bytes = pdu.to_bytes();
+        let bytes = encode(&pdu);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         if cut < bytes.len() {
             // A prefix of a valid PDU must never decode to a *different*
             // PDU; it is either incomplete (None) or (if the header got
             // cut inside the length field) an error — never a wrong value.
-            match Pdu::decode(&bytes[..cut]) {
+            match decode_frame(&bytes[..cut]) {
                 Ok(None) | Err(_) => {}
-                Ok(Some((decoded, _))) => prop_assert_eq!(decoded, pdu),
+                Ok(Some(frame)) => prop_assert_eq!(frame.pdu.to_owned(), pdu),
             }
         }
     }

@@ -413,12 +413,12 @@ fn scripted_requests() -> Vec<Pdu> {
         Pdu::CacheReset,
         Pdu::ErrorReport {
             code: ErrorCode::InternalError,
-            pdu: Vec::new().into(),
+            pdu: Vec::new(),
             text: "router-side complaint".into(),
         },
         Pdu::ErrorReport {
             code: ErrorCode::NoDataAvailable,
-            pdu: encode(&Pdu::ResetQuery, PROTOCOL_V1).into(),
+            pdu: encode(&Pdu::ResetQuery, PROTOCOL_V1),
             text: String::new(),
         },
         // Second askers are served from the shared images.

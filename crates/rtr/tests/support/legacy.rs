@@ -1,11 +1,10 @@
-//! The pre-cursor `bytes`-based codec, kept verbatim as the differential
-//! oracle for the wire layer: `tests/differential.rs` proves the cursor
-//! codec byte-identical to this one on every valid PDU at both protocol
-//! versions, and `tests/corpus.rs` pins the frames where the strict
-//! decoder rejects what this one waved through. Test support only — the
-//! shipping crate has one codec.
+//! The pre-cursor allocating codec, kept line for line as the
+//! differential oracle for the wire layer: `tests/differential.rs` proves
+//! the cursor codec byte-identical to this one on every valid PDU at both
+//! protocol versions, and `tests/corpus.rs` pins the frames where the
+//! strict decoder rejects what this one waved through. Test support only
+//! — the shipping crate has one codec.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, Vrp};
 
@@ -57,7 +56,7 @@ fn code_from_u16(v: u16) -> Result<ErrorCode, PduError> {
 }
 
 /// The old allocating encoder.
-pub fn encode_versioned(pdu: &Pdu, version: u8, buf: &mut BytesMut) {
+pub fn encode_versioned(pdu: &Pdu, version: u8, buf: &mut Vec<u8>) {
     assert!(
         version == PROTOCOL_V0 || version == PROTOCOL_V1,
         "unknown protocol version {version}"
@@ -68,52 +67,52 @@ pub fn encode_versioned(pdu: &Pdu, version: u8, buf: &mut BytesMut) {
         } = pdu
         {
             let start = buf.len();
-            buf.put_u8(PROTOCOL_V0);
-            buf.put_u8(7);
-            buf.put_u16(*session_id);
-            buf.put_u32(12);
-            buf.put_u32(*serial);
+            buf.push(PROTOCOL_V0);
+            buf.push(7);
+            buf.extend_from_slice(&session_id.to_be_bytes());
+            buf.extend_from_slice(&12u32.to_be_bytes());
+            buf.extend_from_slice(&serial.to_be_bytes());
             debug_assert_eq!(buf.len() - start, 12);
             return;
         }
     }
     let start = buf.len();
-    buf.put_u8(version);
-    buf.put_u8(pdu.type_code());
+    buf.push(version);
+    buf.push(pdu.as_wire().type_code());
     match pdu {
         Pdu::SerialNotify { session_id, serial } | Pdu::SerialQuery { session_id, serial } => {
-            buf.put_u16(*session_id);
-            buf.put_u32(12);
-            buf.put_u32(*serial);
+            buf.extend_from_slice(&session_id.to_be_bytes());
+            buf.extend_from_slice(&12u32.to_be_bytes());
+            buf.extend_from_slice(&serial.to_be_bytes());
         }
         Pdu::ResetQuery | Pdu::CacheReset => {
-            buf.put_u16(0);
-            buf.put_u32(8);
+            buf.extend_from_slice(&0u16.to_be_bytes());
+            buf.extend_from_slice(&8u32.to_be_bytes());
         }
         Pdu::CacheResponse { session_id } => {
-            buf.put_u16(*session_id);
-            buf.put_u32(8);
+            buf.extend_from_slice(&session_id.to_be_bytes());
+            buf.extend_from_slice(&8u32.to_be_bytes());
         }
         Pdu::Prefix { flags, vrp } => {
-            buf.put_u16(0);
+            buf.extend_from_slice(&0u16.to_be_bytes());
             match vrp.prefix {
                 Prefix::V4(p) => {
-                    buf.put_u32(20);
-                    buf.put_u8(flags_to_byte(*flags));
-                    buf.put_u8(p.len());
-                    buf.put_u8(vrp.max_len);
-                    buf.put_u8(0);
-                    buf.put_u32(p.bits());
-                    buf.put_u32(vrp.asn.into_u32());
+                    buf.extend_from_slice(&20u32.to_be_bytes());
+                    buf.push(flags_to_byte(*flags));
+                    buf.push(p.len());
+                    buf.push(vrp.max_len);
+                    buf.push(0);
+                    buf.extend_from_slice(&p.bits().to_be_bytes());
+                    buf.extend_from_slice(&vrp.asn.into_u32().to_be_bytes());
                 }
                 Prefix::V6(p) => {
-                    buf.put_u32(32);
-                    buf.put_u8(flags_to_byte(*flags));
-                    buf.put_u8(p.len());
-                    buf.put_u8(vrp.max_len);
-                    buf.put_u8(0);
-                    buf.put_u128(p.bits());
-                    buf.put_u32(vrp.asn.into_u32());
+                    buf.extend_from_slice(&32u32.to_be_bytes());
+                    buf.push(flags_to_byte(*flags));
+                    buf.push(p.len());
+                    buf.push(vrp.max_len);
+                    buf.push(0);
+                    buf.extend_from_slice(&p.bits().to_be_bytes());
+                    buf.extend_from_slice(&vrp.asn.into_u32().to_be_bytes());
                 }
             }
         }
@@ -122,21 +121,21 @@ pub fn encode_versioned(pdu: &Pdu, version: u8, buf: &mut BytesMut) {
             serial,
             timing,
         } => {
-            buf.put_u16(*session_id);
-            buf.put_u32(24);
-            buf.put_u32(*serial);
-            buf.put_u32(timing.refresh);
-            buf.put_u32(timing.retry);
-            buf.put_u32(timing.expire);
+            buf.extend_from_slice(&session_id.to_be_bytes());
+            buf.extend_from_slice(&24u32.to_be_bytes());
+            buf.extend_from_slice(&serial.to_be_bytes());
+            buf.extend_from_slice(&timing.refresh.to_be_bytes());
+            buf.extend_from_slice(&timing.retry.to_be_bytes());
+            buf.extend_from_slice(&timing.expire.to_be_bytes());
         }
         Pdu::ErrorReport { code, pdu, text } => {
-            buf.put_u16(code_to_u16(*code));
+            buf.extend_from_slice(&code_to_u16(*code).to_be_bytes());
             let len = HEADER_LEN + 4 + pdu.len() + 4 + text.len();
-            buf.put_u32(len as u32);
-            buf.put_u32(pdu.len() as u32);
-            buf.put_slice(pdu);
-            buf.put_u32(text.len() as u32);
-            buf.put_slice(text.as_bytes());
+            buf.extend_from_slice(&(len as u32).to_be_bytes());
+            buf.extend_from_slice(&(pdu.len() as u32).to_be_bytes());
+            buf.extend_from_slice(pdu);
+            buf.extend_from_slice(&(text.len() as u32).to_be_bytes());
+            buf.extend_from_slice(text.as_bytes());
         }
     }
     debug_assert_eq!(
@@ -179,7 +178,7 @@ pub fn decode_versioned(data: &[u8]) -> Result<Option<(Pdu, usize, u8)>, PduErro
     let pdu = match type_code {
         0 | 1 => {
             expect_len(12)?;
-            let serial = body.get_u32();
+            let serial = u32::from_be_bytes(take(&mut body));
             if type_code == 0 {
                 Pdu::SerialNotify {
                     session_id: session_or_code,
@@ -204,24 +203,24 @@ pub fn decode_versioned(data: &[u8]) -> Result<Option<(Pdu, usize, u8)>, PduErro
         }
         4 => {
             expect_len(20)?;
-            let flags = flags_from_byte(body.get_u8())?;
-            let len = body.get_u8();
-            let max_len = body.get_u8();
-            let _zero = body.get_u8();
-            let bits = body.get_u32();
-            let asn = Asn(body.get_u32());
+            let flags = flags_from_byte(take::<1>(&mut body)[0])?;
+            let len = take::<1>(&mut body)[0];
+            let max_len = take::<1>(&mut body)[0];
+            let _zero = take::<1>(&mut body)[0];
+            let bits = u32::from_be_bytes(take(&mut body));
+            let asn = Asn(u32::from_be_bytes(take(&mut body)));
             let prefix = Prefix4::new(bits, len).map_err(|_| PduError::BadPrefix)?;
             let vrp = checked_vrp(Prefix::V4(prefix), max_len, asn)?;
             Pdu::Prefix { flags, vrp }
         }
         6 => {
             expect_len(32)?;
-            let flags = flags_from_byte(body.get_u8())?;
-            let len = body.get_u8();
-            let max_len = body.get_u8();
-            let _zero = body.get_u8();
-            let bits = body.get_u128();
-            let asn = Asn(body.get_u32());
+            let flags = flags_from_byte(take::<1>(&mut body)[0])?;
+            let len = take::<1>(&mut body)[0];
+            let max_len = take::<1>(&mut body)[0];
+            let _zero = take::<1>(&mut body)[0];
+            let bits = u128::from_be_bytes(take(&mut body));
+            let asn = Asn(u32::from_be_bytes(take(&mut body)));
             let prefix = Prefix6::new(bits, len).map_err(|_| PduError::BadPrefix)?;
             let vrp = checked_vrp(Prefix::V6(prefix), max_len, asn)?;
             Pdu::Prefix { flags, vrp }
@@ -231,15 +230,15 @@ pub fn decode_versioned(data: &[u8]) -> Result<Option<(Pdu, usize, u8)>, PduErro
             let timing;
             if version == PROTOCOL_V0 {
                 expect_len(12)?;
-                serial = body.get_u32();
+                serial = u32::from_be_bytes(take(&mut body));
                 timing = Timing::default();
             } else {
                 expect_len(24)?;
-                serial = body.get_u32();
+                serial = u32::from_be_bytes(take(&mut body));
                 timing = Timing {
-                    refresh: body.get_u32(),
-                    retry: body.get_u32(),
-                    expire: body.get_u32(),
+                    refresh: u32::from_be_bytes(take(&mut body)),
+                    retry: u32::from_be_bytes(take(&mut body)),
+                    expire: u32::from_be_bytes(take(&mut body)),
                 };
             }
             Pdu::EndOfData {
@@ -254,17 +253,17 @@ pub fn decode_versioned(data: &[u8]) -> Result<Option<(Pdu, usize, u8)>, PduErro
         }
         10 => {
             let code = code_from_u16(session_or_code)?;
-            if body.remaining() < 4 {
+            if body.len() < 4 {
                 return Err(PduError::BadLength { type_code, length });
             }
-            let pdu_len = body.get_u32() as usize;
-            if body.remaining() < pdu_len + 4 {
+            let pdu_len = u32::from_be_bytes(take(&mut body)) as usize;
+            if body.len() < pdu_len + 4 {
                 return Err(PduError::BadLength { type_code, length });
             }
-            let inner = Bytes::copy_from_slice(&body[..pdu_len]);
-            body.advance(pdu_len);
-            let text_len = body.get_u32() as usize;
-            if body.remaining() != text_len {
+            let inner = body[..pdu_len].to_vec();
+            body = &body[pdu_len..];
+            let text_len = u32::from_be_bytes(take(&mut body)) as usize;
+            if body.len() != text_len {
                 return Err(PduError::BadLength { type_code, length });
             }
             let text = String::from_utf8_lossy(&body[..text_len]).into_owned();
@@ -277,6 +276,13 @@ pub fn decode_versioned(data: &[u8]) -> Result<Option<(Pdu, usize, u8)>, PduErro
         other => return Err(PduError::BadType(other)),
     };
     Ok(Some((pdu, length, version)))
+}
+
+/// Splits the first `N` bytes off `body` (what `Buf::get_*` did).
+fn take<const N: usize>(body: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = body.split_at(N);
+    *body = rest;
+    head.try_into().expect("N bytes")
 }
 
 fn checked_vrp(prefix: Prefix, max_len: u8, asn: Asn) -> Result<Vrp, PduError> {

@@ -141,7 +141,7 @@ impl ReferenceClient {
             (None, Pdu::CacheResponse { session_id }) => {
                 if Some(*session_id) != self.session_id {
                     self.reset();
-                    return Err(Rejected::Unexpected(pdu.type_code()));
+                    return Err(Rejected::Unexpected(pdu.as_wire().type_code()));
                 }
                 self.receiving = Some(false);
                 Ok(false)
@@ -163,7 +163,7 @@ impl ReferenceClient {
             (Some(reset), Pdu::EndOfData { session_id, .. }) => {
                 if Some(*session_id) != self.session_id {
                     self.reset();
-                    return Err(Rejected::Unexpected(pdu.type_code()));
+                    return Err(Rejected::Unexpected(pdu.as_wire().type_code()));
                 }
                 if reset {
                     self.vrps = std::mem::take(&mut self.staging);
@@ -176,7 +176,7 @@ impl ReferenceClient {
                 Ok(false)
             }
             (_, Pdu::ErrorReport { code, .. }) => Err(Rejected::CacheError(*code)),
-            _ => Err(Rejected::Unexpected(pdu.type_code())),
+            _ => Err(Rejected::Unexpected(pdu.as_wire().type_code())),
         }
     }
 

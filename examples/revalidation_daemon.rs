@@ -2,7 +2,7 @@
 //!
 //! Ties three pieces together the way a real deployment does (Figure 1):
 //! the cache pushes Serial Notify when its ROA set changes; the router
-//! pulls the delta over rpki-rtr; the `RevalidationEngine` revalidates
+//! pulls the delta over rpki-rtr; the `SnapshotChainEngine` revalidates
 //! *only the affected routes* and reports each state transition — the
 //! events that would trigger BGP route preference changes.
 //!
@@ -11,7 +11,6 @@
 //! ```
 
 use maxlength_rpki::prelude::*;
-use maxlength_rpki::rov::RevalidationEngine;
 use maxlength_rpki::rtr::cache::CacheServer;
 use maxlength_rpki::rtr::client::RouterClient;
 use maxlength_rpki::rtr::pdu::{Flags, Pdu};
@@ -35,7 +34,7 @@ fn main() {
     for pdu in cache.handle(&Pdu::ResetQuery) {
         router.handle(&pdu).unwrap();
     }
-    let mut engine = RevalidationEngine::new(table.iter().copied(), []);
+    let mut engine = SnapshotChainEngine::new(table.iter().copied(), [], ChainConfig::default());
     println!("initial states (no ROAs):");
     for route in &table {
         println!(
@@ -88,7 +87,7 @@ fn main() {
             withdrawn.len(),
             router.serial()
         );
-        let changes = engine.apply_delta(&announced, &withdrawn);
+        let changes = engine.apply_epoch(&announced, &withdrawn).changes;
         if changes.is_empty() {
             println!("   no route changed state");
         }

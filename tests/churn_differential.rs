@@ -199,3 +199,59 @@ fn lagging_router_converges_via_cache_reset() {
         assert_eq!(state, frozen.validate(&route), "{route}");
     }
 }
+
+/// A hand-built dirty epoch lists one VRP as both announced and
+/// withdrawn. The timeline arithmetic, the cache and the chain engine
+/// must all resolve it announce-then-withdraw — the withdrawal wins —
+/// whether the VRP was absent or present before the epoch.
+#[test]
+fn dirty_epochs_resolve_alike_in_timeline_cache_and_chain() {
+    use maxlength_rpki::datasets::ChurnEpoch;
+    use maxlength_rpki::rtr::CacheServer;
+
+    let kept: Vrp = "10.0.0.0/8 => AS1".parse().unwrap();
+    let v: Vrp = "168.122.0.0/16-24 => AS111".parse().unwrap();
+    let routes: Vec<RouteOrigin> = [
+        "10.0.0.0/8 => AS1",
+        "168.122.0.0/16 => AS111",
+        "168.122.0.0/24 => AS111",
+    ]
+    .iter()
+    .map(|s| s.parse().unwrap())
+    .collect();
+    for initial in [vec![kept], vec![kept, v]] {
+        let timeline = ChurnTimeline {
+            initial: initial.clone(),
+            epochs: vec![ChurnEpoch {
+                index: 0,
+                announced: vec![v],
+                withdrawn: vec![v],
+            }],
+        };
+        let mut cache = CacheServer::new(3, &initial);
+        cache.update_delta(&[v], &[v]);
+        let mut engine = SnapshotChainEngine::new(
+            routes.iter().copied(),
+            initial.iter().copied(),
+            ChainConfig::default(),
+        );
+        engine.apply_epoch(&[v], &[v]);
+
+        let present = initial.contains(&v);
+        assert_eq!(
+            timeline.vrps_at(0),
+            vec![kept],
+            "timeline, present={present}"
+        );
+        assert!(cache.vrps().eq([kept].iter()), "cache, present={present}");
+        assert_eq!(
+            engine.current_vrps(),
+            vec![kept],
+            "chain, present={present}"
+        );
+        let fresh: VrpIndex = [kept].into_iter().collect();
+        for (route, state) in engine.states() {
+            assert_eq!(state, fresh.validate(&route), "{route}, present={present}");
+        }
+    }
+}

@@ -5,6 +5,8 @@
 //! TCP-synchronized router → RFC 6811 validation of the BGP table —
 //! with failure injection at each stage boundary.
 
+use std::io::Read;
+use std::net::TcpListener;
 use std::thread;
 
 use maxlength_rpki::core::compress::expand_authorized;
@@ -13,7 +15,6 @@ use maxlength_rpki::roa::envelope::{open_roa, seal_roa, EnvelopeError};
 use maxlength_rpki::roa::scan::scan_dir;
 use maxlength_rpki::rtr::cache::CacheServer;
 use maxlength_rpki::rtr::client::{Freshness, RouterClient};
-use maxlength_rpki::rtr::faults::{FaultConfig, FaultPlan, FaultyTransport};
 use maxlength_rpki::rtr::server::TcpCacheServer;
 use maxlength_rpki::rtr::transport::{TcpTransport, TransportError};
 
@@ -100,21 +101,21 @@ fn disk_to_router_pipeline() {
     assert_eq!(router.serial(), 1);
     assert_eq!(router.freshness(), Freshness::Fresh);
 
-    // --- Stage 7: a faulted connection breaks; recovery is a reconnect. --
-    // A second router dials through a transport whose fault plan cuts
-    // the connection on the first exchange; the RFC 8210 recovery path
-    // (abort the half response, renegotiate, re-dial) must then bring
-    // it to the same set over a clean connection.
-    let cut_everything = FaultConfig {
-        disconnect: 1.0,
-        ..FaultConfig::none()
-    };
-    let mut faulty = FaultyTransport::new(
-        TcpTransport::connect(handle.addr()).unwrap(),
-        FaultPlan::new(29, cut_everything),
-    );
+    // --- Stage 7: a cut connection breaks; recovery is a reconnect. -----
+    // A second router dials a peer that reads its Reset Query and hangs
+    // up (a clean FIN, so the router's read sees end of stream); the
+    // RFC 8210 recovery path (abort the half response, renegotiate,
+    // re-dial) must then bring it to the same set over a clean connection.
+    let cutter = TcpListener::bind("127.0.0.1:0").unwrap();
+    let cut_addr = cutter.local_addr().unwrap();
+    let cutting = thread::spawn(move || {
+        let (mut peer, _) = cutter.accept().unwrap();
+        let mut reset_query = [0u8; 8];
+        peer.read_exact(&mut reset_query).unwrap();
+    });
+    let mut cut = TcpTransport::connect(cut_addr).unwrap();
     let mut second = RouterClient::new();
-    let err = second.synchronize(&mut faulty).unwrap_err();
+    let err = second.synchronize(&mut cut).unwrap_err();
     assert!(
         matches!(
             err,
@@ -122,20 +123,18 @@ fn disk_to_router_pipeline() {
         ),
         "a cut connection must surface as Closed, got {err:?}"
     );
-    assert!(faulty.is_broken());
+    cutting.join().unwrap();
     assert_eq!(second.freshness(), Freshness::Expired, "never-synced data");
     // The reconnect: abort any half-applied state, renegotiate from the
     // preferred version, dial a clean pipe.
     second.abort_response();
     second.renegotiate();
-    faulty.reconnect(TcpTransport::connect(handle.addr()).unwrap());
-    assert!(!faulty.is_broken());
     let mut clean = TcpTransport::connect(handle.addr()).unwrap();
     second.synchronize(&mut clean).unwrap();
     assert_eq!(second.vrps().len(), updated.len());
     assert_eq!(second.freshness(), Freshness::Fresh);
     drop(clean);
-    drop(faulty);
+    drop(cut);
 
     drop(transport);
     handle.shutdown();
