@@ -177,15 +177,6 @@ impl SnapshotChainEngine {
         engine
     }
 
-    /// Adds a route, returning its state (duplicates re-report theirs).
-    pub fn insert_route(&mut self, route: RouteOrigin) -> ValidationState {
-        let state = match self.routes.get(&route) {
-            Some(tracked) => *tracked,
-            None => self.validate(&route),
-        };
-        *self.routes.entry(route).or_insert(state)
-    }
-
     /// Number of routes tracked.
     pub fn route_count(&self) -> usize {
         self.routes.len()
@@ -584,23 +575,6 @@ mod tests {
         let report = e.apply_epoch(&[vrp("99.0.0.0/8 => AS9")], &[]);
         assert_eq!(report.announced, 1);
         assert!(report.changes.is_empty());
-    }
-
-    #[test]
-    fn inserted_route_validates_on_arrival() {
-        let mut e = engine(1024);
-        e.apply_epoch(&[vrp("10.0.0.0/8 => AS1")], &[]);
-        assert_eq!(
-            e.insert_route(route("10.5.0.0/16 => AS2")),
-            ValidationState::Invalid
-        );
-        assert_eq!(e.route_count(), 5);
-        // A duplicate insert reports the tracked state and adds nothing.
-        assert_eq!(
-            e.insert_route(route("10.5.0.0/16 => AS2")),
-            ValidationState::Invalid
-        );
-        assert_eq!(e.route_count(), 5);
     }
 
     #[test]
