@@ -38,8 +38,14 @@ fn main() {
         t0.elapsed()
     );
     eprintln!(
-        "speculation: {}/{} items replayed ({} footprint checks, {} re-propagated)",
-        stats.cells_replayed, stats.items, stats.footprint_checks, stats.cells_repropagated,
+        "speculation: {}/{} items replayed ({} footprint checks, {} re-propagated); \
+         {} stagings shared within their trial group, {} engine runs",
+        stats.cells_replayed,
+        stats.items,
+        stats.footprint_checks,
+        stats.cells_repropagated,
+        stats.shared,
+        stats.executed + stats.baselines - stats.shared,
     );
     println!("=== traffic intercepted by the attacker ===\n");
     print!("{}", report.render());

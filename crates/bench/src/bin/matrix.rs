@@ -57,8 +57,12 @@ fn main() {
         stats.items,
     );
     eprintln!(
-        "speculation: {} footprint checks, {} re-propagated",
-        stats.footprint_checks, stats.cells_repropagated,
+        "speculation: {} footprint checks, {} re-propagated; {} stagings shared \
+         within their trial group, {} engine runs",
+        stats.footprint_checks,
+        stats.cells_repropagated,
+        stats.shared,
+        stats.executed + stats.baselines - stats.shared,
     );
 
     // The census weighting: what the generated world's actual ROAs imply.

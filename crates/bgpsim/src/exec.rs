@@ -20,9 +20,10 @@
 //! `g % trials` of topology `g / trials`. Sharing happens inside a
 //! group, never in a per-worker cache, so what a run computes
 //! ([`ExecStats`]) does not depend on which worker claimed what. An
-//! encoded cursor carries the numbering in its magic
-//! (`maxlength-cursor-v2`): a `v1` text counted `(topology, ROA, trial)`
-//! groups, and [`PlanCursor::decode`] refuses it.
+//! encoded cursor carries the numbering and its counters in its magic
+//! (`maxlength-cursor-v3`): a `v1` text counted `(topology, ROA, trial)`
+//! groups, a `v2` text lacks [`ExecStats::shared`], and
+//! [`PlanCursor::decode`] refuses both.
 //!
 //! # Determinism contract
 //!
@@ -60,10 +61,21 @@
 //!   shared by every strategy, deployment **and ROA configuration** in
 //!   it: the victim's own origin is Valid or NotFound under every
 //!   [`RoaConfig`], so its filter accepts at every AS and the
-//!   propagation is a function of `(topology, victim)` alone. (VRPs
-//!   that made it Invalid fail the group's per-ROA transparency test
-//!   and get a baseline per deployment.) [`ExecStats::baselines`]
-//!   counts the ones actually run.
+//!   propagation is a function of `(topology, victim)` alone. (A group
+//!   asserts this per ROA rather than fall back to a baseline per
+//!   deployment.) [`ExecStats::baselines`] counts the ones actually run.
+//! * **Transparent stagings** run the engine once per trial group. A
+//!   staging whose attack filter is transparent (no claimed origin
+//!   Invalid) accepts at every AS under every deployment and every VRP
+//!   set, so once the group fixes topology, victim, attacker and
+//!   baseline, its outcome depends only on how its prefix compares with
+//!   the victim's and, head to head, on the attacker's path length and
+//!   claimed origin. Most of the paper's grid is such stagings: the
+//!   forged-origin attacks claim the victim's own origin. Later
+//!   stagings with the same key, under another ROA or another strategy,
+//!   reuse the first one's outcome; [`ExecStats::shared`] counts them.
+//!   They still count as `executed`, and, recording no footprint,
+//!   replay across deployments as before.
 //! * **Speculative cross-cell execution (Block-STM style).** Per trial
 //!   group and ROA, each strategy is propagated **once**, against the
 //!   first deployment on the axis, while the engine records its *filter
@@ -85,7 +97,7 @@
 //!   that differ only in ASes the route computation never consulted
 //!   are replayed too.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -96,8 +108,7 @@ use crate::attack::{AttackOutcome, AttackSetup};
 use crate::deployment::DeploymentModel;
 use crate::engine::{CompiledPolicies, FilterFootprint, OriginFilter};
 use crate::experiment::{destination_pair, trial_pair, RoaConfig};
-use crate::routing::Propagation;
-use crate::strategy::{run_strategy, run_strategy_speculative, AttackerStrategy, SpecRecorder};
+use crate::strategy::{run_strategy, run_strategy_speculative, AttackerStrategy, TrialGroup};
 use crate::topology::Topology;
 
 /// Seeded sampling of destination (victim) stubs — the axis that makes
@@ -484,7 +495,10 @@ pub struct ExecStats {
     /// Policy vectors compiled: one per distinct `(topology, deployment)`
     /// pair — **never** one per cell.
     pub compilations: usize,
-    /// Strategy stagings actually propagated.
+    /// Strategy stagings run, not replayed from a footprint: one per
+    /// `(strategy, ROA)` of each trial group, plus one per re-propagated
+    /// cell. A staging answered from its group's memo (counted in
+    /// [`Self::shared`]) is run, planned and tallied all the same.
     pub executed: usize,
     /// Footprint validations performed: one per `(strategy, deployment)`
     /// cell beyond the speculated first deployment.
@@ -500,6 +514,12 @@ pub struct ExecStats {
     /// `executed`: one per `(topology, trial)` in which some strategy
     /// observed the baseline.
     pub baselines: usize,
+    /// Executed stagings whose attack filter was transparent and whose
+    /// outcome an earlier staging of the same trial group had already
+    /// computed: they reuse it instead of running the engine. Engine
+    /// runs per pass are `executed + baselines − shared` (less any
+    /// staging that announced nothing toward its target).
+    pub shared: usize,
 }
 
 impl ExecStats {
@@ -511,6 +531,7 @@ impl ExecStats {
         self.cells_replayed += group.cells_replayed;
         self.cells_repropagated += group.cells_repropagated;
         self.baselines += group.baselines;
+        self.shared += group.shared;
     }
 }
 
@@ -567,11 +588,12 @@ impl<A: Accumulator> PlanCursor<A> {
             cells_replayed,
             cells_repropagated,
             baselines,
+            shared,
             ..
         } = self.stats;
         let mut out = format!(
             "{CURSOR_MAGIC} {} {} {executed} {footprint_checks} {cells_replayed} \
-             {cells_repropagated} {baselines}",
+             {cells_repropagated} {baselines} {shared}",
             self.next_group, self.total_groups
         );
         for a in &self.accs {
@@ -582,8 +604,8 @@ impl<A: Accumulator> PlanCursor<A> {
     }
 
     /// Parses [`Self::encode`]'s output. `None` on malformed input —
-    /// which a `maxlength-cursor-v1` line is (see the module docs), and
-    /// a position past the last group.
+    /// which a `v1` or `v2` line is (see the module docs), and a
+    /// position past the last group.
     pub fn decode(s: &str) -> Option<PlanCursor<A>> {
         let mut fields = s.split(' ');
         if fields.next()? != CURSOR_MAGIC {
@@ -597,6 +619,7 @@ impl<A: Accumulator> PlanCursor<A> {
             cells_replayed: number()?,
             cells_repropagated: number()?,
             baselines: number()?,
+            shared: number()?,
             ..ExecStats::default()
         };
         let accs = fields.map(A::decode).collect::<Option<Vec<A>>>()?;
@@ -613,8 +636,9 @@ impl<A: Accumulator> PlanCursor<A> {
     }
 }
 
-/// First field of an encoded [`PlanCursor`]; versions its group numbering.
-const CURSOR_MAGIC: &str = "maxlength-cursor-v2";
+/// First field of an encoded [`PlanCursor`]; versions its group numbering
+/// and its counters.
+const CURSOR_MAGIC: &str = "maxlength-cursor-v3";
 
 /// Resolves every `(topology, deployment)` pair of the plan through a
 /// deployment-keyed cache: duplicate deployments on the axis share one
@@ -854,19 +878,12 @@ impl PlanSession<'_, '_> {
     }
 }
 
-/// Per-thread scratch for the speculative scheduler: one footprint for
-/// the baseline propagation, one for the current strategy's staging.
-/// Holding them in a thread-local keeps them warm across every group a
-/// worker processes — the same zero-allocation discipline as the
-/// propagation [`crate::engine::Workspace`].
-#[derive(Default)]
-struct SpecScratch {
-    base: RefCell<FilterFootprint>,
-    strat: RefCell<FilterFootprint>,
-}
-
 thread_local! {
-    static SPEC_SCRATCH: SpecScratch = SpecScratch::default();
+    /// The speculative scheduler's footprint for the current strategy's
+    /// staging, kept warm across every group a worker processes — the
+    /// same zero-allocation discipline as the propagation
+    /// [`crate::engine::Workspace`].
+    static FOOTPRINT: RefCell<FilterFootprint> = RefCell::default();
 }
 
 impl PlanSession<'_, '_> {
@@ -880,9 +897,15 @@ impl PlanSession<'_, '_> {
     /// recording the filter footprint, then for each further deployment
     /// validate the footprint against that deployment's adopter bitset
     /// ([`FilterFootprint::validates`]) and replay on success; only cells
-    /// whose recorded decisions genuinely diverge re-propagate. The baseline
-    /// propagation records into its own footprint, begun per ROA and checked
-    /// only for strategies whose outcome observed the baseline.
+    /// whose recorded decisions genuinely diverge re-propagate. Every
+    /// staging shares the group's [`TrialGroup`]: one baseline, and one
+    /// engine run per distinct transparent staging.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a ROA configuration makes the victim's own announcement
+    /// Invalid: the group's one baseline would then depend on the
+    /// deployment.
     fn run_group(
         &self,
         g: usize,
@@ -894,36 +917,17 @@ impl PlanSession<'_, '_> {
         let topology = plan.topologies[ti].topology;
         let (victim, attacker) = plan.trial_endpoints(ti, trial);
         let victim_asn = topology.asn(victim);
-        // One cell for every ROA under which the victim's own announcement
-        // is non-Invalid: its filter then accepts at every AS, whatever the
-        // VRPs and adopters are.
-        let shared_baseline = OnceCell::new();
-        SPEC_SCRATCH.with(|scratch| {
+        let group = TrialGroup::default();
+        FOOTPRINT.with(|footprint| {
             for (ri, roa) in plan.roas.iter().enumerate() {
                 let vrps = roa.vrps(plan.victim_prefix, plan.sub_prefix.len(), victim_asn);
                 // Transparency is a property of the VRPs alone, so probing
-                // it with any deployment's bitset is equivalent. Where it
-                // fails, deployments each get their own cell.
-                let victim_transparent =
+                // it with any deployment's bitset is equivalent.
+                assert!(
                     OriginFilter::new(&vrps, plan.victim_prefix, &[victim_asn], &resolved[ti][0])
-                        .is_transparent();
-                let per_deployment: Vec<OnceCell<Propagation>> = if victim_transparent {
-                    Vec::new()
-                } else {
-                    resolved[ti].iter().map(|_| OnceCell::new()).collect()
-                };
-                let baseline_for = |di: usize| -> &OnceCell<Propagation> {
-                    if victim_transparent {
-                        &shared_baseline
-                    } else {
-                        &per_deployment[di]
-                    }
-                };
-
-                // Whichever strategy first computes a baseline under this
-                // ROA records here (a shared one records nothing).
-                scratch.base.borrow_mut().begin(topology.len());
-                let observed_baseline = Cell::new(false);
+                        .is_transparent(),
+                    "{roa:?} makes the victim's own announcement Invalid"
+                );
                 for (si, strategy) in plan.strategies.iter().enumerate() {
                     let setup_for = |di: usize| AttackSetup {
                         topology,
@@ -934,51 +938,31 @@ impl PlanSession<'_, '_> {
                         vrps: &vrps,
                         policies: &resolved[ti][di],
                     };
-                    scratch.strat.borrow_mut().begin(topology.len());
-                    observed_baseline.set(false);
-                    let spec = SpecRecorder {
-                        base: &scratch.base,
-                        strat: &scratch.strat,
-                        observed_baseline: &observed_baseline,
-                    };
-                    let outcome = run_strategy_speculative(
-                        *strategy,
-                        &setup_for(0),
-                        baseline_for(0),
-                        Some(&spec),
-                    );
+                    footprint.borrow_mut().begin(topology.len());
+                    let outcome =
+                        run_strategy_speculative(*strategy, &setup_for(0), &group, Some(footprint));
                     stats.executed += 1;
                     absorb(plan.cell_index(ti, si, 0, ri), &outcome);
                     for (di, deployment) in resolved[ti].iter().enumerate().skip(1) {
-                        // The validate half: O(|footprint|) against this cell's
-                        // adopter bitset. The baseline footprint only gates the
-                        // replay if this strategy's outcome observed the
-                        // baseline (an unobserved baseline cannot influence the
-                        // outcome, and validated control flow is identical).
+                        // The validate half: O(|footprint|) against this
+                        // cell's adopter bitset.
                         stats.footprint_checks += 1;
-                        let valid = scratch.strat.borrow().validates(deployment)
-                            && (!observed_baseline.get()
-                                || scratch.base.borrow().validates(deployment));
-                        if valid {
+                        if footprint.borrow().validates(deployment) {
                             stats.cells_replayed += 1;
                             absorb(plan.cell_index(ti, si, di, ri), &outcome);
                         } else {
-                            let diverged = run_strategy_speculative(
-                                *strategy,
-                                &setup_for(di),
-                                baseline_for(di),
-                                None,
-                            );
+                            let diverged =
+                                run_strategy_speculative(*strategy, &setup_for(di), &group, None);
                             stats.executed += 1;
                             stats.cells_repropagated += 1;
                             absorb(plan.cell_index(ti, si, di, ri), &diverged);
                         }
                     }
                 }
-                stats.baselines += per_deployment.iter().filter(|c| c.get().is_some()).count();
             }
-            stats.baselines += usize::from(shared_baseline.get().is_some());
         });
+        stats.baselines += usize::from(group.baseline.get().is_some());
+        stats.shared += group.hits.get();
     }
 }
 
@@ -1260,18 +1244,18 @@ mod tests {
         assert!(PlanCursor::<CellAccumulator>::decode("").is_none());
         assert!(PlanCursor::<CellAccumulator>::decode("wrong-magic 0 1 0 0").is_none());
         assert!(PlanCursor::<CellAccumulator>::decode(
-            "maxlength-cursor-v2 0 1 0 0 0 0 0 nonsense"
+            "maxlength-cursor-v3 0 1 0 0 0 0 0 0 nonsense"
         )
         .is_none());
         assert!(
-            PlanCursor::<CellAccumulator>::decode("maxlength-cursor-v2 0 1 0 0").is_none(),
+            PlanCursor::<CellAccumulator>::decode("maxlength-cursor-v3 0 1 0 0").is_none(),
             "too few counters"
         );
         let mut enc = String::new();
         CellAccumulator::empty().encode(&mut enc);
         // A position past the end is a corrupted checkpoint, not a
         // finished grid; exactly at the end is one.
-        let at = |next: usize| format!("maxlength-cursor-v2 {next} 8 0 0 0 0 0 {enc} {enc}");
+        let at = |next: usize| format!("maxlength-cursor-v3 {next} 8 0 0 0 0 0 0 {enc} {enc}");
         assert!(PlanCursor::<CellAccumulator>::decode(&at(999)).is_none());
         assert!(PlanCursor::<CellAccumulator>::decode(&at(9)).is_none());
         let done = PlanCursor::<CellAccumulator>::decode(&at(8)).expect("a finished cursor");
@@ -1283,6 +1267,47 @@ mod tests {
             Some(CellAccumulator::empty())
         );
         assert!(CellAccumulator::decode("1:2:3").is_none(), "too few fields");
+    }
+
+    /// A subprefix announcement claiming a path the engine refuses.
+    struct OverlongSubprefix;
+
+    impl AttackerStrategy for OverlongSubprefix {
+        fn label(&self) -> String {
+            "overlong subprefix".into()
+        }
+
+        fn plan(&self, ctx: &crate::StrategyContext<'_>) -> crate::AttackPlan {
+            crate::AttackPlan {
+                announcement: Some(crate::AttackAnnouncement {
+                    prefix: ctx.sub_prefix,
+                    claimed_origin: ctx.attacker_asn(),
+                    path_len: u32::MAX,
+                }),
+                target: ctx.sub_prefix,
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the engine's bound")]
+    fn memo_does_not_answer_a_seed_the_engine_refuses() {
+        // The subprefix hijack stores the alone, more-specific outcome
+        // first; the overlong seed shares its key but must still reach
+        // the engine and be refused, as `run_strategy` refuses it.
+        let t = topo(120);
+        let plan = TrialPlan::new(
+            vec![PlanTopology {
+                label: "test".into(),
+                topology: &t,
+            }],
+            vec![&AttackKind::SubprefixHijack, &OverlongSubprefix],
+            vec![DeploymentModel::Uniform { p: 0.5 }],
+            vec![RoaConfig::NoRoa],
+            1,
+            41,
+        );
+        Executor::sequential().run::<CellAccumulator>(&plan);
     }
 
     #[test]

@@ -94,7 +94,41 @@ pub(crate) fn destination_pair(seed: u64, stubs: &[usize], destination: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{CompiledPolicies, OriginFilter};
     use crate::topology::{Topology, TopologyConfig};
+    use proptest::prelude::*;
+    use rpki_prefix::{Prefix4, Prefix6};
+    use rpki_roa::Asn;
+    use rpki_rov::RovPolicy;
+
+    proptest! {
+        /// The premise of a trial group's one baseline: no configuration
+        /// makes the victim's own announcement Invalid, whatever its
+        /// prefix, the attacked sub-prefix's length and its ASN — so the
+        /// victim's filter is transparent under every deployment.
+        #[test]
+        fn no_config_invalidates_the_victims_own_announcement(
+            v6 in any::<bool>(),
+            bits in any::<u128>(),
+            len in any::<u8>(),
+            sub_len in any::<u8>(),
+            asn in any::<u32>(),
+        ) {
+            let prefix = if v6 {
+                Prefix::V6(Prefix6::new_truncated(bits, len % 129))
+            } else {
+                Prefix::V4(Prefix4::new_truncated(bits as u32, len % 33))
+            };
+            let room = prefix.max_len() - prefix.len() + 1;
+            let sub_len = prefix.len() + sub_len % room;
+            let adopters = CompiledPolicies::compile(&[RovPolicy::DropInvalid]);
+            for roa in RoaConfig::ALL {
+                let vrps = roa.vrps(prefix, sub_len, Asn(asn));
+                let filter = OriginFilter::new(&vrps, prefix, &[Asn(asn)], &adopters);
+                prop_assert!(filter.is_transparent(), "{:?} {} /{}", roa, prefix, sub_len);
+            }
+        }
+    }
 
     #[test]
     fn trials_are_order_independent() {

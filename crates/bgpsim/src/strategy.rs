@@ -61,16 +61,13 @@ pub struct StrategyContext<'a> {
     pub sub_prefix: Prefix,
     /// The published VRPs (the ROA configuration under test).
     pub vrps: &'a VrpIndex,
-    /// The victim-only propagation, computed on first use: same-prefix
-    /// plans replace it with a head-to-head propagation anyway, so
-    /// strategies that never look pay nothing. The cell is owned by the
-    /// caller so a trial group can share one baseline across every
-    /// strategy it stages (the inputs — victim seed and victim-origin
-    /// filter — are identical for all of them).
-    baseline: &'a OnceCell<Propagation>,
+    /// The trial group staged in, which holds the victim-only
+    /// propagation: computed on first use, so strategies that never look
+    /// (same-prefix plans replace it with a head-to-head propagation
+    /// anyway) pay nothing.
+    group: &'a TrialGroup,
     victim_seed: Seed,
     accept_p: &'a OriginFilter<'a>,
-    spec: Option<&'a SpecRecorder<'a>>,
 }
 
 impl StrategyContext<'_> {
@@ -87,34 +84,60 @@ impl StrategyContext<'_> {
     /// The victim's prefix propagated *without* the attacker — what the
     /// attacker's router actually learned (route leaks replay it).
     /// Computed lazily (on the engine path, through the calling thread's
-    /// workspace) and cached for the rest of the trial.
+    /// workspace) and cached for the rest of the trial group.
     pub fn baseline(&self) -> &Propagation {
-        if let Some(spec) = self.spec {
-            // The outcome now depends on the shared baseline, so a
-            // replay is only licensed if *its* footprint also validates.
-            spec.observed_baseline.set(true);
-        }
-        self.baseline.get_or_init(|| {
-            let accept = recording(self.accept_p, self.spec.map(|s| s.base));
+        self.group.baseline.get_or_init(|| {
+            let accept = |at, origin| self.accept_p.accept(at, origin);
             let engine = PropagationEngine::new(self.topology);
             with_workspace(|ws| engine.propagate(&[self.victim_seed], &accept, ws))
         })
     }
 }
 
-/// The speculative executor's footprint sinks for one staged trial: the
-/// shared baseline propagation records into `base` (begun once per trial
-/// group, filled by whichever strategy first computes the baseline), the
-/// strategy's own staging propagations into `strat` (begun per
-/// strategy), and `observed_baseline` flags whether the outcome depends
-/// on the baseline at all.
-pub(crate) struct SpecRecorder<'a> {
-    /// Footprint sink for the shared victim-only baseline propagation.
-    pub base: &'a RefCell<FilterFootprint>,
-    /// Footprint sink for the strategy's attack-staging propagations.
-    pub strat: &'a RefCell<FilterFootprint>,
-    /// Set when the plan or the staging consulted the baseline.
-    pub observed_baseline: &'a Cell<bool>,
+/// What the stagings of one trial group share: one victim and one
+/// attacker on one topology, staged under any number of VRP sets and
+/// deployments. Calls sharing a group must agree on `(topology, victim,
+/// attacker, victim_prefix)`, and the victim's own origin must be
+/// non-Invalid under each call's VRPs: its filter is then transparent
+/// ([`OriginFilter::is_transparent`]) and the baseline depends on
+/// neither the VRPs nor the deployment.
+#[derive(Default)]
+pub(crate) struct TrialGroup {
+    /// The victim-only propagation, computed on first use.
+    pub baseline: OnceCell<Propagation>,
+    /// Outcomes of the stagings whose attack filter was transparent, by
+    /// [`StagingKey`].
+    transparent: RefCell<Vec<(StagingKey, AttackOutcome)>>,
+    /// Stagings answered from `transparent` instead of the engine.
+    pub hits: Cell<usize>,
+}
+
+/// Everything a transparent staging's outcome depends on once its group
+/// fixes topology, victim, attacker and baseline: how its prefix
+/// compares with the victim's, and, head to head only, the attacker's
+/// seed. Alone, an accept-all propagation from the attacker reaches the
+/// same ASes, every one delivering to the attacker, whatever the seed's
+/// path length and claimed origin — so the tally over that table and
+/// the baseline does not depend on them.
+type StagingKey = (std::cmp::Ordering, Option<(u32, Asn)>);
+
+impl TrialGroup {
+    /// `run()`'s outcome — or, for a transparent staging (`key` is set),
+    /// the stored outcome of an earlier one with the same key.
+    fn staged(
+        &self,
+        key: Option<StagingKey>,
+        run: impl FnOnce() -> AttackOutcome,
+    ) -> AttackOutcome {
+        let Some(key) = key else { return run() };
+        if let Some(&(_, hit)) = self.transparent.borrow().iter().find(|(k, _)| *k == key) {
+            self.hits.set(self.hits.get() + 1);
+            return hit;
+        }
+        let outcome = run();
+        self.transparent.borrow_mut().push((key, outcome));
+        outcome
+    }
 }
 
 /// Wraps `filter` as a propagation `accept` closure that mirrors every
@@ -365,32 +388,29 @@ impl AttackerStrategy for MaxLengthGapProber {
 /// target) is not covered by `victim_prefix`, or if `setup.policies`
 /// covers a different number of ASes than the topology.
 pub fn run_strategy(strategy: &dyn AttackerStrategy, setup: &AttackSetup<'_>) -> AttackOutcome {
-    run_strategy_speculative(strategy, setup, &OnceCell::new(), None)
+    run_strategy_speculative(strategy, setup, &TrialGroup::default(), None)
 }
 
-/// The trial executor's entry point: [`run_strategy`] with the baseline
-/// propagation cell owned by the caller and optional footprint
-/// recording.
+/// The trial executor's entry point: [`run_strategy`] within a trial
+/// group owned by the caller, with optional footprint recording.
 ///
-/// * `baseline` — a cell the caller may share between calls: the first
-///   strategy to look computes the victim-only propagation and the rest
-///   reuse it. Calls sharing a cell must agree on `(topology, victim,
-///   victim_prefix)` and either on `(vrps, policies)` too, or on the
-///   victim's own origin being non-Invalid under each call's `vrps` —
-///   the victim filter is then transparent
-///   ([`OriginFilter::is_transparent`]), accepts at every AS, and the
-///   propagation depends on neither `vrps` nor `policies`.
-/// * `spec` — when supplied, every adopter-bitset consultation any of
-///   the trial's propagations performs is mirrored into the recorder's
-///   [`FilterFootprint`] sinks — the execute half of the executor's
-///   Block-STM-style execute-then-validate scheme ([`crate::exec`]
-///   module docs). The outcome is bit-identical with and without
-///   recording.
+/// * `group` — what the calls may share (see [`TrialGroup`] for what they
+///   must agree on): the first strategy to look computes the victim-only
+///   baseline and the rest reuse it, and a staging whose attack filter
+///   is transparent returns the stored outcome of an earlier one with
+///   its [`StagingKey`]. A transparent filter accepts at every AS under
+///   every deployment and VRP set, so that outcome is the one this
+///   staging would compute.
+/// * `footprint` — when supplied, every adopter-bitset consultation of
+///   the attack staging is mirrored into it — the execute half of the
+///   executor's Block-STM-style execute-then-validate scheme
+///   ([`crate::exec`] module docs). The outcome is bit-identical with
+///   and without recording.
 pub(crate) fn run_strategy_speculative(
     strategy: &dyn AttackerStrategy,
     setup: &AttackSetup<'_>,
-    baseline: &OnceCell<Propagation>,
-    spec: Option<&SpecRecorder<'_>>,
+    group: &TrialGroup,
+    footprint: Option<&RefCell<FilterFootprint>>,
 ) -> AttackOutcome {
     let (t, compiled) = (setup.topology, setup.policies);
     let (attacker, victim) = (setup.attacker, setup.victim);
@@ -419,10 +439,9 @@ pub(crate) fn run_strategy_speculative(
         victim_prefix: setup.victim_prefix,
         sub_prefix: setup.sub_prefix,
         vrps: setup.vrps,
-        baseline,
+        group,
         victim_seed,
         accept_p: &accept_p,
-        spec,
     };
     let plan = strategy.plan(&ctx);
     assert!(
@@ -455,19 +474,28 @@ pub(crate) fn run_strategy_speculative(
     let seeds = &[victim_seed, attacker_seed][alone..];
     let origins = &[victim_asn, ann.claimed_origin][alone..];
     let filter = OriginFilter::new(setup.vrps, ann.prefix, origins, compiled);
-    let accept = recording(&filter, spec.map(|s| s.strat));
-    if ann.prefix.len() >= setup.victim_prefix.len() {
-        // The attacker's table is the most specific one: tallied
-        // straight off the workspace, the baseline under it.
-        with_workspace(|ws| {
-            engine.propagate_outcome(seeds, &accept, ws, baseline, attacker, victim)
-        })
-    } else {
-        // A *less*-specific announcement: the victim's own table stays
-        // primary (rare — only custom strategies announce super-prefixes).
-        let attacked = with_workspace(|ws| engine.propagate(seeds, &accept, ws));
-        AttackOutcome::tally(&[ctx.baseline(), &attacked], attacker, victim)
-    }
+    let accept = recording(&filter, footprint);
+    let specificity = ann.prefix.len().cmp(&setup.victim_prefix.len());
+    // A seed the engine refuses is never answered from the memo.
+    let shareable = filter.is_transparent() && ann.path_len <= engine.max_seed_len();
+    let key = shareable.then_some((
+        specificity,
+        head_to_head.then_some((ann.path_len, ann.claimed_origin)),
+    ));
+    group.staged(key, || {
+        if specificity.is_ge() {
+            // The attacker's table is the most specific one: tallied
+            // straight off the workspace, the baseline under it.
+            with_workspace(|ws| {
+                engine.propagate_outcome(seeds, &accept, ws, baseline, attacker, victim)
+            })
+        } else {
+            // A *less*-specific announcement: the victim's own table stays
+            // primary (rare — only custom strategies announce super-prefixes).
+            let attacked = with_workspace(|ws| engine.propagate(seeds, &accept, ws));
+            AttackOutcome::tally(&[ctx.baseline(), &attacked], attacker, victim)
+        }
+    })
 }
 
 #[cfg(test)]

@@ -21,7 +21,11 @@
 //!   trial)` and shares one victim-only baseline across every ROA
 //!   configuration, so reordering or repeating ROAs moves no cell,
 //!   [`ExecStats::baselines`] counts one propagation per group that
-//!   looked, and every backend reports the same counters.
+//!   looked, and every backend reports the same counters;
+//! * the **memo of transparent outcomes**: the strategy menu reaches
+//!   each of its keys (head to head, alone more specific, alone less
+//!   specific), so every property above also holds a reused outcome to
+//!   the collected reference.
 
 use proptest::prelude::*;
 
@@ -35,18 +39,30 @@ use bgpsim::{
     TopologyFamily,
 };
 
-/// The strategy menu plans draw from (index-encoded for proptest).
+#[path = "support/executor.rs"]
+mod executor;
+use executor::{cases, SuperPrefix};
+
+/// The strategy menu plans draw from (index-encoded for proptest). It
+/// reaches every key of a trial group's memo of transparent outcomes:
+/// head to head (`prepended(1)` shares the forged-origin prefix hijack's
+/// key), alone and more specific, alone and less specific.
 fn strategy_at(i: usize) -> Box<dyn AttackerStrategy> {
-    match i % 7 {
+    match i % MENU {
         0 => Box::new(AttackKind::PrefixHijack),
         1 => Box::new(AttackKind::SubprefixHijack),
         2 => Box::new(AttackKind::ForgedOriginPrefixHijack),
         3 => Box::new(AttackKind::ForgedOriginSubprefixHijack),
         4 => Box::new(RouteLeak),
         5 => Box::new(PathForgery::prepended(2)),
+        6 => Box::new(PathForgery::prepended(1)),
+        7 => Box::new(SuperPrefix),
         _ => Box::new(MaxLengthGapProber),
     }
 }
+
+/// Strategies on the menu.
+const MENU: usize = 9;
 
 fn deployment_at(i: usize, p: f64) -> DeploymentModel {
     match i % 3 {
@@ -71,7 +87,7 @@ struct PlanShape {
 fn arb_shape() -> impl Strategy<Value = PlanShape> {
     (
         (60usize..180, 2usize..5),
-        proptest::collection::vec(0usize..7, 1..4),
+        proptest::collection::vec(0..MENU, 1..4),
         proptest::collection::vec((0usize..3, 0u8..=10), 1..4),
         1usize..8,
         1usize..4,
@@ -128,7 +144,7 @@ fn topology_for(shape: &PlanShape) -> Topology {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(cases())]
 
     /// Streaming accumulators vs collected-Vec folding: bit-identical on
     /// every cell, and the parallel backend agrees with both.
@@ -222,7 +238,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(cases())]
 
     /// The ROA axis lives inside a trial group, where the configurations
     /// share one baseline: a cell must not notice which ROAs ran before
@@ -320,10 +336,11 @@ proptest! {
 }
 
 /// A version-1 cursor counted `(topology, ROA, trial)` groups; resuming
-/// one against `(topology, trial)` groups would skip or repeat trials,
-/// so `decode` refuses it by its magic.
+/// one against `(topology, trial)` groups would skip or repeat trials.
+/// A version-2 cursor lacks `ExecStats::shared`; resuming one would
+/// report a run's counters short. `decode` refuses both by their magic.
 #[test]
-fn cursor_decode_refuses_a_v1_line() {
+fn cursor_decode_refuses_v1_and_v2_lines() {
     let topology = Topology::generate(TopologyConfig {
         n: 80,
         tier1: 3,
@@ -341,25 +358,79 @@ fn cursor_decode_refuses_a_v1_line() {
         2,
         7,
     );
-    let v2 = plan.cursor::<CellAccumulator>().encode();
-    assert!(v2.starts_with("maxlength-cursor-v2 "), "{v2}");
-    assert!(PlanCursor::<CellAccumulator>::decode(&v2).is_some());
-    // The same cursor as PR 19 wrote it: four counters after the magic.
-    let cells = v2
-        .splitn(8, ' ')
-        .nth(7)
+    let v3 = plan.cursor::<CellAccumulator>().encode();
+    assert!(v3.starts_with("maxlength-cursor-v3 "), "{v3}");
+    assert!(PlanCursor::<CellAccumulator>::decode(&v3).is_some());
+    let cells = v3
+        .splitn(10, ' ')
+        .nth(9)
         .expect("accumulators follow the counters");
+    // The same cursor as v1 wrote it: two counters after the position.
     let v1 = format!("maxlength-cursor-v1 0 6 0 0 {cells}");
     assert!(PlanCursor::<CellAccumulator>::decode(&v1).is_none());
-    // Nor does a new magic on the old layout parse: the counters differ.
-    assert!(PlanCursor::<CellAccumulator>::decode(&v1.replace("-v1", "-v2")).is_none());
+    // As v2 wrote it: five counters, `shared` not among them.
+    let v2 = format!("maxlength-cursor-v2 0 2 0 0 0 0 0 {cells}");
+    assert!(PlanCursor::<CellAccumulator>::decode(&v2).is_none());
+    // Nor does the new magic on an old layout parse: the counters differ.
+    for old in [v1.replace("-v1", "-v3"), v2.replace("-v2", "-v3")] {
+        assert!(
+            PlanCursor::<CellAccumulator>::decode(&old).is_none(),
+            "{old}"
+        );
+    }
+}
+
+/// The less-specific memo key, pinned: a super-prefix announcement is
+/// transparent under every ROA configuration, so each trial group runs
+/// it once and the other two ROAs share that outcome, although their
+/// stagings claim another origin and path length. Next to it, the
+/// forged-origin subprefix hijack — alone and more specific, transparent
+/// without a ROA and under the loose one — must not share its key. Every
+/// cell still equals the collected reference, which runs each staging
+/// afresh.
+#[test]
+fn super_prefix_runs_once_per_group_and_matches_the_reference() {
+    let topology = Topology::generate(TopologyConfig {
+        n: 150,
+        tier1: 4,
+        ..TopologyConfig::default()
+    });
+    let plan = TrialPlan::new(
+        vec![PlanTopology {
+            label: "n=150".into(),
+            topology: &topology,
+        }],
+        vec![&AttackKind::ForgedOriginSubprefixHijack, &SuperPrefix],
+        vec![
+            DeploymentModel::Uniform { p: 0.5 },
+            DeploymentModel::StubsOnly { p: 1.0 },
+        ],
+        RoaConfig::ALL.to_vec(),
+        5,
+        11,
+    );
+    let collected = run_plan_collected(&plan);
+    let (accs, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
+    for (cell, (outcomes, acc)) in collected.iter().zip(&accs).enumerate() {
+        assert_eq!(
+            CellStats::from_outcomes(outcomes),
+            acc.finish(),
+            "cell {cell}"
+        );
+    }
+    // Per group: the hijack's loose-ROA staging reuses its no-ROA one;
+    // the super-prefix runs once for three ROAs.
+    assert_eq!(stats.shared, 3 * plan.trials, "{stats:?}");
+    assert_eq!(stats.baselines, plan.trials, "{stats:?}");
 }
 
 /// The counts named for the two benchmark plans at seed 2017, built here
 /// as `benchmark/src/workloads/grid.rs` builds them: 192 and 500 victim-
 /// only baselines (384 and 1,500 were propagated, uncounted, when groups
-/// were per-ROA), every older counter where it was, sequential and
-/// parallel alike. Release-scale — an 80,000-AS topology — so opt-in:
+/// were per-ROA), 192 and 6,013 stagings served from their group's memo
+/// (engine runs 960 → 768 and 10,262 → 4,249), every older counter where
+/// it was, sequential and parallel alike. Release-scale — an 80,000-AS
+/// topology — so opt-in:
 /// `cargo test --release -p bgpsim --test exec_props -- --ignored`.
 #[test]
 #[ignore = "release-scale: two full benchmark plans, ~20 s optimised"]
@@ -402,6 +473,7 @@ fn benchmark_plans_run_one_baseline_per_topology_and_trial() {
             cells_replayed: 0,
             cells_repropagated: 0,
             baselines: 192,
+            shared: 192,
         },
     );
 
@@ -437,6 +509,7 @@ fn benchmark_plans_run_one_baseline_per_topology_and_trial() {
             cells_replayed: 26_238,
             cells_repropagated: 762,
             baselines: 500,
+            shared: 6_013,
         },
     );
 }

@@ -19,7 +19,10 @@
 //! * the **adversarial flip**: on a hand-built grid where exactly one
 //!   consulted AS's filter decision diverges between two deployments,
 //!   only that column re-propagates — deployments that differ *only*
-//!   in ASes the propagation never consulted are replayed.
+//!   in ASes the propagation never consulted are replayed;
+//! * the **memo of transparent outcomes**: the strategy menu reaches
+//!   each of a trial group's memo keys, so a reused outcome is held to
+//!   the collected reference too.
 
 use std::cell::RefCell;
 
@@ -36,18 +39,30 @@ use bgpsim::{
     Workspace,
 };
 
-/// The strategy menu plans draw from (index-encoded for proptest).
+#[path = "support/executor.rs"]
+mod executor;
+use executor::{cases, SuperPrefix};
+
+/// The strategy menu plans draw from (index-encoded for proptest). It
+/// reaches every key of a trial group's memo of transparent outcomes:
+/// head to head (`prepended(1)` shares the forged-origin prefix hijack's
+/// key), alone and more specific, alone and less specific.
 fn strategy_at(i: usize) -> Box<dyn AttackerStrategy> {
-    match i % 7 {
+    match i % MENU {
         0 => Box::new(AttackKind::PrefixHijack),
         1 => Box::new(AttackKind::SubprefixHijack),
         2 => Box::new(AttackKind::ForgedOriginPrefixHijack),
         3 => Box::new(AttackKind::ForgedOriginSubprefixHijack),
         4 => Box::new(RouteLeak),
         5 => Box::new(PathForgery::shortened()),
+        6 => Box::new(PathForgery::prepended(1)),
+        7 => Box::new(SuperPrefix),
         _ => Box::new(MaxLengthGapProber),
     }
 }
+
+/// Strategies on the menu.
+const MENU: usize = 9;
 
 fn deployment_at(i: usize, p: f64) -> DeploymentModel {
     match i % 3 {
@@ -72,7 +87,7 @@ struct PlanShape {
 fn arb_shape() -> impl Strategy<Value = PlanShape> {
     (
         (60usize..180, 2usize..5),
-        proptest::collection::vec(0usize..7, 1..4),
+        proptest::collection::vec(0..MENU, 1..4),
         proptest::collection::vec((0usize..3, 0u8..=10), 2..5),
         1usize..8,
         1usize..4,
@@ -127,7 +142,7 @@ fn topology_for(shape: &PlanShape) -> Topology {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(cases())]
 
     /// The acceptance oracle: the speculative executor (sequential and
     /// parallel) folds to exactly what the per-cell collected reference

@@ -52,10 +52,12 @@ fn matrix_small_report_matches_golden_fixture() {
 /// two deployments on 400 ASes — with what the run did ([`ExecStats`])
 /// and every cell's accumulator, exactly as [`Accumulator::encode`]
 /// writes it (counts, then float bit patterns). The cells and every
-/// counter but `baselines` are the values of the executor whose trial
-/// groups were per-ROA; `baselines` is one victim-only propagation per
-/// trial, shared by both ROA configurations — two per trial ran,
-/// uncounted, before.
+/// counter but `baselines` and `shared` are the values of the executor
+/// whose trial groups were per-ROA; `baselines` is one victim-only
+/// propagation per trial, shared by both ROA configurations — two per
+/// trial ran, uncounted, before. `shared` is one per trial too: the
+/// route leak announces the same valid route under the minimal ROA as
+/// under the loose one, and reuses that outcome.
 #[test]
 fn executor_stats_and_cells_match_pinned_values() {
     use maxlength_rpki::bgpsim::{
@@ -101,6 +103,7 @@ fn executor_stats_and_cells_match_pinned_values() {
             cells_replayed: 23,
             cells_repropagated: 1,
             baselines: plan.trials,
+            shared: plan.trials,
         }
     );
     // Cell order: strategy, then deployment, then ROA (fastest).
