@@ -389,6 +389,7 @@ impl ChurnGenerator {
             let size = 1u128 << (128 - len as u32);
             let base = self.fresh_v6.div_ceil(size) * size;
             self.fresh_v6 = base + size;
+            // `base` is a multiple of `size`, so no host bit is set.
             Prefix::V6(Prefix6::new(base, len).expect("aligned by construction"))
         } else {
             let len = self.rng.gen_range(16u8..=24);
@@ -396,6 +397,7 @@ impl ChurnGenerator {
             let base = self.fresh_v4.div_ceil(size) * size;
             assert!(base + size <= 1 << 32, "fresh IPv4 space exhausted");
             self.fresh_v4 = base + size;
+            // `base` is a multiple of `size` and below 2^32 (asserted).
             Prefix::V4(Prefix4::new(base as u32, len).expect("aligned by construction"))
         };
         let max_len = prefix.len()

@@ -44,6 +44,7 @@ impl SpaceAllocator {
         let base = self.cursor_v4.div_ceil(size) * size;
         assert!(base + size <= 1 << 32, "IPv4 space exhausted");
         self.cursor_v4 = base + size;
+        // `base` is a multiple of `size` and below 2^32 (asserted).
         Prefix4::new(base as u32, len).expect("aligned by construction")
     }
 
@@ -53,6 +54,7 @@ impl SpaceAllocator {
         let size = 1u128 << (128 - len as u32);
         let base = self.cursor_v6.div_ceil(size) * size;
         self.cursor_v6 = base + size;
+        // `base` is a multiple of `size`, so no host bit is set.
         Prefix6::new(base, len).expect("aligned by construction")
     }
 

@@ -95,10 +95,12 @@ impl Allocation {
             | Category::AdopterMaxLenSafe
             | Category::AdopterTripleLive
             | Category::AdopterMaxLenDeep => {
+                // Structured classes are allocated at /18–/22 or /32–/44.
                 let (l, r) = self.prefix.children().expect("parent length bounded");
                 vec![own(self.prefix), own(l), own(r)]
             }
             Category::DeaggDepth2 => {
+                // Allocated at /18–/22 or /32–/44: two levels of children fit.
                 let (l, r) = self.prefix.children().expect("parent length bounded");
                 let mut out = vec![own(self.prefix), own(l), own(r)];
                 for child in [l, r] {
@@ -109,6 +111,7 @@ impl Allocation {
                 out
             }
             Category::DeaggPartial | Category::AdopterMaxLenPartial => {
+                // Allocated at /18–/22 or /32–/44, short of the family maximum.
                 let l = self.prefix.left_child().expect("parent length bounded");
                 vec![own(self.prefix), own(l)]
             }
@@ -131,12 +134,14 @@ impl Allocation {
             | Category::AdopterMaxLenDeep
             | Category::AdopterMaxLenPartial
             | Category::AdopterScattered => {
+                // `World::make_allocation` gives every maxLength class a `max_len`.
                 vec![RoaPrefix::with_max_len(
                     self.prefix,
                     self.max_len.expect("maxLength classes carry one"),
                 )]
             }
             Category::AdopterTripleStale | Category::AdopterTripleLive => {
+                // Allocated at /18–/22 or /32–/44, short of the family maximum.
                 let (l, r) = self.prefix.children().expect("parent length bounded");
                 vec![
                     RoaPrefix::exact(self.prefix),
@@ -298,6 +303,7 @@ impl World {
             | Category::AdopterStale
             | Category::AdopterMaxLenPlain => {
                 let len = if v6 {
+                    // `choose` is `None` only on an empty slice.
                     *[32u8, 40, 44, 48].choose(rng).expect("non-empty")
                 } else {
                     // Weighted like the 2017 global table: /24 dominates
@@ -338,7 +344,8 @@ impl World {
                     rng.gen_range(32..=44)
                 } else {
                     // De-aggregating networks hold mid-size blocks; keep
-                    // room for two levels of children above /24.
+                    // room for two levels of children above /24. (`choose`
+                    // is `None` only on an empty slice.)
                     *[18u8, 19, 20, 20, 21, 21, 22, 22]
                         .choose(rng)
                         .expect("non-empty")
@@ -368,6 +375,8 @@ impl World {
                     .into_iter()
                     .map(|i| {
                         let offset = (i as u128) * 2;
+                        // `offset < 2^(scatter_len - len)`: it sets only bits
+                        // between the parent's length and `scatter_len`.
                         let bits = prefix.bits_u128() | (offset << (128 - scatter_len as u32));
                         Prefix::from_bits_u128(prefix.afi(), bits, scatter_len)
                             .expect("offset stays inside the allocation")

@@ -16,12 +16,14 @@
 //! ```
 //!
 //! DER requires DEFAULT components to be absent, so a version-0 ROA never
-//! carries the `[0]` tag; the decoder still accepts an explicit zero only
-//! in the position RFC 6482 allows and rejects any other version.
+//! carries the `[0]` tag, and the decoder rejects one that does. This
+//! profile writes the addressFamily as the two-octet AFI, without the
+//! optional SAFI octet.
 
 use rpki_prefix::{Afi, Prefix};
 
-use crate::der::{DerError, Reader, Tag, Writer};
+use crate::cursor::ReadCursor;
+use crate::der::{DerError, Tag, Writer};
 use crate::{Asn, Roa, RoaPrefix};
 
 /// Encodes a ROA's `RouteOriginAttestation` eContent as DER.
@@ -69,26 +71,30 @@ fn write_roa_ip_address(w: &mut Writer, entry: &RoaPrefix) {
 
 /// Decodes a DER-encoded `RouteOriginAttestation` back into a [`Roa`].
 ///
-/// Strictness follows RFC 6482 plus DER: unknown versions, out-of-range
-/// maxLengths, unknown address families, oversized address bit strings, and
-/// trailing bytes are all rejected.
+/// Strictness follows RFC 6482 plus DER, and the decoder is
+/// *canonical*: it accepts exactly the bytes [`encode_roa`] writes, so
+/// two different objects never decode to the same ROA. Rejected: any
+/// explicit version (DER omits the DEFAULT zero), out-of-range
+/// maxLengths, unknown or SAFI-carrying address families, a family
+/// block that is empty, repeated or out of AFI order, entries not in
+/// strictly ascending order, oversized address bit strings, and
+/// trailing bytes.
 pub fn decode_roa(data: &[u8]) -> Result<Roa, DerError> {
-    let mut outer = Reader::new(data);
+    let mut outer = ReadCursor::new(data);
     let roa = outer.read_sequence(|r| {
         if r.peek_tag() == Some(Tag::CTX_0) {
-            // An explicitly encoded version: RFC 6482 only defines 0, and
-            // DER forbids encoding the default — be liberal enough to read
-            // a spelled-out zero but nothing else.
-            let version = r.read_constructed(Tag::CTX_0, |r| r.read_u32())?;
-            if version != 0 {
-                return Err(DerError::BadValue("unsupported ROA version"));
-            }
+            return Err(DerError::BadValue("explicit ROA version"));
         }
-        let asn = Asn(r.read_u32()?);
+        let asn = Asn(r.read_unsigned_u32()?);
         let mut prefixes = Vec::new();
         r.read_sequence(|r| {
-            while !r.is_at_end() {
-                read_address_family(r, &mut prefixes)?;
+            let mut last_afi = None;
+            while !r.is_empty() {
+                let afi = read_address_family(r, &mut prefixes)?;
+                if last_afi >= Some(afi) {
+                    return Err(DerError::BadValue("address families out of order"));
+                }
+                last_afi = Some(afi);
             }
             Ok(())
         })?;
@@ -98,38 +104,50 @@ pub fn decode_roa(data: &[u8]) -> Result<Roa, DerError> {
     Ok(roa)
 }
 
-fn read_address_family(r: &mut Reader<'_>, prefixes: &mut Vec<RoaPrefix>) -> Result<(), DerError> {
+/// Reads one non-empty `ROAIPAddressFamily` block onto `prefixes`,
+/// keeping them strictly ascending, and returns its family.
+fn read_address_family(
+    r: &mut ReadCursor<'_>,
+    prefixes: &mut Vec<RoaPrefix>,
+) -> Result<Afi, DerError> {
     r.read_sequence(|r| {
-        let family = r.read_octet_string()?;
-        // SIZE (2..3): an optional third octet carries a SAFI we ignore.
-        let afi = match family.as_slice() {
-            [a, b] | [a, b, _] => Afi::from_code(u16::from_be_bytes([*a, *b]))
+        let afi = match r.read_octet_string()? {
+            &[a, b] => Afi::from_code(u16::from_be_bytes([a, b]))
                 .ok_or(DerError::BadValue("unknown address family"))?,
             _ => return Err(DerError::BadValue("malformed addressFamily")),
         };
+        let before = prefixes.len();
         r.read_sequence(|r| {
-            while !r.is_at_end() {
-                prefixes.push(read_roa_ip_address(r, afi)?);
+            while !r.is_empty() {
+                let entry = read_roa_ip_address(r, afi)?;
+                if prefixes.last().is_some_and(|last| *last >= entry) {
+                    return Err(DerError::BadValue("ROA entries out of order"));
+                }
+                prefixes.push(entry);
             }
             Ok(())
-        })
+        })?;
+        if prefixes.len() == before {
+            return Err(DerError::BadValue("empty address family"));
+        }
+        Ok(afi)
     })
 }
 
-fn read_roa_ip_address(r: &mut Reader<'_>, afi: Afi) -> Result<RoaPrefix, DerError> {
+fn read_roa_ip_address(r: &mut ReadCursor<'_>, afi: Afi) -> Result<RoaPrefix, DerError> {
     r.read_sequence(|r| {
         let (bytes, bit_len) = r.read_bit_string()?;
         if bit_len > afi.max_len() as usize {
             return Err(DerError::BadValue("address longer than family maximum"));
         }
         let mut padded = [0u8; 16];
-        padded[..bytes.len()].copy_from_slice(&bytes);
+        padded[..bytes.len()].copy_from_slice(bytes);
         let prefix = Prefix::from_bits_u128(afi, u128::from_be_bytes(padded), bit_len as u8)
             .map_err(|_| DerError::BadValue("invalid prefix bits"))?;
-        let max_len = if r.is_at_end() {
+        let max_len = if r.is_empty() {
             None
         } else {
-            let ml = r.read_u32()?;
+            let ml = r.read_unsigned_u32()?;
             let ml = u8::try_from(ml).map_err(|_| DerError::BadValue("maxLength too large"))?;
             Some(ml)
         };
@@ -303,12 +321,14 @@ mod tests {
         });
         assert_eq!(
             decode_roa(&w.into_bytes()),
-            Err(DerError::BadValue("unsupported ROA version"))
+            Err(DerError::BadValue("explicit ROA version"))
         );
     }
 
+    /// DER omits the DEFAULT version, so even a spelled-out zero would
+    /// re-encode to different bytes.
     #[test]
-    fn accepts_explicit_zero_version() {
+    fn rejects_explicit_zero_version() {
         let mut w = Writer::new();
         w.write_sequence(|w| {
             w.write_constructed(Tag::CTX_0, |w| w.write_u32(0));
@@ -322,9 +342,10 @@ mod tests {
                 });
             });
         });
-        let roa = decode_roa(&w.into_bytes()).unwrap();
-        assert_eq!(roa.asn(), Asn(31283));
-        assert_eq!(roa.prefixes()[0].prefix, pfx("87.254.32.0/19"));
+        assert_eq!(
+            decode_roa(&w.into_bytes()),
+            Err(DerError::BadValue("explicit ROA version"))
+        );
     }
 
     #[test]
@@ -338,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn accepts_three_byte_family_with_safi() {
+    fn rejects_three_byte_family_with_safi() {
         let mut w = Writer::new();
         w.write_sequence(|w| {
             w.write_u32(1);
@@ -351,7 +372,67 @@ mod tests {
                 });
             });
         });
-        let roa = decode_roa(&w.into_bytes()).unwrap();
-        assert_eq!(roa.prefixes()[0].prefix, pfx("10.0.0.0/8"));
+        assert_eq!(
+            decode_roa(&w.into_bytes()),
+            Err(DerError::BadValue("malformed addressFamily"))
+        );
+    }
+
+    /// The canonical-accept rule: entry order, family order, repeated or
+    /// empty blocks — anything `encode_roa` would write differently.
+    #[test]
+    fn rejects_non_canonical_layouts() {
+        let family = |w: &mut Writer, afi: u8, entries: &[(&[u8], usize)]| {
+            w.write_sequence(|w| {
+                w.write_octet_string(&[0x00, afi]);
+                w.write_sequence(|w| {
+                    for &(bits, len) in entries {
+                        w.write_sequence(|w| w.write_bit_string(bits, len));
+                    }
+                });
+            });
+        };
+        let roa = |blocks: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            w.write_sequence(|w| {
+                w.write_u32(1);
+                w.write_sequence(|w| blocks(w));
+            });
+            decode_roa(&w.into_bytes())
+        };
+        let (ten, eleven, v6): (&[u8], &[u8], &[u8]) = (&[10], &[11], &[0x20, 0x01]);
+        let out_of_order = Err(DerError::BadValue("ROA entries out of order"));
+        assert_eq!(
+            roa(&|w| family(w, 1, &[(eleven, 8), (ten, 8)])),
+            out_of_order
+        );
+        assert_eq!(roa(&|w| family(w, 1, &[(ten, 8), (ten, 8)])), out_of_order);
+        assert_eq!(
+            roa(&|w| {
+                family(w, 2, &[(v6, 16)]);
+                family(w, 1, &[(ten, 8)]);
+            }),
+            out_of_order
+        );
+        assert_eq!(
+            roa(&|w| {
+                family(w, 1, &[(ten, 8)]);
+                family(w, 1, &[(eleven, 8)]);
+            }),
+            Err(DerError::BadValue("address families out of order"))
+        );
+        assert_eq!(
+            roa(&|w| {
+                family(w, 1, &[(ten, 8)]);
+                family(w, 2, &[]);
+            }),
+            Err(DerError::BadValue("empty address family"))
+        );
+        // The same entries in canonical layout decode.
+        assert!(roa(&|w| {
+            family(w, 1, &[(ten, 8), (eleven, 8)]);
+            family(w, 2, &[(v6, 16)]);
+        })
+        .is_ok());
     }
 }

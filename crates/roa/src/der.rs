@@ -7,8 +7,16 @@
 //! strict DER checks on decode: minimal length encodings, minimal integer
 //! encodings, and no trailing garbage.
 //!
+//! Decoding is TLV parsing over the workspace's one byte cursor,
+//! [`ReadCursor`], under one rule: **one check per TLV part**. The tag
+//! and first length byte are checked once, the long-form length octets
+//! once, the contents once; each checked part is then read with no
+//! further checks (the [cursor invariants](crate::cursor)). Encoding
+//! appends to a growable buffer ([`Writer`]): it has no read position.
+//!
 //! ```
-//! use rpki_roa::der::{Writer, Reader, Tag};
+//! use rpki_roa::cursor::ReadCursor;
+//! use rpki_roa::der::Writer;
 //!
 //! let mut w = Writer::new();
 //! w.write_sequence(|w| {
@@ -17,15 +25,17 @@
 //! });
 //! let bytes = w.into_bytes();
 //!
-//! let mut r = Reader::new(&bytes);
+//! let mut r = ReadCursor::new(&bytes);
 //! r.read_sequence(|r| {
-//!     assert_eq!(r.read_u32()?, 31283);
-//!     assert_eq!(r.read_octet_string()?, vec![0, 1]);
+//!     assert_eq!(r.read_unsigned_u32()?, 31283);
+//!     assert_eq!(r.read_octet_string()?, &[0, 1]);
 //!     Ok(())
 //! }).unwrap();
 //! ```
 
 use std::fmt;
+
+use crate::cursor::ReadCursor;
 
 /// ASN.1 tag bytes for the types used by the ROA profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,16 +123,6 @@ impl Writer {
         self.buf
     }
 
-    /// Current encoded size in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Writes a TLV with raw contents.
     pub fn write_raw(&mut self, tag: Tag, contents: &[u8]) {
         self.buf.push(tag.0);
@@ -137,21 +137,13 @@ impl Writer {
 
     /// Writes an INTEGER holding an unsigned value with minimal contents.
     pub fn write_unsigned(&mut self, value: u64) {
-        let be = value.to_be_bytes();
-        let mut start = be.iter().position(|&b| b != 0).unwrap_or(7);
-        // A leading 1-bit would flip the sign: prepend a zero octet.
-        if be[start] & 0x80 != 0 {
-            start = start.saturating_sub(1);
-            if be[start] != 0 {
-                // start was 0 and the top byte has the high bit: emit an
-                // explicit 0x00 prefix.
-                self.buf.push(Tag::INTEGER.0);
-                Self::push_len(&mut self.buf, 9);
-                self.buf.push(0);
-                self.buf.extend_from_slice(&be);
-                return;
-            }
-        }
+        let mut be = [0u8; 9];
+        be[1..].copy_from_slice(&value.to_be_bytes());
+        // Drop leading zero octets, but keep the one before a high bit:
+        // it holds the sign.
+        let start = (0..8)
+            .find(|&i| be[i] != 0 || be[i + 1] & 0x80 != 0)
+            .unwrap_or(8);
         self.write_raw(Tag::INTEGER, &be[start..]);
     }
 
@@ -170,8 +162,9 @@ impl Writer {
         let mut contents = Vec::with_capacity(byte_len + 1);
         contents.push(unused);
         contents.extend_from_slice(&bytes[..byte_len]);
-        if unused > 0 {
-            let last = contents.last_mut().expect("non-empty");
+        // With no unused bits the mask is 0xFF, so the count byte itself
+        // is never touched.
+        if let Some(last) = contents.last_mut() {
             *last &= 0xFFu8 << unused;
         }
         self.write_raw(Tag::BIT_STRING, &contents);
@@ -194,40 +187,22 @@ impl Writer {
             buf.push(len as u8);
         } else {
             let be = (len as u64).to_be_bytes();
-            let start = be.iter().position(|&b| b != 0).expect("len >= 0x80");
+            let start = (len as u64).leading_zeros() as usize / 8;
             buf.push(0x80 | (8 - start) as u8);
             buf.extend_from_slice(&be[start..]);
         }
     }
 }
 
-/// Strict DER reader over a byte slice.
-#[derive(Debug, Clone)]
-pub struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Creates a reader over `data`.
-    pub fn new(data: &'a [u8]) -> Reader<'a> {
-        Reader { data, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    /// `true` when all input is consumed.
-    pub fn is_at_end(&self) -> bool {
-        self.remaining() == 0
-    }
-
+/// Strict DER reading, as TLV parsing over the shared [`ReadCursor`]:
+/// each part of a TLV is checked once against
+/// [`remaining`](ReadCursor::remaining) and then read with no further
+/// checks (see the module docs).
+impl<'a> ReadCursor<'a> {
     /// Fails unless all input has been consumed (DER forbids trailing
     /// bytes).
     pub fn expect_end(&self) -> Result<(), DerError> {
-        if self.is_at_end() {
+        if self.is_empty() {
             Ok(())
         } else {
             Err(DerError::TrailingBytes)
@@ -236,57 +211,41 @@ impl<'a> Reader<'a> {
 
     /// Peeks the tag of the next TLV without consuming it.
     pub fn peek_tag(&self) -> Option<Tag> {
-        self.data.get(self.pos).map(|&b| Tag(b))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DerError> {
-        if self.remaining() < n {
-            return Err(DerError::Truncated);
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+        let mut probe = *self;
+        (!probe.is_empty()).then(|| Tag(probe.read_u8()))
     }
 
     /// Reads the next TLV, returning its tag and contents.
     pub fn read_tlv(&mut self) -> Result<(Tag, &'a [u8]), DerError> {
-        let tag = Tag(self.take(1)?[0]);
-        let first = self.take(1)?[0];
-        let len = if first < 0x80 {
-            first as usize
-        } else if first == 0x80 || first == 0xFF {
-            // Indefinite length and the reserved form are not DER.
-            return Err(DerError::BadLength);
-        } else {
-            let n = (first & 0x7F) as usize;
-            if n > 8 {
-                return Err(DerError::BadLength);
+        need(self, 2)?;
+        let tag = Tag(self.read_u8());
+        let len = match self.read_u8() {
+            short @ 0..=0x7F => short as usize,
+            // 0x80 is the indefinite form, 0x89.. would not fit a u64 and
+            // 0xFF is reserved: none of them is DER.
+            first @ 0x81..=0x88 => {
+                let octets = (first & 0x7F) as usize;
+                need(self, octets)?;
+                let octets = self.read_slice(octets);
+                // At most eight octets, so the fold cannot overflow.
+                let len = octets.iter().fold(0u64, |len, &b| len << 8 | b as u64);
+                // A leading zero octet, or a value the short form holds,
+                // is a non-minimal encoding.
+                if octets[0] == 0 || len < 0x80 {
+                    return Err(DerError::BadLength);
+                }
+                usize::try_from(len).map_err(|_| DerError::BadLength)?
             }
-            let octets = self.take(n)?;
-            if octets[0] == 0 {
-                return Err(DerError::BadLength); // non-minimal
-            }
-            let mut len = 0usize;
-            for &b in octets {
-                len = len
-                    .checked_mul(256)
-                    .and_then(|l| l.checked_add(b as usize))
-                    .ok_or(DerError::BadLength)?;
-            }
-            if len < 0x80 {
-                return Err(DerError::BadLength); // should have used short form
-            }
-            len
+            _ => return Err(DerError::BadLength),
         };
-        let contents = self.take(len)?;
-        Ok((tag, contents))
+        need(self, len)?;
+        Ok((tag, self.read_slice(len)))
     }
 
     /// Reads the next TLV, demanding a specific tag.
     pub fn read_expect(&mut self, expected: Tag) -> Result<&'a [u8], DerError> {
         match self.peek_tag() {
             Some(found) if found != expected => Err(DerError::UnexpectedTag { expected, found }),
-            None => Err(DerError::Truncated),
             _ => Ok(self.read_tlv()?.1),
         }
     }
@@ -299,38 +258,37 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads an INTEGER as an unsigned 32-bit value.
-    pub fn read_u32(&mut self) -> Result<u32, DerError> {
+    pub fn read_unsigned_u32(&mut self) -> Result<u32, DerError> {
         let v = self.read_unsigned()?;
         u32::try_from(v).map_err(|_| DerError::BadInteger)
     }
 
-    /// Reads an OCTET STRING's contents.
-    pub fn read_octet_string(&mut self) -> Result<Vec<u8>, DerError> {
-        Ok(self.read_expect(Tag::OCTET_STRING)?.to_vec())
+    /// Borrows an OCTET STRING's contents.
+    pub fn read_octet_string(&mut self) -> Result<&'a [u8], DerError> {
+        self.read_expect(Tag::OCTET_STRING)
     }
 
-    /// Reads a BIT STRING, returning `(bytes, bit_len)`. Verifies the
+    /// Reads a BIT STRING, borrowing `(bytes, bit_len)`. Verifies the
     /// unused-bit count and that unused bits are zero (DER).
-    pub fn read_bit_string(&mut self) -> Result<(Vec<u8>, usize), DerError> {
+    pub fn read_bit_string(&mut self) -> Result<(&'a [u8], usize), DerError> {
         let contents = self.read_expect(Tag::BIT_STRING)?;
         let (&unused, body) = contents.split_first().ok_or(DerError::BadBitString)?;
-        if unused > 7 || (body.is_empty() && unused != 0) {
+        let clean = match body.last() {
+            _ if unused > 7 => false,
+            None => unused == 0,
+            Some(&last) => last & ((1u8 << unused) - 1) == 0,
+        };
+        if !clean {
             return Err(DerError::BadBitString);
         }
-        if unused > 0 {
-            let last = *body.last().expect("non-empty checked");
-            if last & ((1u8 << unused) - 1) != 0 {
-                return Err(DerError::BadBitString);
-            }
-        }
-        Ok((body.to_vec(), body.len() * 8 - unused as usize))
+        Ok((body, body.len() * 8 - unused as usize))
     }
 
-    /// Reads a SEQUENCE and hands a sub-reader over its contents to `f`.
-    /// The sub-reader must be fully consumed.
+    /// Reads a SEQUENCE and hands a cursor over its contents to `f`.
+    /// The inner cursor must be fully consumed.
     pub fn read_sequence<T>(
         &mut self,
-        f: impl FnOnce(&mut Reader<'a>) -> Result<T, DerError>,
+        f: impl FnOnce(&mut ReadCursor<'a>) -> Result<T, DerError>,
     ) -> Result<T, DerError> {
         self.read_constructed(Tag::SEQUENCE, f)
     }
@@ -340,38 +298,35 @@ impl<'a> Reader<'a> {
     pub fn read_constructed<T>(
         &mut self,
         tag: Tag,
-        f: impl FnOnce(&mut Reader<'a>) -> Result<T, DerError>,
+        f: impl FnOnce(&mut ReadCursor<'a>) -> Result<T, DerError>,
     ) -> Result<T, DerError> {
-        let contents = self.read_expect(tag)?;
-        let mut inner = Reader::new(contents);
+        let mut inner = ReadCursor::new(self.read_expect(tag)?);
         let out = f(&mut inner)?;
         inner.expect_end()?;
         Ok(out)
     }
 }
 
-fn decode_unsigned(contents: &[u8]) -> Result<u64, DerError> {
-    match contents {
-        [] => Err(DerError::BadInteger),
-        [b, ..] if *b & 0x80 != 0 => Err(DerError::BadInteger), // negative
-        [0] => Ok(0),
-        [0, second, ..] if *second & 0x80 == 0 => Err(DerError::BadInteger), // non-minimal
-        _ => {
-            let body = if contents[0] == 0 {
-                &contents[1..]
-            } else {
-                contents
-            };
-            if body.len() > 8 {
-                return Err(DerError::BadInteger);
-            }
-            let mut v = 0u64;
-            for &b in body {
-                v = v << 8 | b as u64;
-            }
-            Ok(v)
-        }
+/// The one check of a TLV part: `n` more bytes must be present.
+fn need(cursor: &ReadCursor<'_>, n: usize) -> Result<(), DerError> {
+    if cursor.remaining() < n {
+        return Err(DerError::Truncated);
     }
+    Ok(())
+}
+
+fn decode_unsigned(contents: &[u8]) -> Result<u64, DerError> {
+    let body = match contents {
+        [] => return Err(DerError::BadInteger),
+        [b, ..] if b & 0x80 != 0 => return Err(DerError::BadInteger), // negative
+        [0, b, ..] if b & 0x80 == 0 => return Err(DerError::BadInteger), // non-minimal
+        [0, rest @ ..] => rest, // zero, or a sign-padding octet
+        _ => contents,
+    };
+    if body.len() > 8 {
+        return Err(DerError::BadInteger);
+    }
+    Ok(body.iter().fold(0u64, |v, &b| v << 8 | b as u64))
 }
 
 #[cfg(test)]
@@ -413,9 +368,9 @@ mod tests {
             u32::MAX,
         ] {
             let bytes = encode_u32(v);
-            let mut r = Reader::new(&bytes);
-            assert_eq!(r.read_u32().unwrap(), v, "value {v}");
-            assert!(r.is_at_end());
+            let mut r = ReadCursor::new(&bytes);
+            assert_eq!(r.read_unsigned_u32().unwrap(), v, "value {v}");
+            assert!(r.is_empty());
         }
     }
 
@@ -425,7 +380,7 @@ mod tests {
             let mut w = Writer::new();
             w.write_unsigned(v);
             let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
+            let mut r = ReadCursor::new(&bytes);
             assert_eq!(r.read_unsigned().unwrap(), v);
         }
     }
@@ -433,17 +388,17 @@ mod tests {
     #[test]
     fn integer_rejects_negative_and_non_minimal() {
         // Negative (high bit set).
-        let mut r = Reader::new(&[0x02, 0x01, 0x80]);
+        let mut r = ReadCursor::new(&[0x02, 0x01, 0x80]);
         assert_eq!(r.read_unsigned(), Err(DerError::BadInteger));
         // Non-minimal 0x00 0x7F.
-        let mut r = Reader::new(&[0x02, 0x02, 0x00, 0x7F]);
+        let mut r = ReadCursor::new(&[0x02, 0x02, 0x00, 0x7F]);
         assert_eq!(r.read_unsigned(), Err(DerError::BadInteger));
         // Empty contents.
-        let mut r = Reader::new(&[0x02, 0x00]);
+        let mut r = ReadCursor::new(&[0x02, 0x00]);
         assert_eq!(r.read_unsigned(), Err(DerError::BadInteger));
         // Too wide for u32.
-        let mut r = Reader::new(&[0x02, 0x05, 0x01, 0, 0, 0, 0]);
-        assert_eq!(r.read_u32(), Err(DerError::BadInteger));
+        let mut r = ReadCursor::new(&[0x02, 0x05, 0x01, 0, 0, 0, 0]);
+        assert_eq!(r.read_unsigned_u32(), Err(DerError::BadInteger));
     }
 
     #[test]
@@ -453,20 +408,20 @@ mod tests {
         w.write_octet_string(&contents);
         let bytes = w.into_bytes();
         assert_eq!(&bytes[..3], &[0x04, 0x81, 200]);
-        let mut r = Reader::new(&bytes);
+        let mut r = ReadCursor::new(&bytes);
         assert_eq!(r.read_octet_string().unwrap(), contents);
     }
 
     #[test]
     fn length_rejects_non_der_forms() {
         // Indefinite length.
-        let mut r = Reader::new(&[0x04, 0x80, 0x00, 0x00]);
+        let mut r = ReadCursor::new(&[0x04, 0x80, 0x00, 0x00]);
         assert_eq!(r.read_tlv().unwrap_err(), DerError::BadLength);
         // Long form used for a short value.
-        let mut r = Reader::new(&[0x04, 0x81, 0x05, 1, 2, 3, 4, 5]);
+        let mut r = ReadCursor::new(&[0x04, 0x81, 0x05, 1, 2, 3, 4, 5]);
         assert_eq!(r.read_tlv().unwrap_err(), DerError::BadLength);
         // Leading zero in long-form length.
-        let mut r = Reader::new(&[0x04, 0x82, 0x00, 0x85]);
+        let mut r = ReadCursor::new(&[0x04, 0x82, 0x00, 0x85]);
         assert_eq!(r.read_tlv().unwrap_err(), DerError::BadLength);
     }
 
@@ -476,8 +431,8 @@ mod tests {
         w.write_sequence(|w| w.write_u32(31283));
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..cut]);
-            let res = r.read_sequence(|r| r.read_u32());
+            let mut r = ReadCursor::new(&bytes[..cut]);
+            let res = r.read_sequence(|r| r.read_unsigned_u32());
             assert!(res.is_err(), "cut at {cut} must fail");
         }
     }
@@ -492,7 +447,7 @@ mod tests {
         // 0x03, len 4, unused=5, 3 content bytes.
         assert_eq!(bytes[0], 0x03);
         assert_eq!(bytes[2], 5);
-        let mut r = Reader::new(&bytes);
+        let mut r = ReadCursor::new(&bytes);
         let (body, bit_len) = r.read_bit_string().unwrap();
         assert_eq!(bit_len, 19);
         assert_eq!(body, addr);
@@ -510,13 +465,13 @@ mod tests {
     #[test]
     fn bit_string_rejects_dirty_unused_bits() {
         // unused=5 but low bits set.
-        let mut r = Reader::new(&[0x03, 0x02, 0x05, 0xFF]);
+        let mut r = ReadCursor::new(&[0x03, 0x02, 0x05, 0xFF]);
         assert_eq!(r.read_bit_string(), Err(DerError::BadBitString));
         // unused > 7.
-        let mut r = Reader::new(&[0x03, 0x02, 0x08, 0x00]);
+        let mut r = ReadCursor::new(&[0x03, 0x02, 0x08, 0x00]);
         assert_eq!(r.read_bit_string(), Err(DerError::BadBitString));
         // Empty body with nonzero unused count.
-        let mut r = Reader::new(&[0x03, 0x01, 0x03]);
+        let mut r = ReadCursor::new(&[0x03, 0x01, 0x03]);
         assert_eq!(r.read_bit_string(), Err(DerError::BadBitString));
     }
 
@@ -526,7 +481,7 @@ mod tests {
         w.write_bit_string(&[], 0);
         let bytes = w.into_bytes();
         assert_eq!(bytes, [0x03, 0x01, 0x00]);
-        let mut r = Reader::new(&bytes);
+        let mut r = ReadCursor::new(&bytes);
         let (body, bit_len) = r.read_bit_string().unwrap();
         assert!(body.is_empty());
         assert_eq!(bit_len, 0);
@@ -543,16 +498,17 @@ mod tests {
             });
         });
         let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
+        let mut r = ReadCursor::new(&bytes);
         let (a, b, c) = r
             .read_sequence(|r| {
-                let a = r.read_u32()?;
-                let (b, c) = r.read_sequence(|r| Ok((r.read_u32()?, r.read_u32()?)))?;
+                let a = r.read_unsigned_u32()?;
+                let (b, c) =
+                    r.read_sequence(|r| Ok((r.read_unsigned_u32()?, r.read_unsigned_u32()?)))?;
                 Ok((a, b, c))
             })
             .unwrap();
         assert_eq!((a, b, c), (1, 2, 3));
-        assert!(r.is_at_end());
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -563,16 +519,16 @@ mod tests {
             w.write_u32(2);
         });
         let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
+        let mut r = ReadCursor::new(&bytes);
         // Only consume one integer: must flag trailing bytes.
-        let res = r.read_sequence(|r| r.read_u32());
+        let res = r.read_sequence(|r| r.read_unsigned_u32());
         assert_eq!(res.unwrap_err(), DerError::TrailingBytes);
     }
 
     #[test]
     fn unexpected_tag_reported() {
         let bytes = encode_u32(5);
-        let mut r = Reader::new(&bytes);
+        let mut r = ReadCursor::new(&bytes);
         let err = r.read_octet_string().unwrap_err();
         assert_eq!(
             err,
@@ -589,18 +545,20 @@ mod tests {
         w.write_constructed(Tag::CTX_0, |w| w.write_u32(0));
         let bytes = w.into_bytes();
         assert_eq!(bytes[0], 0xA0);
-        let mut r = Reader::new(&bytes);
-        let v = r.read_constructed(Tag::CTX_0, |r| r.read_u32()).unwrap();
+        let mut r = ReadCursor::new(&bytes);
+        let v = r
+            .read_constructed(Tag::CTX_0, |r| r.read_unsigned_u32())
+            .unwrap();
         assert_eq!(v, 0);
     }
 
     #[test]
     fn peek_does_not_consume() {
         let bytes = encode_u32(7);
-        let mut r = Reader::new(&bytes);
+        let mut r = ReadCursor::new(&bytes);
         assert_eq!(r.peek_tag(), Some(Tag::INTEGER));
         assert_eq!(r.peek_tag(), Some(Tag::INTEGER));
-        assert_eq!(r.read_u32().unwrap(), 7);
+        assert_eq!(r.read_unsigned_u32().unwrap(), 7);
         assert_eq!(r.peek_tag(), None);
     }
 }

@@ -18,10 +18,14 @@
 //! | 6 bytes | 1 byte  | u32            | u64               | DER     |
 //! +---------+---------+----------------+-------------------+---------+
 //! ```
+//!
+//! The payload is exactly `payload length` bytes and ends the object.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::codec::{decode_roa, encode_roa};
+use crate::cursor::ReadCursor;
 use crate::der::DerError;
 use crate::Roa;
 
@@ -38,6 +42,8 @@ pub enum EnvelopeError {
     BadVersion(u8),
     /// The object ends before the declared payload length.
     Truncated,
+    /// Bytes follow the declared payload.
+    TrailingBytes,
     /// The digest does not match the payload — the stand-in for a bad
     /// signature.
     DigestMismatch,
@@ -51,6 +57,7 @@ impl fmt::Display for EnvelopeError {
             EnvelopeError::BadMagic => write!(f, "not a mock RPKI signed object"),
             EnvelopeError::BadVersion(v) => write!(f, "unsupported envelope version {v}"),
             EnvelopeError::Truncated => write!(f, "signed object truncated"),
+            EnvelopeError::TrailingBytes => write!(f, "bytes after the signed payload"),
             EnvelopeError::DigestMismatch => {
                 write!(f, "digest mismatch (signature validation failed)")
             }
@@ -82,25 +89,30 @@ pub fn seal_roa(roa: &Roa) -> Vec<u8> {
 
 /// "Validates" a mock signed object and extracts the ROA, rejecting
 /// structural corruption the way a relying party rejects bad signatures.
+///
+/// The 19-byte header is one checked fixed part of a [`ReadCursor`]; the
+/// payload must fill the rest of the object exactly, so no two different
+/// files open to the same ROA.
 pub fn open_roa(data: &[u8]) -> Result<Roa, EnvelopeError> {
-    if data.len() < HEADER_LEN {
-        return if data.len() >= 6 && &data[..6] != MAGIC {
-            Err(EnvelopeError::BadMagic)
-        } else {
-            Err(EnvelopeError::Truncated)
-        };
+    let mut src = ReadCursor::new(data);
+    if src.remaining() < HEADER_LEN {
+        return Err(EnvelopeError::Truncated);
     }
-    if &data[..6] != MAGIC {
+    if src.read_array() != *MAGIC {
         return Err(EnvelopeError::BadMagic);
     }
-    if data[6] != VERSION {
-        return Err(EnvelopeError::BadVersion(data[6]));
+    let version = src.read_u8();
+    if version != VERSION {
+        return Err(EnvelopeError::BadVersion(version));
     }
-    let len = u32::from_be_bytes(data[7..11].try_into().expect("4 bytes")) as usize;
-    let digest = u64::from_be_bytes(data[11..19].try_into().expect("8 bytes"));
-    let payload = data
-        .get(HEADER_LEN..HEADER_LEN + len)
-        .ok_or(EnvelopeError::Truncated)?;
+    let len = src.read_u32() as usize;
+    let digest = src.read_u64();
+    match src.remaining().cmp(&len) {
+        Ordering::Less => return Err(EnvelopeError::Truncated),
+        Ordering::Greater => return Err(EnvelopeError::TrailingBytes),
+        Ordering::Equal => {}
+    }
+    let payload = src.read_slice(len);
     if fnv1a64(payload) != digest {
         return Err(EnvelopeError::DigestMismatch);
     }
@@ -178,6 +190,13 @@ mod tests {
             let res = open_roa(&sealed[..cut]);
             assert!(res.is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn rejects_trailing_bytes() {
+        let mut sealed = seal_roa(&sample_roa());
+        sealed.extend_from_slice(b"junk");
+        assert_eq!(open_roa(&sealed), Err(EnvelopeError::TrailingBytes));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //!   "PDU" of the paper (§6): the unit the local cache sends to routers,
 //! * [`Roa`] / [`RoaPrefix`] — a ROA per RFC 6482: one AS plus a set of
 //!   prefixes, each with an optional maxLength,
+//! * [`cursor`] — the byte cursor every decoder in the workspace reads
+//!   with (the RTR wire layer included),
 //! * a minimal ASN.1 **DER** codec ([`der`]) and the RFC 6482
 //!   `RouteOriginAttestation` encoding ([`codec`]),
 //! * a mock signed-object [`envelope`] standing in for the RPKI CMS
@@ -23,6 +25,7 @@
 
 mod asn;
 pub mod codec;
+pub mod cursor;
 pub mod der;
 pub mod envelope;
 mod origin;

@@ -57,7 +57,8 @@ pub fn scan_line(vrp: &Vrp) -> String {
 /// Recursively scans `dir` for `.roa` files, validating each one.
 ///
 /// Invalid objects are collected in [`ScanResult::rejected`]; I/O errors
-/// (other than a file vanishing mid-scan) abort the walk. This is
+/// (other than a file vanishing mid-scan) abort the walk. Directory
+/// symlinks are not followed; symlinked files are read. This is
 /// [`scan_dir_parallel`] at one worker, on the calling thread.
 pub fn scan_dir(dir: &Path) -> io::Result<ScanResult> {
     scan_dir_parallel(dir, 1)
@@ -79,9 +80,16 @@ pub fn scan_dir_parallel(dir: &Path, threads: usize) -> io::Result<ScanResult> {
         entries.sort_by_key(|e| e.path());
         for entry in entries {
             let path = entry.path();
-            if path.is_dir() {
+            // `file_type` does not follow symlinks, so a link back up the
+            // tree cannot loop the walk. A `.roa` entry is read if it is a
+            // regular file, directly or through a link; anything else (a
+            // dangling link, a linked directory, a FIFO) is skipped.
+            let kind = entry.file_type()?;
+            if kind.is_dir() {
                 stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "roa") {
+            } else if path.extension().is_some_and(|e| e == "roa")
+                && (kind.is_file() || (kind.is_symlink() && path.is_file()))
+            {
                 files.push(path);
             }
         }
@@ -110,7 +118,10 @@ pub fn scan_dir_parallel(dir: &Path, threads: usize) -> io::Result<ScanResult> {
                 .collect();
             let mut all = Vec::with_capacity(files.len());
             for h in handles {
-                all.extend(h.join().expect("scan worker panicked")?);
+                let worker = h
+                    .join()
+                    .map_err(|_| io::Error::other("scan worker panicked"))?;
+                all.extend(worker?);
             }
             io::Result::Ok(all)
         })?
@@ -285,6 +296,31 @@ mod parallel_tests {
         .unwrap();
         fs::write(dir.join("good.roa"), seal_roa(&roa)).unwrap();
         std::os::unix::fs::symlink(dir.join("missing"), dir.join("gone.roa")).unwrap();
+        for threads in [1, 2, 4] {
+            let result = scan_dir_parallel(&dir, threads).unwrap();
+            assert_eq!(result.roas, vec![roa.clone()], "{threads} threads");
+            assert!(result.rejected.is_empty(), "{threads} threads");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory symlink back up the tree is not followed: one ROA
+    /// next to a `loop -> .` link scans as one ROA, not one per trip
+    /// around the loop until the kernel's symlink limit.
+    #[cfg(unix)]
+    #[test]
+    fn directory_symlink_loop_is_not_followed() {
+        let dir =
+            std::env::temp_dir().join(format!("rpki-roa-parscan-loop-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let roa = Roa::new(
+            Asn(7),
+            vec![RoaPrefix::exact("10.0.0.0/8".parse().unwrap())],
+        )
+        .unwrap();
+        fs::write(dir.join("one.roa"), seal_roa(&roa)).unwrap();
+        std::os::unix::fs::symlink(".", dir.join("loop")).unwrap();
         for threads in [1, 2, 4] {
             let result = scan_dir_parallel(&dir, threads).unwrap();
             assert_eq!(result.roas, vec![roa.clone()], "{threads} threads");

@@ -40,15 +40,8 @@ struct Delta {
 /// the bytes are all present. Used to decide how much of a rejected
 /// buffer can still be identified as "the offending PDU".
 fn frame_extent(input: &[u8]) -> Option<usize> {
-    if input.len() < HEADER_LEN {
-        return None;
-    }
-    let length = u32::from_be_bytes(input[4..8].try_into().expect("4 bytes")) as usize;
-    if (HEADER_LEN..=MAX_PDU_LEN).contains(&length) && input.len() >= length {
-        Some(length)
-    } else {
-        None
-    }
+    let length = u32::from_be_bytes(input.get(4..HEADER_LEN)?.try_into().ok()?) as usize;
+    ((HEADER_LEN..=MAX_PDU_LEN).contains(&length) && input.len() >= length).then_some(length)
 }
 
 /// How many deltas the cache keeps before answering old serials with

@@ -11,10 +11,10 @@
 //! The protocol logic is *sans-io* — state machines that map bytes to
 //! bytes — with one way to do each job:
 //!
-//! * [`wire`] — the wire layer: borrowed-buffer cursors, strict
-//!   zero-copy decoding of every PDU type of RFC 8210 (minus router
-//!   keys), the recoverable/fatal error taxonomy, and v0/v1
-//!   version negotiation.
+//! * [`wire`] — the wire layer: strict zero-copy decoding of every PDU
+//!   type of RFC 8210 (minus router keys) over the shared byte cursor,
+//!   the recoverable/fatal error taxonomy, and v0/v1 version
+//!   negotiation.
 //! * [`pdu`] — the owned [`Pdu`] value the state machines and their
 //!   callers traffic in; it reaches the wire only as a borrowed
 //!   [`PduRef`] ([`Pdu::as_wire`]), so [`wire`] stays the one codec.

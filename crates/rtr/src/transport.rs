@@ -24,7 +24,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use crate::pdu::{Pdu, PduError, PROTOCOL_V0, PROTOCOL_V1};
-use crate::wire::{self, Negotiation, PduRef, HEADER_LEN, MAX_PDU_LEN};
+use crate::wire::{self, Negotiation, PduRef, MAX_PDU_LEN};
 
 /// Transport failures.
 #[derive(Debug)]
@@ -116,18 +116,10 @@ impl Receiver {
         f: impl FnOnce(PduRef<'_>) -> R,
     ) -> Result<R, TransportError> {
         loop {
-            let unread = &self.buf[self.pos..self.end];
-            // Fail fast on a hostile length claim: the moment the 8-byte
-            // header is in, a declared frame length outside the legal
-            // PDU range is a CorruptData-class protocol error — never
-            // wait on a 4 GiB promise to see the "complete" frame.
-            if let [_, type_code, _, _, a, b, c, d, ..] = *unread {
-                let length = u32::from_be_bytes([a, b, c, d]) as usize;
-                if !(HEADER_LEN..=MAX_PDU_LEN).contains(&length) {
-                    return Err(PduError::BadLength { type_code, length }.into());
-                }
-            }
-            if let Some(frame) = wire::decode_frame(unread)? {
+            // `decode_frame` fails fast on a hostile length claim: the
+            // moment the 8-byte header is in, a length outside the legal
+            // PDU range is an error — it never waits on a 4 GiB promise.
+            if let Some(frame) = wire::decode_frame(&self.buf[self.pos..self.end])? {
                 self.negotiation.accept(frame.version)?;
                 self.pos += frame.len;
                 return Ok(f(frame.pdu));
@@ -232,6 +224,7 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::HEADER_LEN;
     use std::net::TcpListener;
     use std::thread;
 

@@ -1,7 +1,7 @@
 //! Zero-copy wire layer for the rpki-rtr protocol (RFC 6810 / RFC 8210).
 //!
 //! This module is the single codec for every PDU that crosses a
-//! transport: the cursor types, the borrowed PDU view, the strict
+//! transport: the borrowed PDU view, the strict
 //! decoder, the versioned encoder, the error taxonomy, and the
 //! protocol-version negotiation state machine. Everything else in the
 //! crate ([`Pdu`] included) is a consumer.
@@ -43,18 +43,11 @@
 //! * the Router Key PDU (type 9, v1-only) is rejected as unsupported on
 //!   sessions of either version — this stack does not implement it.
 //!
-//! # Cursor invariants
+//! # Cursors
 //!
-//! [`ReadCursor`] and [`WriteCursor`] are plain positions over borrowed
-//! buffers, in the style of IronRDP's `ireadcursor`/`writecursor`:
-//!
-//! * every `read_*`/`write_*` advances by exactly the accessor's size;
-//! * accessors do **not** bounds-check individually — callers guard a
-//!   whole fixed part once with `ensure_size!` (checked slice indexing
-//!   still makes an unguarded overrun a panic, never unsoundness, and
-//!   the fuzz suite proves the decoder never reaches one);
-//! * decoding a frame never reads past `length`, and encoding never
-//!   writes past the destination slice handed to the cursor.
+//! Frames are read and written with the workspace's one byte cursor,
+//! [`rpki_roa::cursor`], under its invariants: `ensure_size!` checks each
+//! fixed part once, and decoding a frame never reads past `length`.
 //!
 //! # Error taxonomy
 //!
@@ -105,6 +98,7 @@
 use std::fmt;
 
 use rpki_prefix::{Prefix, Prefix4, Prefix6};
+use rpki_roa::cursor::{ReadCursor, WriteCursor};
 use rpki_roa::{Asn, Vrp};
 
 use crate::pdu::{ErrorCode, Flags, Pdu, Timing, PROTOCOL_V0, PROTOCOL_V1};
@@ -120,9 +114,9 @@ pub const MAX_PDU_LEN: usize = 65_536;
 
 /// Guards one fixed-size read/write region on a cursor: the whole fixed
 /// part is checked **once**, after which the individual accessors may
-/// advance unchecked (the cursor invariant above). Expands to an early
-/// `return` with a [`PduError::BadLength`] carrying the offending type
-/// and declared length.
+/// advance unchecked (the cursor invariants of [`rpki_roa::cursor`]).
+/// Expands to an early `return` with a [`PduError::BadLength`] carrying
+/// the offending type and declared length.
 macro_rules! ensure_size {
     (in: $cursor:expr, size: $size:expr, type_code: $tc:expr, length: $len:expr) => {
         if $cursor.remaining() != $size {
@@ -140,149 +134,6 @@ macro_rules! ensure_size {
             });
         }
     };
-}
-
-/// A read position over a borrowed buffer. See the module docs for the
-/// cursor invariants.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadCursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ReadCursor<'a> {
-    /// A cursor at the start of `buf`.
-    #[inline]
-    pub fn new(buf: &'a [u8]) -> ReadCursor<'a> {
-        ReadCursor { buf, pos: 0 }
-    }
-
-    /// Bytes left to read.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// `true` once the cursor has consumed the whole buffer.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    /// The current read offset from the start of the buffer.
-    #[inline]
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Reads one byte.
-    #[inline]
-    pub fn read_u8(&mut self) -> u8 {
-        let v = self.buf[self.pos];
-        self.pos += 1;
-        v
-    }
-
-    /// Reads a big-endian `u16`.
-    #[inline]
-    pub fn read_u16(&mut self) -> u16 {
-        u16::from_be_bytes(self.read_array())
-    }
-
-    /// Reads a big-endian `u32`.
-    #[inline]
-    pub fn read_u32(&mut self) -> u32 {
-        u32::from_be_bytes(self.read_array())
-    }
-
-    /// Reads a big-endian `u128`.
-    #[inline]
-    pub fn read_u128(&mut self) -> u128 {
-        u128::from_be_bytes(self.read_array())
-    }
-
-    /// Borrows the next `n` bytes without copying.
-    #[inline]
-    pub fn read_slice(&mut self, n: usize) -> &'a [u8] {
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        s
-    }
-
-    #[inline]
-    fn read_array<const N: usize>(&mut self) -> [u8; N] {
-        let a: [u8; N] = self.buf[self.pos..self.pos + N]
-            .try_into()
-            .expect("slice is exactly N bytes");
-        self.pos += N;
-        a
-    }
-}
-
-/// A write position over a borrowed mutable buffer. See the module docs
-/// for the cursor invariants.
-#[derive(Debug)]
-pub struct WriteCursor<'a> {
-    buf: &'a mut [u8],
-    pos: usize,
-}
-
-impl<'a> WriteCursor<'a> {
-    /// A cursor at the start of `buf`.
-    #[inline]
-    pub fn new(buf: &'a mut [u8]) -> WriteCursor<'a> {
-        WriteCursor { buf, pos: 0 }
-    }
-
-    /// Bytes left to write.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// The current write offset from the start of the buffer.
-    #[inline]
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Writes one byte.
-    #[inline]
-    pub fn write_u8(&mut self, v: u8) {
-        self.buf[self.pos] = v;
-        self.pos += 1;
-    }
-
-    /// Writes a big-endian `u16`.
-    #[inline]
-    pub fn write_u16(&mut self, v: u16) {
-        self.write_array(v.to_be_bytes());
-    }
-
-    /// Writes a big-endian `u32`.
-    #[inline]
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_array(v.to_be_bytes());
-    }
-
-    /// Writes a big-endian `u128`.
-    #[inline]
-    pub fn write_u128(&mut self, v: u128) {
-        self.write_array(v.to_be_bytes());
-    }
-
-    /// Writes a slice.
-    #[inline]
-    pub fn write_slice(&mut self, s: &[u8]) {
-        self.buf[self.pos..self.pos + s.len()].copy_from_slice(s);
-        self.pos += s.len();
-    }
-
-    #[inline]
-    fn write_array<const N: usize>(&mut self, a: [u8; N]) {
-        self.buf[self.pos..self.pos + N].copy_from_slice(&a);
-        self.pos += N;
-    }
 }
 
 /// How a [`PduError`] relates to the life of the session. See the module
@@ -483,13 +334,8 @@ impl PduRef<'_> {
             PduRef::SerialQuery { .. } => 1,
             PduRef::ResetQuery => 2,
             PduRef::CacheResponse { .. } => 3,
-            PduRef::Prefix { vrp, .. } => {
-                if vrp.prefix.is_v4() {
-                    4
-                } else {
-                    6
-                }
-            }
+            PduRef::Prefix { vrp, .. } if vrp.prefix.is_v4() => 4,
+            PduRef::Prefix { .. } => 6,
             PduRef::EndOfData { .. } => 7,
             PduRef::CacheReset => 8,
             PduRef::ErrorReport { .. } => 10,
@@ -528,20 +374,10 @@ impl PduRef<'_> {
         match self {
             PduRef::SerialNotify { .. } | PduRef::SerialQuery { .. } => 12,
             PduRef::ResetQuery | PduRef::CacheReset | PduRef::CacheResponse { .. } => 8,
-            PduRef::Prefix { vrp, .. } => {
-                if vrp.prefix.is_v4() {
-                    20
-                } else {
-                    32
-                }
-            }
-            PduRef::EndOfData { .. } => {
-                if version == PROTOCOL_V0 {
-                    12
-                } else {
-                    24
-                }
-            }
+            PduRef::Prefix { vrp, .. } if vrp.prefix.is_v4() => 20,
+            PduRef::Prefix { .. } => 32,
+            PduRef::EndOfData { .. } if version == PROTOCOL_V0 => 12,
+            PduRef::EndOfData { .. } => 24,
             PduRef::ErrorReport { pdu, text, .. } => HEADER_LEN + 4 + pdu.len() + 4 + text.len(),
         }
     }
@@ -861,28 +697,6 @@ impl Negotiation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cursors_read_and_write_symmetrically() {
-        let mut buf = [0u8; 27];
-        let mut w = WriteCursor::new(&mut buf);
-        w.write_u8(7);
-        w.write_u16(0xBEEF);
-        w.write_u32(0xDEAD_BEEF);
-        w.write_u128(0x0102_0304_0506_0708_090A_0B0C_0D0E_0F10);
-        w.write_slice(&[1, 2, 3, 4]);
-        assert_eq!(w.remaining(), 0);
-        assert_eq!(w.pos(), 27);
-
-        let mut r = ReadCursor::new(&buf);
-        assert_eq!(r.read_u8(), 7);
-        assert_eq!(r.read_u16(), 0xBEEF);
-        assert_eq!(r.read_u32(), 0xDEAD_BEEF);
-        assert_eq!(r.read_u128(), 0x0102_0304_0506_0708_090A_0B0C_0D0E_0F10);
-        assert_eq!(r.read_slice(4), &[1, 2, 3, 4]);
-        assert!(r.is_empty());
-        assert_eq!(r.pos(), 27);
-    }
 
     #[test]
     fn error_report_payloads_are_borrowed() {

@@ -4,12 +4,13 @@
 //! points ([`rpki_rtr::decode_frame`], [`PduRef::encode_into`],
 //! [`CacheServer::handle_wire`]):
 //!
-//! 1. **Mutation fuzz** — valid frames put through truncation,
-//!    length-field lies, version/type/flag/AFI garbage, and random byte
-//!    flips. The decoder must never panic, must classify every rejection
-//!    into the [`PduError`] taxonomy, and anything it *accepts* must
-//!    re-encode bit-identically (the canonical-decode invariant, which
-//!    rules out misparses).
+//! 1. **Mutation fuzz** — valid frames put through the workspace's one
+//!    mutation harness (`testkit`: truncation, length-field lies, byte
+//!    flips, splices) and through version/type/flag garbage. The decoder
+//!    must never panic, must not allocate by an unchecked length, must
+//!    classify every rejection into the [`PduError`] taxonomy, and
+//!    anything it *accepts* must re-encode bit-identically (the
+//!    canonical-decode invariant, which rules out misparses).
 //! 2. **Round-trip** — every PDU variant, both protocol versions,
 //!    including the 65 536-byte maximum Error Report and multi-byte
 //!    UTF-8 diagnostic text: `decode(encode(p)) == p` and
@@ -28,6 +29,15 @@ use rpki_roa::{Asn, Vrp};
 use rpki_rtr::cache::{CacheServer, WireOutcome};
 use rpki_rtr::pdu::{ErrorCode, Flags, Pdu, Timing, PROTOCOL_V0, PROTOCOL_V1};
 use rpki_rtr::wire::{self, ErrorClass, PduError, PduRef, HEADER_LEN, MAX_PDU_LEN};
+use testkit::{CountingAlloc, Op};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+#[path = "support/codecs.rs"]
+mod codecs;
+
+use codecs::{frame_lengths, Frame, HEADER_LENGTH};
 
 // ---------------------------------------------------------------------
 // Generators
@@ -165,21 +175,6 @@ fn normalize(pdu: &Pdu, version: u8) -> Pdu {
     }
 }
 
-/// Asserts the canonical-decode invariant on an accepted frame: the
-/// decoded PDU re-encodes to exactly the bytes that were accepted.
-fn assert_canonical(data: &[u8]) {
-    if let Ok(Some(frame)) = wire::decode_frame(data) {
-        let mut out = Vec::new();
-        frame.pdu.encode_into(frame.version, &mut out);
-        assert_eq!(
-            out,
-            &data[..frame.len],
-            "accepted frame must re-encode bit-identically: input {:02x?}",
-            &data[..frame.len]
-        );
-    }
-}
-
 // ---------------------------------------------------------------------
 // Deterministic edges
 // ---------------------------------------------------------------------
@@ -202,7 +197,7 @@ fn max_length_error_report_round_trips() {
         let frame = wire::decode_frame(&bytes).unwrap().unwrap();
         assert_eq!((frame.len, frame.version), (bytes.len(), version));
         assert_eq!(frame.pdu.to_owned(), pdu);
-        assert_canonical(&bytes);
+        testkit::verify(&Frame, &bytes);
     }
 }
 
@@ -265,42 +260,49 @@ proptest! {
         prop_assert_eq!(frame.len, bytes.len());
         prop_assert_eq!(frame.version, version);
         prop_assert_eq!(frame.pdu.to_owned(), normalize(&pdu, version));
-        assert_canonical(&bytes);
+        testkit::verify(&Frame, &bytes);
     }
 
     /// `encode(decode(bytes)) == bytes` on arbitrary input: whatever the
     /// strict decoder accepts, it accepts canonically.
     #[test]
     fn arbitrary_accepted_bytes_are_canonical(data in prop::collection::vec(any::<u8>(), 0..128)) {
-        assert_canonical(&data);
+        testkit::verify(&Frame, &data);
     }
 
-    /// Truncating a valid frame anywhere short of its end is always
-    /// "incomplete", never an error and never a different PDU.
+    /// Every harness mutant of a valid frame meets the decoder contract.
     #[test]
-    fn truncation_is_incomplete(pdu in arb_pdu(), version in arb_version(), cut_frac in 0.0f64..1.0) {
+    fn mutants_meet_the_contract(pdu in arb_pdu(), version in arb_version(), noise in any::<u64>()) {
         let bytes = encode(&pdu, version);
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        if cut < bytes.len() {
-            prop_assert_eq!(wire::decode_frame(&bytes[..cut]).unwrap().map(|_| ()), None);
-        }
+        testkit::check(&Frame, &bytes, &frame_lengths(&bytes), noise);
     }
 
-    /// Lying in the length field must never panic and never smuggle a
-    /// misparse past the canonical-decode check.
+    /// The framer's verdicts on those mutants: a cut short of the end is
+    /// always "incomplete", never an error and never a different PDU; a
+    /// header length lie waits for more bytes only when it claims more
+    /// than was buffered and no more than the frame cap, and is
+    /// otherwise fatal.
     #[test]
-    fn length_field_lies_are_classified(pdu in arb_pdu(), version in arb_version(), lie in any::<u32>()) {
-        let mut bytes = encode(&pdu, version);
-        bytes[4..8].copy_from_slice(&lie.to_be_bytes());
-        match wire::decode_frame(&bytes) {
-            Ok(None) => {
-                // Plausible-but-larger length: must actually be larger
-                // than what we buffered, and within the frame cap.
-                prop_assert!((lie as usize) > bytes.len() && (lie as usize) <= MAX_PDU_LEN);
+    fn mutants_are_classified(pdu in arb_pdu(), version in arb_version(), noise in any::<u64>()) {
+        let bytes = encode(&pdu, version);
+        testkit::for_each_mutant(&bytes, &frame_lengths(&bytes), noise, |op, m| {
+            let verdict = wire::decode_frame(m);
+            match op {
+                Op::Truncate => assert_eq!(verdict.map(|f| f.map(|_| ())), Ok(None), "{m:02x?}"),
+                Op::LengthLie if m[..8] != bytes[..8] => {
+                    let lie = u32::from_be_bytes(m[HEADER_LENGTH.at..][..4].try_into().unwrap());
+                    match verdict {
+                        Ok(None) => assert!(
+                            (lie as usize) > m.len() && (lie as usize) <= MAX_PDU_LEN,
+                            "{lie} {m:02x?}"
+                        ),
+                        Ok(Some(_)) => {}
+                        Err(e) => assert_eq!(e.class(), ErrorClass::Fatal, "{m:02x?}"),
+                    }
+                }
+                _ => {}
             }
-            Ok(Some(_)) => assert_canonical(&bytes),
-            Err(e) => prop_assert_eq!(e.class(), ErrorClass::Fatal),
-        }
+        });
     }
 
     /// Garbage in the version byte: only 0 and 1 exist; anything above
@@ -325,7 +327,7 @@ proptest! {
         let mut bytes = encode(&pdu, version);
         bytes[1] = garbage;
         match wire::decode_frame(&bytes) {
-            Ok(Some(_)) => assert_canonical(&bytes),
+            Ok(Some(_)) => assert!(testkit::verify(&Frame, &bytes)),
             Ok(None) => {}
             Err(e) => {
                 prop_assert_eq!(e.class(), ErrorClass::Fatal);
@@ -352,31 +354,6 @@ proptest! {
             wire::decode_frame(&bytes),
             Err(PduError::NonZeroReserved { type_code, offset: 11 })
         );
-    }
-
-    /// Arbitrary byte flips anywhere in a valid frame: never a panic,
-    /// never a non-canonical accept, always a classified error.
-    #[test]
-    fn random_byte_flips_never_panic(
-        pdu in arb_pdu(),
-        version in arb_version(),
-        flips in prop::collection::vec((any::<u16>(), any::<u8>()), 1..8),
-    ) {
-        let mut bytes = encode(&pdu, version);
-        let n = bytes.len();
-        for (pos, val) in flips {
-            bytes[pos as usize % n] = val;
-        }
-        match wire::decode_frame(&bytes) {
-            Ok(Some(_)) => assert_canonical(&bytes),
-            Ok(None) => {}
-            Err(e) => {
-                // Every rejection is a member of the taxonomy with a
-                // reportable RFC code and a definite class.
-                let _ = e.error_code();
-                let _ = e.class();
-            }
-        }
     }
 
     /// The server's wire loop agrees with the decoder on arbitrary
@@ -411,38 +388,37 @@ proptest! {
         }
     }
 
-    /// Mutated *valid* traffic through the server: a fatal error tears
-    /// the session down; everything accepted keeps it open.
+    /// Mutated *valid* traffic through the server (every harness mutant
+    /// of a frame): a fatal error tears the session down; everything
+    /// accepted keeps it open.
     #[test]
     fn handle_wire_teardown_iff_fatal_or_mismatch(
         pdu in arb_pdu(),
         version in arb_version(),
-        flips in prop::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+        noise in any::<u64>(),
     ) {
-        let mut bytes = encode(&pdu, version);
-        let n = bytes.len();
-        for (pos, val) in flips {
-            bytes[pos as usize % n] = val;
-        }
+        let frame = encode(&pdu, version);
         let cache = CacheServer::new(9, &[]);
-        let mut negotiation = cache.negotiation();
-        let mut out = Vec::new();
-        match cache.handle_wire(&bytes, &mut negotiation, &mut out) {
-            WireOutcome::Teardown { error, .. } => {
-                // Teardown exactly when the decoder rejects (the v1 cache
-                // accepts both versions, so negotiation can't fail here
-                // on a first frame).
-                prop_assert_eq!(wire::decode_frame(&bytes), Err(error));
+        testkit::for_each_mutant(&frame, &frame_lengths(&frame), noise, |_, bytes| {
+            let mut negotiation = cache.negotiation();
+            let mut out = Vec::new();
+            match cache.handle_wire(bytes, &mut negotiation, &mut out) {
+                WireOutcome::Teardown { error, .. } => {
+                    // Teardown exactly when the decoder rejects (the v1
+                    // cache accepts both versions, so negotiation can't
+                    // fail here on a first frame).
+                    assert_eq!(wire::decode_frame(bytes), Err(error));
+                }
+                WireOutcome::Responded { consumed } => {
+                    let frame = wire::decode_frame(bytes).unwrap().unwrap();
+                    assert_eq!(consumed, frame.len);
+                    assert_eq!(negotiation.version(), Some(frame.version));
+                }
+                WireOutcome::NeedBytes => {
+                    assert_eq!(wire::decode_frame(bytes).unwrap().map(|_| ()), None);
+                }
             }
-            WireOutcome::Responded { consumed } => {
-                let frame = wire::decode_frame(&bytes).unwrap().unwrap();
-                prop_assert_eq!(consumed, frame.len);
-                prop_assert_eq!(negotiation.version(), Some(frame.version));
-            }
-            WireOutcome::NeedBytes => {
-                prop_assert_eq!(wire::decode_frame(&bytes).unwrap().map(|_| ()), None);
-            }
-        }
+        });
     }
 
     /// Version pinning under fuzz: once a session speaks `version`, a
