@@ -54,6 +54,8 @@
 //! handed to a second implementation.
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 use rpki_prefix::Prefix;
 use rpki_roa::{Asn, RouteOrigin};
@@ -612,6 +614,36 @@ impl<'t> PropagationEngine<'t> {
         }
     }
 
+    /// The path length of AS `at`'s route when `origin` originates a
+    /// prefix ([`Seed::origin`]) no AS filters, as [`Self::propagate`]
+    /// settles it (claiming `origin`'s ASN), found without propagating
+    /// by restating the three phases for one AS:
+    ///
+    /// 1. a breadth-first search up `origin`'s providers gives its
+    ///    up-closure `U` and each member's depth;
+    /// 2. an AS outside `U` with a peer in `U` takes the smallest such
+    ///    depth + 1;
+    /// 3. any other AS takes the minimum, over an upward search from it
+    ///    that stops at the ASes of steps 1–2, of that AS's length plus
+    ///    the hops climbed.
+    ///
+    /// `None` if `at` gets no route, which [`Topology`]'s hierarchy
+    /// invariant rules out.
+    pub fn unfiltered_path_len(&self, origin: usize, at: usize) -> Option<u32> {
+        let t = self.topology;
+        let up = climb(t, origin, |_| false);
+        let early = |a: usize| {
+            let peers = t.peers(a).iter().filter_map(|&b| up.get(&(b as usize)));
+            up.get(&a)
+                .copied()
+                .or_else(|| peers.min().map(|depth| depth + 1))
+        };
+        climb(t, at, |a| early(a).is_some())
+            .into_iter()
+            .filter_map(|(a, hops)| Some(early(a)? + hops))
+            .min()
+    }
+
     /// Runs the three phases into `ws`: the result lives in its bitsets
     /// and route array.
     fn run<F>(&self, seeds: &[Seed], accept: &F, ws: &mut Workspace)
@@ -739,6 +771,26 @@ impl<'t> PropagationEngine<'t> {
             }
         }
     }
+}
+
+/// Every AS reachable from `start` over customer→provider edges, with
+/// its hop count (breadth first), not climbing past an AS `stop` takes.
+fn climb(t: &Topology, start: usize, stop: impl Fn(usize) -> bool) -> HashMap<usize, u32> {
+    let mut hops = HashMap::from([(start, 0)]);
+    let mut queue = VecDeque::from([start]);
+    while let Some(a) = queue.pop_front() {
+        if stop(a) {
+            continue;
+        }
+        let next = hops[&a] + 1;
+        for &p in t.providers(a) {
+            if let Entry::Vacant(slot) = hops.entry(p as usize) {
+                slot.insert(next);
+                queue.push_back(p as usize);
+            }
+        }
+    }
+    hops
 }
 
 #[cfg(test)]

@@ -56,26 +56,29 @@
 //!   one pass over the threshold stream
 //!   ([`DeploymentModel::uniform_thresholds`]), which is bit-identical
 //!   to replaying `policies()` per level.
-//! * **Baselines** (the victim-only propagation a strategy may observe)
-//!   are computed on first use, at most once per trial group, and
-//!   shared by every strategy, deployment **and ROA configuration** in
-//!   it: the victim's own origin is Valid or NotFound under every
-//!   [`RoaConfig`], so its filter accepts at every AS and the
-//!   propagation is a function of `(topology, victim)` alone. (A group
-//!   asserts this per ROA rather than fall back to a baseline per
-//!   deployment.) [`ExecStats::baselines`] counts the ones actually run.
-//! * **Transparent stagings** run the engine once per trial group. A
-//!   staging whose attack filter is transparent (no claimed origin
-//!   Invalid) accepts at every AS under every deployment and every VRP
-//!   set, so once the group fixes topology, victim, attacker and
-//!   baseline, its outcome depends only on how its prefix compares with
+//! * **The victim-only world is answered from structure.** The victim's
+//!   own origin is Valid or NotFound under every [`RoaConfig`] (a group
+//!   asserts this per ROA), so by [`Topology`]'s hierarchy invariant its
+//!   announcement reaches every AS. A more-specific staging counts every
+//!   AS its table misses as legitimate, one whose attack filter is
+//!   transparent too wins every AS with no engine run, and a route leak
+//!   plans from [`crate::PropagationEngine::unfiltered_path_len`]. The
+//!   victim-only propagation itself (the **baseline**) is run only for a
+//!   strategy that reads it or a less-specific announcement, at most
+//!   once per trial group; [`ExecStats::baselines`] counts those runs.
+//! * **Transparent stagings** run the engine at most once per trial
+//!   group. A staging whose attack filter is transparent (no claimed
+//!   origin Invalid) accepts at every AS under every deployment and
+//!   every VRP set, so once the group fixes topology, victim and
+//!   attacker, its outcome depends only on how its prefix compares with
 //!   the victim's and, head to head, on the attacker's path length and
 //!   claimed origin. Most of the paper's grid is such stagings: the
 //!   forged-origin attacks claim the victim's own origin. Later
-//!   stagings with the same key, under another ROA or another strategy,
-//!   reuse the first one's outcome; [`ExecStats::shared`] counts them.
-//!   They still count as `executed`, and, recording no footprint,
-//!   replay across deployments as before.
+//!   head-to-head or less-specific stagings with the same key, under
+//!   another ROA or another strategy, reuse the first one's outcome;
+//!   [`ExecStats::shared`] counts them and the structural answers. They
+//!   still count as `executed`, and, recording no footprint, replay
+//!   across deployments as before.
 //! * **Speculative cross-cell execution (Block-STM style).** Per trial
 //!   group and ROA, each strategy is propagated **once**, against the
 //!   first deployment on the axis, while the engine records its *filter
@@ -510,15 +513,17 @@ pub struct ExecStats {
     /// Footprint validations that failed — cells whose filter decisions
     /// genuinely diverged and were re-propagated.
     pub cells_repropagated: usize,
-    /// Victim-only baseline propagations computed, on top of
-    /// `executed`: one per `(topology, trial)` in which some strategy
-    /// observed the baseline.
+    /// Victim-only baseline propagations actually run, on top of
+    /// `executed`: one per `(topology, trial)` in which some staging
+    /// read the baseline — a custom strategy, or a less-specific
+    /// announcement. 0 for the standard strategies.
     pub baselines: usize,
-    /// Executed stagings whose attack filter was transparent and whose
-    /// outcome an earlier staging of the same trial group had already
-    /// computed: they reuse it instead of running the engine. Engine
-    /// runs per pass are `executed + baselines − shared` (less any
-    /// staging that announced nothing toward its target).
+    /// Executed stagings answered without an engine run: from their
+    /// trial group's memo of transparent outcomes, or from the
+    /// topology's structure (a transparent more-specific announcement
+    /// wins every AS). Engine runs per pass are `executed + baselines −
+    /// shared` (less any staging that announced nothing toward its
+    /// target).
     pub shared: usize,
 }
 
@@ -898,14 +903,14 @@ impl PlanSession<'_, '_> {
     /// validate the footprint against that deployment's adopter bitset
     /// ([`FilterFootprint::validates`]) and replay on success; only cells
     /// whose recorded decisions genuinely diverge re-propagate. Every
-    /// staging shares the group's [`TrialGroup`]: one baseline, and one
-    /// engine run per distinct transparent staging.
+    /// staging shares the group's [`TrialGroup`]: at most one baseline,
+    /// and at most one engine run per distinct transparent staging.
     ///
     /// # Panics
     ///
     /// Panics if a ROA configuration makes the victim's own announcement
     /// Invalid: the group's one baseline would then depend on the
-    /// deployment.
+    /// deployment, and the structural answers would not hold.
     fn run_group(
         &self,
         g: usize,
@@ -967,7 +972,7 @@ impl PlanSession<'_, '_> {
 }
 
 /// The differential reference for the executor: per cell, per trial, a
-/// fresh [`run_strategy`] staging with its own baseline and no
+/// fresh [`run_strategy`] staging with its own trial group and no
 /// cross-deployment cache, collected into a `Vec<AttackOutcome>` per
 /// cell. The executor must match a fold of this output bit-for-bit —
 /// asserted by the `exec_props` and `spec_props` differential suites.
@@ -977,8 +982,10 @@ impl PlanSession<'_, '_> {
 /// [`crate::PropagationEngine::max_seed_len`].)
 ///
 /// Not a production path: it costs O(trials) memory per cell and
-/// re-propagates every baseline and every deployment-independent
-/// outcome.
+/// re-propagates every baseline a staging reads and every
+/// deployment-independent outcome. It shares the stagings' structural
+/// answers; `tests/structure_props.rs` holds those to the two
+/// propagations they replace.
 pub fn run_plan_collected(plan: &TrialPlan<'_>) -> Vec<Vec<AttackOutcome>> {
     plan.validate();
     let policies: Vec<Vec<CompiledPolicies>> = plan

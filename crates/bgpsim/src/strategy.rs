@@ -63,8 +63,7 @@ pub struct StrategyContext<'a> {
     pub vrps: &'a VrpIndex,
     /// The trial group staged in, which holds the victim-only
     /// propagation: computed on first use, so strategies that never look
-    /// (same-prefix plans replace it with a head-to-head propagation
-    /// anyway) pay nothing.
+    /// pay nothing.
     group: &'a TrialGroup,
     victim_seed: Seed,
     accept_p: &'a OriginFilter<'a>,
@@ -81,16 +80,28 @@ impl StrategyContext<'_> {
         self.topology.asn(self.attacker)
     }
 
-    /// The victim's prefix propagated *without* the attacker — what the
-    /// attacker's router actually learned (route leaks replay it).
-    /// Computed lazily (on the engine path, through the calling thread's
-    /// workspace) and cached for the rest of the trial group.
+    /// The victim's prefix propagated *without* the attacker — what
+    /// every AS learned before the attack. Computed lazily (on the engine
+    /// path, through the calling thread's workspace) and cached for the
+    /// rest of the trial group; no shipped strategy calls it.
     pub fn baseline(&self) -> &Propagation {
         self.group.baseline.get_or_init(|| {
             let accept = |at, origin| self.accept_p.accept(at, origin);
             let engine = PropagationEngine::new(self.topology);
             with_workspace(|ws| engine.propagate(&[self.victim_seed], &accept, ws))
         })
+    }
+
+    /// The length of the route the attacker learned for the victim's
+    /// prefix (claiming the victim's origin), if any: a point query
+    /// ([`PropagationEngine::unfiltered_path_len`]) where no AS filters
+    /// the victim's announcement, else read off [`Self::baseline`].
+    pub fn attacker_learned_len(&self) -> Option<u32> {
+        if self.accept_p.is_transparent() {
+            PropagationEngine::new(self.topology).unfiltered_path_len(self.victim, self.attacker)
+        } else {
+            self.baseline().route(self.attacker).map(|r| r.path_len)
+        }
     }
 }
 
@@ -99,29 +110,35 @@ impl StrategyContext<'_> {
 /// deployments. Calls sharing a group must agree on `(topology, victim,
 /// attacker, victim_prefix)`, and the victim's own origin must be
 /// non-Invalid under each call's VRPs: its filter is then transparent
-/// ([`OriginFilter::is_transparent`]) and the baseline depends on
-/// neither the VRPs nor the deployment.
+/// ([`OriginFilter::is_transparent`]), so by [`Topology`]'s hierarchy
+/// invariant the victim's announcement reaches every AS, and the
+/// baseline depends on neither the VRPs nor the deployment.
 #[derive(Default)]
 pub(crate) struct TrialGroup {
     /// The victim-only propagation, computed on first use.
     pub baseline: OnceCell<Propagation>,
-    /// Outcomes of the stagings whose attack filter was transparent, by
-    /// [`StagingKey`].
+    /// Outcomes of the head-to-head and less-specific stagings whose
+    /// attack filter was transparent, by [`StagingKey`].
     transparent: RefCell<Vec<(StagingKey, AttackOutcome)>>,
-    /// Stagings answered from `transparent` instead of the engine.
+    /// Stagings answered without an engine run: from `transparent`, or
+    /// from the topology's structure.
     pub hits: Cell<usize>,
 }
 
-/// Everything a transparent staging's outcome depends on once its group
-/// fixes topology, victim, attacker and baseline: how its prefix
-/// compares with the victim's, and, head to head only, the attacker's
-/// seed. Alone, an accept-all propagation from the attacker reaches the
-/// same ASes, every one delivering to the attacker, whatever the seed's
-/// path length and claimed origin — so the tally over that table and
-/// the baseline does not depend on them.
-type StagingKey = (std::cmp::Ordering, Option<(u32, Asn)>);
+/// Everything a transparent head-to-head or less-specific staging's
+/// outcome depends on once its group fixes topology, victim and
+/// attacker: head to head, the attacker's seed; alone (`None`), nothing,
+/// since an accept-all propagation from the attacker reaches the same
+/// ASes, every one delivering to the attacker, whatever its seed.
+type StagingKey = Option<(u32, Asn)>;
 
 impl TrialGroup {
+    /// Counts a staging answered without an engine run.
+    fn answered(&self, outcome: AttackOutcome) -> AttackOutcome {
+        self.hits.set(self.hits.get() + 1);
+        outcome
+    }
+
     /// `run()`'s outcome — or, for a transparent staging (`key` is set),
     /// the stored outcome of an earlier one with the same key.
     fn staged(
@@ -131,8 +148,7 @@ impl TrialGroup {
     ) -> AttackOutcome {
         let Some(key) = key else { return run() };
         if let Some(&(_, hit)) = self.transparent.borrow().iter().find(|(k, _)| *k == key) {
-            self.hits.set(self.hits.get() + 1);
-            return hit;
+            return self.answered(hit);
         }
         let outcome = run();
         self.transparent.borrow_mut().push((key, outcome));
@@ -237,12 +253,11 @@ impl AttackerStrategy for RouteLeak {
     fn plan(&self, ctx: &StrategyContext<'_>) -> AttackPlan {
         AttackPlan {
             announcement: ctx
-                .baseline()
-                .route(ctx.attacker)
-                .map(|learned| AttackAnnouncement {
+                .attacker_learned_len()
+                .map(|path_len| AttackAnnouncement {
                     prefix: ctx.victim_prefix,
-                    claimed_origin: learned.claimed_origin,
-                    path_len: learned.path_len,
+                    claimed_origin: ctx.victim_asn(),
+                    path_len,
                 }),
             target: ctx.sub_prefix,
         }
@@ -396,16 +411,20 @@ pub fn run_strategy(strategy: &dyn AttackerStrategy, setup: &AttackSetup<'_>) ->
 ///
 /// * `group` — what the calls may share (see [`TrialGroup`] for what they
 ///   must agree on): the first strategy to look computes the victim-only
-///   baseline and the rest reuse it, and a staging whose attack filter
-///   is transparent returns the stored outcome of an earlier one with
-///   its [`StagingKey`]. A transparent filter accepts at every AS under
-///   every deployment and VRP set, so that outcome is the one this
-///   staging would compute.
+///   baseline and the rest reuse it, and a head-to-head or less-specific
+///   staging whose attack filter is transparent returns the stored
+///   outcome of an earlier one with its [`StagingKey`]. A transparent
+///   filter accepts at every AS under every deployment and VRP set, so
+///   that outcome is the one this staging would compute.
 /// * `footprint` — when supplied, every adopter-bitset consultation of
 ///   the attack staging is mirrored into it — the execute half of the
 ///   executor's Block-STM-style execute-then-validate scheme
 ///   ([`crate::exec`] module docs). The outcome is bit-identical with
 ///   and without recording.
+///
+/// A more-specific staging where no AS filters the victim reads no
+/// baseline: every AS the attacker's table misses is legitimate, and a
+/// transparent attacker wins all `n − 2` with no engine run.
 pub(crate) fn run_strategy_speculative(
     strategy: &dyn AttackerStrategy,
     setup: &AttackSetup<'_>,
@@ -429,9 +448,9 @@ pub(crate) fn run_strategy_speculative(
     let accept_p = OriginFilter::new(setup.vrps, setup.victim_prefix, &[victim_asn], compiled);
 
     // The pre-attack world is offered to the strategy lazily: only
-    // strategies that observe it (and plans for another prefix, which
-    // stack it under or over the attacker's table) pay for the extra
-    // propagation.
+    // strategies that observe it, less-specific plans (which stack the
+    // attacker's table under it) and a victim some AS filters pay for
+    // the extra propagation.
     let ctx = StrategyContext {
         topology: t,
         victim,
@@ -463,7 +482,7 @@ pub(crate) fn run_strategy_speculative(
     // untouched baseline. Traffic for the target then follows each AS's
     // longest matching prefix ([`AttackOutcome::tally`]).
     let head_to_head = ann.prefix == setup.victim_prefix;
-    let baseline = (!head_to_head).then(|| ctx.baseline());
+    let more_specific = ann.prefix.len() > setup.victim_prefix.len();
     let attacker_seed = Seed {
         at: attacker,
         path_len: ann.path_len,
@@ -475,26 +494,44 @@ pub(crate) fn run_strategy_speculative(
     let origins = &[victim_asn, ann.claimed_origin][alone..];
     let filter = OriginFilter::new(setup.vrps, ann.prefix, origins, compiled);
     let accept = recording(&filter, footprint);
-    let specificity = ann.prefix.len().cmp(&setup.victim_prefix.len());
-    // A seed the engine refuses is never answered from the memo.
-    let shareable = filter.is_transparent() && ann.path_len <= engine.max_seed_len();
-    let key = shareable.then_some((
-        specificity,
-        head_to_head.then_some((ann.path_len, ann.claimed_origin)),
-    ));
-    group.staged(key, || {
-        if specificity.is_ge() {
-            // The attacker's table is the most specific one: tallied
-            // straight off the workspace, the baseline under it.
-            with_workspace(|ws| {
-                engine.propagate_outcome(seeds, &accept, ws, baseline, attacker, victim)
-            })
-        } else {
-            // A *less*-specific announcement: the victim's own table stays
-            // primary (rare — only custom strategies announce super-prefixes).
-            let attacked = with_workspace(|ws| engine.propagate(seeds, &accept, ws));
-            AttackOutcome::tally(&[ctx.baseline(), &attacked], attacker, victim)
+    // A seed the engine refuses is never answered without it.
+    let seedable = ann.path_len <= engine.max_seed_len();
+    if more_specific && accept_p.is_transparent() {
+        // No AS filters the victim, so its announcement reaches every AS
+        // (`Topology`'s hierarchy invariant): each one the attacker's
+        // table misses routes legitimately.
+        if filter.is_transparent() && seedable {
+            // Nor the attacker's: it wins every AS.
+            return group.answered(AttackOutcome {
+                intercepted: t.len() - 2,
+                legitimate: 0,
+                disconnected: 0,
+            });
         }
+        let mut outcome = with_workspace(|ws| {
+            engine.propagate_outcome(seeds, &accept, ws, None, attacker, victim)
+        });
+        outcome.legitimate += std::mem::take(&mut outcome.disconnected);
+        return outcome;
+    }
+    let key = (filter.is_transparent() && seedable && !more_specific)
+        .then_some(head_to_head.then_some((ann.path_len, ann.claimed_origin)));
+    group.staged(key, || {
+        if head_to_head {
+            // Tallied straight off the workspace.
+            return with_workspace(|ws| {
+                engine.propagate_outcome(seeds, &accept, ws, None, attacker, victim)
+            });
+        }
+        // Alone, next to the baseline (rare: a less-specific announcement,
+        // or a filtered victim), the more specific table first.
+        let attacked = with_workspace(|ws| engine.propagate(seeds, &accept, ws));
+        let tables = if more_specific {
+            [&attacked, ctx.baseline()]
+        } else {
+            [ctx.baseline(), &attacked]
+        };
+        AttackOutcome::tally(&tables, attacker, victim)
     })
 }
 
@@ -628,6 +665,22 @@ mod tests {
         assert_eq!(outcome.legitimate, 0);
         // Zero routed trials must report 0.0, not NaN (regression).
         assert_eq!(outcome.interception_fraction(), 0.0);
+        // A leak that announced anyway would tally the same (0, 0): the
+        // Invalid announcement is dropped everywhere. The plan itself
+        // must be empty.
+        let victim_asn = t.asn(victim);
+        let ctx = StrategyContext {
+            topology: &t,
+            victim,
+            attacker,
+            victim_prefix: p,
+            sub_prefix: q,
+            vrps: &wrong_origin,
+            group: &TrialGroup::default(),
+            victim_seed: Seed::origin(victim, victim_asn),
+            accept_p: &OriginFilter::new(&wrong_origin, p, &[victim_asn], &policies),
+        };
+        assert_eq!(RouteLeak.plan(&ctx).announcement, None);
     }
 
     /// Announces the parent of the victim's prefix under its own origin.

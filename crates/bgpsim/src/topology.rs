@@ -135,6 +135,16 @@ impl Default for InternetConfig {
 ///
 /// ASes are dense indices `0..n`; [`Topology::asn`] maps to the public
 /// [`Asn`] numbering (index + 1).
+///
+/// # Hierarchy invariant
+///
+/// Both generators build it and construction asserts it, in O(V + E):
+/// the provider-less ASes are exactly the pairwise-peered tier-1 clique
+/// `0..tier1()`, and every other AS has a provider with a smaller index.
+/// So an announcement no AS filters reaches every AS: up to the clique,
+/// across it, and down every customer chain. The trial executor relies
+/// on this to answer stagings without propagating
+/// ([`crate::PropagationEngine::unfiltered_path_len`]).
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// Flat neighbor ids: `[customers | peers | providers]` per AS, each
@@ -359,7 +369,8 @@ impl Topology {
     }
 
     /// Flattens per-AS neighbor lists into the sorted, partitioned CSR
-    /// arrays and precomputes the stub set.
+    /// arrays, precomputes the stub set and asserts the hierarchy
+    /// invariant (see [`Topology`]).
     fn from_lists(lists: Vec<Vec<(usize, Relationship)>>, tier1: usize) -> Topology {
         let n = lists.len();
         let total: usize = lists.iter().map(Vec::len).sum();
@@ -398,14 +409,27 @@ impl Topology {
         let stubs = (tier1..n)
             .filter(|&a| peer_start[a] == offsets[a]) // no customers
             .collect();
-        Topology {
+        let topology = Topology {
             adj,
             offsets,
             peer_start,
             provider_start,
             stubs,
             tier1,
+        };
+        for a in 0..n {
+            let providers = topology.providers(a);
+            // Sorted peers: a tier-1's clique mates come first.
+            let clique = (0..tier1 as u32).filter(|&b| b as usize != a);
+            let holds = if a < tier1 {
+                let peers = topology.peers(a).iter().take(tier1 - 1).copied();
+                providers.is_empty() && peers.eq(clique)
+            } else {
+                providers.first().is_some_and(|&p| (p as usize) < a)
+            };
+            assert!(holds, "AS {a} breaks the hierarchy invariant");
         }
+        topology
     }
 
     /// Number of ASes.
@@ -590,12 +614,84 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_as_has_an_upstream_or_is_tier1() {
-        let t = small();
-        for a in t.tier1()..t.len() {
-            assert!(!t.providers(a).is_empty(), "AS {a} has no provider");
+    /// The hierarchy invariant, restated pair by pair.
+    fn assert_hierarchy(t: &Topology) {
+        let roots: Vec<usize> = (0..t.len())
+            .filter(|&a| t.providers(a).is_empty())
+            .collect();
+        assert_eq!(roots, (0..t.tier1()).collect::<Vec<_>>());
+        for a in 0..t.tier1() {
+            for b in (a + 1)..t.tier1() {
+                assert_eq!(t.relationship(a, b), Some(Relationship::Peer));
+            }
         }
+        for a in t.tier1()..t.len() {
+            assert!(t.providers(a).iter().any(|&p| (p as usize) < a), "AS {a}");
+        }
+    }
+
+    #[test]
+    fn both_generators_build_the_hierarchy_invariant() {
+        for seed in 0..12 {
+            for (n, tier1) in [(2, 1), (4, 3), (30, 1), (30, 2), (200, 3), (200, 8)] {
+                for max_providers in [1, 3] {
+                    for peer_prob in [0.0, 1.0] {
+                        assert_hierarchy(&Topology::generate(TopologyConfig {
+                            n,
+                            tier1,
+                            max_providers,
+                            peer_prob,
+                            seed,
+                        }));
+                    }
+                    for peer_links_per_as in [0.0, 6.0] {
+                        assert_hierarchy(&Topology::generate_internet(InternetConfig {
+                            n,
+                            tier1,
+                            transit_frac: 0.3,
+                            max_providers,
+                            peer_links_per_as,
+                            seed,
+                        }));
+                    }
+                }
+            }
+        }
+    }
+
+    /// AS 0 alone, and AS 1 above AS 2.
+    fn split() -> Vec<Vec<(usize, Relationship)>> {
+        use Relationship::{Customer, Provider};
+        vec![vec![], vec![(2, Customer)], vec![(1, Provider)]]
+    }
+
+    #[test]
+    fn construction_accepts_the_hierarchy() {
+        use Relationship::Peer;
+        let mut peered = split();
+        peered[0].push((1, Peer));
+        peered[1].push((0, Peer));
+        assert_hierarchy(&Topology::from_lists(peered, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "AS 1 breaks the hierarchy invariant")]
+    fn construction_rejects_a_provider_less_non_tier1() {
+        Topology::from_lists(split(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "AS 0 breaks the hierarchy invariant")]
+    fn construction_rejects_an_unpeered_clique() {
+        Topology::from_lists(split(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "AS 1 breaks the hierarchy invariant")]
+    fn construction_rejects_a_provider_above() {
+        use Relationship::{Customer, Provider};
+        let lists = vec![vec![], vec![(2, Provider)], vec![(1, Customer)]];
+        Topology::from_lists(lists, 1);
     }
 
     #[test]

@@ -20,12 +20,15 @@
 //! * the **ROA axis inside a trial group**: a group is one `(topology,
 //!   trial)` and shares one victim-only baseline across every ROA
 //!   configuration, so reordering or repeating ROAs moves no cell,
-//!   [`ExecStats::baselines`] counts one propagation per group that
-//!   looked, and every backend reports the same counters;
-//! * the **memo of transparent outcomes**: the strategy menu reaches
-//!   each of its keys (head to head, alone more specific, alone less
-//!   specific), so every property above also holds a reused outcome to
-//!   the collected reference.
+//!   [`ExecStats::baselines`] counts one propagation per group in which
+//!   a strategy read it — never one for the shipped strategies — and
+//!   every backend reports the same counters;
+//! * the **memo of transparent outcomes** and the **structural
+//!   answers**: the strategy menu reaches each memo key (head to head,
+//!   alone less specific) and each more-specific staging the topology's
+//!   structure answers (transparent and filtered), so every property
+//!   above also holds a reused or structural outcome to the collected
+//!   reference.
 
 use proptest::prelude::*;
 
@@ -34,9 +37,9 @@ use bgpsim::experiment::RoaConfig;
 use bgpsim::strategy::{MaxLengthGapProber, PathForgery, RouteLeak};
 use bgpsim::topology::{Topology, TopologyConfig};
 use bgpsim::{
-    Accumulator, AttackKind, AttackerStrategy, CellAccumulator, CellStats, DeploymentModel,
-    DestinationSampler, ExecStats, Executor, InternetConfig, PlanCursor, ScenarioMatrix,
-    TopologyFamily,
+    Accumulator, AttackAnnouncement, AttackKind, AttackPlan, AttackerStrategy, CellAccumulator,
+    CellStats, DeploymentModel, DestinationSampler, ExecStats, Executor, InternetConfig,
+    PlanCursor, ScenarioMatrix, StrategyContext, TopologyFamily,
 };
 
 #[path = "support/executor.rs"]
@@ -46,7 +49,8 @@ use executor::{cases, SuperPrefix};
 /// The strategy menu plans draw from (index-encoded for proptest). It
 /// reaches every key of a trial group's memo of transparent outcomes:
 /// head to head (`prepended(1)` shares the forged-origin prefix hijack's
-/// key), alone and more specific, alone and less specific.
+/// key) and alone less specific; and alone more specific, which the
+/// topology's structure answers.
 fn strategy_at(i: usize) -> Box<dyn AttackerStrategy> {
     match i % MENU {
         0 => Box::new(AttackKind::PrefixHijack),
@@ -56,13 +60,40 @@ fn strategy_at(i: usize) -> Box<dyn AttackerStrategy> {
         4 => Box::new(RouteLeak),
         5 => Box::new(PathForgery::prepended(2)),
         6 => Box::new(PathForgery::prepended(1)),
-        7 => Box::new(SuperPrefix),
+        SUPER_PREFIX => Box::new(SuperPrefix),
         _ => Box::new(MaxLengthGapProber),
     }
 }
 
 /// Strategies on the menu.
 const MENU: usize = 9;
+
+/// The one entry on the menu that is not a shipped strategy.
+const SUPER_PREFIX: usize = 7;
+
+/// A custom route leak: replays the route the attacker holds in the
+/// baseline, which it reads.
+struct BaselineLeak;
+
+impl AttackerStrategy for BaselineLeak {
+    fn label(&self) -> String {
+        "baseline leak".to_string()
+    }
+
+    fn plan(&self, ctx: &StrategyContext<'_>) -> AttackPlan {
+        AttackPlan {
+            announcement: ctx
+                .baseline()
+                .route(ctx.attacker)
+                .map(|learned| AttackAnnouncement {
+                    prefix: ctx.victim_prefix,
+                    claimed_origin: learned.claimed_origin,
+                    path_len: learned.path_len,
+                }),
+            target: ctx.sub_prefix,
+        }
+    }
+}
 
 fn deployment_at(i: usize, p: f64) -> DeploymentModel {
     match i % 3 {
@@ -283,27 +314,41 @@ proptest! {
     }
 
     /// One baseline per `(topology, trial)` — however many ROAs,
-    /// strategies and deployments observe it — and none at all when no
-    /// strategy on the axis looks (same-prefix plans never do).
+    /// strategies and deployments read it — and none at all when no
+    /// strategy on the axis does: the shipped menu never does. The
+    /// custom leak that replays the baseline's route stages exactly as
+    /// `RouteLeak`, which plans from the point query.
     #[test]
     fn baselines_are_one_per_group_and_lazy(shape in arb_shape(), observer in 0usize..2) {
         let topology = topology_for(&shape);
         let mut strategies: Vec<Box<dyn AttackerStrategy>> =
             shape.strategies.iter().map(|&i| strategy_at(i)).collect();
         strategies.push(match observer {
-            0 => Box::new(RouteLeak),
-            _ => Box::new(AttackKind::ForgedOriginSubprefixHijack),
+            0 => Box::new(BaselineLeak),
+            _ => Box::new(SuperPrefix),
         });
+        strategies.push(Box::new(RouteLeak));
         let plan = build_plan(&shape, &topology, &strategies);
-        let (_, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
+        let (cells, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
         prop_assert_eq!(stats.baselines, plan.topologies.len() * plan.trials, "{:?}", shape);
+        if observer == 0 {
+            let (n, d, r) = (strategies.len(), plan.deployments.len(), plan.roas.len());
+            for di in 0..d {
+                for ri in 0..r {
+                    prop_assert_eq!(
+                        &cells[plan.cell_index(0, n - 2, di, ri)],
+                        &cells[plan.cell_index(0, n - 1, di, ri)],
+                        "{:?}",
+                        shape
+                    );
+                }
+            }
+        }
 
-        let blind: Vec<Box<dyn AttackerStrategy>> = vec![
-            Box::new(AttackKind::ForgedOriginPrefixHijack),
-            Box::new(PathForgery::prepended(2)),
-        ];
-        let blind_plan = build_plan(&shape, &topology, &blind);
-        let (_, stats) = Executor::parallel().run_with_stats::<CellAccumulator>(&blind_plan);
+        let shipped: Vec<Box<dyn AttackerStrategy>> =
+            (0..MENU).filter(|&i| i != SUPER_PREFIX).map(strategy_at).collect();
+        let shipped_plan = build_plan(&shape, &topology, &shipped);
+        let (_, stats) = Executor::parallel().run_with_stats::<CellAccumulator>(&shipped_plan);
         prop_assert_eq!(stats.baselines, 0, "{:?}", shape);
     }
 
@@ -384,8 +429,9 @@ fn cursor_decode_refuses_v1_and_v2_lines() {
 /// transparent under every ROA configuration, so each trial group runs
 /// it once and the other two ROAs share that outcome, although their
 /// stagings claim another origin and path length. Next to it, the
-/// forged-origin subprefix hijack — alone and more specific, transparent
-/// without a ROA and under the loose one — must not share its key. Every
+/// forged-origin subprefix hijack — alone and more specific — must not
+/// share its key: transparent without a ROA and under the loose one, it
+/// is answered from structure, and under the minimal ROA it runs. Every
 /// cell still equals the collected reference, which runs each staging
 /// afresh.
 #[test]
@@ -418,23 +464,24 @@ fn super_prefix_runs_once_per_group_and_matches_the_reference() {
             "cell {cell}"
         );
     }
-    // Per group: the hijack's loose-ROA staging reuses its no-ROA one;
-    // the super-prefix runs once for three ROAs.
-    assert_eq!(stats.shared, 3 * plan.trials, "{stats:?}");
+    // Per group: the hijack's no-ROA and loose-ROA stagings need no
+    // engine run; the super-prefix runs once for three ROAs and is the
+    // one staging that reads the baseline.
+    assert_eq!(stats.shared, 4 * plan.trials, "{stats:?}");
     assert_eq!(stats.baselines, plan.trials, "{stats:?}");
 }
 
 /// The counts named for the two benchmark plans at seed 2017, built here
-/// as `benchmark/src/workloads/grid.rs` builds them: 192 and 500 victim-
-/// only baselines (384 and 1,500 were propagated, uncounted, when groups
-/// were per-ROA), 192 and 6,013 stagings served from their group's memo
-/// (engine runs 960 → 768 and 10,262 → 4,249), every older counter where
-/// it was, sequential and parallel alike. Release-scale — an 80,000-AS
-/// topology — so opt-in:
+/// as `benchmark/src/workloads/grid.rs` builds them: no victim-only
+/// baseline (192 and 500 while the shipped strategies read one), 384 and
+/// 6,513 stagings answered without an engine run, from their group's
+/// memo or from the topology's structure (engine runs 384 and 3,249),
+/// every older counter where it was, sequential and parallel alike.
+/// Release-scale — an 80,000-AS topology — so opt-in:
 /// `cargo test --release -p bgpsim --test exec_props -- --ignored`.
 #[test]
 #[ignore = "release-scale: two full benchmark plans, ~20 s optimised"]
-fn benchmark_plans_run_one_baseline_per_topology_and_trial() {
+fn benchmark_plans_pin_their_executor_counters() {
     let seed = 2017;
     let expect = |plan: &TrialPlan<'_>, want: ExecStats| {
         let (seq, seq_stats) = Executor::sequential().run_with_stats::<CellAccumulator>(plan);
@@ -472,8 +519,8 @@ fn benchmark_plans_run_one_baseline_per_topology_and_trial() {
             footprint_checks: 0,
             cells_replayed: 0,
             cells_repropagated: 0,
-            baselines: 192,
-            shared: 192,
+            baselines: 0,
+            shared: 384,
         },
     );
 
@@ -508,8 +555,8 @@ fn benchmark_plans_run_one_baseline_per_topology_and_trial() {
             footprint_checks: 27_000,
             cells_replayed: 26_238,
             cells_repropagated: 762,
-            baselines: 500,
-            shared: 6_013,
+            baselines: 0,
+            shared: 6_513,
         },
     );
 }

@@ -12,11 +12,16 @@
 //!   bounded (no hub swallows the graph) and the stub fraction lands
 //!   where the tier structure puts it;
 //! * **CSR invariants** — sorted segments, no self loops, no duplicate
-//!   edges, symmetric relationships.
+//!   edges, symmetric relationships;
+//! * **the hierarchy invariant** every `Topology` asserts at
+//!   construction, restated: the provider-less ASes are exactly the
+//!   pairwise-peered tier-1 clique, and every other AS has a provider
+//!   with a smaller index — for both generators, degenerate
+//!   configurations included.
 
 use proptest::prelude::*;
 
-use bgpsim::topology::{InternetConfig, Topology};
+use bgpsim::topology::{InternetConfig, Relationship, Topology, TopologyConfig};
 
 /// Random internet-like configurations at proptest-friendly sizes.
 fn arb_config() -> impl Strategy<Value = InternetConfig> {
@@ -40,8 +45,70 @@ fn arb_config() -> impl Strategy<Value = InternetConfig> {
         )
 }
 
+/// Degenerate configurations of both generators: one to three tier-1s,
+/// a single provider per AS, no peering or peering on every draw, a
+/// handful of ASes.
+fn arb_degenerate() -> impl Strategy<Value = (InternetConfig, TopologyConfig)> {
+    (1usize..4, 1usize..40, 0usize..101, 0usize..2, any::<u64>()).prop_map(
+        |(tier1, extra, transit_pct, peering, seed)| {
+            let n = tier1 + extra;
+            (
+                InternetConfig {
+                    n,
+                    tier1,
+                    transit_frac: transit_pct as f64 / 100.0,
+                    max_providers: 1,
+                    peer_links_per_as: [0.0, 6.0][peering],
+                    seed,
+                },
+                TopologyConfig {
+                    n,
+                    tier1,
+                    max_providers: 1,
+                    peer_prob: [0.0, 1.0][peering],
+                    seed,
+                },
+            )
+        },
+    )
+}
+
+/// The hierarchy invariant, checked from the outside.
+fn hierarchy_holds(t: &Topology) -> Result<(), String> {
+    for a in 0..t.len() {
+        let providers = t.providers(a);
+        if a < t.tier1() {
+            if !providers.is_empty() {
+                return Err(format!("tier-1 AS {a} has a provider"));
+            }
+            if let Some(b) =
+                (0..t.tier1()).find(|&b| b != a && t.relationship(a, b) != Some(Relationship::Peer))
+            {
+                return Err(format!("tier-1 ASes {a} and {b} do not peer"));
+            }
+        } else if !providers.iter().any(|&p| (p as usize) < a) {
+            return Err(format!("AS {a} has no provider below it"));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The hierarchy invariant holds on random and degenerate shapes of
+    /// both generators.
+    #[test]
+    fn hierarchy_invariant_holds(config in arb_config(), degenerate in arb_degenerate()) {
+        let (internet, flat) = degenerate;
+        for t in [
+            Topology::generate_internet(config),
+            Topology::generate_internet(internet),
+            Topology::generate(flat),
+        ] {
+            prop_assert_eq!(hierarchy_holds(&t), Ok(()), "{:?}", degenerate);
+        }
+    }
 
     /// Same seed ⇒ byte-identical CSR, including across an interleaved
     /// build of a *different* seed (no hidden global state).

@@ -53,11 +53,11 @@ fn matrix_small_report_matches_golden_fixture() {
 /// and every cell's accumulator, exactly as [`Accumulator::encode`]
 /// writes it (counts, then float bit patterns). The cells and every
 /// counter but `baselines` and `shared` are the values of the executor
-/// whose trial groups were per-ROA; `baselines` is one victim-only
-/// propagation per trial, shared by both ROA configurations — two per
-/// trial ran, uncounted, before. `shared` is one per trial too: the
+/// whose trial groups were per-ROA. `baselines` is 0: neither strategy
+/// reads a victim-only propagation. `shared` is two per trial: the
 /// route leak announces the same valid route under the minimal ROA as
-/// under the loose one, and reuses that outcome.
+/// under the loose one, and reuses that outcome; and the hijack, valid
+/// under the loose ROA, wins every AS, which needs no engine run.
 #[test]
 fn executor_stats_and_cells_match_pinned_values() {
     use maxlength_rpki::bgpsim::{
@@ -102,8 +102,8 @@ fn executor_stats_and_cells_match_pinned_values() {
             footprint_checks: 24,
             cells_replayed: 23,
             cells_repropagated: 1,
-            baselines: plan.trials,
-            shared: plan.trials,
+            baselines: 0,
+            shared: 2 * plan.trials,
         }
     );
     // Cell order: strategy, then deployment, then ROA (fastest).
