@@ -39,13 +39,16 @@ fn main() {
     );
     eprintln!(
         "speculation: {}/{} items replayed ({} footprint checks, {} re-propagated); \
-         {} stagings shared within their trial group, {} engine runs",
+         {} stagings shared within their trial group ({} from structure), \
+         {} engine runs ({} pulled)",
         stats.cells_replayed,
         stats.items,
         stats.footprint_checks,
         stats.cells_repropagated,
         stats.shared,
+        stats.structural,
         stats.executed + stats.baselines - stats.shared,
+        stats.pulled,
     );
     println!("=== traffic intercepted by the attacker ===\n");
     print!("{}", report.render());

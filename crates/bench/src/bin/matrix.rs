@@ -58,11 +58,13 @@ fn main() {
     );
     eprintln!(
         "speculation: {} footprint checks, {} re-propagated; {} stagings shared \
-         within their trial group, {} engine runs",
+         within their trial group ({} from structure), {} engine runs ({} pulled)",
         stats.footprint_checks,
         stats.cells_repropagated,
         stats.shared,
+        stats.structural,
         stats.executed + stats.baselines - stats.shared,
+        stats.pulled,
     );
 
     // The census weighting: what the generated world's actual ROAs imply.

@@ -23,8 +23,10 @@
 //!    allocate nothing in the
 //!    engine's scratch; [`with_workspace`] hands every caller its
 //!    thread's workspace, so rayon fan-outs reuse one workspace per
-//!    worker thread, and the whole hot state for an 80k-AS internet
-//!    topology is ~2.5 MiB per thread.
+//!    worker thread. Hot state is ≈ 36.4 bytes per AS plus the bucket
+//!    queue: at 80k ASes a workspace that has only pushed holds
+//!    3.51 MB (the benchmark's `bgpsim.engine.workspace_bytes`), and
+//!    the transparent kernel's labels add 0.32 MB.
 //! 3. **Monomorphized, precomputed import filters** — the engine is
 //!    generic over the accept filter, and [`OriginFilter`] resolves each
 //!    claimed origin's ROV verdict against the VRPs **once per
@@ -37,6 +39,11 @@
 //!    the workspace (and the less-specific one, if any) to
 //!    `AttackOutcome::tally`, the crate's one longest-prefix-match
 //!    count, without copying it out.
+//! 5. **An outcome-only provider phase** — a staging that no AS
+//!    filters and that needs only its tally
+//!    (`PropagationEngine::transparent_outcome`) settles phase 3 in one
+//!    ascending pull over 4-byte labels instead of the bucket drain,
+//!    which is most of a push run's time.
 //!
 //! # Bit-identical contract
 //!
@@ -48,6 +55,12 @@
 //! bucket in ascending AS-index order, which settles the same routes
 //! (see `Workspace::push` for the argument). The contract is pinned by
 //! the `engine_props` differential proptests and the golden fixtures.
+//!
+//! The contract covers tables. The transparent kernel builds none: it
+//! is **outcome-identical** — the same `(intercepted, legitimate,
+//! disconnected)` as an accept-all [`PropagationEngine::propagate_outcome`]
+//! and as the reference's routes tallied — on every topology that keeps
+//! [`Topology`]'s hierarchy invariant, pinned by `structure_props`.
 //!
 //! The engine does not take every input: a seed claiming a path longer
 //! than [`PropagationEngine::max_seed_len`] is refused with a panic, not
@@ -71,15 +84,19 @@ use crate::topology::Topology;
 /// ([`PATH_LEN_BITS`]) is the second cap, lower only past 2²⁷ ASes.
 const DENSE_SLACK: u64 = 4;
 
+/// The label of an AS without a route in
+/// [`PropagationEngine::transparent_outcome`]'s sweep.
+const NO_LABEL: u32 = u32::MAX;
+
 /// Reusable per-thread propagation scratch.
 ///
 /// # Bitset-stamp invariant
 ///
-/// Hot state is three packed bitsets plus two `PackedRoute` arrays —
-/// ~32.4 bytes per AS, down from the 132 bytes/AS of the earlier
-/// epoch-stamped layout (three `u32` stamp arrays + three 40-byte
-/// `RouteInfo` arrays), which is what lets an 80k-AS internet-scale
-/// workspace stay cache-resident:
+/// Hot state is three packed bitsets, two `PackedRoute` arrays and one
+/// `u32` label array — ~36.4 bytes per AS plus the bucket queue, down
+/// from the 132 bytes/AS of the earlier epoch-stamped layout (three
+/// `u32` stamp arrays + three 40-byte `RouteInfo` arrays), which is what
+/// lets an 80k-AS internet-scale workspace stay cache-resident:
 ///
 /// * `settled` — the route table being built, in the form a stored
 ///   [`Propagation`] has: one bit per AS ("this AS has settled its route
@@ -101,6 +118,10 @@ const DENSE_SLACK: u64 = 4;
 /// * `drain_set` — one bit per AS: the bucket being drained, as a set.
 ///   The drain clears each word as it reads it, so the bitmap is
 ///   all-zero between drains and `begin` never touches it.
+/// * `labels` — one `u32` per AS, the outcome-only provider phase of
+///   `PropagationEngine::transparent_outcome`. Its sweep writes every
+///   label before reading it, so nothing clears them; the array is
+///   sized by the first such sweep, not by `begin`.
 #[derive(Debug, Default)]
 pub struct Workspace {
     n: usize,
@@ -115,6 +136,8 @@ pub struct Workspace {
     drain_set: Vec<u64>,
     /// Highest bucket index holding entries for the current phase.
     hi: usize,
+    /// `path_len << 1 | seed bit` per AS, for the transparent kernel.
+    labels: Vec<u32>,
 }
 
 impl Workspace {
@@ -133,6 +156,7 @@ impl Workspace {
             + self.drain_set.capacity() * 8
             + self.settled.routes.capacity() * std::mem::size_of::<PackedRoute>()
             + self.pending.capacity() * std::mem::size_of::<PackedRoute>()
+            + self.labels.capacity() * 4
             + self.buckets.capacity() * std::mem::size_of::<Vec<u32>>()
             + self.buckets.iter().map(|b| b.capacity() * 4).sum::<usize>()
     }
@@ -644,9 +668,83 @@ impl<'t> PropagationEngine<'t> {
             .min()
     }
 
+    /// [`Self::propagate_outcome`]'s tally for two seeds no AS filters,
+    /// found without a provider-phase queue: what a transparent
+    /// head-to-head staging reads.
+    ///
+    /// Phases 1–2 run as in [`Self::propagate`]. Every route phase 3
+    /// settles is a provider route, and a transparent outcome reads only
+    /// where each route delivers, never `next_hop`. So an AS phases 1–2
+    /// left unrouted takes the smallest `(path_len + 1, claimed_origin,
+    /// delivers_to)` over its providers — the order of
+    /// [`PackedRoute::pref`] within one class. Under [`Topology`]'s
+    /// hierarchy invariant every provider of such an AS has a smaller
+    /// index, so one ascending sweep settles them all. The sweep keeps a
+    /// 4-byte label per AS, `path_len << 1 | seed bit`, where the seed
+    /// bit orders the two seeds by `(claimed_origin, at)` and `u32::MAX`
+    /// is no route, and tallies as it goes. The workspace's table is
+    /// left holding phases 1–2 only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seed's `path_len` exceeds [`Self::max_seed_len`].
+    pub(crate) fn transparent_outcome(
+        &self,
+        seeds: &[Seed; 2],
+        ws: &mut Workspace,
+        attacker: usize,
+        victim: usize,
+    ) -> AttackOutcome {
+        let t = self.topology;
+        self.upward(seeds, &|_, _| true, ws);
+        // Seed `high` loses a length tie; its routes carry the seed bit.
+        let key = |s: &Seed| (s.claimed_origin, s.at);
+        let high = usize::from(key(&seeds[0]) < key(&seeds[1]));
+        let high_at = seeds[high].at;
+        let intercepts = [seeds[1 - high].at == attacker, high_at == attacker];
+        let mut outcome = AttackOutcome {
+            intercepted: 0,
+            legitimate: 0,
+            disconnected: 0,
+        };
+        ws.labels.resize(t.len(), NO_LABEL);
+        for at in 0..t.len() {
+            let label = if ws.routed(at) {
+                let route = ws.settled.routes[at];
+                route.path_len() << 1 | u32::from(route.delivers_to() == high_at)
+            } else {
+                let providers = t.providers(at).iter();
+                let best = providers.map(|&p| ws.labels[p as usize]).min();
+                best.map_or(NO_LABEL, |l| l.saturating_add(2))
+            };
+            ws.labels[at] = label;
+            if at == attacker || at == victim {
+                continue;
+            }
+            if label == NO_LABEL {
+                outcome.disconnected += 1;
+            } else if intercepts[(label & 1) as usize] {
+                outcome.intercepted += 1;
+            } else {
+                outcome.legitimate += 1;
+            }
+        }
+        outcome
+    }
+
     /// Runs the three phases into `ws`: the result lives in its bitsets
     /// and route array.
     fn run<F>(&self, seeds: &[Seed], accept: &F, ws: &mut Workspace)
+    where
+        F: Fn(usize, Asn) -> bool + ?Sized,
+    {
+        self.upward(seeds, accept, ws);
+        self.downward(accept, ws);
+    }
+
+    /// Phases 1 and 2 into `ws`: the origins, the customer routes and
+    /// the one peer hop.
+    fn upward<F>(&self, seeds: &[Seed], accept: &F, ws: &mut Workspace)
     where
         F: Fn(usize, Asn) -> bool + ?Sized,
     {
@@ -720,10 +818,17 @@ impl<'t> PropagationEngine<'t> {
                 ws.settle(at, ws.pending[at]);
             }
         }
+    }
 
-        // --- Phase 3: provider-learned routes flow down to customers;
-        // any route may be exported to a customer, and provider routes
-        // keep flowing to customers-of-customers.
+    /// Phase 3 into `ws`, over the bucket queue: provider-learned routes
+    /// flow down to customers; any route may be exported to a customer,
+    /// and provider routes keep flowing to customers-of-customers.
+    fn downward<F>(&self, accept: &F, ws: &mut Workspace)
+    where
+        F: Fn(usize, Asn) -> bool + ?Sized,
+    {
+        let t = self.topology;
+        let n = t.len();
         ws.clear_pending();
         ws.hi = 0;
         for at in 0..n {
@@ -859,6 +964,33 @@ mod tests {
             engine.propagate_outcome(&seeds, &reject_some, &mut ws, None, stubs[0], stubs[1]);
             assert!(ws.drain_set.iter().all(|&w| w == 0), "trial {trial}");
             assert_eq!(ws.drain_set.len(), t.len().div_ceil(64));
+        }
+    }
+
+    #[test]
+    fn kernel_and_push_runs_share_a_workspace() {
+        // The kernel leaves phases 1–2 in the table and its labels
+        // behind: a push run after it, and a kernel run after a push
+        // run, must each equal its fresh-workspace twin.
+        let t = topo(250);
+        let stubs = t.stubs();
+        let engine = PropagationEngine::new(&t);
+        let mut ws = Workspace::new();
+        let reject_some = |at: usize, _: Asn| at % 5 != 1;
+        for trial in 0..6 {
+            let (victim, attacker) = (stubs[trial], stubs[stubs.len() - 1 - trial]);
+            let seeds = [
+                Seed::origin(victim, t.asn(victim)),
+                Seed::forged(attacker, t.asn(victim)),
+            ];
+            let pulled = engine.transparent_outcome(&seeds, &mut ws, attacker, victim);
+            assert!(ws.drain_set.iter().all(|&w| w == 0), "trial {trial}");
+            let reused = engine.propagate(&seeds, &reject_some, &mut ws);
+            let fresh = engine.propagate(&seeds, &reject_some, &mut Workspace::new());
+            assert!(reused.iter().eq(fresh.iter()), "trial {trial}");
+            let again = engine.transparent_outcome(&seeds, &mut ws, attacker, victim);
+            let fresh = engine.transparent_outcome(&seeds, &mut Workspace::new(), attacker, victim);
+            assert_eq!((pulled, again), (fresh, fresh), "trial {trial}");
         }
     }
 

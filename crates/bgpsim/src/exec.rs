@@ -21,9 +21,10 @@
 //! group, never in a per-worker cache, so what a run computes
 //! ([`ExecStats`]) does not depend on which worker claimed what. An
 //! encoded cursor carries the numbering and its counters in its magic
-//! (`maxlength-cursor-v3`): a `v1` text counted `(topology, ROA, trial)`
-//! groups, a `v2` text lacks [`ExecStats::shared`], and
-//! [`PlanCursor::decode`] refuses both.
+//! (`maxlength-cursor-v4`): a `v1` text counted `(topology, ROA, trial)`
+//! groups, a `v2` text lacks [`ExecStats::shared`], a `v3` text lacks
+//! [`ExecStats::structural`] and [`ExecStats::pulled`], and
+//! [`PlanCursor::decode`] refuses all three.
 //!
 //! # Determinism contract
 //!
@@ -76,9 +77,13 @@
 //!   forged-origin attacks claim the victim's own origin. Later
 //!   head-to-head or less-specific stagings with the same key, under
 //!   another ROA or another strategy, reuse the first one's outcome;
-//!   [`ExecStats::shared`] counts them and the structural answers. They
-//!   still count as `executed`, and, recording no footprint, replay
-//!   across deployments as before.
+//!   [`ExecStats::shared`] counts them and the structural answers
+//!   ([`ExecStats::structural`] the latter alone). They still count as
+//!   `executed`, and, recording no footprint, replay across deployments
+//!   as before. A transparent head-to-head staging that does run needs
+//!   only its tally, which the engine's outcome-only kernel settles
+//!   without a provider-phase queue; [`ExecStats::pulled`] counts those
+//!   runs.
 //! * **Speculative cross-cell execution (Block-STM style).** Per trial
 //!   group and ROA, each strategy is propagated **once**, against the
 //!   first deployment on the axis, while the engine records its *filter
@@ -525,6 +530,12 @@ pub struct ExecStats {
     /// shared` (less any staging that announced nothing toward its
     /// target).
     pub shared: usize,
+    /// The part of `shared` answered from the topology's structure, not
+    /// from the memo.
+    pub structural: usize,
+    /// Engine runs settled by the outcome-only kernel: transparent
+    /// head-to-head stagings, which need no route table.
+    pub pulled: usize,
 }
 
 impl ExecStats {
@@ -537,6 +548,8 @@ impl ExecStats {
         self.cells_repropagated += group.cells_repropagated;
         self.baselines += group.baselines;
         self.shared += group.shared;
+        self.structural += group.structural;
+        self.pulled += group.pulled;
     }
 }
 
@@ -594,11 +607,13 @@ impl<A: Accumulator> PlanCursor<A> {
             cells_repropagated,
             baselines,
             shared,
+            structural,
+            pulled,
             ..
         } = self.stats;
         let mut out = format!(
             "{CURSOR_MAGIC} {} {} {executed} {footprint_checks} {cells_replayed} \
-             {cells_repropagated} {baselines} {shared}",
+             {cells_repropagated} {baselines} {shared} {structural} {pulled}",
             self.next_group, self.total_groups
         );
         for a in &self.accs {
@@ -609,7 +624,7 @@ impl<A: Accumulator> PlanCursor<A> {
     }
 
     /// Parses [`Self::encode`]'s output. `None` on malformed input —
-    /// which a `v1` or `v2` line is (see the module docs), and a
+    /// which a `v1`, `v2` or `v3` line is (see the module docs), and a
     /// position past the last group.
     pub fn decode(s: &str) -> Option<PlanCursor<A>> {
         let mut fields = s.split(' ');
@@ -625,6 +640,8 @@ impl<A: Accumulator> PlanCursor<A> {
             cells_repropagated: number()?,
             baselines: number()?,
             shared: number()?,
+            structural: number()?,
+            pulled: number()?,
             ..ExecStats::default()
         };
         let accs = fields.map(A::decode).collect::<Option<Vec<A>>>()?;
@@ -643,7 +660,7 @@ impl<A: Accumulator> PlanCursor<A> {
 
 /// First field of an encoded [`PlanCursor`]; versions its group numbering
 /// and its counters.
-const CURSOR_MAGIC: &str = "maxlength-cursor-v3";
+const CURSOR_MAGIC: &str = "maxlength-cursor-v4";
 
 /// Resolves every `(topology, deployment)` pair of the plan through a
 /// deployment-keyed cache: duplicate deployments on the axis share one
@@ -968,6 +985,8 @@ impl PlanSession<'_, '_> {
         });
         stats.baselines += usize::from(group.baseline.get().is_some());
         stats.shared += group.hits.get();
+        stats.structural += group.structural.get();
+        stats.pulled += group.pulled.get();
     }
 }
 
@@ -1251,18 +1270,18 @@ mod tests {
         assert!(PlanCursor::<CellAccumulator>::decode("").is_none());
         assert!(PlanCursor::<CellAccumulator>::decode("wrong-magic 0 1 0 0").is_none());
         assert!(PlanCursor::<CellAccumulator>::decode(
-            "maxlength-cursor-v3 0 1 0 0 0 0 0 0 nonsense"
+            "maxlength-cursor-v4 0 1 0 0 0 0 0 0 0 0 nonsense"
         )
         .is_none());
         assert!(
-            PlanCursor::<CellAccumulator>::decode("maxlength-cursor-v3 0 1 0 0").is_none(),
+            PlanCursor::<CellAccumulator>::decode("maxlength-cursor-v4 0 1 0 0").is_none(),
             "too few counters"
         );
         let mut enc = String::new();
         CellAccumulator::empty().encode(&mut enc);
         // A position past the end is a corrupted checkpoint, not a
         // finished grid; exactly at the end is one.
-        let at = |next: usize| format!("maxlength-cursor-v3 {next} 8 0 0 0 0 0 0 {enc} {enc}");
+        let at = |next: usize| format!("maxlength-cursor-v4 {next} 8 0 0 0 0 0 0 0 0 {enc} {enc}");
         assert!(PlanCursor::<CellAccumulator>::decode(&at(999)).is_none());
         assert!(PlanCursor::<CellAccumulator>::decode(&at(9)).is_none());
         let done = PlanCursor::<CellAccumulator>::decode(&at(8)).expect("a finished cursor");

@@ -123,6 +123,10 @@ pub(crate) struct TrialGroup {
     /// Stagings answered without an engine run: from `transparent`, or
     /// from the topology's structure.
     pub hits: Cell<usize>,
+    /// The part of `hits` answered from the topology's structure.
+    pub structural: Cell<usize>,
+    /// Engine runs settled by [`PropagationEngine::transparent_outcome`].
+    pub pulled: Cell<usize>,
 }
 
 /// Everything a transparent head-to-head or less-specific staging's
@@ -424,7 +428,10 @@ pub fn run_strategy(strategy: &dyn AttackerStrategy, setup: &AttackSetup<'_>) ->
 ///
 /// A more-specific staging where no AS filters the victim reads no
 /// baseline: every AS the attacker's table misses is legitimate, and a
-/// transparent attacker wins all `n − 2` with no engine run.
+/// transparent attacker wins all `n − 2` with no engine run. A
+/// transparent head-to-head staging the memo misses needs only its
+/// tally, so it runs [`PropagationEngine::transparent_outcome`] instead
+/// of a full propagation.
 pub(crate) fn run_strategy_speculative(
     strategy: &dyn AttackerStrategy,
     setup: &AttackSetup<'_>,
@@ -502,6 +509,7 @@ pub(crate) fn run_strategy_speculative(
         // table misses routes legitimately.
         if filter.is_transparent() && seedable {
             // Nor the attacker's: it wins every AS.
+            group.structural.set(group.structural.get() + 1);
             return group.answered(AttackOutcome {
                 intercepted: t.len() - 2,
                 legitimate: 0,
@@ -518,9 +526,14 @@ pub(crate) fn run_strategy_speculative(
         .then_some(head_to_head.then_some((ann.path_len, ann.claimed_origin)));
     group.staged(key, || {
         if head_to_head {
-            // Tallied straight off the workspace.
             return with_workspace(|ws| {
-                engine.propagate_outcome(seeds, &accept, ws, None, attacker, victim)
+                if key.is_none() {
+                    // Tallied straight off the workspace.
+                    return engine.propagate_outcome(seeds, &accept, ws, None, attacker, victim);
+                }
+                // No AS filters either seed: the outcome-only kernel.
+                group.pulled.set(group.pulled.get() + 1);
+                engine.transparent_outcome(&[victim_seed, attacker_seed], ws, attacker, victim)
             });
         }
         // Alone, next to the baseline (rare: a less-specific announcement,

@@ -140,11 +140,14 @@ impl Default for InternetConfig {
 ///
 /// Both generators build it and construction asserts it, in O(V + E):
 /// the provider-less ASes are exactly the pairwise-peered tier-1 clique
-/// `0..tier1()`, and every other AS has a provider with a smaller index.
-/// So an announcement no AS filters reaches every AS: up to the clique,
-/// across it, and down every customer chain. The trial executor relies
-/// on this to answer stagings without propagating
-/// ([`crate::PropagationEngine::unfiltered_path_len`]).
+/// `0..tier1()`, and every provider of every other AS has a smaller
+/// index. So an announcement no AS filters reaches every AS: up to the
+/// clique, across it, and down every customer chain. The trial executor
+/// relies on this to answer stagings without propagating
+/// ([`crate::PropagationEngine::unfiltered_path_len`]). And index order
+/// is a topological order of the customer→provider graph, so a
+/// provider-route phase can be settled in one ascending sweep, every
+/// provider before its customers.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// Flat neighbor ids: `[customers | peers | providers]` per AS, each
@@ -425,7 +428,8 @@ impl Topology {
                 let peers = topology.peers(a).iter().take(tier1 - 1).copied();
                 providers.is_empty() && peers.eq(clique)
             } else {
-                providers.first().is_some_and(|&p| (p as usize) < a)
+                // Sorted: the largest provider is the last.
+                providers.last().is_some_and(|&p| (p as usize) < a)
             };
             assert!(holds, "AS {a} breaks the hierarchy invariant");
         }
@@ -626,7 +630,8 @@ mod tests {
             }
         }
         for a in t.tier1()..t.len() {
-            assert!(t.providers(a).iter().any(|&p| (p as usize) < a), "AS {a}");
+            assert!(!t.providers(a).is_empty(), "AS {a}");
+            assert!(t.providers(a).iter().all(|&p| (p as usize) < a), "AS {a}");
         }
     }
 
@@ -691,6 +696,19 @@ mod tests {
     fn construction_rejects_a_provider_above() {
         use Relationship::{Customer, Provider};
         let lists = vec![vec![], vec![(2, Provider)], vec![(1, Customer)]];
+        Topology::from_lists(lists, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "AS 1 breaks the hierarchy invariant")]
+    fn construction_rejects_a_second_provider_above() {
+        // AS 1's first provider (0) is below it, its second (2) above.
+        use Relationship::{Customer, Provider};
+        let lists = vec![
+            vec![(1, Customer), (2, Customer)],
+            vec![(0, Provider), (2, Provider)],
+            vec![(0, Provider), (1, Customer)],
+        ];
         Topology::from_lists(lists, 1);
     }
 

@@ -382,10 +382,12 @@ proptest! {
 
 /// A version-1 cursor counted `(topology, ROA, trial)` groups; resuming
 /// one against `(topology, trial)` groups would skip or repeat trials.
-/// A version-2 cursor lacks `ExecStats::shared`; resuming one would
-/// report a run's counters short. `decode` refuses both by their magic.
+/// A version-2 cursor lacks `ExecStats::shared`, and a version-3 one
+/// `ExecStats::structural` and `ExecStats::pulled`; resuming either
+/// would report a run's counters short. `decode` refuses all three by
+/// their magic.
 #[test]
-fn cursor_decode_refuses_v1_and_v2_lines() {
+fn cursor_decode_refuses_v1_v2_and_v3_lines() {
     let topology = Topology::generate(TopologyConfig {
         n: 80,
         tier1: 3,
@@ -403,21 +405,31 @@ fn cursor_decode_refuses_v1_and_v2_lines() {
         2,
         7,
     );
-    let v3 = plan.cursor::<CellAccumulator>().encode();
-    assert!(v3.starts_with("maxlength-cursor-v3 "), "{v3}");
-    assert!(PlanCursor::<CellAccumulator>::decode(&v3).is_some());
-    let cells = v3
-        .splitn(10, ' ')
-        .nth(9)
+    let v4 = plan.cursor::<CellAccumulator>().encode();
+    assert!(v4.starts_with("maxlength-cursor-v4 "), "{v4}");
+    assert!(PlanCursor::<CellAccumulator>::decode(&v4).is_some());
+    let cells = v4
+        .splitn(12, ' ')
+        .nth(11)
         .expect("accumulators follow the counters");
     // The same cursor as v1 wrote it: two counters after the position.
     let v1 = format!("maxlength-cursor-v1 0 6 0 0 {cells}");
-    assert!(PlanCursor::<CellAccumulator>::decode(&v1).is_none());
     // As v2 wrote it: five counters, `shared` not among them.
     let v2 = format!("maxlength-cursor-v2 0 2 0 0 0 0 0 {cells}");
-    assert!(PlanCursor::<CellAccumulator>::decode(&v2).is_none());
+    // As v3 wrote it: six counters, ending at `shared`.
+    let v3 = format!("maxlength-cursor-v3 0 2 0 0 0 0 0 0 {cells}");
+    for old in [&v1, &v2, &v3] {
+        assert!(
+            PlanCursor::<CellAccumulator>::decode(old).is_none(),
+            "{old}"
+        );
+    }
     // Nor does the new magic on an old layout parse: the counters differ.
-    for old in [v1.replace("-v1", "-v3"), v2.replace("-v2", "-v3")] {
+    for old in [
+        v1.replace("-v1", "-v4"),
+        v2.replace("-v2", "-v4"),
+        v3.replace("-v3", "-v4"),
+    ] {
         assert!(
             PlanCursor::<CellAccumulator>::decode(&old).is_none(),
             "{old}"
@@ -468,6 +480,8 @@ fn super_prefix_runs_once_per_group_and_matches_the_reference() {
     // engine run; the super-prefix runs once for three ROAs and is the
     // one staging that reads the baseline.
     assert_eq!(stats.shared, 4 * plan.trials, "{stats:?}");
+    assert_eq!(stats.structural, 2 * plan.trials, "{stats:?}");
+    assert_eq!(stats.pulled, 0, "no staging is head to head: {stats:?}");
     assert_eq!(stats.baselines, plan.trials, "{stats:?}");
 }
 
@@ -477,6 +491,20 @@ fn super_prefix_runs_once_per_group_and_matches_the_reference() {
 /// 6,513 stagings answered without an engine run, from their group's
 /// memo or from the topology's structure (engine runs 384 and 3,249),
 /// every older counter where it was, sequential and parallel alike.
+///
+/// By kind, `internet_trials` has 192 groups, each with the hijack and
+/// the leak under the loose and the minimal ROA: the hijack under the
+/// loose ROA is answered from structure (`structural` 192), the leak
+/// under the loose ROA is the one kernel run (`pulled` 192), and the
+/// leak under the minimal ROA shares its outcome. `attack_grid` has 500
+/// groups: the forged-origin subprefix hijack and the gap prober, each
+/// under no ROA and the loose ROA, are structural (4 × 500 = 2,000).
+/// Its 13 head-to-head stagings a group, all transparent, carry four
+/// keys — path length 1 (the forged-origin prefix hijack, and the
+/// prober demoted under the minimal ROA), 0, 3 and the leak's learned
+/// length — and the leak's length is 1 or 3 in 13 groups, so
+/// `pulled` is 4 × 500 − 13 = 1,987 and the memo answers the other
+/// 13 × 500 − 1,987 = 4,513 (`shared` 2,000 + 4,513).
 /// Release-scale — an 80,000-AS topology — so opt-in:
 /// `cargo test --release -p bgpsim --test exec_props -- --ignored`.
 #[test]
@@ -521,6 +549,8 @@ fn benchmark_plans_pin_their_executor_counters() {
             cells_repropagated: 0,
             baselines: 0,
             shared: 384,
+            structural: 192,
+            pulled: 192,
         },
     );
 
@@ -557,6 +587,8 @@ fn benchmark_plans_pin_their_executor_counters() {
             cells_repropagated: 762,
             baselines: 0,
             shared: 6_513,
+            structural: 2_000,
+            pulled: 1_987,
         },
     );
 }

@@ -14,7 +14,16 @@
 //!   of the staging rebuilt from public engine calls: the victim-only
 //!   baseline by `propagate`, then `propagate_outcome` over it;
 //! * **route-leak plans** — what [`RouteLeak`] announces equals the
-//!   route the baseline gives the attacker.
+//!   route the baseline gives the attacker;
+//! * **the transparent kernel** — a head-to-head staging no AS filters
+//!   is settled by the engine's outcome-only kernel, which pulls the
+//!   provider phase up the index order instead of draining a queue. Its
+//!   outcome equals an accept-all `propagate_outcome` and the heap
+//!   reference's routes (`support/reference.rs`) tallied, for either
+//!   claimed origin, seed lengths 0–3 and the engine's bound, and the
+//!   attacker's index below or above the victim's. Every executor path
+//!   runs the kernel, `run_plan_collected` included, so this is its one
+//!   independent oracle.
 //!
 //! The VRP sets include two that make the victim's own announcement
 //! Invalid, where no structural answer applies.
@@ -32,6 +41,10 @@ use bgpsim::{
 use rpki_prefix::Prefix;
 use rpki_roa::Vrp;
 use rpki_rov::{RovPolicy, VrpIndex};
+
+#[path = "support/reference.rs"]
+mod reference;
+use reference::propagate_reference;
 
 /// A topology configuration for either generator.
 #[derive(Debug, Clone, Copy)]
@@ -205,6 +218,97 @@ fn staged_by_hand(setup: &AttackSetup<'_>, ann: AttackAnnouncement) -> AttackOut
     )
 }
 
+/// Where traffic for the victim's prefix lands when the victim and an
+/// attacker at `attacker` announcing `ann` compete head to head and no
+/// AS filters: the staging as the executor runs it (the kernel), the
+/// accept-all push run's tally, and the reference's routes tallied.
+/// `Err` names the three if they differ.
+fn head_to_head_agree(
+    t: &Topology,
+    victim: usize,
+    attacker: usize,
+    ann: AttackAnnouncement,
+) -> Result<(), String> {
+    let (p, q) = prefixes();
+    let (no_roa, everyone_filters) = (
+        VrpIndex::new(),
+        CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; t.len()]),
+    );
+    let setup = AttackSetup {
+        topology: t,
+        victim,
+        attacker,
+        victim_prefix: p,
+        sub_prefix: q,
+        vrps: &no_roa,
+        policies: &everyone_filters,
+    };
+    let staged = run_strategy(&Fixed(ann), &setup);
+    let seeds = [
+        Seed::origin(victim, t.asn(victim)),
+        Seed {
+            at: attacker,
+            path_len: ann.path_len,
+            claimed_origin: ann.claimed_origin,
+        },
+    ];
+    let pushed = PropagationEngine::new(t).propagate_outcome(
+        &seeds,
+        &|_, _| true,
+        &mut Workspace::new(),
+        None,
+        attacker,
+        victim,
+    );
+    let mut reference = AttackOutcome {
+        intercepted: 0,
+        legitimate: 0,
+        disconnected: 0,
+    };
+    let routes = propagate_reference(t, &seeds, &|_, _| true);
+    for (at, route) in routes.iter().enumerate() {
+        match route {
+            _ if at == attacker || at == victim => {}
+            None => reference.disconnected += 1,
+            Some(r) if r.delivers_to == attacker => reference.intercepted += 1,
+            Some(_) => reference.legitimate += 1,
+        }
+    }
+    if staged == pushed && pushed == reference {
+        Ok(())
+    } else {
+        Err(format!(
+            "kernel {staged:?}, push {pushed:?}, reference {reference:?}: \
+             victim {victim}, attacker {attacker}, {ann:?}"
+        ))
+    }
+}
+
+/// The head-to-head announcement under test: the victim's prefix,
+/// claiming the victim's origin (the forged-origin shape) or the
+/// attacker's own (the prefix-hijack shape), at `path_len`.
+fn head_to_head(
+    t: &Topology,
+    victim: usize,
+    attacker: usize,
+    claim_victim: bool,
+    path_len: u32,
+) -> AttackAnnouncement {
+    AttackAnnouncement {
+        prefix: prefixes().0,
+        claimed_origin: t.asn(if claim_victim { victim } else { attacker }),
+        path_len,
+    }
+}
+
+/// Seed lengths 0–3, then the engine's bound.
+fn path_len(t: &Topology, choice: usize) -> u32 {
+    match choice {
+        4 => PropagationEngine::new(t).max_seed_len(),
+        short => short as u32,
+    }
+}
+
 /// One staging's world: a topology, a victim and a distinct attacker,
 /// VRP set `vrp_kind` (see [`vrps`]) and a deployment where about
 /// `tenths / 10` of the ASes drop Invalid routes.
@@ -342,6 +446,23 @@ proptest! {
         );
     }
 
+    /// A transparent head-to-head staging's kernel outcome equals the
+    /// push run's and the reference's, wherever the two seeds sit.
+    #[test]
+    fn transparent_kernel_equals_push_and_reference(
+        shape in arb_shape(),
+        picks in (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+        claim_victim in any::<bool>(),
+        path_choice in 0usize..5,
+    ) {
+        let t = shape.build();
+        let victim = picks.0.index(t.len());
+        let attacker = (victim + 1 + picks.1.index(t.len() - 1)) % t.len();
+        let ann = head_to_head(&t, victim, attacker, claim_victim, path_len(&t, path_choice));
+        let agreed = head_to_head_agree(&t, victim, attacker, ann);
+        prop_assert!(agreed.is_ok(), "{} in {:?}", agreed.unwrap_err(), shape);
+    }
+
     /// A route leak's announcement is the attacker's baseline route,
     /// whether or not some AS filters the victim.
     #[test]
@@ -354,38 +475,69 @@ proptest! {
     }
 }
 
-/// The smallest shapes, exhaustively: every placement on every
-/// two-to-four-AS topology either generator builds from a few seeds.
+/// Every two-to-four-AS topology either generator builds from a few
+/// seeds, with a label naming its shape.
+fn tiny_topologies() -> Vec<(String, Topology)> {
+    let mut out = Vec::new();
+    for seed in 0..8 {
+        for (tier1, n) in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)] {
+            let label = format!("tier1 {tier1}, n {n}, seed {seed}");
+            let flat = Topology::generate(TopologyConfig {
+                n,
+                tier1,
+                max_providers: 2,
+                peer_prob: 1.0,
+                seed,
+            });
+            let internet = Topology::generate_internet(InternetConfig {
+                n,
+                tier1,
+                transit_frac: 0.5,
+                max_providers: 2,
+                peer_links_per_as: 2.0,
+                seed,
+            });
+            out.push((format!("flat {label}"), flat));
+            out.push((format!("internet {label}"), internet));
+        }
+    }
+    out
+}
+
+/// The smallest shapes, exhaustively: the point query at every
+/// placement.
 #[test]
 fn tiny_topologies_agree_at_every_placement() {
-    for seed in 0..8 {
-        for (tier1, n) in [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4)] {
-            for t in [
-                Topology::generate(TopologyConfig {
-                    n,
-                    tier1,
-                    max_providers: 2,
-                    peer_prob: 1.0,
-                    seed,
-                }),
-                Topology::generate_internet(InternetConfig {
-                    n,
-                    tier1,
-                    transit_frac: 0.5,
-                    max_providers: 1,
-                    peer_links_per_as: 2.0,
-                    seed,
-                }),
-            ] {
-                let engine = PropagationEngine::new(&t);
-                for origin in 0..t.len() {
-                    let table = propagate(&t, &[Seed::origin(origin, t.asn(origin))], &|_, _| true);
-                    for at in 0..t.len() {
-                        assert_eq!(
-                            engine.unfiltered_path_len(origin, at),
-                            table.route(at).map(|r| r.path_len),
-                            "origin {origin}, AS {at}, tier1 {tier1}, n {n}, seed {seed}"
-                        );
+    for (label, t) in tiny_topologies() {
+        let engine = PropagationEngine::new(&t);
+        for origin in 0..t.len() {
+            let table = propagate(&t, &[Seed::origin(origin, t.asn(origin))], &|_, _| true);
+            for at in 0..t.len() {
+                assert_eq!(
+                    engine.unfiltered_path_len(origin, at),
+                    table.route(at).map(|r| r.path_len),
+                    "origin {origin}, AS {at}, {label}"
+                );
+            }
+        }
+    }
+}
+
+/// The kernel on the smallest shapes, exhaustively: every ordered
+/// victim/attacker pair, both claimed origins and every seed length
+/// choice.
+#[test]
+fn tiny_topologies_pull_like_they_push() {
+    for (label, t) in tiny_topologies() {
+        for victim in 0..t.len() {
+            for attacker in (0..t.len()).filter(|&a| a != victim) {
+                for claim_victim in [false, true] {
+                    for choice in 0..5 {
+                        let len = path_len(&t, choice);
+                        let ann = head_to_head(&t, victim, attacker, claim_victim, len);
+                        if let Err(why) = head_to_head_agree(&t, victim, attacker, ann) {
+                            panic!("{why}, {label}");
+                        }
                     }
                 }
             }

@@ -31,11 +31,11 @@ impl Codec for Checkpoint {
     }
 }
 
-/// A checkpoint line with the given position and six counters, and one
+/// A checkpoint line with the given position and eight counters, and one
 /// accumulator per whole six words of `cells`, written the way
 /// `PlanCursor::encode` writes one.
 pub fn checkpoint_text(next: u64, total: u64, counters: &[u64], cells: &[u64]) -> String {
-    let mut out = format!("maxlength-cursor-v3 {next} {total}");
+    let mut out = format!("maxlength-cursor-v4 {next} {total}");
     for c in counters {
         out.push_str(&format!(" {c}"));
     }

@@ -15,8 +15,8 @@
 //!   edges, symmetric relationships;
 //! * **the hierarchy invariant** every `Topology` asserts at
 //!   construction, restated: the provider-less ASes are exactly the
-//!   pairwise-peered tier-1 clique, and every other AS has a provider
-//!   with a smaller index — for both generators, degenerate
+//!   pairwise-peered tier-1 clique, and every provider of every other AS
+//!   has a smaller index — for both generators, degenerate
 //!   configurations included.
 
 use proptest::prelude::*;
@@ -86,8 +86,10 @@ fn hierarchy_holds(t: &Topology) -> Result<(), String> {
             {
                 return Err(format!("tier-1 ASes {a} and {b} do not peer"));
             }
-        } else if !providers.iter().any(|&p| (p as usize) < a) {
-            return Err(format!("AS {a} has no provider below it"));
+        } else if providers.is_empty() {
+            return Err(format!("AS {a} has no provider"));
+        } else if let Some(&p) = providers.iter().find(|&&p| p as usize >= a) {
+            return Err(format!("AS {a} has provider {p} at or above it"));
         }
     }
     Ok(())

@@ -52,12 +52,15 @@ fn matrix_small_report_matches_golden_fixture() {
 /// two deployments on 400 ASes — with what the run did ([`ExecStats`])
 /// and every cell's accumulator, exactly as [`Accumulator::encode`]
 /// writes it (counts, then float bit patterns). The cells and every
-/// counter but `baselines` and `shared` are the values of the executor
-/// whose trial groups were per-ROA. `baselines` is 0: neither strategy
-/// reads a victim-only propagation. `shared` is two per trial: the
-/// route leak announces the same valid route under the minimal ROA as
-/// under the loose one, and reuses that outcome; and the hijack, valid
-/// under the loose ROA, wins every AS, which needs no engine run.
+/// counter but `baselines`, `shared`, `structural` and `pulled` are the
+/// values of the executor whose trial groups were per-ROA. `baselines`
+/// is 0: neither strategy reads a victim-only propagation. `shared` is
+/// two per trial: the route leak announces the same valid route under
+/// the minimal ROA as under the loose one, and reuses that outcome; and
+/// the hijack, valid under the loose ROA, wins every AS, which needs no
+/// engine run — one per trial, `structural` 6 of `shared` 12. The leak
+/// under the loose ROA is the one transparent head-to-head run a trial,
+/// settled by the outcome-only kernel: `pulled` 6.
 #[test]
 fn executor_stats_and_cells_match_pinned_values() {
     use maxlength_rpki::bgpsim::{
@@ -104,6 +107,8 @@ fn executor_stats_and_cells_match_pinned_values() {
             cells_repropagated: 1,
             baselines: 0,
             shared: 2 * plan.trials,
+            structural: plan.trials,
+            pulled: plan.trials,
         }
     );
     // Cell order: strategy, then deployment, then ROA (fastest).
