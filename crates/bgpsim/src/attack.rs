@@ -89,7 +89,7 @@ pub struct AttackSetup<'a> {
 }
 
 /// Where each AS's traffic for the attacked block ends up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttackOutcome {
     /// ASes whose traffic reaches the attacker.
     pub intercepted: usize,

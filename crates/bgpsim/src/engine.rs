@@ -22,11 +22,13 @@
 //!    ASes in ascending order without a sort. Steady-state trials
 //!    allocate nothing in the
 //!    engine's scratch; [`with_workspace`] hands every caller its
-//!    thread's workspace, so rayon fan-outs reuse one workspace per
-//!    worker thread. Hot state is ≈ 36.4 bytes per AS plus the bucket
-//!    queue: at 80k ASes a workspace that has only pushed holds
-//!    3.51 MB (the benchmark's `bgpsim.engine.workspace_bytes`), and
-//!    the transparent kernel's labels add 0.32 MB.
+//!    thread's workspace, and the executor installs one from a
+//!    process-wide pool for each pass, so its workers, fresh threads
+//!    every pass, reuse the scratch of the last one. Hot state is
+//!    ≈ 32.4 bytes per AS plus the bucket queue: at 80k ASes a
+//!    workspace that has only pushed holds 3.51 MB (the benchmark's
+//!    `bgpsim.engine.workspace_bytes`), and the lane kernel's rows add
+//!    16 bytes per AS, 1.28 MB.
 //! 3. **Monomorphized, precomputed import filters** — the engine is
 //!    generic over the accept filter, and [`OriginFilter`] resolves each
 //!    claimed origin's ROV verdict against the VRPs **once per
@@ -39,11 +41,17 @@
 //!    the workspace (and the less-specific one, if any) to
 //!    `AttackOutcome::tally`, the crate's one longest-prefix-match
 //!    count, without copying it out.
-//! 5. **An outcome-only provider phase** — a staging that no AS
-//!    filters and that needs only its tally
-//!    (`PropagationEngine::transparent_outcome`) settles phase 3 in one
-//!    ascending pull over 4-byte labels instead of the bucket drain,
-//!    which is most of a push run's time.
+//! 5. **An outcome-only provider phase, sixteen stagings a sweep** — a
+//!    staging that no AS filters and that needs only its tally is a
+//!    *lane* of `PropagationEngine::transparent_outcomes`. Each lane
+//!    runs phases 1–2 as a push run does; then one ascending sweep over
+//!    16-byte rows, one byte per lane and AS, settles phase 3 for up to
+//!    16 stagings at once instead of a bucket drain each, which
+//!    was most of a push run's time. A byte holds `path_len << 1 | seed
+//!    bit` and saturates at 127 hops; a lane that comes near that (a
+//!    seed claiming ≥ 126 hops) is flagged and re-settled by an
+//!    accept-all [`PropagationEngine::propagate_outcome`] in the same
+//!    call, so every lane is exact.
 //!
 //! # Bit-identical contract
 //!
@@ -56,11 +64,13 @@
 //! (see `Workspace::push` for the argument). The contract is pinned by
 //! the `engine_props` differential proptests and the golden fixtures.
 //!
-//! The contract covers tables. The transparent kernel builds none: it
+//! The contract covers tables. The lane kernel builds none: each lane
 //! is **outcome-identical** — the same `(intercepted, legitimate,
 //! disconnected)` as an accept-all [`PropagationEngine::propagate_outcome`]
 //! and as the reference's routes tallied — on every topology that keeps
-//! [`Topology`]'s hierarchy invariant, pinned by `structure_props`.
+//! [`Topology`]'s hierarchy invariant, whatever else shares its sweep.
+//! This module's lane differential pins that against the push run, and
+//! `structure_props` against the reference.
 //!
 //! The engine does not take every input: a seed claiming a path longer
 //! than [`PropagationEngine::max_seed_len`] is refused with a panic, not
@@ -69,6 +79,7 @@
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rpki_prefix::Prefix;
 use rpki_roa::{Asn, RouteOrigin};
@@ -84,19 +95,33 @@ use crate::topology::Topology;
 /// ([`PATH_LEN_BITS`]) is the second cap, lower only past 2²⁷ ASes.
 const DENSE_SLACK: u64 = 4;
 
-/// The label of an AS without a route in
-/// [`PropagationEngine::transparent_outcome`]'s sweep.
-const NO_LABEL: u32 = u32::MAX;
+/// Stagings [`PropagationEngine::transparent_outcomes`] settles in one
+/// sweep: a one-byte label each, so an AS's row is 16 bytes.
+pub(crate) const LANES: usize = 16;
+
+/// A lane's label for an AS without a route.
+const NO_ROUTE: u8 = u8::MAX;
+
+/// One transparent head-to-head staging, a lane of
+/// [`PropagationEngine::transparent_outcomes`]: two seeds no AS filters,
+/// one at the victim and one at the attacker in either order, and the
+/// two ASes themselves, which its tally leaves out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lane {
+    pub seeds: [Seed; 2],
+    pub attacker: usize,
+    pub victim: usize,
+}
 
 /// Reusable per-thread propagation scratch.
 ///
 /// # Bitset-stamp invariant
 ///
 /// Hot state is three packed bitsets, two `PackedRoute` arrays and one
-/// `u32` label array — ~36.4 bytes per AS plus the bucket queue, down
-/// from the 132 bytes/AS of the earlier epoch-stamped layout (three
-/// `u32` stamp arrays + three 40-byte `RouteInfo` arrays), which is what
-/// lets an 80k-AS internet-scale workspace stay cache-resident:
+/// 16-byte lane row per AS — ~48.4 bytes per AS plus the bucket queue,
+/// down from the 132 bytes/AS of the earlier epoch-stamped layout
+/// (three `u32` stamp arrays + three 40-byte `RouteInfo` arrays), which
+/// is what lets an 80k-AS internet-scale workspace stay cache-resident:
 ///
 /// * `settled` — the route table being built, in the form a stored
 ///   [`Propagation`] has: one bit per AS ("this AS has settled its route
@@ -118,10 +143,11 @@ const NO_LABEL: u32 = u32::MAX;
 /// * `drain_set` — one bit per AS: the bucket being drained, as a set.
 ///   The drain clears each word as it reads it, so the bitmap is
 ///   all-zero between drains and `begin` never touches it.
-/// * `labels` — one `u32` per AS, the outcome-only provider phase of
-///   `PropagationEngine::transparent_outcome`. Its sweep writes every
-///   label before reading it, so nothing clears them; the array is
-///   sized by the first such sweep, not by `begin`.
+/// * `lanes` — one `[u8; LANES]` row per AS, the outcome-only provider
+///   phase of `PropagationEngine::transparent_outcomes`: 1.28 MB at
+///   80k ASes. Every sweep resets the rows before writing them; the
+///   array is sized by the first sweep, not by `begin`, so a workspace
+///   that only pushes never holds it.
 #[derive(Debug, Default)]
 pub struct Workspace {
     n: usize,
@@ -136,8 +162,8 @@ pub struct Workspace {
     drain_set: Vec<u64>,
     /// Highest bucket index holding entries for the current phase.
     hi: usize,
-    /// `path_len << 1 | seed bit` per AS, for the transparent kernel.
-    labels: Vec<u32>,
+    /// `path_len << 1 | seed bit` per AS and lane, for the lane kernel.
+    lanes: Vec<[u8; LANES]>,
 }
 
 impl Workspace {
@@ -156,7 +182,7 @@ impl Workspace {
             + self.drain_set.capacity() * 8
             + self.settled.routes.capacity() * std::mem::size_of::<PackedRoute>()
             + self.pending.capacity() * std::mem::size_of::<PackedRoute>()
-            + self.labels.capacity() * 4
+            + self.lanes.capacity() * LANES
             + self.buckets.capacity() * std::mem::size_of::<Vec<u32>>()
             + self.buckets.iter().map(|b| b.capacity() * 4).sum::<usize>()
     }
@@ -297,18 +323,78 @@ thread_local! {
     static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::new());
 }
 
+/// Workspaces between executor passes; see [`with_workspace`].
+static POOL: Mutex<Vec<Workspace>> = Mutex::new(Vec::new());
+
 /// Runs `f` with the calling thread's reusable [`Workspace`].
 ///
 /// This is how every trial loop — sequential or fanned out over rayon
-/// workers — gets allocation-free steady-state propagation: each worker
-/// thread lazily builds one workspace and reuses it for every trial it
+/// workers — gets allocation-free steady-state propagation: each thread
+/// lazily builds one workspace and reuses it for every trial it
 /// processes. Re-entrant calls (an `f` that itself propagates) fall back
 /// to a fresh scratch workspace instead of panicking.
+///
+/// An [`crate::Executor`] pass outlives its worker threads, so a pass
+/// checks one workspace per worker out of a process-wide pool before it
+/// starts them, each worker (the calling thread among them) swaps its
+/// workspace into its slot here for the pass, and the pass returns them
+/// all to the pool once every worker is joined. A steady-state pass
+/// therefore allocates nothing sized by the topology, and no worker
+/// thread's allocator arena is left holding freed scratch. The pool
+/// holds as many workspaces as the most workers a pass has used
+/// ([`pooled_workspaces`]); it never shrinks.
 pub fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
     WORKSPACE.with(|cell| match cell.try_borrow_mut() {
         Ok(mut ws) => f(&mut ws),
         Err(_) => f(&mut Workspace::new()),
     })
+}
+
+fn pool() -> MutexGuard<'static, Vec<Workspace>> {
+    // A push or a pop leaves the pool valid whenever a holder panics.
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Checks `count` workspaces out of the pool for a pass's workers,
+/// building those it lacks. A pass that panics loses them to the unwind.
+pub(crate) fn check_out_workspaces(count: usize) -> Vec<Workspace> {
+    let mut pool = pool();
+    let keep = pool.len().saturating_sub(count);
+    let mut out = pool.split_off(keep);
+    out.resize_with(count, Workspace::default);
+    out
+}
+
+/// Returns a pass's workspaces to the pool.
+pub(crate) fn check_in_workspaces(workspaces: Vec<Workspace>) {
+    pool().extend(workspaces);
+}
+
+/// Runs `f` with `ws` installed in the calling thread's
+/// [`with_workspace`] slot, then takes it back out. Called inside a
+/// [`with_workspace`] borrow, `f` runs without it.
+pub(crate) fn with_installed_workspace<R>(ws: &mut Workspace, f: impl FnOnce() -> R) -> R {
+    let swap = |ws: &mut Workspace| {
+        WORKSPACE.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut slot) => {
+                std::mem::swap(&mut *slot, ws);
+                true
+            }
+            Err(_) => false,
+        })
+    };
+    let installed = swap(ws);
+    let out = f();
+    if installed {
+        swap(ws);
+    }
+    out
+}
+
+/// Workspaces the pool holds now: between passes, the most workers a
+/// pass has used.
+pub fn pooled_workspaces() -> usize {
+    pool().len()
 }
 
 /// A per-AS policy vector compiled to a bitset of the ASes that drop
@@ -668,68 +754,143 @@ impl<'t> PropagationEngine<'t> {
             .min()
     }
 
-    /// [`Self::propagate_outcome`]'s tally for two seeds no AS filters,
-    /// found without a provider-phase queue: what a transparent
-    /// head-to-head staging reads.
+    /// [`Self::propagate_outcome`]'s tally for each lane — two seeds no
+    /// AS filters — into `out`, found without a provider-phase queue:
+    /// what transparent head-to-head stagings read.
     ///
-    /// Phases 1–2 run as in [`Self::propagate`]. Every route phase 3
-    /// settles is a provider route, and a transparent outcome reads only
-    /// where each route delivers, never `next_hop`. So an AS phases 1–2
-    /// left unrouted takes the smallest `(path_len + 1, claimed_origin,
-    /// delivers_to)` over its providers — the order of
+    /// Phases 1–2 run lane by lane as in [`Self::propagate`]. Every
+    /// route phase 3 settles is a provider route, and a transparent
+    /// outcome reads only where each route delivers, never `next_hop`.
+    /// So an AS phases 1–2 left unrouted takes the smallest `(path_len +
+    /// 1, claimed_origin, delivers_to)` over its providers — the order of
     /// [`PackedRoute::pref`] within one class. Under [`Topology`]'s
     /// hierarchy invariant every provider of such an AS has a smaller
-    /// index, so one ascending sweep settles them all. The sweep keeps a
-    /// 4-byte label per AS, `path_len << 1 | seed bit`, where the seed
-    /// bit orders the two seeds by `(claimed_origin, at)` and `u32::MAX`
-    /// is no route, and tallies as it goes. The workspace's table is
-    /// left holding phases 1–2 only.
+    /// index, so one ascending sweep settles them all, for every lane at
+    /// once: each AS keeps a 16-byte row, one label per lane,
+    /// `path_len << 1 | seed bit`, where the seed bit orders the lane's
+    /// two seeds by `(claimed_origin, at)` and `0xFF` is no route. The
+    /// sweep takes the element-wise minimum of the providers' rows plus
+    /// two, keeps the labels phases 1–2 settled, and counts per lane as
+    /// it goes; the lane's attacker and victim are taken out afterwards.
+    ///
+    /// A label past 127 hops does not fit its byte. A lane whose
+    /// settled labels or provider minimums come that close is re-settled
+    /// by an accept-all [`Self::propagate_outcome`], so every lane is
+    /// exact whatever shares its sweep. The workspace's table is left
+    /// holding the last lane's phases 1–2, or that re-settled run.
     ///
     /// # Panics
     ///
-    /// Panics if a seed's `path_len` exceeds [`Self::max_seed_len`].
-    pub(crate) fn transparent_outcome(
+    /// Panics unless `lanes` and `out` are the same length, at most
+    /// `LANES`, if a lane's seeds are not at its attacker and its victim,
+    /// two distinct ASes, or if a seed's `path_len` exceeds
+    /// [`Self::max_seed_len`].
+    pub(crate) fn transparent_outcomes(
         &self,
-        seeds: &[Seed; 2],
+        lanes: &[Lane],
         ws: &mut Workspace,
-        attacker: usize,
-        victim: usize,
-    ) -> AttackOutcome {
+        out: &mut [AttackOutcome],
+    ) {
+        assert!(lanes.len() <= LANES && out.len() == lanes.len());
         let t = self.topology;
-        self.upward(seeds, &|_, _| true, ws);
-        // Seed `high` loses a length tie; its routes carry the seed bit.
-        let key = |s: &Seed| (s.claimed_origin, s.at);
-        let high = usize::from(key(&seeds[0]) < key(&seeds[1]));
-        let high_at = seeds[high].at;
-        let intercepts = [seeds[1 - high].at == attacker, high_at == attacker];
-        let mut outcome = AttackOutcome {
-            intercepted: 0,
-            legitimate: 0,
-            disconnected: 0,
-        };
-        ws.labels.resize(t.len(), NO_LABEL);
-        for at in 0..t.len() {
-            let label = if ws.routed(at) {
-                let route = ws.settled.routes[at];
-                route.path_len() << 1 | u32::from(route.delivers_to() == high_at)
-            } else {
-                let providers = t.providers(at).iter();
-                let best = providers.map(|&p| ws.labels[p as usize]).min();
-                best.map_or(NO_LABEL, |l| l.saturating_add(2))
-            };
-            ws.labels[at] = label;
-            if at == attacker || at == victim {
-                continue;
-            }
-            if label == NO_LABEL {
-                outcome.disconnected += 1;
-            } else if intercepts[(label & 1) as usize] {
-                outcome.intercepted += 1;
-            } else {
-                outcome.legitimate += 1;
+        let n = t.len();
+        ws.lanes.clear();
+        ws.lanes.resize(n, [NO_ROUTE; LANES]);
+        // Per lane: the seed that loses a length tie, whose routes carry
+        // the seed bit, and whether a label overflowed its byte.
+        let mut high_at = [0; LANES];
+        let mut overflow = [false; LANES];
+        for (k, lane) in lanes.iter().enumerate() {
+            let ats = [lane.seeds[0].at, lane.seeds[1].at];
+            assert!(
+                lane.attacker != lane.victim
+                    && (ats == [lane.victim, lane.attacker] || ats == [lane.attacker, lane.victim]),
+                "a lane's seeds are at its victim and its attacker, two ASes"
+            );
+            self.upward(&lane.seeds, &|_, _| true, ws);
+            let key = |s: &Seed| (s.claimed_origin, s.at);
+            high_at[k] = lane.seeds[usize::from(key(&lane.seeds[0]) < key(&lane.seeds[1]))].at;
+            for w in 0..ws.settled.set.len() {
+                let mut bits = ws.settled.set[w];
+                while bits != 0 {
+                    let at = (w << 6) + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let route = ws.settled.routes[at];
+                    let label =
+                        route.path_len() << 1 | u32::from(route.delivers_to() == high_at[k]);
+                    overflow[k] |= label >= u32::from(NO_ROUTE);
+                    ws.lanes[at][k] = label.min(u32::from(NO_ROUTE)) as u8;
+                }
             }
         }
-        outcome
+
+        // The sweep, counting no-route labels and seed bits per lane in
+        // bytes over runs of at most 255 ASes.
+        let rows = &mut ws.lanes;
+        let mut near_full = [0u8; LANES];
+        let (mut none, mut seeded) = ([0usize; LANES], [0usize; LANES]);
+        for run in (0..n).step_by(255) {
+            let (mut run_none, mut run_seeded) = ([0u8; LANES], [0u8; LANES]);
+            for at in run..(run + 255).min(n) {
+                let mut best = [NO_ROUTE; LANES];
+                for &p in t.providers(at) {
+                    let row = &rows[p as usize];
+                    for k in 0..LANES {
+                        best[k] = best[k].min(row[k]);
+                    }
+                }
+                let row = &mut rows[at];
+                for k in 0..LANES {
+                    // A minimum of 0xFD or 0xFE would saturate into no route.
+                    near_full[k] |= u8::from(best[k].wrapping_add(3) < 2);
+                    if row[k] == NO_ROUTE {
+                        row[k] = best[k].saturating_add(2);
+                    }
+                    run_none[k] += u8::from(row[k] == NO_ROUTE);
+                    run_seeded[k] += row[k] & 1;
+                }
+            }
+            for k in 0..LANES {
+                none[k] += usize::from(run_none[k]);
+                seeded[k] += usize::from(run_seeded[k]);
+            }
+        }
+
+        for (k, lane) in lanes.iter().enumerate() {
+            let (attacker, victim) = (lane.attacker, lane.victim);
+            if overflow[k] || near_full[k] != 0 {
+                out[k] =
+                    self.propagate_outcome(&lane.seeds, &|_, _| true, ws, None, attacker, victim);
+                continue;
+            }
+            // `NO_ROUTE` has its low bit set too.
+            let with_bit = seeded[k] - none[k];
+            let without_bit = n - none[k] - with_bit;
+            let outcome = &mut out[k];
+            *outcome = if high_at[k] == attacker {
+                AttackOutcome {
+                    intercepted: with_bit,
+                    legitimate: without_bit,
+                    disconnected: none[k],
+                }
+            } else {
+                AttackOutcome {
+                    intercepted: without_bit,
+                    legitimate: with_bit,
+                    disconnected: none[k],
+                }
+            };
+            for at in [attacker, victim] {
+                let label = ws.lanes[at][k];
+                if label == NO_ROUTE {
+                    outcome.disconnected -= 1;
+                } else if (label & 1 == 1) == (high_at[k] == attacker) {
+                    outcome.intercepted -= 1;
+                } else {
+                    outcome.legitimate -= 1;
+                }
+            }
+        }
     }
 
     /// Runs the three phases into `ws`: the result lives in its bitsets
@@ -784,27 +945,29 @@ impl<'t> PropagationEngine<'t> {
         // exported to peers; collect all offers (the `pending` array
         // doubles as the offer table), then adopt the best per AS.
         ws.clear_pending();
-        for at in 0..n {
-            if !ws.routed(at) {
-                continue;
-            }
-            let info = ws.settled.routes[at];
-            for &peer in t.peers(at) {
-                let peer = peer as usize;
-                if ws.routed(peer) {
-                    continue;
+        for w in 0..ws.settled.set.len() {
+            let mut bits = ws.settled.set[w];
+            while bits != 0 {
+                let at = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let info = ws.settled.routes[at];
+                for &peer in t.peers(at) {
+                    let peer = peer as usize;
+                    if ws.routed(peer) {
+                        continue;
+                    }
+                    if !accept(peer, info.claimed_origin()) {
+                        continue;
+                    }
+                    let candidate = PackedRoute::new(
+                        RouteClass::Peer,
+                        info.path_len() + 1,
+                        info.claimed_origin(),
+                        info.delivers_to(),
+                        Some(at),
+                    );
+                    ws.improve_pending(peer, candidate);
                 }
-                if !accept(peer, info.claimed_origin()) {
-                    continue;
-                }
-                let candidate = PackedRoute::new(
-                    RouteClass::Peer,
-                    info.path_len() + 1,
-                    info.claimed_origin(),
-                    info.delivers_to(),
-                    Some(at),
-                );
-                ws.improve_pending(peer, candidate);
             }
         }
         // Commit: every AS holding an offer but no settled route adopts
@@ -967,30 +1130,247 @@ mod tests {
         }
     }
 
+    /// The lane kernel's outcome for `lane`, alone in its batch.
+    fn pulled(engine: &PropagationEngine<'_>, lane: Lane, ws: &mut Workspace) -> AttackOutcome {
+        let mut out = [AttackOutcome::default()];
+        engine.transparent_outcomes(&[lane], ws, &mut out);
+        out[0]
+    }
+
     #[test]
     fn kernel_and_push_runs_share_a_workspace() {
-        // The kernel leaves phases 1–2 in the table and its labels
-        // behind: a push run after it, and a kernel run after a push
-        // run, must each equal its fresh-workspace twin.
+        // The kernel leaves a lane's phases 1–2 in the table and its rows
+        // behind: a push run after it, a batch of one after a full
+        // batch, and a full batch after a push run must each equal its
+        // fresh-workspace twin.
         let t = topo(250);
         let stubs = t.stubs();
         let engine = PropagationEngine::new(&t);
         let mut ws = Workspace::new();
         let reject_some = |at: usize, _: Asn| at % 5 != 1;
-        for trial in 0..6 {
-            let (victim, attacker) = (stubs[trial], stubs[stubs.len() - 1 - trial]);
-            let seeds = [
-                Seed::origin(victim, t.asn(victim)),
-                Seed::forged(attacker, t.asn(victim)),
-            ];
-            let pulled = engine.transparent_outcome(&seeds, &mut ws, attacker, victim);
+        let lanes: Vec<Lane> = (0..LANES)
+            .map(|trial| {
+                let (victim, attacker) = (stubs[trial], stubs[stubs.len() - 1 - trial]);
+                let seeds = [
+                    Seed::origin(victim, t.asn(victim)),
+                    Seed::forged(attacker, t.asn(victim)),
+                ];
+                Lane {
+                    seeds,
+                    attacker,
+                    victim,
+                }
+            })
+            .collect();
+        let fresh: Vec<AttackOutcome> = lanes
+            .iter()
+            .map(|&lane| pulled(&engine, lane, &mut Workspace::new()))
+            .collect();
+        let mut batch = [AttackOutcome::default(); LANES];
+        for (trial, &lane) in lanes.iter().enumerate().take(6) {
+            assert_eq!(
+                pulled(&engine, lane, &mut ws),
+                fresh[trial],
+                "trial {trial}"
+            );
             assert!(ws.drain_set.iter().all(|&w| w == 0), "trial {trial}");
-            let reused = engine.propagate(&seeds, &reject_some, &mut ws);
-            let fresh = engine.propagate(&seeds, &reject_some, &mut Workspace::new());
-            assert!(reused.iter().eq(fresh.iter()), "trial {trial}");
-            let again = engine.transparent_outcome(&seeds, &mut ws, attacker, victim);
-            let fresh = engine.transparent_outcome(&seeds, &mut Workspace::new(), attacker, victim);
-            assert_eq!((pulled, again), (fresh, fresh), "trial {trial}");
+            let reused = engine.propagate(&lane.seeds, &reject_some, &mut ws);
+            let pushed = engine.propagate(&lane.seeds, &reject_some, &mut Workspace::new());
+            assert!(reused.iter().eq(pushed.iter()), "trial {trial}");
+            // The whole batch, rotated so this lane comes first.
+            let rotated: Vec<Lane> = lanes
+                .iter()
+                .cycle()
+                .skip(trial)
+                .take(LANES)
+                .copied()
+                .collect();
+            engine.transparent_outcomes(&rotated, &mut ws, &mut batch);
+            let want: Vec<AttackOutcome> = fresh
+                .iter()
+                .cycle()
+                .skip(trial)
+                .take(LANES)
+                .copied()
+                .collect();
+            assert_eq!(batch[..], want[..], "trial {trial}");
+            assert_eq!(
+                pulled(&engine, lane, &mut ws),
+                fresh[trial],
+                "trial {trial}"
+            );
+        }
+    }
+
+    /// The lane differential: every lane of a random batch equals an
+    /// accept-all push run, whatever shares its sweep.
+    mod lane_kernel {
+        use super::*;
+        use crate::topology::InternetConfig;
+        use proptest::prelude::*;
+
+        /// A topology configuration for either generator.
+        #[derive(Debug, Clone, Copy)]
+        enum Shape {
+            Flat(TopologyConfig),
+            Internet(InternetConfig),
+        }
+
+        impl Shape {
+            fn build(self) -> Topology {
+                match self {
+                    Shape::Flat(config) => Topology::generate(config),
+                    Shape::Internet(config) => Topology::generate_internet(config),
+                }
+            }
+        }
+
+        /// Both generators, degenerate shapes included: one to five
+        /// tier-1s, one provider per AS, no peering or peering on every
+        /// draw, a handful of ASes.
+        fn arb_shape() -> impl Strategy<Value = Shape> {
+            (
+                (0usize..2, 1usize..6, 1usize..200),
+                1usize..4,
+                0usize..3,
+                0usize..60,
+                any::<u64>(),
+            )
+                .prop_map(
+                    |((internet, tier1, extra), max_providers, peering, transit_pct, seed)| {
+                        let n = tier1 + extra;
+                        if internet == 1 {
+                            Shape::Internet(InternetConfig {
+                                n,
+                                tier1,
+                                transit_frac: transit_pct as f64 / 100.0,
+                                max_providers,
+                                peer_links_per_as: [0.0, 1.5, 6.0][peering],
+                                seed,
+                            })
+                        } else {
+                            Shape::Flat(TopologyConfig {
+                                n,
+                                tier1,
+                                max_providers,
+                                peer_prob: [0.0, 0.2, 1.0][peering],
+                                seed,
+                            })
+                        }
+                    },
+                )
+        }
+
+        /// One lane, drawn independently of the topology.
+        #[derive(Debug, Clone)]
+        struct LaneSpec {
+            /// `(kind, pick)` for the victim, then the attacker: a tier-1,
+            /// a transit AS or any AS.
+            places: [(usize, prop::sample::Index); 2],
+            claim_victim: bool,
+            /// Each seed's length choice: 0–3, 120–127, the bound.
+            lengths: [usize; 2],
+            /// Whether the attacker's seed comes first.
+            swap: bool,
+        }
+
+        fn arb_lane() -> impl Strategy<Value = LaneSpec> {
+            let place = || (0usize..3, any::<prop::sample::Index>());
+            (
+                (place(), place()),
+                any::<bool>(),
+                (0usize..13, 0usize..13),
+                any::<bool>(),
+            )
+                .prop_map(|((v, a), claim_victim, (lv, la), swap)| LaneSpec {
+                    places: [v, a],
+                    claim_victim,
+                    lengths: [lv, la],
+                    swap,
+                })
+        }
+
+        impl LaneSpec {
+            fn lane(&self, t: &Topology) -> Lane {
+                let transit: Vec<usize> = (t.tier1()..t.len()).filter(|&a| !t.is_stub(a)).collect();
+                let place = |(kind, pick): (usize, prop::sample::Index)| match kind {
+                    0 => pick.index(t.tier1()),
+                    1 if !transit.is_empty() => transit[pick.index(transit.len())],
+                    _ => pick.index(t.len()),
+                };
+                let victim = place(self.places[0]);
+                let mut attacker = place(self.places[1]);
+                if attacker == victim {
+                    attacker = (victim + 1) % t.len();
+                }
+                let max = PropagationEngine::new(t).max_seed_len();
+                let len = |choice: usize| match choice {
+                    0..=3 => choice as u32,
+                    12 => max,
+                    long => (116 + long as u32).min(max),
+                };
+                let claimed = t.asn(if self.claim_victim { victim } else { attacker });
+                let (v, a) = (
+                    Seed {
+                        at: victim,
+                        path_len: len(self.lengths[0]),
+                        claimed_origin: t.asn(victim),
+                    },
+                    Seed {
+                        at: attacker,
+                        path_len: len(self.lengths[1]),
+                        claimed_origin: claimed,
+                    },
+                );
+                Lane {
+                    seeds: if self.swap { [a, v] } else { [v, a] },
+                    attacker,
+                    victim,
+                }
+            }
+        }
+
+        /// 64 cases, or `PROPTEST_CASES` where it is set.
+        fn cases() -> ProptestConfig {
+            match std::env::var_os("PROPTEST_CASES") {
+                Some(_) => ProptestConfig::default(),
+                None => ProptestConfig::with_cases(64),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(cases())]
+
+            #[test]
+            fn every_lane_equals_an_accept_all_push_run(
+                shape in arb_shape(),
+                specs in prop::collection::vec(arb_lane(), 1..=LANES),
+            ) {
+                let t = shape.build();
+                let engine = PropagationEngine::new(&t);
+                let lanes: Vec<Lane> = specs.iter().map(|spec| spec.lane(&t)).collect();
+                let mut out = vec![AttackOutcome::default(); lanes.len()];
+                engine.transparent_outcomes(&lanes, &mut Workspace::new(), &mut out);
+                for (k, lane) in lanes.iter().enumerate() {
+                    let pushed = engine.propagate_outcome(
+                        &lane.seeds,
+                        &accept_all,
+                        &mut Workspace::new(),
+                        None,
+                        lane.attacker,
+                        lane.victim,
+                    );
+                    prop_assert_eq!(
+                        out[k],
+                        pushed,
+                        "lane {} of {}: {:?} in {:?}",
+                        k,
+                        lanes.len(),
+                        lane,
+                        shape
+                    );
+                }
+            }
         }
     }
 

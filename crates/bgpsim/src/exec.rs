@@ -5,7 +5,7 @@
 //! * [`TrialPlan`] — the IR: an enumeration of `(topology, strategy,
 //!   deployment, ROA, trial)` work items;
 //! * [`Executor`] — sequential and threaded backends scheduling those items
-//!   over the per-thread [`crate::engine::Workspace`] pool, with a
+//!   over the process-wide [`crate::engine::Workspace`] pool, with a
 //!   deployment-keyed policy cache and cross-deployment outcome replay;
 //! * [`Accumulator`] — a streaming per-cell monoid ([`CellAccumulator`]
 //!   is the one that ships), so memory stays O(cells), not
@@ -14,12 +14,16 @@
 //!   multi-hour grid can stop and restart deterministically
 //!   ([`PlanSession::run_until`]).
 //!
-//! What a worker claims and a cursor counts is a **trial group**: one
-//! `(topology, trial)` — one attacker/victim placement — across every
-//! ROA configuration, strategy and deployment; group `g` is trial
-//! `g % trials` of topology `g / trials`. Sharing happens inside a
-//! group, never in a per-worker cache, so what a run computes
-//! ([`ExecStats`]) does not depend on which worker claimed what. An
+//! What a cursor counts is a **trial group**: one `(topology, trial)` —
+//! one attacker/victim placement — across every ROA configuration,
+//! strategy and deployment; group `g` is trial `g % trials` of topology
+//! `g / trials`, and it is also what a worker claims. A worker defers
+//! the transparent head-to-head stagings of the groups it runs into one
+//! lane batch, so up to 16 of them share a lane-kernel sweep (see
+//! [`crate::engine`]). Sharing of outcomes happens inside a group, never
+//! in a per-worker cache, and every lane is exact whatever shares its
+//! sweep, so what a run computes ([`ExecStats`]) does not depend on
+//! which worker claimed what, nor on where a checkpoint cut a batch. An
 //! encoded cursor carries the numbering and its counters in its magic
 //! (`maxlength-cursor-v4`): a `v1` text counted `(topology, ROA, trial)`
 //! groups, a `v2` text lacks [`ExecStats::shared`], a `v3` text lacks
@@ -83,7 +87,12 @@
 //!   as before. A transparent head-to-head staging that does run needs
 //!   only its tally, which the engine's outcome-only kernel settles
 //!   without a provider-phase queue; [`ExecStats::pulled`] counts those
-//!   runs.
+//!   runs. The worker defers them: a group records a slot of the
+//!   worker's lane batch where the outcome will be, and a memo hit or a
+//!   footprint replay records the same slot. The batch settles 16
+//!   stagings a sweep and is flushed when full, when 16 groups wait on
+//!   it, when the topology changes and when the worker runs out of
+//!   groups; a group's outcomes are absorbed once its slots are resolved.
 //! * **Speculative cross-cell execution (Block-STM style).** Per trial
 //!   group and ROA, each strategy is propagated **once**, against the
 //!   first deployment on the axis, while the engine records its *filter
@@ -107,6 +116,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -114,9 +124,14 @@ use rpki_prefix::Prefix;
 
 use crate::attack::{AttackOutcome, AttackSetup};
 use crate::deployment::DeploymentModel;
-use crate::engine::{CompiledPolicies, FilterFootprint, OriginFilter};
+use crate::engine::{
+    check_in_workspaces, check_out_workspaces, with_installed_workspace, CompiledPolicies,
+    FilterFootprint, OriginFilter, PropagationEngine, LANES,
+};
 use crate::experiment::{destination_pair, trial_pair, RoaConfig};
-use crate::strategy::{run_strategy, run_strategy_speculative, AttackerStrategy, TrialGroup};
+use crate::strategy::{
+    run_strategy, run_strategy_speculative, AttackerStrategy, LaneBatch, Staged, TrialGroup,
+};
 use crate::topology::Topology;
 
 /// Seeded sampling of destination (victim) stubs — the axis that makes
@@ -318,6 +333,11 @@ impl<'a> TrialPlan<'a> {
     /// Trial groups: one per `(topology, trial)`.
     fn group_count(&self) -> usize {
         self.topologies.len() * self.trials
+    }
+
+    /// Work items in one trial group.
+    fn group_items(&self) -> usize {
+        self.item_count() / self.group_count()
     }
 
     fn validate(&self) {
@@ -533,8 +553,9 @@ pub struct ExecStats {
     /// The part of `shared` answered from the topology's structure, not
     /// from the memo.
     pub structural: usize,
-    /// Engine runs settled by the outcome-only kernel: transparent
-    /// head-to-head stagings, which need no route table.
+    /// Engine runs settled by the outcome-only lane kernel: transparent
+    /// head-to-head stagings, which need no route table. Each counts
+    /// once, whatever else shared its sweep.
     pub pulled: usize,
 }
 
@@ -721,10 +742,14 @@ impl Executor {
         Executor { parallel: false }
     }
 
-    /// Fans trial groups out over `rayon::current_num_threads()` worker
-    /// threads (`RAYON_NUM_THREADS` honored); each worker reuses its thread's
-    /// propagation [`crate::engine::Workspace`]. Bit-identical to
-    /// [`Executor::sequential`] at every thread count.
+    /// Fans trial groups out over `rayon::current_num_threads()` workers
+    /// (`RAYON_NUM_THREADS` honored), the calling thread among them.
+    /// The pass checks one propagation [`crate::engine::Workspace`] per
+    /// worker out of a process-wide pool and returns them once every
+    /// worker is joined, so the scratch outlives the spawned threads and
+    /// the pool holds as many workspaces as the most workers a pass has
+    /// used (see [`crate::engine::with_workspace`]).
+    /// Bit-identical to [`Executor::sequential`] at every thread count.
     pub fn parallel() -> Executor {
         Executor { parallel: true }
     }
@@ -768,23 +793,24 @@ pub struct PlanSession<'p, 'a> {
     compilations: usize,
 }
 
-/// One trial group's buffered absorb calls, in deterministic call order:
+/// One trial group's absorb calls, in deterministic call order:
 /// `(cell index, outcome)`.
-type GroupOutcomes = Vec<(usize, AttackOutcome)>;
+type GroupOutcomes = [(usize, AttackOutcome)];
+
+/// Absorbs one trial group's outcomes and counters.
+fn absorb_group<A: Accumulator>(
+    accs: &mut [A],
+    stats: &mut ExecStats,
+    outcomes: &GroupOutcomes,
+    tally: &ExecStats,
+) {
+    stats.add_group(tally);
+    for (cell, outcome) in outcomes {
+        accs[*cell].absorb(outcome);
+    }
+}
 
 impl PlanSession<'_, '_> {
-    /// Runs group `g` into a buffer instead of absorbing directly — the
-    /// unit of parallel scheduling. Outcomes are recorded in the exact
-    /// order the sequential path would absorb them.
-    fn run_group_buffered(&self, g: usize) -> (GroupOutcomes, ExecStats) {
-        let mut out = Vec::with_capacity(self.plan.item_count() / self.plan.group_count());
-        let mut tally = ExecStats::default();
-        self.run_group(g, &mut tally, &mut |cell, outcome| {
-            out.push((cell, *outcome))
-        });
-        (out, tally)
-    }
-
     /// `cursor`'s counters as a run's [`ExecStats`]: equal to
     /// [`Self::run_with_stats`]'s once the cursor is done.
     pub fn cursor_stats<A>(&self, cursor: &PlanCursor<A>) -> ExecStats {
@@ -798,10 +824,13 @@ impl PlanSession<'_, '_> {
     /// Runs the whole plan, returning one accumulator per cell in
     /// canonical cell order, plus the run's [`ExecStats`].
     ///
-    /// The parallel backend hands **trial groups** to worker threads one
-    /// at a time and streams each group's buffered outcomes back to the
-    /// calling thread (so buffered-outcome memory stays about
-    /// O(threads × group size), and total state O(cells)); every cell's
+    /// Both backends hand trial groups out one at a time, in ascending
+    /// order, to workers that defer the groups' transparent head-to-head
+    /// stagings into one lane batch each. The parallel backend's workers
+    /// are the calling thread and `threads − 1` scoped threads, which
+    /// stream each group's buffered outcomes back to the calling thread
+    /// once its lanes are settled (so buffered-outcome memory stays about
+    /// O(threads × 16 groups), and total state O(cells)); every cell's
     /// accumulator still absorbs its outcomes in ascending group order
     /// on the calling thread, so the result is bit-identical to the
     /// sequential backend at any thread count.
@@ -815,56 +844,72 @@ impl PlanSession<'_, '_> {
         let groups = plan.group_count();
         let mut accs = vec![A::empty(); plan.cell_count()];
         if self.parallel {
-            // One set of workers for the whole pass, each claiming the
-            // next unclaimed group: no worker is bound to a share fixed
-            // in advance, and none is started or joined in mid-pass, so
-            // on a machine busy with other work a pass slows by the CPU
-            // it lost and not by what the unluckiest worker lost.
+            // One set of workers for the whole pass, the calling thread
+            // among them, each claiming the next unclaimed group: no
+            // worker is bound to a share fixed in advance, and none is
+            // started or joined in mid-pass, so on a machine busy with
+            // other work a pass slows by the CPU it lost and not by what
+            // the unluckiest worker lost.
             let workers = rayon::current_num_threads().clamp(1, groups.max(1));
             let next = AtomicUsize::new(0);
-            let (done, finished) = mpsc::channel();
+            let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&g| g < groups);
+            let mut scratch = check_out_workspaces(workers);
+            let (mine, theirs) = scratch.split_first_mut().expect("at least one worker");
             std::thread::scope(|scope| {
-                for _ in 0..workers {
+                let (done, finished) = mpsc::channel();
+                for ws in theirs {
                     let done = done.clone();
                     let next = &next;
-                    scope.spawn(move || loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        if g >= groups || done.send((g, self.run_group_buffered(g))).is_err() {
-                            break;
-                        }
+                    scope.spawn(move || {
+                        with_installed_workspace(ws, || {
+                            self.run_groups(claim, &mut |g, outcomes, tally| {
+                                if done.send((g, (outcomes.to_vec(), *tally))).is_err() {
+                                    // The calling thread is unwinding:
+                                    // claim nothing more.
+                                    next.store(groups, Ordering::Relaxed);
+                                }
+                            })
+                        })
                     });
                 }
                 drop(done);
                 // Groups finish out of order; `early` holds those that
-                // finished ahead of the oldest one still running.
+                // finished ahead of the oldest one not yet absorbed.
                 let mut early = BTreeMap::new();
                 let mut due = 0;
-                for (g, result) in finished {
-                    early.insert(g, result);
+                let mut settle = |early: &mut BTreeMap<usize, (Vec<_>, ExecStats)>| {
                     while let Some((outcomes, tally)) = early.remove(&due) {
-                        stats.add_group(&tally);
-                        for (cell, outcome) in &outcomes {
-                            accs[*cell].absorb(outcome);
-                        }
+                        absorb_group(&mut accs, &mut stats, &outcomes, &tally);
                         due += 1;
                     }
+                };
+                with_installed_workspace(mine, || {
+                    self.run_groups(claim, &mut |g, outcomes, tally| {
+                        early.insert(g, (outcomes.to_vec(), *tally));
+                        early.extend(finished.try_iter());
+                        settle(&mut early);
+                    })
+                });
+                for (g, result) in finished {
+                    early.insert(g, result);
+                    settle(&mut early);
                 }
             });
+            check_in_workspaces(scratch);
         } else {
-            for g in 0..groups {
-                self.run_group(g, &mut stats, &mut |cell, outcome| {
-                    accs[cell].absorb(outcome)
-                });
-            }
+            self.run_in_order(0..groups, &mut |_, outcomes, tally| {
+                absorb_group(&mut accs, &mut stats, outcomes, tally)
+            });
         }
         (accs, stats)
     }
 
     /// Advances `cursor` by up to `max_items` work items (always whole
     /// trial groups; at least one group per call), returning `true` once
-    /// the plan is complete. Checkpointed execution is sequential; the
-    /// finished cursor's accumulators are bit-identical to
-    /// [`Self::run_with_stats`]'s.
+    /// the plan is complete. Checkpointed execution is sequential, and a
+    /// call settles every lane its groups deferred; the finished
+    /// cursor's accumulators and counters are bit-identical to
+    /// [`Self::run_with_stats`]'s, wherever the budget cuts.
     ///
     /// # Panics
     ///
@@ -884,18 +929,14 @@ impl PlanSession<'_, '_> {
         if cursor.is_done() {
             return true;
         }
-        let group_items = plan.item_count() / plan.group_count();
-        let mut processed = 0;
-        while !cursor.is_done() && (processed == 0 || processed + group_items <= max_items) {
-            let accs = &mut cursor.accs;
-            self.run_group(
-                cursor.next_group,
-                &mut cursor.stats,
-                &mut |cell, outcome| accs[cell].absorb(outcome),
-            );
-            cursor.next_group += 1;
-            processed += group_items;
-        }
+        // Whole groups within the budget, and at least one.
+        let budget = (max_items / plan.group_items()).max(1);
+        let end = cursor.total_groups.min(cursor.next_group + budget);
+        let (accs, stats) = (&mut cursor.accs, &mut cursor.stats);
+        self.run_in_order(cursor.next_group..end, &mut |_, outcomes, tally| {
+            absorb_group(accs, stats, outcomes, tally)
+        });
+        cursor.next_group = end;
         cursor.is_done()
     }
 }
@@ -909,11 +950,83 @@ thread_local! {
 }
 
 impl PlanSession<'_, '_> {
+    /// Runs the trial groups `todo` in ascending order on the calling
+    /// thread, with a workspace from the pool, as [`Self::run_groups`].
+    fn run_in_order(
+        &self,
+        mut todo: Range<usize>,
+        emit: &mut dyn FnMut(usize, &GroupOutcomes, &ExecStats),
+    ) {
+        let mut scratch = check_out_workspaces(1);
+        with_installed_workspace(&mut scratch[0], || self.run_groups(|| todo.next(), emit));
+        check_in_workspaces(scratch);
+    }
+
+    /// Runs the trial groups `claim` hands out, one at a time, deferring
+    /// their transparent head-to-head stagings into one lane batch, and
+    /// reports each group's `(cell index, outcome)` pairs (in
+    /// [`Self::run_group`]'s order) and counters to `emit`, in claim
+    /// order, once its slots are resolved. The batch is flushed when it
+    /// is full, when `LANES` groups wait on it, when the topology changes
+    /// and when `claim` runs dry.
+    fn run_groups(
+        &self,
+        mut claim: impl FnMut() -> Option<usize>,
+        emit: &mut dyn FnMut(usize, &GroupOutcomes, &ExecStats),
+    ) {
+        let plan = self.plan;
+        let batch = RefCell::new(LaneBatch::default());
+        // The groups waiting on the batch, all on one topology: `(group,
+        // end of its entries in `staged`, counters)`.
+        let mut waiting: Vec<(usize, usize, ExecStats)> = Vec::with_capacity(LANES);
+        let mut staged = Vec::with_capacity(LANES * plan.group_items());
+        let mut outcomes = Vec::with_capacity(plan.group_items());
+        let mut flush = |waiting: &mut Vec<(usize, usize, ExecStats)>,
+                         staged: &mut Vec<(usize, Staged)>| {
+            let Some(&(first, ..)) = waiting.first() else {
+                return;
+            };
+            let mut batch = batch.borrow_mut();
+            batch.flush(&PropagationEngine::new(
+                plan.topologies[first / plan.trials].topology,
+            ));
+            let mut start = 0;
+            for (g, end, tally) in waiting.drain(..) {
+                outcomes.clear();
+                outcomes.extend(
+                    staged[start..end]
+                        .iter()
+                        .map(|&(cell, s)| (cell, batch.resolve(s))),
+                );
+                emit(g, &outcomes, &tally);
+                start = end;
+            }
+            staged.clear();
+            batch.clear();
+        };
+        while let Some(g) = claim() {
+            if waiting
+                .first()
+                .is_some_and(|&(first, ..)| first / plan.trials != g / plan.trials)
+            {
+                flush(&mut waiting, &mut staged);
+            }
+            let mut tally = ExecStats::default();
+            self.run_group(g, &batch, &mut tally, &mut staged);
+            waiting.push((g, staged.len(), tally));
+            if batch.borrow().is_settled() || waiting.len() == LANES {
+                flush(&mut waiting, &mut staged);
+            }
+        }
+        flush(&mut waiting, &mut staged);
+    }
+
     /// Runs group `g` — trial `g % trials` of topology `g / trials` —
     /// across every ROA configuration, strategy and deployment with
-    /// Block-STM-style speculation, reporting each `(cell index, outcome)`
-    /// to `absorb` (ROA by ROA, strategies in axis order, deployments in
-    /// axis order) and counting into `stats`.
+    /// Block-STM-style speculation, appending each `(cell index, staged
+    /// outcome)` to `staged` (ROA by ROA, strategies in axis order,
+    /// deployments in axis order) and counting into `stats`. The group's
+    /// transparent head-to-head stagings are deferred into `batch`.
     ///
     /// Per ROA and strategy: execute once against deployment 0 while
     /// recording the filter footprint, then for each further deployment
@@ -931,15 +1044,16 @@ impl PlanSession<'_, '_> {
     fn run_group(
         &self,
         g: usize,
+        batch: &RefCell<LaneBatch>,
         stats: &mut ExecStats,
-        absorb: &mut dyn FnMut(usize, &AttackOutcome),
+        staged: &mut Vec<(usize, Staged)>,
     ) {
         let (plan, resolved) = (self.plan, &self.resolved);
         let (ti, trial) = (g / plan.trials, g % plan.trials);
         let topology = plan.topologies[ti].topology;
         let (victim, attacker) = plan.trial_endpoints(ti, trial);
         let victim_asn = topology.asn(victim);
-        let group = TrialGroup::default();
+        let group = TrialGroup::deferring(batch);
         FOOTPRINT.with(|footprint| {
             for (ri, roa) in plan.roas.iter().enumerate() {
                 let vrps = roa.vrps(plan.victim_prefix, plan.sub_prefix.len(), victim_asn);
@@ -964,20 +1078,20 @@ impl PlanSession<'_, '_> {
                     let outcome =
                         run_strategy_speculative(*strategy, &setup_for(0), &group, Some(footprint));
                     stats.executed += 1;
-                    absorb(plan.cell_index(ti, si, 0, ri), &outcome);
+                    staged.push((plan.cell_index(ti, si, 0, ri), outcome));
                     for (di, deployment) in resolved[ti].iter().enumerate().skip(1) {
                         // The validate half: O(|footprint|) against this
                         // cell's adopter bitset.
                         stats.footprint_checks += 1;
                         if footprint.borrow().validates(deployment) {
                             stats.cells_replayed += 1;
-                            absorb(plan.cell_index(ti, si, di, ri), &outcome);
+                            staged.push((plan.cell_index(ti, si, di, ri), outcome));
                         } else {
                             let diverged =
                                 run_strategy_speculative(*strategy, &setup_for(di), &group, None);
                             stats.executed += 1;
                             stats.cells_repropagated += 1;
-                            absorb(plan.cell_index(ti, si, di, ri), &diverged);
+                            staged.push((plan.cell_index(ti, si, di, ri), diverged));
                         }
                     }
                 }
@@ -1240,29 +1354,52 @@ mod tests {
 
     #[test]
     fn checkpointed_run_matches_straight_through() {
-        let t = topo(140);
-        let plan = plan_over(
-            &t,
+        // Two topologies, so some batches flush at a topology change, and
+        // budgets that cut batches short anywhere: one group, one short
+        // of 16 groups, one past it.
+        let (t, u) = (topo(140), topo(120));
+        let plan = TrialPlan::new(
+            vec![
+                PlanTopology {
+                    label: "a".into(),
+                    topology: &t,
+                },
+                PlanTopology {
+                    label: "b".into(),
+                    topology: &u,
+                },
+            ],
             vec![&AttackKind::ForgedOriginPrefixHijack, &RouteLeak],
             vec![DeploymentModel::Uniform { p: 0.7 }],
+            RoaConfig::ALL.to_vec(),
+            LANES + 5,
+            41,
         );
-        let straight: Vec<CellAccumulator> = Executor::sequential().run(&plan);
+        let (straight, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
+        assert!(stats.pulled > LANES, "{stats:?}");
         let exec = Executor::sequential();
         let session = exec.session(&plan);
-        let mut cursor = plan.cursor::<CellAccumulator>();
-        let mut rounds = 0;
-        while !session.run_until(&mut cursor, 2) {
-            rounds += 1;
-            assert!(cursor.progress() > 0.0 && cursor.progress() < 1.0);
-            // Round-trip through the textual checkpoint every step.
-            cursor = PlanCursor::decode(&cursor.encode()).expect("decode own encoding");
+        for groups in [1, LANES - 1, LANES + 1] {
+            let mut cursor = plan.cursor::<CellAccumulator>();
+            let mut rounds = 0;
+            while !session.run_until(&mut cursor, groups * plan.group_items()) {
+                rounds += 1;
+                assert!(cursor.progress() > 0.0 && cursor.progress() < 1.0);
+                // Round-trip through the textual checkpoint every step.
+                cursor = PlanCursor::decode(&cursor.encode()).expect("decode own encoding");
+            }
+            assert_eq!(
+                rounds,
+                plan.group_count().div_ceil(groups) - 1,
+                "{groups} a step"
+            );
+            assert!(cursor.is_done());
+            assert_eq!(cursor.accumulators(), &straight[..], "{groups} a step");
+            assert_eq!(session.cursor_stats(&cursor), stats, "{groups} a step");
+            // Running an exhausted cursor is a no-op.
+            assert!(session.run_until(&mut cursor, usize::MAX));
+            assert_eq!(cursor.into_accumulators(), straight);
         }
-        assert!(rounds > 1, "plan too small to exercise checkpointing");
-        assert!(cursor.is_done());
-        assert_eq!(cursor.accumulators(), &straight[..]);
-        // Running an exhausted cursor is a no-op.
-        assert!(session.run_until(&mut cursor, usize::MAX));
-        assert_eq!(cursor.into_accumulators(), straight);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! * [`exec`] — the unified trial executor: a [`TrialPlan`] IR
 //!   enumerating `(topology, strategy, deployment, ROA, trial)` work
 //!   items, sequential and rayon [`Executor`] backends over the
-//!   per-thread workspace pool, streaming per-cell [`Accumulator`]s,
+//!   process-wide workspace pool, streaming per-cell [`Accumulator`]s,
 //!   a deployment-keyed policy cache, and resumable [`PlanCursor`]
 //!   checkpoints.
 //! * [`experiment`] — the plan axes sampled experiments share:

@@ -40,7 +40,9 @@ use rpki_roa::Asn;
 use rpki_rov::VrpIndex;
 
 use crate::attack::{AttackKind, AttackOutcome, AttackSetup};
-use crate::engine::{with_workspace, FilterFootprint, OriginFilter, PropagationEngine};
+use crate::engine::{
+    with_workspace, FilterFootprint, Lane, OriginFilter, PropagationEngine, LANES,
+};
 use crate::routing::{Propagation, Seed};
 use crate::topology::Topology;
 
@@ -64,7 +66,7 @@ pub struct StrategyContext<'a> {
     /// The trial group staged in, which holds the victim-only
     /// propagation: computed on first use, so strategies that never look
     /// pay nothing.
-    group: &'a TrialGroup,
+    group: &'a TrialGroup<'a>,
     victim_seed: Seed,
     accept_p: &'a OriginFilter<'a>,
 }
@@ -113,19 +115,25 @@ impl StrategyContext<'_> {
 /// ([`OriginFilter::is_transparent`]), so by [`Topology`]'s hierarchy
 /// invariant the victim's announcement reaches every AS, and the
 /// baseline depends on neither the VRPs nor the deployment.
+///
+/// A group with a [`LaneBatch`] defers its transparent head-to-head
+/// stagings into it; one without settles each at once, as a batch of
+/// one.
 #[derive(Default)]
-pub(crate) struct TrialGroup {
+pub(crate) struct TrialGroup<'b> {
     /// The victim-only propagation, computed on first use.
     pub baseline: OnceCell<Propagation>,
     /// Outcomes of the head-to-head and less-specific stagings whose
     /// attack filter was transparent, by [`StagingKey`].
-    transparent: RefCell<Vec<(StagingKey, AttackOutcome)>>,
+    transparent: RefCell<Vec<(StagingKey, Staged)>>,
+    /// Where transparent head-to-head stagings wait for the lane kernel.
+    batch: Option<&'b RefCell<LaneBatch>>,
     /// Stagings answered without an engine run: from `transparent`, or
     /// from the topology's structure.
     pub hits: Cell<usize>,
     /// The part of `hits` answered from the topology's structure.
     pub structural: Cell<usize>,
-    /// Engine runs settled by [`PropagationEngine::transparent_outcome`].
+    /// Stagings settled by [`PropagationEngine::transparent_outcomes`].
     pub pulled: Cell<usize>,
 }
 
@@ -136,27 +144,113 @@ pub(crate) struct TrialGroup {
 /// ASes, every one delivering to the attacker, whatever its seed.
 type StagingKey = Option<(u32, Asn)>;
 
-impl TrialGroup {
+/// A staging's outcome, or the slot of a [`LaneBatch`] that holds it
+/// once the batch is flushed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Staged {
+    /// Settled.
+    Ready(AttackOutcome),
+    /// Deferred to the lane kernel.
+    Lane(u32),
+}
+
+/// Transparent head-to-head stagings deferred across the trial groups
+/// a worker runs, one topology at a time, and the outcomes of those
+/// already settled: slot `s` is the `s`-th lane pushed since the last
+/// [`Self::clear`].
+#[derive(Debug, Default)]
+pub(crate) struct LaneBatch {
+    /// Pushed, not yet settled: at most `LANES`.
+    lanes: Vec<Lane>,
+    /// Settled, by slot.
+    outcomes: Vec<AttackOutcome>,
+}
+
+impl LaneBatch {
+    /// Defers `lane`, settling the batch through `engine` once it holds
+    /// `LANES`. Every lane pushed until the next [`Self::flush`] must be
+    /// on `engine`'s topology.
+    fn push(&mut self, engine: &PropagationEngine<'_>, lane: Lane) -> Staged {
+        let slot = self.outcomes.len() + self.lanes.len();
+        self.lanes.push(lane);
+        if self.lanes.len() == LANES {
+            self.flush(engine);
+        }
+        Staged::Lane(u32::try_from(slot).expect("a batch holds fewer than 2^32 stagings"))
+    }
+
+    /// Settles every deferred lane, on `engine`'s topology.
+    pub fn flush(&mut self, engine: &PropagationEngine<'_>) {
+        if self.lanes.is_empty() {
+            return;
+        }
+        let start = self.outcomes.len();
+        self.outcomes
+            .resize(start + self.lanes.len(), AttackOutcome::default());
+        with_workspace(|ws| {
+            engine.transparent_outcomes(&self.lanes, ws, &mut self.outcomes[start..]);
+        });
+        self.lanes.clear();
+    }
+
+    /// `staged`'s outcome; a lane must have been flushed.
+    pub fn resolve(&self, staged: Staged) -> AttackOutcome {
+        match staged {
+            Staged::Ready(outcome) => outcome,
+            Staged::Lane(slot) => self.outcomes[slot as usize],
+        }
+    }
+
+    /// Whether every lane pushed has been settled.
+    pub fn is_settled(&self) -> bool {
+        self.lanes.is_empty()
+    }
+
+    /// Forgets the settled outcomes: slots count from 0 again.
+    pub fn clear(&mut self) {
+        debug_assert!(self.is_settled(), "a deferred lane would lose its slot");
+        self.outcomes.clear();
+    }
+}
+
+impl<'b> TrialGroup<'b> {
+    /// A group deferring its transparent head-to-head stagings into
+    /// `batch`.
+    pub fn deferring(batch: &'b RefCell<LaneBatch>) -> TrialGroup<'b> {
+        TrialGroup {
+            batch: Some(batch),
+            ..TrialGroup::default()
+        }
+    }
+
     /// Counts a staging answered without an engine run.
-    fn answered(&self, outcome: AttackOutcome) -> AttackOutcome {
+    fn answered(&self, staged: Staged) -> Staged {
         self.hits.set(self.hits.get() + 1);
-        outcome
+        staged
     }
 
     /// `run()`'s outcome — or, for a transparent staging (`key` is set),
     /// the stored outcome of an earlier one with the same key.
-    fn staged(
-        &self,
-        key: Option<StagingKey>,
-        run: impl FnOnce() -> AttackOutcome,
-    ) -> AttackOutcome {
+    fn staged(&self, key: Option<StagingKey>, run: impl FnOnce() -> Staged) -> Staged {
         let Some(key) = key else { return run() };
         if let Some(&(_, hit)) = self.transparent.borrow().iter().find(|(k, _)| *k == key) {
             return self.answered(hit);
         }
-        let outcome = run();
-        self.transparent.borrow_mut().push((key, outcome));
-        outcome
+        let staged = run();
+        self.transparent.borrow_mut().push((key, staged));
+        staged
+    }
+
+    /// A transparent head-to-head staging, settled by the lane kernel:
+    /// deferred into the group's batch, or at once in a batch of one.
+    fn pull(&self, engine: &PropagationEngine<'_>, lane: Lane) -> Staged {
+        self.pulled.set(self.pulled.get() + 1);
+        if let Some(batch) = self.batch {
+            return batch.borrow_mut().push(engine, lane);
+        }
+        let mut out = [AttackOutcome::default()];
+        with_workspace(|ws| engine.transparent_outcomes(&[lane], ws, &mut out));
+        Staged::Ready(out[0])
     }
 }
 
@@ -407,7 +501,10 @@ impl AttackerStrategy for MaxLengthGapProber {
 /// target) is not covered by `victim_prefix`, or if `setup.policies`
 /// covers a different number of ASes than the topology.
 pub fn run_strategy(strategy: &dyn AttackerStrategy, setup: &AttackSetup<'_>) -> AttackOutcome {
-    run_strategy_speculative(strategy, setup, &TrialGroup::default(), None)
+    match run_strategy_speculative(strategy, setup, &TrialGroup::default(), None) {
+        Staged::Ready(outcome) => outcome,
+        Staged::Lane(_) => unreachable!("a group without a batch settles every staging"),
+    }
 }
 
 /// The trial executor's entry point: [`run_strategy`] within a trial
@@ -419,7 +516,9 @@ pub fn run_strategy(strategy: &dyn AttackerStrategy, setup: &AttackSetup<'_>) ->
 ///   staging whose attack filter is transparent returns the stored
 ///   outcome of an earlier one with its [`StagingKey`]. A transparent
 ///   filter accepts at every AS under every deployment and VRP set, so
-///   that outcome is the one this staging would compute.
+///   that outcome is the one this staging would compute. Both may be a
+///   [`Staged::Lane`] of the group's batch, to be resolved once the
+///   batch is flushed.
 /// * `footprint` — when supplied, every adopter-bitset consultation of
 ///   the attack staging is mirrored into it — the execute half of the
 ///   executor's Block-STM-style execute-then-validate scheme
@@ -430,14 +529,14 @@ pub fn run_strategy(strategy: &dyn AttackerStrategy, setup: &AttackSetup<'_>) ->
 /// baseline: every AS the attacker's table misses is legitimate, and a
 /// transparent attacker wins all `n − 2` with no engine run. A
 /// transparent head-to-head staging the memo misses needs only its
-/// tally, so it runs [`PropagationEngine::transparent_outcome`] instead
-/// of a full propagation.
+/// tally, so it is a lane of [`PropagationEngine::transparent_outcomes`]
+/// instead of a full propagation.
 pub(crate) fn run_strategy_speculative(
     strategy: &dyn AttackerStrategy,
     setup: &AttackSetup<'_>,
-    group: &TrialGroup,
+    group: &TrialGroup<'_>,
     footprint: Option<&RefCell<FilterFootprint>>,
-) -> AttackOutcome {
+) -> Staged {
     let (t, compiled) = (setup.topology, setup.policies);
     let (attacker, victim) = (setup.attacker, setup.victim);
     assert_ne!(attacker, victim, "attacker must differ from victim");
@@ -480,7 +579,7 @@ pub(crate) fn run_strategy_speculative(
     else {
         // Nothing announced toward the target: only the baseline
         // carries traffic.
-        return AttackOutcome::tally(&[ctx.baseline()], attacker, victim);
+        return Staged::Ready(AttackOutcome::tally(&[ctx.baseline()], attacker, victim));
     };
 
     // The attacked world. On the victim's own prefix the two
@@ -510,31 +609,35 @@ pub(crate) fn run_strategy_speculative(
         if filter.is_transparent() && seedable {
             // Nor the attacker's: it wins every AS.
             group.structural.set(group.structural.get() + 1);
-            return group.answered(AttackOutcome {
+            return group.answered(Staged::Ready(AttackOutcome {
                 intercepted: t.len() - 2,
                 legitimate: 0,
                 disconnected: 0,
-            });
+            }));
         }
         let mut outcome = with_workspace(|ws| {
             engine.propagate_outcome(seeds, &accept, ws, None, attacker, victim)
         });
         outcome.legitimate += std::mem::take(&mut outcome.disconnected);
-        return outcome;
+        return Staged::Ready(outcome);
     }
     let key = (filter.is_transparent() && seedable && !more_specific)
         .then_some(head_to_head.then_some((ann.path_len, ann.claimed_origin)));
     group.staged(key, || {
+        if head_to_head && key.is_some() {
+            // No AS filters either seed: a lane of the outcome-only kernel.
+            let lane = Lane {
+                seeds: [victim_seed, attacker_seed],
+                attacker,
+                victim,
+            };
+            return group.pull(&engine, lane);
+        }
         if head_to_head {
-            return with_workspace(|ws| {
-                if key.is_none() {
-                    // Tallied straight off the workspace.
-                    return engine.propagate_outcome(seeds, &accept, ws, None, attacker, victim);
-                }
-                // No AS filters either seed: the outcome-only kernel.
-                group.pulled.set(group.pulled.get() + 1);
-                engine.transparent_outcome(&[victim_seed, attacker_seed], ws, attacker, victim)
-            });
+            // Tallied straight off the workspace.
+            return Staged::Ready(with_workspace(|ws| {
+                engine.propagate_outcome(seeds, &accept, ws, None, attacker, victim)
+            }));
         }
         // Alone, next to the baseline (rare: a less-specific announcement,
         // or a filtered victim), the more specific table first.
@@ -544,7 +647,7 @@ pub(crate) fn run_strategy_speculative(
         } else {
             [ctx.baseline(), &attacked]
         };
-        AttackOutcome::tally(&tables, attacker, victim)
+        Staged::Ready(AttackOutcome::tally(&tables, attacker, victim))
     })
 }
 

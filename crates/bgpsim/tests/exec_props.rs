@@ -508,7 +508,7 @@ fn super_prefix_runs_once_per_group_and_matches_the_reference() {
 /// Release-scale — an 80,000-AS topology — so opt-in:
 /// `cargo test --release -p bgpsim --test exec_props -- --ignored`.
 #[test]
-#[ignore = "release-scale: two full benchmark plans, ~20 s optimised"]
+#[ignore = "release-scale: two full benchmark plans, ~1 s optimised"]
 fn benchmark_plans_pin_their_executor_counters() {
     let seed = 2017;
     let expect = |plan: &TrialPlan<'_>, want: ExecStats| {

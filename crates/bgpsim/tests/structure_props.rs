@@ -15,15 +15,17 @@
 //!   baseline by `propagate`, then `propagate_outcome` over it;
 //! * **route-leak plans** — what [`RouteLeak`] announces equals the
 //!   route the baseline gives the attacker;
-//! * **the transparent kernel** — a head-to-head staging no AS filters
-//!   is settled by the engine's outcome-only kernel, which pulls the
-//!   provider phase up the index order instead of draining a queue. Its
-//!   outcome equals an accept-all `propagate_outcome` and the heap
-//!   reference's routes (`support/reference.rs`) tallied, for either
-//!   claimed origin, seed lengths 0–3 and the engine's bound, and the
-//!   attacker's index below or above the victim's. Every executor path
-//!   runs the kernel, `run_plan_collected` included, so this is its one
-//!   independent oracle.
+//! * **the lane kernel** — a head-to-head staging no AS filters is
+//!   settled by the engine's outcome-only lane kernel, which pulls the
+//!   provider phase up the index order instead of draining a queue;
+//!   `run_strategy` runs it as a batch of one. Its outcome equals an
+//!   accept-all `propagate_outcome` and the heap reference's routes
+//!   (`support/reference.rs`) tallied, for either claimed origin, seed
+//!   lengths 0–3 and the engine's bound, and the attacker's index below
+//!   or above the victim's. Every executor path runs the kernel,
+//!   `run_plan_collected` included, so this and the lane differential
+//!   inside `engine.rs` (full batches against the push run) are its
+//!   independent oracles.
 //!
 //! The VRP sets include two that make the victim's own announcement
 //! Invalid, where no structural answer applies.
@@ -220,7 +222,7 @@ fn staged_by_hand(setup: &AttackSetup<'_>, ann: AttackAnnouncement) -> AttackOut
 
 /// Where traffic for the victim's prefix lands when the victim and an
 /// attacker at `attacker` announcing `ann` compete head to head and no
-/// AS filters: the staging as the executor runs it (the kernel), the
+/// AS filters: the staging as `run_strategy` runs it (the kernel), the
 /// accept-all push run's tally, and the reference's routes tallied.
 /// `Err` names the three if they differ.
 fn head_to_head_agree(
