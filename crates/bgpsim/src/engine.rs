@@ -19,7 +19,9 @@
 //!    AS indices replacing the `BinaryHeap` (path lengths are small
 //!    bounded integers). A bucket is drained as a *set*: scattered into
 //!    a one-bit-per-AS bitmap whose words are then walked, which visits
-//!    ASes in ascending order without a sort. Steady-state trials
+//!    ASes in ascending order without a sort. Phase 3's queue is
+//!    seeded from the settled bitset's words the same way, so a push
+//!    run never tests all n ASes one by one. Steady-state trials
 //!    allocate nothing in the
 //!    engine's scratch; [`with_workspace`] hands every caller its
 //!    thread's workspace, and the executor installs one from a
@@ -79,6 +81,7 @@
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rpki_prefix::Prefix;
@@ -739,8 +742,17 @@ impl<'t> PropagationEngine<'t> {
     ///
     /// `None` if `at` gets no route, which [`Topology`]'s hierarchy
     /// invariant rules out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` or `at` is not an AS index of the topology.
     pub fn unfiltered_path_len(&self, origin: usize, at: usize) -> Option<u32> {
         let t = self.topology;
+        assert!(
+            origin < t.len() && at < t.len(),
+            "unfiltered_path_len({origin}, {at}) on a topology of {} ASes",
+            t.len()
+        );
         let up = climb(t, origin, |_| false);
         let early = |a: usize| {
             let peers = t.peers(a).iter().filter_map(|&b| up.get(&(b as usize)));
@@ -986,16 +998,25 @@ impl<'t> PropagationEngine<'t> {
     /// Phase 3 into `ws`, over the bucket queue: provider-learned routes
     /// flow down to customers; any route may be exported to a customer,
     /// and provider routes keep flowing to customers-of-customers.
+    ///
+    /// The queue is seeded from the words of the settled bitset, as
+    /// phase 2 reads it: every AS phases 1–2 routed offers to its
+    /// customers, in ascending index order, at a cost set by the routed
+    /// ASes and `n / 64` words rather than a bit test per AS.
     fn downward<F>(&self, accept: &F, ws: &mut Workspace)
     where
         F: Fn(usize, Asn) -> bool + ?Sized,
     {
         let t = self.topology;
-        let n = t.len();
         ws.clear_pending();
         ws.hi = 0;
-        for at in 0..n {
-            if ws.routed(at) {
+        // `offer` writes only `pending` and the buckets, so each word of
+        // `settled` reads the same before and after its ASes offer.
+        for w in 0..ws.settled.set.len() {
+            let mut bits = ws.settled.set[w];
+            while bits != 0 {
+                let at = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
                 let info = ws.settled.routes[at];
                 self.offer(info, at, t.customers(at), RouteClass::Provider, accept, ws);
             }
@@ -1041,11 +1062,46 @@ impl<'t> PropagationEngine<'t> {
     }
 }
 
+/// Hashes an AS index with one multiply (Fibonacci hashing): the keys
+/// of [`climb`]'s map are the crate's own indices, not outside input, so
+/// SipHash's resistance to chosen keys buys nothing there.
+#[derive(Default)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+}
+
+/// Climbs' hop counts by AS index.
+type Hops = HashMap<usize, u32, BuildHasherDefault<IndexHasher>>;
+
+/// Entries a climb reserves up front: more than a stub's up-closure
+/// holds on the crate's generated topologies, so a climb rarely grows.
+const CLIMB_CAPACITY: usize = 256;
+
 /// Every AS reachable from `start` over customer→provider edges, with
 /// its hop count (breadth first), not climbing past an AS `stop` takes.
-fn climb(t: &Topology, start: usize, stop: impl Fn(usize) -> bool) -> HashMap<usize, u32> {
-    let mut hops = HashMap::from([(start, 0)]);
-    let mut queue = VecDeque::from([start]);
+fn climb(t: &Topology, start: usize, stop: impl Fn(usize) -> bool) -> Hops {
+    let mut hops = Hops::with_capacity_and_hasher(CLIMB_CAPACITY, Default::default());
+    hops.insert(start, 0);
+    let mut queue = VecDeque::with_capacity(CLIMB_CAPACITY);
+    queue.push_back(start);
     while let Some(a) = queue.pop_front() {
         if stop(a) {
             continue;
@@ -1076,6 +1132,13 @@ mod tests {
 
     fn accept_all(_: usize, _: Asn) -> bool {
         true
+    }
+
+    #[test]
+    #[should_panic(expected = "unfiltered_path_len(250, 3) on a topology of 250 ASes")]
+    fn unfiltered_path_len_refuses_an_index_past_the_topology() {
+        let t = topo(250);
+        PropagationEngine::new(&t).unfiltered_path_len(250, 3);
     }
 
     #[test]

@@ -67,7 +67,8 @@
 //!   announcement reaches every AS. A more-specific staging counts every
 //!   AS its table misses as legitimate, one whose attack filter is
 //!   transparent too wins every AS with no engine run, and a route leak
-//!   plans from [`crate::PropagationEngine::unfiltered_path_len`]. The
+//!   plans from [`crate::PropagationEngine::unfiltered_path_len`], asked
+//!   once per trial group and remembered for its other stagings. The
 //!   victim-only propagation itself (the **baseline**) is run only for a
 //!   strategy that reads it or a less-specific announcement, at most
 //!   once per trial group; [`ExecStats::baselines`] counts those runs.

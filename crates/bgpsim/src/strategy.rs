@@ -98,12 +98,19 @@ impl StrategyContext<'_> {
     /// prefix (claiming the victim's origin), if any: a point query
     /// ([`PropagationEngine::unfiltered_path_len`]) where no AS filters
     /// the victim's announcement, else read off [`Self::baseline`].
+    /// Computed once per trial group, like the baseline and for the same
+    /// reason: the group fixes the placement, and no AS filters the
+    /// victim's announcement under any of its VRP sets or deployments,
+    /// so every staging of the group gets one answer.
     pub fn attacker_learned_len(&self) -> Option<u32> {
-        if self.accept_p.is_transparent() {
-            PropagationEngine::new(self.topology).unfiltered_path_len(self.victim, self.attacker)
-        } else {
-            self.baseline().route(self.attacker).map(|r| r.path_len)
-        }
+        *self.group.learned_len.get_or_init(|| {
+            if self.accept_p.is_transparent() {
+                PropagationEngine::new(self.topology)
+                    .unfiltered_path_len(self.victim, self.attacker)
+            } else {
+                self.baseline().route(self.attacker).map(|r| r.path_len)
+            }
+        })
     }
 }
 
@@ -123,6 +130,10 @@ impl StrategyContext<'_> {
 pub(crate) struct TrialGroup<'b> {
     /// The victim-only propagation, computed on first use.
     pub baseline: OnceCell<Propagation>,
+    /// The attacker's learned path length for the victim's prefix
+    /// ([`StrategyContext::attacker_learned_len`]), computed on first
+    /// use.
+    learned_len: OnceCell<Option<u32>>,
     /// Outcomes of the head-to-head and less-specific stagings whose
     /// attack filter was transparent, by [`StagingKey`].
     transparent: RefCell<Vec<(StagingKey, Staged)>>,
@@ -654,7 +665,9 @@ pub(crate) fn run_strategy_speculative(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::CompiledPolicies;
+    use crate::deployment::DeploymentModel;
+    use crate::engine::{CompiledPolicies, Workspace};
+    use crate::experiment::RoaConfig;
     use crate::topology::TopologyConfig;
     use rpki_roa::Vrp;
     use rpki_rov::RovPolicy;
@@ -797,6 +810,65 @@ mod tests {
             accept_p: &OriginFilter::new(&wrong_origin, p, &[victim_asn], &policies),
         };
         assert_eq!(RouteLeak.plan(&ctx).announcement, None);
+    }
+
+    #[test]
+    fn route_leak_plans_alike_in_a_shared_group_and_in_fresh_ones() {
+        // One group per placement, shared by every ROA configuration and
+        // two deployments: the memo of the attacker's learned length must
+        // plan what a fresh group plans, and that length is the one the
+        // victim-only propagation settles at the attacker.
+        let (t, victim, _, p, q) = world();
+        let stubs = t.stubs();
+        let victim_asn = t.asn(victim);
+        let deployments = [
+            DeploymentModel::Uniform { p: 0.75 },
+            DeploymentModel::TopIspsFirst { p: 0.25 },
+        ]
+        .map(|d| CompiledPolicies::compile(&d.policies(&t, 7)));
+        let configs = RoaConfig::ALL.map(|roa| roa.vrps(p, 24, victim_asn));
+        let baseline = PropagationEngine::new(&t).propagate(
+            &[Seed::origin(victim, victim_asn)],
+            &|_, _| true,
+            &mut Workspace::new(),
+        );
+        let plan = |group: &TrialGroup<'_>, attacker, vrps: &VrpIndex, policies| {
+            let ctx = StrategyContext {
+                topology: &t,
+                victim,
+                attacker,
+                victim_prefix: p,
+                sub_prefix: q,
+                vrps,
+                group,
+                victim_seed: Seed::origin(victim, victim_asn),
+                accept_p: &OriginFilter::new(vrps, p, &[victim_asn], policies),
+            };
+            RouteLeak.plan(&ctx)
+        };
+        let mut lengths = std::collections::BTreeSet::new();
+        for &attacker in stubs.iter().rev().step_by(7).filter(|&&a| a != victim) {
+            let learned = baseline.route(attacker).map(|r| r.path_len);
+            lengths.insert(learned);
+            let shared = TrialGroup::default();
+            for policies in &deployments {
+                for vrps in &configs {
+                    let fresh = plan(&TrialGroup::default(), attacker, vrps, policies);
+                    assert_eq!(plan(&shared, attacker, vrps, policies), fresh);
+                    assert_eq!(fresh.announcement.map(|a| a.path_len), learned);
+                    let s = setup(&t, victim, attacker, p, q, vrps, policies);
+                    let staged = run_strategy_speculative(&RouteLeak, &s, &shared, None);
+                    assert!(
+                        matches!(staged, Staged::Ready(o) if o == run_strategy(&RouteLeak, &s)),
+                        "attacker {attacker}"
+                    );
+                }
+            }
+            assert_eq!(shared.learned_len.get(), Some(&learned));
+        }
+        // Placements that learn different lengths, so a memo shared
+        // across groups would show.
+        assert!(lengths.len() > 1, "{lengths:?}");
     }
 
     /// Announces the parent of the victim's prefix under its own origin.

@@ -9,7 +9,9 @@
 //! * random multi-seed sets (origins, forged origins, prepended paths —
 //!   up to and including [`PropagationEngine::max_seed_len`], so queues
 //!   hold duplicate and stale entries and long runs of empty buckets),
-//! * random import filters (hash-derived accept/reject worlds), and
+//! * random import filters (hash-derived accept/reject worlds: one
+//!   accepting ~¾ of (AS, origin) pairs, and on wider topologies one
+//!   where ~¾ of the ASes drop an Invalid origin), and
 //! * precomputed [`bgpsim::OriginFilter`]s vs the equivalent per-edge
 //!   VRP validation closure.
 //!
@@ -111,13 +113,48 @@ fn hash_filter(salt: u64) -> impl Fn(usize, Asn) -> bool {
     }
 }
 
+/// Wider topologies where ASes may have up to 2–3 providers: several
+/// bitset words, and customers with several routed providers, so the
+/// order in which a phase visits ASes decides `next_hop` ties.
+fn arb_wide_config() -> impl Strategy<Value = TopologyConfig> {
+    (200usize..600, 2usize..6, 2usize..4, 0u32..6, 0u64..1000).prop_map(
+        |(n, tier1, max_providers, peer_decile, seed)| TopologyConfig {
+            n,
+            tier1,
+            max_providers,
+            peer_prob: peer_decile as f64 / 10.0,
+            seed,
+        },
+    )
+}
+
+/// Like the paper's `Uniform p=0.75` deployment facing one Invalid
+/// origin: a per-AS hash picks ~¾ of the ASes as adopters, which drop
+/// every route claiming `invalid`, so ~¼ of the ASes accept it. Routes
+/// claiming any other origin pass everywhere.
+fn adopters_drop(salt: u64, invalid: Asn) -> impl Fn(usize, Asn) -> bool {
+    move |at, origin| {
+        let x = (at as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
+        origin != invalid || x.wrapping_mul(0xFF51_AFD7_ED55_8CCD) <= u64::MAX / 4
+    }
+}
+
+/// 32 cases per property, or `PROPTEST_CASES` where it is set.
+fn cases() -> ProptestConfig {
+    match std::env::var_os("PROPTEST_CASES") {
+        Some(_) => ProptestConfig::default(),
+        None => ProptestConfig::with_cases(32),
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(cases())]
 
     /// Engine == reference on random topologies, seed sets, and filters.
     #[test]
     fn engine_is_bit_identical_to_reference(
         config in arb_config(),
+        wide in arb_wide_config(),
         seed_picks in arb_seeds(),
         salt in any::<u64>(),
     ) {
@@ -157,6 +194,17 @@ proptest! {
                 delivered_to(&filtered_reference, seed.at)
             );
         }
+
+        // A deployment world on a wide topology, where the first seed's
+        // origin is Invalid and ~¼ of the ASes accept it. Its ties span
+        // bitset words, which catches a phase that visits words out of
+        // order, as the small topologies above rarely can.
+        let t = Topology::generate(wide);
+        let seeds = materialize_seeds(&t, &seed_picks);
+        let deployed = adopters_drop(salt, seeds[0].claimed_origin);
+        let deployed_engine = PropagationEngine::new(&t).propagate(&seeds, &deployed, &mut ws);
+        let deployed_reference = propagate_reference(&t, &seeds, &|at, o| deployed(at, o));
+        prop_assert_eq!(routes(&deployed_engine), deployed_reference);
     }
 
     /// Back-to-back runs through one workspace are identical to
