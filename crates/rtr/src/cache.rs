@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rpki_prefix::Afi;
 use rpki_roa::Vrp;
@@ -81,11 +81,11 @@ pub struct CacheServer {
     session_id: u16,
     serial: u32,
     vrps: BTreeSet<Vrp>,
-    /// The frozen compilation of `vrps` at the current serial: the flat
-    /// snapshot the serial flow serves full responses from, and the one
-    /// shared (cheaply, by `Arc`) with anything validating against this
-    /// cache's state.
-    snapshot: Arc<FrozenVrpIndex>,
+    /// The frozen compilation of `vrps` at the current serial, built by
+    /// the first read after an update: the flat snapshot a Reset Query is
+    /// served from, and the one shared (cheaply, by `Arc`) with anything
+    /// validating against this cache's state.
+    snapshot: OnceLock<Arc<FrozenVrpIndex>>,
     /// `history[i]` is the delta from `serial - history.len() + i` to the
     /// next serial.
     history: VecDeque<Delta>,
@@ -127,13 +127,11 @@ impl CacheServer {
         // Negotiation validates the version byte once, here, so every
         // later per-connection `negotiation()` call is infallible.
         let _ = Negotiation::with_max(version);
-        let vrps: BTreeSet<Vrp> = vrps.iter().copied().collect();
-        let snapshot = Arc::new(vrps.iter().copied().collect());
         CacheServer {
             session_id,
             serial: 0,
-            vrps,
-            snapshot,
+            vrps: vrps.iter().copied().collect(),
+            snapshot: OnceLock::new(),
             history: VecDeque::new(),
             timing: Timing::default(),
             version,
@@ -183,13 +181,18 @@ impl CacheServer {
         self.vrps.iter()
     }
 
-    /// The frozen snapshot of the VRP set at the current serial —
-    /// validate routes against the cache's exact served state without
-    /// copying it (the `Arc` clone is free; the snapshot is immutable by
-    /// construction and survives later [`CacheServer::update`] calls
-    /// unchanged).
+    /// The frozen snapshot of the VRP set at the current serial, built by
+    /// the first read — validate routes against the cache's exact served
+    /// state without copying it (the `Arc` clone is free; the snapshot is
+    /// immutable and survives later [`CacheServer::update`] calls).
     pub fn snapshot(&self) -> Arc<FrozenVrpIndex> {
-        Arc::clone(&self.snapshot)
+        Arc::clone(self.frozen())
+    }
+
+    /// The snapshot, frozen on first use at this serial.
+    fn frozen(&self) -> &Arc<FrozenVrpIndex> {
+        self.snapshot
+            .get_or_init(|| Arc::new(self.vrps.iter().copied().collect()))
     }
 
     /// Number of VRPs currently served — the router-load metric of §6.
@@ -206,13 +209,10 @@ impl CacheServer {
     /// bumping the serial and recording the delta. Returns the
     /// Serial Notify PDU to push to connected routers.
     ///
-    /// Rebuilds the frozen snapshot eagerly: a cache update is the "a
-    /// validation run completed" event, which in deployment happens on
-    /// the order of minutes, while the snapshot is read on every full
-    /// response and every [`CacheServer::snapshot`] reader. The freeze
-    /// itself is one sort over the set plus a node-count-sized filter
-    /// (see `rpki_rov::frozen`), so the eager rebuild stays well under
-    /// the cost of serializing even one full response.
+    /// Drops the frozen snapshot and does not rebuild it: only a Reset
+    /// Query's answer and [`CacheServer::snapshot`] read it, so a serial
+    /// that routers follow by deltas alone is never frozen, and one that
+    /// is read is frozen once, by its first reader.
     pub fn update(&mut self, new_vrps: &[Vrp]) -> Pdu {
         let new_set: BTreeSet<Vrp> = new_vrps.iter().copied().collect();
         let delta = Delta {
@@ -270,11 +270,11 @@ impl CacheServer {
         self.commit(delta)
     }
 
-    /// The shared tail of every update: refreeze the snapshot, advance
-    /// the serial, record the delta in the aged history window, and
-    /// build the Serial Notify.
+    /// The shared tail of every update: drop the snapshot, advance the
+    /// serial, record the delta in the aged history window, and build the
+    /// Serial Notify.
     fn commit(&mut self, delta: Delta) -> Pdu {
-        self.snapshot = Arc::new(self.vrps.iter().copied().collect());
+        self.snapshot = OnceLock::new();
         self.serial = self.serial.wrapping_add(1);
         self.history.push_back(delta);
         while self.history.len() > HISTORY_WINDOW {
@@ -300,7 +300,7 @@ impl CacheServer {
     pub(crate) fn respond(&self, request: PduRef<'_>, version: u8, out: &mut Vec<u8>) {
         if request == PduRef::ResetQuery {
             // The one large answer: reserve the whole image once.
-            let [n4, n6] = [Afi::V4, Afi::V6].map(|afi| self.snapshot.len_for(afi));
+            let [n4, n6] = [Afi::V4, Afi::V6].map(|afi| self.frozen().len_for(afi));
             out.reserve(HEADER_LEN + 20 * n4 + 32 * n6 + self.end_of_data().wire_len(version));
         }
         self.answer(request, |pdu| pdu.encode_into(version, out));
@@ -316,7 +316,7 @@ impl CacheServer {
             // not rely on.
             PduRef::ResetQuery => {
                 emit(PduRef::CacheResponse { session_id });
-                for &vrp in self.snapshot.iter() {
+                for &vrp in self.frozen().iter() {
                     let flags = Flags::Announce;
                     emit(PduRef::Prefix { flags, vrp });
                 }
@@ -939,5 +939,65 @@ mod tests {
         expect.sort_unstable();
         got.sort_unstable();
         assert_eq!(got, expect);
+    }
+
+    fn frozen_debug(index: &FrozenVrpIndex) -> String {
+        format!("{index:?}")
+    }
+
+    /// A delta-only epoch leaves the snapshot unbuilt; the first reader
+    /// builds the same index an eager freeze of `vrps()` would have.
+    #[test]
+    fn snapshot_is_frozen_by_its_first_reader() {
+        let mut c = cache();
+        assert!(c.snapshot.get().is_none(), "new does not freeze");
+        for i in 0..5u32 {
+            c.update_delta(
+                &[vrp(&format!("11.{i}.0.0/16 => AS3"))],
+                &[vrp("10.0.0.0/8 => AS1")],
+            );
+            assert!(c.snapshot.get().is_none(), "update {i} does not freeze");
+        }
+        let fresh = FrozenVrpIndex::from_vrps(c.vrps().copied());
+        let early = c.clone();
+        assert_eq!(frozen_debug(&c.snapshot()), frozen_debug(&fresh));
+        assert!(Arc::ptr_eq(&c.snapshot(), &c.snapshot()), "frozen once");
+
+        // A clone taken before the first read freezes on its own.
+        assert!(early.snapshot.get().is_none());
+        assert_eq!(frozen_debug(&early.snapshot()), frozen_debug(&fresh));
+        assert!(!Arc::ptr_eq(&early.snapshot(), &c.snapshot()));
+    }
+
+    /// The fan-out core's shared Reset image, built after silent updates
+    /// dropped the snapshot, is the bytes `handle_wire` answers with.
+    #[test]
+    fn reset_image_after_silent_updates_matches_handle_wire() {
+        use crate::server::FanoutServer;
+        let mut query = Vec::new();
+        Pdu::ResetQuery
+            .as_wire()
+            .encode_into(PROTOCOL_V1, &mut query);
+        let mut server = FanoutServer::new(cache());
+        let mut reference = cache();
+        let first = server.open_session();
+        server.receive(first, &query);
+        server.drain_output(first, &mut Vec::new());
+        for i in 0..3u32 {
+            let announced = [vrp(&format!("12.{i}.0.0/16-24 => AS4"))];
+            let withdrawn = [vrp("2001:db8::/32-48 => AS2")];
+            server.with_cache(|c| c.update_delta(&announced, &withdrawn));
+            reference.update_delta(&announced, &withdrawn);
+        }
+        assert!(server.cache().snapshot.get().is_none());
+        let id = server.open_session();
+        server.receive(id, &query);
+        let mut image = Vec::new();
+        server.drain_output(id, &mut image);
+
+        let mut answer = Vec::new();
+        let outcome = reference.handle_wire(&query, &mut reference.negotiation(), &mut answer);
+        assert!(matches!(outcome, WireOutcome::Responded { .. }));
+        assert_eq!(image, answer);
     }
 }

@@ -22,22 +22,17 @@
 //! # The table
 //!
 //! Applying Prefix PDUs to the held set is most of what a router does
-//! with a response — in the 1,024-router fleet of the `rtr_fleet_delta`
-//! benchmark it is ≈ 33 µs of `rtr.client.handle_us` in a ≈ 41 µs
-//! traced catch-up — so the set is not a `BTreeSet<Vrp>` (40-byte keys,
-//! most of each the IPv6-sized prefix slot) but a [`VrpSet`]: per
-//! address family, a B-tree of packed keys
-//! holding 12 bytes per IPv4 VRP and 24 per IPv6 VRP, ordered exactly
-//! like `Vrp`. A delta is applied to it PDU by PDU; a Reset response is
-//! staged as arrays of the same keys in arrival order and becomes the
-//! table in one bulk build at End of Data (the rule, and why it needs
-//! no particular served order, is in [`crate::vrp_set`]). Either way a
-//! Duplicate Announcement or Withdrawal of Unknown is returned by the
-//! `handle` call that carries the offending PDU. Because no `Vrp` is
-//! stored, [`RouterClient::vrps`] hands out a set whose `iter()` yields
-//! `Vrp`s **by value**; it compares with `==` against a `BTreeSet<Vrp>`
-//! and with `Iterator::eq` against anything that yields `&Vrp`. Measured
-//! numbers are in the README's "RTR stack" section.
+//! with a response, so the set is a [`VrpSet`]: per address family, a
+//! hash set of packed 12- or 24-byte keys, one probe per PDU. A delta is
+//! applied to it PDU by PDU; a Reset response is staged as arrays of the
+//! same keys and becomes the table in one build at End of Data (the
+//! rule, and why it needs no particular served order, is in
+//! [`crate::vrp_set`]). Either way a Duplicate Announcement or Withdrawal
+//! of Unknown is returned by the `handle` call that carries the
+//! offending PDU. The `iter()` of [`RouterClient::vrps`] sorts the keys
+//! and yields `Vrp`s **by value**, in `Vrp` order; the set compares with
+//! `==` against a `BTreeSet<Vrp>`. Measured numbers are in the README's
+//! "RTR stack" section.
 
 use std::fmt;
 use std::time::Duration;

@@ -625,8 +625,10 @@ impl ChaosSession {
     /// `true` if the router's VRP set and serial match the cache.
     /// Checked against the state machines directly, never the wire.
     pub fn converged(&self) -> bool {
+        let held = self.router().vrps();
         self.router().serial() == self.cache().serial()
-            && self.router().vrps().iter().eq(self.cache().vrps())
+            && held.len() == self.cache().len()
+            && self.cache().vrps().all(|vrp| held.contains(vrp))
     }
 
     /// Applies one churn epoch to the cache (queuing a Serial Notify on

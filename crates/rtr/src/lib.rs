@@ -29,8 +29,8 @@
 //! * [`client`] — the router-side state machine: session tracking,
 //!   serial/reset synchronization, applying announce/withdraw deltas,
 //!   the RFC 8210 §6 freshness timers.
-//! * [`vrp_set`] — the router's table ([`VrpSet`]): packed 12/24-byte
-//!   keys in `Vrp` order, and the arrays a Reset response is staged in.
+//! * [`vrp_set`] — the router's table ([`VrpSet`]): seeded hash sets of
+//!   packed 12/24-byte keys, and the arrays a Reset response is staged in.
 //! * [`transport`] — the blocking pipe a router dials a cache with
 //!   ([`transport::TcpTransport`]), lending each PDU from its buffer.
 //! * [`session`] — the one in-memory session driver ([`LiveSession`]):

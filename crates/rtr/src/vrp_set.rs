@@ -1,34 +1,26 @@
-//! The router's VRP table: a sorted set of packed keys.
+//! The router's VRP table: hash sets of packed keys.
 //!
 //! A router applies every PDU of every epoch to this table, so its cost
-//! per insert/remove is the unit the whole fan-out multiplies. A
-//! [`Vrp`] is 40 bytes, most of them the IPv6-sized prefix slot and
-//! enum padding; the table instead keeps one `BTreeSet` per address
-//! family whose keys hold exactly the fields that family has:
+//! per insert/remove is the unit the whole fan-out multiplies. A [`Vrp`]
+//! is 40 bytes, most of them the IPv6-sized prefix slot; the table keeps
+//! one hash set per address family of keys holding only its fields:
+//! IPv4 `[u32; 3]` (address bits, `len << 8 | max_len`, ASN) and IPv6
+//! `[u32; 6]` (the address as four big-endian words, then the same two).
 //!
-//! * IPv4 — `[u32; 3]`: address bits, `len << 8 | max_len`, ASN
-//!   (12 bytes: the eleven keys of a B-tree node span 132 bytes where
-//!   eleven `Vrp`s span 440);
-//! * IPv6 — `[u32; 6]`: the address bits as four big-endian words, then
-//!   the same two words (24 bytes).
-//!
-//! Arrays compare lexicographically, which for these words *is*
-//! [`Vrp`]'s derived order — prefix bits, prefix length, maxLength, ASN
-//! — and every IPv4 VRP sorts before every IPv6 one, so iterating the
-//! IPv4 set and then the IPv6 set walks the table in `Vrp` order.
-//!
-//! Since no `Vrp` is stored, [`VrpSet::iter`] yields them **by value**,
-//! rebuilt from the keys. Packing is lossless for any `Vrp` (a prefix
-//! length and a maxLength are a byte each), so a round trip returns the
-//! very value that went in.
+//! A fleet's tables are cold, so an operation costs the cache lines it
+//! touches: one or two for a hash probe, about four for a B-tree's
+//! levels. The keys come from a cache the router does not control, so
+//! they are hashed from a per-process seed (`Seeded`). Hash order never
+//! shows: [`VrpSet::iter`] sorts the keys, and arrays compare
+//! lexicographically, which for these words *is* [`Vrp`]'s order, IPv4
+//! first. It yields `Vrp`s **by value**, rebuilt losslessly from the keys.
 //!
 //! # Staging
 //!
-//! A Reset response is a whole table; inserting it key by key into an
-//! empty B-tree costs more than building the tree. `ResetStaging`
-//! appends the keys to one array per family and makes each tree once, at
-//! End of Data (`BTreeSet::from_iter`: a sort of a few ascending runs and
-//! a bulk build). A Duplicate Announcement is still refused on its own
+//! A Reset response is a whole table. `ResetStaging` appends its keys to
+//! one array per family and builds each table once, at End of Data, with
+//! room for a quarter more keys, so that the deltas which follow do not
+//! reallocate it. A Duplicate Announcement is still refused on its own
 //! PDU, from arrival order alone: equal keys have equal prefixes, so
 //! while addresses of one prefix length never decrease, a key can only
 //! repeat an entry that arrived since its prefix first did. Per length
@@ -41,8 +33,11 @@
 //! by its insert or remove. No served order is relied on.
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, Vrp};
@@ -50,12 +45,49 @@ use rpki_roa::{Asn, Vrp};
 type Key4 = [u32; 3];
 type Key6 = [u32; 6];
 
-/// A set of [`Vrp`]s ordered like `BTreeSet<Vrp>`, at 12 bytes per IPv4
-/// entry and 24 per IPv6 entry. See the [module docs](self).
+/// A set of [`Vrp`]s that iterates like `BTreeSet<Vrp>`, at 12 bytes per
+/// IPv4 key and 24 per IPv6 key. See the [module docs](self).
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct VrpSet {
-    v4: BTreeSet<Key4>,
-    v6: BTreeSet<Key6>,
+    v4: HashSet<Key4, Seeded>,
+    v6: HashSet<Key6, Seeded>,
+}
+
+/// The tables' hasher: a per-process seed, then one multiply–xorshift
+/// per 4-byte word of the key.
+#[derive(Clone, Copy)]
+pub(crate) struct Seeded(u64);
+
+impl Default for Seeded {
+    fn default() -> Seeded {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        Seeded(*SEED.get_or_init(|| RandomState::new().hash_one(0u64)))
+    }
+}
+
+impl BuildHasher for Seeded {
+    type Hasher = Seeded;
+
+    fn build_hasher(&self) -> Seeded {
+        *self
+    }
+}
+
+impl Hasher for Seeded {
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks_exact(4) {
+            let word = u32::from_ne_bytes([word[0], word[1], word[2], word[3]]);
+            let h = (self.0 ^ u64::from(word)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            self.0 = h ^ h >> 32;
+        }
+    }
+
+    /// The array's length prefix: the same for every key of a family.
+    fn write_usize(&mut self, _: usize) {}
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The word both families share ahead of the ASN: `len << 8 | max_len`.
@@ -141,19 +173,29 @@ impl VrpSet {
         self.v4.is_empty() && self.v6.is_empty()
     }
 
-    /// Removes every VRP.
+    /// Removes every VRP, and the tables' memory with them.
     pub fn clear(&mut self) {
-        self.v4.clear();
-        self.v6.clear();
+        *self = VrpSet::default();
     }
 
-    /// The VRPs in `Vrp` order (IPv4, then IPv6), by value.
+    /// The VRPs in `Vrp` order (IPv4, then IPv6), by value: the keys are
+    /// sorted on each call.
     pub fn iter(&self) -> impl Iterator<Item = Vrp> + '_ {
-        self.v4
-            .iter()
-            .map(unpack4)
-            .chain(self.v6.iter().map(unpack6))
+        let mut v4: Vec<Key4> = self.v4.iter().copied().collect();
+        let mut v6: Vec<Key6> = self.v6.iter().copied().collect();
+        v4.sort_unstable();
+        v6.sort_unstable();
+        let v4 = v4.into_iter().map(|key| unpack4(&key));
+        v4.chain(v6.into_iter().map(|key| unpack6(&key)))
     }
+}
+
+/// A family's table from its distinct keys, with room for a quarter more.
+fn table<const N: usize>(run: Run<N>) -> HashSet<[u32; N], Seeded> {
+    let n = run.keys.len();
+    let mut table = HashSet::with_capacity_and_hasher(n + n / 4, Seeded::default());
+    table.extend(run.keys);
+    table
 }
 
 /// A Reset response on its way to becoming the table: the packed keys
@@ -210,13 +252,13 @@ impl ResetStaging {
         pushed.unwrap_or_else(|| self.spill().insert(vrp))
     }
 
-    /// The staged set as B-trees, the arrays (distinct keys, by `push`'s
+    /// The staged set as tables, the arrays (distinct keys, by `push`'s
     /// rule) moved into them on the first call.
     pub(crate) fn spill(&mut self) -> &mut VrpSet {
         let (v4, v6) = (&mut self.v4, &mut self.v6);
         self.spilled.get_or_insert_with(|| VrpSet {
-            v4: std::mem::take(v4).keys.into_iter().collect(),
-            v6: std::mem::take(v6).keys.into_iter().collect(),
+            v4: table(std::mem::take(v4)),
+            v6: table(std::mem::take(v6)),
         })
     }
 
@@ -236,7 +278,7 @@ impl fmt::Debug for VrpSet {
 
 impl PartialEq<BTreeSet<Vrp>> for VrpSet {
     fn eq(&self, other: &BTreeSet<Vrp>) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
+        self.len() == other.len() && other.iter().all(|vrp| self.contains(vrp))
     }
 }
 
@@ -365,5 +407,134 @@ mod tests {
         ] {
             assert!(!set.contains(&other), "{other}");
         }
+    }
+
+    /// Buckets of 16,384 that the top 14 bits of `Seeded` hash `keys`
+    /// into; a random hash of 10k keys fills ≈ 7,500.
+    fn spread<const N: usize>(keys: impl Iterator<Item = [u32; N]>) -> usize {
+        let seeded = Seeded::default();
+        let mut hit = vec![false; 1 << 14];
+        for key in keys {
+            hit[(seeded.hash_one(key) >> 50) as usize] = true;
+        }
+        hit.into_iter().filter(|&hit| hit).count()
+    }
+
+    fn v4(bits: u32, len: u8, max_len: u8, asn: u32) -> Key4 {
+        let prefix = Prefix4::new_truncated(bits, len);
+        key4(prefix, &Vrp::new(Prefix::V4(prefix), max_len, Asn(asn)))
+    }
+
+    /// The cache picks the keys, so families that vary in one field
+    /// only — the shapes a de-aggregating or hostile cache serves — must
+    /// still spread over the whole table.
+    #[test]
+    fn seeded_hashes_spread_keys_that_vary_in_one_field() {
+        let deaggregated = (0..10_000u32).map(|i| v4(10 << 24 | i << 8, 24, 24, 64_500));
+        let origins = (0..10_000u32).map(|asn| v4(10 << 24, 8, 8, asn));
+        let lengths = (0..=32u8)
+            .flat_map(|len| (len..=32).map(move |max_len| (len, max_len)))
+            .flat_map(|(len, max_len)| (0..18).map(move |asn| v4(0, len, max_len, asn)))
+            .take(10_000);
+        let v6 = (0..10_000u32).map(|i| {
+            let prefix = Prefix6::new_truncated(0x2001_0db8 << 96 | u128::from(i) << 80, 48);
+            key6(prefix, &Vrp::new(Prefix::V6(prefix), 48, Asn(64_500)))
+        });
+        for (family, buckets) in [
+            ("consecutive /24s", spread(deaggregated)),
+            ("one prefix, 10k origins", spread(origins)),
+            ("every (length, maxLength)", spread(lengths)),
+            ("consecutive /48s", spread(v6)),
+        ] {
+            assert!(buckets >= 6_000, "{family}: {buckets} of 16,384 buckets");
+        }
+    }
+
+    /// Hash order never reaches the output: sets with equal contents,
+    /// built in different orders and at different capacities, iterate
+    /// and print alike.
+    #[test]
+    fn insertion_order_and_capacity_never_show() {
+        let vrps: Vec<Vrp> = (0..500u32)
+            .map(|i| vrp(&format!("10.{}.{}.0/24 => AS{}", i / 7, i % 256, i % 13)))
+            .chain((0..100u32).map(|i| vrp(&format!("2001:db8:{i:x}::/48 => AS{i}"))))
+            .collect();
+        let mut forward = VrpSet::new();
+        let mut staging = ResetStaging::default();
+        for &v in &vrps {
+            forward.insert(v);
+            staging.announce(v);
+        }
+        let mut backward = VrpSet::new();
+        for &v in vrps.iter().rev() {
+            backward.insert(v);
+        }
+        let staged = staging.finish();
+        let model: BTreeSet<Vrp> = vrps.iter().copied().collect();
+        for set in [&backward, &staged] {
+            assert!(set.iter().eq(forward.iter()));
+            assert_eq!(format!("{set:?}"), format!("{forward:?}"));
+            assert!(*set == forward && *set == model);
+        }
+        assert!(forward.iter().eq(model.iter().copied()));
+    }
+
+    fn capacities(set: &VrpSet) -> [usize; 2] {
+        [set.v4.capacity(), set.v6.capacity()]
+    }
+
+    /// A Reset's tables are built with room for a quarter more keys, so
+    /// the deltas after it do not reallocate every router's table; an
+    /// emptied table keeps no memory.
+    #[test]
+    fn reset_tables_leave_room_for_growth_and_clear_frees_them() {
+        let (n4, n6) = (7_000u32, 1_750u32);
+        let announce = |staging: &mut ResetStaging, range: std::ops::Range<u32>| {
+            for i in range {
+                assert!(staging.announce(vrp(&format!("10.{}.{}.0/24 => AS1", i >> 8, i & 255))));
+            }
+        };
+        let mut staging = ResetStaging::default();
+        announce(&mut staging, 0..n4);
+        for i in 0..n6 {
+            assert!(staging.announce(vrp(&format!("2001:db8:{i:x}::/48 => AS1"))));
+        }
+        let mut set = staging.finish();
+        let built = capacities(&set);
+        assert!(built[0] >= (n4 + n4 / 4) as usize, "{built:?}");
+        assert!(built[1] >= (n6 + n6 / 4) as usize, "{built:?}");
+        for i in 0..n4 / 5 {
+            assert!(set.insert(vrp(&format!("11.{}.{}.0/24 => AS1", i >> 8, i & 255))));
+        }
+        for i in 0..n6 / 5 {
+            assert!(set.insert(vrp(&format!("2001:db9:{i:x}::/48 => AS1"))));
+        }
+        assert_eq!(capacities(&set), built, "20 % growth reallocated");
+        set.clear();
+        assert_eq!(capacities(&set), [0, 0]);
+
+        // A spill builds from the keys staged so far, with the same room.
+        announce(&mut staging, 0..n4);
+        assert!(staging.announce(vrp("9.0.0.0/24 => AS1")));
+        let spilled = capacities(staging.spilled.as_ref().unwrap());
+        assert!(spilled[0] >= (n4 + n4 / 4) as usize, "{spilled:?}");
+
+        // A router that flushes expired data frees its table.
+        let clock = crate::Clock::manual();
+        let mut router = crate::RouterClient::new();
+        router.set_clock(clock.clone());
+        let mut cache = crate::CacheServer::new(7, &staging.finish().iter().collect::<Vec<_>>());
+        cache.set_timing(crate::pdu::Timing {
+            refresh: 4,
+            retry: 1,
+            expire: 12,
+        });
+        for pdu in cache.handle(&crate::Pdu::ResetQuery) {
+            router.handle(&pdu).unwrap();
+        }
+        assert_eq!(router.vrps().len(), n4 as usize + 1);
+        clock.advance(std::time::Duration::from_secs(13));
+        assert!(router.flush_expired());
+        assert_eq!(capacities(router.vrps()), [0, 0]);
     }
 }
