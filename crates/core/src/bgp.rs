@@ -16,8 +16,19 @@
 //! a prefix directly before everything it covers, so the index is the
 //! sort order itself: an exact lookup is a binary search and "announced
 //! under `p`" is the contiguous run starting at `p`'s lower bound.
+//!
+//! Building it is one sort, done on integers where it can be. Within IPv4,
+//! `RouteOrigin`'s derived order is `(bits, length, origin)`, which is the
+//! order of the 70-bit key `bits << 38 | length << 32 | origin`. So the
+//! IPv4 pairs (95 % of a real table) are packed into 16-byte `u128` keys,
+//! sorted and deduplicated as integers and unpacked in order; the IPv6
+//! pairs are sorted as records and follow, since every IPv4 prefix sorts
+//! before every IPv6 one. A packed-key sort moves 16 bytes per element
+//! instead of 40 and compares two integers: at paper scale the sort takes
+//! less than half as long. An LSD radix sort of the same keys, with 8-,
+//! 11- or 16-bit digits, measured slower than `sort_unstable` on them.
 
-use rpki_prefix::Prefix;
+use rpki_prefix::{Prefix, Prefix4};
 use rpki_roa::{Asn, RouteOrigin, Vrp};
 
 /// A deduplicated, indexed set of `(prefix, origin AS)` pairs.
@@ -117,11 +128,36 @@ impl BgpTable {
     }
 }
 
+/// An IPv4 pair as an integer whose order is `RouteOrigin`'s: the 32
+/// address bits, then the 6-bit length, then the 32-bit origin.
+fn pack(prefix: Prefix4, origin: Asn) -> u128 {
+    u128::from(prefix.bits()) << 38 | u128::from(prefix.len()) << 32 | u128::from(origin.0)
+}
+
+/// The pair [`pack`] made `key` from.
+fn unpack(key: u128) -> RouteOrigin {
+    let prefix = Prefix4::new_truncated((key >> 38) as u32, (key >> 32) as u8 & 0x3F);
+    RouteOrigin::new(Prefix::V4(prefix), Asn(key as u32))
+}
+
 impl FromIterator<RouteOrigin> for BgpTable {
     fn from_iter<I: IntoIterator<Item = RouteOrigin>>(iter: I) -> BgpTable {
-        let mut routes: Vec<RouteOrigin> = iter.into_iter().collect();
-        routes.sort_unstable();
-        routes.dedup();
+        let iter = iter.into_iter();
+        let mut v4 = Vec::with_capacity(iter.size_hint().0);
+        let mut v6 = Vec::new();
+        for route in iter {
+            match route.prefix {
+                Prefix::V4(prefix) => v4.push(pack(prefix, route.origin)),
+                Prefix::V6(_) => v6.push(route),
+            }
+        }
+        v4.sort_unstable();
+        v4.dedup();
+        v6.sort_unstable();
+        v6.dedup();
+        let mut routes = Vec::with_capacity(v4.len() + v6.len());
+        routes.extend(v4.into_iter().map(unpack));
+        routes.append(&mut v6);
         let origins = routes.iter().map(|r| r.origin).collect();
         BgpTable { routes, origins }
     }
@@ -212,6 +248,48 @@ mod tests {
         assert_eq!(validated.len(), 2);
         assert!(validated.contains(&route("168.122.0.0/16 => AS111")));
         assert!(validated.contains(&route("168.122.225.0/24 => AS111")));
+    }
+
+    /// The packed key's edges: `/0` and `/32`, the smallest and largest
+    /// origin, MOAS duplicates, and the families interleaved in the input.
+    #[test]
+    fn packed_keys_unpack_to_the_sorted_input() {
+        let input: Vec<RouteOrigin> = [
+            "255.255.255.255/32 => AS4294967295",
+            "2001:db8::/32 => AS0",
+            "0.0.0.0/0 => AS4294967295",
+            "255.255.255.255/32 => AS0",
+            "::/0 => AS4294967295",
+            "0.0.0.0/0 => AS0",
+            "10.0.0.0/8 => AS65536",
+            "2001:db8::/32 => AS0",
+            "10.0.0.0/8 => AS65535",
+            "255.255.255.254/31 => AS1",
+            "10.0.0.0/8 => AS65536",
+            "0.0.0.0/0 => AS4294967295",
+            "2001:db8::1/128 => AS4294967295",
+            "255.255.255.255/32 => AS4294967295",
+        ]
+        .iter()
+        .map(|s| route(s))
+        .collect();
+        let t: BgpTable = input.iter().collect();
+        let mut expect = input.clone();
+        expect.sort_unstable();
+        expect.dedup();
+        assert_eq!(t.iter().collect::<Vec<_>>(), expect);
+        for r in &input {
+            let origins: Vec<Asn> = expect
+                .iter()
+                .filter(|e| e.prefix == r.prefix)
+                .map(|e| e.origin)
+                .collect();
+            assert_eq!(t.origins_of(r.prefix), origins, "{}", r.prefix);
+        }
+        assert_eq!(
+            t.origins_of("0.0.0.0/0".parse().unwrap()),
+            [Asn(0), Asn(u32::MAX)]
+        );
     }
 
     #[test]

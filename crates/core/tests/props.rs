@@ -25,39 +25,64 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
         .prop_map(|(b, l)| Prefix::V4(Prefix4::new_truncated(b & 0xFC00_0000, l)))
 }
 
-fn arb_vrp() -> impl Strategy<Value = Vrp> {
-    (arb_prefix(), 0u8..=3, 1u32..4)
-        .prop_map(|(p, extra, asn)| Vrp::new(p, p.len().saturating_add(extra).min(6), Asn(asn)))
+/// Origins 1–3: few enough that tables and tuple lists share them.
+fn arb_small_asn() -> impl Strategy<Value = Asn> {
+    (1u32..4).prop_map(Asn)
+}
+
+/// Origins on both sides of every 16-bit digit boundary, up to the
+/// largest: the packed table key's top origin bits are set, and regrouping
+/// by origin runs both radix passes. Few values, so same-origin merges
+/// stay frequent.
+const WIDE_ASNS: [Asn; 6] = [
+    Asn(1),
+    Asn(2),
+    Asn(65_535),
+    Asn(65_536),
+    Asn(131_072),
+    Asn(u32::MAX),
+];
+
+fn arb_asn() -> impl Strategy<Value = Asn> {
+    (0..WIDE_ASNS.len()).prop_map(|i| WIDE_ASNS[i])
+}
+
+fn arb_vrps_of(asn: impl Strategy<Value = Asn>) -> impl Strategy<Value = Vec<Vrp>> {
+    let vrp = (arb_prefix(), 0u8..=3, asn)
+        .prop_map(|(p, extra, asn)| Vrp::new(p, p.len().saturating_add(extra).min(6), asn));
+    prop::collection::vec(vrp, 0..40)
 }
 
 fn arb_vrps() -> impl Strategy<Value = Vec<Vrp>> {
-    prop::collection::vec(arb_vrp(), 0..40)
+    arb_vrps_of(arb_small_asn())
 }
 
-/// Up to `max_pairs` MOAS announcements over `prefix`, in no order and
-/// with duplicates.
+/// Up to `max_pairs` MOAS announcements over `prefix` by `asn`, in no
+/// order and with duplicates.
 fn arb_routes_over(
     prefix: impl Strategy<Value = Prefix>,
+    asn: impl Strategy<Value = Asn>,
     max_pairs: usize,
 ) -> impl Strategy<Value = Vec<RouteOrigin>> {
-    prop::collection::vec((prefix, 1u32..4), 0..max_pairs).prop_map(|pairs| {
+    prop::collection::vec((prefix, asn), 0..max_pairs).prop_map(|pairs| {
         pairs
             .into_iter()
-            .map(|(p, a)| RouteOrigin::new(p, Asn(a)))
+            .map(|(p, a)| RouteOrigin::new(p, a))
             .collect()
     })
 }
 
-/// A MOAS table of up to `max_pairs` announcements over `prefix`.
+/// A MOAS table of up to `max_pairs` announcements over `prefix` by `asn`.
 fn arb_bgp_over(
     prefix: impl Strategy<Value = Prefix>,
+    asn: impl Strategy<Value = Asn>,
     max_pairs: usize,
 ) -> impl Strategy<Value = BgpTable> {
-    arb_routes_over(prefix, max_pairs).prop_map(|routes| routes.into_iter().collect())
+    arb_routes_over(prefix, asn, max_pairs).prop_map(|routes| routes.into_iter().collect())
 }
 
 fn arb_bgp() -> impl Strategy<Value = BgpTable> {
-    arb_bgp_over(arb_prefix(), 60)
+    arb_bgp_over(arb_prefix(), arb_small_asn(), 60)
 }
 
 /// Both families, lengths where real tables cluster (v4 /22–24, v6
@@ -101,6 +126,14 @@ fn arb_wide_vrps() -> impl Strategy<Value = Vec<Vrp>> {
             }
         });
     prop::collection::vec(vrp, 0..64)
+}
+
+/// In-range tuples over [`arb_wide_prefix`] by [`arb_asn`]'s origins, so
+/// that they validate pairs of a table drawn over the same prefixes.
+fn arb_wide_asn_vrps() -> impl Strategy<Value = Vec<Vrp>> {
+    let vrp = (arb_wide_prefix(), 0u8..=3, arb_asn())
+        .prop_map(|(prefix, extra, asn)| Vrp::new(prefix, prefix.len().saturating_add(extra), asn));
+    prop::collection::vec(vrp, 0..40)
 }
 
 /// What a tuple list authorizes once out-of-range maxLengths are clamped
@@ -155,9 +188,10 @@ proptest! {
         prop_assert_eq!(compress_roas(&vrps), compress_roas(&shuffled));
     }
 
-    /// The quadratic oracle and the trie implementation agree exactly.
+    /// The quadratic oracle and the trie implementation agree exactly, on
+    /// origins that need both radix passes to regroup.
     #[test]
-    fn compress_matches_naive_oracle(vrps in arb_vrps()) {
+    fn compress_matches_naive_oracle(vrps in arb_vrps_of(arb_asn())) {
         prop_assert_eq!(compress_roas(&vrps), compress_roas_naive(&vrps));
     }
 
@@ -191,10 +225,10 @@ proptest! {
 
     /// Every `BgpTable` query against a scan of the announcement list it
     /// was built from — unsorted, with duplicates and MOAS, straddling the
-    /// v4/v6 boundary and containing `/0`.
+    /// v4/v6 boundary, containing `/0` and origins up to `u32::MAX`.
     #[test]
     fn bgp_table_matches_scan(
-        routes in arb_routes_over(arb_wide_prefix(), 80),
+        routes in arb_routes_over(arb_wide_prefix(), arb_asn(), 80),
         probes in prop::collection::vec((arb_wide_prefix(), 0u8..=3), 1..6),
     ) {
         let bgp: BgpTable = routes.iter().collect();
@@ -211,7 +245,7 @@ proptest! {
                 distinct.iter().filter(|r| r.prefix == prefix).map(|r| r.origin).collect();
             prop_assert_eq!(bgp.origins_of(prefix), here.as_slice());
             prop_assert_eq!(bgp.prefix_announced(prefix), !here.is_empty());
-            for asn in (0..4).map(Asn) {
+            for asn in [Asn(0), Asn(3)].into_iter().chain(WIDE_ASNS) {
                 prop_assert_eq!(
                     bgp.contains(&RouteOrigin::new(prefix, asn)),
                     here.contains(&asn)
@@ -238,7 +272,9 @@ proptest! {
     /// same-origin strict ancestor, maximally permissive, in `Vrp` order —
     /// on MOAS tables that straddle the v4/v6 boundary and contain `/0`.
     #[test]
-    fn lower_bound_matches_definition(bgp in arb_bgp_over(arb_wide_prefix(), 80)) {
+    fn lower_bound_matches_definition(
+        bgp in arb_bgp_over(arb_wide_prefix(), arb_asn(), 80),
+    ) {
         let mut expect: Vec<Vrp> = bgp
             .iter()
             .filter(|r| !bgp.has_ancestor_same_origin(r.prefix, r.origin))
@@ -312,6 +348,35 @@ proptest! {
         // The bound's tuples still validate every announced pair.
         for route in bgp.iter() {
             prop_assert!(bound.iter().any(|v| v.matches(&route)));
+        }
+    }
+
+    /// Every row of Table 1 is the length of the list it stands for,
+    /// though the table builds only some of them, at every thread count.
+    #[test]
+    fn table1_rows_count_their_lists(
+        vrps in arb_wide_asn_vrps(),
+        bgp in arb_bgp_over(arb_wide_prefix(), arb_asn(), 80),
+    ) {
+        let mut today = vrps.clone();
+        today.sort_unstable();
+        today.dedup();
+        let minimal = minimalize_vrps(&vrps, &bgp);
+        let full = full_deployment_minimal(&bgp);
+        let lists = [
+            today.len(),
+            compress_roas(&today).len(),
+            minimal.len(),
+            compress_roas(&minimal).len(),
+            full.len(),
+            compress_roas(&full).len(),
+            max_permissive_lower_bound(&bgp).len(),
+        ];
+        let table = Table1::compute(&vrps, &bgp);
+        let rows: Vec<usize> = table.rows.iter().map(|r| r.pdus).collect();
+        prop_assert_eq!(rows, lists.to_vec());
+        for threads in [1, 2, 4] {
+            prop_assert_eq!(&Table1::compute_par(&vrps, &bgp, threads), &table);
         }
     }
 
