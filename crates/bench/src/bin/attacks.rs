@@ -39,16 +39,20 @@ fn main() {
     );
     eprintln!(
         "speculation: {}/{} items replayed ({} footprint checks, {} re-propagated); \
-         {} stagings shared within their trial group ({} from structure), \
-         {} engine runs ({} pulled)",
+         {} engine runs ({} lane, {} push, {} stacked, {} baselines); \
+         stagings by kind: {} silent, {} structural, {} from the memo",
         stats.cells_replayed,
         stats.items,
         stats.footprint_checks,
         stats.cells_repropagated,
-        stats.shared,
+        stats.lane + stats.push + stats.stacked + stats.baselines,
+        stats.lane,
+        stats.push,
+        stats.stacked,
+        stats.baselines,
+        stats.silent,
         stats.structural,
-        stats.executed + stats.baselines - stats.shared,
-        stats.pulled,
+        stats.memo,
     );
     println!("=== traffic intercepted by the attacker ===\n");
     print!("{}", report.render());

@@ -57,14 +57,19 @@ fn main() {
         stats.items,
     );
     eprintln!(
-        "speculation: {} footprint checks, {} re-propagated; {} stagings shared \
-         within their trial group ({} from structure), {} engine runs ({} pulled)",
+        "speculation: {} footprint checks, {} re-propagated; {} engine runs \
+         ({} lane, {} push, {} stacked, {} baselines); stagings by kind: \
+         {} silent, {} structural, {} from the memo",
         stats.footprint_checks,
         stats.cells_repropagated,
-        stats.shared,
+        stats.lane + stats.push + stats.stacked + stats.baselines,
+        stats.lane,
+        stats.push,
+        stats.stacked,
+        stats.baselines,
+        stats.silent,
         stats.structural,
-        stats.executed + stats.baselines - stats.shared,
-        stats.pulled,
+        stats.memo,
     );
 
     // The census weighting: what the generated world's actual ROAs imply.

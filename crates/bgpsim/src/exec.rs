@@ -25,10 +25,9 @@
 //! sweep, so what a run computes ([`ExecStats`]) does not depend on
 //! which worker claimed what, nor on where a checkpoint cut a batch. An
 //! encoded cursor carries the numbering and its counters in its magic
-//! (`maxlength-cursor-v4`): a `v1` text counted `(topology, ROA, trial)`
-//! groups, a `v2` text lacks [`ExecStats::shared`], a `v3` text lacks
-//! [`ExecStats::structural`] and [`ExecStats::pulled`], and
-//! [`PlanCursor::decode`] refuses all three.
+//! (`maxlength-cursor-v5`, counting stagings by kind): a `v1` text
+//! counted `(topology, ROA, trial)` groups, `v2` to `v4` texts carry
+//! older counter sets, and [`PlanCursor::decode`] refuses all four.
 //!
 //! # Determinism contract
 //!
@@ -64,31 +63,25 @@
 //! * **The victim-only world is answered from structure.** The victim's
 //!   own origin is Valid or NotFound under every [`RoaConfig`] (a group
 //!   asserts this per ROA), so by [`Topology`]'s hierarchy invariant its
-//!   announcement reaches every AS. A more-specific staging counts every
-//!   AS its table misses as legitimate, one whose attack filter is
-//!   transparent too wins every AS with no engine run, and a route leak
-//!   plans from [`crate::PropagationEngine::unfiltered_path_len`], asked
-//!   once per trial group and remembered for its other stagings. The
-//!   victim-only propagation itself (the **baseline**) is run only for a
-//!   strategy that reads it or a less-specific announcement, at most
-//!   once per trial group; [`ExecStats::baselines`] counts those runs.
-//! * **Transparent stagings** run the engine at most once per trial
-//!   group. A staging whose attack filter is transparent (no claimed
-//!   origin Invalid) accepts at every AS under every deployment and
-//!   every VRP set, so once the group fixes topology, victim and
-//!   attacker, its outcome depends only on how its prefix compares with
-//!   the victim's and, head to head, on the attacker's path length and
-//!   claimed origin. Most of the paper's grid is such stagings: the
-//!   forged-origin attacks claim the victim's own origin. Later
-//!   head-to-head or less-specific stagings with the same key, under
-//!   another ROA or another strategy, reuse the first one's outcome;
-//!   [`ExecStats::shared`] counts them and the structural answers
-//!   ([`ExecStats::structural`] the latter alone). They still count as
-//!   `executed`, and, recording no footprint, replay across deployments
-//!   as before. A transparent head-to-head staging that does run needs
-//!   only its tally, which the engine's outcome-only kernel settles
-//!   without a provider-phase queue; [`ExecStats::pulled`] counts those
-//!   runs. The worker defers them: a group records a slot of the
+//!   announcement reaches every AS, and a route leak plans from
+//!   [`crate::PropagationEngine::unfiltered_path_len`], asked once per
+//!   trial group and remembered for its other stagings. The victim-only
+//!   propagation itself (the **baseline**) is run only for a staging
+//!   that reads it, at most once per trial group;
+//!   [`ExecStats::baselines`] counts those runs.
+//! * **Stagings by kind.** Before anything runs, each staging is
+//!   classified by its plan, the victim's and the attack's filters and
+//!   whether the engine takes its seed; [`ExecStats`] counts it under
+//!   that kind ([`ExecStats::silent`] to [`ExecStats::stacked`]), or as
+//!   a [`ExecStats::memo`] hit. A *transparent* filter (no claimed origin
+//!   Invalid) accepts at every AS under every deployment and VRP set, so
+//!   once the group fixes topology, victim and attacker, a transparent
+//!   head-to-head staging's outcome depends only on the attacker's path
+//!   length and claimed origin, and a transparent less-specific one's on
+//!   nothing else: later stagings with the same key, under another ROA
+//!   or strategy, reuse the first one's outcome. Most of the paper's grid
+//!   is such stagings: the forged-origin attacks claim the victim's own
+//!   origin. The worker defers its lanes: a group records a slot of the
 //!   worker's lane batch where the outcome will be, and a memo hit or a
 //!   footprint replay records the same slot. The batch settles 16
 //!   stagings a sweep and is flushed when full, when 16 groups wait on
@@ -130,9 +123,7 @@ use crate::engine::{
     FilterFootprint, OriginFilter, PropagationEngine, LANES,
 };
 use crate::experiment::{destination_pair, trial_pair, RoaConfig};
-use crate::strategy::{
-    run_strategy, run_strategy_speculative, AttackerStrategy, LaneBatch, Staged, TrialGroup,
-};
+use crate::strategy::{run_strategy, stage, AttackerStrategy, LaneBatch, Staged, TrialGroup};
 use crate::topology::Topology;
 
 /// Seeded sampling of destination (victim) stubs — the axis that makes
@@ -526,8 +517,8 @@ pub struct ExecStats {
     pub compilations: usize,
     /// Strategy stagings run, not replayed from a footprint: one per
     /// `(strategy, ROA)` of each trial group, plus one per re-propagated
-    /// cell. A staging answered from its group's memo (counted in
-    /// [`Self::shared`]) is run, planned and tallied all the same.
+    /// cell. Each is planned, and counted below by how it was answered
+    /// ([`Self::silent`] to [`Self::memo`]).
     pub executed: usize,
     /// Footprint validations performed: one per `(strategy, deployment)`
     /// cell beyond the speculated first deployment.
@@ -539,39 +530,58 @@ pub struct ExecStats {
     /// Footprint validations that failed — cells whose filter decisions
     /// genuinely diverged and were re-propagated.
     pub cells_repropagated: usize,
-    /// Victim-only baseline propagations actually run, on top of
-    /// `executed`: one per `(topology, trial)` in which some staging
-    /// read the baseline — a custom strategy, or a less-specific
-    /// announcement. 0 for the standard strategies.
+    /// Victim-only baseline propagations run: one per `(topology,
+    /// trial)` in which some staging read the baseline — a custom
+    /// strategy, or a silent or stacked staging. 0 for the standard
+    /// strategies.
     pub baselines: usize,
-    /// Executed stagings answered without an engine run: from their
-    /// trial group's memo of transparent outcomes, or from the
-    /// topology's structure (a transparent more-specific announcement
-    /// wins every AS). Engine runs per pass are `executed + baselines −
-    /// shared` (less any staging that announced nothing toward its
-    /// target).
-    pub shared: usize,
-    /// The part of `shared` answered from the topology's structure, not
-    /// from the memo.
+    /// Executed stagings that announced nothing toward their target: the
+    /// baseline alone is tallied.
+    pub silent: usize,
+    /// Executed transparent more-specific stagings: the attacker wins
+    /// every AS, with no engine run.
     pub structural: usize,
-    /// Engine runs settled by the outcome-only lane kernel: transparent
-    /// head-to-head stagings, which need no route table. Each counts
-    /// once, whatever else shared its sweep.
-    pub pulled: usize,
+    /// Executed transparent head-to-head stagings, each a lane of the
+    /// outcome-only kernel, whatever else shared its sweep.
+    pub lane: usize,
+    /// Executed stagings tallied off a push run: other head-to-head
+    /// stagings, and filtered more-specific ones.
+    pub push: usize,
+    /// Executed stagings propagated alone and tallied beside the
+    /// baseline: less-specific ones, and more-specific ones whose victim
+    /// some AS filters.
+    pub stacked: usize,
+    /// Executed stagings answered from their trial group's memo, with no
+    /// engine run. With the five kinds above it partitions `executed`;
+    /// a pass runs the engine `lane + push + stacked + baselines` times.
+    pub memo: usize,
 }
 
 impl ExecStats {
-    /// Adds one trial group's counters (`items` and `compilations`
-    /// belong to the plan, not to a group).
-    fn add_group(&mut self, group: &ExecStats) {
-        self.executed += group.executed;
-        self.footprint_checks += group.footprint_checks;
-        self.cells_replayed += group.cells_replayed;
-        self.cells_repropagated += group.cells_repropagated;
-        self.baselines += group.baselines;
-        self.shared += group.shared;
-        self.structural += group.structural;
-        self.pulled += group.pulled;
+    /// The counters a trial group adds to, in the order a cursor encodes
+    /// them (`items` and `compilations` belong to the plan).
+    fn group_counters(&mut self) -> [&mut usize; 11] {
+        [
+            &mut self.executed,
+            &mut self.footprint_checks,
+            &mut self.cells_replayed,
+            &mut self.cells_repropagated,
+            &mut self.baselines,
+            &mut self.silent,
+            &mut self.structural,
+            &mut self.lane,
+            &mut self.push,
+            &mut self.stacked,
+            &mut self.memo,
+        ]
+    }
+
+    /// Adds one trial group's counters.
+    fn add_group(&mut self, mut group: ExecStats) {
+        let adds = group.group_counters();
+        for (sum, add) in self.group_counters().into_iter().zip(adds) {
+            *sum += *add;
+        }
     }
 }
 
@@ -622,22 +632,11 @@ impl<A: Accumulator> PlanCursor<A> {
     /// Serializes the full cursor state (position, counters, and every
     /// accumulator, floats as exact bit patterns) into one line of text.
     pub fn encode(&self) -> String {
-        let ExecStats {
-            executed,
-            footprint_checks,
-            cells_replayed,
-            cells_repropagated,
-            baselines,
-            shared,
-            structural,
-            pulled,
-            ..
-        } = self.stats;
-        let mut out = format!(
-            "{CURSOR_MAGIC} {} {} {executed} {footprint_checks} {cells_replayed} \
-             {cells_repropagated} {baselines} {shared} {structural} {pulled}",
-            self.next_group, self.total_groups
-        );
+        let mut out = format!("{CURSOR_MAGIC} {} {}", self.next_group, self.total_groups);
+        let mut stats = self.stats;
+        for counter in stats.group_counters() {
+            out.push_str(&format!(" {counter}"));
+        }
         for a in &self.accs {
             out.push(' ');
             a.encode(&mut out);
@@ -646,7 +645,7 @@ impl<A: Accumulator> PlanCursor<A> {
     }
 
     /// Parses [`Self::encode`]'s output. `None` on malformed input —
-    /// which a `v1`, `v2` or `v3` line is (see the module docs), and a
+    /// which a line of an older version is (see the module docs), and a
     /// position past the last group.
     pub fn decode(s: &str) -> Option<PlanCursor<A>> {
         let mut fields = s.split(' ');
@@ -655,17 +654,10 @@ impl<A: Accumulator> PlanCursor<A> {
         }
         let mut number = || fields.next()?.parse::<usize>().ok();
         let (next_group, total_groups) = (number()?, number()?);
-        let stats = ExecStats {
-            executed: number()?,
-            footprint_checks: number()?,
-            cells_replayed: number()?,
-            cells_repropagated: number()?,
-            baselines: number()?,
-            shared: number()?,
-            structural: number()?,
-            pulled: number()?,
-            ..ExecStats::default()
-        };
+        let mut stats = ExecStats::default();
+        for counter in stats.group_counters() {
+            *counter = number()?;
+        }
         let accs = fields.map(A::decode).collect::<Option<Vec<A>>>()?;
         // A position past the end would read as a finished grid.
         if next_group > total_groups {
@@ -682,7 +674,7 @@ impl<A: Accumulator> PlanCursor<A> {
 
 /// First field of an encoded [`PlanCursor`]; versions its group numbering
 /// and its counters.
-const CURSOR_MAGIC: &str = "maxlength-cursor-v4";
+const CURSOR_MAGIC: &str = "maxlength-cursor-v5";
 
 /// Resolves every `(topology, deployment)` pair of the plan through a
 /// deployment-keyed cache: duplicate deployments on the axis share one
@@ -805,7 +797,7 @@ fn absorb_group<A: Accumulator>(
     outcomes: &GroupOutcomes,
     tally: &ExecStats,
 ) {
-    stats.add_group(tally);
+    stats.add_group(*tally);
     for (cell, outcome) in outcomes {
         accs[*cell].absorb(outcome);
     }
@@ -1076,8 +1068,7 @@ impl PlanSession<'_, '_> {
                         policies: &resolved[ti][di],
                     };
                     footprint.borrow_mut().begin(topology.len());
-                    let outcome =
-                        run_strategy_speculative(*strategy, &setup_for(0), &group, Some(footprint));
+                    let outcome = stage(*strategy, &setup_for(0), &group, Some(footprint));
                     stats.executed += 1;
                     staged.push((plan.cell_index(ti, si, 0, ri), outcome));
                     for (di, deployment) in resolved[ti].iter().enumerate().skip(1) {
@@ -1088,8 +1079,7 @@ impl PlanSession<'_, '_> {
                             stats.cells_replayed += 1;
                             staged.push((plan.cell_index(ti, si, di, ri), outcome));
                         } else {
-                            let diverged =
-                                run_strategy_speculative(*strategy, &setup_for(di), &group, None);
+                            let diverged = stage(*strategy, &setup_for(di), &group, None);
                             stats.executed += 1;
                             stats.cells_repropagated += 1;
                             staged.push((plan.cell_index(ti, si, di, ri), diverged));
@@ -1098,10 +1088,7 @@ impl PlanSession<'_, '_> {
                 }
             }
         });
-        stats.baselines += usize::from(group.baseline.get().is_some());
-        stats.shared += group.hits.get();
-        stats.structural += group.structural.get();
-        stats.pulled += group.pulled.get();
+        stats.add_group(group.counts.into_inner());
     }
 }
 
@@ -1117,9 +1104,10 @@ impl PlanSession<'_, '_> {
 ///
 /// Not a production path: it costs O(trials) memory per cell and
 /// re-propagates every baseline a staging reads and every
-/// deployment-independent outcome. It shares the stagings' structural
-/// answers; `tests/structure_props.rs` holds those to the two
-/// propagations they replace.
+/// deployment-independent outcome. It shares the stagings' classifier
+/// and so their structural and lane answers; `tests/structure_props.rs`
+/// holds every staging kind to a push oracle built from public engine
+/// calls.
 pub fn run_plan_collected(plan: &TrialPlan<'_>) -> Vec<Vec<AttackOutcome>> {
     plan.validate();
     let policies: Vec<Vec<CompiledPolicies>> = plan
@@ -1377,7 +1365,7 @@ mod tests {
             41,
         );
         let (straight, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
-        assert!(stats.pulled > LANES, "{stats:?}");
+        assert!(stats.lane > LANES, "{stats:?}");
         let exec = Executor::sequential();
         let session = exec.session(&plan);
         for groups in [1, LANES - 1, LANES + 1] {
@@ -1408,18 +1396,19 @@ mod tests {
         assert!(PlanCursor::<CellAccumulator>::decode("").is_none());
         assert!(PlanCursor::<CellAccumulator>::decode("wrong-magic 0 1 0 0").is_none());
         assert!(PlanCursor::<CellAccumulator>::decode(
-            "maxlength-cursor-v4 0 1 0 0 0 0 0 0 0 0 nonsense"
+            "maxlength-cursor-v5 0 1 0 0 0 0 0 0 0 0 0 0 0 nonsense"
         )
         .is_none());
         assert!(
-            PlanCursor::<CellAccumulator>::decode("maxlength-cursor-v4 0 1 0 0").is_none(),
+            PlanCursor::<CellAccumulator>::decode("maxlength-cursor-v5 0 1 0 0").is_none(),
             "too few counters"
         );
         let mut enc = String::new();
         CellAccumulator::empty().encode(&mut enc);
         // A position past the end is a corrupted checkpoint, not a
         // finished grid; exactly at the end is one.
-        let at = |next: usize| format!("maxlength-cursor-v4 {next} 8 0 0 0 0 0 0 0 0 {enc} {enc}");
+        let counters = "0 ".repeat(11);
+        let at = |next: usize| format!("maxlength-cursor-v5 {next} 8 {counters}{enc} {enc}");
         assert!(PlanCursor::<CellAccumulator>::decode(&at(999)).is_none());
         assert!(PlanCursor::<CellAccumulator>::decode(&at(9)).is_none());
         let done = PlanCursor::<CellAccumulator>::decode(&at(8)).expect("a finished cursor");

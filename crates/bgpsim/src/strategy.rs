@@ -33,7 +33,7 @@
 //!   demoting itself to the prefix-grained attack when the ROA is
 //!   minimal — the paper's §5 demotion argument as an adaptive attacker.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{OnceCell, RefCell};
 
 use rpki_prefix::Prefix;
 use rpki_roa::Asn;
@@ -43,6 +43,7 @@ use crate::attack::{AttackKind, AttackOutcome, AttackSetup};
 use crate::engine::{
     with_workspace, FilterFootprint, Lane, OriginFilter, PropagationEngine, LANES,
 };
+use crate::exec::ExecStats;
 use crate::routing::{Propagation, Seed};
 use crate::topology::Topology;
 
@@ -88,6 +89,7 @@ impl StrategyContext<'_> {
     /// rest of the trial group; no shipped strategy calls it.
     pub fn baseline(&self) -> &Propagation {
         self.group.baseline.get_or_init(|| {
+            self.group.counts.borrow_mut().baselines += 1;
             let accept = |at, origin| self.accept_p.accept(at, origin);
             let engine = PropagationEngine::new(self.topology);
             with_workspace(|ws| engine.propagate(&[self.victim_seed], &accept, ws))
@@ -123,7 +125,7 @@ impl StrategyContext<'_> {
 /// invariant the victim's announcement reaches every AS, and the
 /// baseline depends on neither the VRPs nor the deployment.
 ///
-/// A group with a [`LaneBatch`] defers its transparent head-to-head
+/// A group with a [`LaneBatch`] defers its [`StagingKind::Lane`]
 /// stagings into it; one without settles each at once, as a batch of
 /// one.
 #[derive(Default)]
@@ -134,26 +136,21 @@ pub(crate) struct TrialGroup<'b> {
     /// ([`StrategyContext::attacker_learned_len`]), computed on first
     /// use.
     learned_len: OnceCell<Option<u32>>,
-    /// Outcomes of the head-to-head and less-specific stagings whose
-    /// attack filter was transparent, by [`StagingKey`].
-    transparent: RefCell<Vec<(StagingKey, Staged)>>,
-    /// Where transparent head-to-head stagings wait for the lane kernel.
+    /// Outcomes of the stagings the group shares, by [`StagingKey`].
+    memo: RefCell<Vec<(StagingKey, Staged)>>,
+    /// Where [`StagingKind::Lane`] stagings wait for the lane kernel.
     batch: Option<&'b RefCell<LaneBatch>>,
-    /// Stagings answered without an engine run: from `transparent`, or
-    /// from the topology's structure.
-    pub hits: Cell<usize>,
-    /// The part of `hits` answered from the topology's structure.
-    pub structural: Cell<usize>,
-    /// Stagings settled by [`PropagationEngine::transparent_outcomes`].
-    pub pulled: Cell<usize>,
+    /// The group's [`ExecStats::baselines`], its stagings by kind and
+    /// those answered from `memo`; no other field is set.
+    pub counts: RefCell<ExecStats>,
 }
 
-/// Everything a transparent head-to-head or less-specific staging's
-/// outcome depends on once its group fixes topology, victim and
-/// attacker: head to head, the attacker's seed; alone (`None`), nothing,
-/// since an accept-all propagation from the attacker reaches the same
-/// ASes, every one delivering to the attacker, whatever its seed.
-type StagingKey = Option<(u32, Asn)>;
+/// Everything a shared staging's outcome depends on once its group
+/// fixes topology, victim and attacker. A transparent filter accepts at
+/// every AS under every deployment and VRP set, so head to head that is
+/// the attacker's seed, and alone (`None`) nothing: an accept-all
+/// propagation from the attacker reaches every AS whatever its seed.
+type StagingKey = Option<Seed>;
 
 /// A staging's outcome, or the slot of a [`LaneBatch`] that holds it
 /// once the batch is flushed.
@@ -225,43 +222,12 @@ impl LaneBatch {
 }
 
 impl<'b> TrialGroup<'b> {
-    /// A group deferring its transparent head-to-head stagings into
-    /// `batch`.
+    /// A group deferring its [`StagingKind::Lane`] stagings into `batch`.
     pub fn deferring(batch: &'b RefCell<LaneBatch>) -> TrialGroup<'b> {
         TrialGroup {
             batch: Some(batch),
             ..TrialGroup::default()
         }
-    }
-
-    /// Counts a staging answered without an engine run.
-    fn answered(&self, staged: Staged) -> Staged {
-        self.hits.set(self.hits.get() + 1);
-        staged
-    }
-
-    /// `run()`'s outcome — or, for a transparent staging (`key` is set),
-    /// the stored outcome of an earlier one with the same key.
-    fn staged(&self, key: Option<StagingKey>, run: impl FnOnce() -> Staged) -> Staged {
-        let Some(key) = key else { return run() };
-        if let Some(&(_, hit)) = self.transparent.borrow().iter().find(|(k, _)| *k == key) {
-            return self.answered(hit);
-        }
-        let staged = run();
-        self.transparent.borrow_mut().push((key, staged));
-        staged
-    }
-
-    /// A transparent head-to-head staging, settled by the lane kernel:
-    /// deferred into the group's batch, or at once in a batch of one.
-    fn pull(&self, engine: &PropagationEngine<'_>, lane: Lane) -> Staged {
-        self.pulled.set(self.pulled.get() + 1);
-        if let Some(batch) = self.batch {
-            return batch.borrow_mut().push(engine, lane);
-        }
-        let mut out = [AttackOutcome::default()];
-        with_workspace(|ws| engine.transparent_outcomes(&[lane], ws, &mut out));
-        Staged::Ready(out[0])
     }
 }
 
@@ -512,37 +478,117 @@ impl AttackerStrategy for MaxLengthGapProber {
 /// target) is not covered by `victim_prefix`, or if `setup.policies`
 /// covers a different number of ASes than the topology.
 pub fn run_strategy(strategy: &dyn AttackerStrategy, setup: &AttackSetup<'_>) -> AttackOutcome {
-    match run_strategy_speculative(strategy, setup, &TrialGroup::default(), None) {
+    match stage(strategy, setup, &TrialGroup::default(), None) {
         Staged::Ready(outcome) => outcome,
         Staged::Lane(_) => unreachable!("a group without a batch settles every staging"),
     }
 }
 
+/// How a staging is answered, as [`classify`] decides it before anything
+/// runs; [`stage`] runs each kind in one `match`, and
+/// [`ExecStats`] counts it under its kind.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StagingKind<'f> {
+    /// Nothing is announced toward the target.
+    Silent,
+    /// Transparent and more specific, with a transparent victim: both
+    /// reach every AS ([`Topology`]'s hierarchy invariant).
+    Structural,
+    /// Transparent, seedable and head to head.
+    Lane(Lane),
+    /// Tallied off a push run under `filter`: any other head-to-head
+    /// staging, or a `more_specific` one with a transparent victim.
+    Push {
+        more_specific: bool,
+        filter: &'f OriginFilter<'f>,
+    },
+    /// Propagated alone under `filter` and tallied beside the baseline;
+    /// a `shared` one is transparent, seedable and less specific.
+    Stacked {
+        more_specific: bool,
+        filter: &'f OriginFilter<'f>,
+        shared: bool,
+    },
+}
+
+impl StagingKind<'_> {
+    /// The key its trial group shares the outcome under, if any.
+    fn memo_key(&self) -> Option<StagingKey> {
+        match *self {
+            StagingKind::Lane(lane) => Some(Some(lane.seeds[1])),
+            StagingKind::Stacked { shared: true, .. } => Some(None),
+            _ => None,
+        }
+    }
+
+    /// The [`ExecStats`] field that counts this kind.
+    fn counter(self, stats: &mut ExecStats) -> &mut usize {
+        match self {
+            StagingKind::Silent => &mut stats.silent,
+            StagingKind::Structural => &mut stats.structural,
+            StagingKind::Lane(_) => &mut stats.lane,
+            StagingKind::Push { .. } => &mut stats.push,
+            StagingKind::Stacked { .. } => &mut stats.stacked,
+        }
+    }
+}
+
+/// Decides how a staging is answered. `attack` is the plan's
+/// announcement toward its target and that announcement's import filter
+/// (`None` if the plan announces nothing there), `seeds` the victim's
+/// seed and the attacker's, `accept_p` the victim's import filter, and
+/// `seedable` whether the engine takes the attacker's seed: a seed it
+/// refuses is never answered without it.
+pub(crate) fn classify<'f>(
+    setup: &AttackSetup<'_>,
+    attack: Option<(AttackAnnouncement, &'f OriginFilter<'f>)>,
+    seeds: [Seed; 2],
+    accept_p: &OriginFilter<'_>,
+    seedable: bool,
+) -> StagingKind<'f> {
+    let Some((ann, filter)) = attack else {
+        return StagingKind::Silent;
+    };
+    let head_to_head = ann.prefix == setup.victim_prefix;
+    let more_specific = ann.prefix.len() > setup.victim_prefix.len();
+    // No AS filters the victim, so its announcement reaches every AS
+    // (`Topology`'s hierarchy invariant): each one a more-specific table
+    // misses routes legitimately.
+    let over_victim = more_specific && accept_p.is_transparent();
+    let transparent = filter.is_transparent() && seedable;
+    if head_to_head && transparent {
+        let (attacker, victim) = (setup.attacker, setup.victim);
+        StagingKind::Lane(Lane {
+            seeds,
+            attacker,
+            victim,
+        })
+    } else if over_victim && transparent {
+        StagingKind::Structural
+    } else if head_to_head || over_victim {
+        StagingKind::Push {
+            more_specific,
+            filter,
+        }
+    } else {
+        let shared = transparent && !more_specific;
+        StagingKind::Stacked {
+            more_specific,
+            filter,
+            shared,
+        }
+    }
+}
+
 /// The trial executor's entry point: [`run_strategy`] within a trial
-/// group owned by the caller, with optional footprint recording.
-///
-/// * `group` — what the calls may share (see [`TrialGroup`] for what they
-///   must agree on): the first strategy to look computes the victim-only
-///   baseline and the rest reuse it, and a head-to-head or less-specific
-///   staging whose attack filter is transparent returns the stored
-///   outcome of an earlier one with its [`StagingKey`]. A transparent
-///   filter accepts at every AS under every deployment and VRP set, so
-///   that outcome is the one this staging would compute. Both may be a
-///   [`Staged::Lane`] of the group's batch, to be resolved once the
-///   batch is flushed.
-/// * `footprint` — when supplied, every adopter-bitset consultation of
-///   the attack staging is mirrored into it — the execute half of the
-///   executor's Block-STM-style execute-then-validate scheme
-///   ([`crate::exec`] module docs). The outcome is bit-identical with
-///   and without recording.
-///
-/// A more-specific staging where no AS filters the victim reads no
-/// baseline: every AS the attacker's table misses is legitimate, and a
-/// transparent attacker wins all `n − 2` with no engine run. A
-/// transparent head-to-head staging the memo misses needs only its
-/// tally, so it is a lane of [`PropagationEngine::transparent_outcomes`]
-/// instead of a full propagation.
-pub(crate) fn run_strategy_speculative(
+/// group owned by the caller (see [`TrialGroup`]), which shares the
+/// baseline and the memo's outcomes, perhaps a [`Staged::Lane`] of its
+/// batch, and counts the staging. When supplied, `footprint` mirrors
+/// every adopter-bitset consultation of the attack staging — the execute
+/// half of the executor's Block-STM-style execute-then-validate scheme
+/// ([`crate::exec`] module docs); the outcome is bit-identical with and
+/// without recording.
+pub(crate) fn stage(
     strategy: &dyn AttackerStrategy,
     setup: &AttackSetup<'_>,
     group: &TrialGroup<'_>,
@@ -564,10 +610,8 @@ pub(crate) fn run_strategy_speculative(
     // claimed origin the baseline can query, resolved once.
     let accept_p = OriginFilter::new(setup.vrps, setup.victim_prefix, &[victim_asn], compiled);
 
-    // The pre-attack world is offered to the strategy lazily: only
-    // strategies that observe it, less-specific plans (which stack the
-    // attacker's table under it) and a victim some AS filters pay for
-    // the extra propagation.
+    // The pre-attack world is offered to the strategy lazily: only the
+    // stagings that read it pay for the extra propagation.
     let ctx = StrategyContext {
         topology: t,
         victim,
@@ -584,82 +628,81 @@ pub(crate) fn run_strategy_speculative(
         setup.victim_prefix.covers(plan.target),
         "measurement target must be inside the victim's prefix"
     );
-    let Some(ann) = plan
-        .announcement
-        .filter(|ann| ann.prefix.covers(plan.target))
-    else {
-        // Nothing announced toward the target: only the baseline
-        // carries traffic.
-        return Staged::Ready(AttackOutcome::tally(&[ctx.baseline()], attacker, victim));
-    };
+    let ann = plan.announcement.filter(|a| a.prefix.covers(plan.target));
+    // Head to head, one propagation holds both announcements, the
+    // victim's first; otherwise the attacker's propagates alone.
+    let alone = usize::from(ann.is_some_and(|a| a.prefix != setup.victim_prefix));
+    let seeds = [
+        victim_seed,
+        ann.map_or(victim_seed, |a| Seed {
+            at: attacker,
+            path_len: a.path_len,
+            claimed_origin: a.claimed_origin,
+        }),
+    ];
+    let filter = ann.map(|a| {
+        let origins = &[victim_asn, a.claimed_origin][alone..];
+        OriginFilter::new(setup.vrps, a.prefix, origins, compiled)
+    });
+    let seedable = ann.is_some_and(|a| a.path_len <= engine.max_seed_len());
+    let kind = classify(setup, ann.zip(filter.as_ref()), seeds, &accept_p, seedable);
+    let seeds = &seeds[alone..];
 
-    // The attacked world. On the victim's own prefix the two
-    // announcements compete head to head in one propagation; on any
-    // other prefix the attacker's propagates alone, next to the
-    // untouched baseline. Traffic for the target then follows each AS's
-    // longest matching prefix ([`AttackOutcome::tally`]).
-    let head_to_head = ann.prefix == setup.victim_prefix;
-    let more_specific = ann.prefix.len() > setup.victim_prefix.len();
-    let attacker_seed = Seed {
-        at: attacker,
-        path_len: ann.path_len,
-        claimed_origin: ann.claimed_origin,
-    };
-    // Victim first; alone, the attacker's announcement is the tail.
-    let alone = usize::from(!head_to_head);
-    let seeds = &[victim_seed, attacker_seed][alone..];
-    let origins = &[victim_asn, ann.claimed_origin][alone..];
-    let filter = OriginFilter::new(setup.vrps, ann.prefix, origins, compiled);
-    let accept = recording(&filter, footprint);
-    // A seed the engine refuses is never answered without it.
-    let seedable = ann.path_len <= engine.max_seed_len();
-    if more_specific && accept_p.is_transparent() {
-        // No AS filters the victim, so its announcement reaches every AS
-        // (`Topology`'s hierarchy invariant): each one the attacker's
-        // table misses routes legitimately.
-        if filter.is_transparent() && seedable {
-            // Nor the attacker's: it wins every AS.
-            group.structural.set(group.structural.get() + 1);
-            return group.answered(Staged::Ready(AttackOutcome {
-                intercepted: t.len() - 2,
-                legitimate: 0,
-                disconnected: 0,
-            }));
-        }
-        let mut outcome = with_workspace(|ws| {
-            engine.propagate_outcome(seeds, &accept, ws, None, attacker, victim)
-        });
-        outcome.legitimate += std::mem::take(&mut outcome.disconnected);
-        return Staged::Ready(outcome);
+    let key = kind.memo_key();
+    let memo = |key| group.memo.borrow().iter().find(|e| e.0 == key).map(|e| e.1);
+    if let Some(hit) = key.and_then(memo) {
+        group.counts.borrow_mut().memo += 1;
+        return hit;
     }
-    let key = (filter.is_transparent() && seedable && !more_specific)
-        .then_some(head_to_head.then_some((ann.path_len, ann.claimed_origin)));
-    group.staged(key, || {
-        if head_to_head && key.is_some() {
-            // No AS filters either seed: a lane of the outcome-only kernel.
-            let lane = Lane {
-                seeds: [victim_seed, attacker_seed],
-                attacker,
-                victim,
-            };
-            return group.pull(&engine, lane);
+    *kind.counter(&mut group.counts.borrow_mut()) += 1;
+    let staged = match kind {
+        StagingKind::Silent => {
+            Staged::Ready(AttackOutcome::tally(&[ctx.baseline()], attacker, victim))
         }
-        if head_to_head {
-            // Tallied straight off the workspace.
-            return Staged::Ready(with_workspace(|ws| {
+        StagingKind::Structural => Staged::Ready(AttackOutcome {
+            intercepted: t.len() - 2,
+            ..AttackOutcome::default()
+        }),
+        StagingKind::Lane(lane) => match group.batch {
+            Some(batch) => batch.borrow_mut().push(&engine, lane),
+            None => {
+                let mut out = [AttackOutcome::default()];
+                with_workspace(|ws| engine.transparent_outcomes(&[lane], ws, &mut out));
+                Staged::Ready(out[0])
+            }
+        },
+        StagingKind::Push {
+            more_specific,
+            filter,
+        } => {
+            let accept = recording(filter, footprint);
+            let mut outcome = with_workspace(|ws| {
                 engine.propagate_outcome(seeds, &accept, ws, None, attacker, victim)
-            }));
+            });
+            if more_specific {
+                outcome.legitimate += std::mem::take(&mut outcome.disconnected);
+            }
+            Staged::Ready(outcome)
         }
-        // Alone, next to the baseline (rare: a less-specific announcement,
-        // or a filtered victim), the more specific table first.
-        let attacked = with_workspace(|ws| engine.propagate(seeds, &accept, ws));
-        let tables = if more_specific {
-            [&attacked, ctx.baseline()]
-        } else {
-            [ctx.baseline(), &attacked]
-        };
-        Staged::Ready(AttackOutcome::tally(&tables, attacker, victim))
-    })
+        StagingKind::Stacked {
+            more_specific,
+            filter,
+            ..
+        } => {
+            let accept = recording(filter, footprint);
+            let attacked = with_workspace(|ws| engine.propagate(seeds, &accept, ws));
+            let tables = if more_specific {
+                [&attacked, ctx.baseline()]
+            } else {
+                [ctx.baseline(), &attacked]
+            };
+            Staged::Ready(AttackOutcome::tally(&tables, attacker, victim))
+        }
+    };
+    if let Some(key) = key {
+        group.memo.borrow_mut().push((key, staged));
+    }
+    staged
 }
 
 #[cfg(test)]
@@ -857,7 +900,7 @@ mod tests {
                     assert_eq!(plan(&shared, attacker, vrps, policies), fresh);
                     assert_eq!(fresh.announcement.map(|a| a.path_len), learned);
                     let s = setup(&t, victim, attacker, p, q, vrps, policies);
-                    let staged = run_strategy_speculative(&RouteLeak, &s, &shared, None);
+                    let staged = stage(&RouteLeak, &s, &shared, None);
                     assert!(
                         matches!(staged, Staged::Ready(o) if o == run_strategy(&RouteLeak, &s)),
                         "attacker {attacker}"
@@ -911,6 +954,64 @@ mod tests {
         let s = setup(&t, victim, attacker, p, q, &wrong_origin, &policies);
         let exposed = run_strategy(&CoveringAnnouncement, &s);
         assert_eq!((exposed.intercepted, exposed.legitimate), (t.len() - 2, 0));
+    }
+
+    #[test]
+    fn classify_sends_each_staging_to_its_kind() {
+        // A filtered head-to-head staging and one whose seed the engine
+        // refuses are pushed through their filter, never a lane of the
+        // accept-all kernel; a more-specific one is structural only while
+        // no claimed origin is Invalid, and a less-specific one is
+        // stacked, shared while transparent.
+        let (t, victim, attacker, p, q) = world();
+        let policies = CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; t.len()]);
+        let (victim_asn, attacker_asn) = (t.asn(victim), t.asn(attacker));
+        let none = VrpIndex::new();
+        let minimal: VrpIndex = [Vrp::exact(p, victim_asn)].into_iter().collect();
+        let wider = p.parent().unwrap();
+        let kind = |vrps: &VrpIndex, prefix: Prefix, seedable: bool| {
+            let s = setup(&t, victim, attacker, p, q, vrps, &policies);
+            let accept_p = OriginFilter::new(vrps, p, &[victim_asn], &policies);
+            let origins = [victim_asn, attacker_asn];
+            let origins = &origins[usize::from(prefix != p)..];
+            let filter = OriginFilter::new(vrps, prefix, origins, &policies);
+            let ann = AttackAnnouncement {
+                prefix,
+                claimed_origin: attacker_asn,
+                path_len: 0,
+            };
+            let seeds = [
+                Seed::origin(victim, victim_asn),
+                Seed {
+                    at: attacker,
+                    path_len: 0,
+                    claimed_origin: attacker_asn,
+                },
+            ];
+            match classify(&s, Some((ann, &filter)), seeds, &accept_p, seedable) {
+                StagingKind::Silent => "silent",
+                StagingKind::Structural => "structural",
+                StagingKind::Lane(_) => "lane",
+                StagingKind::Push { .. } => "push",
+                StagingKind::Stacked { shared: true, .. } => "shared stacked",
+                StagingKind::Stacked { .. } => "stacked",
+            }
+        };
+        assert_eq!(kind(&none, p, true), "lane");
+        assert_eq!(kind(&none, p, false), "push");
+        assert_eq!(kind(&minimal, p, true), "push");
+        assert_eq!(kind(&none, q, true), "structural");
+        assert_eq!(kind(&none, q, false), "push");
+        assert_eq!(kind(&minimal, q, true), "push");
+        assert_eq!(kind(&none, wider, true), "shared stacked");
+        assert_eq!(kind(&none, wider, false), "stacked");
+        let s = setup(&t, victim, attacker, p, q, &none, &policies);
+        let accept_p = OriginFilter::new(&none, p, &[victim_asn], &policies);
+        let seeds = [Seed::origin(victim, victim_asn); 2];
+        assert!(matches!(
+            classify(&s, None, seeds, &accept_p, false),
+            StagingKind::Silent
+        ));
     }
 
     #[test]

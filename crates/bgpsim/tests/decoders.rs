@@ -30,7 +30,7 @@ proptest! {
     fn arbitrary_checkpoints_meet_the_contract(
         total in 0u64..1 << 20,
         next_frac in 0.0f64..=1.0,
-        counters in prop::collection::vec(any::<u64>(), 8),
+        counters in prop::collection::vec(any::<u64>(), 11),
         cells in prop::collection::vec(any::<u64>(), 0..36),
         noise in any::<u64>(),
     ) {

@@ -174,6 +174,12 @@ fn topology_for(shape: &PlanShape) -> Topology {
     })
 }
 
+/// The stagings `stats` counts by kind, memo hits included: every
+/// executed staging is counted once, under one of them.
+fn kinds(stats: &ExecStats) -> usize {
+    stats.silent + stats.structural + stats.lane + stats.push + stats.stacked + stats.memo
+}
+
 proptest! {
     #![proptest_config(cases())]
 
@@ -367,6 +373,7 @@ proptest! {
         prop_assert_eq!(&seq, &par);
         prop_assert_eq!(seq_stats, par_stats);
         prop_assert!(seq_stats.baselines <= plan.topologies.len() * plan.trials);
+        prop_assert_eq!(kinds(&seq_stats), seq_stats.executed);
 
         let session = Executor::sequential().session(&plan);
         for chunk in 1..=plan.item_count() + 1 {
@@ -382,12 +389,14 @@ proptest! {
 
 /// A version-1 cursor counted `(topology, ROA, trial)` groups; resuming
 /// one against `(topology, trial)` groups would skip or repeat trials.
-/// A version-2 cursor lacks `ExecStats::shared`, and a version-3 one
-/// `ExecStats::structural` and `ExecStats::pulled`; resuming either
-/// would report a run's counters short. `decode` refuses all three by
-/// their magic.
+/// A version-2 cursor lacks `ExecStats::shared`, a version-3 one
+/// `ExecStats::structural` and `ExecStats::pulled`, and a version-4 one
+/// counted overlapping `shared`, `structural` and `pulled` where a
+/// version-5 one counts stagings by kind; resuming any of them would
+/// report a run's counters wrongly. `decode` refuses all four by their
+/// magic.
 #[test]
-fn cursor_decode_refuses_v1_v2_and_v3_lines() {
+fn cursor_decode_refuses_v1_to_v4_lines() {
     let topology = Topology::generate(TopologyConfig {
         n: 80,
         tier1: 3,
@@ -405,12 +414,12 @@ fn cursor_decode_refuses_v1_v2_and_v3_lines() {
         2,
         7,
     );
-    let v4 = plan.cursor::<CellAccumulator>().encode();
-    assert!(v4.starts_with("maxlength-cursor-v4 "), "{v4}");
-    assert!(PlanCursor::<CellAccumulator>::decode(&v4).is_some());
-    let cells = v4
-        .splitn(12, ' ')
-        .nth(11)
+    let v5 = plan.cursor::<CellAccumulator>().encode();
+    assert!(v5.starts_with("maxlength-cursor-v5 "), "{v5}");
+    assert!(PlanCursor::<CellAccumulator>::decode(&v5).is_some());
+    let cells = v5
+        .splitn(15, ' ')
+        .nth(14)
         .expect("accumulators follow the counters");
     // The same cursor as v1 wrote it: two counters after the position.
     let v1 = format!("maxlength-cursor-v1 0 6 0 0 {cells}");
@@ -418,21 +427,21 @@ fn cursor_decode_refuses_v1_v2_and_v3_lines() {
     let v2 = format!("maxlength-cursor-v2 0 2 0 0 0 0 0 {cells}");
     // As v3 wrote it: six counters, ending at `shared`.
     let v3 = format!("maxlength-cursor-v3 0 2 0 0 0 0 0 0 {cells}");
-    for old in [&v1, &v2, &v3] {
+    // As v4 wrote it: eight counters, ending at `shared`, `structural`
+    // and `pulled`.
+    let v4 = format!("maxlength-cursor-v4 0 2 0 0 0 0 0 0 0 0 {cells}");
+    for old in [&v1, &v2, &v3, &v4] {
         assert!(
             PlanCursor::<CellAccumulator>::decode(old).is_none(),
             "{old}"
         );
     }
     // Nor does the new magic on an old layout parse: the counters differ.
-    for old in [
-        v1.replace("-v1", "-v4"),
-        v2.replace("-v2", "-v4"),
-        v3.replace("-v3", "-v4"),
-    ] {
+    for (old, magic) in [(v1, "-v1"), (v2, "-v2"), (v3, "-v3"), (v4, "-v4")] {
+        let relabelled = old.replace(magic, "-v5");
         assert!(
-            PlanCursor::<CellAccumulator>::decode(&old).is_none(),
-            "{old}"
+            PlanCursor::<CellAccumulator>::decode(&relabelled).is_none(),
+            "{relabelled}"
         );
     }
 }
@@ -477,34 +486,114 @@ fn super_prefix_runs_once_per_group_and_matches_the_reference() {
         );
     }
     // Per group: the hijack's no-ROA and loose-ROA stagings need no
-    // engine run; the super-prefix runs once for three ROAs and is the
-    // one staging that reads the baseline.
-    assert_eq!(stats.shared, 4 * plan.trials, "{stats:?}");
+    // engine run, and under the minimal ROA it is pushed, once per
+    // deployment its footprint does not replay; the super-prefix runs
+    // once for three ROAs and is the one staging that reads the
+    // baseline.
     assert_eq!(stats.structural, 2 * plan.trials, "{stats:?}");
-    assert_eq!(stats.pulled, 0, "no staging is head to head: {stats:?}");
+    assert_eq!(
+        stats.push,
+        plan.trials + stats.cells_repropagated,
+        "{stats:?}"
+    );
+    assert_eq!(stats.stacked, plan.trials, "{stats:?}");
+    assert_eq!(stats.memo, 2 * plan.trials, "{stats:?}");
+    assert_eq!(stats.lane, 0, "no staging is head to head: {stats:?}");
+    assert_eq!(stats.silent, 0, "{stats:?}");
     assert_eq!(stats.baselines, plan.trials, "{stats:?}");
+    assert_eq!(kinds(&stats), stats.executed, "{stats:?}");
+}
+
+/// Announces nothing, as a route leak does when the attacker learned no
+/// route.
+struct Silent;
+
+impl AttackerStrategy for Silent {
+    fn label(&self) -> String {
+        "silent".to_string()
+    }
+
+    fn plan(&self, ctx: &StrategyContext<'_>) -> AttackPlan {
+        AttackPlan {
+            announcement: None,
+            target: ctx.sub_prefix,
+        }
+    }
+}
+
+/// A staging that announces nothing toward its target tallies the
+/// baseline alone: it is counted `silent`, and the engine runs only the
+/// one baseline of its group (engine runs `lane + push + stacked +
+/// baselines` equal `baselines`, where `executed + baselines − shared`
+/// counted each silent staging once more). Its footprint is empty, so
+/// every further deployment replays it; every cell equals the collected
+/// reference.
+#[test]
+fn silent_stagings_run_only_the_baseline() {
+    let topology = Topology::generate(TopologyConfig {
+        n: 120,
+        tier1: 3,
+        ..TopologyConfig::default()
+    });
+    let plan = TrialPlan::new(
+        vec![PlanTopology {
+            label: "n=120".into(),
+            topology: &topology,
+        }],
+        vec![&Silent],
+        vec![
+            DeploymentModel::Uniform { p: 0.5 },
+            DeploymentModel::TopIspsFirst { p: 0.3 },
+        ],
+        RoaConfig::ALL.to_vec(),
+        4,
+        23,
+    );
+    let collected = run_plan_collected(&plan);
+    let (accs, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
+    for (cell, (outcomes, acc)) in collected.iter().zip(&accs).enumerate() {
+        assert_eq!(
+            CellStats::from_outcomes(outcomes),
+            acc.finish(),
+            "cell {cell}"
+        );
+    }
+    let stagings = plan.roas.len() * plan.trials;
+    assert_eq!(stats.executed, stagings, "{stats:?}");
+    assert_eq!(stats.silent, stagings, "{stats:?}");
+    assert_eq!(kinds(&stats), stats.executed, "{stats:?}");
+    assert_eq!(stats.baselines, plan.trials, "{stats:?}");
+    assert_eq!(
+        stats.lane + stats.push + stats.stacked + stats.baselines,
+        stats.baselines,
+        "{stats:?}"
+    );
 }
 
 /// The counts named for the two benchmark plans at seed 2017, built here
 /// as `benchmark/src/workloads/grid.rs` builds them: no victim-only
-/// baseline (192 and 500 while the shipped strategies read one), 384 and
-/// 6,513 stagings answered without an engine run, from their group's
-/// memo or from the topology's structure (engine runs 384 and 3,249),
-/// every older counter where it was, sequential and parallel alike.
+/// baseline (192 and 500 while the shipped strategies read one), the
+/// stagings by kind, which sum to `executed`, and engine runs (`lane +
+/// push + stacked + baselines`) 384 and 3,249, every older counter where
+/// it was, sequential and parallel alike.
 ///
-/// By kind, `internet_trials` has 192 groups, each with the hijack and
-/// the leak under the loose and the minimal ROA: the hijack under the
-/// loose ROA is answered from structure (`structural` 192), the leak
-/// under the loose ROA is the one kernel run (`pulled` 192), and the
-/// leak under the minimal ROA shares its outcome. `attack_grid` has 500
-/// groups: the forged-origin subprefix hijack and the gap prober, each
-/// under no ROA and the loose ROA, are structural (4 × 500 = 2,000).
-/// Its 13 head-to-head stagings a group, all transparent, carry four
-/// keys — path length 1 (the forged-origin prefix hijack, and the
-/// prober demoted under the minimal ROA), 0, 3 and the leak's learned
-/// length — and the leak's length is 1 or 3 in 13 groups, so
-/// `pulled` is 4 × 500 − 13 = 1,987 and the memo answers the other
-/// 13 × 500 − 1,987 = 4,513 (`shared` 2,000 + 4,513).
+/// `internet_trials` has 192 groups, each with the hijack and the leak
+/// under the loose and the minimal ROA: the hijack under the loose ROA
+/// is answered from structure (`structural` 192) and under the minimal
+/// one, filtered, is pushed (`push` 192); the leak under the loose ROA
+/// is the one kernel run (`lane` 192), and the leak under the minimal
+/// ROA shares its outcome (`memo` 192). `attack_grid` has 500 groups of
+/// six strategies under three ROAs. The forged-origin subprefix hijack
+/// and the gap prober, each under no ROA and the loose ROA, are
+/// structural (4 × 500 = 2,000); the hijack under the minimal ROA is
+/// filtered and pushed, once a group and once for each of the 762
+/// re-propagated cells (`push` 500 + 762 = 1,262). Its 13 head-to-head
+/// stagings a group, all transparent, carry four keys — path length 1
+/// (the forged-origin prefix hijack, and the prober demoted under the
+/// minimal ROA), 0, 3 and the leak's learned length — and the leak's
+/// length is 1 or 3 in 13 groups, so `lane` is 4 × 500 − 13 = 1,987 and
+/// the memo answers the other 13 × 500 − 1,987 = 4,513. No standard
+/// strategy is silent or less specific (`silent` and `stacked` 0).
 /// Release-scale — an 80,000-AS topology — so opt-in:
 /// `cargo test --release -p bgpsim --test exec_props -- --ignored`.
 #[test]
@@ -516,6 +605,7 @@ fn benchmark_plans_pin_their_executor_counters() {
         let (par, par_stats) = Executor::parallel().run_with_stats::<CellAccumulator>(plan);
         assert_eq!(seq_stats, want);
         assert_eq!(par_stats, want);
+        assert_eq!(kinds(&want), want.executed);
         assert_eq!(seq, par);
     };
 
@@ -548,9 +638,12 @@ fn benchmark_plans_pin_their_executor_counters() {
             cells_replayed: 0,
             cells_repropagated: 0,
             baselines: 0,
-            shared: 384,
+            silent: 0,
             structural: 192,
-            pulled: 192,
+            lane: 192,
+            push: 192,
+            stacked: 0,
+            memo: 192,
         },
     );
 
@@ -586,9 +679,12 @@ fn benchmark_plans_pin_their_executor_counters() {
             cells_replayed: 26_238,
             cells_repropagated: 762,
             baselines: 0,
-            shared: 6_513,
+            silent: 0,
             structural: 2_000,
-            pulled: 1_987,
+            lane: 1_987,
+            push: 1_262,
+            stacked: 0,
+            memo: 4_513,
         },
     );
 }

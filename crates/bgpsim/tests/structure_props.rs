@@ -11,8 +11,9 @@
 //!   every AS, whose route claims the origin's ASN;
 //! * **alone stagings** — a more-specific announcement, transparent or
 //!   filtered, under random VRPs and deployments, stages to the outcome
-//!   of the staging rebuilt from public engine calls: the victim-only
-//!   baseline by `propagate`, then `propagate_outcome` over it;
+//!   of the push oracle, the staging rebuilt from public engine calls:
+//!   the victim-only baseline by `propagate`, then `propagate_outcome`
+//!   over it;
 //! * **route-leak plans** — what [`RouteLeak`] announces equals the
 //!   route the baseline gives the attacker;
 //! * **the lane kernel** — a head-to-head staging no AS filters is
@@ -25,7 +26,13 @@
 //!   or above the victim's. Every executor path runs the kernel,
 //!   `run_plan_collected` included, so this and the lane differential
 //!   inside `engine.rs` (full batches against the push run) are its
-//!   independent oracles.
+//!   independent oracles;
+//! * **every staging kind** — on every topology of at most four ASes,
+//!   a plan of announcements head to head, more and less specific and
+//!   none at all, under a transparent and a filtered VRP set, reaches
+//!   each kind the executor counts (silent, structural, lane, push,
+//!   stacked and memo), and each cell equals `run_plan_collected`, whose
+//!   every outcome equals the push oracle.
 //!
 //! The VRP sets include two that make the victim's own announcement
 //! Invalid, where no structural answer applies.
@@ -34,11 +41,13 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
+use bgpsim::exec::run_plan_collected;
 use bgpsim::routing::{propagate, Seed};
 use bgpsim::{
-    run_strategy, AttackAnnouncement, AttackOutcome, AttackPlan, AttackSetup, AttackerStrategy,
-    CompiledPolicies, InternetConfig, OriginFilter, PropagationEngine, RouteLeak, StrategyContext,
-    Topology, TopologyConfig, Workspace,
+    run_strategy, Accumulator, AttackAnnouncement, AttackOutcome, AttackPlan, AttackSetup,
+    AttackerStrategy, CellAccumulator, CellStats, CompiledPolicies, DeploymentModel, ExecStats,
+    Executor, InternetConfig, OriginFilter, PlanTopology, PropagationEngine, RoaConfig, RouteLeak,
+    StrategyContext, Topology, TopologyConfig, TrialPlan, Workspace,
 };
 use rpki_prefix::Prefix;
 use rpki_roa::Vrp;
@@ -180,44 +189,69 @@ impl AttackerStrategy for LeakProbe {
     }
 }
 
-/// The more-specific staging as public engine calls build it: the
-/// victim-only baseline, then the attacker's announcement propagated
-/// alone and tallied over it.
-fn staged_by_hand(setup: &AttackSetup<'_>, ann: AttackAnnouncement) -> AttackOutcome {
-    let t = setup.topology;
+/// The push oracle: a staging as public engine calls build it, with no
+/// structural answer, memo or lane kernel. Nothing announced tallies
+/// the victim-only baseline alone; head to head, both seeds propagate
+/// together; alone, the attacker's announcement propagates by itself
+/// and is tallied over the baseline where it is more specific, under it
+/// where it is less specific.
+fn pushed(setup: &AttackSetup<'_>, ann: Option<AttackAnnouncement>) -> AttackOutcome {
+    let (t, policies) = (setup.topology, setup.policies);
+    let (victim, attacker) = (setup.victim, setup.attacker);
     let engine = PropagationEngine::new(t);
     let mut ws = Workspace::new();
-    let victim_asn = t.asn(setup.victim);
-    let accept_p = OriginFilter::new(
-        setup.vrps,
-        setup.victim_prefix,
-        &[victim_asn],
-        setup.policies,
-    );
-    let baseline = engine.propagate(
-        &[Seed::origin(setup.victim, victim_asn)],
-        &|at, origin| accept_p.accept(at, origin),
-        &mut ws,
-    );
-    let accept = OriginFilter::new(
-        setup.vrps,
-        ann.prefix,
-        &[ann.claimed_origin],
-        setup.policies,
-    );
+    let victim_asn = t.asn(victim);
+    let victim_seed = Seed::origin(victim, victim_asn);
+    let accept_p = OriginFilter::new(setup.vrps, setup.victim_prefix, &[victim_asn], policies);
+    let accept_p = |at, origin| accept_p.accept(at, origin);
+    let Some(ann) = ann else {
+        return engine.propagate_outcome(
+            &[victim_seed],
+            &accept_p,
+            &mut ws,
+            None,
+            attacker,
+            victim,
+        );
+    };
     let seed = Seed {
-        at: setup.attacker,
+        at: attacker,
         path_len: ann.path_len,
         claimed_origin: ann.claimed_origin,
     };
-    engine.propagate_outcome(
-        &[seed],
-        &|at, origin| accept.accept(at, origin),
-        &mut ws,
-        Some(&baseline),
-        setup.attacker,
-        setup.victim,
-    )
+    if ann.prefix == setup.victim_prefix {
+        let both = OriginFilter::new(
+            setup.vrps,
+            ann.prefix,
+            &[victim_asn, seed.claimed_origin],
+            policies,
+        );
+        let accept = |at, origin| both.accept(at, origin);
+        return engine.propagate_outcome(
+            &[victim_seed, seed],
+            &accept,
+            &mut ws,
+            None,
+            attacker,
+            victim,
+        );
+    }
+    let alone = OriginFilter::new(setup.vrps, ann.prefix, &[seed.claimed_origin], policies);
+    let accept = |at, origin| alone.accept(at, origin);
+    if ann.prefix.len() > setup.victim_prefix.len() {
+        let baseline = engine.propagate(&[victim_seed], &accept_p, &mut ws);
+        engine.propagate_outcome(&[seed], &accept, &mut ws, Some(&baseline), attacker, victim)
+    } else {
+        let attacked = engine.propagate(&[seed], &accept, &mut ws);
+        engine.propagate_outcome(
+            &[victim_seed],
+            &accept_p,
+            &mut ws,
+            Some(&attacked),
+            attacker,
+            victim,
+        )
+    }
 }
 
 /// Where traffic for the victim's prefix lands when the victim and an
@@ -420,9 +454,9 @@ proptest! {
     }
 
     /// Alone stagings — transparent, filtered, and under VRPs that
-    /// filter the victim itself — equal the parent's two-propagation
-    /// staging, for either claimed origin and path lengths up to the
-    /// engine's bound.
+    /// filter the victim itself — equal the push oracle's
+    /// two-propagation staging, for either claimed origin and path
+    /// lengths up to the engine's bound.
     #[test]
     fn alone_stagings_equal_the_baseline_staging(
         world in arb_world(),
@@ -441,7 +475,7 @@ proptest! {
         };
         prop_assert_eq!(
             run_strategy(&Fixed(ann), &setup),
-            staged_by_hand(&setup, ann),
+            pushed(&setup, Some(ann)),
             "{:?} announcing {:?}",
             world,
             ann
@@ -544,5 +578,142 @@ fn tiny_topologies_pull_like_they_push() {
                 }
             }
         }
+    }
+}
+
+/// Announces toward the measured subprefix at a fixed prefix, claiming
+/// the victim's origin one hop out (`true`) or its own (`false`) — or,
+/// with `None`, nothing.
+struct Toward(Option<(Prefix, bool)>);
+
+impl Toward {
+    fn announcement(
+        &self,
+        t: &Topology,
+        victim: usize,
+        attacker: usize,
+    ) -> Option<AttackAnnouncement> {
+        self.0.map(|(prefix, claim_victim)| AttackAnnouncement {
+            prefix,
+            claimed_origin: t.asn(if claim_victim { victim } else { attacker }),
+            path_len: u32::from(claim_victim),
+        })
+    }
+}
+
+impl AttackerStrategy for Toward {
+    fn label(&self) -> String {
+        format!("toward {:?}", self.0)
+    }
+
+    fn plan(&self, ctx: &StrategyContext<'_>) -> AttackPlan {
+        AttackPlan {
+            announcement: self.announcement(ctx.topology, ctx.victim, ctx.attacker),
+            target: ctx.sub_prefix,
+        }
+    }
+}
+
+/// Every staging kind on the smallest shapes, through the executor:
+/// nothing announced (silent), the victim's prefix under either claimed
+/// origin (a lane where no claimed origin is Invalid, pushed where one
+/// is, and the forged origin's second ROA from the memo), the subprefix
+/// (structural where transparent, pushed where filtered) and its
+/// parent (stacked, then from the memo), under no ROA and the minimal
+/// ROA. Each kind is reached, they sum to `executed`, every cell equals
+/// `run_plan_collected`'s, and every collected outcome equals the push
+/// oracle's.
+#[test]
+fn tiny_topologies_reach_every_staging_kind_and_match_the_push_oracle() {
+    let (p, q) = prefixes();
+    let wider = p.parent().expect("not a default route");
+    let menu = [
+        None,
+        Some((p, false)),
+        Some((p, true)),
+        Some((q, false)),
+        Some((q, true)),
+        Some((wider, false)),
+    ]
+    .map(Toward);
+    let mut seen = ExecStats::default();
+    for (label, t) in tiny_topologies() {
+        if t.stubs().len() < 2 {
+            continue;
+        }
+        let plan = TrialPlan::new(
+            vec![PlanTopology {
+                label: label.clone(),
+                topology: &t,
+            }],
+            menu.iter().map(|s| s as &dyn AttackerStrategy).collect(),
+            vec![
+                DeploymentModel::Uniform { p: 0.5 },
+                DeploymentModel::StubsOnly { p: 1.0 },
+            ],
+            vec![RoaConfig::NoRoa, RoaConfig::Minimal],
+            4,
+            7,
+        );
+        let collected = run_plan_collected(&plan);
+        let (accs, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
+        let kinds = [
+            stats.silent,
+            stats.structural,
+            stats.lane,
+            stats.push,
+            stats.stacked,
+            stats.memo,
+        ];
+        assert_eq!(
+            kinds.iter().sum::<usize>(),
+            stats.executed,
+            "{stats:?}, {label}"
+        );
+        for (cell, (outcomes, acc)) in collected.iter().zip(&accs).enumerate() {
+            assert_eq!(
+                CellStats::from_outcomes(outcomes),
+                acc.finish(),
+                "cell {cell}, {label}"
+            );
+            let (_, si, di, ri) = plan.cell_axes(cell);
+            let policies = CompiledPolicies::compile(&plan.deployments[di].policies(&t, plan.seed));
+            for (trial, outcome) in outcomes.iter().enumerate() {
+                let (victim, attacker) = plan.trial_endpoints(0, trial);
+                let vrps = plan.roas[ri].vrps(p, q.len(), t.asn(victim));
+                let setup = AttackSetup {
+                    topology: &t,
+                    victim,
+                    attacker,
+                    victim_prefix: p,
+                    sub_prefix: q,
+                    vrps: &vrps,
+                    policies: &policies,
+                };
+                let ann = menu[si].announcement(&t, victim, attacker);
+                assert_eq!(
+                    *outcome,
+                    pushed(&setup, ann),
+                    "{ann:?} under {:?}, trial {trial}, {label}",
+                    plan.roas[ri]
+                );
+            }
+        }
+        seen.silent += stats.silent;
+        seen.structural += stats.structural;
+        seen.lane += stats.lane;
+        seen.push += stats.push;
+        seen.stacked += stats.stacked;
+        seen.memo += stats.memo;
+    }
+    for (kind, count) in [
+        ("silent", seen.silent),
+        ("structural", seen.structural),
+        ("lane", seen.lane),
+        ("push", seen.push),
+        ("stacked", seen.stacked),
+        ("memo", seen.memo),
+    ] {
+        assert!(count > 0, "no {kind} staging: {seen:?}");
     }
 }

@@ -5,7 +5,7 @@
 use bgpsim::exec::{PlanTopology, TrialPlan};
 use bgpsim::experiment::RoaConfig;
 use bgpsim::topology::{Topology, TopologyConfig};
-use bgpsim::{AttackKind, CellAccumulator, DeploymentModel, Executor, PlanCursor};
+use bgpsim::{AttackKind, CellAccumulator, DeploymentModel, Executor, PlanCursor, RouteLeak};
 use testkit::{Canon, Codec};
 
 /// Why a checkpoint line was refused: `PlanCursor::decode` says only
@@ -31,11 +31,11 @@ impl Codec for Checkpoint {
     }
 }
 
-/// A checkpoint line with the given position and eight counters, and one
+/// A checkpoint line with the given position and eleven counters, and one
 /// accumulator per whole six words of `cells`, written the way
 /// `PlanCursor::encode` writes one.
 pub fn checkpoint_text(next: u64, total: u64, counters: &[u64], cells: &[u64]) -> String {
-    let mut out = format!("maxlength-cursor-v4 {next} {total}");
+    let mut out = format!("maxlength-cursor-v5 {next} {total}");
     for c in counters {
         out.push_str(&format!(" {c}"));
     }
@@ -48,20 +48,21 @@ pub fn checkpoint_text(next: u64, total: u64, counters: &[u64], cells: &[u64]) -
 }
 
 /// Checkpoints of a real plan: fresh, part-way (real float bit
-/// patterns in the cells) and finished.
+/// patterns in the cells) and finished. Its strategies stage as
+/// structural, pushed, lane and memo answers, so the counters of the
+/// later checkpoints are not all zero.
 pub fn sample_checkpoints() -> Vec<String> {
     let topology = Topology::generate(TopologyConfig {
         n: 60,
         tier1: 3,
         ..TopologyConfig::default()
     });
-    let strategy = AttackKind::SubprefixHijack;
     let plan = TrialPlan::new(
         vec![PlanTopology {
             label: "n=60".into(),
             topology: &topology,
         }],
-        vec![&strategy],
+        vec![&AttackKind::SubprefixHijack, &RouteLeak],
         vec![DeploymentModel::Uniform { p: 0.5 }],
         RoaConfig::ALL.to_vec(),
         2,

@@ -63,8 +63,14 @@ fn executor_accumulators_are_thread_count_invariant() {
     let plan = matrix.plan(topologies);
 
     let (cells, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
-    // The standard strategies never read a victim-only baseline.
+    // The standard strategies never read a victim-only baseline, and
+    // every executed staging is counted under one kind.
     assert_eq!(stats.baselines, 0);
+    assert_eq!(
+        stats.silent + stats.structural + stats.lane + stats.push + stats.stacked + stats.memo,
+        stats.executed,
+        "{stats:?}"
+    );
     for threads in ["1", "2", "4", "7", "9"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         let (par_cells, par_stats) = Executor::parallel().run_with_stats::<CellAccumulator>(&plan);
