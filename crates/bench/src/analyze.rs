@@ -1,29 +1,17 @@
-//! Runs the paper's full analysis over a dataset file: Table 1, the §6
-//! census, and the §8 lint findings. Works on generated snapshots or any
-//! data converted into the documented text format.
-//!
-//! ```sh
-//! analyze <snapshot.txt> [--lint-top N]
-//! ```
-
-use std::path::PathBuf;
+//! `maxlength analyze <snapshot> [--lint-top N]`: the paper's full
+//! analysis over a dataset file — Table 1, the §6 census, and the §8 lint
+//! findings. Works on generated snapshots or any data converted into the
+//! documented text format.
 
 use maxlength_core::lint::LintReport;
 use maxlength_core::{BgpTable, MaxLengthCensus, Table1};
 use rpki_datasets::io;
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let Some(path) = args.next().map(PathBuf::from) else {
-        eprintln!("usage: analyze <snapshot.txt> [--lint-top N]");
-        std::process::exit(2);
-    };
-    let lint_top: usize = match (args.next().as_deref(), args.next()) {
-        (Some("--lint-top"), Some(n)) => n.parse().unwrap_or(10),
-        _ => 10,
-    };
+use crate::Args;
 
-    let snap = match io::load(&path) {
+pub fn run(args: &Args) {
+    let (path, lint_top) = (&args.path, args.lint_top);
+    let snap = match io::load(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot load {}: {e}", path.display());

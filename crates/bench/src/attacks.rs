@@ -1,19 +1,17 @@
-//! Regenerates the §4/§5 attack analysis: mean traffic interception for
-//! every (attack, ROA configuration) pair, on a synthetic AS topology
-//! under five levels of route-origin-validation adoption — one
-//! [`ScenarioMatrix`], one executor pass.
-//!
-//! Knobs: `MAXLENGTH_TOPOLOGY` (topology size), `MAXLENGTH_TRIALS`
-//! (attacker/victim pairs per cell).
+//! `maxlength attacks`: regenerates the §4/§5 attack analysis, mean
+//! traffic interception for every (attack, ROA configuration) pair, on a
+//! synthetic AS topology under five levels of route-origin-validation
+//! adoption — one [`ScenarioMatrix`], one executor pass. `--topology` is
+//! the topology's size, `--trials` the attacker/victim pairs per cell.
 
 use bgpsim::experiment::RoaConfig;
 use bgpsim::topology::TopologyConfig;
-use bgpsim::{AttackKind, DeploymentModel, ScenarioMatrix, TopologyFamily};
-use rpki_bench::harness::usize_from_env;
+use bgpsim::{AttackKind, DeploymentModel, ExecStats, ScenarioMatrix, TopologyFamily};
 
-fn main() {
-    let n = usize_from_env("MAXLENGTH_TOPOLOGY", 2000);
-    let trials = usize_from_env("MAXLENGTH_TRIALS", 30);
+use crate::Args;
+
+pub fn run(args: &Args) {
+    let (n, trials) = (args.topology, args.trials);
     let fractions = [0.0, 0.25, 0.5, 0.75, 1.0];
 
     let t0 = std::time::Instant::now();
@@ -37,23 +35,7 @@ fn main() {
         fractions.len(),
         t0.elapsed()
     );
-    eprintln!(
-        "speculation: {}/{} items replayed ({} footprint checks, {} re-propagated); \
-         {} engine runs ({} lane, {} push, {} stacked, {} baselines); \
-         stagings by kind: {} silent, {} structural, {} from the memo",
-        stats.cells_replayed,
-        stats.items,
-        stats.footprint_checks,
-        stats.cells_repropagated,
-        stats.lane + stats.push + stats.stacked + stats.baselines,
-        stats.lane,
-        stats.push,
-        stats.stacked,
-        stats.baselines,
-        stats.silent,
-        stats.structural,
-        stats.memo,
-    );
+    report_stats(&stats);
     println!("=== traffic intercepted by the attacker ===\n");
     print!("{}", report.render());
 
@@ -98,5 +80,26 @@ Reading the table (paper §4-§5):
   * the adoption sweep shows the asymmetry: deploying MORE validation
     steadily kills the classic hijack but does nothing against the
     forged-origin subprefix hijack while the ROA stays non-minimal."#
+    );
+}
+
+/// The executor's reuse and engine-run split, on stderr.
+pub fn report_stats(stats: &ExecStats) {
+    eprintln!(
+        "speculation: {}/{} items replayed ({} footprint checks, {} re-propagated); \
+         {} engine runs ({} lane, {} push, {} stacked, {} baselines); \
+         stagings by kind: {} silent, {} structural, {} from the memo",
+        stats.cells_replayed,
+        stats.items,
+        stats.footprint_checks,
+        stats.cells_repropagated,
+        stats.lane + stats.push + stats.stacked + stats.baselines,
+        stats.lane,
+        stats.push,
+        stats.stacked,
+        stats.baselines,
+        stats.silent,
+        stats.structural,
+        stats.memo,
     );
 }

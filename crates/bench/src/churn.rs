@@ -1,36 +1,28 @@
-//! The live-churn workload: a seeded VRP churn timeline replayed through
-//! a real rpki-rtr session, with epoch-by-epoch incremental revalidation
-//! against the frozen snapshot chain — and the naive full-revalidation
-//! baseline timed alongside for the §6 router-load comparison.
-//!
-//! ```sh
-//! MAXLENGTH_SCALE=0.05 cargo run --release -p rpki-bench --bin churn
-//! ```
-//!
-//! Knobs: `MAXLENGTH_SCALE` (world scale), `MAXLENGTH_EPOCHS` (timeline
-//! length, default 24), `MAXLENGTH_CHURN` (events per epoch, default 64).
+//! `maxlength churn`: the live-churn workload, a seeded VRP churn
+//! timeline replayed through a real rpki-rtr session, with epoch-by-epoch
+//! incremental revalidation against the frozen snapshot chain — and the
+//! naive full-revalidation baseline timed alongside for the §6
+//! router-load comparison. `--epochs` is the timeline's length, `--churn`
+//! the delta records per epoch.
 
 use std::collections::BTreeSet;
 
-use rpki_bench::harness::{final_snapshot, scale_from_env, usize_from_env, world};
 use rpki_datasets::{ChurnConfig, ChurnGenerator, ChurnProfile};
 use rpki_roa::Vrp;
 use rpki_rov::{ChainConfig, SnapshotChainEngine, ValidationState, VrpIndex};
 use rpki_rtr::LiveSession;
 
-fn main() {
-    let scale = scale_from_env();
-    let epochs = usize_from_env("MAXLENGTH_EPOCHS", 24);
-    let events = usize_from_env("MAXLENGTH_CHURN", 64);
-    eprintln!("generating world at scale {scale} ...");
-    let world = world(scale);
-    let (snap, vrps, _) = final_snapshot(&world);
+use crate::world::final_snapshot;
+use crate::Args;
+
+pub fn run(args: &Args) {
+    let (snap, vrps, _) = final_snapshot(args.scale);
 
     let timeline = ChurnGenerator::new(
         vrps.iter().copied(),
         ChurnConfig {
-            epochs,
-            events_per_epoch: events,
+            epochs: args.epochs,
+            events_per_epoch: args.churn,
             profile: ChurnProfile::Mixed,
             ..ChurnConfig::default()
         },

@@ -1,10 +1,10 @@
-//! Regenerates Figure 2: the prefix trie for AS 31283's minimal ROA
+//! `maxlength figure2`: regenerates Figure 2, the prefix trie for AS 31283's minimal ROA
 //! before and after `compress_roas`, 4 PDUs → 2 PDUs.
 
 use maxlength_core::compress::{compress_roas, expand_authorized};
 use rpki_roa::Vrp;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     let input: Vec<Vrp> = [
         "87.254.32.0/19 => AS31283",
         "87.254.32.0/20 => AS31283",

@@ -1,15 +1,16 @@
-//! Regenerates Figure 3: PDU counts per scenario across the eight weekly
-//! snapshots (4/13 … 6/1), for today's deployment (3a) and full
-//! deployment (3b).
+//! `maxlength figure3`: regenerates Figure 3, the PDU counts per scenario
+//! across the eight weekly snapshots (4/13 … 6/1), for today's
+//! deployment (3a) and full deployment (3b).
 
+use maxlength_core::report::series_csv;
 use maxlength_core::timeline::{render_series, Snapshot, Timeline};
-use rpki_bench::harness::{scale_from_env, world};
 
-fn main() {
-    let scale = scale_from_env();
-    eprintln!("generating {}-week world at scale {scale} ...", 8);
+use crate::world::world;
+use crate::Args;
+
+pub fn run(args: &Args) {
     let t0 = std::time::Instant::now();
-    let world = world(scale);
+    let world = world(args.scale);
     let snapshots: Vec<Snapshot> = world
         .snapshots()
         .into_iter()
@@ -38,20 +39,8 @@ fn main() {
          the paper); (vuln) = exposed (dashed lines)."
     );
 
-    // Optional plot-ready CSV export.
-    if let Ok(dir) = std::env::var("MAXLENGTH_CSV") {
-        let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir).expect("create CSV directory");
-        std::fs::write(
-            dir.join("figure3a.csv"),
-            maxlength_core::report::series_csv(&timeline.figure3a()),
-        )
-        .expect("write figure3a.csv");
-        std::fs::write(
-            dir.join("figure3b.csv"),
-            maxlength_core::report::series_csv(&timeline.figure3b()),
-        )
-        .expect("write figure3b.csv");
-        eprintln!("CSV series written to {}", dir.display());
-    }
+    args.write_csv(&[
+        ("figure3a.csv", series_csv(&timeline.figure3a())),
+        ("figure3b.csv", series_csv(&timeline.figure3b())),
+    ]);
 }

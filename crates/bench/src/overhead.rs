@@ -1,4 +1,4 @@
-//! Regenerates §7.2 "Computational overhead": wall-clock time and peak
+//! `maxlength overhead`: regenerates §7.2 "Computational overhead", wall-clock time and peak
 //! memory for `compress_roas` on today's RPKI and on the full-deployment
 //! scenario.
 //!
@@ -15,9 +15,11 @@
 
 use maxlength_core::bounds::full_deployment_minimal;
 use maxlength_core::compress::{compress_roas, compress_roas_parallel};
-use rpki_bench::harness::{final_snapshot, scale_from_env, threads_from_env, world};
 use rpki_roa::RouteOrigin;
 use rpki_rov::VrpIndex;
+
+use crate::world::final_snapshot;
+use crate::Args;
 
 fn peak_rss_mb() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -26,11 +28,8 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-fn main() {
-    let scale = scale_from_env();
-    eprintln!("generating world at scale {scale} ...");
-    let world = world(scale);
-    let (_, vrps, bgp) = final_snapshot(&world);
+pub fn run(args: &Args) {
+    let (_, vrps, bgp) = final_snapshot(args.scale);
 
     // Scenario 1: today's (partially deployed) RPKI.
     let t0 = std::time::Instant::now();
@@ -64,7 +63,7 @@ fn main() {
     // §7.2's suggested optimization: parallelize across per-(ASN, AFI)
     // tries. Output is identical; only the sweep is shared out, so the
     // sorting and the output list bound what threads can save.
-    let threads = threads_from_env();
+    let threads = rayon::current_num_threads();
     let t2 = std::time::Instant::now();
     let full_par = compress_roas_parallel(&full, threads);
     let par_time = t2.elapsed();

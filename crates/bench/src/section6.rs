@@ -1,21 +1,17 @@
-//! Regenerates the §6 measurement narrative: maxLength usage, the
-//! vulnerable fraction, the minimalization cost, and the full-deployment
-//! compression bound.
+//! `maxlength section6`: regenerates the §6 measurement narrative:
+//! maxLength usage, the vulnerable fraction, the minimalization cost, and
+//! the full-deployment compression bound. The PDU counts are Table 1's
+//! rows 2–7.
 
-use maxlength_core::bounds::full_deployment_minimal;
-use maxlength_core::bounds::{max_compression_ratio, max_permissive_lower_bound};
-use maxlength_core::compress::compress_roas_parallel;
-use maxlength_core::minimal::minimalize_vrps_par;
 use maxlength_core::vulnerability::{hijack_surface, MaxLengthCensus};
-use rpki_bench::harness::{final_snapshot, scale_from_env, threads_from_env, world};
+use maxlength_core::Table1;
 use rpki_rov::FrozenVrpIndex;
 
-fn main() {
-    let scale = scale_from_env();
-    let threads = threads_from_env();
-    eprintln!("generating world at scale {scale} ({threads} threads) ...");
-    let world = world(scale);
-    let (snap, vrps, bgp) = final_snapshot(&world);
+use crate::world::final_snapshot;
+use crate::Args;
+
+pub fn run(args: &Args) {
+    let (snap, vrps, bgp) = final_snapshot(args.scale);
     println!(
         "dataset {}: {} ROAs, {} (prefix, maxLength, AS) tuples, {} BGP pairs\n",
         snap.label,
@@ -78,50 +74,51 @@ fn main() {
     }
 
     // --- "Benefit? Fewer prefixes included in ROAs" ----------------------
-    let minimal = minimalize_vrps_par(&vrps, &bgp);
-    let added = minimal.len() as i64 - vrps.len() as i64;
+    let table = Table1::compute_par(&vrps, &bgp, rayon::current_num_threads());
+    let rows: Vec<usize> = table.rows.iter().map(|row| row.pdus).collect();
+    let [_, compressed, minimal, minimal_compressed, full, full_compressed, bound] = rows[..]
+    else {
+        unreachable!("Table 1 has seven rows")
+    };
+    let ratio = |part: usize, whole: usize| part as f64 / whole as f64;
+    let added = minimal as i64 - vrps.len() as i64;
     println!("\nminimalization (paper: 13K additional prefixes, +33% PDUs):");
-    println!("  minimal, no-maxLength PDUs       : {:>8}", minimal.len());
+    println!("  minimal, no-maxLength PDUs       : {minimal:>8}");
     println!(
         "  change vs status quo             : {:>+8} ({:+.1}%)",
         added,
         100.0 * added as f64 / vrps.len() as f64
     );
-    let minimal_compressed = compress_roas_parallel(&minimal, threads);
     println!(
         "  after compress_roas              : {:>8} ({:.2}% compression)",
-        minimal_compressed.len(),
-        100.0 * (1.0 - minimal_compressed.len() as f64 / minimal.len() as f64)
+        minimal_compressed,
+        100.0 * (1.0 - ratio(minimal_compressed, minimal))
     );
 
     // --- "Benefit? Reducing load on routers" -----------------------------
-    let compressed = compress_roas_parallel(&vrps, threads);
     println!("\nstatus-quo compression (paper: 39,949 -> 33,615 = 15.90%):");
     println!(
         "  {} -> {} ({:.2}% compression)",
         vrps.len(),
-        compressed.len(),
-        100.0 * (1.0 - compressed.len() as f64 / vrps.len() as f64)
+        compressed,
+        100.0 * (1.0 - ratio(compressed, vrps.len()))
     );
 
-    let full = full_deployment_minimal(&bgp);
-    let full_compressed = compress_roas_parallel(&full, threads);
-    let bound = max_permissive_lower_bound(&bgp);
     println!("\nfull deployment (paper: 776,945 pairs; bound 729,371 = 6.2% max):");
-    println!("  minimal PDUs (= announced pairs) : {:>8}", full.len());
+    println!("  minimal PDUs (= announced pairs) : {full:>8}");
     println!(
         "  compress_roas                    : {:>8} ({:.2}% compression)",
-        full_compressed.len(),
-        100.0 * (1.0 - full_compressed.len() as f64 / full.len() as f64)
+        full_compressed,
+        100.0 * (1.0 - ratio(full_compressed, full))
     );
     println!(
         "  maximally-permissive lower bound : {:>8} ({:.2}% max compression)",
-        bound.len(),
-        100.0 * max_compression_ratio(&bgp)
+        bound,
+        100.0 * (1.0 - ratio(bound, full))
     );
     println!(
         "  gap to bound                     : {:>8} tuples ({:.3}%)",
-        full_compressed.len() - bound.len(),
-        100.0 * (full_compressed.len() as f64 / bound.len() as f64 - 1.0)
+        full_compressed - bound,
+        100.0 * (ratio(full_compressed, bound) - 1.0)
     );
 }

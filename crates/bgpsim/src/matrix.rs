@@ -24,7 +24,7 @@
 //! The matrix is a thin plan-builder: [`ScenarioMatrix::plan`] assembles
 //! a [`crate::exec::TrialPlan`] and every `run*` method schedules it on
 //! the [`crate::exec::Executor`] — the layer the census-weighted risk
-//! path and the harness bins run on too — with its deployment-keyed
+//! path and the `maxlength` subcommands run on too — with its deployment-keyed
 //! policy cache, shared baselines, and streaming per-cell accumulators.
 
 use crate::attack::AttackOutcome;

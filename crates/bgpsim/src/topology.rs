@@ -457,7 +457,7 @@ impl Topology {
     }
 
     /// Bytes held by the CSR arrays and the stub index — the resident
-    /// cost of keeping this topology alive, printed by the harness bins
+    /// cost of keeping this topology alive, reported by the benchmark
     /// so memory regressions show up without a profiler. Counts
     /// capacities (what the allocator holds), not lengths.
     pub fn memory_bytes(&self) -> usize {

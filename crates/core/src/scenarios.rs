@@ -19,8 +19,8 @@ use std::fmt;
 
 use rpki_roa::Vrp;
 
-use crate::bounds::{full_deployment_minimal, lower_bound_roots, max_permissive_lower_bound};
-use crate::compress::{compress_roas, compressed_len};
+use crate::bounds::{full_deployment_minimal, lower_bound_roots};
+use crate::compress::compressed_len;
 use crate::minimal::{minimalize_vrps, minimalize_vrps_par};
 use crate::BgpTable;
 
@@ -80,24 +80,6 @@ impl Scenario {
                 | Scenario::FullMinimalCompressed
         )
     }
-
-    /// Computes the scenario's PDU set from a snapshot.
-    pub fn pdus(self, vrps: &[Vrp], bgp: &BgpTable) -> Vec<Vrp> {
-        match self {
-            Scenario::Today => {
-                let mut v = vrps.to_vec();
-                v.sort_unstable();
-                v.dedup();
-                v
-            }
-            Scenario::TodayCompressed => compress_roas(vrps),
-            Scenario::TodayMinimal => minimalize_vrps(vrps, bgp),
-            Scenario::TodayMinimalCompressed => compress_roas(&minimalize_vrps(vrps, bgp)),
-            Scenario::FullMinimal => full_deployment_minimal(bgp),
-            Scenario::FullMinimalCompressed => compress_roas(&full_deployment_minimal(bgp)),
-            Scenario::FullLowerBound => max_permissive_lower_bound(bgp),
-        }
-    }
 }
 
 /// One row of Table 1.
@@ -146,7 +128,9 @@ impl Table1 {
         minimalize: fn(&[Vrp], &BgpTable) -> Vec<Vrp>,
         threads: usize,
     ) -> Table1 {
-        let today = Scenario::Today.pdus(vrps, bgp);
+        let mut today = vrps.to_vec();
+        today.sort_unstable();
+        today.dedup();
         let today_minimal = minimalize(vrps, bgp);
         let compressed = |list: &[Vrp]| compressed_len(list, threads);
         let rows = [
@@ -284,15 +268,6 @@ mod tests {
         let t = Table1::compute(&set, &table);
         let c = t.compression(Scenario::Today, Scenario::TodayCompressed);
         assert!((c - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scenario_pdus_matches_table() {
-        let (set, table) = world();
-        let t = Table1::compute(&set, &table);
-        for s in Scenario::ALL {
-            assert_eq!(s.pdus(&set, &table).len(), t.pdus(s), "{}", s.label());
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Acceptance gate for the frozen-snapshot pipeline: on the generated
-//! world at `MAXLENGTH_SCALE=0.05`, `FrozenVrpIndex::validate_table_par`
+//! world at scale 0.05, `FrozenVrpIndex::validate_table_par`
 //! must produce a `ValidationSummary` identical to the mutable builder's
 //! `VrpIndex::validate_table`, and the parallel experiment must equal
 //! the sequential one bit for bit.
