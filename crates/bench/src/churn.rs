@@ -1,5 +1,6 @@
 //! `maxlength churn`: the live-churn workload, a seeded VRP churn
-//! timeline replayed through a real rpki-rtr session, with epoch-by-epoch
+//! timeline replayed through a real rpki-rtr session (a router fed by the
+//! cache's fan-out core over in-memory bytes), with epoch-by-epoch
 //! incremental revalidation against the frozen snapshot chain — and the
 //! naive full-revalidation baseline timed alongside for the §6
 //! router-load comparison. `--epochs` is the timeline's length, `--churn`
@@ -10,7 +11,8 @@ use std::collections::BTreeSet;
 use rpki_datasets::{ChurnConfig, ChurnGenerator, ChurnProfile};
 use rpki_roa::Vrp;
 use rpki_rov::{ChainConfig, SnapshotChainEngine, ValidationState, VrpIndex};
-use rpki_rtr::LiveSession;
+use rpki_rtr::client::SYNC_ROUNDS;
+use rpki_rtr::{decode_frame, CacheServer, FanoutServer, RouterClient, ServerConfig, SessionId};
 
 use crate::world::final_snapshot;
 use crate::Args;
@@ -36,9 +38,18 @@ pub fn run(args: &Args) {
     );
 
     // The full stack: cache server ↔ router client over real PDUs, the
-    // router's deltas feeding the snapshot-chain engine.
-    let mut session = LiveSession::new(2017, &timeline.initial);
-    session.synchronize().expect("initial synchronization");
+    // router's deltas feeding the snapshot-chain engine. The driver drains
+    // after every query, so the outbox needs no bound.
+    let mut server = FanoutServer::with_config(
+        CacheServer::new(2017, &timeline.initial),
+        ServerConfig {
+            outbox_limit: usize::MAX,
+            ..ServerConfig::default()
+        },
+    );
+    let session = server.open_session();
+    let mut router = RouterClient::new();
+    sync(&mut server, session, &mut router);
     let mut engine = SnapshotChainEngine::new(
         snap.routes.iter().copied(),
         timeline.initial.iter().copied(),
@@ -63,10 +74,9 @@ pub fn run(args: &Args) {
     let mut wire_pdus = 0usize;
     println!("\n epoch   wire-pdus  state-chg  incremental     full-reval     speedup");
     for epoch in &timeline.epochs {
-        let stats = session
-            .apply_epoch(&epoch.announced, &epoch.withdrawn)
-            .expect("session epoch");
-        wire_pdus += stats.pdus;
+        server.update_delta_and_notify(&epoch.announced, &epoch.withdrawn);
+        let pdus = sync(&mut server, session, &mut router);
+        wire_pdus += pdus;
 
         let t0 = std::time::Instant::now();
         let report = engine.apply_epoch(&epoch.announced, &epoch.withdrawn);
@@ -100,7 +110,7 @@ pub fn run(args: &Args) {
         println!(
             " {:>5}   {:>9}  {:>9}  {:>11.2?}  {:>13.2?}  {:>9.1}x{}",
             report.epoch,
-            stats.pdus,
+            pdus,
             report.changes.len(),
             inc,
             full,
@@ -124,8 +134,8 @@ pub fn run(args: &Args) {
     println!(
         "wire              : {} PDUs total; router at serial {} (cache {})",
         wire_pdus,
-        session.router().serial(),
-        session.cache().serial()
+        router.serial(),
+        server.cache().serial()
     );
     println!(
         "totals            : incremental {:.2?} vs full {:.2?} ({:.1}x over the timeline)",
@@ -137,7 +147,7 @@ pub fn run(args: &Args) {
     // The acceptance check, end to end: the router's final synchronized
     // set equals the timeline's final set, and validating the table
     // against it from scratch reproduces the chain engine's states.
-    let router_set: Vec<_> = session.router().vrps().iter().collect();
+    let router_set: Vec<_> = router.vrps().iter().collect();
     assert_eq!(
         router_set,
         timeline.final_vrps(),
@@ -156,4 +166,29 @@ pub fn run(args: &Args) {
          router's final set ({} routes) ✓",
         engine.route_count()
     );
+}
+
+/// One synchronization through the fan-out core: the router's query goes
+/// in, the queued output (a pending Serial Notify, then the response)
+/// comes out and is fed to the router frame by frame until End of Data.
+/// A Cache Reset ends the round and the next one sends a Reset Query.
+/// Returns the PDUs the router received.
+fn sync(server: &mut FanoutServer, id: SessionId, router: &mut RouterClient) -> usize {
+    let (mut pdus, mut bytes) = (0, Vec::new());
+    for _ in 0..SYNC_ROUNDS {
+        bytes.clear();
+        let query = router.query();
+        query.as_wire().encode_into(router.version(), &mut bytes);
+        server.receive(id, &bytes);
+        bytes.clear();
+        server.drain_output(id, &mut bytes);
+        let mut at = 0;
+        while let Some(frame) = decode_frame(&bytes[at..]).expect("cache frames decode") {
+            (at, pdus) = (at + frame.len, pdus + 1);
+            if router.handle_wire(frame.pdu).expect("router accepts") {
+                return pdus;
+            }
+        }
+    }
+    panic!("no End of Data after {SYNC_ROUNDS} rounds");
 }

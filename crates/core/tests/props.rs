@@ -12,11 +12,14 @@ use rpki_roa::{Asn, RouteOrigin, Vrp};
 
 use maxlength_core::bounds::{full_deployment_minimal, max_permissive_lower_bound};
 use maxlength_core::compress::{
-    compress_roas, compress_roas_full, compress_roas_naive, compress_roas_parallel,
-    expand_authorized,
+    compress_roas, compress_roas_full, compress_roas_parallel, expand_authorized,
 };
 use maxlength_core::minimal::{minimalize_vrps, vrp_is_minimal};
 use maxlength_core::{BgpTable, MaxLengthCensus, Scenario, Table1};
+
+#[path = "support/naive.rs"]
+mod naive;
+use naive::compress_roas_naive;
 
 /// Prefixes drawn from a tiny universe (4 leading-bit patterns × lengths
 /// 0..=6) so sibling/parent structure arises constantly.
@@ -395,5 +398,31 @@ proptest! {
             t.pdus(Scenario::FullLowerBound) <= t.pdus(Scenario::FullMinimalCompressed)
         );
         prop_assert_eq!(t.pdus(Scenario::FullMinimal), bgp.len());
+    }
+}
+
+/// The oracle on fixed real-world shapes: a /19 with a stray /21 under
+/// its merged halves, a merge whose parent anchors a deeper pair, and a
+/// lone sibling pair.
+#[test]
+fn naive_agrees_on_examples() {
+    let vrps = |list: &[&str]| -> Vec<Vrp> { list.iter().map(|s| s.parse().unwrap()).collect() };
+    for input in [
+        vrps(&[
+            "87.254.32.0/19 => AS31283",
+            "87.254.32.0/20 => AS31283",
+            "87.254.48.0/20 => AS31283",
+            "87.254.32.0/21 => AS31283",
+        ]),
+        vrps(&[
+            "10.0.0.0/16 => AS1",
+            "10.0.0.0/17 => AS1",
+            "10.0.128.0/17 => AS1",
+            "10.0.128.0/18 => AS1",
+            "10.0.192.0/18 => AS1",
+        ]),
+        vrps(&["10.0.0.0/17 => AS1", "10.0.128.0/17 => AS1"]),
+    ] {
+        assert_eq!(compress_roas(&input), compress_roas_naive(&input));
     }
 }

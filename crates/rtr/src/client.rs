@@ -16,8 +16,9 @@
 //! for a transport that died mid-response,
 //! [`RouterClient::force_reset`] for the fall-back-to-Reset-Query
 //! policy, [`RouterClient::renegotiate`] for a fresh connection — give
-//! drivers ([`crate::session::LiveSession`], [`crate::faults`]) the
-//! exact RFC-shaped moves without reaching into the state machine.
+//! drivers (the in-memory session and fault-injection lab in the
+//! `testkit` crate) the exact RFC-shaped moves without reaching into the
+//! state machine.
 //!
 //! # The table
 //!
@@ -48,9 +49,9 @@ use crate::wire::PduRef;
 /// Query/response rounds one synchronization attempt may spend: the
 /// deepest legitimate chain is downgrade → Cache Reset → full rebuild,
 /// plus one round of slack for a fault that decodes as another reset.
-/// Shared by [`RouterClient::synchronize`] and the in-memory driver in
-/// [`crate::session`].
-pub(crate) const SYNC_ROUNDS: usize = 4;
+/// Shared by [`RouterClient::synchronize`] and the in-memory session
+/// driver of the `testkit` lab.
+pub const SYNC_ROUNDS: usize = 4;
 
 /// Synchronization state of the router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,12 +5,12 @@
 //! hardest ones to test: a test that sleeps through a 600-second Retry
 //! interval is not a test anyone runs. [`Clock`] is the seam: every
 //! timer consumer ([`crate::client::RouterClient`],
-//! [`crate::server::FanoutServer`], [`crate::session::LiveSession`],
-//! the TCP event loop) reads time through a `Clock`, and tests hand
-//! them a *manual* clock they advance explicitly. Virtual time plus the
-//! seeded fault streams of [`crate::faults`] make every recovery trace
-//! deterministic: the same schedule of `advance` calls replays the same
-//! timer firings, byte for byte.
+//! [`crate::server::FanoutServer`], the TCP event loop) reads time
+//! through a `Clock`, and tests hand them a *manual* clock they advance
+//! explicitly. Virtual time plus the seeded fault streams of the
+//! `testkit` lab make every recovery trace deterministic: the same
+//! schedule of `advance` calls replays the same timer firings, byte for
+//! byte.
 //!
 //! A `Clock` measures monotonic elapsed time as a [`Duration`] since
 //! its creation — there is no calendar here, only intervals, which is

@@ -33,35 +33,50 @@
 //!   packed 12/24-byte keys, and the arrays a Reset response is staged in.
 //! * [`transport`] — the blocking pipe a router dials a cache with
 //!   ([`transport::TcpTransport`]), lending each PDU from its buffer.
-//! * [`session`] — the one in-memory session driver ([`LiveSession`]):
-//!   a cache ↔ router pair joined by byte pipes through the fan-out
-//!   core, following Cache Resets and version downgrades, counting
-//!   what crossed the wire.
-//! * [`faults`] — seeded, replayable fault injection ([`FaultPlan`],
-//!   spliced into the in-memory session's pipes) and the recovery loop
-//!   around the same driver ([`ChaosSession`]): capped backoff, Reset
-//!   Query fallback, stale flushing, and the convergence-or-Stale
-//!   invariant the chaos suite gates on.
 //! * [`clock`] — virtual time: every RFC 8210 timer reads a [`Clock`]
 //!   that tests drive manually, so timer behaviour is deterministic.
 //!
+//! The channel simulator the test suites drive (an in-memory session
+//! driver and a seeded fault injector) lives in the `testkit` crate, not
+//! here. A router syncs against the fan-out core in a few lines: its
+//! query goes in through `receive`, the response comes out through
+//! `drain_output`, and each decoded frame goes to the router.
+//!
 //! ```
-//! use rpki_rtr::LiveSession;
 //! use rpki_roa::Vrp;
+//! use rpki_rtr::{decode_frame, CacheServer, FanoutServer, RouterClient, SessionId};
+//!
+//! /// Feeds the router until End of Data; returns the PDUs it received.
+//! fn sync(server: &mut FanoutServer, id: SessionId, router: &mut RouterClient) -> usize {
+//!     let mut bytes = Vec::new();
+//!     router.query().as_wire().encode_into(router.version(), &mut bytes);
+//!     server.receive(id, &bytes);
+//!     bytes.clear();
+//!     server.drain_output(id, &mut bytes);
+//!     let (mut at, mut pdus) = (0, 0);
+//!     while let Some(frame) = decode_frame(&bytes[at..]).unwrap() {
+//!         (at, pdus) = (at + frame.len, pdus + 1);
+//!         if router.handle_wire(frame.pdu).unwrap() {
+//!             break;
+//!         }
+//!     }
+//!     pdus
+//! }
 //!
 //! let vrps: Vec<Vrp> = vec!["168.122.0.0/16 => AS111".parse().unwrap()];
-//! let mut session = LiveSession::new(42, &vrps);
+//! let mut server = FanoutServer::new(CacheServer::new(42, &vrps));
+//! let id = server.open_session();
+//! let mut router = RouterClient::new();
 //!
-//! // The router connects, sends a Reset Query, and synchronizes:
-//! // Cache Response, one IPv4 Prefix, End of Data.
-//! let stats = session.synchronize().unwrap();
-//! assert_eq!((stats.announced, stats.pdus), (1, 3));
-//! assert_eq!(session.router().vrps().len(), 1);
+//! // A Reset Query, answered by Cache Response, one IPv4 Prefix, End of Data.
+//! assert_eq!(sync(&mut server, id, &mut router), 3);
+//! assert_eq!(router.vrps().len(), 1);
 //!
 //! // A churn epoch travels as Serial Notify → Serial Query → delta.
-//! let stats = session.apply_epoch(&["10.0.0.0/8 => AS7".parse().unwrap()], &vrps).unwrap();
-//! assert_eq!((stats.announced, stats.withdrawn), (1, 1));
-//! assert_eq!(session.router().serial(), session.cache().serial());
+//! server.update_delta_and_notify(&["10.0.0.0/8 => AS7".parse().unwrap()], &vrps);
+//! assert_eq!(sync(&mut server, id, &mut router), 5);
+//! assert_eq!(router.serial(), server.cache().serial());
+//! assert!(router.vrps().contains(&"10.0.0.0/8 => AS7".parse().unwrap()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,10 +85,8 @@
 pub mod cache;
 pub mod client;
 pub mod clock;
-pub mod faults;
 pub mod pdu;
 pub mod server;
-pub mod session;
 pub mod transport;
 pub mod vrp_set;
 pub mod wire;
@@ -81,14 +94,9 @@ pub mod wire;
 pub use cache::{CacheServer, WireOutcome};
 pub use client::{Freshness, RouterClient};
 pub use clock::Clock;
-pub use faults::{
-    Backoff, ChaosOptions, ChaosSession, FaultAction, FaultConfig, FaultPlan, RecoveryConfig,
-    Settled, TraceEvent,
-};
 pub use pdu::{Pdu, PduError, PROTOCOL_V0, PROTOCOL_V1};
 pub use server::{
     FanoutServer, FanoutStats, ServerConfig, ServerHandle, SessionId, TcpCacheServer,
 };
-pub use session::{LiveSession, SessionError, SyncStats};
 pub use vrp_set::VrpSet;
 pub use wire::{decode_frame, ErrorClass, Frame, Negotiation, PduRef};

@@ -7,8 +7,9 @@
 //! the router (client) side.
 //!
 //! The cache side has no blocking transport: it is served by the
-//! non-blocking event loop in [`crate::server`]. In-memory sessions go
-//! through [`crate::session::LiveSession`]'s byte pipes instead.
+//! non-blocking event loop in [`crate::server`]. In-memory sessions
+//! talk to its sans-io core ([`crate::server::FanoutServer`]) directly,
+//! through `receive` and `drain_output`.
 //!
 //! # The receive buffer
 //!

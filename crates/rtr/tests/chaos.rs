@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use rpki_roa::Vrp;
 use rpki_rtr::cache::CacheServer;
 use rpki_rtr::client::Freshness;
-use rpki_rtr::faults::{ChaosOptions, ChaosSession, FaultConfig, TraceEvent};
 use rpki_rtr::pdu::{PROTOCOL_V0, PROTOCOL_V1};
+use testkit::faults::{ChaosOptions, ChaosSession, FaultConfig, TraceEvent};
 
 const SESSION: u16 = 700;
 

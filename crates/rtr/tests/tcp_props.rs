@@ -3,11 +3,11 @@
 //! in-memory driver reaches on the same cache, and a peer that lies or
 //! stalls must get an error, not a bigger buffer.
 //!
-//! The in-memory side is `LiveSession`'s round loop under a fault-free
-//! `ChaosSession` — the constructor through which a v0 cache and a
-//! non-default `Timing` are reachable from outside the crate. The
-//! buffer's size bound itself is private state; it is asserted beside
-//! the type (`transport::tests::maximal_frames_trickled_stay_inside_the_fixed_buffer`).
+//! The in-memory side is the `testkit` lab's session driver under a
+//! fault-free `ChaosSession`, whose options reach a v0 cache and a
+//! non-default `Timing`. The buffer's size bound itself is private
+//! state; it is asserted beside the type
+//! (`transport::tests::maximal_frames_trickled_stay_inside_the_fixed_buffer`).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -17,11 +17,11 @@ use std::thread;
 use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, Vrp};
 use rpki_rtr::client::{ClientError, ClientState};
-use rpki_rtr::faults::{ChaosOptions, ChaosSession, FaultConfig};
 use rpki_rtr::pdu::{ErrorCode, Flags, Pdu, PduError, Timing, PROTOCOL_V0, PROTOCOL_V1};
 use rpki_rtr::transport::{TcpTransport, Transport, TransportError};
 use rpki_rtr::wire::MAX_PDU_LEN;
 use rpki_rtr::{CacheServer, RouterClient, WireOutcome};
+use testkit::faults::{ChaosOptions, ChaosSession, FaultConfig};
 
 const SESSION: u16 = 8210;
 const TIMING: Timing = Timing {

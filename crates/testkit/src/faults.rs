@@ -44,7 +44,7 @@
 //! exchange and treats silent desync as one more failure to recover
 //! from ([`FailureKind::Desync`]), forcing a full Reset Query rebuild.
 //!
-//! [`Fresh`]: crate::client::Freshness::Fresh
+//! [`Fresh`]: rpki_rtr::client::Freshness::Fresh
 //! [`StdRng`]: rand::rngs::StdRng
 
 use std::time::Duration;
@@ -52,13 +52,13 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpki_roa::Vrp;
+use rpki_rtr::cache::CacheServer;
+use rpki_rtr::client::{Freshness, RouterClient};
+use rpki_rtr::clock::Clock;
+use rpki_rtr::pdu::{Pdu, Timing, PROTOCOL_V1};
+use rpki_rtr::wire::HEADER_LEN;
 
-use crate::cache::CacheServer;
-use crate::client::{Freshness, RouterClient};
-use crate::clock::Clock;
-use crate::pdu::{Pdu, Timing, PROTOCOL_V1};
 use crate::session::{AttemptError, LiveSession};
-use crate::wire::HEADER_LEN;
 
 /// Domain constant for the cache → router fault stream.
 const TO_ROUTER_DOMAIN: u64 = 0xD6E8_FEB8_6659_FD93;
@@ -545,8 +545,8 @@ impl Default for ChaosOptions {
 const SETTLE_HARD_CAP: u32 = 100_000;
 
 /// A cache ↔ router pair under fault injection on one shared manual
-/// clock — the chaos harness the `tests/chaos.rs` proptest suite
-/// drives.
+/// clock — the chaos harness `rpki-rtr`'s `tests/chaos.rs` proptest
+/// suite drives.
 ///
 /// The churn side is [`ChaosSession::apply_epoch`]; the recovery side
 /// is [`ChaosSession::settle`], which retries with backoff until the
@@ -746,7 +746,7 @@ pub(crate) fn split_frames(mut rest: &[u8]) -> impl Iterator<Item = &[u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pdu::PROTOCOL_V0;
+    use rpki_rtr::pdu::PROTOCOL_V0;
 
     fn vrps(list: &[&str]) -> Vec<Vrp> {
         list.iter().map(|s| s.parse().unwrap()).collect()

@@ -1,7 +1,20 @@
 //! Test-only tooling for the workspace's suites; never a dependency of a
-//! shipping crate.
+//! shipping crate. It holds the RTR lab and the mutation harness.
 //!
-//! It holds the one **mutation harness** every decoder of bytes the
+//! **The RTR lab** simulates the channel `rpki_rtr` implements, so its
+//! suites can drive a cache and a router over in-memory byte pipes:
+//!
+//! * [`session`] — the one in-memory session driver
+//!   ([`session::LiveSession`]): a cache ↔ router pair joined through the
+//!   fan-out core, following Cache Resets and version downgrades,
+//!   counting what crossed the wire;
+//! * [`faults`] — seeded, replayable fault injection
+//!   ([`faults::FaultPlan`], spliced into the session's pipes) and the
+//!   recovery loop around the same driver ([`faults::ChaosSession`]):
+//!   capped backoff, Reset Query fallback, stale flushing, and the
+//!   convergence-or-Stale invariant the chaos suite gates on.
+//!
+//! **The mutation harness** is the one every decoder of bytes the
 //! workspace did not write runs through: DER ROAs, sealed envelopes, the
 //! repository scan, dataset snapshots, executor checkpoints and RTR
 //! frames. A suite describes its decoder as a [`Codec`], hands
@@ -31,6 +44,8 @@
 //! from the seed and the noise alone.
 
 pub mod alloc;
+pub mod faults;
+pub mod session;
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -1,14 +1,14 @@
 //! A live cache ↔ router session: the churn stream as real PDUs.
 //!
-//! The sans-io state machines in [`cache`](crate::cache) and
-//! [`client`](crate::client) are exercised here as one long-running
-//! session **at the byte level**: every epoch of a churn timeline
-//! becomes a [`FanoutServer::update_delta_and_notify`] call, the Serial
-//! Notify is queued on the session's outbox through [`crate::wire`],
-//! the router answers with a Serial Query, and the delta response (or a
-//! Cache Reset, once the router has fallen behind the cache's history
-//! window) flows back — so incremental revalidation downstream consumes
-//! exactly what RFC 8210 put on the wire, not a function-call shortcut.
+//! The sans-io state machines in [`rpki_rtr::cache`] and
+//! [`rpki_rtr::client`] are exercised here as one long-running session
+//! **at the byte level**: every epoch of a churn timeline becomes a
+//! [`FanoutServer::update_delta_and_notify`] call, the Serial Notify is
+//! queued on the session's outbox through [`rpki_rtr::wire`], the router
+//! answers with a Serial Query, and the delta response (or a Cache
+//! Reset, once the router has fallen behind the cache's history window)
+//! flows back — so incremental revalidation downstream consumes exactly
+//! what RFC 8210 put on the wire, not a function-call shortcut.
 //!
 //! The cache side runs through the same [`FanoutServer`] fan-out core
 //! that the concurrent TCP service uses, so a single `LiveSession` and
@@ -23,23 +23,21 @@
 //! [`SyncStats::downgraded`]).
 //!
 //! [`LiveSession`] owns both endpoints plus the byte pipes, and its
-//! round loop (`LiveSession::attempt`) is the only one in the crate:
-//! every frame passes through a [`FaultPlan`] — the quiet plan for the
-//! `churn` bench bin, `examples/live_cache.rs` and the tests that drive
-//! a `LiveSession` directly, a seeded one when
+//! round loop (`LiveSession::attempt`) is the lab's only one: every
+//! frame passes through a [`FaultPlan`] — the quiet plan for the tests
+//! that drive a `LiveSession` directly, a seeded one when
 //! [`ChaosSession`](crate::faults::ChaosSession) wraps the same loop in
 //! its retry/backoff policy.
 
 use rpki_roa::Vrp;
+use rpki_rtr::cache::CacheServer;
+use rpki_rtr::client::{ClientError, RouterClient, SYNC_ROUNDS};
+use rpki_rtr::clock::Clock;
+use rpki_rtr::pdu::{Flags, PduError, PROTOCOL_V0, PROTOCOL_V1};
+use rpki_rtr::server::{FanoutServer, ServerConfig, SessionId};
+use rpki_rtr::wire::{self, ErrorClass, Negotiation, PduRef};
 
-use crate::cache::CacheServer;
-use crate::client::{ClientError, RouterClient, SYNC_ROUNDS};
-use crate::clock::Clock;
 use crate::faults::{split_frames, Direction, FaultPlan, TraceEvent};
-use crate::pdu::{Flags, PduError, PROTOCOL_V0, PROTOCOL_V1};
-use crate::server::{FanoutServer, ServerConfig, SessionId};
-use crate::transport::TransportError;
-use crate::wire::{self, ErrorClass, Negotiation, PduRef};
 
 /// What one synchronization round did, counted on the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,81 +60,11 @@ pub struct SyncStats {
     pub downgraded: bool,
 }
 
-/// Session failures, split by which layer gave up: the router-side
-/// state machine, the wire grammar, the byte pipe, or the retry budget.
-///
-/// The taxonomy matters to recovery code: a [`SessionError::Protocol`]
-/// or [`SessionError::Client`] means the *peer* (or the stream carrying
-/// it) is misbehaving and a reconnect-plus-resync is the only cure,
-/// while a [`SessionError::Timeout`] means both endpoints were polite
-/// but the exchange never completed inside the round budget — the
-/// caller should back off and retry rather than escalate.
+/// Why one synchronization attempt failed: the round loop's own
+/// taxonomy, returned to [`LiveSession`] callers and mapped to
+/// [`FailureKind`](crate::faults::FailureKind) for the chaos trace.
 #[derive(Debug)]
-pub enum SessionError {
-    /// The router-side state machine rejected a PDU it decoded fine —
-    /// wrong session id, unexpected sequence, a cache-side Error Report.
-    Client(ClientError),
-    /// The bytes on the wire failed to parse as the negotiated
-    /// protocol: a framing or grammar violation, not a state error.
-    Protocol(PduError),
-    /// The pipe between the endpoints failed (closed, I/O error).
-    Transport(TransportError),
-    /// The synchronization exchange exceeded its round budget without
-    /// reaching End of Data — neither side faulted, progress just
-    /// stopped (a protocol loop, or a response that ran dry).
-    Timeout {
-        /// Rounds attempted before giving up.
-        rounds: usize,
-    },
-}
-
-impl std::fmt::Display for SessionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SessionError::Client(e) => write!(f, "client: {e}"),
-            SessionError::Protocol(e) => write!(f, "protocol: {e}"),
-            SessionError::Transport(e) => write!(f, "transport: {e}"),
-            SessionError::Timeout { rounds } => {
-                write!(f, "synchronization incomplete after {rounds} round(s)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SessionError {}
-
-impl From<ClientError> for SessionError {
-    fn from(e: ClientError) -> Self {
-        // Keep lower-layer failures in their own arms even when they
-        // arrive wrapped by the client.
-        match e {
-            ClientError::Transport(TransportError::Protocol(p)) => SessionError::Protocol(p),
-            ClientError::Transport(t) => SessionError::Transport(t),
-            other => SessionError::Client(other),
-        }
-    }
-}
-
-impl From<TransportError> for SessionError {
-    fn from(e: TransportError) -> Self {
-        match e {
-            TransportError::Protocol(p) => SessionError::Protocol(p),
-            other => SessionError::Transport(other),
-        }
-    }
-}
-
-impl From<PduError> for SessionError {
-    fn from(e: PduError) -> Self {
-        SessionError::Protocol(e)
-    }
-}
-
-/// Why one synchronization attempt failed — the round loop's own
-/// taxonomy, mapped to [`SessionError`] for [`LiveSession`] callers and
-/// to [`FailureKind`](crate::faults::FailureKind) for the chaos trace.
-#[derive(Debug)]
-pub(crate) enum AttemptError {
+pub enum AttemptError {
     /// A fault cut the connection before the query fully arrived.
     QueryLost,
     /// The cache tore the session down and no downgrade applies.
@@ -148,19 +76,6 @@ pub(crate) enum AttemptError {
     /// The response ran dry before End of Data, or the round budget
     /// ran out.
     Incomplete,
-}
-
-impl From<AttemptError> for SessionError {
-    fn from(e: AttemptError) -> Self {
-        match e {
-            AttemptError::QueryLost => SessionError::Transport(TransportError::Closed),
-            AttemptError::Teardown(e) | AttemptError::Protocol(e) => SessionError::Protocol(e),
-            AttemptError::Client(e) => e.into(),
-            AttemptError::Incomplete => SessionError::Timeout {
-                rounds: SYNC_ROUNDS,
-            },
-        }
-    }
 }
 
 /// How one round's response ended on the router side.
@@ -176,7 +91,7 @@ enum Round {
 /// A cache server and a router client joined by in-memory byte pipes,
 /// stepped serially: update the cache, then let the router catch up.
 ///
-/// This is the crate's one session driver. Every frame in either
+/// This is the lab's one session driver. Every frame in either
 /// direction passes through a [`FaultPlan`]; [`LiveSession::new`]
 /// installs the quiet plan, [`ChaosSession`](crate::faults::ChaosSession)
 /// a seeded one plus the retry loop around the same `attempt`.
@@ -271,15 +186,15 @@ impl LiveSession {
         &mut self,
         announced: &[Vrp],
         withdrawn: &[Vrp],
-    ) -> Result<SyncStats, SessionError> {
+    ) -> Result<SyncStats, AttemptError> {
         self.update_cache(announced, withdrawn);
         self.synchronize()
     }
 
     /// One full synchronization: a single `attempt` of the round loop with
     /// no trace sink, so a full-table sync records nothing per PDU.
-    pub fn synchronize(&mut self) -> Result<SyncStats, SessionError> {
-        Ok(self.attempt(None)?)
+    pub fn synchronize(&mut self) -> Result<SyncStats, AttemptError> {
+        self.attempt(None)
     }
 
     /// One synchronization attempt through the (possibly faulted)
@@ -594,8 +509,8 @@ mod tests {
 
     #[test]
     fn manual_clock_threads_through_to_router_freshness() {
-        use crate::client::Freshness;
-        use crate::pdu::Timing;
+        use rpki_rtr::client::Freshness;
+        use rpki_rtr::pdu::Timing;
         use std::time::Duration;
 
         let clock = Clock::manual();

@@ -71,5 +71,4 @@ pub mod prelude {
         ChainConfig, FrozenVrpIndex, RovPolicy, SnapshotChainEngine, ValidationState,
         ValidationSummary, VrpIndex,
     };
-    pub use rpki_rtr::LiveSession;
 }

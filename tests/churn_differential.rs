@@ -5,6 +5,7 @@
 //! the incremental states must equal a from-scratch rebuild.
 
 use maxlength_rpki::prelude::*;
+use testkit::session::LiveSession;
 
 fn world_at(scale: f64) -> (Vec<RouteOrigin>, Vec<Vrp>) {
     let snap = World::generate(GeneratorConfig {

@@ -10,9 +10,10 @@
 
 use maxlength_rpki::prelude::*;
 use maxlength_rpki::rtr::client::ClientError;
-use maxlength_rpki::rtr::faults::{ChaosOptions, ChaosSession, FaultConfig, TraceEvent};
 use maxlength_rpki::rtr::pdu::{Flags, Pdu, Timing};
 use maxlength_rpki::rtr::{CacheServer, RouterClient, PROTOCOL_V0, PROTOCOL_V1};
+use testkit::faults::{ChaosOptions, ChaosSession, FaultConfig, TraceEvent};
+use testkit::session::LiveSession;
 
 fn timeline() -> ChurnTimeline {
     let vrps = World::generate(GeneratorConfig {
