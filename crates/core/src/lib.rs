@@ -51,7 +51,6 @@ pub mod report;
 pub mod scenarios;
 pub mod timeline;
 pub mod vulnerability;
-pub mod wizard;
 
 pub use bgp::BgpTable;
 pub use compress::{compress_roas, compress_roas_full, compress_roas_parallel};

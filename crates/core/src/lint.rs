@@ -354,17 +354,41 @@ mod tests {
 
     #[test]
     fn proposed_fix_clears_all_criticals() {
-        let table = bgp(&["168.122.0.0/16 => AS111", "168.122.225.0/24 => AS111"]);
-        let roas = vec![roa(111, &[("168.122.0.0/16", Some(24))])];
-        let (minimal, compressed) = LintReport::proposed_roas(&roas, &table);
-        assert_eq!(minimal.len(), 1);
-        let fixed: Vec<Roa> = minimal
-            .iter()
-            .filter_map(|m| m.as_converted().cloned())
-            .collect();
-        let report = LintReport::lint(&fixed, &table);
-        assert!(!report.has_critical());
-        assert_eq!(compressed.len(), 2); // {/16, /24} — nothing to merge
+        // The running example's {/16, /24} has nothing to merge; an exact
+        // /16 with both /17s announced comes back as one /16-17 (§7).
+        let cases: [(u32, &str, &[&str], &[&str]); 2] = [
+            (
+                111,
+                "168.122.0.0/16",
+                &["168.122.0.0/16 => AS111", "168.122.225.0/24 => AS111"],
+                &["168.122.0.0/16 => AS111", "168.122.225.0/24 => AS111"],
+            ),
+            (
+                5,
+                "10.0.0.0/16",
+                &[
+                    "10.0.0.0/16 => AS5",
+                    "10.0.0.0/17 => AS5",
+                    "10.0.128.0/17 => AS5",
+                ],
+                &["10.0.0.0/16-17 => AS5"],
+            ),
+        ];
+        for (asn, prefix, announced, proposed) in cases {
+            let table = bgp(announced);
+            let roas = vec![roa(asn, &[(prefix, Some(24))])];
+            assert!(LintReport::lint(&roas, &table).has_critical());
+            let (minimal, compressed) = LintReport::proposed_roas(&roas, &table);
+            assert_eq!(minimal.len(), 1);
+            let fixed: Vec<Roa> = minimal
+                .iter()
+                .filter_map(|m| m.as_converted().cloned())
+                .collect();
+            let report = LintReport::lint(&fixed, &table);
+            assert!(!report.has_critical());
+            let listed: Vec<String> = compressed.iter().map(|v| v.to_string()).collect();
+            assert_eq!(listed, proposed);
+        }
     }
 
     #[test]

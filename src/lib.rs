@@ -38,6 +38,25 @@
 //! // ...compressed to two PDUs without losing minimality (Figure 2).
 //! let compressed = compress_roas(&pdus);
 //! assert_eq!(compressed.len(), 2);
+//!
+//! // The running example (§3/§4): BU announces its /16 and one /24.
+//! let bu: BgpTable = ["168.122.0.0/16 => AS111", "168.122.225.0/24 => AS111"]
+//!     .iter()
+//!     .map(|s| s.parse::<RouteOrigin>().unwrap())
+//!     .collect();
+//! let forged: RouteOrigin = "168.122.0.0/24 => AS111".parse().unwrap();
+//!
+//! // With maxLength 24, the forged-origin subprefix hijack is Valid...
+//! let careless: Vrp = "168.122.0.0/16-24 => AS111".parse().unwrap();
+//! let loose: VrpIndex = [careless].into_iter().collect();
+//! assert_eq!(loose.validate(&forged), ValidationState::Valid);
+//!
+//! // ...and the minimal ROA {/16, 168.122.225.0/24} makes it Invalid.
+//! let fixed = minimalize_vrps(&[careless], &bu);
+//! let listed: Vec<String> = fixed.iter().map(|v| v.to_string()).collect();
+//! assert_eq!(listed, ["168.122.0.0/16 => AS111", "168.122.225.0/24 => AS111"]);
+//! let minimal: VrpIndex = fixed.into_iter().collect();
+//! assert_eq!(minimal.validate(&forged), ValidationState::Invalid);
 //! ```
 
 #![forbid(unsafe_code)]

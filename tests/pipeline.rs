@@ -15,8 +15,10 @@ use maxlength_rpki::roa::envelope::{open_roa, seal_roa, EnvelopeError};
 use maxlength_rpki::roa::scan::scan_dir;
 use maxlength_rpki::rtr::cache::CacheServer;
 use maxlength_rpki::rtr::client::{Freshness, RouterClient};
+use maxlength_rpki::rtr::pdu::Flags;
 use maxlength_rpki::rtr::server::TcpCacheServer;
 use maxlength_rpki::rtr::transport::{TcpTransport, TransportError};
+use maxlength_rpki::rtr::{decode_frame, FanoutServer, PduRef, SessionId};
 
 fn generated_world() -> (Vec<Roa>, Vec<RouteOrigin>) {
     let world = World::generate(GeneratorConfig {
@@ -140,6 +142,104 @@ fn disk_to_router_pipeline() {
     handle.shutdown();
     serving.join().unwrap().unwrap();
     std::fs::remove_dir_all(&repo).ok();
+}
+
+/// One synchronization through the cache's fan-out core, as `maxlength
+/// churn` drives it: the router's query goes in, and the queued output
+/// (a pending Serial Notify, then the response) is fed to the router
+/// frame by frame up to End of Data. Returns the delta the router
+/// applied, as (announced, withdrawn).
+fn sync_delta(
+    server: &mut FanoutServer,
+    id: SessionId,
+    router: &mut RouterClient,
+) -> (Vec<Vrp>, Vec<Vrp>) {
+    let mut bytes = Vec::new();
+    router
+        .query()
+        .as_wire()
+        .encode_into(router.version(), &mut bytes);
+    server.receive(id, &bytes);
+    bytes.clear();
+    server.drain_output(id, &mut bytes);
+    let (mut announced, mut withdrawn) = (Vec::new(), Vec::new());
+    let mut at = 0;
+    while let Some(frame) = decode_frame(&bytes[at..]).unwrap() {
+        at += frame.len;
+        match frame.pdu {
+            PduRef::Prefix {
+                flags: Flags::Announce,
+                vrp,
+            } => announced.push(vrp),
+            PduRef::Prefix {
+                flags: Flags::Withdraw,
+                vrp,
+            } => withdrawn.push(vrp),
+            _ => {}
+        }
+        if router.handle_wire(frame.pdu).unwrap() {
+            assert_eq!(at, bytes.len(), "End of Data ends the output");
+            return (announced, withdrawn);
+        }
+    }
+    panic!("no End of Data in the cache's output");
+}
+
+/// Figure 1 as a delta chain over the running example: BU's three ROA
+/// updates reach a router through the cache, and the router revalidates
+/// what each synchronized delta covers. The forged-origin subprefix
+/// hijack is Valid exactly while the ROA uses maxLength.
+#[test]
+fn running_example_delta_chain_through_the_cache() {
+    let table: Vec<RouteOrigin> = [
+        "168.122.0.0/16 => AS111",
+        "168.122.225.0/24 => AS111",
+        "168.122.0.0/24 => AS666", // a classic subprefix hijack
+        "168.122.0.0/24 => AS111", // a forged-origin subprefix hijack
+        "10.0.0.0/8 => AS1",
+    ]
+    .iter()
+    .map(|s| s.parse().unwrap())
+    .collect();
+    let (classic, forged) = (table[2], table[3]);
+    let updates: [&[&str]; 3] = [
+        &["168.122.0.0/16 => AS111"],
+        &["168.122.0.0/16-24 => AS111"],
+        &["168.122.0.0/16 => AS111", "168.122.225.0/24 => AS111"],
+    ];
+
+    let mut server = FanoutServer::new(CacheServer::new(7, &[]));
+    let session = server.open_session();
+    let mut router = RouterClient::new();
+    assert_eq!(
+        sync_delta(&mut server, session, &mut router),
+        (vec![], vec![])
+    );
+    let mut engine = SnapshotChainEngine::new(table.iter().copied(), [], ChainConfig::default());
+    let mut forged_states = vec![engine.state_of(&forged).unwrap()];
+
+    for update in updates {
+        let vrps: Vec<Vrp> = update.iter().map(|s| s.parse().unwrap()).collect();
+        assert_eq!(server.update_and_notify(&vrps), 1, "the router is notified");
+        let (announced, withdrawn) = sync_delta(&mut server, session, &mut router);
+        engine.apply_epoch(&announced, &withdrawn);
+        forged_states.push(engine.state_of(&forged).unwrap());
+
+        // The cache's snapshot at its current serial agrees with the
+        // engine fed only the deltas the router synchronized.
+        let snapshot = server.cache().snapshot();
+        for route in &table {
+            assert_eq!(
+                engine.state_of(route),
+                Some(snapshot.validate(route)),
+                "{route}"
+            );
+        }
+    }
+
+    use ValidationState::{Invalid, NotFound, Valid};
+    assert_eq!(forged_states, [NotFound, Invalid, Valid, Invalid]);
+    assert_eq!(engine.state_of(&classic), Some(Invalid));
 }
 
 #[test]
