@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Prints the line ledger ROADMAP.md keeps: non-test lines per crate
+# under crates/*/src (and the facade's src/), each .rs file cut at its
+# first `#[cfg(test)]` line, with the dev-only testkit listed apart and
+# vendor/ counted whole. It prints only; no budget is enforced. Run from
+# anywhere in the repo:
+#
+#   bash .github/ledger.sh
+set -euo pipefail
+
+cd "$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
+
+# Lines of every .rs file under $1, each cut at its first #[cfg(test)].
+non_test_lines() {
+    find "$1" -name '*.rs' -print0 | sort -z |
+        xargs -0 awk 'FNR == 1 { cut = 0 }
+                      /^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 }
+                      !cut { n++ }
+                      END { print n + 0 }'
+}
+
+echo "shipping crates (non-test lines):"
+total=0
+for dir in crates/*/; do
+    name="$(basename "$dir")"
+    [ "$name" = testkit ] && continue
+    n="$(non_test_lines "$dir/src")"
+    total=$((total + n))
+    printf '  %-10s %6d\n' "$name" "$n"
+done
+n="$(non_test_lines src)"
+total=$((total + n))
+printf '  %-10s %6d\n' "facade" "$n"
+printf '  %-10s %6d\n' "total" "$total"
+
+echo "dev-only:"
+printf '  %-10s %6d\n' "testkit" "$(non_test_lines crates/testkit/src)"
+
+echo "vendor (all lines):"
+for dir in vendor/*/; do
+    printf '  %-10s %6d\n' "$(basename "$dir")" \
+        "$(find "$dir" -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+done

@@ -9,8 +9,8 @@
 use rpki_prefix::Prefix;
 use rpki_rov::VrpIndex;
 
-use crate::engine::{with_workspace, CompiledPolicies, OriginFilter, PropagationEngine};
-use crate::routing::{Propagation, Seed};
+use crate::engine::CompiledPolicies;
+use crate::routing::Propagation;
 use crate::topology::Topology;
 
 /// The attack being simulated.
@@ -154,71 +154,6 @@ impl AttackOutcome {
             self.intercepted as f64 / routed as f64
         }
     }
-}
-
-/// A forged-origin subprefix trial against a victim with an arbitrary
-/// announcement portfolio — the shape real ROA configurations produce
-/// (§6's measured world has victims announcing parents, partial subtrees,
-/// or scattered more-specifics).
-#[derive(Debug, Clone)]
-pub struct ForgedOriginTrial<'a> {
-    /// The AS graph.
-    pub topology: &'a Topology,
-    /// Victim AS index.
-    pub victim: usize,
-    /// Attacker AS index.
-    pub attacker: usize,
-    /// Everything the victim announces (any set of prefixes).
-    pub victim_prefixes: &'a [Prefix],
-    /// The prefix the attacker announces with the victim's ASN appended.
-    pub target: Prefix,
-    /// The published VRPs.
-    pub vrps: &'a VrpIndex,
-    /// Which ASes drop RPKI-Invalid routes (the compiled deployment).
-    pub policies: &'a CompiledPolicies,
-}
-
-/// Runs a forged-origin subprefix hijack against a multi-prefix victim.
-///
-/// The attacker announces `target` claiming the victim's origin; traffic
-/// for an address inside `target` then follows each AS's longest matching
-/// prefix among `target` and every covering victim announcement.
-///
-/// # Panics
-///
-/// Panics if attacker and victim coincide, or if `trial.policies` covers
-/// a different number of ASes than the topology.
-pub fn run_forged_origin_trial(trial: &ForgedOriginTrial<'_>) -> AttackOutcome {
-    let t = trial.topology;
-    assert_ne!(trial.attacker, trial.victim);
-    assert_eq!(trial.policies.len(), t.len(), "policies cover the graph");
-    let victim_asn = t.asn(trial.victim);
-
-    // The only claimed origin in play is the victim's (the forged path
-    // claims it too): one ROV verdict per propagated prefix.
-    let engine = PropagationEngine::new(t);
-    let propagate = |prefix: Prefix, seeds: &[Seed]| -> Propagation {
-        let accept = OriginFilter::new(trial.vrps, prefix, &[victim_asn], trial.policies);
-        with_workspace(|ws| engine.propagate(seeds, &|at, origin| accept.accept(at, origin), ws))
-    };
-
-    // The table stack, most specific first: the attacked prefix (the
-    // forged announcement, plus the victim's own if it announces exactly
-    // `target`), then every victim announcement covering it — the routes
-    // traffic falls back to where the forged one was filtered.
-    let mut covering: Vec<Prefix> = trial.victim_prefixes.to_vec();
-    covering.retain(|p| p.covers(trial.target) && *p != trial.target);
-    covering.sort_by_key(|p| std::cmp::Reverse(p.len()));
-    let mut target_seeds = vec![Seed::forged(trial.attacker, victim_asn)];
-    if trial.victim_prefixes.contains(&trial.target) {
-        target_seeds.push(Seed::origin(trial.victim, victim_asn));
-    }
-    let victim_seed = [Seed::origin(trial.victim, victim_asn)];
-    let stack: Vec<Propagation> = std::iter::once(propagate(trial.target, &target_seeds))
-        .chain(covering.iter().map(|&p| propagate(p, &victim_seed)))
-        .collect();
-    let tables: Vec<&Propagation> = stack.iter().collect();
-    AttackOutcome::tally(&tables, trial.attacker, trial.victim)
 }
 
 #[cfg(test)]
@@ -500,126 +435,5 @@ mod tally_tests {
             let tables: Vec<&Propagation> = packed.iter().collect();
             prop_assert_eq!(AttackOutcome::tally(&tables, attacker, victim), naive);
         }
-    }
-}
-
-#[cfg(test)]
-mod trial_tests {
-    use super::*;
-    use crate::strategy::run_strategy;
-    use crate::topology::TopologyConfig;
-    use rpki_roa::Vrp;
-    use rpki_rov::RovPolicy;
-
-    fn setup() -> (Topology, usize, usize, CompiledPolicies) {
-        let t = Topology::generate(TopologyConfig {
-            n: 400,
-            tier1: 6,
-            ..TopologyConfig::default()
-        });
-        let stubs = t.stubs();
-        let policies = CompiledPolicies::compile(&vec![RovPolicy::DropInvalid; t.len()]);
-        (t.clone(), stubs[0], stubs[stubs.len() / 2], policies)
-    }
-
-    #[test]
-    fn trial_matches_simple_runner_on_single_prefix_victim() {
-        let (t, victim, attacker, policies) = setup();
-        let p: Prefix = "168.122.0.0/16".parse().unwrap();
-        let q: Prefix = "168.122.0.0/24".parse().unwrap();
-        let vrps: VrpIndex = [Vrp::new(p, 24, t.asn(victim))].into_iter().collect();
-
-        let simple = run_strategy(
-            &AttackKind::ForgedOriginSubprefixHijack,
-            &AttackSetup {
-                topology: &t,
-                victim,
-                attacker,
-                victim_prefix: p,
-                sub_prefix: q,
-                vrps: &vrps,
-                policies: &policies,
-            },
-        );
-        let multi = run_forged_origin_trial(&ForgedOriginTrial {
-            topology: &t,
-            victim,
-            attacker,
-            victim_prefixes: &[p],
-            target: q,
-            vrps: &vrps,
-            policies: &policies,
-        });
-        assert_eq!(simple, multi);
-        assert_eq!(multi.interception_fraction(), 1.0);
-    }
-
-    #[test]
-    fn scattered_victim_with_permissive_roa_loses_everything() {
-        // The dataset's "scattered" class: the victim announces /24s but
-        // not the covering /16; the ROA covers the whole /16-24. A hijack
-        // of any unannounced /24 has NO legitimate fallback route at all.
-        let (t, victim, attacker, policies) = setup();
-        let announced: Vec<Prefix> = vec![
-            "203.0.112.0/24".parse().unwrap(),
-            "203.0.116.0/24".parse().unwrap(),
-        ];
-        let roa_parent: Prefix = "203.0.112.0/20".parse().unwrap();
-        let vrps: VrpIndex = [Vrp::new(roa_parent, 24, t.asn(victim))]
-            .into_iter()
-            .collect();
-        let outcome = run_forged_origin_trial(&ForgedOriginTrial {
-            topology: &t,
-            victim,
-            attacker,
-            victim_prefixes: &announced,
-            target: "203.0.113.0/24".parse().unwrap(),
-            vrps: &vrps,
-            policies: &policies,
-        });
-        assert_eq!(outcome.interception_fraction(), 1.0);
-        assert_eq!(outcome.legitimate, 0);
-    }
-
-    #[test]
-    fn attacking_an_announced_child_only_splits() {
-        // Safe-maxLength victims announce the full subtree: the attacker
-        // must compete with a real announcement and cannot win everyone.
-        let (t, victim, attacker, policies) = setup();
-        let parent: Prefix = "10.0.0.0/16".parse().unwrap();
-        let left: Prefix = "10.0.0.0/17".parse().unwrap();
-        let right: Prefix = "10.0.128.0/17".parse().unwrap();
-        let announced = vec![parent, left, right];
-        let vrps: VrpIndex = [Vrp::new(parent, 17, t.asn(victim))].into_iter().collect();
-        let outcome = run_forged_origin_trial(&ForgedOriginTrial {
-            topology: &t,
-            victim,
-            attacker,
-            victim_prefixes: &announced,
-            target: left,
-            vrps: &vrps,
-            policies: &policies,
-        });
-        let f = outcome.interception_fraction();
-        assert!(f < 1.0, "victim's own announcement keeps a share ({f})");
-        assert!(outcome.legitimate > 0);
-    }
-
-    #[test]
-    fn exact_roa_blocks_the_trial() {
-        let (t, victim, attacker, policies) = setup();
-        let p: Prefix = "168.122.0.0/16".parse().unwrap();
-        let vrps: VrpIndex = [Vrp::exact(p, t.asn(victim))].into_iter().collect();
-        let outcome = run_forged_origin_trial(&ForgedOriginTrial {
-            topology: &t,
-            victim,
-            attacker,
-            victim_prefixes: &[p],
-            target: "168.122.0.0/24".parse().unwrap(),
-            vrps: &vrps,
-            policies: &policies,
-        });
-        assert_eq!(outcome.intercepted, 0);
-        assert_eq!(outcome.disconnected, 0); // the /16 still serves everyone
     }
 }

@@ -79,15 +79,6 @@ impl DeploymentModel {
         }
     }
 
-    /// The same model at a different adoption level — the sweep helper.
-    pub fn with_adoption(&self, p: f64) -> DeploymentModel {
-        match *self {
-            DeploymentModel::Uniform { .. } => DeploymentModel::Uniform { p },
-            DeploymentModel::TopIspsFirst { .. } => DeploymentModel::TopIspsFirst { p },
-            DeploymentModel::StubsOnly { .. } => DeploymentModel::StubsOnly { p },
-        }
-    }
-
     /// Display label (stable: golden fixtures key on it).
     pub fn label(&self) -> String {
         match *self {
@@ -306,10 +297,6 @@ mod tests {
         let m = DeploymentModel::TopIspsFirst { p: 0.25 };
         assert_eq!(m.label(), "top-ISPs-first p=0.25");
         assert_eq!(m.adoption(), 0.25);
-        assert_eq!(
-            m.with_adoption(0.75),
-            DeploymentModel::TopIspsFirst { p: 0.75 }
-        );
         assert_eq!(DeploymentModel::standard().len(), 4);
     }
 

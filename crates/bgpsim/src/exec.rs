@@ -4,30 +4,23 @@
 //!
 //! * [`TrialPlan`] — the IR: an enumeration of `(topology, strategy,
 //!   deployment, ROA, trial)` work items;
-//! * [`Executor`] — sequential and threaded backends scheduling those items
-//!   over the process-wide [`crate::engine::Workspace`] pool, with a
-//!   deployment-keyed policy cache and cross-deployment outcome replay;
+//! * [`Executor`] — one scheduler, run by one worker (sequential) or by
+//!   one per thread (parallel), over the process-wide
+//!   [`crate::engine::Workspace`] pool, with a deployment-keyed policy
+//!   cache and cross-deployment outcome replay;
 //! * [`Accumulator`] — a streaming per-cell monoid ([`CellAccumulator`]
 //!   is the one that ships), so memory stays O(cells), not
-//!   O(cells × trials);
-//! * [`PlanCursor`] — a resumable checkpoint over the item stream, so a
-//!   multi-hour grid can stop and restart deterministically
-//!   ([`PlanSession::run_until`]).
+//!   O(cells × trials).
 //!
-//! What a cursor counts is a **trial group**: one `(topology, trial)` —
+//! What a worker claims is a **trial group**: one `(topology, trial)` —
 //! one attacker/victim placement — across every ROA configuration,
 //! strategy and deployment; group `g` is trial `g % trials` of topology
-//! `g / trials`, and it is also what a worker claims. A worker defers
-//! the transparent head-to-head stagings of the groups it runs into one
-//! lane batch, so up to 16 of them share a lane-kernel sweep (see
-//! [`crate::engine`]). Sharing of outcomes happens inside a group, never
-//! in a per-worker cache, and every lane is exact whatever shares its
-//! sweep, so what a run computes ([`ExecStats`]) does not depend on
-//! which worker claimed what, nor on where a checkpoint cut a batch. An
-//! encoded cursor carries the numbering and its counters in its magic
-//! (`maxlength-cursor-v5`, counting stagings by kind): a `v1` text
-//! counted `(topology, ROA, trial)` groups, `v2` to `v4` texts carry
-//! older counter sets, and [`PlanCursor::decode`] refuses all four.
+//! `g / trials`. A worker defers the transparent head-to-head stagings
+//! of the groups it runs into one lane batch, so up to 16 of them share
+//! a lane-kernel sweep (see [`crate::engine`]). Sharing of outcomes
+//! happens inside a group, never in a per-worker cache, and every lane
+//! is exact whatever shares its sweep, so what a run computes
+//! ([`ExecStats`]) does not depend on which worker claimed what.
 //!
 //! # Determinism contract
 //!
@@ -47,9 +40,9 @@
 //!   and every `run*` method returns accumulators in that order.
 //! * **Fold ordering.** Each cell's accumulator absorbs that cell's
 //!   outcomes in ascending trial order, so the floating-point
-//!   reductions are bit-identical to folding [`run_plan_collected`]'s
-//!   per-cell vectors, at any thread count and any checkpoint
-//!   granularity.
+//!   reductions are bit-identical to folding a collected per-cell
+//!   vector of outcomes (the oracle in `tests/support/executor.rs`), at
+//!   any thread count.
 //!
 //! # What the executor reuses (and why it is still bit-identical)
 //!
@@ -110,7 +103,6 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -123,7 +115,7 @@ use crate::engine::{
     FilterFootprint, OriginFilter, PropagationEngine, LANES,
 };
 use crate::experiment::{destination_pair, trial_pair, RoaConfig};
-use crate::strategy::{run_strategy, stage, AttackerStrategy, LaneBatch, Staged, TrialGroup};
+use crate::strategy::{stage, AttackerStrategy, LaneBatch, Staged, TrialGroup};
 use crate::topology::Topology;
 
 /// Seeded sampling of destination (victim) stubs — the axis that makes
@@ -312,16 +304,6 @@ impl<'a> TrialPlan<'a> {
         ((ti * self.strategies.len() + si) * self.deployments.len() + di) * self.roas.len() + ri
     }
 
-    /// A fresh checkpoint cursor positioned at the start of the plan.
-    pub fn cursor<A: Accumulator>(&self) -> PlanCursor<A> {
-        PlanCursor {
-            accs: vec![A::empty(); self.cell_count()],
-            next_group: 0,
-            total_groups: self.group_count(),
-            stats: ExecStats::default(),
-        }
-    }
-
     /// Trial groups: one per `(topology, trial)`.
     fn group_count(&self) -> usize {
         self.topologies.len() * self.trials
@@ -376,8 +358,8 @@ impl<'a> TrialPlan<'a> {
 /// `Vec<AttackOutcome>`s. Absorbing a cell's outcomes in ascending trial
 /// order reproduces the corresponding collect-then-fold reduction
 /// bit-for-bit; `encode`/`decode` round-trip the state exactly (floats
-/// as IEEE-754 bits) so a [`PlanCursor`] can be persisted across
-/// process restarts.
+/// as IEEE-754 bits), so a run's cells can be compared or digested as
+/// text.
 pub trait Accumulator: Clone + Send {
     /// The rendered statistic this accumulator folds toward.
     type Output;
@@ -558,8 +540,8 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// The counters a trial group adds to, in the order a cursor encodes
-    /// them (`items` and `compilations` belong to the plan).
+    /// The counters a trial group adds to (`items` and `compilations`
+    /// belong to the plan).
     fn group_counters(&mut self) -> [&mut usize; 11] {
         [
             &mut self.executed,
@@ -584,97 +566,6 @@ impl ExecStats {
         }
     }
 }
-
-/// A resumable checkpoint over a plan's item stream.
-///
-/// The cursor owns the streaming accumulators (O(cells) state) and the
-/// next unprocessed trial group; [`PlanSession::run_until`] advances it.
-/// Interrupt, [`encode`](Self::encode) to stable storage, restart,
-/// [`decode`](Self::decode), resume: the finished grid is bit-identical
-/// to a straight-through run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanCursor<A> {
-    accs: Vec<A>,
-    next_group: usize,
-    total_groups: usize,
-    /// Group counters only; see [`PlanSession::cursor_stats`].
-    stats: ExecStats,
-}
-
-impl<A: Accumulator> PlanCursor<A> {
-    /// `true` once every item has been absorbed.
-    pub fn is_done(&self) -> bool {
-        self.next_group >= self.total_groups
-    }
-
-    /// Fraction of trial groups processed, in `[0, 1]`.
-    pub fn progress(&self) -> f64 {
-        if self.total_groups == 0 {
-            1.0
-        } else {
-            self.next_group as f64 / self.total_groups as f64
-        }
-    }
-
-    /// The accumulated cells, in canonical cell order. Call after
-    /// [`Self::is_done`]; partial reads are allowed (cells not yet
-    /// reached are empty accumulators).
-    pub fn accumulators(&self) -> &[A] {
-        &self.accs
-    }
-
-    /// Consumes the cursor, returning the accumulators in canonical
-    /// cell order.
-    pub fn into_accumulators(self) -> Vec<A> {
-        self.accs
-    }
-
-    /// Serializes the full cursor state (position, counters, and every
-    /// accumulator, floats as exact bit patterns) into one line of text.
-    pub fn encode(&self) -> String {
-        let mut out = format!("{CURSOR_MAGIC} {} {}", self.next_group, self.total_groups);
-        let mut stats = self.stats;
-        for counter in stats.group_counters() {
-            out.push_str(&format!(" {counter}"));
-        }
-        for a in &self.accs {
-            out.push(' ');
-            a.encode(&mut out);
-        }
-        out
-    }
-
-    /// Parses [`Self::encode`]'s output. `None` on malformed input —
-    /// which a line of an older version is (see the module docs), and a
-    /// position past the last group.
-    pub fn decode(s: &str) -> Option<PlanCursor<A>> {
-        let mut fields = s.split(' ');
-        if fields.next()? != CURSOR_MAGIC {
-            return None;
-        }
-        let mut number = || fields.next()?.parse::<usize>().ok();
-        let (next_group, total_groups) = (number()?, number()?);
-        let mut stats = ExecStats::default();
-        for counter in stats.group_counters() {
-            *counter = number()?;
-        }
-        let accs = fields.map(A::decode).collect::<Option<Vec<A>>>()?;
-        // A position past the end would read as a finished grid.
-        if next_group > total_groups {
-            return None;
-        }
-        Some(PlanCursor {
-            accs,
-            next_group,
-            total_groups,
-            stats,
-        })
-    }
-}
-
-/// First field of an encoded [`PlanCursor`]; versions its group numbering
-/// and its counters.
-const CURSOR_MAGIC: &str = "maxlength-cursor-v5";
 
 /// Resolves every `(topology, deployment)` pair of the plan through a
 /// deployment-keyed cache: duplicate deployments on the axis share one
@@ -723,14 +614,16 @@ fn resolve_policies(plan: &TrialPlan<'_>) -> (Vec<Vec<Arc<CompiledPolicies>>>, u
     (resolved, compilations)
 }
 
-/// The scheduling backend: sequential, or fanned out over worker threads.
+/// The scheduling backend: one worker, or one per thread. Both run the
+/// same scheduler and are bit-identical to each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     parallel: bool,
 }
 
 impl Executor {
-    /// Runs every item on the calling thread.
+    /// Runs every item on the calling thread: the scheduler with one
+    /// worker.
     pub fn sequential() -> Executor {
         Executor { parallel: false }
     }
@@ -747,22 +640,6 @@ impl Executor {
         Executor { parallel: true }
     }
 
-    /// Resolves the plan's policy axis once and returns a reusable
-    /// session — the form checkpointed loops should hold on to, so each
-    /// [`PlanSession::run_until`] call schedules trial groups instead of
-    /// re-resolving (and re-compiling) every `(topology, deployment)`
-    /// pair.
-    pub fn session<'p, 'a>(&self, plan: &'p TrialPlan<'a>) -> PlanSession<'p, 'a> {
-        plan.validate();
-        let (resolved, compilations) = resolve_policies(plan);
-        PlanSession {
-            plan,
-            parallel: self.parallel,
-            resolved,
-            compilations,
-        }
-    }
-
     /// Runs the whole plan, returning one accumulator per cell in
     /// canonical cell order.
     pub fn run<A: Accumulator>(&self, plan: &TrialPlan<'_>) -> Vec<A> {
@@ -771,17 +648,26 @@ impl Executor {
 
     /// [`Self::run`] plus the run's [`ExecStats`].
     pub fn run_with_stats<A: Accumulator>(&self, plan: &TrialPlan<'_>) -> (Vec<A>, ExecStats) {
-        self.session(plan).run_with_stats()
+        plan.validate();
+        let (resolved, compilations) = resolve_policies(plan);
+        let workers = if self.parallel {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        Pass {
+            plan,
+            resolved,
+            compilations,
+        }
+        .run(workers)
     }
 }
 
-/// A plan bound to its resolved (cached, compiled) policy axis: the
-/// reusable execution handle behind every [`Executor`] entry point.
-/// Creating one pays the policy resolution exactly once; `run_with_stats`
-/// and any number of `run_until` checkpoint steps reuse it.
-pub struct PlanSession<'p, 'a> {
+/// One pass of the scheduler: a plan bound to its resolved (cached,
+/// compiled) policy axis.
+struct Pass<'p, 'a> {
     plan: &'p TrialPlan<'a>,
-    parallel: bool,
     resolved: Vec<Vec<Arc<CompiledPolicies>>>,
     compilations: usize,
 }
@@ -803,137 +689,6 @@ fn absorb_group<A: Accumulator>(
     }
 }
 
-impl PlanSession<'_, '_> {
-    /// `cursor`'s counters as a run's [`ExecStats`]: equal to
-    /// [`Self::run_with_stats`]'s once the cursor is done.
-    pub fn cursor_stats<A>(&self, cursor: &PlanCursor<A>) -> ExecStats {
-        ExecStats {
-            items: self.plan.item_count(),
-            compilations: self.compilations,
-            ..cursor.stats
-        }
-    }
-
-    /// Runs the whole plan, returning one accumulator per cell in
-    /// canonical cell order, plus the run's [`ExecStats`].
-    ///
-    /// Both backends hand trial groups out one at a time, in ascending
-    /// order, to workers that defer the groups' transparent head-to-head
-    /// stagings into one lane batch each. The parallel backend's workers
-    /// are the calling thread and `threads − 1` scoped threads, which
-    /// stream each group's buffered outcomes back to the calling thread
-    /// once its lanes are settled (so buffered-outcome memory stays about
-    /// O(threads × 16 groups), and total state O(cells)); every cell's
-    /// accumulator still absorbs its outcomes in ascending group order
-    /// on the calling thread, so the result is bit-identical to the
-    /// sequential backend at any thread count.
-    pub fn run_with_stats<A: Accumulator>(&self) -> (Vec<A>, ExecStats) {
-        let plan = self.plan;
-        let mut stats = ExecStats {
-            items: plan.item_count(),
-            compilations: self.compilations,
-            ..ExecStats::default()
-        };
-        let groups = plan.group_count();
-        let mut accs = vec![A::empty(); plan.cell_count()];
-        if self.parallel {
-            // One set of workers for the whole pass, the calling thread
-            // among them, each claiming the next unclaimed group: no
-            // worker is bound to a share fixed in advance, and none is
-            // started or joined in mid-pass, so on a machine busy with
-            // other work a pass slows by the CPU it lost and not by what
-            // the unluckiest worker lost.
-            let workers = rayon::current_num_threads().clamp(1, groups.max(1));
-            let next = AtomicUsize::new(0);
-            let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&g| g < groups);
-            let mut scratch = check_out_workspaces(workers);
-            let (mine, theirs) = scratch.split_first_mut().expect("at least one worker");
-            std::thread::scope(|scope| {
-                let (done, finished) = mpsc::channel();
-                for ws in theirs {
-                    let done = done.clone();
-                    let next = &next;
-                    scope.spawn(move || {
-                        with_installed_workspace(ws, || {
-                            self.run_groups(claim, &mut |g, outcomes, tally| {
-                                if done.send((g, (outcomes.to_vec(), *tally))).is_err() {
-                                    // The calling thread is unwinding:
-                                    // claim nothing more.
-                                    next.store(groups, Ordering::Relaxed);
-                                }
-                            })
-                        })
-                    });
-                }
-                drop(done);
-                // Groups finish out of order; `early` holds those that
-                // finished ahead of the oldest one not yet absorbed.
-                let mut early = BTreeMap::new();
-                let mut due = 0;
-                let mut settle = |early: &mut BTreeMap<usize, (Vec<_>, ExecStats)>| {
-                    while let Some((outcomes, tally)) = early.remove(&due) {
-                        absorb_group(&mut accs, &mut stats, &outcomes, &tally);
-                        due += 1;
-                    }
-                };
-                with_installed_workspace(mine, || {
-                    self.run_groups(claim, &mut |g, outcomes, tally| {
-                        early.insert(g, (outcomes.to_vec(), *tally));
-                        early.extend(finished.try_iter());
-                        settle(&mut early);
-                    })
-                });
-                for (g, result) in finished {
-                    early.insert(g, result);
-                    settle(&mut early);
-                }
-            });
-            check_in_workspaces(scratch);
-        } else {
-            self.run_in_order(0..groups, &mut |_, outcomes, tally| {
-                absorb_group(&mut accs, &mut stats, outcomes, tally)
-            });
-        }
-        (accs, stats)
-    }
-
-    /// Advances `cursor` by up to `max_items` work items (always whole
-    /// trial groups; at least one group per call), returning `true` once
-    /// the plan is complete. Checkpointed execution is sequential, and a
-    /// call settles every lane its groups deferred; the finished
-    /// cursor's accumulators and counters are bit-identical to
-    /// [`Self::run_with_stats`]'s, wherever the budget cuts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cursor` was created for a plan of a different shape.
-    pub fn run_until<A: Accumulator>(&self, cursor: &mut PlanCursor<A>, max_items: usize) -> bool {
-        let plan = self.plan;
-        assert_eq!(
-            cursor.accs.len(),
-            plan.cell_count(),
-            "cursor does not belong to this plan shape"
-        );
-        assert_eq!(
-            cursor.total_groups,
-            plan.group_count(),
-            "cursor does not belong to this plan shape"
-        );
-        if cursor.is_done() {
-            return true;
-        }
-        // Whole groups within the budget, and at least one.
-        let budget = (max_items / plan.group_items()).max(1);
-        let end = cursor.total_groups.min(cursor.next_group + budget);
-        let (accs, stats) = (&mut cursor.accs, &mut cursor.stats);
-        self.run_in_order(cursor.next_group..end, &mut |_, outcomes, tally| {
-            absorb_group(accs, stats, outcomes, tally)
-        });
-        cursor.next_group = end;
-        cursor.is_done()
-    }
-}
-
 thread_local! {
     /// The speculative scheduler's footprint for the current strategy's
     /// staging, kept warm across every group a worker processes — the
@@ -942,17 +697,79 @@ thread_local! {
     static FOOTPRINT: RefCell<FilterFootprint> = RefCell::default();
 }
 
-impl PlanSession<'_, '_> {
-    /// Runs the trial groups `todo` in ascending order on the calling
-    /// thread, with a workspace from the pool, as [`Self::run_groups`].
-    fn run_in_order(
-        &self,
-        mut todo: Range<usize>,
-        emit: &mut dyn FnMut(usize, &GroupOutcomes, &ExecStats),
-    ) {
-        let mut scratch = check_out_workspaces(1);
-        with_installed_workspace(&mut scratch[0], || self.run_groups(|| todo.next(), emit));
+impl Pass<'_, '_> {
+    /// Runs the whole plan on `workers` workers, returning one
+    /// accumulator per cell in canonical cell order, plus the run's
+    /// [`ExecStats`].
+    ///
+    /// One set of workers serves the whole pass: the calling thread and
+    /// `workers − 1` scoped threads, each claiming the next unclaimed
+    /// trial group and deferring its transparent head-to-head stagings
+    /// into the worker's lane batch. No worker is bound to a share fixed
+    /// in advance, and none is started or joined in mid-pass, so on a
+    /// machine busy with other work a pass slows by the CPU it lost and
+    /// not by what the unluckiest worker lost. The scoped threads stream
+    /// each group's buffered outcomes back to the calling thread once its
+    /// lanes are settled (so buffered-outcome memory stays about
+    /// O(workers × 16 groups), and total state O(cells)); every cell's
+    /// accumulator absorbs its outcomes in ascending group order on the
+    /// calling thread, so the result is the same for every worker count.
+    fn run<A: Accumulator>(&self, workers: usize) -> (Vec<A>, ExecStats) {
+        let plan = self.plan;
+        let mut stats = ExecStats {
+            items: plan.item_count(),
+            compilations: self.compilations,
+            ..ExecStats::default()
+        };
+        let groups = plan.group_count();
+        let mut accs = vec![A::empty(); plan.cell_count()];
+        let workers = workers.clamp(1, groups.max(1));
+        let next = AtomicUsize::new(0);
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&g| g < groups);
+        let mut scratch = check_out_workspaces(workers);
+        let (mine, theirs) = scratch.split_first_mut().expect("at least one worker");
+        std::thread::scope(|scope| {
+            let (done, finished) = mpsc::channel();
+            for ws in theirs {
+                let done = done.clone();
+                let next = &next;
+                scope.spawn(move || {
+                    with_installed_workspace(ws, || {
+                        self.run_groups(claim, &mut |g, outcomes, tally| {
+                            if done.send((g, (outcomes.to_vec(), *tally))).is_err() {
+                                // The calling thread is unwinding: claim
+                                // nothing more.
+                                next.store(groups, Ordering::Relaxed);
+                            }
+                        })
+                    })
+                });
+            }
+            drop(done);
+            // Groups finish out of order; `early` holds those that
+            // finished ahead of the oldest one not yet absorbed.
+            let mut early = BTreeMap::new();
+            let mut due = 0;
+            let mut settle = |early: &mut BTreeMap<usize, (Vec<_>, ExecStats)>| {
+                while let Some((outcomes, tally)) = early.remove(&due) {
+                    absorb_group(&mut accs, &mut stats, &outcomes, &tally);
+                    due += 1;
+                }
+            };
+            with_installed_workspace(mine, || {
+                self.run_groups(claim, &mut |g, outcomes, tally| {
+                    early.insert(g, (outcomes.to_vec(), *tally));
+                    early.extend(finished.try_iter());
+                    settle(&mut early);
+                })
+            });
+            for (g, result) in finished {
+                early.insert(g, result);
+                settle(&mut early);
+            }
+        });
         check_in_workspaces(scratch);
+        (accs, stats)
     }
 
     /// Runs the trial groups `claim` hands out, one at a time, deferring
@@ -1092,69 +909,9 @@ impl PlanSession<'_, '_> {
     }
 }
 
-/// The differential reference for the executor: per cell, per trial, a
-/// fresh [`run_strategy`] staging with its own trial group and no
-/// cross-deployment cache, collected into a `Vec<AttackOutcome>` per
-/// cell. The executor must match a fold of this output bit-for-bit —
-/// asserted by the `exec_props` and `spec_props` differential suites.
-/// (The propagation engine's own reference is out of the crate, in
-/// `tests/support/reference.rs`; every path here, this one included,
-/// runs the one engine, which refuses a seed past
-/// [`crate::PropagationEngine::max_seed_len`].)
-///
-/// Not a production path: it costs O(trials) memory per cell and
-/// re-propagates every baseline a staging reads and every
-/// deployment-independent outcome. It shares the stagings' classifier
-/// and so their structural and lane answers; `tests/structure_props.rs`
-/// holds every staging kind to a push oracle built from public engine
-/// calls.
-pub fn run_plan_collected(plan: &TrialPlan<'_>) -> Vec<Vec<AttackOutcome>> {
-    plan.validate();
-    let policies: Vec<Vec<CompiledPolicies>> = plan
-        .topologies
-        .iter()
-        .map(|pt| {
-            let compile = |d: &DeploymentModel| {
-                CompiledPolicies::compile(&d.policies(pt.topology, plan.seed))
-            };
-            plan.deployments.iter().map(compile).collect()
-        })
-        .collect();
-    (0..plan.cell_count())
-        .map(|cell| {
-            let (ti, si, di, ri) = plan.cell_axes(cell);
-            let topology = plan.topologies[ti].topology;
-            let roa = plan.roas[ri];
-            (0..plan.trials)
-                .map(|trial| {
-                    let (victim, attacker) = plan.trial_endpoints(ti, trial);
-                    let vrps = roa.vrps(
-                        plan.victim_prefix,
-                        plan.sub_prefix.len(),
-                        topology.asn(victim),
-                    );
-                    run_strategy(
-                        plan.strategies[si],
-                        &AttackSetup {
-                            topology,
-                            victim,
-                            attacker,
-                            victim_prefix: plan.victim_prefix,
-                            sub_prefix: plan.sub_prefix,
-                            vrps: &vrps,
-                            policies: &policies[ti][di],
-                        },
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::CellStats;
     use crate::strategy::{MaxLengthGapProber, RouteLeak};
     use crate::topology::TopologyConfig;
     use crate::AttackKind;
@@ -1183,34 +940,6 @@ mod tests {
             3,
             41,
         )
-    }
-
-    #[test]
-    fn streaming_fold_matches_collected_reference() {
-        let t = topo(180);
-        let plan = plan_over(
-            &t,
-            vec![
-                &AttackKind::ForgedOriginSubprefixHijack,
-                &RouteLeak,
-                &MaxLengthGapProber,
-            ],
-            vec![
-                DeploymentModel::Uniform { p: 0.6 },
-                DeploymentModel::StubsOnly { p: 1.0 },
-            ],
-        );
-        let collected = run_plan_collected(&plan);
-        let streamed: Vec<CellAccumulator> = Executor::sequential().run(&plan);
-        assert_eq!(collected.len(), streamed.len());
-        for (cell, (outcomes, acc)) in collected.iter().zip(&streamed).enumerate() {
-            assert_eq!(
-                CellStats::from_outcomes(outcomes),
-                acc.finish(),
-                "cell {cell} ({:?})",
-                plan.cell_axes(cell)
-            );
-        }
     }
 
     #[test]
@@ -1339,87 +1068,6 @@ mod tests {
             stats.cells_replayed * 3 >= stats.footprint_checks * 2,
             "{stats:?}"
         );
-    }
-
-    #[test]
-    fn checkpointed_run_matches_straight_through() {
-        // Two topologies, so some batches flush at a topology change, and
-        // budgets that cut batches short anywhere: one group, one short
-        // of 16 groups, one past it.
-        let (t, u) = (topo(140), topo(120));
-        let plan = TrialPlan::new(
-            vec![
-                PlanTopology {
-                    label: "a".into(),
-                    topology: &t,
-                },
-                PlanTopology {
-                    label: "b".into(),
-                    topology: &u,
-                },
-            ],
-            vec![&AttackKind::ForgedOriginPrefixHijack, &RouteLeak],
-            vec![DeploymentModel::Uniform { p: 0.7 }],
-            RoaConfig::ALL.to_vec(),
-            LANES + 5,
-            41,
-        );
-        let (straight, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
-        assert!(stats.lane > LANES, "{stats:?}");
-        let exec = Executor::sequential();
-        let session = exec.session(&plan);
-        for groups in [1, LANES - 1, LANES + 1] {
-            let mut cursor = plan.cursor::<CellAccumulator>();
-            let mut rounds = 0;
-            while !session.run_until(&mut cursor, groups * plan.group_items()) {
-                rounds += 1;
-                assert!(cursor.progress() > 0.0 && cursor.progress() < 1.0);
-                // Round-trip through the textual checkpoint every step.
-                cursor = PlanCursor::decode(&cursor.encode()).expect("decode own encoding");
-            }
-            assert_eq!(
-                rounds,
-                plan.group_count().div_ceil(groups) - 1,
-                "{groups} a step"
-            );
-            assert!(cursor.is_done());
-            assert_eq!(cursor.accumulators(), &straight[..], "{groups} a step");
-            assert_eq!(session.cursor_stats(&cursor), stats, "{groups} a step");
-            // Running an exhausted cursor is a no-op.
-            assert!(session.run_until(&mut cursor, usize::MAX));
-            assert_eq!(cursor.into_accumulators(), straight);
-        }
-    }
-
-    #[test]
-    fn cursor_decode_rejects_garbage() {
-        assert!(PlanCursor::<CellAccumulator>::decode("").is_none());
-        assert!(PlanCursor::<CellAccumulator>::decode("wrong-magic 0 1 0 0").is_none());
-        assert!(PlanCursor::<CellAccumulator>::decode(
-            "maxlength-cursor-v5 0 1 0 0 0 0 0 0 0 0 0 0 0 nonsense"
-        )
-        .is_none());
-        assert!(
-            PlanCursor::<CellAccumulator>::decode("maxlength-cursor-v5 0 1 0 0").is_none(),
-            "too few counters"
-        );
-        let mut enc = String::new();
-        CellAccumulator::empty().encode(&mut enc);
-        // A position past the end is a corrupted checkpoint, not a
-        // finished grid; exactly at the end is one.
-        let counters = "0 ".repeat(11);
-        let at = |next: usize| format!("maxlength-cursor-v5 {next} 8 {counters}{enc} {enc}");
-        assert!(PlanCursor::<CellAccumulator>::decode(&at(999)).is_none());
-        assert!(PlanCursor::<CellAccumulator>::decode(&at(9)).is_none());
-        let done = PlanCursor::<CellAccumulator>::decode(&at(8)).expect("a finished cursor");
-        assert!(done.is_done());
-        assert_eq!(done.progress(), 1.0);
-        assert_eq!(done.accumulators().len(), 2);
-        assert_eq!(
-            CellAccumulator::decode(&enc),
-            Some(CellAccumulator::empty())
-        );
-        assert!(CellAccumulator::decode("1:2:3").is_none(), "too few fields");
     }
 
     /// A subprefix announcement claiming a path the engine refuses.

@@ -43,10 +43,9 @@
 //!   fraction.
 //! * [`exec`] — the unified trial executor: a [`TrialPlan`] IR
 //!   enumerating `(topology, strategy, deployment, ROA, trial)` work
-//!   items, sequential and rayon [`Executor`] backends over the
-//!   process-wide workspace pool, streaming per-cell [`Accumulator`]s,
-//!   a deployment-keyed policy cache, and resumable [`PlanCursor`]
-//!   checkpoints.
+//!   items, one [`Executor`] scheduler run by one worker or one per
+//!   thread over the process-wide workspace pool, streaming per-cell
+//!   [`Accumulator`]s, and a deployment-keyed policy cache.
 //! * [`experiment`] — the plan axes sampled experiments share:
 //!   [`RoaConfig`] and the per-trial attacker/victim pair derivations.
 //! * [`matrix`] — [`ScenarioMatrix`]: the full strategy × deployment ×
@@ -95,12 +94,11 @@ pub mod routing;
 pub mod strategy;
 pub mod topology;
 
-pub use attack::{AttackKind, AttackOutcome, AttackSetup, ForgedOriginTrial};
+pub use attack::{AttackKind, AttackOutcome, AttackSetup};
 pub use deployment::DeploymentModel;
 pub use engine::{CompiledPolicies, FilterFootprint, OriginFilter, PropagationEngine, Workspace};
 pub use exec::{
-    Accumulator, CellAccumulator, DestinationSampler, ExecStats, Executor, PlanCursor, PlanSession,
-    PlanTopology, TrialPlan,
+    Accumulator, CellAccumulator, DestinationSampler, ExecStats, Executor, PlanTopology, TrialPlan,
 };
 pub use experiment::RoaConfig;
 pub use matrix::{CellStats, MatrixCell, MatrixReport, ScenarioMatrix, TopologyFamily};

@@ -27,7 +27,6 @@
 //! path and the `maxlength` subcommands run on too — with its deployment-keyed
 //! policy cache, shared baselines, and streaming per-cell accumulators.
 
-use crate::attack::AttackOutcome;
 use crate::deployment::DeploymentModel;
 use crate::exec::{Accumulator, CellAccumulator, ExecStats, Executor, PlanTopology, TrialPlan};
 use crate::experiment::RoaConfig;
@@ -88,7 +87,7 @@ pub struct ScenarioMatrix {
     pub seed: u64,
 }
 
-/// Aggregated [`AttackOutcome`] statistics for one cell.
+/// Aggregated [`crate::AttackOutcome`] statistics for one cell.
 ///
 /// A trial is *eligible* if at least one AS routed toward the target at
 /// all (`intercepted + legitimate > 0`); cells whose every trial
@@ -109,51 +108,6 @@ pub struct CellStats {
     /// Mean fraction of ASes with no route to the target, over all
     /// trials (0.0 if none).
     pub mean_disconnected: f64,
-}
-
-impl CellStats {
-    /// Folds per-trial outcomes — **in trial order** — into one cell:
-    /// the collect-then-fold reference the streaming
-    /// [`crate::exec::CellAccumulator`] must match bit-for-bit (pinned
-    /// by the `exec_props` differential suite).
-    pub fn from_outcomes(outcomes: &[AttackOutcome]) -> CellStats {
-        let mut eligible = 0usize;
-        let mut sum = 0.0f64;
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        let mut disconnected_sum = 0.0f64;
-        for o in outcomes {
-            let routed = o.intercepted + o.legitimate;
-            let total = routed + o.disconnected;
-            if total > 0 {
-                disconnected_sum += o.disconnected as f64 / total as f64;
-            }
-            if routed == 0 {
-                continue;
-            }
-            eligible += 1;
-            let f = o.interception_fraction();
-            sum += f;
-            min = min.min(f);
-            max = max.max(f);
-        }
-        CellStats {
-            trials: outcomes.len(),
-            eligible,
-            mean_interception: if eligible == 0 {
-                0.0
-            } else {
-                sum / eligible as f64
-            },
-            min_interception: if min.is_finite() { min } else { 0.0 },
-            max_interception: max,
-            mean_disconnected: if outcomes.is_empty() {
-                0.0
-            } else {
-                disconnected_sum / outcomes.len() as f64
-            },
-        }
-    }
 }
 
 /// One cell of the rendered report.
@@ -310,13 +264,6 @@ impl ScenarioMatrix {
         self.topologies.len() * self.strategies.len() * self.deployments.len() * self.roas.len()
     }
 
-    /// Generates the topology axis, which every `run*` method's plan
-    /// borrows.
-    fn generate_topologies(&self) -> Vec<Topology> {
-        let generate = |family: &TopologyFamily| Topology::generate(family.config);
-        self.topologies.iter().map(generate).collect()
-    }
-
     /// The executor IR for this matrix over already-generated
     /// topologies (one per [`TopologyFamily`], in axis order).
     pub fn plan<'a>(&'a self, topologies: &'a [Topology]) -> TrialPlan<'a> {
@@ -387,26 +334,9 @@ impl ScenarioMatrix {
         self.run_with(Executor::parallel())
     }
 
-    /// Runs the matrix through [`crate::exec::run_plan_collected`]
-    /// (fresh baselines, per-deployment re-propagation, O(trials) memory
-    /// per cell) — the differential reference the `exec_props` and
-    /// `spec_props` suites compare the executor against. Not a
-    /// production path.
-    pub fn run_collected(&self) -> MatrixReport {
-        let topologies = self.generate_topologies();
-        let plan = self.plan(&topologies);
-        let collected = crate::exec::run_plan_collected(&plan);
-        self.report_from(
-            &plan,
-            collected
-                .iter()
-                .map(|outcomes| CellStats::from_outcomes(outcomes))
-                .collect(),
-        )
-    }
-
     fn run_with(&self, executor: Executor) -> (MatrixReport, ExecStats) {
-        let topologies = self.generate_topologies();
+        let generate = |family: &TopologyFamily| Topology::generate(family.config);
+        let topologies: Vec<Topology> = self.topologies.iter().map(generate).collect();
         let plan = self.plan(&topologies);
         let (accs, stats) = executor.run_with_stats::<CellAccumulator>(&plan);
         (
@@ -419,6 +349,7 @@ impl ScenarioMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::AttackOutcome;
 
     fn tiny() -> ScenarioMatrix {
         ScenarioMatrix {
@@ -525,15 +456,22 @@ mod tests {
 
     #[test]
     fn cell_stats_zero_eligible_is_zero_not_nan() {
-        // The regression the issue calls out: zero eligible trials must
-        // aggregate to 0.0, never NaN.
-        let empty = CellStats::from_outcomes(&[]);
+        // Zero eligible trials must aggregate to 0.0, never NaN, in the
+        // fold every run ships.
+        let fold = |outcomes: &[AttackOutcome]| {
+            let mut acc = CellAccumulator::empty();
+            for o in outcomes {
+                acc.absorb(o);
+            }
+            acc.finish()
+        };
+        let empty = fold(&[]);
         assert_eq!(empty.mean_interception, 0.0);
         assert_eq!(empty.min_interception, 0.0);
         assert_eq!(empty.max_interception, 0.0);
         assert_eq!(empty.mean_disconnected, 0.0);
 
-        let all_disconnected = CellStats::from_outcomes(&[AttackOutcome {
+        let all_disconnected = fold(&[AttackOutcome {
             intercepted: 0,
             legitimate: 0,
             disconnected: 7,

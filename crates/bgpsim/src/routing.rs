@@ -564,7 +564,10 @@ mod forwarding_tests {
             assert_eq!(*path.last().unwrap(), info.delivers_to);
             // Each hop is an actual adjacency.
             for pair in path.windows(2) {
-                assert!(t.are_neighbors(pair[0], pair[1]), "{pair:?} not adjacent");
+                assert!(
+                    t.relationship(pair[0], pair[1]).is_some(),
+                    "{pair:?} not adjacent"
+                );
             }
             // AS-path length matches hop count plus the seed's claimed
             // extra hops.

@@ -24,10 +24,10 @@
 //! The propagation engine's three Gao–Rexford phases each iterate exactly
 //! the slice they need ([`Topology::customers`], [`Topology::peers`],
 //! [`Topology::providers`]) with no per-edge relationship branch; the
-//! sorted segments make [`Topology::relationship`] and
-//! [`Topology::are_neighbors`] binary searches (O(log degree)),
-//! [`Topology::customer_count`] and [`Topology::is_stub`] O(1) pointer
-//! arithmetic, and [`Topology::stubs`] a precomputed slice.
+//! sorted segments make [`Topology::relationship`] a binary search
+//! (O(log degree)), [`Topology::customer_count`] and
+//! [`Topology::is_stub`] O(1) pointer arithmetic, and
+//! [`Topology::stubs`] a precomputed slice.
 
 use std::collections::HashSet;
 
@@ -519,11 +519,6 @@ impl Topology {
         (self.offsets[a + 1] - self.offsets[a]) as usize
     }
 
-    /// `true` if an edge joins `a` and `b`. O(log degree(a)).
-    pub fn are_neighbors(&self, a: usize, b: usize) -> bool {
-        self.relationship(a, b).is_some()
-    }
-
     /// The relationship of `b` as seen from `a`, if they are neighbors.
     /// Binary search over the sorted CSR segments: O(log degree(a)).
     pub fn relationship(&self, a: usize, b: usize) -> Option<Relationship> {
@@ -562,12 +557,6 @@ impl Topology {
     pub fn asn(&self, a: usize) -> Asn {
         Asn(a as u32 + 1)
     }
-
-    /// The index of a public AS number, if in range.
-    pub fn index_of(&self, asn: Asn) -> Option<usize> {
-        let idx = asn.into_u32().checked_sub(1)? as usize;
-        (idx < self.len()).then_some(idx)
-    }
 }
 
 #[cfg(test)]
@@ -600,7 +589,7 @@ mod tests {
         for a in 0..t.tier1() {
             for b in 0..t.tier1() {
                 if a != b {
-                    assert!(t.are_neighbors(a, b));
+                    assert!(t.relationship(a, b).is_some());
                     assert_eq!(t.relationship(a, b), Some(Relationship::Peer));
                 }
             }
@@ -751,16 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn asn_mapping_round_trips() {
-        let t = small();
-        for a in [0usize, 1, 57, 199] {
-            assert_eq!(t.index_of(t.asn(a)), Some(a));
-        }
-        assert_eq!(t.index_of(Asn(0)), None);
-        assert_eq!(t.index_of(Asn(10_000)), None);
-    }
-
-    #[test]
     fn relationship_and_customer_count_agree_with_neighbors() {
         let t = small();
         for a in 0..t.len() {
@@ -778,9 +757,6 @@ mod tests {
             assert_eq!(t.customer_count(s), 0);
         }
         assert!((0..t.len()).any(|a| t.customer_count(a) > 0));
-        assert_eq!(t.relationship(0, t.len() - 1).is_some(), {
-            t.are_neighbors(0, t.len() - 1)
-        });
         // Out-of-range neighbor ids are simply absent.
         assert_eq!(t.relationship(0, usize::MAX), None);
     }

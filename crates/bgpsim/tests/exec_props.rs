@@ -4,12 +4,9 @@
 //! For random plans (topology shapes, strategy subsets, deployment
 //! axes, ROA subsets, trial counts, seeds):
 //!
-//! * the **streaming accumulators** fold to exactly what the kept
-//!   collect-then-fold reference (`run_plan_collected` +
-//!   `CellStats::from_outcomes`) produces — every cell, every float;
-//! * **checkpoint/resume** ([`Executor::run_until`] over a
-//!   [`bgpsim::PlanCursor`], including textual encode/decode round
-//!   trips) finishes bit-identical to a straight-through run;
+//! * the **streaming accumulators** fold to exactly what the
+//!   collect-then-fold oracle (`support/executor.rs`:
+//!   `run_plan_collected` + `fold`) produces — every cell, every float;
 //! * the **deployment-keyed policy cache** compiles once per distinct
 //!   `(topology, deployment)` — duplicated deployments produce
 //!   bit-identical cells and no extra compilations — and the uniform
@@ -32,19 +29,19 @@
 
 use proptest::prelude::*;
 
-use bgpsim::exec::{run_plan_collected, PlanTopology, TrialPlan};
+use bgpsim::exec::{PlanTopology, TrialPlan};
 use bgpsim::experiment::RoaConfig;
 use bgpsim::strategy::{MaxLengthGapProber, PathForgery, RouteLeak};
 use bgpsim::topology::{Topology, TopologyConfig};
 use bgpsim::{
     Accumulator, AttackAnnouncement, AttackKind, AttackPlan, AttackerStrategy, CellAccumulator,
-    CellStats, DeploymentModel, DestinationSampler, ExecStats, Executor, InternetConfig,
-    PlanCursor, ScenarioMatrix, StrategyContext, TopologyFamily,
+    DeploymentModel, DestinationSampler, ExecStats, Executor, InternetConfig, ScenarioMatrix,
+    StrategyContext, TopologyFamily,
 };
 
 #[path = "support/executor.rs"]
 mod executor;
-use executor::{cases, SuperPrefix};
+use executor::{cases, fold, run_plan_collected, SuperPrefix};
 
 /// The strategy menu plans draw from (index-encoded for proptest). It
 /// reaches every key of a trial group's memo of transparent outcomes:
@@ -199,42 +196,13 @@ proptest! {
         prop_assert_eq!(collected.len(), streamed.len());
         for (cell, (outcomes, acc)) in collected.iter().zip(&streamed).enumerate() {
             prop_assert_eq!(
-                CellStats::from_outcomes(outcomes),
+                fold(outcomes),
                 acc.finish(),
                 "cell {} of {:?}",
                 cell,
                 shape
             );
         }
-    }
-
-    /// Checkpoint/resume vs straight-through: any chunking of the item
-    /// stream — including serializing the cursor to text and parsing it
-    /// back between chunks — lands on the identical result.
-    #[test]
-    fn checkpointed_equals_straight_through(
-        shape in arb_shape(),
-        chunk in 1usize..40,
-        roundtrip in 0usize..2,
-    ) {
-        let roundtrip = roundtrip == 1;
-        let topology = topology_for(&shape);
-        let strategies: Vec<Box<dyn AttackerStrategy>> =
-            shape.strategies.iter().map(|&i| strategy_at(i)).collect();
-        let plan = build_plan(&shape, &topology, &strategies);
-
-        let straight: Vec<CellAccumulator> = Executor::sequential().run(&plan);
-        // One session resolves the policy axis once; every checkpoint
-        // step reuses it.
-        let session = Executor::sequential().session(&plan);
-        let mut cursor = plan.cursor::<CellAccumulator>();
-        while !session.run_until(&mut cursor, chunk) {
-            if roundtrip {
-                cursor = PlanCursor::decode(&cursor.encode()).expect("cursor round-trip");
-            }
-        }
-        prop_assert!(cursor.is_done());
-        prop_assert_eq!(cursor.into_accumulators(), straight);
     }
 
     /// The policy cache: duplicating a deployment on the axis adds cells
@@ -358,9 +326,8 @@ proptest! {
         prop_assert_eq!(stats.baselines, 0, "{:?}", shape);
     }
 
-    /// Sequential == parallel == checkpointed at every chunk size (the
-    /// cursor through its text form at every step) — on the accumulators
-    /// and on every counter of `ExecStats`, `baselines` included.
+    /// Sequential == parallel — on the accumulators and on every counter
+    /// of `ExecStats`, `baselines` included.
     #[test]
     fn stats_are_identical_across_backends_and_chunkings(shape in arb_shape()) {
         let topology = topology_for(&shape);
@@ -374,75 +341,6 @@ proptest! {
         prop_assert_eq!(seq_stats, par_stats);
         prop_assert!(seq_stats.baselines <= plan.topologies.len() * plan.trials);
         prop_assert_eq!(kinds(&seq_stats), seq_stats.executed);
-
-        let session = Executor::sequential().session(&plan);
-        for chunk in 1..=plan.item_count() + 1 {
-            let mut cursor = plan.cursor::<CellAccumulator>();
-            while !session.run_until(&mut cursor, chunk) {
-                cursor = PlanCursor::decode(&cursor.encode()).expect("cursor round-trip");
-            }
-            prop_assert_eq!(session.cursor_stats(&cursor), seq_stats, "chunk {}", chunk);
-            prop_assert_eq!(cursor.accumulators(), &seq[..], "chunk {}", chunk);
-        }
-    }
-}
-
-/// A version-1 cursor counted `(topology, ROA, trial)` groups; resuming
-/// one against `(topology, trial)` groups would skip or repeat trials.
-/// A version-2 cursor lacks `ExecStats::shared`, a version-3 one
-/// `ExecStats::structural` and `ExecStats::pulled`, and a version-4 one
-/// counted overlapping `shared`, `structural` and `pulled` where a
-/// version-5 one counts stagings by kind; resuming any of them would
-/// report a run's counters wrongly. `decode` refuses all four by their
-/// magic.
-#[test]
-fn cursor_decode_refuses_v1_to_v4_lines() {
-    let topology = Topology::generate(TopologyConfig {
-        n: 80,
-        tier1: 3,
-        ..TopologyConfig::default()
-    });
-    let strategy = AttackKind::SubprefixHijack;
-    let plan = TrialPlan::new(
-        vec![PlanTopology {
-            label: "n=80".into(),
-            topology: &topology,
-        }],
-        vec![&strategy],
-        vec![DeploymentModel::Uniform { p: 0.5 }],
-        RoaConfig::ALL.to_vec(),
-        2,
-        7,
-    );
-    let v5 = plan.cursor::<CellAccumulator>().encode();
-    assert!(v5.starts_with("maxlength-cursor-v5 "), "{v5}");
-    assert!(PlanCursor::<CellAccumulator>::decode(&v5).is_some());
-    let cells = v5
-        .splitn(15, ' ')
-        .nth(14)
-        .expect("accumulators follow the counters");
-    // The same cursor as v1 wrote it: two counters after the position.
-    let v1 = format!("maxlength-cursor-v1 0 6 0 0 {cells}");
-    // As v2 wrote it: five counters, `shared` not among them.
-    let v2 = format!("maxlength-cursor-v2 0 2 0 0 0 0 0 {cells}");
-    // As v3 wrote it: six counters, ending at `shared`.
-    let v3 = format!("maxlength-cursor-v3 0 2 0 0 0 0 0 0 {cells}");
-    // As v4 wrote it: eight counters, ending at `shared`, `structural`
-    // and `pulled`.
-    let v4 = format!("maxlength-cursor-v4 0 2 0 0 0 0 0 0 0 0 {cells}");
-    for old in [&v1, &v2, &v3, &v4] {
-        assert!(
-            PlanCursor::<CellAccumulator>::decode(old).is_none(),
-            "{old}"
-        );
-    }
-    // Nor does the new magic on an old layout parse: the counters differ.
-    for (old, magic) in [(v1, "-v1"), (v2, "-v2"), (v3, "-v3"), (v4, "-v4")] {
-        let relabelled = old.replace(magic, "-v5");
-        assert!(
-            PlanCursor::<CellAccumulator>::decode(&relabelled).is_none(),
-            "{relabelled}"
-        );
     }
 }
 
@@ -479,11 +377,7 @@ fn super_prefix_runs_once_per_group_and_matches_the_reference() {
     let collected = run_plan_collected(&plan);
     let (accs, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
     for (cell, (outcomes, acc)) in collected.iter().zip(&accs).enumerate() {
-        assert_eq!(
-            CellStats::from_outcomes(outcomes),
-            acc.finish(),
-            "cell {cell}"
-        );
+        assert_eq!(fold(outcomes), acc.finish(), "cell {cell}");
     }
     // Per group: the hijack's no-ROA and loose-ROA stagings need no
     // engine run, and under the minimal ROA it is pushed, once per
@@ -552,11 +446,7 @@ fn silent_stagings_run_only_the_baseline() {
     let collected = run_plan_collected(&plan);
     let (accs, stats) = Executor::sequential().run_with_stats::<CellAccumulator>(&plan);
     for (cell, (outcomes, acc)) in collected.iter().zip(&accs).enumerate() {
-        assert_eq!(
-            CellStats::from_outcomes(outcomes),
-            acc.finish(),
-            "cell {cell}"
-        );
+        assert_eq!(fold(outcomes), acc.finish(), "cell {cell}");
     }
     let stagings = plan.roas.len() * plan.trials;
     assert_eq!(stats.executed, stagings, "{stats:?}");
@@ -733,13 +623,67 @@ proptest! {
     }
 }
 
+/// A fixed plan through the oracle: three strategies (structural, lane
+/// and prober answers) under two deployments and every ROA. Each
+/// streamed accumulator also reads back from its own encoding.
+#[test]
+fn streaming_fold_matches_collected_reference() {
+    let topology = Topology::generate(TopologyConfig {
+        n: 180,
+        tier1: 4,
+        ..TopologyConfig::default()
+    });
+    let plan = TrialPlan::new(
+        vec![PlanTopology {
+            label: "test".into(),
+            topology: &topology,
+        }],
+        vec![
+            &AttackKind::ForgedOriginSubprefixHijack,
+            &RouteLeak,
+            &MaxLengthGapProber,
+        ],
+        vec![
+            DeploymentModel::Uniform { p: 0.6 },
+            DeploymentModel::StubsOnly { p: 1.0 },
+        ],
+        RoaConfig::ALL.to_vec(),
+        3,
+        41,
+    );
+    let collected = run_plan_collected(&plan);
+    let streamed: Vec<CellAccumulator> = Executor::sequential().run(&plan);
+    assert_eq!(collected.len(), streamed.len());
+    for (cell, (outcomes, acc)) in collected.iter().zip(&streamed).enumerate() {
+        assert_eq!(
+            fold(outcomes),
+            acc.finish(),
+            "cell {cell} ({:?})",
+            plan.cell_axes(cell)
+        );
+        let mut text = String::new();
+        acc.encode(&mut text);
+        assert_eq!(CellAccumulator::decode(&text).as_ref(), Some(acc));
+    }
+    assert!(CellAccumulator::decode("1:2:3").is_none(), "too few fields");
+}
+
 /// The deterministic spine of the suite (not property-randomized): the
-/// small golden matrix runs identically through every execution mode.
+/// small golden matrix runs identically through every execution mode,
+/// and every cell equals the oracle's fold.
 #[test]
 fn golden_grid_is_identical_across_all_execution_modes() {
-    use bgpsim::ScenarioMatrix;
     let m = ScenarioMatrix::small(2017);
-    let collected = m.run_collected();
-    assert_eq!(collected, m.run());
-    assert_eq!(collected, m.run_par());
+    let report = m.run();
+    assert_eq!(report, m.run_par());
+    let topologies: Vec<Topology> = m
+        .topologies
+        .iter()
+        .map(|family| Topology::generate(family.config))
+        .collect();
+    let collected = run_plan_collected(&m.plan(&topologies));
+    assert_eq!(collected.len(), report.cells.len());
+    for (cell, (outcomes, got)) in collected.iter().zip(&report.cells).enumerate() {
+        assert_eq!(fold(outcomes), got.stats, "cell {cell}");
+    }
 }

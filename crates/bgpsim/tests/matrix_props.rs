@@ -167,7 +167,7 @@ fn zero_eligible_cells_report_zero_not_nan() {
     // breaking the victim too (wrong-origin ROA via a custom strategy is
     // overkill; instead assert directly on the aggregation layer plus an
     // end-to-end run where every trial routes).
-    use bgpsim::{AttackOutcome, CellStats};
+    use bgpsim::{Accumulator, AttackOutcome, CellAccumulator};
 
     let outcome = AttackOutcome {
         intercepted: 0,
@@ -177,7 +177,11 @@ fn zero_eligible_cells_report_zero_not_nan() {
     assert_eq!(outcome.interception_fraction(), 0.0);
     assert!(!outcome.interception_fraction().is_nan());
 
-    let stats = CellStats::from_outcomes(&[outcome, outcome]);
+    // The fold every run ships: `CellAccumulator`.
+    let mut acc = CellAccumulator::empty();
+    acc.absorb(&outcome);
+    acc.absorb(&outcome);
+    let stats = acc.finish();
     assert_eq!(stats.eligible, 0);
     assert_eq!(stats.mean_interception, 0.0);
     assert_eq!(stats.min_interception, 0.0);

@@ -9,13 +9,12 @@
 //! it to the contract:
 //!
 //! * **bit-identity** with the collected reference
-//!   ([`run_plan_collected`]) on random topologies, strategy menus,
-//!   deployment axes, ROA subsets, and seeds — sequential and parallel;
+//!   (`run_plan_collected` in `support/executor.rs`) on random
+//!   topologies, strategy menus, deployment axes, ROA subsets, and
+//!   seeds — sequential and parallel;
 //! * **thread-count invariance** across a `RAYON_NUM_THREADS` sweep
 //!   (racing the variable against concurrently running tests is
 //!   harmless precisely *because* every thread count is bit-identical);
-//! * **checkpoint/resume** through [`PlanCursor`] boundaries (with
-//!   textual encode/decode round trips) lands on the same result;
 //! * the **adversarial flip**: on a hand-built grid where exactly one
 //!   consulted AS's filter decision diverges between two deployments,
 //!   only that column re-propagates — deployments that differ *only*
@@ -28,20 +27,19 @@ use std::cell::RefCell;
 
 use proptest::prelude::*;
 
-use bgpsim::exec::{run_plan_collected, PlanTopology, TrialPlan};
+use bgpsim::exec::{PlanTopology, TrialPlan};
 use bgpsim::experiment::RoaConfig;
 use bgpsim::routing::Seed;
 use bgpsim::strategy::{MaxLengthGapProber, PathForgery, RouteLeak};
 use bgpsim::topology::{Topology, TopologyConfig};
 use bgpsim::{
-    Accumulator, AttackKind, AttackerStrategy, CellAccumulator, CellStats, CompiledPolicies,
-    DeploymentModel, Executor, FilterFootprint, OriginFilter, PlanCursor, PropagationEngine,
-    Workspace,
+    Accumulator, AttackKind, AttackerStrategy, CellAccumulator, CompiledPolicies, DeploymentModel,
+    Executor, FilterFootprint, OriginFilter, PropagationEngine, Workspace,
 };
 
 #[path = "support/executor.rs"]
 mod executor;
-use executor::{cases, SuperPrefix};
+use executor::{cases, fold, run_plan_collected, SuperPrefix};
 
 /// The strategy menu plans draw from (index-encoded for proptest). It
 /// reaches every key of a trial group's memo of transparent outcomes:
@@ -162,7 +160,7 @@ proptest! {
         prop_assert_eq!(collected.len(), streamed.len());
         for (cell, (outcomes, acc)) in collected.iter().zip(&streamed).enumerate() {
             prop_assert_eq!(
-                CellStats::from_outcomes(outcomes),
+                fold(outcomes),
                 acc.finish(),
                 "cell {} of {:?}",
                 cell,
@@ -197,39 +195,6 @@ proptest! {
         std::env::remove_var("RAYON_NUM_THREADS");
     }
 
-    /// Checkpoint/resume across `PlanCursor` boundaries: any chunking of
-    /// the speculative item stream — including serializing the cursor to
-    /// text between chunks — finishes bit-identical to the collected
-    /// reference, and the cursor's replay accounting survives the trip.
-    #[test]
-    fn checkpointed_speculation_matches_collected(
-        shape in arb_shape(),
-        chunk in 1usize..40,
-    ) {
-        let topology = topology_for(&shape);
-        let strategies: Vec<Box<dyn AttackerStrategy>> =
-            shape.strategies.iter().map(|&i| strategy_at(i)).collect();
-        let plan = build_plan(&shape, &topology, &strategies);
-
-        let collected = run_plan_collected(&plan);
-        let session = Executor::sequential().session(&plan);
-        let mut cursor = plan.cursor::<CellAccumulator>();
-        while !session.run_until(&mut cursor, chunk) {
-            cursor = PlanCursor::decode(&cursor.encode()).expect("cursor round-trip");
-        }
-        prop_assert!(cursor.is_done());
-        for (cell, (outcomes, acc)) in
-            collected.iter().zip(cursor.accumulators()).enumerate()
-        {
-            prop_assert_eq!(
-                CellStats::from_outcomes(outcomes),
-                acc.finish(),
-                "cell {} of {:?}",
-                cell,
-                shape
-            );
-        }
-    }
 }
 
 /// Stages trial 0's forged-origin subprefix hijack by hand (baseline,
@@ -383,11 +348,7 @@ fn single_decision_flip_repropagates_exactly_that_cell() {
     // collected reference bit for bit.
     let collected = run_plan_collected(&plan);
     for (cell, (outcomes, acc)) in collected.iter().zip(&accs).enumerate() {
-        assert_eq!(
-            CellStats::from_outcomes(outcomes),
-            acc.finish(),
-            "cell {cell}"
-        );
+        assert_eq!(fold(outcomes), acc.finish(), "cell {cell}");
     }
     // The flipped column genuinely diverged from the speculated one —
     // the re-propagation was necessary, not defensive.

@@ -23,10 +23,10 @@
 //!   accept-all `propagate_outcome` and the heap reference's routes
 //!   (`support/reference.rs`) tallied, for either claimed origin, seed
 //!   lengths 0–3 and the engine's bound, and the attacker's index below
-//!   or above the victim's. Every executor path runs the kernel,
-//!   `run_plan_collected` included, so this and the lane differential
-//!   inside `engine.rs` (full batches against the push run) are its
-//!   independent oracles;
+//!   or above the victim's. Every executor path runs the kernel, the
+//!   oracle `run_plan_collected` (`support/executor.rs`) included, so
+//!   this and the lane differential inside `engine.rs` (full batches
+//!   against the push run) are its independent oracles;
 //! * **every staging kind** — on every topology of at most four ASes,
 //!   a plan of announcements head to head, more and less specific and
 //!   none at all, under a transparent and a filtered VRP set, reaches
@@ -41,12 +41,11 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use bgpsim::exec::run_plan_collected;
 use bgpsim::routing::{propagate, Seed};
 use bgpsim::{
     run_strategy, Accumulator, AttackAnnouncement, AttackOutcome, AttackPlan, AttackSetup,
-    AttackerStrategy, CellAccumulator, CellStats, CompiledPolicies, DeploymentModel, ExecStats,
-    Executor, InternetConfig, OriginFilter, PlanTopology, PropagationEngine, RoaConfig, RouteLeak,
+    AttackerStrategy, CellAccumulator, CompiledPolicies, DeploymentModel, ExecStats, Executor,
+    InternetConfig, OriginFilter, PlanTopology, PropagationEngine, RoaConfig, RouteLeak,
     StrategyContext, Topology, TopologyConfig, TrialPlan, Workspace,
 };
 use rpki_prefix::Prefix;
@@ -56,6 +55,11 @@ use rpki_rov::{RovPolicy, VrpIndex};
 #[path = "support/reference.rs"]
 mod reference;
 use reference::propagate_reference;
+
+#[allow(dead_code)] // the case count and `SuperPrefix` serve the other executor suites
+#[path = "support/executor.rs"]
+mod executor;
+use executor::{fold, run_plan_collected};
 
 /// A topology configuration for either generator.
 #[derive(Debug, Clone, Copy)]
@@ -671,11 +675,7 @@ fn tiny_topologies_reach_every_staging_kind_and_match_the_push_oracle() {
             "{stats:?}, {label}"
         );
         for (cell, (outcomes, acc)) in collected.iter().zip(&accs).enumerate() {
-            assert_eq!(
-                CellStats::from_outcomes(outcomes),
-                acc.finish(),
-                "cell {cell}, {label}"
-            );
+            assert_eq!(fold(outcomes), acc.finish(), "cell {cell}, {label}");
             let (_, si, di, ri) = plan.cell_axes(cell);
             let policies = CompiledPolicies::compile(&plan.deployments[di].policies(&t, plan.seed));
             for (trial, outcome) in outcomes.iter().enumerate() {

@@ -16,10 +16,10 @@
 //!
 //! **The mutation harness** is the one every decoder of bytes the
 //! workspace did not write runs through: DER ROAs, sealed envelopes, the
-//! repository scan, dataset snapshots, executor checkpoints and RTR
-//! frames. A suite describes its decoder as a [`Codec`], hands
-//! [`check`] valid encodings (seeds), and the harness feeds the decoder
-//! every mutant of four operators ([`Op`]):
+//! repository scan, dataset snapshots and RTR frames. A suite describes
+//! its decoder as a [`Codec`], hands [`check`] valid encodings (seeds),
+//! and the harness feeds the decoder every mutant of four operators
+//! ([`Op`]):
 //!
 //! * **truncate** at every cut;
 //! * **length-lie**: rewrite each caller-named length [`Field`] with

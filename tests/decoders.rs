@@ -1,9 +1,8 @@
 //! Every decoder of bytes the workspace did not write, through the one
 //! mutation harness (`testkit`) at a tiny scale: the DER eContent, the
-//! signed-object envelope, the repository scan, dataset snapshots,
-//! executor checkpoints and RTR frames. Each must not panic, must not
-//! allocate by an unchecked length, and must accept only what re-encodes
-//! canonically.
+//! signed-object envelope, the repository scan, dataset snapshots and
+//! RTR frames. Each must not panic, must not allocate by an unchecked
+//! length, and must accept only what re-encodes canonically.
 //!
 //! The codecs and seeds are the crates' own (their `tests/support/`);
 //! the crates' suites run the same harness over generated inputs at a
@@ -23,10 +22,6 @@ mod roa_codecs;
 
 #[path = "../crates/datasets/tests/support/codecs.rs"]
 mod dataset_codecs;
-
-#[allow(dead_code)] // the generated-checkpoint builder serves the crate's suite
-#[path = "../crates/bgpsim/tests/support/codecs.rs"]
-mod checkpoint_codecs;
 
 #[path = "../crates/rtr/tests/support/codecs.rs"]
 mod frame_codecs;
@@ -63,13 +58,6 @@ fn repository_scan_meets_the_contract() {
 fn dataset_snapshots_meet_the_contract() {
     for (noise, text) in (0u64..).zip(dataset_codecs::sample_texts()) {
         testkit::check(&dataset_codecs::SnapshotText, text.as_bytes(), &[], noise);
-    }
-}
-
-#[test]
-fn executor_checkpoints_meet_the_contract() {
-    for (noise, text) in (0u64..).zip(checkpoint_codecs::sample_checkpoints()) {
-        testkit::check(&checkpoint_codecs::Checkpoint, text.as_bytes(), &[], noise);
     }
 }
 
