@@ -38,6 +38,7 @@ impl Prefix4 {
     /// assert!(Prefix4::new(0x0A000001, 8).is_err());  // host bits set
     /// assert!(Prefix4::new(0, 33).is_err());          // length out of range
     /// ```
+    #[inline]
     pub fn new(bits: u32, len: u8) -> Result<Prefix4, PrefixError> {
         if len > Self::MAX_LEN {
             return Err(PrefixError::LengthOutOfRange {

@@ -48,6 +48,7 @@ impl Prefix6 {
     };
 
     /// Creates a prefix, rejecting out-of-range lengths and set host bits.
+    #[inline]
     pub fn new(bits: u128, len: u8) -> Result<Prefix6, PrefixError> {
         if len > Self::MAX_LEN {
             return Err(PrefixError::LengthOutOfRange {

@@ -31,6 +31,7 @@ impl Vrp {
     /// `prefix.len()..=family max`. RFC 6482 forbids maxLength outside this
     /// range; measurement pipelines clamp rather than drop, matching how
     /// relying-party software treats in-range-but-useless values.
+    #[inline]
     pub fn new(prefix: Prefix, max_len: u8, asn: Asn) -> Self {
         let max_len = max_len.clamp(prefix.len(), prefix.max_len());
         Vrp {

@@ -26,14 +26,15 @@
 //! with a response, so the set is a [`VrpSet`]: per address family, a
 //! hash set of packed 12- or 24-byte keys, one probe per PDU. A delta is
 //! applied to it PDU by PDU; a Reset response is staged as arrays of the
-//! same keys and becomes the table in one build at End of Data (the
-//! rule, and why it needs no particular served order, is in
-//! [`crate::vrp_set`]). Either way a Duplicate Announcement or Withdrawal
-//! of Unknown is returned by the `handle` call that carries the
-//! offending PDU. The `iter()` of [`RouterClient::vrps`] sorts the keys
-//! and yields `Vrp`s **by value**, in `Vrp` order; the set compares with
-//! `==` against a `BTreeSet<Vrp>`. Measured numbers are in the README's
-//! "RTR stack" section.
+//! same keys, while [`RouterClient::vrps`] still holds the old set, and
+//! at End of Data refills the held tables in place, in memory the router
+//! already holds when the new set fits (the rule, and why it needs no
+//! particular served order, is in [`crate::vrp_set`]). Either way a
+//! Duplicate Announcement or Withdrawal of Unknown is returned by the
+//! `handle` call that carries the offending PDU. The `iter()` of
+//! [`RouterClient::vrps`] sorts the keys and yields `Vrp`s **by value**,
+//! in `Vrp` order; the set compares with `==` against a `BTreeSet<Vrp>`.
+//! Measured numbers are in the README's "RTR stack" section.
 
 use std::fmt;
 use std::time::Duration;
@@ -432,7 +433,7 @@ impl RouterClient {
                     return Err(unexpected(ClientState::Receiving { reset }));
                 }
                 if reset {
-                    self.vrps = self.staging.finish();
+                    self.staging.finish_into(&mut self.vrps);
                 }
                 self.serial = *serial;
                 self.state = ClientState::Synchronized;

@@ -37,6 +37,7 @@ impl Flags {
         }
     }
 
+    #[inline]
     pub(crate) fn from_byte(b: u8) -> Result<Flags, PduError> {
         match b {
             1 => Ok(Flags::Announce),

@@ -845,6 +845,11 @@ impl Shared {
 /// thread multiplexes every router connection. Obtain a
 /// [`ServerHandle`] before moving the server into its serving thread.
 ///
+/// Every accepted connection has `TCP_NODELAY` set: a Serial Notify, a
+/// small delta or the last segment of a response is written at once,
+/// not held back by Nagle's algorithm until the router's delayed ACK of
+/// the previous segment arrives.
+///
 /// ```no_run
 /// use rpki_rtr::cache::CacheServer;
 /// use rpki_rtr::server::TcpCacheServer;
@@ -881,6 +886,16 @@ struct Conn {
     stream: TcpStream,
     id: SessionId,
     dead: bool,
+}
+
+/// Readies an accepted connection for the event loop: non-blocking, and
+/// `TCP_NODELAY` (see [`TcpCacheServer`]). The option is best effort:
+/// some systems refuse it on a connection the peer has already reset,
+/// which the read pass then reaps like any other hangup.
+fn ready(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(true)?;
+    let _ = stream.set_nodelay(true);
+    Ok(())
 }
 
 impl TcpCacheServer {
@@ -967,7 +982,7 @@ impl TcpCacheServer {
             loop {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
-                        stream.set_nonblocking(true)?;
+                        ready(&stream)?;
                         let id = self.shared.core().open_session();
                         conns.push(Conn {
                             stream,
@@ -1367,6 +1382,18 @@ mod tests {
             assert!(Instant::now() < deadline, "condition never reached");
             thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    #[test]
+    fn accepted_connections_are_nonblocking_without_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _router = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut stream, _) = listener.accept().unwrap();
+        assert!(!stream.nodelay().unwrap());
+        ready(&stream).unwrap();
+        assert!(stream.nodelay().unwrap());
+        let err = stream.read(&mut [0u8; 8]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
     }
 
     fn spawn_server(

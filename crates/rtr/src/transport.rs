@@ -152,6 +152,10 @@ impl Receiver {
 /// frame against a per-connection [`Negotiation`]: the first inbound
 /// frame pins the session, later frames at another version fail with
 /// the fatal Unexpected-Version error.
+///
+/// The stream gets `TCP_NODELAY`, as the cache's side does
+/// ([`crate::server::TcpCacheServer`]), so that a query goes out at once
+/// instead of waiting for the cache's delayed ACK of the previous one.
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
@@ -179,6 +183,10 @@ impl TcpTransport {
             version == PROTOCOL_V0 || version == PROTOCOL_V1,
             "unknown protocol version {version}"
         );
+        // Best effort, as on the cache's side: some systems refuse the
+        // option on a connection the peer has already reset, and the
+        // first read or write reports that.
+        let _ = stream.set_nodelay(true);
         TcpTransport {
             stream,
             rx: Receiver::new(version),
@@ -234,6 +242,17 @@ mod tests {
         let mut out = Vec::new();
         pdu.as_wire().encode_into(PROTOCOL_V1, &mut out);
         out
+    }
+
+    #[test]
+    fn tcp_transports_turn_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let connected = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(connected.stream.nodelay().unwrap());
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap());
+        let wrapped = TcpTransport::with_version(accepted, PROTOCOL_V0);
+        assert!(wrapped.stream.nodelay().unwrap());
     }
 
     #[test]

@@ -18,9 +18,16 @@
 //! # Staging
 //!
 //! A Reset response is a whole table. `ResetStaging` appends its keys to
-//! one array per family and builds each table once, at End of Data, with
-//! room for a quarter more keys, so that the deltas which follow do not
-//! reallocate it. A Duplicate Announcement is still refused on its own
+//! one array per family, and the router keeps serving its old set until
+//! End of Data. There each of the router's tables is refilled in place:
+//! emptied, given room for the new keys plus a quarter, and filled. A
+//! table that already has that room keeps its memory, so a re-syncing
+//! router fills pages it has already faulted in instead of allocating a
+//! fresh table and freeing the old one; one that lacks it grows to
+//! exactly that room. The quarter is there so that the deltas which
+//! follow do not reallocate the table. A table never shrinks in place:
+//! [`VrpSet::clear`], which a flush of expired data calls, frees it. A
+//! Duplicate Announcement is still refused on its own
 //! PDU, from arrival order alone: equal keys have equal prefixes, so
 //! while addresses of one prefix length never decrease, a key can only
 //! repeat an entry that arrived since its prefix first did. Per length
@@ -29,8 +36,9 @@
 //! compared with the entries from there on (in `Vrp` order and in a
 //! cache's length-major order, its prefix's own 1–3 records), and
 //! anything else — a lower address, a tail past `TAIL_SCAN_MAX`, a
-//! withdrawal — moves the arrays into a `VrpSet` for good and is answered
-//! by its insert or remove. No served order is relied on.
+//! withdrawal — moves the arrays into a fresh `VrpSet` for good and is
+//! answered by its insert or remove; at End of Data that set is moved in
+//! whole. No served order is relied on.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
@@ -190,12 +198,14 @@ impl VrpSet {
     }
 }
 
-/// A family's table from its distinct keys, with room for a quarter more.
-fn table<const N: usize>(run: Run<N>) -> HashSet<[u32; N], Seeded> {
+/// Empties `table` and fills it with `run`'s distinct keys, with room
+/// for a quarter more: a table that already has that room keeps its
+/// memory, one that does not grows to exactly that room.
+fn refill<const N: usize>(table: &mut HashSet<[u32; N], Seeded>, run: Run<N>) {
     let n = run.keys.len();
-    let mut table = HashSet::with_capacity_and_hasher(n + n / 4, Seeded::default());
+    table.clear();
+    table.reserve(n + n / 4);
     table.extend(run.keys);
-    table
 }
 
 /// A Reset response on its way to becoming the table: the packed keys
@@ -256,16 +266,26 @@ impl ResetStaging {
     /// rule) moved into them on the first call.
     pub(crate) fn spill(&mut self) -> &mut VrpSet {
         let (v4, v6) = (&mut self.v4, &mut self.v6);
-        self.spilled.get_or_insert_with(|| VrpSet {
-            v4: table(std::mem::take(v4)),
-            v6: table(std::mem::take(v6)),
+        self.spilled.get_or_insert_with(|| {
+            let mut set = VrpSet::default();
+            refill(&mut set.v4, std::mem::take(v4));
+            refill(&mut set.v6, std::mem::take(v6));
+            set
         })
     }
 
-    /// End of Data: hands the set over and keeps no capacity behind.
-    pub(crate) fn finish(&mut self) -> VrpSet {
-        self.spill();
-        std::mem::take(self).spilled.unwrap_or_default()
+    /// End of Data: the staged set replaces `set`, and the staging keeps
+    /// no capacity behind. Unspilled arrays refill `set`'s own tables,
+    /// in memory the router already holds; a spilled set is moved in.
+    pub(crate) fn finish_into(&mut self, set: &mut VrpSet) {
+        let ResetStaging { v4, v6, spilled } = std::mem::take(self);
+        match spilled {
+            Some(spilled) => *set = spilled,
+            None => {
+                refill(&mut set.v4, v4);
+                refill(&mut set.v6, v6);
+            }
+        }
     }
 }
 
@@ -330,6 +350,13 @@ mod tests {
         assert_eq!(set.len(), 0);
     }
 
+    /// End of Data into an empty set.
+    fn finish(staging: &mut ResetStaging) -> VrpSet {
+        let mut set = VrpSet::new();
+        staging.finish_into(&mut set);
+        set
+    }
+
     fn capacity(s: &ResetStaging) -> usize {
         s.v4.keys.capacity()
             + s.v4.groups.capacity()
@@ -358,7 +385,7 @@ mod tests {
         assert!(!staging.announce(ordered[5]), "the all-ones /128 too");
         assert!(staging.spilled.is_none(), "an ordered stream never spills");
         assert!(capacity(&staging) > 0);
-        let set = staging.finish();
+        let set = finish(&mut staging);
         assert!(set
             .iter()
             .eq(ordered.iter().copied().collect::<BTreeSet<_>>()));
@@ -375,7 +402,7 @@ mod tests {
         assert!(!staging.announce(ordered[0]), "the spilled set knows it");
         assert!(staging.spill().remove(&ordered[0]));
         assert!(!staging.spill().remove(&ordered[0]));
-        assert_eq!(staging.finish().len(), ordered.len());
+        assert_eq!(finish(&mut staging).len(), ordered.len());
         assert_eq!(capacity(&staging), 0);
     }
 
@@ -391,7 +418,7 @@ mod tests {
         assert!(staging.announce(vrp("10.0.0.0/8 => AS99")));
         assert!(staging.spilled.is_some());
         assert!(!staging.announce(vrp("10.0.0.0/8 => AS7")));
-        assert_eq!(staging.finish().len(), TAIL_SCAN_MAX + 2);
+        assert_eq!(finish(&mut staging).len(), TAIL_SCAN_MAX + 2);
     }
 
     #[test]
@@ -469,7 +496,7 @@ mod tests {
         for &v in vrps.iter().rev() {
             backward.insert(v);
         }
-        let staged = staging.finish();
+        let staged = finish(&mut staging);
         let model: BTreeSet<Vrp> = vrps.iter().copied().collect();
         for set in [&backward, &staged] {
             assert!(set.iter().eq(forward.iter()));
@@ -499,7 +526,7 @@ mod tests {
         for i in 0..n6 {
             assert!(staging.announce(vrp(&format!("2001:db8:{i:x}::/48 => AS1"))));
         }
-        let mut set = staging.finish();
+        let mut set = finish(&mut staging);
         let built = capacities(&set);
         assert!(built[0] >= (n4 + n4 / 4) as usize, "{built:?}");
         assert!(built[1] >= (n6 + n6 / 4) as usize, "{built:?}");
@@ -523,7 +550,8 @@ mod tests {
         let clock = crate::Clock::manual();
         let mut router = crate::RouterClient::new();
         router.set_clock(clock.clone());
-        let mut cache = crate::CacheServer::new(7, &staging.finish().iter().collect::<Vec<_>>());
+        let mut cache =
+            crate::CacheServer::new(7, &finish(&mut staging).iter().collect::<Vec<_>>());
         cache.set_timing(crate::pdu::Timing {
             refresh: 4,
             retry: 1,
@@ -534,6 +562,99 @@ mod tests {
         }
         assert_eq!(router.vrps().len(), n4 as usize + 1);
         clock.advance(std::time::Duration::from_secs(13));
+        assert!(router.flush_expired());
+        assert_eq!(capacities(router.vrps()), [0, 0]);
+    }
+
+    /// `n4` IPv4 /24s and `n6` IPv6 /48s from `first` on, as a cache's
+    /// Reset response.
+    fn reset_response(first: u32, n4: u32, n6: u32) -> Vec<crate::Pdu> {
+        let vrps: Vec<Vrp> = (first..first + n4)
+            .map(|i| vrp(&format!("10.{}.{}.0/24 => AS1", i >> 8, i & 255)))
+            .chain((first..first + n6).map(|i| vrp(&format!("2001:db8:{i:x}::/48 => AS1"))))
+            .collect();
+        crate::CacheServer::new(7, &vrps).handle(&crate::Pdu::ResetQuery)
+    }
+
+    fn synced(response: &[crate::Pdu]) -> crate::RouterClient {
+        let mut router = crate::RouterClient::new();
+        for pdu in response {
+            router.handle(pdu).unwrap();
+        }
+        router
+    }
+
+    /// A router that holds set A and Reset-syncs to set B ends where a
+    /// fresh router synced to B does, keeps serving A until End of Data,
+    /// and refills the tables it holds: their capacities stay when B
+    /// fits, and grow to a fresh build's when B does not.
+    #[test]
+    fn a_reset_sync_refills_the_held_table() {
+        let a = reset_response(0, 4_000, 1_000);
+        let mut router = synced(&a);
+        let held = capacities(router.vrps());
+        let mut old = router.vrps().clone();
+        for (first, n4, n6, case) in [
+            (2_000, 1_500, 400, "fits"),
+            (1_000, 9_000, 2_500, "grows"),
+            (500, 2_000, 600, "spills"),
+        ] {
+            let spill = case == "spills";
+            let mut b = reset_response(first, n4, n6);
+            if spill {
+                // Descending addresses: the second announcement spills.
+                let last = b.len() - 1;
+                b[1..last].reverse();
+            }
+            let fresh = synced(&b);
+            let before = capacities(router.vrps());
+            router.force_reset();
+            let (body, end) = b.split_at(b.len() - 1);
+            for pdu in body {
+                assert!(!router.handle(pdu).unwrap());
+            }
+            let mut staging = ResetStaging::default();
+            for pdu in body {
+                if let crate::Pdu::Prefix { vrp, .. } = pdu {
+                    staging.announce(*vrp);
+                }
+            }
+            assert_eq!(
+                staging.spilled.is_some(),
+                spill,
+                "the router's arrivals spill"
+            );
+            assert!(*router.vrps() == old, "the old set stays until End of Data");
+            assert!(old.iter().all(|v| router.vrps().contains(&v)));
+            assert!(router.handle(&end[0]).unwrap());
+            assert!(*router.vrps() == *fresh.vrps());
+            assert_eq!(router.vrps().len(), (n4 + n6) as usize);
+            let after = capacities(router.vrps());
+            let room = [(n4 + n4 / 4) as usize, (n6 + n6 / 4) as usize];
+            if case == "fits" {
+                assert!(before[0] >= room[0] && before[1] >= room[1]);
+                assert_eq!(after, before, "no table reallocated");
+                assert_eq!(after, held);
+                assert_ne!(after, capacities(fresh.vrps()), "a fresh build is smaller");
+            } else {
+                // Grown, or moved in from the spill: a fresh build's size.
+                assert_eq!(after, capacities(fresh.vrps()), "{case}");
+                assert!(after[0] >= room[0] && after[1] >= room[1], "{case}");
+                assert!(spill || after[0] > before[0] && after[1] > before[1]);
+            }
+            old.clone_from(router.vrps());
+        }
+
+        // Expired data frees the tables, whatever they held before.
+        let clock = crate::Clock::manual();
+        router.set_clock(clock.clone());
+        router.force_reset();
+        for pdu in &a {
+            router.handle(pdu).unwrap();
+        }
+        clock.advance(std::time::Duration::from_secs(
+            u64::from(router.timing().expire) + 1,
+        ));
         assert!(router.flush_expired());
         assert_eq!(capacities(router.vrps()), [0, 0]);
     }

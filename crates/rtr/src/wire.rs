@@ -47,7 +47,9 @@
 //!
 //! Frames are read and written with the workspace's one byte cursor,
 //! [`rpki_roa::cursor`], under its invariants: `ensure_size!` checks each
-//! fixed part once, and decoding a frame never reads past `length`.
+//! fixed part once, and decoding a frame never reads past `length`. A
+//! Prefix body is one fixed part and nothing else, so it is read as one
+//! `&[u8; 12]` or `&[u8; 24]`, and that conversion is its length check.
 //!
 //! # Error taxonomy
 //!
@@ -343,6 +345,7 @@ impl PduRef<'_> {
     }
 
     /// Copies the borrowed payloads into an owned [`Pdu`].
+    #[inline]
     pub fn to_owned(&self) -> Pdu {
         match *self {
             PduRef::SerialNotify { session_id, serial } => Pdu::SerialNotify { session_id, serial },
@@ -469,6 +472,20 @@ impl PduRef<'_> {
     }
 }
 
+/// A body that is exactly one fixed part of `N` bytes, read in one piece:
+/// the conversion to `&[u8; N]` is its one length check, and the whole
+/// body is consumed.
+#[inline]
+fn fixed_part<'a, const N: usize>(
+    body: &mut ReadCursor<'a>,
+    type_code: u8,
+    length: usize,
+) -> Result<&'a [u8; N], PduError> {
+    let rest = body.read_slice(body.remaining());
+    rest.try_into()
+        .map_err(|_| PduError::BadLength { type_code, length })
+}
+
 /// Attempts to decode one frame from the front of `data`, zero-copy.
 ///
 /// Returns `Ok(None)` when more bytes are needed (the stream is still
@@ -476,6 +493,7 @@ impl PduRef<'_> {
 /// when the bytes can never become a valid frame. Accepts both protocol
 /// versions; pinning a session to one version is the caller's job via
 /// [`Negotiation`].
+#[inline]
 pub fn decode_frame(data: &[u8]) -> Result<Option<Frame<'_>>, PduError> {
     if data.len() < HEADER_LEN {
         return Ok(None);
@@ -541,25 +559,28 @@ pub fn decode_frame(data: &[u8]) -> Result<Option<Frame<'_>>, PduError> {
                     offset: 2,
                 });
             }
-            let fixed = if type_code == 4 { 12 } else { 24 };
-            ensure_size!(in: body, size: fixed, type_code: type_code, length: length);
-            let flags = Flags::from_byte(body.read_u8())?;
-            let len = body.read_u8();
-            let max_len = body.read_u8();
-            if body.read_u8() != 0 {
+            // The fixed part (flags, length, maxLength, a reserved zero,
+            // the address, the ASN) is read in one piece; the fields are
+            // then checked in wire order.
+            let (flags, max_len, reserved, prefix, asn) = if type_code == 4 {
+                let [flags, len, max_len, reserved, addr @ .., a0, a1, a2, a3] =
+                    *fixed_part::<12>(&mut body, type_code, length)?;
+                let prefix = Prefix4::new(u32::from_be_bytes(addr), len).map(Prefix::V4);
+                (flags, max_len, reserved, prefix, [a0, a1, a2, a3])
+            } else {
+                let [flags, len, max_len, reserved, addr @ .., a0, a1, a2, a3] =
+                    *fixed_part::<24>(&mut body, type_code, length)?;
+                let prefix = Prefix6::new(u128::from_be_bytes(addr), len).map(Prefix::V6);
+                (flags, max_len, reserved, prefix, [a0, a1, a2, a3])
+            };
+            let flags = Flags::from_byte(flags)?;
+            if reserved != 0 {
                 return Err(PduError::NonZeroReserved {
                     type_code,
                     offset: 11,
                 });
             }
-            let prefix = if type_code == 4 {
-                let bits = body.read_u32();
-                Prefix::V4(Prefix4::new(bits, len).map_err(|_| PduError::BadPrefix)?)
-            } else {
-                let bits = body.read_u128();
-                Prefix::V6(Prefix6::new(bits, len).map_err(|_| PduError::BadPrefix)?)
-            };
-            let asn = Asn(body.read_u32());
+            let prefix = prefix.map_err(|_| PduError::BadPrefix)?;
             if max_len < prefix.len() || max_len > prefix.max_len() {
                 return Err(PduError::BadMaxLength {
                     len: prefix.len(),
@@ -568,7 +589,7 @@ pub fn decode_frame(data: &[u8]) -> Result<Option<Frame<'_>>, PduError> {
             }
             PduRef::Prefix {
                 flags,
-                vrp: Vrp::new(prefix, max_len, asn),
+                vrp: Vrp::new(prefix, max_len, Asn(u32::from_be_bytes(asn))),
             }
         }
         7 => {
@@ -728,6 +749,203 @@ mod tests {
                 assert_eq!(text, "boom");
             }
             other => panic!("expected error report, got {other:?}"),
+        }
+    }
+
+    /// One change to a valid Prefix frame.
+    #[derive(Clone, Copy)]
+    enum Edit {
+        /// Byte at an offset from the frame start.
+        Byte(usize, u8),
+        /// The header's session-id slot.
+        Session(u16),
+        /// A body of `n` bytes (zero-padded or cut), length field to match.
+        Body(usize),
+        /// The length field alone.
+        Length(u32),
+        /// The frame cut to `n` bytes, length field unchanged.
+        Cut(usize),
+    }
+
+    /// What the decoder makes of a frame: the accepted PDU's type code,
+    /// `None` while incomplete, or the error.
+    type Verdict = Result<Option<u8>, PduError>;
+
+    /// A valid v1 Prefix frame: type 4 is 10.0.0.0/8-16, type 6 is
+    /// 2001:db8::/32-48, both announced for AS64500.
+    fn prefix_frame(type_code: u8, edits: &[Edit]) -> Vec<u8> {
+        let vrp: Vrp = match type_code {
+            4 => "10.0.0.0/8-16 => AS64500",
+            _ => "2001:db8::/32-48 => AS64500",
+        }
+        .parse()
+        .unwrap();
+        let mut frame = Vec::new();
+        PduRef::Prefix {
+            flags: Flags::Announce,
+            vrp,
+        }
+        .encode_into(PROTOCOL_V1, &mut frame);
+        for &edit in edits {
+            match edit {
+                Edit::Byte(at, b) => frame[at] = b,
+                Edit::Session(s) => frame[2..4].copy_from_slice(&s.to_be_bytes()),
+                Edit::Body(n) => {
+                    frame.resize(HEADER_LEN + n, 0);
+                    let len = (HEADER_LEN + n) as u32;
+                    frame[4..8].copy_from_slice(&len.to_be_bytes());
+                }
+                Edit::Length(len) => frame[4..8].copy_from_slice(&len.to_be_bytes()),
+                Edit::Cut(n) => frame.truncate(n),
+            }
+        }
+        frame
+    }
+
+    /// Frames with two faults each, and the one error the decoder picks:
+    /// header, then session id, body length, flags, reserved byte,
+    /// prefix, maxLength. The verdicts were read off the decoder that
+    /// checked the fields one cursor read at a time, before the fixed
+    /// part was read in one piece.
+    #[test]
+    fn prefix_error_precedence_is_pinned() {
+        use Edit::*;
+        for (t, fixed, host, max) in [(4u8, 12usize, 13usize, 32u8), (6, 24, 16, 128)] {
+            let len = if t == 4 { 8 } else { 32 };
+            let bad_length = |n: usize| PduError::BadLength {
+                type_code: t,
+                length: HEADER_LEN + n,
+            };
+            let reserved = |offset| PduError::NonZeroReserved {
+                type_code: t,
+                offset,
+            };
+            let table: Vec<(&str, Vec<Edit>, Verdict)> = vec![
+                ("valid", vec![], Ok(Some(t))),
+                (
+                    "valid at v0, withdrawn",
+                    vec![Byte(0, 0), Byte(8, 0)],
+                    Ok(Some(t)),
+                ),
+                (
+                    "bad version, non-zero session",
+                    vec![Byte(0, 2), Session(1)],
+                    Err(PduError::BadVersion(2)),
+                ),
+                (
+                    "oversized length, non-zero session",
+                    vec![Length(70_000), Session(1)],
+                    Err(PduError::BadLength {
+                        type_code: t,
+                        length: 70_000,
+                    }),
+                ),
+                ("cut frame, bad flags", vec![Cut(12), Byte(8, 2)], Ok(None)),
+                (
+                    "non-zero session, short body",
+                    vec![Session(1), Body(fixed - 1)],
+                    Err(reserved(2)),
+                ),
+                (
+                    "non-zero session, long body",
+                    vec![Session(0x100), Body(fixed + 4)],
+                    Err(reserved(2)),
+                ),
+                (
+                    "non-zero session, bad flags",
+                    vec![Session(0xffff), Byte(8, 2)],
+                    Err(reserved(2)),
+                ),
+                (
+                    "short body, bad flags",
+                    vec![Body(fixed - 4), Byte(8, 2)],
+                    Err(bad_length(fixed - 4)),
+                ),
+                (
+                    "long body, non-zero reserved",
+                    vec![Body(fixed + 1), Byte(11, 1)],
+                    Err(bad_length(fixed + 1)),
+                ),
+                ("empty body", vec![Body(0)], Err(bad_length(0))),
+                (
+                    "bad flags, non-zero reserved",
+                    vec![Byte(8, 0x81), Byte(11, 0xff)],
+                    Err(PduError::BadFlags(0x81)),
+                ),
+                (
+                    "bad flags, host bits set",
+                    vec![Byte(8, 2), Byte(host, 1)],
+                    Err(PduError::BadFlags(2)),
+                ),
+                (
+                    "non-zero reserved, host bits set",
+                    vec![Byte(11, 1), Byte(host, 1)],
+                    Err(reserved(11)),
+                ),
+                (
+                    "non-zero reserved, bad maxLength",
+                    vec![Byte(11, 0x80), Byte(10, 0)],
+                    Err(reserved(11)),
+                ),
+                (
+                    "host bits set, maxLength below length",
+                    vec![Byte(host, 1), Byte(10, len - 1)],
+                    Err(PduError::BadPrefix),
+                ),
+                (
+                    "host bits set, maxLength above family",
+                    vec![Byte(host, 0x80), Byte(10, max + 1)],
+                    Err(PduError::BadPrefix),
+                ),
+                (
+                    "length above family, maxLength below it",
+                    vec![Byte(9, max + 1), Byte(10, 7)],
+                    Err(PduError::BadPrefix),
+                ),
+                (
+                    "length above family, maxLength equal",
+                    vec![Byte(9, max + 1), Byte(10, max + 1)],
+                    Err(PduError::BadPrefix),
+                ),
+                (
+                    "length 255, bad flags",
+                    vec![Byte(9, 255), Byte(8, 3)],
+                    Err(PduError::BadFlags(3)),
+                ),
+                (
+                    "maxLength below length",
+                    vec![Byte(10, len - 1)],
+                    Err(PduError::BadMaxLength {
+                        len,
+                        max_len: len - 1,
+                    }),
+                ),
+                (
+                    "maxLength above family",
+                    vec![Byte(10, max + 1)],
+                    Err(PduError::BadMaxLength {
+                        len,
+                        max_len: max + 1,
+                    }),
+                ),
+                (
+                    "host length, maxLength equal",
+                    vec![Byte(9, max), Byte(10, max)],
+                    Ok(Some(t)),
+                ),
+            ];
+            for (name, edits, want) in table {
+                let frame = prefix_frame(t, &edits);
+                let got = decode_frame(&frame);
+                let verdict = got.clone().map(|f| f.map(|f| f.pdu.type_code()));
+                assert_eq!(verdict, want, "type {t}: {name}");
+                if let Ok(Some(f)) = got {
+                    assert_eq!(f.len, frame.len(), "type {t}: {name}");
+                    let mut again = Vec::new();
+                    f.pdu.encode_into(f.version, &mut again);
+                    assert_eq!(again, frame, "type {t}: {name} re-encodes");
+                }
+            }
         }
     }
 
