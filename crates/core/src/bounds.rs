@@ -46,9 +46,9 @@ pub fn max_permissive_lower_bound(bgp: &BgpTable) -> Vec<Vrp> {
 /// everything it covers, so the announced strict ancestors of the current
 /// prefix are exactly a stack — pop while the top does not cover it (never
 /// again will it cover anything), and what remains are all its ancestors
-/// (and the other origins of the prefix itself). That is
-/// [`BgpTable::has_ancestor_same_origin`] for every pair without a probe
-/// per shorter length per pair.
+/// (and the other origins of the prefix itself). That answers "does this
+/// origin announce a strict ancestor?" for every pair without a probe per
+/// shorter length per pair.
 pub(crate) fn lower_bound_roots(bgp: &BgpTable) -> impl Iterator<Item = RouteOrigin> + '_ {
     let mut ancestors: Vec<RouteOrigin> = Vec::new();
     bgp.iter().filter(move |route| {
@@ -64,14 +64,6 @@ pub(crate) fn lower_bound_roots(bgp: &BgpTable) -> impl Iterator<Item = RouteOri
         ancestors.push(*route);
         root
     })
-}
-
-/// The compression ceiling: `1 - lower_bound / pairs` (§6 reports 6.2%).
-pub fn max_compression_ratio(bgp: &BgpTable) -> f64 {
-    if bgp.is_empty() {
-        return 0.0;
-    }
-    1.0 - lower_bound_roots(bgp).count() as f64 / bgp.len() as f64
 }
 
 #[cfg(test)]
@@ -148,19 +140,18 @@ mod tests {
             "2001:db8::/32 => AS3",
         ]);
         assert_eq!(max_permissive_lower_bound(&table).len(), table.len());
-        assert_eq!(max_compression_ratio(&table), 0.0);
     }
 
     #[test]
-    fn compression_ratio() {
+    fn lower_bound_keeps_one_tuple_per_same_origin_subtree() {
         let table = bgp(&[
             "10.0.0.0/8 => AS1",
             "10.0.0.0/16 => AS1",
             "10.1.0.0/16 => AS1",
             "11.0.0.0/8 => AS2",
         ]);
-        // 4 pairs, bound 2 → ratio 0.5.
-        assert!((max_compression_ratio(&table) - 0.5).abs() < 1e-12);
+        // 4 pairs, 2 roots: a compression ceiling of 50 %.
+        assert_eq!(max_permissive_lower_bound(&table).len(), 2);
     }
 
     #[test]
@@ -168,7 +159,6 @@ mod tests {
         let table = BgpTable::new();
         assert!(full_deployment_minimal(&table).is_empty());
         assert!(max_permissive_lower_bound(&table).is_empty());
-        assert_eq!(max_compression_ratio(&table), 0.0);
     }
 
     #[test]

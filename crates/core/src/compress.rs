@@ -60,13 +60,13 @@
 //! * [`compress_roas_full`] — an extension that additionally drops tuples
 //!   *dominated* by an ancestor tuple (same origin, `maxLength ≥` theirs).
 //!   On input that already uses maxLength this strictly improves
-//!   compression while preserving the authorized set; the ablation bench
-//!   compares the two.
+//!   compression while preserving the authorized set; the property tests
+//!   check that it is never larger than [`compress_roas`]'s output.
 
 use std::borrow::Cow;
 
 use rpki_prefix::Prefix;
-use rpki_roa::{Asn, RouteOrigin, Vrp};
+use rpki_roa::{RouteOrigin, Vrp};
 
 /// A worker thread is only worth starting for at least this many tuples:
 /// below it the sweep takes less time than spawning and joining does.
@@ -618,6 +618,7 @@ mod tests {
 mod parallel_tests {
     use super::*;
     use rpki_prefix::Prefix4;
+    use rpki_roa::Asn;
 
     #[test]
     fn parallel_matches_serial() {
@@ -693,80 +694,5 @@ mod parallel_tests {
     fn parallel_zero_threads_clamped() {
         let single = vec!["10.0.0.0/8 => AS1".parse::<Vrp>().unwrap()];
         assert_eq!(compress_roas_parallel(&single, 0), single);
-    }
-}
-
-/// Regroups a PDU list into ROA objects, one per origin AS — the
-/// object-level view of §7: "conceptually, our software compresses a set
-/// of ROAs that do not use maxLength to a set of ROAs that do use
-/// maxLength". Combined with [`compress_roas`] this maps a minimal ROA
-/// set to its compressed minimal ROA set without changing the number of
-/// ROA objects per AS.
-pub fn vrps_to_roas(vrps: &[Vrp]) -> Vec<rpki_roa::Roa> {
-    use rpki_roa::{Roa, RoaPrefix};
-    let mut by_asn: std::collections::BTreeMap<Asn, Vec<RoaPrefix>> =
-        std::collections::BTreeMap::new();
-    for vrp in vrps {
-        let entry = if vrp.uses_max_len() {
-            RoaPrefix::with_max_len(vrp.prefix, vrp.max_len)
-        } else {
-            RoaPrefix::exact(vrp.prefix)
-        };
-        by_asn.entry(vrp.asn).or_default().push(entry);
-    }
-    by_asn
-        .into_iter()
-        .map(|(asn, entries)| Roa::new(asn, entries).expect("non-empty by construction"))
-        .collect()
-}
-
-#[cfg(test)]
-mod roa_object_tests {
-    use super::*;
-
-    #[test]
-    fn figure2_as_roa_objects() {
-        // §7's object-level statement: the minimal four-prefix ROA becomes
-        // the two-entry maxLength-using ROA.
-        let input = [
-            "87.254.32.0/19 => AS31283",
-            "87.254.32.0/20 => AS31283",
-            "87.254.48.0/20 => AS31283",
-            "87.254.32.0/21 => AS31283",
-        ]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect::<Vec<Vrp>>();
-        let roas = vrps_to_roas(&compress_roas(&input));
-        assert_eq!(roas.len(), 1);
-        assert_eq!(
-            roas[0].to_string(),
-            "ROA:({87.254.32.0/19-20, 87.254.32.0/21}, AS31283)"
-        );
-        // Round-trips back to the same VRPs.
-        let back: Vec<Vrp> = roas.iter().flat_map(|r| r.vrps()).collect();
-        assert_eq!(back, compress_roas(&input));
-    }
-
-    #[test]
-    fn one_object_per_asn() {
-        let input: Vec<Vrp> = [
-            "10.0.0.0/8 => AS1",
-            "11.0.0.0/8 => AS1",
-            "12.0.0.0/8 => AS2",
-            "2001:db8::/32 => AS2",
-        ]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
-        let roas = vrps_to_roas(&input);
-        assert_eq!(roas.len(), 2);
-        assert_eq!(roas[0].prefix_count(), 2);
-        assert_eq!(roas[1].prefix_count(), 2);
-    }
-
-    #[test]
-    fn empty_input_empty_output() {
-        assert!(vrps_to_roas(&[]).is_empty());
     }
 }

@@ -21,9 +21,11 @@
 //! [`LintReport::proposed_roas`] emits the §8 fix: minimal ROAs plus
 //! `compress_roas`.
 
+use std::collections::HashMap;
 use std::fmt;
 
-use rpki_roa::{Roa, Vrp};
+use rpki_prefix::Prefix;
+use rpki_roa::{Asn, Roa, Vrp};
 
 use crate::compress::compress_roas;
 use crate::minimal::{minimalize_roas, MinimalRoa};
@@ -109,9 +111,6 @@ impl LintReport {
         let vrps: Vec<Vrp> = roas.iter().flat_map(|r| r.vrps()).collect();
 
         for vrp in &vrps {
-            let surface = hijack_surface(vrp, bgp, 3);
-            let announced = bgp.count_announced_under(vrp.prefix, vrp.max_len, vrp.asn);
-
             if vrp.asn.is_zero() {
                 if vrp.uses_max_len() {
                     findings.push(Finding {
@@ -144,14 +143,17 @@ impl LintReport {
                 });
             }
 
-            if announced == 0 {
+            if bgp.routes_validated_by(vrp).next().is_none() {
                 findings.push(Finding {
                     vrp: *vrp,
                     rule: Rule::StaleAuthorization,
                     severity: Severity::Warning,
                     detail: "validates nothing currently announced; withdraw or update".to_string(),
                 });
-            } else if surface.unannounced_count > 0 {
+                continue;
+            }
+            let surface = hijack_surface(vrp, bgp, 3);
+            if surface.unannounced_count > 0 {
                 let examples = surface
                     .examples
                     .iter()
@@ -171,17 +173,20 @@ impl LintReport {
             }
         }
 
-        // Redundancy: a tuple dominated by another tuple of the same AS.
+        // Redundancy: a tuple dominated by another tuple of the same AS —
+        // one on its own prefix with a larger maxLength, or one on a strict
+        // ancestor with a maxLength at least as large. An exact duplicate
+        // (the same tuple in two ROAs) dominates nothing.
+        let mut widest: HashMap<(Asn, Prefix), u8> = HashMap::with_capacity(vrps.len());
         for vrp in &vrps {
-            let dominated = vrps.iter().any(|other| {
-                other != vrp
-                    && other.asn == vrp.asn
-                    && other.prefix.covers(vrp.prefix)
-                    && other.max_len >= vrp.max_len
-                    // Strictly larger authorization, or identical duplicate
-                    // listed elsewhere — either way this tuple adds nothing.
-                    && (other.prefix != vrp.prefix || other.max_len > vrp.max_len)
-            });
+            let max_len = widest.entry((vrp.asn, vrp.prefix)).or_default();
+            *max_len = (*max_len).max(vrp.max_len);
+        }
+        for vrp in &vrps {
+            let widest_on = |prefix| widest.get(&(vrp.asn, prefix)).copied();
+            let dominated = widest_on(vrp.prefix) > Some(vrp.max_len)
+                || std::iter::successors(vrp.prefix.parent(), |p| p.parent())
+                    .any(|above| widest_on(above) >= Some(vrp.max_len));
             if dominated {
                 findings.push(Finding {
                     vrp: *vrp,
@@ -337,6 +342,25 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.rule == Rule::RedundantTuple && f.vrp.prefix.to_string() == "10.0.5.0/24"));
+    }
+
+    #[test]
+    fn exact_duplicate_is_not_redundant() {
+        // The same tuple in two ROAs, and once more at a smaller
+        // maxLength: only the smaller one is dominated.
+        let table = bgp(&["10.0.0.0/16 => AS1"]);
+        let roas = vec![
+            roa(1, &[("10.0.0.0/16", Some(17))]),
+            roa(1, &[("10.0.0.0/16", Some(17)), ("10.0.0.0/16", None)]),
+        ];
+        let report = LintReport::lint(&roas, &table);
+        let redundant: Vec<String> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == Rule::RedundantTuple)
+            .map(|f| f.vrp.to_string())
+            .collect();
+        assert_eq!(redundant, ["10.0.0.0/16 => AS1"]);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::collections::BTreeSet;
 use rayon::prelude::*;
 use rpki_roa::{Roa, RoaPrefix, RouteOrigin, Vrp};
 
+use crate::vulnerability::unannounced;
 use crate::BgpTable;
 
 /// Converts a PDU list into the equivalent *minimal, maxLength-free* PDU
@@ -101,11 +102,9 @@ pub fn minimalize_roas(roas: &[Roa], bgp: &BgpTable) -> Vec<MinimalRoa> {
 /// forged-origin-subprefix-hijackable ones (§4: "any prefix p in a ROA
 /// with maxLength m longer than p is vulnerable, unless every subprefix of
 /// p up to length m is legitimately announced in BGP").
+#[inline]
 pub fn vrp_is_minimal(vrp: &Vrp, bgp: &BgpTable) -> bool {
-    let authorized = vrp.authorized_prefix_count();
-    let announced = bgp.count_announced_under(vrp.prefix, vrp.max_len, vrp.asn) as u128;
-    debug_assert!(announced <= authorized);
-    announced == authorized
+    unannounced(vrp, bgp) == 0
 }
 
 #[cfg(test)]

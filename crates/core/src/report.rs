@@ -6,7 +6,6 @@ use std::fmt::Write as _;
 
 use crate::scenarios::Table1;
 use crate::timeline::Series;
-use crate::vulnerability::MaxLengthCensus;
 
 /// Escapes one CSV field (quotes fields containing separators).
 fn csv_field(s: &str) -> String {
@@ -112,25 +111,6 @@ pub fn risk_csv(risk: &crate::vulnerability::RiskAssessment) -> String {
     )
 }
 
-/// The §6 census as CSV key-value rows.
-pub fn census_csv(census: &MaxLengthCensus) -> String {
-    format!(
-        "metric,value\n\
-         total_tuples,{}\n\
-         maxlength_using,{}\n\
-         maxlength_fraction,{:.4}\n\
-         vulnerable,{}\n\
-         vulnerable_fraction,{:.4}\n\
-         non_minimal_total,{}\n",
-        census.total,
-        census.max_len_using,
-        census.max_len_fraction(),
-        census.vulnerable,
-        census.vulnerable_fraction(),
-        census.non_minimal_total,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,16 +175,6 @@ mod tests {
     #[test]
     fn series_csv_empty() {
         assert_eq!(series_csv(&[]), "date\n");
-    }
-
-    #[test]
-    fn census_csv_round_numbers() {
-        let (vrps, bgp) = world();
-        let census = MaxLengthCensus::analyze(&vrps, &bgp);
-        let csv = census_csv(&census);
-        assert!(csv.contains("total_tuples,1"));
-        assert!(csv.contains("maxlength_using,1"));
-        assert!(csv.contains("vulnerable,1")); // the /17s are unannounced
     }
 
     #[test]

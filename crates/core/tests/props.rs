@@ -15,11 +15,12 @@ use maxlength_core::compress::{
     compress_roas, compress_roas_full, compress_roas_parallel, expand_authorized,
 };
 use maxlength_core::minimal::{minimalize_vrps, vrp_is_minimal};
+use maxlength_core::vulnerability::unannounced;
 use maxlength_core::{BgpTable, MaxLengthCensus, Scenario, Table1};
 
 #[path = "support/naive.rs"]
 mod naive;
-use naive::compress_roas_naive;
+use naive::{compress_roas_naive, has_ancestor_same_origin};
 
 /// Prefixes drawn from a tiny universe (4 leading-bit patterns × lengths
 /// 0..=6) so sibling/parent structure arises constantly.
@@ -226,7 +227,7 @@ proptest! {
         }
     }
 
-    /// Every `BgpTable` query against a scan of the announcement list it
+    /// Both `BgpTable` queries against a scan of the announcement list it
     /// was built from — unsorted, with duplicates and MOAS, straddling the
     /// v4/v6 boundary, containing `/0` and origins up to `u32::MAX`.
     #[test]
@@ -244,28 +245,12 @@ proptest! {
 
         let announced = distinct.iter().map(|r| (r.prefix, 0));
         for (prefix, extra) in announced.chain(probes) {
-            let here: Vec<Asn> =
-                distinct.iter().filter(|r| r.prefix == prefix).map(|r| r.origin).collect();
-            prop_assert_eq!(bgp.origins_of(prefix), here.as_slice());
-            prop_assert_eq!(bgp.prefix_announced(prefix), !here.is_empty());
             for asn in [Asn(0), Asn(3)].into_iter().chain(WIDE_ASNS) {
-                prop_assert_eq!(
-                    bgp.contains(&RouteOrigin::new(prefix, asn)),
-                    here.contains(&asn)
-                );
-                prop_assert_eq!(
-                    bgp.has_ancestor_same_origin(prefix, asn),
-                    distinct
-                        .iter()
-                        .any(|r| r.origin == asn && r.prefix != prefix && r.prefix.covers(prefix))
-                );
+                let pair = RouteOrigin::new(prefix, asn);
+                prop_assert_eq!(bgp.contains(&pair), distinct.contains(&pair));
                 let vrp = Vrp::new(prefix, prefix.len().saturating_add(extra), asn);
                 let validated: Vec<RouteOrigin> =
                     distinct.iter().filter(|r| vrp.matches(r)).copied().collect();
-                prop_assert_eq!(
-                    bgp.count_announced_under(prefix, vrp.max_len, asn),
-                    validated.len() as u64
-                );
                 prop_assert_eq!(bgp.routes_validated_by(&vrp).collect::<Vec<_>>(), validated);
             }
         }
@@ -280,7 +265,7 @@ proptest! {
     ) {
         let mut expect: Vec<Vrp> = bgp
             .iter()
-            .filter(|r| !bgp.has_ancestor_same_origin(r.prefix, r.origin))
+            .filter(|r| !has_ancestor_same_origin(&bgp, r.prefix, r.origin))
             .map(|r| Vrp::max_permissive(r.prefix, r.origin))
             .collect();
         expect.sort_unstable();
@@ -324,6 +309,23 @@ proptest! {
         let compressed = compress_roas(&minimal);
         for vrp in &compressed {
             prop_assert!(vrp_is_minimal(vrp, &bgp), "{} not minimal", vrp);
+        }
+    }
+
+    /// A tuple's unannounced count is what it authorizes less what is
+    /// announced, enumerated; minimal exactly when that is nothing.
+    #[test]
+    fn unannounced_counts_the_enumerated_holes(
+        vrps in arb_wide_asn_vrps(),
+        bgp in arb_bgp_over(arb_wide_prefix(), arb_asn(), 80),
+    ) {
+        for vrp in &vrps {
+            let Some(authorized) = authorized_if_small(std::slice::from_ref(vrp)) else {
+                continue;
+            };
+            let holes = authorized.iter().filter(|r| !bgp.contains(r)).count() as u128;
+            prop_assert_eq!(unannounced(vrp, &bgp), holes, "{}", vrp);
+            prop_assert_eq!(vrp_is_minimal(vrp, &bgp), holes == 0);
         }
     }
 

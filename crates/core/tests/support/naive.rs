@@ -1,10 +1,22 @@
-//! The quadratic `compress_roas` oracle, `#[path]`-included by
-//! `props.rs`.
+//! The naive oracles of `props.rs`, `#[path]`-included there: the
+//! quadratic `compress_roas` and the per-length ancestor probe behind the
+//! maximally-permissive lower bound.
 
 use std::collections::BTreeMap;
 
+use maxlength_core::BgpTable;
 use rpki_prefix::Prefix;
-use rpki_roa::{Asn, Vrp};
+use rpki_roa::{Asn, RouteOrigin, Vrp};
+
+/// `true` if `asn` announces a *strict* ancestor of `prefix`: one exact
+/// lookup per shorter length. The lower bound keeps exactly the pairs for
+/// which this is `false`.
+pub fn has_ancestor_same_origin(bgp: &BgpTable, prefix: Prefix, asn: Asn) -> bool {
+    (0..prefix.len()).any(|len| {
+        let above = prefix.ancestor_at(len).expect("shorter than the prefix");
+        bgp.contains(&RouteOrigin::new(above, asn))
+    })
+}
 
 /// A deliberately naive reference: repeatedly scans the whole tuple list
 /// and merges one sibling pair at a time until no merge applies. Same

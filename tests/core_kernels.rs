@@ -67,7 +67,7 @@ fn table1_is_identical_for_every_thread_count() {
     }
 }
 
-/// `BgpTable` is its input sorted: every query answers like a scan of the
+/// `BgpTable` is its input sorted: both queries answer like a scan of the
 /// announcement list — here unsorted, with a duplicate, MOAS, both
 /// families and both default routes.
 #[test]
@@ -95,19 +95,11 @@ fn bgp_table_answers_like_a_scan_of_its_input() {
     assert!(bgp.iter().eq(routes.iter().copied()));
 
     for prefix in routes.iter().map(|r| r.prefix) {
-        let on_prefix = routes.iter().filter(|r| r.prefix == prefix);
-        let origins: Vec<Asn> = on_prefix.map(|r| r.origin).collect();
-        assert_eq!(bgp.origins_of(prefix), origins, "{prefix}");
         for asn in (1..=3).map(Asn) {
             let pair = RouteOrigin::new(prefix, asn);
             assert_eq!(bgp.contains(&pair), routes.contains(&pair), "{pair}");
-            let mut same_origin = routes.iter().filter(|r| r.origin == asn);
-            let above = same_origin.any(|r| r.prefix != prefix && r.prefix.covers(prefix));
-            assert_eq!(bgp.has_ancestor_same_origin(prefix, asn), above, "{pair}");
             let vrp = Vrp::new(prefix, prefix.len() + 8, asn);
             let validated = routes.iter().filter(|r| vrp.matches(r));
-            let count = bgp.count_announced_under(prefix, vrp.max_len, asn);
-            assert_eq!(count, validated.clone().count() as u64, "{vrp}");
             let by_vrp = bgp.routes_validated_by(&vrp);
             assert!(by_vrp.eq(validated.copied()), "{vrp}");
         }
