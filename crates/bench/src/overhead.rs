@@ -4,14 +4,13 @@
 //!
 //! The paper (authors' implementation, Intel i7-6700): 2.4 s / 19 MB for
 //! the partially-deployed RPKI; 36 s / 290 MB for full deployment.
-//! Measured here at scale 1.0 (2 vCPUs, one thread): 5–7 ms for the
-//! 39,949 deployed tuples and ≈ 77 ms for the 776,945 full-deployment
-//! tuples, with a peak RSS of 224 MB for the whole process including the
-//! generated dataset (the sweep itself holds up to 20 bytes per tuple
-//! beside its input and output: two 8-byte words while it regroups by
-//! origin, then two 2-byte maxLength slots; tuples and routes are 40
-//! bytes each). The *ratio* between the two scenarios (~12x here, ~15x
-//! in the paper) is the comparable shape.
+//! Measured here at scale 1.0 (2 vCPUs, one thread): 3–4 ms for the
+//! 39,949 deployed tuples and ≈ 34 ms for the 776,945 full-deployment
+//! tuples, with a peak RSS of 158 MB for the whole process including the
+//! generated dataset (the sweep itself holds one 2-byte maxLength slot per
+//! tuple beside its input and output, and a stack as deep as the prefixes
+//! nest; tuples and routes are 40 bytes each). The *ratio* between the
+//! two scenarios (~11x here, ~15x in the paper) is the comparable shape.
 
 use maxlength_core::bounds::full_deployment_minimal;
 use maxlength_core::compress::{compress_roas, compress_roas_parallel};
@@ -60,9 +59,9 @@ pub fn run(args: &Args) {
         36.0 / 2.4
     );
 
-    // §7.2's suggested optimization: parallelize across per-(ASN, AFI)
-    // tries. Output is identical; only the sweep is shared out, so the
-    // sorting and the output list bound what threads can save.
+    // §7.2's suggested optimization: parallelize across tries, here runs
+    // of whole top-level subtrees. Output is identical; only the sweep is
+    // shared out, so the output list bounds what threads can save.
     let threads = rayon::current_num_threads();
     let t2 = std::time::Instant::now();
     let full_par = compress_roas_parallel(&full, threads);

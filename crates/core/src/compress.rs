@@ -24,34 +24,37 @@
 //!
 //! ### Layout: a sorted array, no trie
 //!
-//! `Vrp` order is `(prefix, maxLength, origin)` and prefix order is
-//! `(family, bits, length)` — the *pre-order* of a binary prefix trie: a
-//! prefix sorts directly before everything it covers. Take the input in
-//! `Vrp` order (used as is when already sorted, a sorted copy otherwise)
-//! and write each tuple as an `origin << 32 | position` word. Regrouping
-//! those words *stably* by origin keeps each origin's tuples in `Vrp`
-//! order, so the regrouped array is every per-(ASN, AFI) trie in
-//! pre-order, one after the other. The regrouping is an LSD radix sort on
-//! the origin, two passes of 16-bit digits, a pass skipped when all words
-//! share its digit: linear, and at paper scale a quarter faster than a
-//! comparison sort of the words. Algorithm 1 is then one pass over the
-//! array with a stack:
+//! Prefix order is `(family, bits, length)` — the *pre-order* of a binary
+//! prefix trie: a prefix sorts directly before everything it covers. Sorted
+//! by prefix, a tuple list is every per-(ASN, AFI) trie in pre-order at
+//! once, so Algorithm 1 is one pass over the input with one stack for all
+//! origins. The pass reads the tuples in *sweep order*, `(prefix, origin,
+//! maxLength)`: the input is used as is when already in it (exact tuples
+//! in `Vrp` order are), a sorted copy otherwise.
 //!
-//! * The stack holds the tuples covering the current one. A tuple is
-//!   *closed* (popped) when the first tuple outside its subtree arrives —
-//!   after all its descendants, which is the DFS's backtracking step.
-//! * The tuple beneath a closing one is its nearest covering tuple; one
-//!   bit shorter, it is the trie parent. A closing left child is noted
-//!   there; a closing right child finds the note and runs `compress(node)`
-//!   on the three. No lookup, no hashing, no allocation but the stack.
-//! * Duplicate `(prefix, origin)` tuples are neighbours, smaller maxLength
-//!   first; dropping the earlier one is the union of the two
-//!   authorizations, exact because origin and prefix agree.
+//! * The stack holds the tuples covering the current one, of every origin.
+//!   A tuple is *closed* (popped) when the first tuple outside its subtree
+//!   arrives — after all its descendants, which is the DFS's backtracking
+//!   step.
+//! * The entries of one prefix form a *run* on the stack, in origin order,
+//!   and each entry knows where its run starts. A repeated `(prefix,
+//!   origin)` arrives right after its first tuple, with the larger
+//!   maxLength, and takes the top entry's place: the union of the two
+//!   authorizations, exact because origin and prefix agree. So a run holds
+//!   one entry per origin.
+//! * The run beneath a closing tuple's run is its nearest covering prefix.
+//!   One bit shorter, it is the trie parent's prefix, and a binary search
+//!   by origin finds the parent tuple. A closing left child is noted there;
+//!   a closing right child finds the note and runs `compress(node)` on the
+//!   three. No hashing and no allocation but the stack, and a prefix that
+//!   thousands of origins share costs a logarithm, not a scan, per tuple.
 //!
-//! Survivors are marked, with their raised maxLengths, at their position
-//! in the sorted input, so the output is the input order with only the
-//! tuples of one prefix left to reorder. Threads cut the regrouped array
-//! at origin boundaries: shards are the same on every run.
+//! The maxLength each tuple survives with is written at its position in
+//! the sorted input, so the output is the input order with only the tuples
+//! of one prefix left to reorder into `Vrp` order. A tuple that no earlier
+//! tuple covers starts a *top-level subtree* and finds the stack empty;
+//! threads cut the input between top-level subtrees, so shards are the
+//! same on every run.
 //!
 //! Entry points, all over the one sweep:
 //!
@@ -66,61 +69,78 @@
 use std::borrow::Cow;
 
 use rpki_prefix::Prefix;
-use rpki_roa::{RouteOrigin, Vrp};
+use rpki_roa::{Asn, RouteOrigin, Vrp};
+
+use crate::BgpTable;
 
 /// A worker thread is only worth starting for at least this many tuples:
 /// below it the sweep takes less time than spawning and joining does.
 const MIN_TUPLES_PER_THREAD: usize = 1 << 15;
 
-/// A tuple on the DFS stack: `at` is its position in the group, `bits` the
-/// uniform left-aligned `u128` embedding from [`Prefix::bits_u128`], and
-/// `left` the position of its already-closed left child, if that exists.
+/// A tuple on the stack: `at` is its position in the shard, `run` the
+/// stack index where the entries of its prefix start, and `left` the
+/// position of its already-closed left child, if that exists.
 struct Open {
     at: usize,
-    bits: u128,
-    len: u8,
+    run: usize,
+    prefix: Prefix,
+    asn: Asn,
     left: Option<usize>,
 }
 
-impl Open {
-    fn new(at: usize, prefix: Prefix) -> Open {
-        Open {
-            at,
-            bits: prefix.bits_u128(),
-            len: prefix.len(),
-            left: None,
-        }
-    }
-
-    fn covers(&self, other: &Open) -> bool {
-        let mask = match self.len {
-            0 => 0,
-            len => u128::MAX << (128 - u32::from(len)),
-        };
-        self.len <= other.len && other.bits & mask == self.bits
+/// Where the run of `prefix` starts: at its entries on top of the stack,
+/// or past the top.
+fn run_start(stack: &[Open], prefix: Prefix) -> usize {
+    match stack.last() {
+        Some(top) if top.prefix == prefix => top.run,
+        _ => stack.len(),
     }
 }
 
-/// The tuple a regrouped `origin << 32 | position` word stands for.
-fn tuple(sorted: &[Vrp], word: u64) -> &Vrp {
-    &sorted[word as u32 as usize]
+/// Pushes `vrp` onto the run of its prefix.
+fn push(stack: &mut Vec<Open>, at: usize, vrp: &Vrp) {
+    stack.push(Open {
+        at,
+        run: run_start(stack, vrp.prefix),
+        prefix: vrp.prefix,
+        asn: vrp.asn,
+        left: None,
+    });
 }
 
-/// Algorithm 1 over one (ASN, AFI) group in pre-order. `kept[i]` ends as
-/// the maxLength tuple `i` survives with, or `None` if it was merged away.
-fn sweep_group(sorted: &[Vrp], group: &[u64], kept: &mut [Option<u8>], stack: &mut Vec<Open>) {
-    for (at, &word) in group.iter().enumerate() {
-        let vrp = tuple(sorted, word);
-        let duplicate = |&next: &u64| tuple(sorted, next).prefix == vrp.prefix;
-        if group.get(at + 1).is_some_and(duplicate) {
-            continue; // the next tuple carries the larger maxLength
+/// Pops every entry that does not cover `prefix`, closing each through
+/// `close`. Every entry covers the ones above it, so what stays is exactly
+/// the tuples covering `prefix`.
+fn pop_to(stack: &mut Vec<Open>, prefix: Prefix, mut close: impl FnMut(&mut Vec<Open>)) {
+    while stack.last().is_some_and(|top| !top.prefix.covers(prefix)) {
+        close(stack);
+    }
+}
+
+/// The entry of `asn` in the run that ends at stack index `end`, if any:
+/// a binary search, since a run holds one entry per origin in order.
+fn find_in_run(stack: &[Open], end: usize, asn: Asn) -> Option<usize> {
+    let start = stack[end.checked_sub(1)?].run;
+    let found = stack[start..end].binary_search_by_key(&asn, |open| open.asn);
+    found.ok().map(|i| start + i)
+}
+
+/// Algorithm 1 over a shard of whole top-level subtrees in sweep order.
+/// `kept[i]` ends as the maxLength tuple `i` survives with, or `None` if
+/// it was merged away.
+fn sweep_shard(tuples: impl Iterator<Item = Vrp>, kept: &mut [Option<u8>], stack: &mut Vec<Open>) {
+    for (at, vrp) in tuples.enumerate() {
+        pop_to(stack, vrp.prefix, |stack| close(stack, kept));
+        kept[at] = Some(vrp.max_len.max(vrp.prefix.len()));
+        match stack.last_mut() {
+            // A repeated pair: this tuple carries the larger maxLength, and
+            // nothing has closed onto the entry yet.
+            Some(top) if top.prefix == vrp.prefix && top.asn == vrp.asn => {
+                kept[top.at] = None;
+                top.at = at;
+            }
+            _ => push(stack, at, &vrp),
         }
-        let open = Open::new(at, vrp.prefix);
-        while stack.last().is_some_and(|top| !top.covers(&open)) {
-            close(stack, kept);
-        }
-        kept[at] = Some(vrp.max_len.max(open.len));
-        stack.push(open);
     }
     while !stack.is_empty() {
         close(stack, kept);
@@ -131,11 +151,17 @@ fn sweep_group(sorted: &[Vrp], group: &[u64], kept: &mut [Option<u8>], stack: &m
 /// Algorithm 1 on its parent, once the parent's second child closes.
 fn close(stack: &mut Vec<Open>, kept: &mut [Option<u8>]) {
     let child = stack.pop().expect("callers check the stack is not empty");
-    let Some(parent) = stack.last_mut().filter(|p| p.len + 1 == child.len) else {
+    // The run beneath the child's is its nearest covering prefix; one bit
+    // shorter, it is the trie parent's.
+    let below = child.run.checked_sub(1).map(|at| &stack[at]);
+    if below.is_none_or(|open| open.prefix.len() + 1 != child.prefix.len()) {
+        return;
+    }
+    let Some(parent) = find_in_run(stack, child.run, child.asn) else {
         return;
     };
-    // The bit distinguishing left/right children at this length.
-    if child.bits & (1u128 << (128 - u32::from(child.len))) == 0 {
+    let parent = &mut stack[parent];
+    if child.prefix.is_left_child() {
         parent.left = Some(child.at);
         return;
     }
@@ -152,118 +178,93 @@ fn close(stack: &mut Vec<Open>, kept: &mut [Option<u8>]) {
     }
 }
 
-/// Drops every surviving tuple of the group that is covered by an ancestor
-/// tuple whose maxLength is at least as large (the domination extension of
-/// [`compress_roas_full`]). Kept tuples nest with strictly growing
-/// maxLengths, so the top of the stack is always the largest above.
-fn drop_dominated(sorted: &[Vrp], group: &[u64], kept: &mut [Option<u8>], stack: &mut Vec<Open>) {
-    for (at, &word) in group.iter().enumerate() {
+/// Drops every surviving tuple that is covered by an ancestor tuple of its
+/// origin whose maxLength is at least as large (the domination extension
+/// of [`compress_roas_full`]). Kept tuples of one origin nest with strictly
+/// growing maxLengths, so the nearest one beneath is the largest above; it
+/// is searched for run by run, below the tuple's own prefix.
+fn drop_dominated(
+    tuples: impl Iterator<Item = Vrp>,
+    kept: &mut [Option<u8>],
+    stack: &mut Vec<Open>,
+) {
+    for (at, vrp) in tuples.enumerate() {
         let Some(max_len) = kept[at] else { continue };
-        let open = Open::new(at, tuple(sorted, word).prefix);
-        while stack.last().is_some_and(|top| !top.covers(&open)) {
+        pop_to(stack, vrp.prefix, |stack| {
             stack.pop();
+        });
+        // The runs beneath the tuple's own prefix, nearest first.
+        let (mut end, mut above) = (run_start(stack, vrp.prefix), None);
+        while above.is_none() && end > 0 {
+            above = find_in_run(stack, end, vrp.asn);
+            end = stack[end - 1].run;
         }
-        let dominates = |top: &Open| kept[top.at] >= Some(max_len);
-        if stack.last().is_some_and(dominates) {
+        if above.is_some_and(|found| kept[stack[found].at] >= Some(max_len)) {
             kept[at] = None;
         } else {
-            stack.push(open);
+            push(stack, at, &vrp);
         }
     }
     stack.clear();
 }
 
-/// Sweeps every (ASN, AFI) group of one shard of the regrouped array.
-fn sweep_shard(sorted: &[Vrp], shard: &[u64], kept: &mut [Option<u8>], dominated: bool) {
+/// Sweeps one shard, then drops dominated tuples if asked to.
+fn compress_shard(shard: &[Vrp], kept: &mut [Option<u8>], dominated: bool) {
     let mut stack = Vec::new();
-    let mut done = 0;
-    let same_group = |&a: &u64, &b: &u64| {
-        a >> 32 == b >> 32 && tuple(sorted, a).prefix.afi() == tuple(sorted, b).prefix.afi()
+    sweep_shard(shard.iter().copied(), kept, &mut stack);
+    if dominated {
+        drop_dominated(shard.iter().copied(), kept, &mut stack);
+    }
+}
+
+/// The end of the top-level subtree holding `sorted[at]` (`sorted.len()`
+/// past the end): the run covered by the shortest listed prefix that
+/// covers it. A listed prefix is found by one binary search, so this costs
+/// one search per shorter length.
+fn subtree_end(sorted: &[Vrp], at: usize) -> usize {
+    let Some(&Vrp { prefix, .. }) = sorted.get(at) else {
+        return sorted.len();
     };
-    for group in shard.chunk_by(same_group) {
-        let kept = &mut kept[done..done + group.len()];
-        done += group.len();
-        sweep_group(sorted, group, kept, &mut stack);
-        if dominated {
-            drop_dominated(sorted, group, kept, &mut stack);
-        }
-    }
+    let listed = |p: &Prefix| {
+        let first = sorted.partition_point(|v| v.prefix < *p);
+        sorted.get(first).is_some_and(|v| v.prefix == *p)
+    };
+    let root = (0..prefix.len())
+        .filter_map(|len| prefix.ancestor_at(len))
+        .find(listed)
+        .unwrap_or(prefix);
+    at + sorted[at..].partition_point(|v| root.covers(v.prefix))
 }
 
-/// Sorts `origin << 32 | position` words by origin, keeping words of one
-/// origin in their order: each origin's tuples stay in `Vrp` order — v4
-/// pre-order, then v6. Built in position order, the words then equal
-/// their full sort. An LSD radix sort, low 16 bits of the origin first;
-/// a pass is skipped when every word has the same digit in it.
-fn regroup_by_origin(words: &mut Vec<u64>) {
-    let mut scratch = vec![0; words.len()];
-    let mut counts = vec![0u32; 1 << 16];
-    for shift in [32, 48] {
-        let digit = |word: u64| usize::from((word >> shift) as u16);
-        counts.fill(0);
-        for &word in words.iter() {
-            counts[digit(word)] += 1;
-        }
-        if counts.iter().any(|&n| n as usize == words.len()) {
-            continue;
-        }
-        // Each count becomes where its digit's first word goes.
-        let mut next = 0;
-        for slot in &mut counts {
-            (*slot, next) = (next, next + *slot);
-        }
-        for &word in words.iter() {
-            let slot = &mut counts[digit(word)];
-            scratch[*slot as usize] = word;
-            *slot += 1;
-        }
-        std::mem::swap(words, &mut scratch);
-    }
-}
-
-/// The one kernel behind every entry point: returns the input in `Vrp`
+/// The one kernel behind every entry point: returns the input in sweep
 /// order and, per position in it, the maxLength that tuple survives with
 /// (`None`: merged into another tuple).
 fn sweep(vrps: &[Vrp], threads: usize, dominated: bool) -> (Cow<'_, [Vrp]>, Vec<Option<u8>>) {
+    let sweep_order = |vrp: &Vrp| (vrp.prefix, vrp.asn, vrp.max_len);
     let mut sorted = Cow::Borrowed(vrps);
-    if !vrps.is_sorted() {
-        sorted.to_mut().sort_unstable();
+    if !vrps.is_sorted_by_key(sweep_order) {
+        sorted.to_mut().sort_unstable_by_key(sweep_order);
     }
-    assert!(u32::try_from(sorted.len()).is_ok(), "positions are 32-bit");
-    let mut order: Vec<u64> = (0u64..)
-        .zip(sorted.iter())
-        .map(|(at, vrp)| u64::from(vrp.asn.0) << 32 | at)
-        .collect();
-    regroup_by_origin(&mut order);
-
-    let mut kept_in_order = vec![None; order.len()];
-    let workers = threads.clamp(1, (order.len() / MIN_TUPLES_PER_THREAD).max(1));
+    let mut kept = vec![None; sorted.len()];
+    let workers = threads.clamp(1, (sorted.len() / MIN_TUPLES_PER_THREAD).max(1));
     // A panicking worker panics the scope once every worker has joined.
     std::thread::scope(|scope| {
-        let sorted = &sorted[..];
-        let (mut order, mut kept) = (&order[..], &mut kept_in_order[..]);
+        let (mut rest, mut kept) = (&sorted[..], &mut kept[..]);
         for remaining in (1..=workers).rev() {
-            // An even share of what is left, extended to the end of its origin.
-            let mut cut = order.len() / remaining;
-            while 0 < cut && cut < order.len() && order[cut] >> 32 == order[cut - 1] >> 32 {
-                cut += 1;
-            }
-            let (shard, rest) = order.split_at(cut);
-            let (kept_shard, kept_rest) = kept.split_at_mut(cut);
-            if rest.is_empty() {
+            // An even share of what is left, extended to the end of its
+            // top-level subtree.
+            let cut = subtree_end(rest, (rest.len() / remaining).saturating_sub(1));
+            let (shard, tail) = rest.split_at(cut);
+            let (kept_shard, kept_tail) = kept.split_at_mut(cut);
+            if tail.is_empty() {
                 // The last shard is swept here, not on one more thread.
-                sweep_shard(sorted, shard, kept_shard, dominated);
+                compress_shard(shard, kept_shard, dominated);
                 break;
             }
-            scope.spawn(move || sweep_shard(sorted, shard, kept_shard, dominated));
-            (order, kept) = (rest, kept_rest);
+            scope.spawn(move || compress_shard(shard, kept_shard, dominated));
+            (rest, kept) = (tail, kept_tail);
         }
     });
-
-    let mut kept = vec![None; order.len()];
-    for (&word, &survives) in order.iter().zip(&kept_in_order) {
-        kept[word as u32 as usize] = survives;
-    }
     (sorted, kept)
 }
 
@@ -276,7 +277,8 @@ fn survivors((sorted, kept): (Cow<'_, [Vrp]>, Vec<Option<u8>>)) -> Vec<Vrp> {
             .zip(&kept)
             .filter_map(|(v, max_len)| Some(Vrp::new(v.prefix, (*max_len)?, v.asn))),
     );
-    // A raised maxLength moves a tuple only among those of its own prefix.
+    // `Vrp` order differs from sweep order only among the tuples of one
+    // prefix, and a raised maxLength moves a tuple only among those.
     for same_prefix in out.chunk_by_mut(|a, b| a.prefix == b.prefix) {
         same_prefix.sort_unstable();
     }
@@ -310,12 +312,12 @@ pub fn compress_roas_full(vrps: &[Vrp]) -> Vec<Vrp> {
     survivors(sweep(vrps, 1, true))
 }
 
-/// [`compress_roas`] parallelized across the per-(ASN, AFI) tries — the
-/// optimization §7.2 suggests ("Performance could be improved by
-/// parallelizing across tries"). Tries are fully independent, so up to
-/// `threads` workers each sweep a run of whole origins; small inputs stay
-/// on the calling thread. Output is identical to the serial call
-/// (property-tested).
+/// [`compress_roas`] parallelized across tries — the optimization §7.2
+/// suggests ("Performance could be improved by parallelizing across
+/// tries"). Top-level subtrees share no tuple of any trie, so up to
+/// `threads` workers each sweep a run of whole top-level subtrees; small
+/// inputs stay on the calling thread. Output is identical to the serial
+/// call (tested).
 pub fn compress_roas_parallel(vrps: &[Vrp], threads: usize) -> Vec<Vrp> {
     survivors(sweep(vrps, threads, false))
 }
@@ -324,6 +326,16 @@ pub fn compress_roas_parallel(vrps: &[Vrp], threads: usize) -> Vec<Vrp> {
 /// (Table 1 needs only the count).
 pub(crate) fn compressed_len(vrps: &[Vrp], threads: usize) -> usize {
     sweep(vrps, threads, false).1.iter().flatten().count()
+}
+
+/// How many tuples Algorithm 1 leaves of one exact tuple per announced
+/// pair (Table 1 row 6), without building either list: the table iterates
+/// its distinct pairs in `(prefix, origin)` order, which is sweep order.
+pub(crate) fn full_deployment_compressed_len(bgp: &BgpTable) -> usize {
+    let mut kept = vec![None; bgp.len()];
+    let exact = bgp.iter().map(|r| Vrp::exact(r.prefix, r.origin));
+    sweep_shard(exact, &mut kept, &mut Vec::new());
+    kept.iter().flatten().count()
 }
 
 /// Expands a VRP set into the full set of routes it authorizes.
@@ -538,6 +550,13 @@ mod tests {
         let input = vrps(&["10.0.0.0/16-24 => AS1", "10.0.5.0/24 => AS2"]);
         let full = compress_roas_full(&input);
         assert_eq!(full.len(), 2);
+        // AS1's umbrella lies two prefixes down, under AS2's /20.
+        let input = vrps(&[
+            "10.0.0.0/16-24 => AS1",
+            "10.0.0.0/20 => AS2",
+            "10.0.0.0/24 => AS1",
+        ]);
+        assert_eq!(compress_roas_full(&input), input[..2]);
     }
 
     #[test]
@@ -555,46 +574,104 @@ mod tests {
         assert_eq!(expand_authorized(&full), expand_authorized(&input));
     }
 
-    /// Words of `(origin, position)` pairs, positions ascending.
-    fn words(origins: &[u32]) -> Vec<u64> {
-        (0u64..)
-            .zip(origins)
-            .map(|(at, &origin)| u64::from(origin) << 32 | at)
-            .collect()
+    /// In `Vrp` order AS2's tuple on the same prefix sorts between AS1's
+    /// two; the sweep reads AS1's pair together, and the later, wider one
+    /// takes the earlier one's place and anchors the merge.
+    #[test]
+    fn repeated_pair_around_another_origin() {
+        let input = vrps(&[
+            "10.0.0.0/16 => AS1",
+            "10.0.0.0/16-17 => AS2",
+            "10.0.0.0/16-18 => AS1",
+            "10.0.0.0/17 => AS1",
+            "10.0.128.0/17 => AS1",
+        ]);
+        assert!(input.is_sorted());
+        let out = compress_roas(&input);
+        assert_eq!(
+            out,
+            vrps(&["10.0.0.0/16-17 => AS2", "10.0.0.0/16-18 => AS1"])
+        );
+        assert_eq!(expand_authorized(&out), expand_authorized(&input));
     }
 
+    /// AS1's trie sits under AS2's /8: the /17s' parent is the /16, not
+    /// the nearest tuple beneath them.
     #[test]
-    fn regroup_by_origin_equals_a_full_sort() {
-        let cases: [&[u32]; 6] = [
-            &[],
-            &[7],
-            // One origin: both passes skipped.
-            &[u32::MAX; 5],
-            // All below 65,536: the high pass skipped.
-            &[9, 3, 65_535, 0, 3, 9, 1, 65_535],
-            // Straddling: both passes run.
-            &[
-                65_536,
-                1,
-                u32::MAX,
-                2,
-                65_536,
-                131_072,
-                65_535,
-                1,
-                0,
-                u32::MAX,
-            ],
-            // Same low digit, different high digits: only the high pass runs.
-            &[131_072, 65_536, 0, 131_072, 65_536],
-        ];
-        for origins in cases {
-            let mut regrouped = words(origins);
-            regroup_by_origin(&mut regrouped);
-            let mut sorted = words(origins);
-            sorted.sort_unstable();
-            assert_eq!(regrouped, sorted, "{origins:?}");
+    fn parent_under_another_origins_cover() {
+        let input = vrps(&[
+            "10.0.0.0/8 => AS2",
+            "10.0.0.0/16 => AS1",
+            "10.0.0.0/17 => AS1",
+            "10.0.128.0/17 => AS1",
+        ]);
+        let out = compress_roas(&input);
+        assert_eq!(out, vrps(&["10.0.0.0/8 => AS2", "10.0.0.0/16-17 => AS1"]));
+    }
+
+    /// AS2 shares the parent's and the left child's prefix: each run holds
+    /// two origins, and each left child is noted on its own origin's
+    /// parent.
+    #[test]
+    fn other_origins_between_left_child_and_parent() {
+        let input = vrps(&[
+            "10.0.0.0/16 => AS1",
+            "10.0.0.0/16-20 => AS2",
+            "10.0.0.0/17 => AS2",
+            "10.0.0.0/17-18 => AS1",
+            "10.0.128.0/17 => AS1",
+        ]);
+        assert!(input.is_sorted());
+        let out = compress_roas(&input);
+        assert_eq!(
+            out,
+            vrps(&[
+                "10.0.0.0/16-17 => AS1",
+                "10.0.0.0/16-20 => AS2",
+                "10.0.0.0/17 => AS2",
+                "10.0.0.0/17-18 => AS1",
+            ])
+        );
+        assert_eq!(expand_authorized(&out), expand_authorized(&input));
+    }
+
+    /// Hundreds of origins on each prefix, each with both halves, one
+    /// repeated at a wider maxLength: a run per prefix, searched by origin.
+    #[test]
+    fn many_origins_share_each_prefix() {
+        let mut input = Vec::new();
+        for asn in (1..=300).rev() {
+            for prefix in ["10.0.0.0/16", "10.0.0.0/17", "10.0.128.0/17"] {
+                input.push(Vrp::exact(prefix.parse().unwrap(), Asn(asn)));
+            }
         }
+        input.push("10.0.0.0/16-20 => AS150".parse().unwrap());
+        let out = compress_roas(&input);
+        assert_eq!(out.len(), 300);
+        assert!(out.contains(&"10.0.0.0/16-20 => AS150".parse().unwrap()));
+        assert!(out.contains(&"10.0.0.0/16-17 => AS7".parse().unwrap()));
+    }
+
+    /// The v4 `/0` covers no IPv6 prefix: each family's `/0` merges only
+    /// its own `/1`s, and dominates nothing across the boundary.
+    #[test]
+    fn root_prefixes_of_both_families() {
+        let both = vrps(&[
+            "0.0.0.0/0 => AS1",
+            "0.0.0.0/1 => AS1",
+            "128.0.0.0/1 => AS1",
+            "::/0 => AS1",
+            "::/1 => AS1",
+            "8000::/1 => AS1",
+        ]);
+        assert_eq!(
+            compress_roas(&both),
+            vrps(&["0.0.0.0/0-1 => AS1", "::/0-1 => AS1"])
+        );
+        let v4_root_v6_halves = vrps(&["0.0.0.0/0 => AS1", "::/1 => AS1", "8000::/1 => AS1"]);
+        assert_eq!(compress_roas(&v4_root_v6_halves), v4_root_v6_halves);
+        let permissive = vrps(&["0.0.0.0/0-32 => AS1", "::/1 => AS1"]);
+        assert_eq!(compress_roas_full(&permissive), permissive);
     }
 
     #[test]
@@ -618,7 +695,6 @@ mod tests {
 mod parallel_tests {
     use super::*;
     use rpki_prefix::Prefix4;
-    use rpki_roa::Asn;
 
     #[test]
     fn parallel_matches_serial() {
@@ -649,31 +725,39 @@ mod parallel_tests {
         }
     }
 
-    /// `octet.0.0.0/16` and every subprefix of it down to /24, for one
-    /// origin: 511 tuples that compress to one.
-    fn full_subtree(octet: u32, asn: u32) -> impl Iterator<Item = Vrp> {
-        (16..=24u8).flat_map(move |len| {
-            (0..1u32 << (len - 16)).map(move |i| {
-                let bits = octet << 24 | i << (32 - u32::from(len));
+    /// `prefix` and every subprefix of it down to /24, for one origin: a
+    /// full subtree that compresses to one tuple.
+    fn full_subtree(prefix: &str, asn: u32) -> impl Iterator<Item = Vrp> {
+        let Ok(Prefix::V4(root)) = prefix.parse() else {
+            panic!("an IPv4 prefix");
+        };
+        (root.len()..=24).flat_map(move |len| {
+            let step = 1u32 << (32 - u32::from(len));
+            (0..1u32 << (len - root.len())).map(move |i| {
+                let bits = root.bits() + i * step;
                 Vrp::exact(Prefix::V4(Prefix4::new(bits, len).unwrap()), Asn(asn))
             })
         })
     }
 
-    /// Inputs large enough that workers are really started. Every origin
-    /// is made of complete subtrees, so an origin split across two shards
-    /// would leave more than one tuple per subtree behind.
+    /// Inputs large enough that workers are really started. Every top-level
+    /// subtree is complete, so one split across two shards would leave more
+    /// than one tuple behind.
     #[test]
-    fn shards_are_cut_between_origins_only() {
-        let even: Vec<Vrp> = (1..=200).flat_map(|asn| full_subtree(10, asn)).collect();
-        assert!(even.len() > 3 * MIN_TUPLES_PER_THREAD);
-        // One origin far larger than an even share, ahead of ten small ones.
-        let lopsided: Vec<Vrp> = (1..=140)
-            .flat_map(|octet| full_subtree(octet, 1))
-            .chain((2..=11).flat_map(|asn| full_subtree(10, asn)))
+    fn shards_are_cut_between_top_level_subtrees() {
+        // Top-level subtrees of one origin, and of ten on one prefix.
+        let even: Vec<Vrp> = (1..=200)
+            .flat_map(|octet| full_subtree(&format!("{octet}.0.0.0/16"), 1))
+            .chain((1..=10).flat_map(|asn| full_subtree("201.0.0.0/16", asn)))
             .collect();
-        assert!(lopsided.len() > 2 * MIN_TUPLES_PER_THREAD);
-        for (input, expect) in [(even, 200), (lopsided, 150)] {
+        assert!(even.len() > 3 * MIN_TUPLES_PER_THREAD);
+        // One subtree far larger than an even share, ahead of ten small ones.
+        let lopsided: Vec<Vrp> = full_subtree("10.0.0.0/8", 1)
+            .chain((11..=20).flat_map(|octet| full_subtree(&format!("{octet}.0.0.0/16"), 2)))
+            .collect();
+        assert!(full_subtree("10.0.0.0/8", 1).count() > lopsided.len() / 2);
+        assert!(lopsided.len() > 3 * MIN_TUPLES_PER_THREAD);
+        for (input, expect) in [(even, 210), (lopsided, 11)] {
             let serial = compress_roas(&input);
             assert_eq!(serial.len(), expect);
             for threads in [2, 3, 7] {

@@ -25,29 +25,28 @@ use crate::BgpTable;
 /// result is immune to forged-origin subprefix hijacks because it
 /// authorizes nothing that is not already in BGP.
 pub fn minimalize_vrps(vrps: &[Vrp], bgp: &BgpTable) -> Vec<Vrp> {
-    let mut out: BTreeSet<RouteOrigin> = BTreeSet::new();
-    for vrp in vrps {
-        out.extend(bgp.routes_validated_by(vrp));
-    }
-    out.into_iter()
-        .map(|r| Vrp::exact(r.prefix, r.origin))
-        .collect()
+    exact_tuples(vrps.iter().flat_map(|vrp| bgp.routes_validated_by(vrp)))
 }
 
 /// [`minimalize_vrps`] with the per-tuple BGP subtree scans fanned out
 /// over worker threads (`RAYON_NUM_THREADS` honored). The per-tuple
-/// validated-route lists are merged through the same ordered set, so the
-/// output is identical to the sequential path — property-tested in
-/// `tests/props.rs`.
+/// validated-route lists are sorted and deduplicated the same way, so the
+/// output is identical to the sequential path: unit-tested here, and
+/// through [`crate::Table1::compute_par`] in `tests/props.rs`.
 pub fn minimalize_vrps_par(vrps: &[Vrp], bgp: &BgpTable) -> Vec<Vrp> {
     let validated: Vec<Vec<RouteOrigin>> = vrps
         .par_iter()
         .map(|vrp| bgp.routes_validated_by(vrp).collect())
         .collect();
-    let out: BTreeSet<RouteOrigin> = validated.into_iter().flatten().collect();
-    out.into_iter()
-        .map(|r| Vrp::exact(r.prefix, r.origin))
-        .collect()
+    exact_tuples(validated.into_iter().flatten())
+}
+
+/// One exact tuple per distinct route, in `Vrp` order.
+fn exact_tuples(routes: impl Iterator<Item = RouteOrigin>) -> Vec<Vrp> {
+    let mut out: Vec<Vrp> = routes.map(|r| Vrp::exact(r.prefix, r.origin)).collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// The result of minimalizing one ROA.

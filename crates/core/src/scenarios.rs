@@ -19,8 +19,8 @@ use std::fmt;
 
 use rpki_roa::Vrp;
 
-use crate::bounds::{full_deployment_minimal, lower_bound_roots};
-use crate::compress::compressed_len;
+use crate::bounds::lower_bound_roots;
+use crate::compress::{compressed_len, full_deployment_compressed_len};
 use crate::minimal::{minimalize_vrps, minimalize_vrps_par};
 use crate::BgpTable;
 
@@ -101,26 +101,28 @@ pub struct Table1 {
 }
 
 impl Table1 {
-    /// Computes all seven rows. The expensive inputs (minimalized set,
-    /// full-deployment set) are shared across rows.
+    /// Computes all seven rows. The minimalized set is computed once, for
+    /// rows 3 and 4; no full-deployment list is built.
     pub fn compute(vrps: &[Vrp], bgp: &BgpTable) -> Table1 {
         Table1::build(vrps, bgp, minimalize_vrps, 1)
     }
 
     /// [`Self::compute`] with the two expensive stages parallelized:
     /// the minimalization scans fan out per tuple
-    /// ([`crate::minimal::minimalize_vrps_par`]) and each compression
-    /// pass sweeps its per-(ASN, AFI) tries on up to `threads` workers
-    /// ([`crate::compress::compress_roas_parallel`]). Both stages are
-    /// output-identical to their sequential forms, so the table equals
-    /// [`Self::compute`] exactly.
+    /// ([`crate::minimal::minimalize_vrps_par`]), and rows 2 and 4's
+    /// compression passes split their input between top-level subtrees on
+    /// up to `threads` workers ([`crate::compress::compress_roas_parallel`]).
+    /// Row 6 is one pass over the BGP table on the calling thread. Both
+    /// stages are output-identical to their sequential forms, so the table
+    /// equals [`Self::compute`] exactly.
     pub fn compute_par(vrps: &[Vrp], bgp: &BgpTable, threads: usize) -> Table1 {
         Table1::build(vrps, bgp, minimalize_vrps_par, threads)
     }
 
     /// The rows, given the minimalizer and the compression thread count.
     /// Rows 2, 4 and 6 count compression survivors without building their
-    /// lists. Rows 5 and 7 count the pairs they stand for: row 5 is the
+    /// lists; row 6 sweeps the table's pairs as the exact tuples they stand
+    /// for. Rows 5 and 7 count the pairs they stand for: row 5 is the
     /// table's length, row 7 the pairs the lower bound keeps.
     fn build(
         vrps: &[Vrp],
@@ -141,7 +143,7 @@ impl Table1 {
             (Scenario::FullMinimal, bgp.len()),
             (
                 Scenario::FullMinimalCompressed,
-                compressed(&full_deployment_minimal(bgp)),
+                full_deployment_compressed_len(bgp),
             ),
             (Scenario::FullLowerBound, lower_bound_roots(bgp).count()),
         ]

@@ -35,9 +35,8 @@ fn arb_small_asn() -> impl Strategy<Value = Asn> {
 }
 
 /// Origins on both sides of every 16-bit digit boundary, up to the
-/// largest: the packed table key's top origin bits are set, and regrouping
-/// by origin runs both radix passes. Few values, so same-origin merges
-/// stay frequent.
+/// largest: the packed table key's top origin bits are set. Few values,
+/// so same-origin merges stay frequent.
 const WIDE_ASNS: [Asn; 6] = [
     Asn(1),
     Asn(2),
@@ -140,6 +139,29 @@ fn arb_wide_asn_vrps() -> impl Strategy<Value = Vec<Vrp>> {
     prop::collection::vec(vrp, 0..40)
 }
 
+/// MOAS-dense tuples (one prefix announced by several origins): ten
+/// prefixes, two `/0`s among them, eight origins, and maxLengths at most
+/// two past the prefix, so most pairs repeat at several maxLengths.
+fn arb_moas_vrps() -> impl Strategy<Value = Vec<Vrp>> {
+    const PREFIXES: [&str; 10] = [
+        "0.0.0.0/0",
+        "0.0.0.0/1",
+        "128.0.0.0/1",
+        "10.0.0.0/16",
+        "10.0.0.0/17",
+        "10.0.128.0/17",
+        "10.0.64.0/18",
+        "::/0",
+        "::/1",
+        "8000::/1",
+    ];
+    let vrp = (0..PREFIXES.len(), 0u8..=2, 1u32..=8).prop_map(|(i, extra, asn)| {
+        let prefix: Prefix = PREFIXES[i].parse().unwrap();
+        Vrp::new(prefix, prefix.len() + extra, Asn(asn))
+    });
+    prop::collection::vec(vrp, 0..80)
+}
+
 /// What a tuple list authorizes once out-of-range maxLengths are clamped
 /// the way `Vrp::new` clamps them; `None` when too large to enumerate.
 fn authorized_if_small(vrps: &[Vrp]) -> Option<std::collections::BTreeSet<RouteOrigin>> {
@@ -192,8 +214,8 @@ proptest! {
         prop_assert_eq!(compress_roas(&vrps), compress_roas(&shuffled));
     }
 
-    /// The quadratic oracle and the trie implementation agree exactly, on
-    /// origins that need both radix passes to regroup.
+    /// The quadratic oracle and the sweep agree exactly, on origins up to
+    /// `u32::MAX`.
     #[test]
     fn compress_matches_naive_oracle(vrps in arb_vrps_of(arb_asn())) {
         prop_assert_eq!(compress_roas(&vrps), compress_roas_naive(&vrps));
@@ -225,6 +247,20 @@ proptest! {
             prop_assert_eq!(&expand_authorized(&out), &authorized);
             prop_assert_eq!(&expand_authorized(&full), &authorized);
         }
+    }
+
+    /// The oracle and the domination variant's soundness on MOAS-dense
+    /// input: the sweep's stack holds many origins per prefix, and
+    /// repeated pairs sit among other origins' tuples.
+    #[test]
+    fn compress_moas_dense_input(vrps in arb_moas_vrps()) {
+        let out = compress_roas(&vrps);
+        prop_assert_eq!(&out, &compress_roas_naive(&vrps));
+        let authorized = expand_authorized(&vrps);
+        prop_assert_eq!(&expand_authorized(&out), &authorized);
+        let full = compress_roas_full(&vrps);
+        prop_assert_eq!(&expand_authorized(&full), &authorized);
+        prop_assert!(full.len() <= out.len());
     }
 
     /// Both `BgpTable` queries against a scan of the announcement list it
