@@ -129,7 +129,9 @@ fn attack_grids_run_at_tiny_size() {
 #[test]
 fn overhead_and_churn_run_at_tiny_scale() {
     let stdout = stdout_of(&["overhead", "--scale", "0.003"]);
-    assert!(stdout.contains("frozen snapshot"));
+    for row in ["today's RPKI", "full deployment", "scenario ratio"] {
+        assert!(stdout.contains(row), "no §7.2 row {row:?}");
+    }
 
     let stdout = stdout_of(&["churn", "--scale", "0.003", "--epochs", "2", "--churn", "4"]);
     assert!(stdout.contains("churn summary     : 2 epochs"));

@@ -396,6 +396,9 @@ pub(crate) fn with_installed_workspace<R>(ws: &mut Workspace, f: impl FnOnce() -
 
 /// Workspaces the pool holds now: between passes, the most workers a
 /// pass has used.
+///
+/// A test hook: `tests/pool.rs` checks that parallel passes leave one
+/// workspace per worker.
 pub fn pooled_workspaces() -> usize {
     pool().len()
 }
@@ -638,6 +641,9 @@ impl FilterFootprint {
 
     /// The recorded `(AS index, accepted)` decisions, in first-consulted
     /// order.
+    ///
+    /// A test hook: `tests/engine_props.rs` and `tests/spec_props.rs`
+    /// compare it with the reference's consultations.
     pub fn decisions(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
         self.entries
             .iter()

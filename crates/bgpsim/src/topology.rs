@@ -451,11 +451,6 @@ impl Topology {
         self.tier1
     }
 
-    /// Number of undirected links (each edge appears twice in the CSR).
-    pub fn link_count(&self) -> usize {
-        self.adj.len() / 2
-    }
-
     /// Bytes held by the CSR arrays and the stub index — the resident
     /// cost of keeping this topology alive, reported by the benchmark
     /// so memory regressions show up without a profiler. Counts
@@ -466,19 +461,6 @@ impl Topology {
             + self.peer_start.capacity() * 4
             + self.provider_start.capacity() * 4
             + self.stubs.capacity() * std::mem::size_of::<usize>()
-    }
-
-    /// The raw CSR arrays `(adj, offsets, peer_start, provider_start)`
-    /// — the byte-identity surface the generator determinism tests
-    /// compare (same seed ⇒ these slices are equal element for
-    /// element).
-    pub fn csr_arrays(&self) -> (&[u32], &[u32], &[u32], &[u32]) {
-        (
-            &self.adj,
-            &self.offsets,
-            &self.peer_start,
-            &self.provider_start,
-        )
     }
 
     /// The customers of `a`, sorted ascending (CSR segment).
@@ -515,12 +497,18 @@ impl Topology {
     }
 
     /// Total degree of `a`.
+    ///
+    /// A test hook: `tests/topology_props.rs` checks the degree
+    /// distribution with it.
     pub fn degree(&self, a: usize) -> usize {
         (self.offsets[a + 1] - self.offsets[a]) as usize
     }
 
     /// The relationship of `b` as seen from `a`, if they are neighbors.
     /// Binary search over the sorted CSR segments: O(log degree(a)).
+    ///
+    /// A test hook: `tests/topology_props.rs` and `tests/routing_props.rs`
+    /// check edges and valley-free paths with it.
     pub fn relationship(&self, a: usize, b: usize) -> Option<Relationship> {
         let b = u32::try_from(b).ok()?;
         for (seg, rel) in [
@@ -544,6 +532,9 @@ impl Topology {
     /// `true` if `a` has no customers (an edge/stub network, the typical
     /// hijack victim). Tier-1 ASes are never considered stubs, even when
     /// the generator happens to attach no customer to one. O(1).
+    ///
+    /// A test hook: `tests/topology_props.rs` and the crate's unit tests
+    /// check the stub index with it.
     pub fn is_stub(&self, a: usize) -> bool {
         a >= self.tier1 && self.customer_count(a) == 0
     }

@@ -4,7 +4,7 @@
 //! sizes.
 //!
 //! * **Seed determinism** — two builds from one config produce
-//!   byte-identical CSR arrays (the `csr_arrays` surface);
+//!   identical adjacency rows (customers, peers, providers of every AS);
 //! * **Connectivity** — every AS reaches a tier-1 over a valley-free
 //!   all-provider path (provider chains strictly descend by
 //!   construction);
@@ -112,7 +112,7 @@ proptest! {
         }
     }
 
-    /// Same seed ⇒ byte-identical CSR, including across an interleaved
+    /// Same seed ⇒ identical adjacency rows, element for element, including across an interleaved
     /// build of a *different* seed (no hidden global state).
     #[test]
     fn same_seed_builds_byte_identical_csr(config in arb_config()) {
@@ -122,7 +122,13 @@ proptest! {
             ..config
         });
         let b = Topology::generate_internet(config);
-        prop_assert_eq!(a.csr_arrays(), b.csr_arrays());
+        prop_assert_eq!(a.len(), b.len());
+        prop_assert_eq!(a.tier1(), b.tier1());
+        for x in 0..a.len() {
+            prop_assert_eq!(a.customers(x), b.customers(x));
+            prop_assert_eq!(a.peers(x), b.peers(x));
+            prop_assert_eq!(a.providers(x), b.providers(x));
+        }
         prop_assert_eq!(a.stubs(), b.stubs());
     }
 
@@ -209,9 +215,6 @@ proptest! {
                 );
             }
         }
-        // Link accounting: the CSR stores each undirected edge twice.
-        let degree_sum: usize = (0..t.len()).map(|a| t.degree(a)).sum();
-        prop_assert_eq!(degree_sum, 2 * t.link_count());
     }
 
     /// The peering phase respects its target: enough lateral links to
@@ -247,7 +250,7 @@ fn default_shape_link_count_is_internet_like() {
         n,
         ..InternetConfig::default()
     });
-    let links = t.link_count();
+    let links = (0..n).map(|a| t.degree(a)).sum::<usize>() / 2;
     assert!(
         (4 * n..=9 * n).contains(&links),
         "link count {links} is outside the internet-like band for n={n}"

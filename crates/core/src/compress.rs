@@ -696,27 +696,29 @@ mod parallel_tests {
     use super::*;
     use rpki_prefix::Prefix4;
 
+    /// MOAS-mixed input large enough that workers are really started:
+    /// one to three origins on each top-level subtree, some of their
+    /// subtrees with holes, and a maxLength tuple of a further origin on
+    /// every fourth one.
     #[test]
     fn parallel_matches_serial() {
-        // Mixed ASNs and families so several tries exist.
-        let mut input = Vec::new();
-        for asn in 1..40u32 {
-            for i in 0..8u32 {
-                let p: Prefix = format!("10.{}.{}.0/24", asn % 200, i * 2).parse().unwrap();
-                input.push(Vrp::new(p, 24 + (i % 3) as u8, Asn(asn)));
-                if i % 2 == 0 {
-                    let parent: Prefix =
-                        format!("10.{}.{}.0/23", asn % 200, i * 2).parse().unwrap();
-                    input.push(Vrp::exact(parent, Asn(asn)));
-                    let sib: Prefix = format!("10.{}.{}.0/24", asn % 200, i * 2 + 1)
-                        .parse()
-                        .unwrap();
-                    input.push(Vrp::exact(sib, Asn(asn)));
-                }
-            }
-        }
+        let input: Vec<Vrp> = (1..=100u32)
+            .flat_map(|octet| (1..=1 + octet % 3).map(move |asn| (octet, asn)))
+            .flat_map(|(octet, asn)| {
+                let holed = (octet + asn) % 5 == 0;
+                full_subtree(&format!("{octet}.0.0.0/16"), asn)
+                    .enumerate()
+                    .filter(move |(i, _)| !holed || i % 7 != 3)
+                    .map(|(_, vrp)| vrp)
+            })
+            .chain((1..=100u32).step_by(4).map(|octet| {
+                let prefix: Prefix = format!("{octet}.0.0.0/16").parse().unwrap();
+                Vrp::new(prefix, 20, Asn(9))
+            }))
+            .collect();
+        assert!(input.len() > 2 * MIN_TUPLES_PER_THREAD);
         let serial = compress_roas(&input);
-        for threads in [1, 2, 4, 7] {
+        for threads in [2, 3, 7] {
             assert_eq!(
                 compress_roas_parallel(&input, threads),
                 serial,

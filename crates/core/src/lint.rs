@@ -17,9 +17,9 @@
 //!   maxLength there silently widens a *denial* rather than a grant and
 //!   deserves its own warning.
 //!
-//! Each finding carries a severity and a remediation, and
-//! [`LintReport::proposed_roas`] emits the §8 fix: minimal ROAs plus
-//! `compress_roas`.
+//! Each finding carries a severity and a remediation. The §8 fix is
+//! [`minimalize_roas`](crate::minimal::minimalize_roas) followed by
+//! [`compress_roas`](crate::compress::compress_roas).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -27,8 +27,6 @@ use std::fmt;
 use rpki_prefix::Prefix;
 use rpki_roa::{Asn, Roa, Vrp};
 
-use crate::compress::compress_roas;
-use crate::minimal::{minimalize_roas, MinimalRoa};
 use crate::vulnerability::hijack_surface;
 use crate::BgpTable;
 
@@ -218,20 +216,6 @@ impl LintReport {
         self.at(Severity::Critical).next().is_some()
     }
 
-    /// The §8 remediation: minimal ROAs (same object count, maxLength-free)
-    /// with the PDU growth recovered by `compress_roas`. Returns the
-    /// proposed ROA set and its compressed PDU list.
-    pub fn proposed_roas(roas: &[Roa], bgp: &BgpTable) -> (Vec<MinimalRoa>, Vec<Vrp>) {
-        let minimal = minimalize_roas(roas, bgp);
-        let vrps: Vec<Vrp> = minimal
-            .iter()
-            .filter_map(|m| m.as_converted())
-            .flat_map(|r| r.vrps())
-            .collect();
-        let compressed = compress_roas(&vrps);
-        (minimal, compressed)
-    }
-
     /// Renders the report as aligned text.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -254,6 +238,8 @@ impl LintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::compress_roas;
+    use crate::minimal::{minimalize_roas, MinimalRoa};
     use rpki_roa::{Asn, RoaPrefix, RouteOrigin};
 
     fn bgp(routes: &[&str]) -> BgpTable {
@@ -402,12 +388,19 @@ mod tests {
             let table = bgp(announced);
             let roas = vec![roa(asn, &[(prefix, Some(24))])];
             assert!(LintReport::lint(&roas, &table).has_critical());
-            let (minimal, compressed) = LintReport::proposed_roas(&roas, &table);
+            // The §8 remediation: minimal ROAs (same object count,
+            // maxLength-free), their PDU growth recovered by compression.
+            let minimal = minimalize_roas(&roas, &table);
             assert_eq!(minimal.len(), 1);
             let fixed: Vec<Roa> = minimal
                 .iter()
-                .filter_map(|m| m.as_converted().cloned())
+                .filter_map(|m| match m {
+                    MinimalRoa::Converted(r) => Some(r.clone()),
+                    MinimalRoa::Withdrawn(_) => None,
+                })
                 .collect();
+            let vrps: Vec<Vrp> = fixed.iter().flat_map(|r| r.vrps()).collect();
+            let compressed = compress_roas(&vrps);
             let report = LintReport::lint(&fixed, &table);
             assert!(!report.has_critical());
             let listed: Vec<String> = compressed.iter().map(|v| v.to_string()).collect();

@@ -61,16 +61,6 @@ pub enum MinimalRoa {
     Withdrawn(Roa),
 }
 
-impl MinimalRoa {
-    /// The converted ROA, if any.
-    pub fn as_converted(&self) -> Option<&Roa> {
-        match self {
-            MinimalRoa::Converted(r) => Some(r),
-            MinimalRoa::Withdrawn(_) => None,
-        }
-    }
-}
-
 /// Converts each ROA into its minimal form against a BGP table.
 ///
 /// The number of ROA *objects* does not grow (§6: "we could deal with
@@ -213,12 +203,13 @@ mod tests {
         ];
         let minimal = minimalize_roas(&roas, &table);
         assert_eq!(minimal.len(), roas.len());
-        let converted = minimal[0].as_converted().unwrap();
-        assert_eq!(converted.prefix_count(), 2);
+        let MinimalRoa::Converted(converted) = &minimal[0] else {
+            panic!("the announced ROA converts: {:?}", minimal[0]);
+        };
+        assert_eq!(converted.prefixes().len(), 2);
         assert!(!converted.uses_max_len());
         assert_eq!(converted.asn(), Asn(111));
         assert!(matches!(minimal[1], MinimalRoa::Withdrawn(_)));
-        assert!(minimal[1].as_converted().is_none());
     }
 
     #[test]

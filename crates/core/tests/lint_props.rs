@@ -6,8 +6,9 @@ use proptest::prelude::*;
 use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, Roa, RoaPrefix, RouteOrigin, Vrp};
 
+use maxlength_core::compress::compress_roas;
 use maxlength_core::lint::{LintReport, Rule, Severity};
-use maxlength_core::minimal::vrp_is_minimal;
+use maxlength_core::minimal::{minimalize_roas, vrp_is_minimal, MinimalRoa};
 use maxlength_core::{BgpTable, MaxLengthCensus};
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -169,11 +170,16 @@ proptest! {
         roas in prop::collection::vec(arb_roa(), 0..6),
         bgp in arb_bgp(),
     ) {
-        let (minimal, compressed) = LintReport::proposed_roas(&roas, &bgp);
-        let fixed: Vec<Roa> = minimal
+        // The §8 remediation: minimal ROAs, compressed into PDUs.
+        let fixed: Vec<Roa> = minimalize_roas(&roas, &bgp)
             .iter()
-            .filter_map(|m| m.as_converted().cloned())
+            .filter_map(|m| match m {
+                MinimalRoa::Converted(r) => Some(r.clone()),
+                MinimalRoa::Withdrawn(_) => None,
+            })
             .collect();
+        let vrps: Vec<Vrp> = fixed.iter().flat_map(|r| r.vrps()).collect();
+        let compressed = compress_roas(&vrps);
         let report = LintReport::lint(&fixed, &bgp);
         prop_assert!(!report.has_critical());
         // And the compressed PDU feed authorizes only announced routes.

@@ -231,16 +231,17 @@ proptest! {
         prop_assert!(full.len() <= plain.len());
     }
 
-    /// The oracle, losslessness, thread-count invariance and the
+    /// The oracle, losslessness, the thread-count clamp and the
     /// domination variant, on mixed-family input with clustered lengths,
     /// duplicates and out-of-range maxLengths.
     #[test]
     fn compress_wide_input(vrps in arb_wide_vrps()) {
         let out = compress_roas(&vrps);
         prop_assert_eq!(&out, &compress_roas_naive(&vrps));
-        for threads in [1, 2, 3, 7] {
-            prop_assert_eq!(&compress_roas_parallel(&vrps, threads), &out);
-        }
+        // These inputs are far below one worker's minimum share, so this
+        // checks the clamp to one worker, not the shards; the compress
+        // unit tests start real workers.
+        prop_assert_eq!(&compress_roas_parallel(&vrps, 7), &out);
         let full = compress_roas_full(&vrps);
         prop_assert!(full.len() <= out.len());
         if let Some(authorized) = authorized_if_small(&vrps) {
@@ -393,7 +394,7 @@ proptest! {
     }
 
     /// Every row of Table 1 is the length of the list it stands for,
-    /// though the table builds only some of them, at every thread count.
+    /// though the table builds only some of them.
     #[test]
     fn table1_rows_count_their_lists(
         vrps in arb_wide_asn_vrps(),
@@ -416,9 +417,9 @@ proptest! {
         let table = Table1::compute(&vrps, &bgp);
         let rows: Vec<usize> = table.rows.iter().map(|r| r.pdus).collect();
         prop_assert_eq!(rows, lists.to_vec());
-        for threads in [1, 2, 4] {
-            prop_assert_eq!(&Table1::compute_par(&vrps, &bgp, threads), &table);
-        }
+        // Far below one worker's minimum share: this checks the clamp to
+        // one worker, not the shards.
+        prop_assert_eq!(&Table1::compute_par(&vrps, &bgp, 4), &table);
     }
 
     /// Table 1's internal consistency on arbitrary snapshots.

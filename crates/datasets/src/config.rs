@@ -97,6 +97,9 @@ impl CategoryCounts {
 
     /// Expected number of RPKI tuples (PDUs) in the generated world —
     /// 39,949 at paper scale.
+    ///
+    /// A test hook: `tests/props.rs` and the crate's unit tests check
+    /// every generated world against it.
     pub fn expected_tuples(&self) -> usize {
         self.adopter_exact
             + self.adopter_stale

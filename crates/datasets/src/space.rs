@@ -85,7 +85,7 @@ mod tests {
                 0
             );
             for q in &got[i + 1..] {
-                assert!(!p.overlaps(*q), "{p} overlaps {q}");
+                assert!(!p.covers(*q) && !q.covers(*p), "{p} overlaps {q}");
             }
         }
         fn mask(len: u8) -> u32 {
@@ -103,7 +103,9 @@ mod tests {
         let p = a.alloc_v6(32);
         let q = a.alloc_v6(48);
         let r = a.alloc_v6(32);
-        assert!(!p.overlaps(q) && !q.overlaps(r) && !p.overlaps(r));
+        for (a, b) in [(p, q), (q, r), (p, r)] {
+            assert!(!a.covers(b) && !b.covers(a), "{a} overlaps {b}");
+        }
         assert!(p.addr().to_string().starts_with("2001:"));
     }
 
@@ -111,7 +113,7 @@ mod tests {
     fn mixed_family_dispatch() {
         let mut a = SpaceAllocator::new();
         assert!(a.alloc(false, 24).is_v4());
-        assert!(a.alloc(true, 48).is_v6());
+        assert!(!a.alloc(true, 48).is_v4());
     }
 
     #[test]

@@ -586,11 +586,11 @@ mod v6_share_tests {
             ..GeneratorConfig::default()
         });
         let snap = world.snapshot(7);
-        let v6 = snap.routes.iter().filter(|r| r.prefix.is_v6()).count();
+        let v6 = snap.routes.iter().filter(|r| !r.prefix.is_v4()).count();
         let share = v6 as f64 / snap.routes.len() as f64;
         assert!((0.02..=0.09).contains(&share), "v6 share {share}");
         // And ROA entries follow the same mix.
-        let v6_tuples = snap.vrps().iter().filter(|v| v.prefix.is_v6()).count();
+        let v6_tuples = snap.vrps().iter().filter(|v| !v.prefix.is_v4()).count();
         assert!(v6_tuples > 0);
     }
 

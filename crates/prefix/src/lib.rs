@@ -40,7 +40,7 @@
 //! # Examples
 //!
 //! ```
-//! use rpki_prefix::{Prefix, Prefix4};
+//! use rpki_prefix::{Afi, Prefix, Prefix4};
 //!
 //! let bu: Prefix4 = "168.122.0.0/16".parse().unwrap();
 //! let sub: Prefix4 = "168.122.225.0/24".parse().unwrap();
@@ -49,7 +49,7 @@
 //!
 //! // Address-family agnostic:
 //! let p: Prefix = "2001:db8::/32".parse().unwrap();
-//! assert!(p.is_v6());
+//! assert_eq!(p.afi(), Afi::V6);
 //! ```
 
 #![forbid(unsafe_code)]

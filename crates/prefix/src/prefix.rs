@@ -37,12 +37,6 @@ impl Prefix {
         matches!(self, Prefix::V4(_))
     }
 
-    /// `true` if this is an IPv6 prefix.
-    #[inline]
-    pub const fn is_v6(self) -> bool {
-        matches!(self, Prefix::V6(_))
-    }
-
     /// The prefix length. (A length of 0 is the default route, not an
     /// "empty" prefix — there is deliberately no `is_empty`.)
     #[inline]
@@ -199,24 +193,6 @@ impl Prefix {
             Prefix::V6(p) => Box::new(p.subprefixes(max_len).map(Prefix::V6)),
         }
     }
-
-    /// The IPv4 prefix, if this is one.
-    #[inline]
-    pub fn as_v4(self) -> Option<Prefix4> {
-        match self {
-            Prefix::V4(p) => Some(p),
-            Prefix::V6(_) => None,
-        }
-    }
-
-    /// The IPv6 prefix, if this is one.
-    #[inline]
-    pub fn as_v6(self) -> Option<Prefix6> {
-        match self {
-            Prefix::V6(p) => Some(p),
-            Prefix::V4(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Prefix {
@@ -263,7 +239,7 @@ mod tests {
     #[test]
     fn parse_dispatches_by_family() {
         assert!(p("10.0.0.0/8").is_v4());
-        assert!(p("2001:db8::/32").is_v6());
+        assert!(!p("2001:db8::/32").is_v4());
         assert_eq!(p("10.0.0.0/8").afi(), Afi::V4);
         assert_eq!(p("2001:db8::/32").afi(), Afi::V6);
     }
@@ -338,14 +314,6 @@ mod tests {
         assert_eq!(p("10.0.0.0/24").subprefix_count(25), 3);
         assert_eq!(p("10.0.0.0/24").subprefixes(25).count(), 3);
         assert_eq!(p("2001:db8::/32").subprefix_count(33), 3);
-    }
-
-    #[test]
-    fn as_family_accessors() {
-        assert!(p("10.0.0.0/8").as_v4().is_some());
-        assert!(p("10.0.0.0/8").as_v6().is_none());
-        assert!(p("::/0").as_v6().is_some());
-        assert!(p("::/0").as_v4().is_none());
     }
 
     #[test]

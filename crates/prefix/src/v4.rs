@@ -92,35 +92,10 @@ impl Prefix4 {
         self.len
     }
 
-    /// `true` only for the default route `0.0.0.0/0`.
-    #[inline]
-    pub const fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// The network address as an [`Ipv4Addr`].
     #[inline]
     pub fn addr(self) -> Ipv4Addr {
         Ipv4Addr::from(self.bits)
-    }
-
-    /// The first address covered by this prefix (the network address).
-    #[inline]
-    pub fn first_addr(self) -> Ipv4Addr {
-        self.addr()
-    }
-
-    /// The last address covered by this prefix (the broadcast address for
-    /// classical subnets).
-    #[inline]
-    pub fn last_addr(self) -> Ipv4Addr {
-        Ipv4Addr::from(self.bits | !mask(self.len))
-    }
-
-    /// The number of addresses covered: `2^(32 - len)`.
-    #[inline]
-    pub fn addr_count(self) -> u64 {
-        1u64 << (32 - self.len as u32)
     }
 
     /// `true` if `self` covers `other`, i.e. `other` is `self` or a
@@ -142,12 +117,6 @@ impl Prefix4 {
     #[inline]
     pub fn contains_addr(self, addr: Ipv4Addr) -> bool {
         (u32::from(addr) & mask(self.len)) == self.bits
-    }
-
-    /// `true` if the two prefixes overlap (one covers the other).
-    #[inline]
-    pub fn overlaps(self, other: Prefix4) -> bool {
-        self.covers(other) || other.covers(self)
     }
 
     /// The value of the bit at `index` (0-based from the most significant
@@ -435,30 +404,6 @@ mod tests {
         assert!(bu.contains_addr("168.122.255.255".parse().unwrap()));
         assert!(!bu.contains_addr("168.123.0.0".parse().unwrap()));
         assert!(p("0.0.0.0/0").contains_addr("8.8.8.8".parse().unwrap()));
-    }
-
-    #[test]
-    fn overlaps() {
-        assert!(p("10.0.0.0/8").overlaps(p("10.1.0.0/16")));
-        assert!(p("10.1.0.0/16").overlaps(p("10.0.0.0/8")));
-        assert!(!p("10.0.0.0/8").overlaps(p("11.0.0.0/8")));
-    }
-
-    #[test]
-    fn first_last_addr() {
-        let bu = p("168.122.0.0/16");
-        assert_eq!(bu.first_addr().to_string(), "168.122.0.0");
-        assert_eq!(bu.last_addr().to_string(), "168.122.255.255");
-        let host = p("1.2.3.4/32");
-        assert_eq!(host.first_addr(), host.last_addr());
-        assert_eq!(p("0.0.0.0/0").last_addr().to_string(), "255.255.255.255");
-    }
-
-    #[test]
-    fn addr_count() {
-        assert_eq!(p("0.0.0.0/0").addr_count(), 1u64 << 32);
-        assert_eq!(p("10.0.0.0/8").addr_count(), 1 << 24);
-        assert_eq!(p("1.2.3.4/32").addr_count(), 1);
     }
 
     #[test]

@@ -105,28 +105,10 @@ impl Prefix6 {
         self.len
     }
 
-    /// `true` only for the default route `::/0`.
-    #[inline]
-    pub const fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// The network address as an [`Ipv6Addr`].
     #[inline]
     pub fn addr(self) -> Ipv6Addr {
         Ipv6Addr::from(self.bits())
-    }
-
-    /// The first address covered by this prefix.
-    #[inline]
-    pub fn first_addr(self) -> Ipv6Addr {
-        self.addr()
-    }
-
-    /// The last address covered by this prefix.
-    #[inline]
-    pub fn last_addr(self) -> Ipv6Addr {
-        Ipv6Addr::from(self.bits() | !mask(self.len))
     }
 
     /// `true` if `self` covers `other` (RFC 6811 covering relation).
@@ -145,12 +127,6 @@ impl Prefix6 {
     #[inline]
     pub fn contains_addr(self, addr: Ipv6Addr) -> bool {
         (u128::from(addr) & mask(self.len)) == self.bits()
-    }
-
-    /// `true` if the two prefixes overlap (one covers the other).
-    #[inline]
-    pub fn overlaps(self, other: Prefix6) -> bool {
-        self.covers(other) || other.covers(self)
     }
 
     /// The value of the bit at `index` (0-based from the most significant
@@ -397,16 +373,6 @@ mod tests {
         let doc = p("2001:db8::/32");
         assert!(doc.contains_addr("2001:db8::1".parse().unwrap()));
         assert!(!doc.contains_addr("2001:db9::1".parse().unwrap()));
-    }
-
-    #[test]
-    fn first_last_addr() {
-        let doc = p("2001:db8::/32");
-        assert_eq!(doc.first_addr().to_string(), "2001:db8::");
-        assert_eq!(
-            doc.last_addr().to_string(),
-            "2001:db8:ffff:ffff:ffff:ffff:ffff:ffff"
-        );
     }
 
     #[test]

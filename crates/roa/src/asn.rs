@@ -23,11 +23,6 @@ impl Asn {
         self.0
     }
 
-    /// `true` if this is a private-use ASN (RFC 6996 ranges).
-    pub const fn is_private(self) -> bool {
-        (self.0 >= 64512 && self.0 <= 65534) || self.0 >= 4_200_000_000
-    }
-
     /// `true` for AS 0, which RFC 7607 forbids as a route origin. A ROA for
     /// AS 0 is a deliberate "nobody may originate this" statement.
     pub const fn is_zero(self) -> bool {
@@ -105,11 +100,6 @@ mod tests {
     fn classification() {
         assert!(Asn(0).is_zero());
         assert!(!Asn(111).is_zero());
-        assert!(Asn(64512).is_private());
-        assert!(Asn(65534).is_private());
-        assert!(!Asn(65535).is_private());
-        assert!(Asn(4_200_000_000).is_private());
-        assert!(!Asn(3356).is_private());
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl<'a> ReadCursor<'a> {
         u64::from_be_bytes(self.read_array())
     }
 
-    /// Reads a big-endian `u128`.
-    #[inline]
-    pub fn read_u128(&mut self) -> u128 {
-        u128::from_be_bytes(self.read_array())
-    }
-
     /// Borrows the next `n` bytes without copying.
     #[inline]
     pub fn read_slice(&mut self, n: usize) -> &'a [u8] {
@@ -173,7 +167,10 @@ mod tests {
         assert_eq!(r.read_u8(), 7);
         assert_eq!(r.read_u16(), 0xBEEF);
         assert_eq!(r.read_u32(), 0xDEAD_BEEF);
-        assert_eq!(r.read_u128(), 0x0102_0304_0506_0708_090A_0B0C_0D0E_0F10);
+        assert_eq!(
+            u128::from_be_bytes(r.read_array()),
+            0x0102_0304_0506_0708_090A_0B0C_0D0E_0F10
+        );
         assert_eq!(r.read_slice(4), &[1, 2, 3, 4]);
         assert!(r.is_empty());
         assert_eq!(r.pos(), 27);

@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn parse_v6_and_bare_asn() {
         let r: RouteOrigin = "2001:db8::/32=>65000".parse().unwrap();
-        assert!(r.prefix.is_v6());
+        assert!(!r.prefix.is_v4());
         assert_eq!(r.origin, Asn(65000));
     }
 

@@ -119,11 +119,6 @@ impl Roa {
         &self.prefixes
     }
 
-    /// The number of prefix entries.
-    pub fn prefix_count(&self) -> usize {
-        self.prefixes.len()
-    }
-
     /// `true` if any entry carries an explicit maxLength beyond its prefix
     /// length — the "maxLength-using" ROAs of §6.
     pub fn uses_max_len(&self) -> bool {
@@ -205,7 +200,7 @@ mod tests {
         )
         .unwrap();
         assert!(!roa.uses_max_len());
-        assert_eq!(roa.prefix_count(), 2);
+        assert_eq!(roa.prefixes().len(), 2);
         assert!(roa.authorizes(&"168.122.0.0/16 => AS111".parse().unwrap()));
         assert!(roa.authorizes(&"168.122.225.0/24 => AS111".parse().unwrap()));
         // The forged-origin subprefix hijack from §4 now fails:
@@ -251,7 +246,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(roa.prefix_count(), 2);
+        assert_eq!(roa.prefixes().len(), 2);
         assert_eq!(roa.prefixes()[0].prefix, pfx("10.0.0.0/8"));
     }
 

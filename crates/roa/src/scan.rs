@@ -4,9 +4,10 @@
 //! `scan_roas` walks a directory tree of validated ROA objects and prints
 //! one line per ROA prefix: the `(origin AS, prefix, maxLength)` tuples
 //! that become router PDUs. The paper's `compress_roas` is specified as a
-//! drop-in *post-processor* of this output, so this module reproduces both
-//! the directory walk and the line format, reading the mock signed objects
-//! produced by [`envelope::seal_roa`](crate::envelope::seal_roa).
+//! drop-in *post-processor* of this output, so this module reproduces the
+//! directory walk and hands back those tuples as [`ScanResult::vrps`],
+//! reading the mock signed objects produced by
+//! [`envelope::seal_roa`](crate::envelope::seal_roa).
 
 use std::fs;
 use std::io;
@@ -30,44 +31,17 @@ impl ScanResult {
     pub fn vrps(&self) -> Vec<Vrp> {
         self.roas.iter().flat_map(|r| r.vrps()).collect()
     }
-
-    /// Renders the scan in `scan_roas` line format: one
-    /// `ASN prefix/len-maxlen` line per VRP (the `-maxlen` suffix present
-    /// only when it exceeds the prefix length).
-    pub fn to_scan_lines(&self) -> String {
-        let mut out = String::new();
-        for vrp in self.vrps() {
-            out.push_str(&scan_line(&vrp));
-            out.push('\n');
-        }
-        out
-    }
 }
 
-/// Formats one VRP in `scan_roas` output style, e.g.
-/// `31283 87.254.32.0/19-20`.
-pub fn scan_line(vrp: &Vrp) -> String {
-    if vrp.uses_max_len() {
-        format!("{} {}-{}", vrp.asn.into_u32(), vrp.prefix, vrp.max_len)
-    } else {
-        format!("{} {}", vrp.asn.into_u32(), vrp.prefix)
-    }
-}
-
-/// Recursively scans `dir` for `.roa` files, validating each one.
+/// Recursively scans `dir` for `.roa` files, validating each one on
+/// `threads` workers — relying-party repositories hold tens of thousands
+/// of objects, and validation is embarrassingly parallel. Output order
+/// (and therefore the VRP list) is identical at every thread count; one
+/// worker runs on the calling thread.
 ///
 /// Invalid objects are collected in [`ScanResult::rejected`]; I/O errors
 /// (other than a file vanishing mid-scan) abort the walk. Directory
-/// symlinks are not followed; symlinked files are read. This is
-/// [`scan_dir_parallel`] at one worker, on the calling thread.
-pub fn scan_dir(dir: &Path) -> io::Result<ScanResult> {
-    scan_dir_parallel(dir, 1)
-}
-
-/// [`scan_dir`] parallelized over `threads` workers — relying-party
-/// repositories hold tens of thousands of objects, and validation is
-/// embarrassingly parallel. Output order (and therefore the VRP list) is
-/// identical at every thread count.
+/// symlinks are not followed; symlinked files are read.
 pub fn scan_dir_parallel(dir: &Path, threads: usize) -> io::Result<ScanResult> {
     let threads = threads.max(1);
     // Enumerate deterministically first (cheap), then validate in
@@ -180,7 +154,7 @@ mod tests {
         // Non-.roa files are ignored.
         fs::write(dir.join("README.txt"), b"not a roa").unwrap();
 
-        let result = scan_dir(&dir).unwrap();
+        let result = scan_dir_parallel(&dir, 1).unwrap();
         assert_eq!(result.roas.len(), 2);
         assert!(result.rejected.is_empty());
         let vrps = result.vrps();
@@ -201,7 +175,7 @@ mod tests {
         )
         .unwrap();
 
-        let result = scan_dir(&dir).unwrap();
+        let result = scan_dir_parallel(&dir, 1).unwrap();
         assert_eq!(result.roas.len(), 1);
         assert_eq!(result.rejected.len(), 1);
         assert_eq!(result.rejected[0].1, EnvelopeError::DigestMismatch);
@@ -209,30 +183,23 @@ mod tests {
     }
 
     #[test]
-    fn scan_line_format() {
-        let with_ml: Vrp = "87.254.32.0/19-20 => AS31283".parse().unwrap();
-        assert_eq!(scan_line(&with_ml), "31283 87.254.32.0/19-20");
-        let without: Vrp = "87.254.32.0/21 => AS31283".parse().unwrap();
-        assert_eq!(scan_line(&without), "31283 87.254.32.0/21");
-    }
-
-    #[test]
-    fn scan_lines_output() {
+    fn scan_yields_the_vrps_of_its_roas() {
         let dir = tmpdir("lines");
         fs::write(
             dir.join("a.roa"),
             seal_roa(&sample_roa(31283, "87.254.32.0/19", Some(20))),
         )
         .unwrap();
-        let result = scan_dir(&dir).unwrap();
-        assert_eq!(result.to_scan_lines(), "31283 87.254.32.0/19-20\n");
+        let result = scan_dir_parallel(&dir, 1).unwrap();
+        let vrp: Vrp = "87.254.32.0/19-20 => AS31283".parse().unwrap();
+        assert_eq!(result.vrps(), [vrp]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn empty_directory() {
         let dir = tmpdir("empty");
-        let result = scan_dir(&dir).unwrap();
+        let result = scan_dir_parallel(&dir, 1).unwrap();
         assert!(result.roas.is_empty());
         assert!(result.rejected.is_empty());
         fs::remove_dir_all(&dir).unwrap();
@@ -270,7 +237,7 @@ mod parallel_tests {
         bad[last] ^= 1;
         fs::write(dir.join("zz.roa"), bad).unwrap();
 
-        let serial = scan_dir(&dir).unwrap();
+        let serial = scan_dir_parallel(&dir, 1).unwrap();
         for threads in [1, 2, 4, 7] {
             let parallel = scan_dir_parallel(&dir, threads).unwrap();
             assert_eq!(parallel.roas, serial.roas, "{threads} threads");

@@ -30,15 +30,14 @@
 //!   epoch (the differential harness in `tests/churn_differential.rs`
 //!   replays whole rtr sessions against this);
 //! * refreezing is *observationally silent*: it changes which structure
-//!   answers queries, never the answers. Old [`Arc`] snapshot handles stay
-//!   valid forever — each is an immutable world frozen at its epoch.
+//!   answers queries, never the answers. The engine holds one base; the
+//!   one it replaces drops.
 //!
 //! The overlay makes each delta O(affected routes) instead of
 //! O(table); the refreeze amortizes overlay scan costs so the chain never
 //! degrades into the linear-scan regime the paper's §6 worries about.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use rpki_roa::{Asn, RouteOrigin, Vrp};
 
@@ -136,7 +135,7 @@ pub struct SnapshotChainEngine {
     /// so the routes a prefix covers are one contiguous range.
     routes: BTreeMap<RouteOrigin, ValidationState>,
     /// The frozen bulk of the VRP set.
-    base: Arc<FrozenVrpIndex>,
+    base: FrozenVrpIndex,
     /// Overlay: VRPs announced since the last freeze (disjoint from the
     /// visible part of `base`). Indexed so covering queries stay sublinear
     /// even before compaction.
@@ -146,10 +145,6 @@ pub struct SnapshotChainEngine {
     config: ChainConfig,
     epoch: u64,
     summary: ChurnSummary,
-    /// Frozen snapshots retired from the base slot, oldest first — the
-    /// chain itself. Readers holding an `Arc` keep epochs alive at zero
-    /// cost to the engine.
-    chain: Vec<Arc<FrozenVrpIndex>>,
 }
 
 impl SnapshotChainEngine {
@@ -162,13 +157,12 @@ impl SnapshotChainEngine {
     ) -> SnapshotChainEngine {
         let mut engine = SnapshotChainEngine {
             routes: BTreeMap::new(),
-            base: Arc::new(vrps.into_iter().collect()),
+            base: vrps.into_iter().collect(),
             added: VrpIndex::new(),
             removed: BTreeSet::new(),
             config,
             epoch: 0,
             summary: ChurnSummary::default(),
-            chain: Vec::new(),
         };
         engine.routes = routes
             .into_iter()
@@ -187,7 +181,9 @@ impl SnapshotChainEngine {
         self.base.len() - self.removed.len() + self.added.len()
     }
 
-    /// The logical VRP set, sorted.
+    /// The logical VRP set, sorted. A test hook: `tests/churn_differential.rs`,
+    /// `tests/chain_props.rs` and `rpki_rtr`'s cache tests compare it with
+    /// the router's and the cache's sets.
     pub fn current_vrps(&self) -> Vec<Vrp> {
         let mut out: Vec<Vrp> = self.logical_vrps().collect();
         out.sort_unstable();
@@ -198,11 +194,6 @@ impl SnapshotChainEngine {
     fn logical_vrps(&self) -> impl Iterator<Item = Vrp> + '_ {
         let visible = self.base.iter().filter(|v| !self.removed.contains(v));
         visible.chain(self.added.iter()).copied()
-    }
-
-    /// The current state of a route, if tracked.
-    pub fn state_of(&self, route: &RouteOrigin) -> Option<ValidationState> {
-        self.routes.get(route).copied()
     }
 
     /// Every tracked route with its state, sorted by route — the exact
@@ -224,18 +215,6 @@ impl SnapshotChainEngine {
     /// Overlay size (entries since the last freeze).
     pub fn overlay_len(&self) -> usize {
         self.added.len() + self.removed.len()
-    }
-
-    /// Number of retired snapshots in the chain (the current base is not
-    /// counted until a later refreeze retires it).
-    pub fn chain_len(&self) -> usize {
-        self.chain.len()
-    }
-
-    /// The current base snapshot. The handle stays valid (and frozen at
-    /// this epoch's world) across any number of later deltas.
-    pub fn base_snapshot(&self) -> Arc<FrozenVrpIndex> {
-        Arc::clone(&self.base)
     }
 
     /// Classifies a route against the logical set (base minus masked
@@ -333,22 +312,12 @@ impl SnapshotChainEngine {
         self.base.covering(vrp.prefix).any(|b| b == vrp)
     }
 
-    /// Compacts the overlay into a fresh frozen base, retiring the old
-    /// base onto the chain. Query results are unchanged by construction.
+    /// Compacts the overlay into a fresh frozen base, which replaces the
+    /// old one. Query results are unchanged by construction.
     pub fn refreeze(&mut self) {
-        let fresh: FrozenVrpIndex = self.logical_vrps().collect();
-        let old = std::mem::replace(&mut self.base, Arc::new(fresh));
-        self.chain.push(old);
+        self.base = self.logical_vrps().collect();
         self.added = VrpIndex::new();
         self.removed.clear();
-    }
-
-    /// Whole-table summary against a fresh freeze of the logical set,
-    /// fanned out over worker threads.
-    pub fn bulk_summary_par(&self) -> crate::ValidationSummary {
-        let frozen: FrozenVrpIndex = self.logical_vrps().collect();
-        let routes: Vec<RouteOrigin> = self.routes.keys().copied().collect();
-        frozen.validate_table_par(&routes)
     }
 
     /// The tracked routes covered by any of `vrps`' prefixes — the only
@@ -401,6 +370,10 @@ mod tests {
         s.parse().unwrap()
     }
 
+    fn state(e: &SnapshotChainEngine, s: &str) -> Option<ValidationState> {
+        e.routes.get(&route(s)).copied()
+    }
+
     fn engine(refreeze_after: usize) -> SnapshotChainEngine {
         SnapshotChainEngine::new(
             [
@@ -420,11 +393,11 @@ mod tests {
         assert_eq!(e.route_count(), 4);
         assert_eq!(e.vrp_count(), 1);
         assert_eq!(
-            e.state_of(&route("2001:db8::/32 => AS2")),
+            state(&e, "2001:db8::/32 => AS2"),
             Some(ValidationState::Valid)
         );
         assert_eq!(
-            e.state_of(&route("10.0.0.0/8 => AS1")),
+            state(&e, "10.0.0.0/8 => AS1"),
             Some(ValidationState::NotFound)
         );
     }
@@ -438,15 +411,15 @@ mod tests {
         assert_eq!(report.changes.len(), 2); // the /16 and the /24
         assert!(!report.refroze);
         assert_eq!(
-            e.state_of(&route("168.122.0.0/16 => AS111")),
+            state(&e, "168.122.0.0/16 => AS111"),
             Some(ValidationState::Valid)
         );
         assert_eq!(
-            e.state_of(&route("168.122.225.0/24 => AS111")),
+            state(&e, "168.122.225.0/24 => AS111"),
             Some(ValidationState::Invalid)
         );
         assert_eq!(
-            e.state_of(&route("10.0.0.0/8 => AS1")),
+            state(&e, "10.0.0.0/8 => AS1"),
             Some(ValidationState::NotFound)
         );
     }
@@ -458,7 +431,7 @@ mod tests {
         assert_eq!(report.withdrawn, 1);
         assert_eq!(e.vrp_count(), 0);
         assert_eq!(
-            e.state_of(&route("2001:db8::/32 => AS2")),
+            state(&e, "2001:db8::/32 => AS2"),
             Some(ValidationState::NotFound)
         );
         // Re-announcing un-masks instead of duplicating.
@@ -487,29 +460,15 @@ mod tests {
         let r2 = e.apply_epoch(&[vrp("10.0.0.0/8-16 => AS1")], &[]);
         assert!(r2.refroze, "overlay hit 2 entries");
         assert_eq!(e.overlay_len(), 0);
-        assert_eq!(e.chain_len(), 1);
+        assert_eq!(e.base.len(), 3, "the overlay moved into the base");
         assert_eq!(e.vrp_count(), 3);
         // States survive the compaction bit for bit.
+        assert_eq!(state(&e, "10.0.0.0/8 => AS1"), Some(ValidationState::Valid));
         assert_eq!(
-            e.state_of(&route("10.0.0.0/8 => AS1")),
-            Some(ValidationState::Valid)
-        );
-        assert_eq!(
-            e.state_of(&route("168.122.225.0/24 => AS111")),
+            state(&e, "168.122.225.0/24 => AS111"),
             Some(ValidationState::Invalid)
         );
         assert_eq!(e.summary().refreezes, 1);
-    }
-
-    #[test]
-    fn retired_snapshots_stay_frozen() {
-        let mut e = engine(1);
-        let before = e.base_snapshot();
-        assert_eq!(before.len(), 1);
-        e.apply_epoch(&[vrp("168.122.0.0/16 => AS111")], &[]);
-        // Refroze: the new base has both VRPs, the old handle still one.
-        assert_eq!(e.base_snapshot().len(), 2);
-        assert_eq!(before.len(), 1);
     }
 
     #[test]
@@ -563,7 +522,7 @@ mod tests {
         assert_eq!(changes.len(), 1);
         assert_eq!(changes[0].route, route("168.122.225.0/24 => AS111"));
         assert_eq!(
-            e.state_of(&route("168.122.0.0/16 => AS111")),
+            state(&e, "168.122.0.0/16 => AS111"),
             Some(ValidationState::Valid)
         );
     }
@@ -575,22 +534,6 @@ mod tests {
         let report = e.apply_epoch(&[vrp("99.0.0.0/8 => AS9")], &[]);
         assert_eq!(report.announced, 1);
         assert!(report.changes.is_empty());
-    }
-
-    #[test]
-    fn bulk_summary_matches_states() {
-        let mut e = engine(1024);
-        e.apply_epoch(&[vrp("168.122.0.0/16 => AS111")], &[]);
-        let summary = e.bulk_summary_par();
-        let states = e.states();
-        assert_eq!(summary.total(), states.len());
-        assert_eq!(
-            summary.valid,
-            states
-                .iter()
-                .filter(|(_, s)| *s == ValidationState::Valid)
-                .count()
-        );
     }
 
     #[test]

@@ -27,14 +27,14 @@
 //! For any `index: VrpIndex` and `frozen = index.freeze()`:
 //!
 //! * `frozen.validate(r) == index.validate(r)` for every route `r`;
-//! * `frozen.covering(p)` / `frozen.covered_by(p)` / `frozen.iter()`
-//!   yield exactly the same VRP *sets* as the builder's iterators
-//!   (frozen iteration order is `(prefix length, prefix bits, origin,
-//!   maxLength)` within a family, IPv4 before IPv6);
-//! * `frozen.validate_table(t)` and `frozen.validate_table_par(t)`
-//!   equal `index.validate_table(t)` — the parallel reduction sums the
-//!   integer [`ValidationSummary`] counters, which is associative, so
-//!   parallelism cannot change the result.
+//! * `frozen.covering(p)` / `frozen.iter()` yield exactly the same VRP
+//!   *sets* as the builder's iterators (frozen iteration order is
+//!   `(prefix length, prefix bits, origin, maxLength)` within a family,
+//!   IPv4 before IPv6);
+//! * `frozen.validate_table(t)` and `frozen.validate_table_par(t)` equal
+//!   the sum of [`ValidationSummary::of`] over `index.validate` on `t` —
+//!   the parallel reduction sums the integer counters, which is
+//!   associative, so parallelism cannot change the result.
 //!
 //! The contract is property-tested in `tests/props.rs` against random
 //! IPv4 + IPv6 VRP sets.
@@ -290,24 +290,6 @@ impl FrozenFamily {
             })
             .flatten()
     }
-
-    /// VRPs at nodes covered by `prefix`, in `(len, bits)` order.
-    fn covered_by(&self, prefix: Prefix) -> impl Iterator<Item = &Vrp> {
-        let q_len = prefix.len();
-        let q_bits = prefix.bits_u128();
-        let q_hi = q_bits | !mask(q_len);
-        self.groups
-            .iter()
-            .filter(move |g| g.len >= q_len)
-            .flat_map(move |g| {
-                let lo = g.keys.partition_point(|&k| k < q_bits);
-                let hi = g.keys.partition_point(|&k| k <= q_hi);
-                (lo..hi).flat_map(move |at| {
-                    let (s, e) = g.vrp_spans[at];
-                    &self.vrps[s as usize..e as usize]
-                })
-            })
-    }
 }
 
 /// An immutable, `Arc`-shareable compilation of a VRP set into flat
@@ -383,26 +365,17 @@ impl FrozenVrpIndex {
         self.family(prefix).covering(prefix)
     }
 
-    /// All VRPs that *match* `route` (cover it, within maxLength, same
-    /// origin).
-    pub fn matching<'a>(&'a self, route: &'a RouteOrigin) -> impl Iterator<Item = &'a Vrp> {
-        self.covering(route.prefix)
-            .filter(move |v| v.matches(route))
-    }
-
-    /// All VRPs whose prefix is covered by `prefix` — the subtree under a
-    /// query prefix, used by the §6 census.
-    pub fn covered_by(&self, prefix: Prefix) -> impl Iterator<Item = &Vrp> {
-        self.family(prefix).covered_by(prefix)
-    }
-
     /// Classifies one announcement per RFC 6811.
     pub fn validate(&self, route: &RouteOrigin) -> ValidationState {
         self.family(route.prefix).validate(route)
     }
 
-    /// Validates a whole table sequentially, tallying outcomes.
-    /// Equals [`VrpIndex::validate_table`] on the same inputs.
+    /// Validates a whole table sequentially, tallying outcomes. It stays
+    /// beside [`Self::validate_table_par`] until the two merge into one
+    /// whole-table validator that takes a thread count.
+    ///
+    /// A test hook: `tests/frozen_parity.rs` and `tests/props.rs` check it
+    /// against the builder.
     pub fn validate_table<'a>(
         &self,
         routes: impl IntoIterator<Item = &'a RouteOrigin>,
@@ -417,8 +390,8 @@ impl FrozenVrpIndex {
     ///
     /// The reduction sums per-chunk [`ValidationSummary`] counters —
     /// associative integer addition — so the result is **identical** to
-    /// [`Self::validate_table`] and to [`VrpIndex::validate_table`]
-    /// regardless of thread count (`RAYON_NUM_THREADS` honored).
+    /// [`Self::validate_table`] regardless of thread count
+    /// (`RAYON_NUM_THREADS` honored).
     pub fn validate_table_par(&self, routes: &[RouteOrigin]) -> ValidationSummary {
         routes
             .par_iter()
@@ -518,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn covering_and_covered_by() {
+    fn covering_is_shortest_first() {
         let f = frozen(&[
             "10.0.0.0/8 => AS1",
             "10.0.0.0/16-24 => AS1",
@@ -533,9 +506,6 @@ mod tests {
         assert!(covering
             .windows(2)
             .all(|w| w[0].prefix.len() <= w[1].prefix.len()));
-        let sub: Prefix = "10.0.0.0/8".parse().unwrap();
-        assert_eq!(f.covered_by(sub).count(), 4);
-        assert_eq!(f.covered_by("0.0.0.0/0".parse().unwrap()).count(), 5);
     }
 
     #[test]
@@ -572,7 +542,7 @@ mod tests {
             f.validate(&route("10.0.0.0/8 => AS1")),
             ValidationState::Valid
         );
-        assert_eq!(f.covered_by("0.0.0.0/0".parse().unwrap()).count(), 1);
+        assert_eq!(f.covering("10.0.0.0/8".parse().unwrap()).count(), 1);
     }
 
     #[test]

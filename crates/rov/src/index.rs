@@ -4,7 +4,7 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
 use rpki_prefix::Prefix;
-use rpki_roa::{Asn, Roa, RouteOrigin, Vrp};
+use rpki_roa::{Asn, RouteOrigin, Vrp};
 
 use crate::{FrozenVrpIndex, ValidationState};
 
@@ -17,15 +17,6 @@ use crate::{FrozenVrpIndex, ValidationState};
 #[derive(Debug, Clone, Default)]
 pub struct VrpIndex {
     vrps: BTreeSet<Vrp>,
-}
-
-/// The least possible VRP on `prefix`: where its VRPs start in the order.
-fn first_on(prefix: Prefix) -> Vrp {
-    Vrp {
-        prefix,
-        max_len: 0,
-        asn: Asn(0),
-    }
 }
 
 /// The greatest possible VRP on `prefix`: everything on it, and on every
@@ -42,11 +33,6 @@ impl VrpIndex {
     /// Creates an empty index.
     pub fn new() -> VrpIndex {
         VrpIndex::default()
-    }
-
-    /// Builds an index from the VRPs of a set of ROAs.
-    pub fn from_roas<'a>(roas: impl IntoIterator<Item = &'a Roa>) -> VrpIndex {
-        roas.into_iter().flat_map(|r| r.vrps()).collect()
     }
 
     /// The number of distinct VRPs stored.
@@ -96,21 +82,6 @@ impl VrpIndex {
         })
     }
 
-    /// All VRPs that *match* `route` (cover it, within maxLength, same
-    /// origin).
-    pub fn matching<'a>(&'a self, route: &'a RouteOrigin) -> impl Iterator<Item = &'a Vrp> {
-        self.covering(route.prefix)
-            .filter(move |v| v.matches(route))
-    }
-
-    /// All VRPs whose prefix is covered by `prefix` — the subtree under a
-    /// query prefix, used by the §6 census — ascending.
-    pub fn covered_by(&self, prefix: Prefix) -> impl Iterator<Item = &Vrp> {
-        self.vrps
-            .range(first_on(prefix)..)
-            .take_while(move |v| prefix.covers(v.prefix))
-    }
-
     /// Classifies one announcement per RFC 6811.
     pub fn validate(&self, route: &RouteOrigin) -> ValidationState {
         let mut covered = false;
@@ -125,17 +96,6 @@ impl VrpIndex {
         } else {
             ValidationState::NotFound
         }
-    }
-
-    /// Validates a whole table, tallying outcomes.
-    pub fn validate_table<'a>(
-        &self,
-        routes: impl IntoIterator<Item = &'a RouteOrigin>,
-    ) -> ValidationSummary {
-        routes
-            .into_iter()
-            .map(|route| ValidationSummary::of(self.validate(route)))
-            .sum()
     }
 
     /// Iterates over all stored VRPs, ascending.
@@ -167,7 +127,7 @@ impl Extend<Vrp> for VrpIndex {
     }
 }
 
-/// Outcome counts from validating a BGP table against a [`VrpIndex`].
+/// Outcome counts from validating a BGP table against a VRP set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ValidationSummary {
     /// Announcements with a matching VRP.
@@ -359,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn covering_and_matching_iterators() {
+    fn covering_iterator() {
         let index: VrpIndex = [
             vrp("10.0.0.0/8 => AS1"),
             vrp("10.0.0.0/16-24 => AS1"),
@@ -370,7 +330,7 @@ mod tests {
         .collect();
         let r = route("10.0.0.0/24 => AS1");
         assert_eq!(index.covering(r.prefix).count(), 3);
-        let matching: Vec<_> = index.matching(&r).collect();
+        let matching: Vec<_> = index.covering(r.prefix).filter(|v| v.matches(&r)).collect();
         assert_eq!(matching.len(), 1);
         assert_eq!(matching[0].max_len, 24);
     }
@@ -404,19 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn covered_by_subtree() {
-        let index: VrpIndex = [
-            vrp("10.0.0.0/8 => AS1"),
-            vrp("10.1.0.0/16 => AS1"),
-            vrp("11.0.0.0/8 => AS2"),
-        ]
-        .into_iter()
-        .collect();
-        let under: Vec<_> = index.covered_by("10.0.0.0/8".parse().unwrap()).collect();
-        assert_eq!(under.len(), 2);
-    }
-
-    #[test]
     fn validate_table_summary() {
         let index = bu_index();
         let table = [
@@ -425,7 +372,10 @@ mod tests {
             route("8.8.8.0/24 => AS15169"),
             route("9.9.9.0/24 => AS19281"),
         ];
-        let summary = index.validate_table(table.iter());
+        let summary: ValidationSummary = table
+            .iter()
+            .map(|route| ValidationSummary::of(index.validate(route)))
+            .sum();
         assert_eq!(summary.valid, 1);
         assert_eq!(summary.invalid, 1);
         assert_eq!(summary.not_found, 2);
@@ -501,8 +451,8 @@ mod tests {
     }
 
     #[test]
-    fn from_roas_builds_index() {
-        use rpki_roa::RoaPrefix;
+    fn minimal_roa_stops_the_forged_origin_hijack() {
+        use rpki_roa::{Roa, RoaPrefix};
         let roa = Roa::new(
             Asn(111),
             vec![
@@ -511,7 +461,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let index = VrpIndex::from_roas([&roa]);
+        let index: VrpIndex = roa.vrps().collect();
         assert_eq!(index.len(), 2);
         // The minimal ROA stops the forged-origin subprefix hijack (§5).
         assert_eq!(

@@ -24,7 +24,8 @@
 //! * [`FrozenVrpIndex::validate_table_par`] — embarrassingly-parallel
 //!   whole-table validation, reducing per-thread [`ValidationSummary`]
 //!   tallies with their `Add`/`Sum` impls; the §6 measurement pipeline
-//!   and the `bgpsim` attack experiments both build on it.
+//!   builds on it. The `bgpsim` attack experiments validate route by
+//!   route, through [`VrpIndex::validate`].
 //!
 //! [`SnapshotChainEngine`] composes both halves for a router following
 //! the rtr delta stream: each delta revalidates only the routes it

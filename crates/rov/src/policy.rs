@@ -17,6 +17,9 @@ pub enum RovPolicy {
 
 impl RovPolicy {
     /// `true` if an announcement with `state` may enter the routing table.
+    ///
+    /// A test hook: the policy's definition, against which
+    /// `bgpsim`'s `tests/engine_props.rs` checks compiled policies.
     pub fn permits(self, state: ValidationState) -> bool {
         match self {
             RovPolicy::AcceptAll => true,

@@ -14,11 +14,6 @@ pub enum ValidationState {
 }
 
 impl ValidationState {
-    /// `true` only for [`ValidationState::Valid`].
-    pub const fn is_valid(self) -> bool {
-        matches!(self, ValidationState::Valid)
-    }
-
     /// `true` only for [`ValidationState::Invalid`].
     pub const fn is_invalid(self) -> bool {
         matches!(self, ValidationState::Invalid)
@@ -41,10 +36,8 @@ mod tests {
 
     #[test]
     fn predicates() {
-        assert!(ValidationState::Valid.is_valid());
         assert!(!ValidationState::Valid.is_invalid());
         assert!(ValidationState::Invalid.is_invalid());
-        assert!(!ValidationState::NotFound.is_valid());
         assert!(!ValidationState::NotFound.is_invalid());
     }
 

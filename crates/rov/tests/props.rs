@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, RouteOrigin, Vrp};
-use rpki_rov::{FrozenVrpIndex, ValidationState, VrpIndex};
+use rpki_rov::{FrozenVrpIndex, ValidationState, ValidationSummary, VrpIndex};
 
 /// A small universe in both families so covering/matching cases actually
 /// collide: four free bits, lengths `/0`–`/6` and the host length (whose
@@ -49,11 +49,9 @@ fn distinct(vrps: &[Vrp]) -> Vec<Vrp> {
 fn assert_reads_match_scan(index: &VrpIndex, model: &[Vrp], query: Prefix) {
     assert_eq!(index.len(), model.len());
     assert!(index.iter().eq(model), "iter");
-    // Covering comes longest prefix first, covered-by ascending.
+    // Covering comes longest prefix first.
     let covering = model.iter().rev().filter(|v| v.prefix.covers(query));
     assert!(index.covering(query).eq(covering), "covering {query}");
-    let under = model.iter().filter(|v| query.covers(v.prefix));
-    assert!(index.covered_by(query).eq(under), "covered by {query}");
     for asn in 0..5 {
         let route = RouteOrigin::new(query, Asn(asn));
         assert_eq!(index.validate(&route), reference_validate(model, &route));
@@ -152,7 +150,10 @@ proptest! {
         routes in prop::collection::vec(arb_route(), 0..60),
     ) {
         let index: VrpIndex = vrps.iter().copied().collect();
-        let summary = index.validate_table(routes.iter());
+        let summary: ValidationSummary = routes
+            .iter()
+            .map(|route| ValidationSummary::of(index.validate(route)))
+            .sum();
         prop_assert_eq!(summary.total(), routes.len());
         let valid_count = routes
             .iter()
@@ -193,7 +194,7 @@ mod frozen_props {
         }
 
         #[test]
-        fn frozen_agrees_on_covering_and_covered_by(
+        fn frozen_agrees_on_covering(
             vrps in prop::collection::vec(arb_vrp(), 0..60),
             query in arb_prefix(),
         ) {
@@ -202,10 +203,6 @@ mod frozen_props {
             prop_assert_eq!(
                 sorted(frozen.covering(query).copied().collect()),
                 sorted(index.covering(query).copied().collect())
-            );
-            prop_assert_eq!(
-                sorted(frozen.covered_by(query).copied().collect()),
-                sorted(index.covered_by(query).copied().collect())
             );
             // The frozen covering set comes shortest prefix first.
             let lens: Vec<u8> =
@@ -231,7 +228,10 @@ mod frozen_props {
             prop_assert_eq!(direct.len(), frozen.len());
             // Sequential and parallel table validation all agree with
             // the builder.
-            let expect = index.validate_table(routes.iter());
+            let expect: ValidationSummary = routes
+                .iter()
+                .map(|route| ValidationSummary::of(index.validate(route)))
+                .sum();
             prop_assert_eq!(frozen.validate_table(routes.iter()), expect);
             prop_assert_eq!(frozen.validate_table_par(&routes), expect);
             prop_assert_eq!(expect.total(), routes.len());

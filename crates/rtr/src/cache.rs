@@ -110,6 +110,9 @@ impl CacheServer {
     /// start low — which puts the `u32` wrap-around inside the normal
     /// operating envelope. Tests use this to pin the serial-arithmetic
     /// behaviour of [`CacheServer::handle`] at the `u32::MAX` boundary.
+    ///
+    /// A test hook: `tests/server_props.rs` starts caches near serial
+    /// wrap-around with it.
     pub fn with_initial_serial(session_id: u16, vrps: &[Vrp], serial: u32) -> CacheServer {
         let mut cache = CacheServer::new(session_id, vrps);
         cache.serial = serial;
@@ -172,6 +175,9 @@ impl CacheServer {
     /// must mutate through [`crate::server::FanoutServer::with_cache`]
     /// so the shared response images (which embed End of Data bytes)
     /// are invalidated.
+    ///
+    /// A test hook: `testkit::session` and `testkit::faults` set the
+    /// timers their scenarios need through it.
     pub fn set_timing(&mut self, timing: Timing) {
         self.timing = timing;
     }

@@ -220,6 +220,9 @@ impl RouterClient {
     /// Replaces the clock the freshness timers run on. Tests install a
     /// [`Clock::manual`] here so Refresh/Expire transitions are driven
     /// explicitly instead of by wall time.
+    ///
+    /// A test hook: `testkit::session` gives the router the session's
+    /// manual clock through it.
     pub fn set_clock(&mut self, clock: Clock) {
         self.clock = clock;
     }
@@ -251,6 +254,8 @@ impl RouterClient {
     /// # Panics
     ///
     /// Panics on unknown versions and on upgrades.
+    ///
+    /// A test hook: `testkit::session` calls it on a version error.
     pub fn downgrade_to(&mut self, version: u8) {
         assert!(
             version == PROTOCOL_V0 || version == PROTOCOL_V1,
@@ -272,6 +277,9 @@ impl RouterClient {
     /// version changes, the session restarts (a version change is a new
     /// session); otherwise the synchronized state is kept so the new
     /// connection can resume with a Serial Query.
+    ///
+    /// A test hook: `testkit::session` and `tests/pipeline.rs` call it
+    /// before reconnecting.
     pub fn renegotiate(&mut self) {
         if self.version != self.preferred_version {
             self.version = self.preferred_version;
@@ -309,16 +317,13 @@ impl RouterClient {
         self.timing
     }
 
-    /// When the last successful synchronization completed, on the
-    /// client's clock timeline.
-    pub fn last_synchronized(&self) -> Option<Duration> {
-        self.synced_at
-    }
-
     /// Enforces the Expire mandate (RFC 8210 §6): once the held data is
     /// [`Freshness::Expired`], it must stop being used — the set is
     /// flushed and the session restarts from a Reset Query. Returns
     /// `true` if data was flushed.
+    ///
+    /// A test hook: `testkit::faults`' chaos sessions call it between
+    /// rounds.
     pub fn flush_expired(&mut self) -> bool {
         if self.freshness() != Freshness::Expired || self.vrps.is_empty() {
             return false;
@@ -338,6 +343,9 @@ impl RouterClient {
     /// query is a Reset Query and the rebuilt set replaces the tainted
     /// one atomically. A failure outside a response is harmless and
     /// changes nothing.
+    ///
+    /// A test hook: `testkit::session`, `tests/pipeline.rs` and
+    /// `tests/vrp_set_props.rs` call it when a response is cut off.
     pub fn abort_response(&mut self) {
         if matches!(self.state, ClientState::Receiving { .. }) {
             self.reset();
@@ -769,7 +777,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(c.freshness(), Freshness::Fresh);
-        assert_eq!(c.last_synchronized(), Some(Duration::from_secs(15)));
+        assert_eq!(c.synced_at, Some(Duration::from_secs(15)));
     }
 
     #[test]
@@ -901,34 +909,5 @@ mod tests {
         // The held data survives for the next attempt (graceful restart).
         assert_eq!(c.state(), ClientState::Unsynchronized);
         assert_eq!(c.vrps().len(), 1);
-    }
-}
-
-impl ClientError {
-    /// The Error Report PDU a router should send to the cache before
-    /// dropping the session over this error (RFC 8210 §10).
-    pub fn to_error_report(&self) -> Pdu {
-        Pdu::ErrorReport {
-            code: self.error_code(),
-            pdu: Vec::new(),
-            text: self.to_string(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod error_report_tests {
-    use super::*;
-
-    #[test]
-    fn error_report_carries_code_and_text() {
-        let err = ClientError::WithdrawalOfUnknown("10.0.0.0/8 => AS1".parse().unwrap());
-        match err.to_error_report() {
-            Pdu::ErrorReport { code, text, .. } => {
-                assert_eq!(code, ErrorCode::WithdrawalOfUnknown);
-                assert!(text.contains("10.0.0.0/8"));
-            }
-            other => panic!("expected error report, got {other:?}"),
-        }
     }
 }

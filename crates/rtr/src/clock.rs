@@ -51,6 +51,9 @@ impl Clock {
 
     /// A manual clock starting at zero. Time moves only through
     /// [`Clock::advance`]; clones share the timeline.
+    ///
+    /// A test hook: `testkit`'s sessions and chaos runs and the crate's
+    /// unit tests run on it.
     pub fn manual() -> Clock {
         Clock {
             inner: Inner::Manual(Arc::new(Mutex::new(Duration::ZERO))),
@@ -77,11 +80,6 @@ impl Clock {
             Inner::System(_) => panic!("advance on a system clock"),
             Inner::Manual(t) => *t.lock().expect("clock poisoned") += by,
         }
-    }
-
-    /// `true` for a manual clock.
-    pub fn is_manual(&self) -> bool {
-        matches!(self.inner, Inner::Manual(_))
     }
 }
 
@@ -112,7 +110,7 @@ mod tests {
     #[test]
     fn system_clock_is_monotonic() {
         let clock = Clock::system();
-        assert!(!clock.is_manual());
+        assert!(matches!(clock.inner, Inner::System(_)));
         let a = clock.now();
         let b = clock.now();
         assert!(b >= a);

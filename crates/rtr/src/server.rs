@@ -403,12 +403,6 @@ impl FanoutServer {
         self.stats
     }
 
-    /// Number of open sessions (torn-down but not yet closed sessions
-    /// included).
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// Opens a session with a fresh per-connection negotiation, returning
     /// its id.
     pub fn open_session(&mut self) -> SessionId {
@@ -439,20 +433,6 @@ impl FanoutServer {
         self.sessions.remove(&id).expect("close of unknown session");
     }
 
-    /// The protocol version the session's negotiation has pinned, if
-    /// any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not an open session.
-    pub fn negotiated_version(&self, id: SessionId) -> Option<u8> {
-        self.sessions
-            .get(&id)
-            .expect("unknown session")
-            .negotiation
-            .version()
-    }
-
     /// The wire/negotiation error that tore the session down, if any.
     /// The closing Error Report is already queued in the session's
     /// outbox; once [`FanoutServer::pending_output`] drains to zero the
@@ -461,6 +441,9 @@ impl FanoutServer {
     /// # Panics
     ///
     /// Panics if `id` is not an open session.
+    ///
+    /// A test hook: `testkit::session` and `tests/server_props.rs` read
+    /// why a session was torn down.
     pub fn session_error(&self, id: SessionId) -> Option<&PduError> {
         self.sessions
             .get(&id)
@@ -660,6 +643,9 @@ impl FanoutServer {
     /// # Panics
     ///
     /// Panics if `id` is not an open session.
+    ///
+    /// A test hook: `tests/server_props.rs` checks outbox accounting with
+    /// it.
     pub fn pending_output(&self, id: SessionId) -> usize {
         self.sessions.get(&id).expect("unknown session").queued
     }
@@ -757,10 +743,6 @@ impl Registry {
     fn closed(&self) {
         self.state.lock().expect("registry poisoned").open -= 1;
         self.changed.notify_all();
-    }
-
-    fn count(&self) -> usize {
-        self.state.lock().expect("registry poisoned").open
     }
 
     /// Signals the event loop that handle-side state changed (queued
@@ -1165,23 +1147,12 @@ impl ServerHandle {
         result
     }
 
-    /// Number of currently registered sessions.
-    pub fn session_count(&self) -> usize {
-        self.shared.registry.count()
-    }
-
     /// Blocks until at least `n` sessions are registered, or `timeout`
     /// elapses. Returns whether the condition was met — the explicit
     /// registration handshake that replaces update-until-a-write-sticks
     /// polling.
     pub fn wait_for_sessions(&self, n: usize, timeout: Duration) -> bool {
         self.shared.registry.wait_until(timeout, |open| open >= n)
-    }
-
-    /// Blocks until every session has been reaped, or `timeout` elapses.
-    /// Returns whether the registry emptied.
-    pub fn wait_for_no_sessions(&self, timeout: Duration) -> bool {
-        self.shared.registry.wait_until(timeout, |open| open == 0)
     }
 
     /// Asks the event loop to stop; it closes every connection and
@@ -1201,6 +1172,12 @@ mod tests {
     use crate::transport::{TcpTransport, Transport};
     use crate::wire;
     use std::thread;
+
+    /// Blocks until every session has been reaped, or `timeout` elapses.
+    /// Returns whether the registry emptied.
+    fn no_sessions_within(handle: &ServerHandle, timeout: Duration) -> bool {
+        handle.shared.registry.wait_until(timeout, |open| open == 0)
+    }
 
     fn vrps(list: &[&str]) -> Vec<Vrp> {
         list.iter().map(|s| s.parse().unwrap()).collect()
@@ -1552,7 +1529,7 @@ mod tests {
         assert!(handle.wait_for_sessions(1, Duration::from_secs(5)));
         drop(transport);
         // The registry observes the hangup — no probing writes needed.
-        assert!(handle.wait_for_no_sessions(Duration::from_secs(5)));
+        assert!(no_sessions_within(&handle, Duration::from_secs(5)));
         assert_eq!(
             handle.update_and_notify(&vrps(&["11.0.0.0/8 => AS2"])),
             0,
@@ -1658,7 +1635,7 @@ mod tests {
         let frame = wire::decode_frame(&report).unwrap().expect("a full report");
         assert!(matches!(frame.pdu.to_owned(), Pdu::ErrorReport { .. }));
         // The reaped session leaves the registry.
-        assert!(handle.wait_for_no_sessions(Duration::from_secs(5)));
+        assert!(no_sessions_within(&handle, Duration::from_secs(5)));
         handle.shutdown();
         serving.join().unwrap().unwrap();
     }
@@ -1686,7 +1663,7 @@ mod tests {
         // Sixty idle virtual seconds: the event loop evicts and reaps.
         clock.advance(Duration::from_secs(60));
         assert!(
-            handle.wait_for_no_sessions(Duration::from_secs(5)),
+            no_sessions_within(&handle, Duration::from_secs(5)),
             "idle session must be evicted"
         );
         assert_eq!(handle.with_core(|core| core.stats().evictions), 1);

@@ -200,17 +200,6 @@ impl TcpTransport {
         Ok(TcpTransport::new(TcpStream::connect(addr)?))
     }
 
-    /// Connects at a specific protocol version.
-    pub fn connect_with_version(
-        addr: SocketAddr,
-        version: u8,
-    ) -> Result<TcpTransport, TransportError> {
-        Ok(TcpTransport::with_version(
-            TcpStream::connect(addr)?,
-            version,
-        ))
-    }
-
     /// The protocol version this transport encodes with.
     pub fn version(&self) -> u8 {
         self.version

@@ -115,7 +115,8 @@ fn synchronizes_like_the_in_memory_driver(vrps: &[Vrp], version: u8, chunks: &[u
 /// the buffer — each ending on the in-memory router's state.
 fn synchronizes_like(cache: &CacheServer, reference: &RouterClient, version: u8, chunk: usize) {
     let (addr, serving) = serve_dribbling(cache.clone(), chunk);
-    let mut transport = TcpTransport::connect_with_version(addr, version).unwrap();
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut transport = TcpTransport::with_version(stream, version);
     let mut router = RouterClient::with_version(version);
     for round in ["reset", "serial", "reset again"] {
         if round == "reset again" {

@@ -168,11 +168,6 @@ impl LiveSession {
         &self.router
     }
 
-    /// The version the session has negotiated on the wire, once pinned.
-    pub fn negotiated_version(&self) -> Option<u8> {
-        self.server.negotiated_version(self.session)
-    }
-
     /// Applies one churn epoch to the cache and queues the Serial
     /// Notify on the session, without letting the router catch up.
     pub(crate) fn update_cache(&mut self, announced: &[Vrp], withdrawn: &[Vrp]) {
@@ -383,7 +378,7 @@ mod tests {
         assert!(!stats.reset);
         assert!(stats.bytes > 0, "a real sync moves real bytes");
         assert_eq!(s.router().vrps().len(), 1);
-        assert_eq!(s.negotiated_version(), Some(PROTOCOL_V1));
+        assert_eq!(s.router().version(), PROTOCOL_V1);
 
         let stats = s
             .apply_epoch(&[vrp("11.0.0.0/8 => AS2")], &[vrp("10.0.0.0/8 => AS1")])
@@ -428,7 +423,7 @@ mod tests {
         let stats = s.synchronize().unwrap();
         assert_eq!(stats.announced, 1);
         assert!(!stats.downgraded);
-        assert_eq!(s.negotiated_version(), Some(PROTOCOL_V0));
+        assert_eq!(s.router().version(), PROTOCOL_V0);
         // Deltas keep flowing at v0 (12-byte End of Data and all).
         s.apply_epoch(&[vrp("11.0.0.0/8 => AS2")], &[]).unwrap();
         assert_eq!(s.router().vrps().len(), 2);
@@ -446,7 +441,6 @@ mod tests {
         let stats = s.synchronize().unwrap();
         assert!(stats.downgraded, "the v1 opener must be rejected");
         assert_eq!(s.router().version(), PROTOCOL_V0);
-        assert_eq!(s.negotiated_version(), Some(PROTOCOL_V0));
         assert_eq!(s.router().vrps().len(), 2);
         // The session stays healthy at v0 afterwards.
         let stats = s.apply_epoch(&[vrp("12.0.0.0/8 => AS3")], &[]).unwrap();
@@ -539,7 +533,7 @@ mod tests {
         let mut s = versioned(2, &vrps(&["10.0.0.0/8 => AS1"]), PROTOCOL_V1, PROTOCOL_V0);
         let stats = s.synchronize().unwrap();
         assert!(!stats.downgraded);
-        assert_eq!(s.negotiated_version(), Some(PROTOCOL_V0));
+        assert_eq!(s.router().version(), PROTOCOL_V0);
         assert_eq!(s.router().vrps().len(), 1);
     }
 }

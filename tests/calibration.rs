@@ -103,9 +103,9 @@ fn deployment_fraction_is_single_digit_percent() {
     // §2: "7.6% of the (prefix, origin AS) pairs announced in BGP match a
     // ROA" — ours lands in the same single-digit band by construction.
     let (vrps, bgp, _) = world();
-    let index: VrpIndex = vrps.iter().copied().collect();
+    let frozen: FrozenVrpIndex = vrps.iter().copied().collect();
     let routes: Vec<RouteOrigin> = bgp.iter().collect();
-    let summary = index.validate_table(routes.iter());
+    let summary = frozen.validate_table_par(&routes);
     let frac = summary.valid_fraction();
     assert!((0.05..=0.10).contains(&frac), "valid fraction {frac}");
     // Nothing announced should be Invalid in the generated world except

@@ -1,12 +1,12 @@
 //! Acceptance gate for the frozen-snapshot pipeline: on the generated
 //! world at scale 0.05, `FrozenVrpIndex::validate_table_par`
 //! must produce a `ValidationSummary` identical to the mutable builder's
-//! `VrpIndex::validate_table`, and the parallel experiment must equal
-//! the sequential one bit for bit.
+//! `VrpIndex::validate` tallied route by route, and the parallel
+//! experiment must equal the sequential one bit for bit.
 
 use maxlength_rpki::datasets::{DatasetSnapshot, GeneratorConfig, World};
 use maxlength_rpki::roa::{Asn, RouteOrigin, Vrp};
-use maxlength_rpki::rov::{ValidationState, VrpIndex};
+use maxlength_rpki::rov::{ValidationState, ValidationSummary, VrpIndex};
 
 fn snapshot_at_half_scale() -> DatasetSnapshot {
     World::generate(GeneratorConfig {
@@ -24,7 +24,10 @@ fn frozen_parallel_summary_equals_builder_at_scale_005() {
     assert!(routes.len() > 10_000, "world too small: {}", routes.len());
 
     let index: VrpIndex = vrps.iter().copied().collect();
-    let expect = index.validate_table(routes.iter());
+    let expect: ValidationSummary = routes
+        .iter()
+        .map(|route| ValidationSummary::of(index.validate(route)))
+        .sum();
 
     let frozen = index.freeze();
     assert_eq!(frozen.len(), index.len());
@@ -101,11 +104,9 @@ fn builder_tracks_a_vrp_list_through_inserts_and_removes() {
         assert_eq!(index.iter().copied().collect::<Vec<_>>(), model);
 
         for query in universe.iter().map(|v| v.prefix) {
-            // Covering comes longest prefix first, covered-by ascending.
+            // Covering comes longest prefix first.
             let covering = model.iter().rev().filter(|v| v.prefix.covers(query));
             assert!(index.covering(query).eq(covering), "covering {query}");
-            let under = model.iter().filter(|v| query.covers(v.prefix));
-            assert!(index.covered_by(query).eq(under), "covered by {query}");
             let route = RouteOrigin::new(query, Asn(4));
             let expect = if model.iter().any(|v| v.matches(&route)) {
                 ValidationState::Valid

@@ -12,7 +12,7 @@ use std::thread;
 use maxlength_rpki::core::compress::expand_authorized;
 use maxlength_rpki::prelude::*;
 use maxlength_rpki::roa::envelope::{open_roa, seal_roa, EnvelopeError};
-use maxlength_rpki::roa::scan::scan_dir;
+use maxlength_rpki::roa::scan::scan_dir_parallel;
 use maxlength_rpki::rtr::cache::CacheServer;
 use maxlength_rpki::rtr::client::{Freshness, RouterClient};
 use maxlength_rpki::rtr::pdu::Flags;
@@ -48,7 +48,7 @@ fn disk_to_router_pipeline() {
     std::fs::write(repo.join("zz-corrupt.roa"), &corrupt).unwrap();
 
     // --- Stage 2: scan (the corrupted object is rejected, not fatal). ----
-    let scan = scan_dir(&repo).unwrap();
+    let scan = scan_dir_parallel(&repo, 1).unwrap();
     assert_eq!(scan.roas.len(), roas.len());
     assert_eq!(scan.rejected.len(), 1);
     assert_eq!(scan.rejected[0].1, EnvelopeError::DigestMismatch);
@@ -216,30 +216,32 @@ fn running_example_delta_chain_through_the_cache() {
         (vec![], vec![])
     );
     let mut engine = SnapshotChainEngine::new(table.iter().copied(), [], ChainConfig::default());
-    let mut forged_states = vec![engine.state_of(&forged).unwrap()];
+    // The state the engine tracks for `route`, as `states()` lists it.
+    let tracked = |engine: &SnapshotChainEngine, route: &RouteOrigin| {
+        let states = engine.states();
+        let at = states.binary_search_by_key(route, |(r, _)| *r);
+        states[at.expect("route tracked")].1
+    };
+    let mut forged_states = vec![tracked(&engine, &forged)];
 
     for update in updates {
         let vrps: Vec<Vrp> = update.iter().map(|s| s.parse().unwrap()).collect();
         assert_eq!(server.update_and_notify(&vrps), 1, "the router is notified");
         let (announced, withdrawn) = sync_delta(&mut server, session, &mut router);
         engine.apply_epoch(&announced, &withdrawn);
-        forged_states.push(engine.state_of(&forged).unwrap());
+        forged_states.push(tracked(&engine, &forged));
 
         // The cache's snapshot at its current serial agrees with the
         // engine fed only the deltas the router synchronized.
         let snapshot = server.cache().snapshot();
         for route in &table {
-            assert_eq!(
-                engine.state_of(route),
-                Some(snapshot.validate(route)),
-                "{route}"
-            );
+            assert_eq!(tracked(&engine, route), snapshot.validate(route), "{route}");
         }
     }
 
     use ValidationState::{Invalid, NotFound, Valid};
     assert_eq!(forged_states, [NotFound, Invalid, Valid, Invalid]);
-    assert_eq!(engine.state_of(&classic), Some(Invalid));
+    assert_eq!(tracked(&engine, &classic), Invalid);
 }
 
 #[test]
