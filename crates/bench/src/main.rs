@@ -106,7 +106,8 @@ const COMMANDS: &[Command] = &[
         name: "overhead",
         positional: None,
         flags: &[SCALE],
-        about: "§7.2: compress_roas time and peak memory, three validation engines timed",
+        about: "§7.2: compress_roas tuples and time, today and at full deployment \
+                (serial and threaded), and the peak RSS",
         run: overhead::run,
     },
     Command {

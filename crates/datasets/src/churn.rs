@@ -30,12 +30,14 @@
 //! differential test harness replays.
 
 use std::collections::BTreeSet;
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rpki_prefix::{Prefix, Prefix4, Prefix6};
 use rpki_roa::{Asn, Vrp};
+
+use crate::space::SpaceAllocator;
 
 /// A named churn scenario: which kinds of RPKI events an epoch contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -186,8 +188,8 @@ impl ChurnTimeline {
 /// generator's bump allocator (which starts at 1.0.0.0 / 2001:: and stays
 /// well under half of each space at paper scale), so minted prefixes never
 /// collide with generated allocations.
-const FRESH_V4_BASE: u64 = 0xF000_0000;
-const FRESH_V6_BASE: u128 = 0x3000_0000_0000_0000_0000_0000_0000_0000;
+const FRESH_V4_BASE: Ipv4Addr = Ipv4Addr::new(240, 0, 0, 0);
+const FRESH_V6_BASE: Ipv6Addr = Ipv6Addr::new(0x3000, 0, 0, 0, 0, 0, 0, 0);
 
 /// Turns an initial VRP set into a deterministic [`ChurnTimeline`].
 #[derive(Debug, Clone)]
@@ -200,9 +202,8 @@ pub struct ChurnGenerator {
     retired: Vec<Vrp>,
     /// Flapped down last epoch; re-announced at the next epoch's start.
     pending_flap: Vec<Vrp>,
-    /// Bump cursors for freshly minted prefixes.
-    fresh_v4: u64,
-    fresh_v6: u128,
+    /// Where freshly minted prefixes come from.
+    fresh: SpaceAllocator,
 }
 
 impl ChurnGenerator {
@@ -214,8 +215,7 @@ impl ChurnGenerator {
             current: initial.into_iter().collect(),
             retired: Vec::new(),
             pending_flap: Vec::new(),
-            fresh_v4: FRESH_V4_BASE,
-            fresh_v6: FRESH_V6_BASE,
+            fresh: SpaceAllocator::new(FRESH_V4_BASE, FRESH_V6_BASE),
         }
     }
 
@@ -384,22 +384,12 @@ impl ChurnGenerator {
     /// Mints a VRP on never-before-used address space.
     fn mint_fresh(&mut self) -> Vrp {
         let v6 = self.rng.gen_bool(self.config.v6_fraction);
-        let prefix = if v6 {
-            let len = self.rng.gen_range(32u8..=48);
-            let size = 1u128 << (128 - len as u32);
-            let base = self.fresh_v6.div_ceil(size) * size;
-            self.fresh_v6 = base + size;
-            // `base` is a multiple of `size`, so no host bit is set.
-            Prefix::V6(Prefix6::new(base, len).expect("aligned by construction"))
+        let len = if v6 {
+            self.rng.gen_range(32u8..=48)
         } else {
-            let len = self.rng.gen_range(16u8..=24);
-            let size = 1u64 << (32 - len as u32);
-            let base = self.fresh_v4.div_ceil(size) * size;
-            assert!(base + size <= 1 << 32, "fresh IPv4 space exhausted");
-            self.fresh_v4 = base + size;
-            // `base` is a multiple of `size` and below 2^32 (asserted).
-            Prefix::V4(Prefix4::new(base as u32, len).expect("aligned by construction"))
+            self.rng.gen_range(16u8..=24)
         };
+        let prefix = self.fresh.alloc(v6, len);
         let max_len = prefix.len()
             + self
                 .rng

@@ -1,6 +1,8 @@
 //! World generation: the calibrated population of allocations, their
 //! announcement behaviour, and their RPKI coverage.
 
+use std::net::{Ipv4Addr, Ipv6Addr};
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -153,6 +155,11 @@ impl Allocation {
     }
 }
 
+/// Where the world's allocations start: past 0.0.0.0/8, and inside the
+/// global-unicast 2000::/3.
+const WORLD_V4_BASE: Ipv4Addr = Ipv4Addr::new(1, 0, 0, 0);
+const WORLD_V6_BASE: Ipv6Addr = Ipv6Addr::new(0x2001, 0, 0, 0, 0, 0, 0, 0);
+
 /// A fully generated world, from which weekly snapshots are cut.
 #[derive(Debug, Clone)]
 pub struct World {
@@ -167,7 +174,7 @@ impl World {
     pub fn generate(config: GeneratorConfig) -> World {
         let counts = config.counts();
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut space = SpaceAllocator::new();
+        let mut space = SpaceAllocator::new(WORLD_V4_BASE, WORLD_V6_BASE);
         let mut allocations = Vec::with_capacity(counts.expected_pairs());
 
         // --- Adopter entities -------------------------------------------

@@ -16,8 +16,6 @@ pub enum PrefixError {
     HostBitsSet,
     /// The textual form could not be parsed as `addr/len`.
     Malformed(String),
-    /// An operation mixed IPv4 and IPv6 operands.
-    AfiMismatch,
 }
 
 impl fmt::Display for PrefixError {
@@ -30,7 +28,6 @@ impl fmt::Display for PrefixError {
                 write!(f, "address has host bits set beyond the prefix length")
             }
             PrefixError::Malformed(s) => write!(f, "malformed prefix: {s:?}"),
-            PrefixError::AfiMismatch => write!(f, "mixed IPv4/IPv6 operands"),
         }
     }
 }

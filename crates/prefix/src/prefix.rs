@@ -4,6 +4,26 @@ use std::str::FromStr;
 
 use crate::{Afi, Prefix4, Prefix6, PrefixError};
 
+/// `$body` on the family prefix inside `$prefix`, bound to `$p`.
+macro_rules! either {
+    ($prefix:expr, $p:ident => $body:expr) => {
+        match $prefix {
+            Prefix::V4($p) => $body,
+            Prefix::V6($p) => $body,
+        }
+    };
+}
+
+/// `$body`, an optional prefix of `$prefix`'s family, back in the enum.
+macro_rules! same_family {
+    ($prefix:expr, $p:ident => $body:expr) => {
+        match $prefix {
+            Prefix::V4($p) => $body.map(Prefix::V4),
+            Prefix::V6($p) => $body.map(Prefix::V6),
+        }
+    };
+}
+
 /// An address-family-agnostic IP prefix.
 ///
 /// Most of the analysis pipeline (ROAs, VRPs, BGP tables) mixes IPv4 and
@@ -42,10 +62,7 @@ impl Prefix {
     #[inline]
     #[allow(clippy::len_without_is_empty)]
     pub const fn len(self) -> u8 {
-        match self {
-            Prefix::V4(p) => p.len(),
-            Prefix::V6(p) => p.len(),
-        }
+        either!(self, p => p.len())
     }
 
     /// The maximum prefix length for this prefix's family (32 or 128).
@@ -58,9 +75,9 @@ impl Prefix {
     /// bits occupy the **top** of the word, so `(bits_u128, len, afi)` is a
     /// uniform trie key for either family.
     #[inline]
-    pub const fn bits_u128(self) -> u128 {
+    pub fn bits_u128(self) -> u128 {
         match self {
-            Prefix::V4(p) => (p.bits() as u128) << 96,
+            Prefix::V4(p) => u128::from(p.bits()) << 96,
             Prefix::V6(p) => p.bits(),
         }
     }
@@ -70,13 +87,11 @@ impl Prefix {
     pub fn from_bits_u128(afi: Afi, bits: u128, len: u8) -> Result<Prefix, PrefixError> {
         match afi {
             Afi::V4 => {
-                if len > 32 {
-                    return Err(PrefixError::LengthOutOfRange { len, max: 32 });
-                }
+                let top = Prefix4::new((bits >> 96) as u32, len)?;
                 if bits & ((1u128 << 96) - 1) != 0 {
                     return Err(PrefixError::HostBitsSet);
                 }
-                Prefix4::new((bits >> 96) as u32, len).map(Prefix::V4)
+                Ok(Prefix::V4(top))
             }
             Afi::V6 => Prefix6::new(bits, len).map(Prefix::V6),
         }
@@ -111,46 +126,31 @@ impl Prefix {
     /// The parent prefix, or `None` for a default route.
     #[inline]
     pub fn parent(self) -> Option<Prefix> {
-        match self {
-            Prefix::V4(p) => p.parent().map(Prefix::V4),
-            Prefix::V6(p) => p.parent().map(Prefix::V6),
-        }
+        same_family!(self, p => p.parent())
     }
 
     /// The sibling prefix, or `None` for a default route.
     #[inline]
     pub fn sibling(self) -> Option<Prefix> {
-        match self {
-            Prefix::V4(p) => p.sibling().map(Prefix::V4),
-            Prefix::V6(p) => p.sibling().map(Prefix::V6),
-        }
+        same_family!(self, p => p.sibling())
     }
 
     /// `true` if this prefix is the left (0-bit) child of its parent.
     #[inline]
     pub fn is_left_child(self) -> bool {
-        match self {
-            Prefix::V4(p) => p.is_left_child(),
-            Prefix::V6(p) => p.is_left_child(),
-        }
+        either!(self, p => p.is_left_child())
     }
 
     /// The left child, or `None` at maximum length.
     #[inline]
     pub fn left_child(self) -> Option<Prefix> {
-        match self {
-            Prefix::V4(p) => p.left_child().map(Prefix::V4),
-            Prefix::V6(p) => p.left_child().map(Prefix::V6),
-        }
+        same_family!(self, p => p.left_child())
     }
 
     /// The right child, or `None` at maximum length.
     #[inline]
     pub fn right_child(self) -> Option<Prefix> {
-        match self {
-            Prefix::V4(p) => p.right_child().map(Prefix::V4),
-            Prefix::V6(p) => p.right_child().map(Prefix::V6),
-        }
+        same_family!(self, p => p.right_child())
     }
 
     /// Both children as `(left, right)`, or `None` at maximum length.
@@ -161,10 +161,7 @@ impl Prefix {
 
     /// The ancestor at exactly `len` bits, or `None` if `len > self.len()`.
     pub fn ancestor_at(self, len: u8) -> Option<Prefix> {
-        match self {
-            Prefix::V4(p) => p.ancestor_at(len).map(Prefix::V4),
-            Prefix::V6(p) => p.ancestor_at(len).map(Prefix::V6),
-        }
+        same_family!(self, p => p.ancestor_at(len))
     }
 
     /// The longest prefix covering both `self` and `other`, or `None`
@@ -180,27 +177,18 @@ impl Prefix {
     /// The number of subprefixes (including `self`) with lengths in
     /// `self.len()..=max_len`, saturating at `u128::MAX`.
     pub fn subprefix_count(self, max_len: u8) -> u128 {
-        match self {
-            Prefix::V4(p) => p.subprefix_count(max_len) as u128,
-            Prefix::V6(p) => p.subprefix_count(max_len),
-        }
+        either!(self, p => p.subprefix_count(max_len))
     }
 
     /// Iterates over subprefixes up to `max_len`, including `self`.
     pub fn subprefixes(self, max_len: u8) -> Box<dyn Iterator<Item = Prefix>> {
-        match self {
-            Prefix::V4(p) => Box::new(p.subprefixes(max_len).map(Prefix::V4)),
-            Prefix::V6(p) => Box::new(p.subprefixes(max_len).map(Prefix::V6)),
-        }
+        either!(self, p => Box::new(p.subprefixes(max_len).map(Prefix::from)))
     }
 }
 
 impl fmt::Display for Prefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Prefix::V4(p) => p.fmt(f),
-            Prefix::V6(p) => p.fmt(f),
-        }
+        either!(self, p => p.fmt(f))
     }
 }
 

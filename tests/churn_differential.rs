@@ -97,6 +97,11 @@ fn rtr_replayed_timeline_matches_batch_revalidation_at_scale_005() {
 
 /// Every named profile, smaller world, aggressive refreezing: states are
 /// checked against a fresh rebuild after *every* epoch, both families.
+///
+/// The generated worlds announce no AS0 route, so each profile's table
+/// gains one at every prefix the timeline's deltas touch. AS0 is the
+/// lowest origin: a changed VRP must revalidate the routes at its own
+/// prefix from AS0 up, not from the first origin a world announces.
 #[test]
 fn every_profile_agrees_with_fresh_rebuild_per_epoch() {
     let (routes, vrps) = world_at(0.01);
@@ -114,6 +119,14 @@ fn every_profile_agrees_with_fresh_rebuild_per_epoch() {
             },
         )
         .generate();
+        let touched = timeline
+            .epochs
+            .iter()
+            .flat_map(|epoch| epoch.announced.iter().chain(&epoch.withdrawn));
+        let mut routes = routes.clone();
+        routes.extend(touched.map(|vrp| RouteOrigin::new(vrp.prefix, Asn(0))));
+        routes.sort_unstable();
+        routes.dedup();
         let mut engine = SnapshotChainEngine::new(
             routes.iter().copied(),
             timeline.initial.iter().copied(),

@@ -54,6 +54,32 @@ const PINNED: [(usize, u64); 3] = [
     (36_470, 7_055_597_520_410_756_353),
 ];
 
+fn vrps(lines: &[&str]) -> Vec<Vrp> {
+    lines.iter().map(|s| s.parse().unwrap()).collect()
+}
+
+/// Algorithm 1 merges two siblings only into their own origin's tuple one
+/// bit above them. Two /18 siblings under a /16, with no /17 between,
+/// stay as they are: raising the /16 to maxLength 18 would authorize both
+/// /17s and the other two /18s, none of them announced — the §4 hole the
+/// merge must never open. With the /17 present, they merge into it.
+#[test]
+fn siblings_merge_only_into_the_tuple_one_bit_above() {
+    let gap = vrps(&[
+        "168.122.0.0/16 => AS111",
+        "168.122.0.0/18 => AS111",
+        "168.122.64.0/18 => AS111",
+    ]);
+    assert_eq!(compress_roas(&gap), gap);
+    assert_eq!(compress_roas_full(&gap), gap);
+
+    let mut parent = gap.clone();
+    parent.push("168.122.0.0/17 => AS111".parse().unwrap());
+    let merged = vrps(&["168.122.0.0/16 => AS111", "168.122.0.0/17-18 => AS111"]);
+    assert_eq!(compress_roas(&parent), merged);
+    assert_eq!(compress_roas_full(&parent), merged);
+}
+
 #[test]
 fn table1_is_identical_for_every_thread_count() {
     let (vrps, bgp) = snapshot(0.01);
