@@ -463,11 +463,11 @@ impl AttackerStrategy for MaxLengthGapProber {
 }
 
 /// Stages one strategy and measures where every AS's traffic for the
-/// plan's target lands.
-///
-/// The victim originates `setup.victim_prefix`; the strategy observes the
-/// resulting pre-attack world and plans its announcement; both then
-/// propagate under Gao–Rexford with RFC 6811 filtering against
+/// plan's target lands. A test hook, the staging `tests/structure_props.rs`,
+/// `tests/support/executor.rs` and the root `tests/attack_surface.rs` check
+/// against: the victim originates `setup.victim_prefix`; the strategy
+/// observes the resulting pre-attack world and plans its announcement; both
+/// then propagate under Gao–Rexford with RFC 6811 filtering against
 /// `setup.vrps` (honoring each AS's [`rpki_rov::RovPolicy`]); finally
 /// every AS forwards a packet addressed inside the plan's target along
 /// its longest matching prefix.

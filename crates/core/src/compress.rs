@@ -304,10 +304,10 @@ pub fn compress_roas(vrps: &[Vrp]) -> Vec<Vrp> {
 /// Order matters: the sibling sweep runs first, then domination. Removing
 /// a tuple can never *enable* a merge (merges need all three tuples
 /// present), but it can destroy one — dropping a dominated parent would
-/// forfeit the merge that parent anchors. Sweeping first therefore
-/// guarantees the result is never larger than [`compress_roas`]'s, while
-/// the post-sweep domination pass catches tuples the raised parents now
-/// cover (both facts are property-tested).
+/// forfeit the merge that parent anchors, so the result is never larger
+/// than [`compress_roas`]'s. A test hook: `tests/props.rs` checks that and
+/// the domination pass, and the root `tests/core_kernels.rs` pins its
+/// output by digest.
 pub fn compress_roas_full(vrps: &[Vrp]) -> Vec<Vrp> {
     survivors(sweep(vrps, 1, true))
 }

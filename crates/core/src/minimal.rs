@@ -62,11 +62,11 @@ pub enum MinimalRoa {
 }
 
 /// Converts each ROA into its minimal form against a BGP table.
-///
-/// The number of ROA *objects* does not grow (§6: "we could deal with
-/// these 13K additional prefixes without adding any additional ROAs"): a
-/// ROA whose coverage is partly announced keeps one object with more
-/// prefix entries; one covering nothing announced is withdrawn.
+/// A test hook: `tests/lint_props.rs` and the `lint` unit tests check §8's
+/// fix with it. The number of ROA *objects* does not grow (§6: "we could deal
+/// with these 13K additional prefixes without adding any additional
+/// ROAs"): a ROA whose coverage is partly announced keeps one object with
+/// more prefix entries; one covering nothing announced is withdrawn.
 pub fn minimalize_roas(roas: &[Roa], bgp: &BgpTable) -> Vec<MinimalRoa> {
     roas.iter()
         .map(|roa| {

@@ -37,6 +37,7 @@ use rand::{Rng, SeedableRng};
 
 use rpki_roa::{Asn, Vrp};
 
+use crate::config::V6_FRACTION;
 use crate::space::SpaceAllocator;
 
 /// A named churn scenario: which kinds of RPKI events an epoch contains.
@@ -96,8 +97,6 @@ pub struct ChurnConfig {
     pub events_per_epoch: usize,
     /// Which event mix to draw from.
     pub profile: ChurnProfile,
-    /// Fraction of freshly issued VRPs placed in IPv6.
-    pub v6_fraction: f64,
 }
 
 impl Default for ChurnConfig {
@@ -107,7 +106,6 @@ impl Default for ChurnConfig {
             epochs: 16,
             events_per_epoch: 32,
             profile: ChurnProfile::Mixed,
-            v6_fraction: 0.05,
         }
     }
 }
@@ -196,8 +194,9 @@ const FRESH_V6_BASE: Ipv6Addr = Ipv6Addr::new(0x3000, 0, 0, 0, 0, 0, 0, 0);
 pub struct ChurnGenerator {
     config: ChurnConfig,
     rng: StdRng,
-    /// The current set (epoch boundaries only).
-    current: BTreeSet<Vrp>,
+    /// The set at the current epoch's start, sorted and deduplicated:
+    /// events sample it and test membership in it by binary search.
+    current: Vec<Vrp>,
     /// Withdrawn-by-expiry pool, eligible for re-issuance.
     retired: Vec<Vrp>,
     /// Flapped down last epoch; re-announced at the next epoch's start.
@@ -209,10 +208,13 @@ pub struct ChurnGenerator {
 impl ChurnGenerator {
     /// A generator over an initial VRP set.
     pub fn new(initial: impl IntoIterator<Item = Vrp>, config: ChurnConfig) -> ChurnGenerator {
+        let mut current: Vec<Vrp> = initial.into_iter().collect();
+        current.sort_unstable();
+        current.dedup();
         ChurnGenerator {
             rng: StdRng::seed_from_u64(config.seed),
             config,
-            current: initial.into_iter().collect(),
+            current,
             retired: Vec::new(),
             pending_flap: Vec::new(),
             fresh: SpaceAllocator::new(FRESH_V4_BASE, FRESH_V6_BASE),
@@ -221,15 +223,13 @@ impl ChurnGenerator {
 
     /// Generates the whole timeline, consuming the generator.
     pub fn generate(mut self) -> ChurnTimeline {
-        let initial: Vec<Vrp> = self.current.iter().copied().collect();
+        let initial = self.current.clone();
         let epochs = (0..self.config.epochs).map(|i| self.epoch(i)).collect();
         ChurnTimeline { initial, epochs }
     }
 
     /// Builds one epoch and advances the current set past it.
     fn epoch(&mut self, index: usize) -> ChurnEpoch {
-        // The epoch-start pool events sample withdrawals from.
-        let pool: Vec<Vrp> = self.current.iter().copied().collect();
         let mut announced: BTreeSet<Vrp> = BTreeSet::new();
         let mut withdrawn: BTreeSet<Vrp> = BTreeSet::new();
 
@@ -248,20 +248,49 @@ impl ChurnGenerator {
             if profile == ChurnProfile::FlapBurst && !flaps_allowed {
                 continue;
             }
-            self.push_event(profile, &pool, &mut announced, &mut withdrawn);
+            self.push_event(profile, &mut announced, &mut withdrawn);
         }
 
-        for v in &withdrawn {
-            self.current.remove(v);
-        }
-        for v in &announced {
-            self.current.insert(*v);
-        }
-        ChurnEpoch {
+        let epoch = ChurnEpoch {
             index,
             announced: announced.into_iter().collect(),
             withdrawn: withdrawn.into_iter().collect(),
+        };
+        self.splice(&epoch);
+        epoch
+    }
+
+    /// Advances the current set past an epoch: withdrawals, then
+    /// announcements. The changes are merged in order, and the untouched
+    /// runs of the set between them are copied whole.
+    fn splice(&mut self, epoch: &ChurnEpoch) {
+        let mut changes: Vec<(Vrp, bool)> = epoch
+            .withdrawn
+            .iter()
+            .map(|&v| (v, false))
+            .chain(epoch.announced.iter().map(|&v| (v, true)))
+            .collect();
+        changes.sort_unstable();
+        let mut next = Vec::with_capacity(self.current.len() + epoch.announced.len());
+        let mut rest = &self.current[..];
+        for (vrp, announce) in changes {
+            let at = rest.partition_point(|v| *v < vrp);
+            next.extend_from_slice(&rest[..at]);
+            rest = &rest[at..];
+            if rest.first() == Some(&vrp) {
+                rest = &rest[1..];
+            }
+            if announce {
+                next.push(vrp);
+            }
         }
+        next.extend_from_slice(rest);
+        self.current = next;
+    }
+
+    /// `true` if `vrp` is in the set at the current epoch's start.
+    fn is_current(&self, vrp: &Vrp) -> bool {
+        self.current.binary_search(vrp).is_ok()
     }
 
     /// The concrete event kind for one event slot.
@@ -284,12 +313,11 @@ impl ChurnGenerator {
     }
 
     /// Applies one event to the epoch's delta sets; events that cannot
-    /// find a target (empty pool, value collisions) are skipped, keeping
+    /// find a target (empty set, value collisions) are skipped, keeping
     /// the epoch clean rather than padding it with junk.
     fn push_event(
         &mut self,
         kind: ChurnProfile,
-        pool: &[Vrp],
         announced: &mut BTreeSet<Vrp>,
         withdrawn: &mut BTreeSet<Vrp>,
     ) {
@@ -305,7 +333,7 @@ impl ChurnGenerator {
                 if !self.retired.is_empty() && self.rng.gen_bool(0.5) {
                     let at = self.rng.gen_range(0..self.retired.len());
                     let candidate = self.retired[at];
-                    if !self.current.contains(&candidate) && !announced.contains(&candidate) {
+                    if !self.is_current(&candidate) && !announced.contains(&candidate) {
                         self.retired.swap_remove(at);
                         renewed = Some(candidate);
                     }
@@ -314,45 +342,42 @@ impl ChurnGenerator {
                     Some(v) => v,
                     None => self.mint_fresh(),
                 };
-                if !self.current.contains(&vrp) && !announced.contains(&vrp) {
+                if !self.is_current(&vrp) && !announced.contains(&vrp) {
                     announced.insert(vrp);
                 }
             }
             ChurnProfile::Expiry => {
-                if let Some(vrp) = self.pick_live(pool, announced, withdrawn) {
+                if let Some(vrp) = self.pick_live(announced, withdrawn) {
                     withdrawn.insert(vrp);
                     self.retired.push(vrp);
                 }
             }
             ChurnProfile::MaxLengthEdit => {
-                if let Some(vrp) = self.pick_live(pool, announced, withdrawn) {
+                if let Some(vrp) = self.pick_live(announced, withdrawn) {
                     let ceiling = vrp.prefix.max_len().min(vrp.prefix.len() + 4);
                     let new_max = self.rng.gen_range(vrp.prefix.len()..=ceiling);
                     let edited = Vrp::new(vrp.prefix, new_max, vrp.asn);
-                    if edited != vrp
-                        && !self.current.contains(&edited)
-                        && !announced.contains(&edited)
-                    {
+                    if edited != vrp && !self.is_current(&edited) && !announced.contains(&edited) {
                         withdrawn.insert(vrp);
                         announced.insert(edited);
                     }
                 }
             }
             ChurnProfile::AsnTransfer => {
-                if let Some(vrp) = self.pick_live(pool, announced, withdrawn) {
+                if let Some(vrp) = self.pick_live(announced, withdrawn) {
                     let moved = Vrp::new(
                         vrp.prefix,
                         vrp.max_len,
                         Asn(vrp.asn.0.wrapping_add(self.rng.gen_range(1u32..1000))),
                     );
-                    if !self.current.contains(&moved) && !announced.contains(&moved) {
+                    if !self.is_current(&moved) && !announced.contains(&moved) {
                         withdrawn.insert(vrp);
                         announced.insert(moved);
                     }
                 }
             }
             ChurnProfile::FlapBurst => {
-                if let Some(vrp) = self.pick_live(pool, announced, withdrawn) {
+                if let Some(vrp) = self.pick_live(announced, withdrawn) {
                     withdrawn.insert(vrp);
                     self.pending_flap.push(vrp);
                 }
@@ -363,17 +388,12 @@ impl ChurnGenerator {
 
     /// A random VRP that is present at epoch start and untouched so far
     /// this epoch (bounded retries keep generation O(events)).
-    fn pick_live(
-        &mut self,
-        pool: &[Vrp],
-        announced: &BTreeSet<Vrp>,
-        withdrawn: &BTreeSet<Vrp>,
-    ) -> Option<Vrp> {
-        if pool.is_empty() {
+    fn pick_live(&mut self, announced: &BTreeSet<Vrp>, withdrawn: &BTreeSet<Vrp>) -> Option<Vrp> {
+        if self.current.is_empty() {
             return None;
         }
         for _ in 0..8 {
-            let vrp = pool[self.rng.gen_range(0..pool.len())];
+            let vrp = self.current[self.rng.gen_range(0..self.current.len())];
             if !withdrawn.contains(&vrp) && !announced.contains(&vrp) {
                 return Some(vrp);
             }
@@ -383,7 +403,7 @@ impl ChurnGenerator {
 
     /// Mints a VRP on never-before-used address space.
     fn mint_fresh(&mut self) -> Vrp {
-        let v6 = self.rng.gen_bool(self.config.v6_fraction);
+        let v6 = self.rng.gen_bool(V6_FRACTION);
         let len = if v6 {
             self.rng.gen_range(32u8..=48)
         } else {
@@ -418,7 +438,6 @@ mod tests {
                 epochs: 12,
                 events_per_epoch: 24,
                 profile,
-                ..ChurnConfig::default()
             },
         )
         .generate()

@@ -37,6 +37,12 @@
 //! (each within ±1 of Table 1, the residue being integer rounding the
 //! paper's own pipeline also exhibits).
 //!
+//! In code the table is stated once: the counts are
+//! [`CategoryCounts::PAPER`], one per [`Category`] in [`Category::ALL`]
+//! order, and each class's routes and ROA entries per allocation are
+//! `Category::routes` and `Category::tuples`, from which
+//! [`world::Allocation`] builds its announcements and ROA listing.
+//!
 //! Weekly snapshots thin the world with per-entity activation thresholds:
 //! the RPKI side grows ~6% over the eight weeks and the BGP side ~1%,
 //! matching the slopes of Figure 3a/3b.

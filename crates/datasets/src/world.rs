@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use rpki_prefix::Prefix;
 use rpki_roa::{Asn, Roa, RoaPrefix, RouteOrigin};
 
-use crate::config::{GeneratorConfig, WEEK_LABELS};
+use crate::config::{GeneratorConfig, V6_FRACTION, WEEK_LABELS};
 use crate::snapshot::DatasetSnapshot;
 use crate::space::SpaceAllocator;
 
@@ -49,19 +49,6 @@ pub enum Category {
     AdopterScattered,
 }
 
-impl Category {
-    /// `true` if the allocation appears in the RPKI.
-    pub fn is_adopter(self) -> bool {
-        !matches!(
-            self,
-            Category::Plain
-                | Category::DeaggDepth1
-                | Category::DeaggDepth2
-                | Category::DeaggPartial
-        )
-    }
-}
-
 /// One allocation: a disjoint block of address space owned by one AS,
 /// with its announcement and RPKI behaviour.
 #[derive(Debug, Clone)]
@@ -84,73 +71,110 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    /// The BGP announcements this allocation contributes when active.
-    pub fn announcements(&self) -> Vec<RouteOrigin> {
-        let own = |p: Prefix| RouteOrigin::new(p, self.asn);
-        match self.category {
-            Category::Plain
-            | Category::AdopterExact
-            | Category::AdopterMaxLenPlain
-            | Category::AdopterTripleStale => vec![own(self.prefix)],
-            Category::AdopterStale => vec![],
-            Category::DeaggDepth1
-            | Category::AdopterMaxLenSafe
-            | Category::AdopterTripleLive
-            | Category::AdopterMaxLenDeep => {
-                // Structured classes are allocated at /18–/22 or /32–/44.
-                let (l, r) = self.prefix.children().expect("parent length bounded");
-                vec![own(self.prefix), own(l), own(r)]
-            }
-            Category::DeaggDepth2 => {
-                // Allocated at /18–/22 or /32–/44: two levels of children fit.
-                let (l, r) = self.prefix.children().expect("parent length bounded");
-                let mut out = vec![own(self.prefix), own(l), own(r)];
-                for child in [l, r] {
-                    let (gl, gr) = child.children().expect("depth bounded");
-                    out.push(own(gl));
-                    out.push(own(gr));
-                }
-                out
-            }
-            Category::DeaggPartial | Category::AdopterMaxLenPartial => {
-                // Allocated at /18–/22 or /32–/44, short of the family maximum.
-                let l = self.prefix.left_child().expect("parent length bounded");
-                vec![own(self.prefix), own(l)]
-            }
-            Category::AdopterScattered => self.scattered.iter().map(|&p| own(p)).collect(),
+    /// The BGP announcements this allocation contributes when active: the
+    /// first `Category::routes` prefixes of its subtree, then its scattered
+    /// more-specifics (only [`Category::AdopterScattered`] has any, and it
+    /// announces no prefix of its subtree).
+    pub fn announcements(&self) -> impl Iterator<Item = RouteOrigin> + '_ {
+        self.subtree(self.category.routes())
+            .chain(self.scattered.iter().copied())
+            .map(|p| RouteOrigin::new(p, self.asn))
+    }
+
+    /// The ROA prefix entries this allocation contributes when covered:
+    /// one entry with the allocation's maxLength, or a listing of the first
+    /// `Category::tuples` prefixes of its subtree without one.
+    pub fn roa_entries(&self) -> Vec<RoaPrefix> {
+        match self.category.tuples() {
+            1 => vec![RoaPrefix {
+                prefix: self.prefix,
+                max_len: self.max_len,
+            }],
+            n => self.subtree(n).map(RoaPrefix::exact).collect(),
         }
     }
 
-    /// The ROA prefix entries this allocation contributes when covered.
-    pub fn roa_entries(&self) -> Vec<RoaPrefix> {
-        match self.category {
+    /// The first `n` prefixes of the allocation's subtree in breadth-first
+    /// order: `p`, `p0`, `p1`, `p00`, `p01`, `p10`, `p11`.
+    fn subtree(&self, n: usize) -> impl Iterator<Item = Prefix> + '_ {
+        // Numbered heap-style from 1, a node's bits after the leading one
+        // spell its path down from `p`.
+        (1..=n).map(|node| {
+            (0..node.ilog2()).rev().fold(self.prefix, |p, bit| {
+                // Classes announcing children are allocated at /18–/22 or
+                // /32–/44, two levels short of the family maximum.
+                let (l, r) = p.children().expect("length bounded");
+                if node >> bit & 1 == 0 {
+                    l
+                } else {
+                    r
+                }
+            })
+        })
+    }
+}
+
+impl Category {
+    /// Every class, non-adopters first: the order of
+    /// [`CategoryCounts::allocations`](crate::CategoryCounts::allocations)
+    /// and the order in which [`World::generate`] deals allocations out.
+    pub const ALL: [Category; 13] = [
+        Category::Plain,
+        Category::DeaggDepth1,
+        Category::DeaggDepth2,
+        Category::DeaggPartial,
+        Category::AdopterExact,
+        Category::AdopterStale,
+        Category::AdopterMaxLenPlain,
+        Category::AdopterTripleStale,
+        Category::AdopterMaxLenSafe,
+        Category::AdopterTripleLive,
+        Category::AdopterMaxLenDeep,
+        Category::AdopterMaxLenPartial,
+        Category::AdopterScattered,
+    ];
+
+    /// `true` if the allocation appears in the RPKI.
+    pub fn is_adopter(self) -> bool {
+        self.tuples() > 0
+    }
+
+    /// How many routes one allocation of this class announces, as the
+    /// first prefixes of its subtree (see [`Allocation::announcements`]).
+    /// A scattered allocation's routes are counted apart, by
+    /// [`CategoryCounts::scattered_pairs`](crate::CategoryCounts::scattered_pairs).
+    pub(crate) fn routes(self) -> usize {
+        match self {
+            Category::AdopterStale | Category::AdopterScattered => 0,
+            Category::Plain
+            | Category::AdopterExact
+            | Category::AdopterMaxLenPlain
+            | Category::AdopterTripleStale => 1,
+            Category::DeaggPartial | Category::AdopterMaxLenPartial => 2,
+            Category::DeaggDepth1
+            | Category::AdopterMaxLenSafe
+            | Category::AdopterTripleLive
+            | Category::AdopterMaxLenDeep => 3,
+            Category::DeaggDepth2 => 7,
+        }
+    }
+
+    /// How many ROA prefix entries one allocation of this class lists (see
+    /// [`Allocation::roa_entries`]).
+    pub(crate) fn tuples(self) -> usize {
+        match self {
             Category::Plain
             | Category::DeaggDepth1
             | Category::DeaggDepth2
-            | Category::DeaggPartial => vec![],
-            Category::AdopterExact | Category::AdopterStale => {
-                vec![RoaPrefix::exact(self.prefix)]
-            }
-            Category::AdopterMaxLenPlain
+            | Category::DeaggPartial => 0,
+            Category::AdopterExact
+            | Category::AdopterStale
+            | Category::AdopterMaxLenPlain
             | Category::AdopterMaxLenSafe
             | Category::AdopterMaxLenDeep
             | Category::AdopterMaxLenPartial
-            | Category::AdopterScattered => {
-                // `World::make_allocation` gives every maxLength class a `max_len`.
-                vec![RoaPrefix::with_max_len(
-                    self.prefix,
-                    self.max_len.expect("maxLength classes carry one"),
-                )]
-            }
-            Category::AdopterTripleStale | Category::AdopterTripleLive => {
-                // Allocated at /18–/22 or /32–/44, short of the family maximum.
-                let (l, r) = self.prefix.children().expect("parent length bounded");
-                vec![
-                    RoaPrefix::exact(self.prefix),
-                    RoaPrefix::exact(l),
-                    RoaPrefix::exact(r),
-                ]
-            }
+            | Category::AdopterScattered => 1,
+            Category::AdopterTripleStale | Category::AdopterTripleLive => 3,
         }
     }
 }
@@ -175,55 +199,24 @@ impl World {
         let counts = config.counts();
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut space = SpaceAllocator::new(WORLD_V4_BASE, WORLD_V6_BASE);
-        let mut allocations = Vec::with_capacity(counts.expected_pairs());
+        let mut allocations = Vec::with_capacity(counts.allocations.iter().sum());
+        // Each class's allocations, in `Category::ALL` order.
+        let deal = |adopters: bool| -> Vec<Category> {
+            Category::ALL
+                .into_iter()
+                .filter(|c| c.is_adopter() == adopters)
+                .flat_map(|c| std::iter::repeat_n(c, counts[c]))
+                .collect()
+        };
 
         // --- Adopter entities -------------------------------------------
-        let mut adopters: Vec<Category> = Vec::new();
-        let push_n =
-            |v: &mut Vec<Category>, c: Category, n: usize| v.extend(std::iter::repeat_n(c, n));
-        push_n(&mut adopters, Category::AdopterExact, counts.adopter_exact);
-        push_n(&mut adopters, Category::AdopterStale, counts.adopter_stale);
-        push_n(
-            &mut adopters,
-            Category::AdopterMaxLenPlain,
-            counts.adopter_maxlen_plain,
-        );
-        push_n(
-            &mut adopters,
-            Category::AdopterTripleStale,
-            counts.adopter_triple_stale,
-        );
-        push_n(
-            &mut adopters,
-            Category::AdopterMaxLenSafe,
-            counts.adopter_maxlen_safe,
-        );
-        push_n(
-            &mut adopters,
-            Category::AdopterTripleLive,
-            counts.adopter_triple_live,
-        );
-        push_n(
-            &mut adopters,
-            Category::AdopterMaxLenDeep,
-            counts.adopter_maxlen_deep,
-        );
-        push_n(
-            &mut adopters,
-            Category::AdopterMaxLenPartial,
-            counts.adopter_maxlen_partial,
-        );
-        push_n(
-            &mut adopters,
-            Category::AdopterScattered,
-            counts.adopter_scattered,
-        );
+        let mut adopters = deal(true);
         // Mix categories across ASes.
         adopters.shuffle(&mut rng);
 
         // Scattered-pair budget, spread evenly with the remainder on the
         // first few entities so the total is exact.
-        let n_scattered = counts.adopter_scattered.max(1);
+        let n_scattered = counts[Category::AdopterScattered].max(1);
         let scattered_base = counts.scattered_pairs / n_scattered;
         let scattered_extra = counts.scattered_pairs % n_scattered;
         let mut scattered_seen = 0usize;
@@ -235,7 +228,6 @@ impl World {
             let alloc = Self::make_allocation(
                 &mut rng,
                 &mut space,
-                config.v6_fraction,
                 category,
                 asn,
                 if category == Category::AdopterScattered {
@@ -250,23 +242,7 @@ impl World {
         }
 
         // --- Non-adopter entities ----------------------------------------
-        let mut non_adopters: Vec<Category> = Vec::new();
-        push_n(&mut non_adopters, Category::Plain, counts.plain);
-        push_n(
-            &mut non_adopters,
-            Category::DeaggDepth1,
-            counts.deagg_depth1,
-        );
-        push_n(
-            &mut non_adopters,
-            Category::DeaggDepth2,
-            counts.deagg_depth2,
-        );
-        push_n(
-            &mut non_adopters,
-            Category::DeaggPartial,
-            counts.deagg_partial,
-        );
+        let mut non_adopters = deal(false);
         non_adopters.shuffle(&mut rng);
 
         let mut asn = 100_000u32;
@@ -277,14 +253,7 @@ impl World {
                 remaining_in_as = rng.gen_range(1..=24);
             }
             remaining_in_as -= 1;
-            let alloc = Self::make_allocation(
-                &mut rng,
-                &mut space,
-                config.v6_fraction,
-                category,
-                Asn(asn),
-                0,
-            );
+            let alloc = Self::make_allocation(&mut rng, &mut space, category, Asn(asn), 0);
             allocations.push(alloc);
         }
 
@@ -297,12 +266,11 @@ impl World {
     fn make_allocation(
         rng: &mut StdRng,
         space: &mut SpaceAllocator,
-        v6_fraction: f64,
         category: Category,
         asn: Asn,
         scattered_count: usize,
     ) -> Allocation {
-        let v6 = rng.gen_bool(v6_fraction);
+        let v6 = rng.gen_bool(V6_FRACTION);
         let (prefix, max_len, scattered) = match category {
             // Leaf-like allocations: realistic length mix, mostly /24 (v4).
             Category::Plain
@@ -500,8 +468,7 @@ mod tests {
                 continue;
             }
             assert!(!alloc.scattered.is_empty());
-            let announced = alloc.announcements();
-            assert!(announced.iter().all(|r| r.prefix != alloc.prefix));
+            assert!(alloc.announcements().all(|r| r.prefix != alloc.prefix));
             for (i, a) in alloc.scattered.iter().enumerate() {
                 assert!(alloc.prefix.covers(*a));
                 assert_eq!(a.len(), alloc.max_len.unwrap());
@@ -567,7 +534,7 @@ mod tests {
                 assert!(!alloc.roa_entries().is_empty());
             } else {
                 assert!(alloc.roa_entries().is_empty());
-                assert!(!alloc.announcements().is_empty());
+                assert!(alloc.announcements().next().is_some());
             }
         }
     }
@@ -579,20 +546,10 @@ mod tests {
         let c = CategoryCounts::PAPER.scaled(0.1);
         assert!(c.expected_pairs() > 70_000 && c.expected_pairs() < 85_000);
     }
-}
-
-#[cfg(test)]
-mod v6_share_tests {
-    use super::*;
 
     #[test]
-    fn v6_share_tracks_config() {
-        let world = World::generate(GeneratorConfig {
-            scale: 0.01,
-            v6_fraction: 0.05,
-            ..GeneratorConfig::default()
-        });
-        let snap = world.snapshot(7);
+    fn v6_share_is_near_five_percent() {
+        let snap = small_world(10).snapshot(7);
         let v6 = snap.routes.iter().filter(|r| !r.prefix.is_v4()).count();
         let share = v6 as f64 / snap.routes.len() as f64;
         assert!((0.02..=0.09).contains(&share), "v6 share {share}");
@@ -602,13 +559,9 @@ mod v6_share_tests {
     }
 
     #[test]
-    fn v6_can_be_disabled() {
-        let world = World::generate(GeneratorConfig {
-            scale: 0.005,
-            v6_fraction: 0.0,
-            ..GeneratorConfig::default()
-        });
-        let snap = world.snapshot(7);
-        assert!(snap.routes.iter().all(|r| r.prefix.is_v4()));
+    fn all_lists_the_classes_in_declaration_order() {
+        for (i, &category) in Category::ALL.iter().enumerate() {
+            assert_eq!(category as usize, i, "{category:?}");
+        }
     }
 }

@@ -98,7 +98,7 @@ fn stage(
     policies: &CompiledPolicies,
 ) -> Option<(f64, bool)> {
     let victim_asn = topology.asn(victim);
-    let announced: Vec<Prefix> = alloc.announcements().iter().map(|r| r.prefix).collect();
+    let announced: Vec<Prefix> = alloc.announcements().map(|r| r.prefix).collect();
     let vrps_translated: Vec<Vrp> = alloc
         .roa_entries()
         .iter()
@@ -234,7 +234,7 @@ fn minimalized_world_resists_every_staged_attack() {
             continue;
         }
         let victim_asn = topology.asn(victim);
-        let announced: Vec<Prefix> = alloc.announcements().iter().map(|r| r.prefix).collect();
+        let announced: Vec<Prefix> = alloc.announcements().map(|r| r.prefix).collect();
         let bgp: BgpTable = announced
             .iter()
             .map(|&p| RouteOrigin::new(p, victim_asn))

@@ -115,7 +115,6 @@ fn every_profile_agrees_with_fresh_rebuild_per_epoch() {
                 epochs: 6,
                 events_per_epoch: 32,
                 profile,
-                ..ChurnConfig::default()
             },
         )
         .generate();

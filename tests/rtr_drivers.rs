@@ -29,7 +29,6 @@ fn timeline() -> ChurnTimeline {
             epochs: 6,
             events_per_epoch: 24,
             profile: ChurnProfile::Mixed,
-            ..ChurnConfig::default()
         },
     )
     .generate()
