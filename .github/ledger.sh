@@ -2,10 +2,11 @@
 # Prints the line ledger ROADMAP.md keeps: non-test lines per crate
 # under crates/*/src (and the facade's src/), each `#[cfg(test)]` item
 # left out, with the dev-only testkit listed apart and vendor/ counted
-# whole. Then it lists the `pub fn`s whose name shipping code never
-# names outside their own definitions: each is either a test hook whose
-# doc names the test that needs it, or code nothing reads. It prints
-# only; no budget is enforced. Run from anywhere in the repo:
+# whole. Then it lists the process-wide state shipping code keeps, and
+# the `pub fn`s whose name shipping code never names outside their own
+# definitions: each is either a test hook whose doc names the test that
+# needs it, or code nothing reads. It prints only; no budget is
+# enforced. Run from anywhere in the repo:
 #
 #   bash .github/ledger.sh
 set -euo pipefail
@@ -59,6 +60,15 @@ for dir in vendor/*/; do
     printf '  %-10s %6d\n' "$(basename "$dir")" \
         "$(find "$dir" -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 done
+
+# State a process shares across calls: each `thread_local!` and each
+# `static` holding a `Mutex`, an `Atomic*` or a `OnceLock` in the
+# shipping crates and the facade, outside `#[cfg(test)]` items.
+echo "process-wide state in shipping code:"
+non_test_text "${shipping[@]}" src |
+    grep -E '^[^:]*:[0-9]+:[[:space:]]*(pub(\([a-z]+\))? )?(thread_local!|static [A-Za-z_0-9]+: *([a-z_]+::)*(Mutex|Atomic[A-Za-z0-9]*|OnceLock)\b)' |
+    sed -E 's/^([^:]*:[0-9]+):[[:space:]]*/  \1  /' ||
+    echo "  none"
 
 # A rough name-grep: a `pub fn` counts as read when its name appears,
 # outside comments, more often in shipping code (the crates, the facade

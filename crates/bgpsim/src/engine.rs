@@ -22,10 +22,9 @@
 //!    ASes in ascending order without a sort. Phase 3's queue is
 //!    seeded from the settled bitset's words the same way, so a push
 //!    run never tests all n ASes one by one. Steady-state trials
-//!    allocate nothing in the
-//!    engine's scratch; [`with_workspace`] hands every caller its
-//!    thread's workspace, and the executor installs one from a
-//!    process-wide pool for each pass, so its workers, fresh threads
+//!    allocate nothing in the engine's scratch: every call takes the
+//!    caller's workspace, and the executor keeps one per worker in a
+//!    process-wide pool between passes, so its workers, fresh threads
 //!    every pass, reuse the scratch of the last one. Hot state is
 //!    ≈ 32.4 bytes per AS plus the bucket queue: at 80k ASes a
 //!    workspace that has only pushed holds 3.51 MB (the benchmark's
@@ -78,11 +77,9 @@
 //! than [`PropagationEngine::max_seed_len`] is refused with a panic, not
 //! handed to a second implementation.
 
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rpki_prefix::Prefix;
 use rpki_roa::{Asn, RouteOrigin};
@@ -116,7 +113,8 @@ pub(crate) struct Lane {
     pub victim: usize,
 }
 
-/// Reusable per-thread propagation scratch.
+/// Reusable propagation scratch, one per worker: every engine call
+/// takes the caller's.
 ///
 /// # Bitset-stamp invariant
 ///
@@ -176,7 +174,7 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Bytes of scratch currently allocated — the per-thread footprint
+    /// Bytes of scratch currently allocated — the per-worker footprint
     /// an internet-scale fan-out multiplies by the worker count. Counts
     /// array capacities (what the allocator holds), not lengths.
     pub fn memory_bytes(&self) -> usize {
@@ -320,87 +318,6 @@ impl Workspace {
             len += 1;
         }
     }
-}
-
-thread_local! {
-    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::new());
-}
-
-/// Workspaces between executor passes; see [`with_workspace`].
-static POOL: Mutex<Vec<Workspace>> = Mutex::new(Vec::new());
-
-/// Runs `f` with the calling thread's reusable [`Workspace`].
-///
-/// This is how every trial loop — sequential or fanned out over rayon
-/// workers — gets allocation-free steady-state propagation: each thread
-/// lazily builds one workspace and reuses it for every trial it
-/// processes. Re-entrant calls (an `f` that itself propagates) fall back
-/// to a fresh scratch workspace instead of panicking.
-///
-/// An [`crate::Executor`] pass outlives its worker threads, so a pass
-/// checks one workspace per worker out of a process-wide pool before it
-/// starts them, each worker (the calling thread among them) swaps its
-/// workspace into its slot here for the pass, and the pass returns them
-/// all to the pool once every worker is joined. A steady-state pass
-/// therefore allocates nothing sized by the topology, and no worker
-/// thread's allocator arena is left holding freed scratch. The pool
-/// holds as many workspaces as the most workers a pass has used
-/// ([`pooled_workspaces`]); it never shrinks.
-pub fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
-    WORKSPACE.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut ws) => f(&mut ws),
-        Err(_) => f(&mut Workspace::new()),
-    })
-}
-
-fn pool() -> MutexGuard<'static, Vec<Workspace>> {
-    // A push or a pop leaves the pool valid whenever a holder panics.
-    POOL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Checks `count` workspaces out of the pool for a pass's workers,
-/// building those it lacks. A pass that panics loses them to the unwind.
-pub(crate) fn check_out_workspaces(count: usize) -> Vec<Workspace> {
-    let mut pool = pool();
-    let keep = pool.len().saturating_sub(count);
-    let mut out = pool.split_off(keep);
-    out.resize_with(count, Workspace::default);
-    out
-}
-
-/// Returns a pass's workspaces to the pool.
-pub(crate) fn check_in_workspaces(workspaces: Vec<Workspace>) {
-    pool().extend(workspaces);
-}
-
-/// Runs `f` with `ws` installed in the calling thread's
-/// [`with_workspace`] slot, then takes it back out. Called inside a
-/// [`with_workspace`] borrow, `f` runs without it.
-pub(crate) fn with_installed_workspace<R>(ws: &mut Workspace, f: impl FnOnce() -> R) -> R {
-    let swap = |ws: &mut Workspace| {
-        WORKSPACE.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut slot) => {
-                std::mem::swap(&mut *slot, ws);
-                true
-            }
-            Err(_) => false,
-        })
-    };
-    let installed = swap(ws);
-    let out = f();
-    if installed {
-        swap(ws);
-    }
-    out
-}
-
-/// Workspaces the pool holds now: between passes, the most workers a
-/// pass has used.
-///
-/// A test hook: `tests/pool.rs` checks that parallel passes leave one
-/// workspace per worker.
-pub fn pooled_workspaces() -> usize {
-    pool().len()
 }
 
 /// A per-AS policy vector compiled to a bitset of the ASes that drop
@@ -589,9 +506,10 @@ impl<'a> OriginFilter<'a> {
 /// # Cost
 ///
 /// The per-AS stamps are the footprint's own: `begin` bumps an epoch
-/// instead of clearing the stamp table, so a footprint held in a
-/// thread-local is allocation-free in steady state and `note` is a stamp
-/// compare plus (first time per AS) one push.
+/// instead of clearing the stamp table, so a footprint reused across
+/// propagations (the executor pools one per worker, beside its
+/// [`Workspace`]) is allocation-free in steady state and `note` is a
+/// stamp compare plus (first time per AS) one push.
 #[derive(Debug, Default)]
 pub struct FilterFootprint {
     stamps: Vec<u64>,
@@ -1494,21 +1412,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn with_workspace_is_reentrant_safe() {
-        let t = topo(60);
-        let stub = t.stubs()[0];
-        let seeds = [Seed::origin(stub, t.asn(stub))];
-        let outer = with_workspace(|ws| {
-            // A propagation *inside* a workspace borrow must not panic:
-            // it falls back to a fresh scratch.
-            let inner = crate::routing::propagate(&t, &seeds, &|_, _| true);
-            let outer = PropagationEngine::new(&t).propagate(&seeds, &accept_all, ws);
-            assert!(inner.iter().eq(outer.iter()));
-            outer
-        });
-        assert_eq!(outer.reached(), t.len());
     }
 }

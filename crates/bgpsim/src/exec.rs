@@ -5,9 +5,10 @@
 //! * [`TrialPlan`] — the IR: an enumeration of `(topology, strategy,
 //!   deployment, ROA, trial)` work items;
 //! * [`Executor`] — one scheduler, run by one worker (sequential) or by
-//!   one per thread (parallel), over the process-wide
-//!   [`crate::engine::Workspace`] pool, with a deployment-keyed policy
-//!   cache and cross-deployment outcome replay;
+//!   one per thread (parallel), each worker with its own scratch (a
+//!   [`Workspace`] and a [`FilterFootprint`]) from a process-wide pool,
+//!   with a deployment-keyed policy cache and cross-deployment outcome
+//!   replay;
 //! * [`Accumulator`] — a streaming per-cell monoid ([`CellAccumulator`]
 //!   is the one that ships), so memory stays O(cells), not
 //!   O(cells × trials).
@@ -51,8 +52,8 @@
 //!   cache that keeps only the [`CompiledPolicies`] bitset; uniform
 //!   deployments at many adoption levels (a sweep) share
 //!   one pass over the threshold stream
-//!   ([`DeploymentModel::uniform_thresholds`]), which is bit-identical
-//!   to replaying `policies()` per level.
+//!   ([`DeploymentModel::uniform_thresholds`]), the one draw `policies()`
+//!   makes per level.
 //! * **The victim-only world is answered from structure.** The victim's
 //!   own origin is Valid or NotFound under every [`RoaConfig`] (a group
 //!   asserts this per ROA), so by [`Topology`]'s hierarchy invariant its
@@ -104,15 +105,14 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 
 use rpki_prefix::Prefix;
 
 use crate::attack::{AttackOutcome, AttackSetup};
 use crate::deployment::DeploymentModel;
 use crate::engine::{
-    check_in_workspaces, check_out_workspaces, with_installed_workspace, CompiledPolicies,
-    FilterFootprint, OriginFilter, PropagationEngine, LANES,
+    CompiledPolicies, FilterFootprint, OriginFilter, PropagationEngine, Workspace, LANES,
 };
 use crate::experiment::{destination_pair, trial_pair, RoaConfig};
 use crate::strategy::{stage, AttackerStrategy, LaneBatch, Staged, TrialGroup};
@@ -630,11 +630,11 @@ impl Executor {
 
     /// Fans trial groups out over `rayon::current_num_threads()` workers
     /// (`RAYON_NUM_THREADS` honored), the calling thread among them.
-    /// The pass checks one propagation [`crate::engine::Workspace`] per
-    /// worker out of a process-wide pool and returns them once every
-    /// worker is joined, so the scratch outlives the spawned threads and
-    /// the pool holds as many workspaces as the most workers a pass has
-    /// used (see [`crate::engine::with_workspace`]).
+    /// The pass checks each worker's scratch (a [`Workspace`] and a
+    /// [`FilterFootprint`]) out of a process-wide pool and returns it
+    /// once every worker is joined, so the scratch outlives the spawned
+    /// threads and the pool holds as many as the most workers a pass
+    /// has used ([`pooled_workspaces`]).
     /// Bit-identical to [`Executor::sequential`] at every thread count.
     pub fn parallel() -> Executor {
         Executor { parallel: true }
@@ -689,12 +689,37 @@ fn absorb_group<A: Accumulator>(
     }
 }
 
-thread_local! {
-    /// The speculative scheduler's footprint for the current strategy's
-    /// staging, kept warm across every group a worker processes — the
-    /// same zero-allocation discipline as the propagation
-    /// [`crate::engine::Workspace`].
-    static FOOTPRINT: RefCell<FilterFootprint> = RefCell::default();
+/// One worker's scratch for a pass: the [`Workspace`] every
+/// propagation of its trial groups runs in, and the speculative
+/// scheduler's [`FilterFootprint`] for the staging at hand. Both size
+/// themselves to the first topology they see and are reused verbatim
+/// afterwards.
+#[derive(Default)]
+struct Scratch {
+    ws: RefCell<Workspace>,
+    footprint: RefCell<FilterFootprint>,
+}
+
+/// Scratch between passes: a pass outlives its worker threads, so it
+/// checks one [`Scratch`] per worker out of here before it starts them
+/// and returns them all once every worker is joined. A steady-state
+/// pass therefore allocates nothing sized by the topology, and no
+/// worker thread's allocator arena is left holding freed scratch. The
+/// pool never shrinks.
+static POOL: Mutex<Vec<Scratch>> = Mutex::new(Vec::new());
+
+fn pool() -> MutexGuard<'static, Vec<Scratch>> {
+    // A push or a pop leaves the pool valid whenever a holder panics.
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Workers' scratch the pool holds now: between passes, the most
+/// workers a pass has used.
+///
+/// A test hook: `tests/pool.rs` checks that parallel passes leave one
+/// per worker.
+pub fn pooled_workspaces() -> usize {
+    pool().len()
 }
 
 impl Pass<'_, '_> {
@@ -726,22 +751,26 @@ impl Pass<'_, '_> {
         let workers = workers.clamp(1, groups.max(1));
         let next = AtomicUsize::new(0);
         let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&g| g < groups);
-        let mut scratch = check_out_workspaces(workers);
+        // A pass that panics loses its scratch to the unwind.
+        let mut scratch = {
+            let mut pool = pool();
+            let keep = pool.len().saturating_sub(workers);
+            pool.split_off(keep)
+        };
+        scratch.resize_with(workers, Scratch::default);
         let (mine, theirs) = scratch.split_first_mut().expect("at least one worker");
         std::thread::scope(|scope| {
             let (done, finished) = mpsc::channel();
-            for ws in theirs {
+            for scratch in theirs {
                 let done = done.clone();
                 let next = &next;
                 scope.spawn(move || {
-                    with_installed_workspace(ws, || {
-                        self.run_groups(claim, &mut |g, outcomes, tally| {
-                            if done.send((g, (outcomes.to_vec(), *tally))).is_err() {
-                                // The calling thread is unwinding: claim
-                                // nothing more.
-                                next.store(groups, Ordering::Relaxed);
-                            }
-                        })
+                    self.run_groups(scratch, claim, &mut |g, outcomes, tally| {
+                        if done.send((g, (outcomes.to_vec(), *tally))).is_err() {
+                            // The calling thread is unwinding: claim
+                            // nothing more.
+                            next.store(groups, Ordering::Relaxed);
+                        }
                     })
                 });
             }
@@ -756,31 +785,30 @@ impl Pass<'_, '_> {
                     due += 1;
                 }
             };
-            with_installed_workspace(mine, || {
-                self.run_groups(claim, &mut |g, outcomes, tally| {
-                    early.insert(g, (outcomes.to_vec(), *tally));
-                    early.extend(finished.try_iter());
-                    settle(&mut early);
-                })
+            self.run_groups(mine, claim, &mut |g, outcomes, tally| {
+                early.insert(g, (outcomes.to_vec(), *tally));
+                early.extend(finished.try_iter());
+                settle(&mut early);
             });
             for (g, result) in finished {
                 early.insert(g, result);
                 settle(&mut early);
             }
         });
-        check_in_workspaces(scratch);
+        pool().extend(scratch);
         (accs, stats)
     }
 
-    /// Runs the trial groups `claim` hands out, one at a time, deferring
-    /// their transparent head-to-head stagings into one lane batch, and
-    /// reports each group's `(cell index, outcome)` pairs (in
-    /// [`Self::run_group`]'s order) and counters to `emit`, in claim
-    /// order, once its slots are resolved. The batch is flushed when it
-    /// is full, when `LANES` groups wait on it, when the topology changes
-    /// and when `claim` runs dry.
+    /// Runs the trial groups `claim` hands out, one at a time, in
+    /// `scratch`, deferring their transparent head-to-head stagings into
+    /// one lane batch, and reports each group's `(cell index, outcome)`
+    /// pairs (in [`Self::run_group`]'s order) and counters to `emit`, in
+    /// claim order, once its slots are resolved. The batch is flushed
+    /// when it is full, when `LANES` groups wait on it, when the topology
+    /// changes and when `claim` runs dry.
     fn run_groups(
         &self,
+        scratch: &Scratch,
         mut claim: impl FnMut() -> Option<usize>,
         emit: &mut dyn FnMut(usize, &GroupOutcomes, &ExecStats),
     ) {
@@ -797,9 +825,10 @@ impl Pass<'_, '_> {
                 return;
             };
             let mut batch = batch.borrow_mut();
-            batch.flush(&PropagationEngine::new(
-                plan.topologies[first / plan.trials].topology,
-            ));
+            batch.flush(
+                &PropagationEngine::new(plan.topologies[first / plan.trials].topology),
+                &mut scratch.ws.borrow_mut(),
+            );
             let mut start = 0;
             for (g, end, tally) in waiting.drain(..) {
                 outcomes.clear();
@@ -822,7 +851,7 @@ impl Pass<'_, '_> {
                 flush(&mut waiting, &mut staged);
             }
             let mut tally = ExecStats::default();
-            self.run_group(g, &batch, &mut tally, &mut staged);
+            self.run_group(g, scratch, &batch, &mut tally, &mut staged);
             waiting.push((g, staged.len(), tally));
             if batch.borrow().is_settled() || waiting.len() == LANES {
                 flush(&mut waiting, &mut staged);
@@ -835,8 +864,9 @@ impl Pass<'_, '_> {
     /// across every ROA configuration, strategy and deployment with
     /// Block-STM-style speculation, appending each `(cell index, staged
     /// outcome)` to `staged` (ROA by ROA, strategies in axis order,
-    /// deployments in axis order) and counting into `stats`. The group's
-    /// transparent head-to-head stagings are deferred into `batch`.
+    /// deployments in axis order) and counting into `stats`. The group
+    /// propagates in `scratch` and defers its transparent head-to-head
+    /// stagings into `batch`.
     ///
     /// Per ROA and strategy: execute once against deployment 0 while
     /// recording the filter footprint, then for each further deployment
@@ -854,6 +884,7 @@ impl Pass<'_, '_> {
     fn run_group(
         &self,
         g: usize,
+        scratch: &Scratch,
         batch: &RefCell<LaneBatch>,
         stats: &mut ExecStats,
         staged: &mut Vec<(usize, Staged)>,
@@ -863,48 +894,47 @@ impl Pass<'_, '_> {
         let topology = plan.topologies[ti].topology;
         let (victim, attacker) = plan.trial_endpoints(ti, trial);
         let victim_asn = topology.asn(victim);
-        let group = TrialGroup::deferring(batch);
-        FOOTPRINT.with(|footprint| {
-            for (ri, roa) in plan.roas.iter().enumerate() {
-                let vrps = roa.vrps(plan.victim_prefix, plan.sub_prefix.len(), victim_asn);
-                // Transparency is a property of the VRPs alone, so probing
-                // it with any deployment's bitset is equivalent.
-                assert!(
-                    OriginFilter::new(&vrps, plan.victim_prefix, &[victim_asn], &resolved[ti][0])
-                        .is_transparent(),
-                    "{roa:?} makes the victim's own announcement Invalid"
-                );
-                for (si, strategy) in plan.strategies.iter().enumerate() {
-                    let setup_for = |di: usize| AttackSetup {
-                        topology,
-                        victim,
-                        attacker,
-                        victim_prefix: plan.victim_prefix,
-                        sub_prefix: plan.sub_prefix,
-                        vrps: &vrps,
-                        policies: &resolved[ti][di],
-                    };
-                    footprint.borrow_mut().begin(topology.len());
-                    let outcome = stage(*strategy, &setup_for(0), &group, Some(footprint));
-                    stats.executed += 1;
-                    staged.push((plan.cell_index(ti, si, 0, ri), outcome));
-                    for (di, deployment) in resolved[ti].iter().enumerate().skip(1) {
-                        // The validate half: O(|footprint|) against this
-                        // cell's adopter bitset.
-                        stats.footprint_checks += 1;
-                        if footprint.borrow().validates(deployment) {
-                            stats.cells_replayed += 1;
-                            staged.push((plan.cell_index(ti, si, di, ri), outcome));
-                        } else {
-                            let diverged = stage(*strategy, &setup_for(di), &group, None);
-                            stats.executed += 1;
-                            stats.cells_repropagated += 1;
-                            staged.push((plan.cell_index(ti, si, di, ri), diverged));
-                        }
+        let group = TrialGroup::new(&scratch.ws, Some(batch));
+        let footprint = &scratch.footprint;
+        for (ri, roa) in plan.roas.iter().enumerate() {
+            let vrps = roa.vrps(plan.victim_prefix, plan.sub_prefix.len(), victim_asn);
+            // Transparency is a property of the VRPs alone, so probing
+            // it with any deployment's bitset is equivalent.
+            assert!(
+                OriginFilter::new(&vrps, plan.victim_prefix, &[victim_asn], &resolved[ti][0])
+                    .is_transparent(),
+                "{roa:?} makes the victim's own announcement Invalid"
+            );
+            for (si, strategy) in plan.strategies.iter().enumerate() {
+                let setup_for = |di: usize| AttackSetup {
+                    topology,
+                    victim,
+                    attacker,
+                    victim_prefix: plan.victim_prefix,
+                    sub_prefix: plan.sub_prefix,
+                    vrps: &vrps,
+                    policies: &resolved[ti][di],
+                };
+                footprint.borrow_mut().begin(topology.len());
+                let outcome = stage(*strategy, &setup_for(0), &group, Some(footprint));
+                stats.executed += 1;
+                staged.push((plan.cell_index(ti, si, 0, ri), outcome));
+                for (di, deployment) in resolved[ti].iter().enumerate().skip(1) {
+                    // The validate half: O(|footprint|) against this
+                    // cell's adopter bitset.
+                    stats.footprint_checks += 1;
+                    if footprint.borrow().validates(deployment) {
+                        stats.cells_replayed += 1;
+                        staged.push((plan.cell_index(ti, si, di, ri), outcome));
+                    } else {
+                        let diverged = stage(*strategy, &setup_for(di), &group, None);
+                        stats.executed += 1;
+                        stats.cells_repropagated += 1;
+                        staged.push((plan.cell_index(ti, si, di, ri), diverged));
                     }
                 }
             }
-        });
+        }
         stats.add_group(group.counts.into_inner());
     }
 }

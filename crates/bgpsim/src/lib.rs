@@ -24,7 +24,7 @@
 //!   table it yields: [`Propagation`], 16 packed bytes and one
 //!   membership bit per AS, read through [`Propagation::route`].
 //! * [`engine`] — the flat-graph [`PropagationEngine`] behind
-//!   [`routing::propagate`]: reusable per-thread [`Workspace`] scratch,
+//!   [`routing::propagate`]: reusable per-worker [`Workspace`] scratch,
 //!   a path-length bucket queue, precomputed [`OriginFilter`] import
 //!   filters over a deployment's [`CompiledPolicies`] bitset, and
 //!   interception counted straight off the workspace. It is the only
@@ -44,8 +44,8 @@
 //! * [`exec`] — the unified trial executor: a [`TrialPlan`] IR
 //!   enumerating `(topology, strategy, deployment, ROA, trial)` work
 //!   items, one [`Executor`] scheduler run by one worker or one per
-//!   thread over the process-wide workspace pool, streaming per-cell
-//!   [`Accumulator`]s, and a deployment-keyed policy cache.
+//!   thread over a process-wide pool of worker scratch, streaming
+//!   per-cell [`Accumulator`]s, and a deployment-keyed policy cache.
 //! * [`experiment`] — the plan axes sampled experiments share:
 //!   [`RoaConfig`] and the per-trial attacker/victim pair derivations.
 //! * [`matrix`] — [`ScenarioMatrix`]: the full strategy × deployment ×

@@ -19,10 +19,10 @@
 //! shortest-path search — no iterative convergence needed because
 //! Gao–Rexford preferences are hierarchical.
 //!
-//! One implementation ships: [`propagate`], backed by
-//! [`crate::engine::PropagationEngine`] (flat CSR phase slices, a
-//! reusable per-thread scratch [`crate::engine::Workspace`], and a
-//! path-length bucket queue). The original `BinaryHeap` implementation
+//! One implementation ships: [`crate::engine::PropagationEngine`] (flat
+//! CSR phase slices, a reusable scratch [`crate::engine::Workspace`],
+//! and a path-length bucket queue); [`propagate`] runs it once on a
+//! fresh workspace. The original `BinaryHeap` implementation
 //! of the same contract lives on as the differential oracle in
 //! `tests/support/reference.rs`; the `engine_props` suite holds the
 //! engine **bit-identical** to it (same routes, same deterministic
@@ -30,7 +30,7 @@
 
 use rpki_roa::Asn;
 
-use crate::engine::{with_workspace, PropagationEngine};
+use crate::engine::{PropagationEngine, Workspace};
 use crate::topology::Topology;
 
 /// How an AS learned its best route (order = preference, best first).
@@ -277,8 +277,10 @@ impl Propagation {
 /// return `false` to model the AS dropping the route as RPKI-Invalid.
 /// The filter sees the claimed origin, exactly like RFC 6811 validation.
 ///
-/// Runs the engine on the calling thread's reusable
-/// [`crate::engine::Workspace`], allocating only the returned table.
+/// Runs the engine once on a fresh [`crate::engine::Workspace`]. A test
+/// hook, the one-call propagation `tests/engine_props.rs` and the root
+/// `tests/attack_surface.rs` build on; shipping code keeps a workspace
+/// and calls [`PropagationEngine::propagate`].
 ///
 /// # Panics
 ///
@@ -289,7 +291,7 @@ pub fn propagate(
     seeds: &[Seed],
     accept: &dyn Fn(usize, Asn) -> bool,
 ) -> Propagation {
-    with_workspace(|ws| PropagationEngine::new(topology).propagate(seeds, accept, ws))
+    PropagationEngine::new(topology).propagate(seeds, accept, &mut Workspace::new())
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //! [`run_strategy`] stages the plan under Gao–Rexford propagation with
 //! per-AS ROV filtering and a longest-prefix-match data plane, on the
 //! [`crate::engine::PropagationEngine`]: precomputed [`OriginFilter`]s
-//! instead of per-edge index validation, the calling thread's reusable
-//! [`crate::engine::Workspace`], and the one data-plane tally
+//! instead of per-edge index validation, the trial group's
+//! [`crate::engine::Workspace`] (a worker's, reused for every group it
+//! runs, in the executor), and the one data-plane tally
 //! ([`AttackOutcome`]'s) read straight off it. A deployment enters as
 //! its [`crate::engine::CompiledPolicies`] bitset, compiled once for
 //! every trial staged under it.
@@ -40,9 +41,7 @@ use rpki_roa::Asn;
 use rpki_rov::VrpIndex;
 
 use crate::attack::{AttackKind, AttackOutcome, AttackSetup};
-use crate::engine::{
-    with_workspace, FilterFootprint, Lane, OriginFilter, PropagationEngine, LANES,
-};
+use crate::engine::{FilterFootprint, Lane, OriginFilter, PropagationEngine, Workspace, LANES};
 use crate::exec::ExecStats;
 use crate::routing::{Propagation, Seed};
 use crate::topology::Topology;
@@ -85,14 +84,18 @@ impl StrategyContext<'_> {
 
     /// The victim's prefix propagated *without* the attacker — what
     /// every AS learned before the attack. Computed lazily (on the engine
-    /// path, through the calling thread's workspace) and cached for the
+    /// path, through the trial group's workspace) and cached for the
     /// rest of the trial group; no shipped strategy calls it.
     pub fn baseline(&self) -> &Propagation {
         self.group.baseline.get_or_init(|| {
             self.group.counts.borrow_mut().baselines += 1;
             let accept = |at, origin| self.accept_p.accept(at, origin);
             let engine = PropagationEngine::new(self.topology);
-            with_workspace(|ws| engine.propagate(&[self.victim_seed], &accept, ws))
+            engine.propagate(
+                &[self.victim_seed],
+                &accept,
+                &mut self.group.ws.borrow_mut(),
+            )
         })
     }
 
@@ -125,11 +128,12 @@ impl StrategyContext<'_> {
 /// invariant the victim's announcement reaches every AS, and the
 /// baseline depends on neither the VRPs nor the deployment.
 ///
-/// A group with a [`LaneBatch`] defers its [`StagingKind::Lane`]
-/// stagings into it; one without settles each at once, as a batch of
-/// one.
-#[derive(Default)]
+/// Every staging of the group propagates in its one [`Workspace`]. A
+/// group with a [`LaneBatch`] defers its [`StagingKind::Lane`] stagings
+/// into it; one without settles each at once, as a batch of one.
 pub(crate) struct TrialGroup<'b> {
+    /// The scratch every propagation of the group runs in.
+    ws: &'b RefCell<Workspace>,
     /// The victim-only propagation, computed on first use.
     pub baseline: OnceCell<Propagation>,
     /// The attacker's learned path length for the victim's prefix
@@ -175,29 +179,27 @@ pub(crate) struct LaneBatch {
 }
 
 impl LaneBatch {
-    /// Defers `lane`, settling the batch through `engine` once it holds
-    /// `LANES`. Every lane pushed until the next [`Self::flush`] must be
-    /// on `engine`'s topology.
-    fn push(&mut self, engine: &PropagationEngine<'_>, lane: Lane) -> Staged {
+    /// Defers `lane`, settling the batch through `engine` in `ws` once
+    /// it holds `LANES`. Every lane pushed until the next [`Self::flush`]
+    /// must be on `engine`'s topology.
+    fn push(&mut self, engine: &PropagationEngine<'_>, ws: &mut Workspace, lane: Lane) -> Staged {
         let slot = self.outcomes.len() + self.lanes.len();
         self.lanes.push(lane);
         if self.lanes.len() == LANES {
-            self.flush(engine);
+            self.flush(engine, ws);
         }
         Staged::Lane(u32::try_from(slot).expect("a batch holds fewer than 2^32 stagings"))
     }
 
-    /// Settles every deferred lane, on `engine`'s topology.
-    pub fn flush(&mut self, engine: &PropagationEngine<'_>) {
+    /// Settles every deferred lane, on `engine`'s topology, in `ws`.
+    pub fn flush(&mut self, engine: &PropagationEngine<'_>, ws: &mut Workspace) {
         if self.lanes.is_empty() {
             return;
         }
         let start = self.outcomes.len();
         self.outcomes
             .resize(start + self.lanes.len(), AttackOutcome::default());
-        with_workspace(|ws| {
-            engine.transparent_outcomes(&self.lanes, ws, &mut self.outcomes[start..]);
-        });
+        engine.transparent_outcomes(&self.lanes, ws, &mut self.outcomes[start..]);
         self.lanes.clear();
     }
 
@@ -222,11 +224,16 @@ impl LaneBatch {
 }
 
 impl<'b> TrialGroup<'b> {
-    /// A group deferring its [`StagingKind::Lane`] stagings into `batch`.
-    pub fn deferring(batch: &'b RefCell<LaneBatch>) -> TrialGroup<'b> {
+    /// A group propagating in `ws` and, given a `batch`, deferring its
+    /// [`StagingKind::Lane`] stagings into it.
+    pub fn new(ws: &'b RefCell<Workspace>, batch: Option<&'b RefCell<LaneBatch>>) -> Self {
         TrialGroup {
-            batch: Some(batch),
-            ..TrialGroup::default()
+            ws,
+            baseline: OnceCell::new(),
+            learned_len: OnceCell::new(),
+            memo: RefCell::default(),
+            batch,
+            counts: RefCell::default(),
         }
     }
 }
@@ -470,7 +477,8 @@ impl AttackerStrategy for MaxLengthGapProber {
 /// then propagate under Gao–Rexford with RFC 6811 filtering against
 /// `setup.vrps` (honoring each AS's [`rpki_rov::RovPolicy`]); finally
 /// every AS forwards a packet addressed inside the plan's target along
-/// its longest matching prefix.
+/// its longest matching prefix. Each call runs in a fresh
+/// [`Workspace`], in a trial group of its own.
 ///
 /// # Panics
 ///
@@ -478,7 +486,8 @@ impl AttackerStrategy for MaxLengthGapProber {
 /// target) is not covered by `victim_prefix`, or if `setup.policies`
 /// covers a different number of ASes than the topology.
 pub fn run_strategy(strategy: &dyn AttackerStrategy, setup: &AttackSetup<'_>) -> AttackOutcome {
-    match stage(strategy, setup, &TrialGroup::default(), None) {
+    let ws = RefCell::new(Workspace::new());
+    match stage(strategy, setup, &TrialGroup::new(&ws, None), None) {
         Staged::Ready(outcome) => outcome,
         Staged::Lane(_) => unreachable!("a group without a batch settles every staging"),
     }
@@ -664,10 +673,12 @@ pub(crate) fn stage(
             ..AttackOutcome::default()
         }),
         StagingKind::Lane(lane) => match group.batch {
-            Some(batch) => batch.borrow_mut().push(&engine, lane),
+            Some(batch) => batch
+                .borrow_mut()
+                .push(&engine, &mut group.ws.borrow_mut(), lane),
             None => {
                 let mut out = [AttackOutcome::default()];
-                with_workspace(|ws| engine.transparent_outcomes(&[lane], ws, &mut out));
+                engine.transparent_outcomes(&[lane], &mut group.ws.borrow_mut(), &mut out);
                 Staged::Ready(out[0])
             }
         },
@@ -676,9 +687,14 @@ pub(crate) fn stage(
             filter,
         } => {
             let accept = recording(filter, footprint);
-            let mut outcome = with_workspace(|ws| {
-                engine.propagate_outcome(seeds, &accept, ws, None, attacker, victim)
-            });
+            let mut outcome = engine.propagate_outcome(
+                seeds,
+                &accept,
+                &mut group.ws.borrow_mut(),
+                None,
+                attacker,
+                victim,
+            );
             if more_specific {
                 outcome.legitimate += std::mem::take(&mut outcome.disconnected);
             }
@@ -690,7 +706,7 @@ pub(crate) fn stage(
             ..
         } => {
             let accept = recording(filter, footprint);
-            let attacked = with_workspace(|ws| engine.propagate(seeds, &accept, ws));
+            let attacked = engine.propagate(seeds, &accept, &mut group.ws.borrow_mut());
             let tables = if more_specific {
                 [&attacked, ctx.baseline()]
             } else {
@@ -709,7 +725,7 @@ pub(crate) fn stage(
 mod tests {
     use super::*;
     use crate::deployment::DeploymentModel;
-    use crate::engine::{CompiledPolicies, Workspace};
+    use crate::engine::CompiledPolicies;
     use crate::experiment::RoaConfig;
     use crate::topology::TopologyConfig;
     use rpki_roa::Vrp;
@@ -841,6 +857,7 @@ mod tests {
         // Invalid announcement is dropped everywhere. The plan itself
         // must be empty.
         let victim_asn = t.asn(victim);
+        let ws = RefCell::new(Workspace::new());
         let ctx = StrategyContext {
             topology: &t,
             victim,
@@ -848,7 +865,7 @@ mod tests {
             victim_prefix: p,
             sub_prefix: q,
             vrps: &wrong_origin,
-            group: &TrialGroup::default(),
+            group: &TrialGroup::new(&ws, None),
             victim_seed: Seed::origin(victim, victim_asn),
             accept_p: &OriginFilter::new(&wrong_origin, p, &[victim_asn], &policies),
         };
@@ -893,10 +910,11 @@ mod tests {
         for &attacker in stubs.iter().rev().step_by(7).filter(|&&a| a != victim) {
             let learned = baseline.route(attacker).map(|r| r.path_len);
             lengths.insert(learned);
-            let shared = TrialGroup::default();
+            let ws = RefCell::new(Workspace::new());
+            let shared = TrialGroup::new(&ws, None);
             for policies in &deployments {
                 for vrps in &configs {
-                    let fresh = plan(&TrialGroup::default(), attacker, vrps, policies);
+                    let fresh = plan(&TrialGroup::new(&ws, None), attacker, vrps, policies);
                     assert_eq!(plan(&shared, attacker, vrps, policies), fresh);
                     assert_eq!(fresh.announcement.map(|a| a.path_len), learned);
                     let s = setup(&t, victim, attacker, p, q, vrps, policies);

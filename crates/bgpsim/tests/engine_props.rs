@@ -382,7 +382,7 @@ fn workspace_survives_topology_size_changes() {
     }
 }
 
-/// `routing::propagate` — the thread-local-workspace entry point — on
+/// `routing::propagate` — the one-call, fresh-workspace entry point — on
 /// the canonical 300-AS hijack.
 #[test]
 fn propagate_matches_reference_on_the_standard_world() {

@@ -6,11 +6,15 @@
 //!   pass used (the calling thread among them), and no more;
 //! * a second sequential pass over the same plan makes no allocation
 //!   as large as the lane kernel's rows (16 bytes per AS), measured by
-//!   `testkit::CountingAlloc`.
+//!   `testkit::CountingAlloc`;
+//! * in a second parallel pass, no spawned worker makes an allocation
+//!   as large as the footprint's stamps (8 bytes per AS): a worker's
+//!   footprint is pooled with its workspace, so threads that are new
+//!   every pass still find their scratch sized.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use bgpsim::engine::pooled_workspaces;
+use bgpsim::exec::pooled_workspaces;
 use bgpsim::{
     AttackKind, AttackerStrategy, CellAccumulator, DeploymentModel, Executor, PlanTopology,
     RoaConfig, RouteLeak, Topology, TopologyConfig, TrialPlan,
@@ -92,6 +96,36 @@ fn second_sequential_pass_allocates_nothing_sized_by_the_topology() {
     assert!(
         largest < rows,
         "a {largest} B allocation, {rows} B of lane rows"
+    );
+    assert_eq!(first, second);
+}
+
+#[test]
+fn second_parallel_pass_allocates_nothing_sized_by_the_topology_on_any_worker() {
+    let _serial = serial();
+    testkit::alloc::assert_installed();
+    // Smaller than the sequential test's topology, so that running
+    // first it does not size that test's pooled workspace.
+    let t = Topology::generate(TopologyConfig {
+        n: 5_000,
+        tier1: 5,
+        ..TopologyConfig::default()
+    });
+    let plan = plan(&t, 256);
+    let stamps = 8 * t.len();
+    let exec = Executor::parallel();
+    let first: Vec<CellAccumulator> = exec.run(&plan);
+    assert!(
+        pooled_workspaces() > 1,
+        "a pass with one worker spawns no thread to measure"
+    );
+    // The calling thread is left out: it draws the deployment's
+    // thresholds (8 bytes per AS) in every pass.
+    let (second, largest) =
+        testkit::alloc::largest_elsewhere_during(|| exec.run::<CellAccumulator>(&plan));
+    assert!(
+        largest < stamps,
+        "a {largest} B allocation on a worker, {stamps} B of footprint stamps"
     );
     assert_eq!(first, second);
 }

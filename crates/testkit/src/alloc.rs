@@ -12,10 +12,13 @@
 //!
 //! It forwards to the system allocator and remembers, per thread, the
 //! largest single request, so a decoder's worst allocation is measured
-//! on the thread that ran it.
+//! on the thread that ran it; and, process-wide, the largest request
+//! made off the thread that probes, so the workers a call starts are
+//! measured too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The system allocator, recording each thread's largest request.
 #[derive(Debug, Clone, Copy)]
@@ -23,16 +26,25 @@ pub struct CountingAlloc;
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Whether this thread runs a [`largest_elsewhere_during`] probe.
+    static PROBING: Cell<bool> = const { Cell::new(false) };
 }
+
+/// The largest request made on a thread that was not probing.
+static ELSEWHERE: AtomicUsize = AtomicUsize::new(0);
 
 fn note(size: usize) {
     // `try_with`: the slot is gone while the thread's locals are torn down.
     let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    if !PROBING.try_with(Cell::get).unwrap_or(false) {
+        ELSEWHERE.fetch_max(size, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; `note` touches only a
-// const-initialised thread-local `Cell` and never allocates.
+// which upholds the `GlobalAlloc` contract; `note` touches only
+// const-initialised thread-local `Cell`s and an atomic, and never
+// allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -65,6 +77,21 @@ pub fn largest_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let out = f();
     let inner = LARGEST.with(|largest| largest.replace(outer.max(largest.get())));
     (out, inner)
+}
+
+/// Runs `f`, returning its result and the largest single allocation
+/// any *other* thread made while it ran (0 when [`CountingAlloc`] is not
+/// installed): what the worker threads `f` starts allocate, without the
+/// calling thread's own. Threads that `f` did not start count too, so
+/// only one probe may run at a time, with nothing else at work in the
+/// process.
+pub fn largest_elsewhere_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    PROBING.with(|probing| probing.set(true));
+    ELSEWHERE.store(0, Ordering::Relaxed);
+    let out = f();
+    let largest = ELSEWHERE.load(Ordering::Relaxed);
+    PROBING.with(|probing| probing.set(false));
+    (out, largest)
 }
 
 /// Panics unless [`CountingAlloc`] is the global allocator, so a suite
