@@ -278,9 +278,13 @@ fn survivors((sorted, kept): (Cow<'_, [Vrp]>, Vec<Option<u8>>)) -> Vec<Vrp> {
             .filter_map(|(v, max_len)| Some(Vrp::new(v.prefix, (*max_len)?, v.asn))),
     );
     // `Vrp` order differs from sweep order only among the tuples of one
-    // prefix, and a raised maxLength moves a tuple only among those.
-    for same_prefix in out.chunk_by_mut(|a, b| a.prefix == b.prefix) {
-        same_prefix.sort_unstable();
+    // prefix, and a raised maxLength moves a tuple only among those. Most
+    // prefixes keep one tuple, or tuples whose order the sweep left
+    // alone, so one check of the whole list usually spares the re-sort.
+    if !out.is_sorted() {
+        for same_prefix in out.chunk_by_mut(|a, b| a.prefix == b.prefix) {
+            same_prefix.sort_unstable();
+        }
     }
     out
 }

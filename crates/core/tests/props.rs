@@ -293,6 +293,61 @@ proptest! {
         }
     }
 
+    /// The table does not depend on the order its pairs arrive in. One
+    /// route list is fed sorted, reversed, nearly sorted with keys
+    /// displaced far (the last to the front, the first and a middle one to
+    /// the end) and as drawn; the list is varied, one pair repeated, or
+    /// duplicate-heavy. So the build's merge meets nothing set aside,
+    /// everything set aside, a set-aside key that belongs first, and
+    /// set-aside keys that repeat the run's last key. Every order answers
+    /// `iter`, `len`, `contains` and `routes_validated_by` alike.
+    #[test]
+    fn bgp_table_is_the_same_in_every_input_order(
+        routes in prop_oneof![
+            arb_routes_over(arb_wide_prefix(), arb_asn(), 80),
+            (arb_wide_prefix(), arb_asn(), 1usize..40)
+                .prop_map(|(p, asn, n)| vec![RouteOrigin::new(p, asn); n]),
+            prop::collection::vec((0usize..3, 0usize..2), 1..80).prop_map(|picks| {
+                let prefixes: [Prefix; 3] =
+                    ["10.0.0.0/8", "10.0.0.0/9", "2001:db8::/32"].map(|p| p.parse().unwrap());
+                picks
+                    .into_iter()
+                    .map(|(p, a)| RouteOrigin::new(prefixes[p], [Asn(0), Asn(65_536)][a]))
+                    .collect()
+            }),
+        ],
+    ) {
+        let mut sorted = routes.clone();
+        sorted.sort_unstable();
+        let reversed: Vec<RouteOrigin> = sorted.iter().rev().copied().collect();
+        let mut displaced = sorted.clone();
+        if let Some(last) = displaced.pop() {
+            displaced.insert(0, last);
+            let first = displaced.remove(1.min(displaced.len() - 1));
+            displaced.push(first);
+            let middle = displaced.remove(displaced.len() / 2);
+            displaced.push(middle);
+        }
+        let reference: BgpTable = sorted.iter().collect();
+        let pairs: Vec<RouteOrigin> = reference.iter().collect();
+        for order in [&sorted, &reversed, &displaced, &routes] {
+            let bgp: BgpTable = order.iter().collect();
+            prop_assert_eq!(bgp.len(), reference.len());
+            prop_assert_eq!(bgp.iter().collect::<Vec<_>>(), pairs.clone());
+            for pair in &pairs {
+                for asn in [Asn(0), Asn(3)].into_iter().chain(WIDE_ASNS) {
+                    let probe = RouteOrigin::new(pair.prefix, asn);
+                    prop_assert_eq!(bgp.contains(&probe), reference.contains(&probe));
+                    let vrp = Vrp::new(pair.prefix, pair.prefix.len().saturating_add(2), asn);
+                    prop_assert_eq!(
+                        bgp.routes_validated_by(&vrp).collect::<Vec<_>>(),
+                        reference.routes_validated_by(&vrp).collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
+    }
+
     /// The stack walk computes the definition: the pairs without a
     /// same-origin strict ancestor, maximally permissive, in `Vrp` order —
     /// on MOAS tables that straddle the v4/v6 boundary and contain `/0`.

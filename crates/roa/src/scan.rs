@@ -50,8 +50,11 @@ pub fn scan_dir_parallel(dir: &Path, threads: usize) -> io::Result<ScanResult> {
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
         let mut entries: Vec<_> = fs::read_dir(&d)?.collect::<io::Result<_>>()?;
-        // Deterministic order regardless of filesystem enumeration.
-        entries.sort_by_key(|e| e.path());
+        // Deterministic order regardless of filesystem enumeration. The
+        // entries share their parent, so their names order them as their
+        // paths would; a path key would build a `PathBuf` per comparison
+        // and compare it component by component.
+        entries.sort_by_cached_key(fs::DirEntry::file_name);
         for entry in entries {
             let path = entry.path();
             // `file_type` does not follow symlinks, so a link back up the
@@ -193,6 +196,53 @@ mod tests {
         let result = scan_dir_parallel(&dir, 1).unwrap();
         let vrp: Vrp = "87.254.32.0/19-20 => AS31283".parse().unwrap();
         assert_eq!(result.vrps(), [vrp]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The walk lists a directory's files in `Path` order, then walks its
+    /// subdirectories, last first. Names that a byte order and a
+    /// case-folding or punctuation-aware order would put differently, in
+    /// files and directories alike, come back in the order of a
+    /// reference walk that sorts by `Path`, at one thread and at two.
+    #[test]
+    fn walk_order_is_path_order() {
+        fn reference(dir: &Path, files: &mut Vec<PathBuf>) {
+            let mut paths: Vec<PathBuf> = fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            paths.sort();
+            files.extend(paths.iter().filter(|p| p.is_file()).cloned());
+            for sub in paths.iter().rev().filter(|p| p.is_dir()) {
+                reference(sub, files);
+            }
+        }
+
+        let dir = tmpdir("order");
+        let names = [
+            "a.roa", "a-b.roa", "a0.roa", "ab.roa", "B.roa", "_.roa", "a.b.roa",
+        ];
+        let dirs = ["", "a", "a-b", "a.d", "B", "a/b", "a/B.d"];
+        let mut asn = 0;
+        for sub in dirs {
+            fs::create_dir_all(dir.join(sub)).unwrap();
+            for name in names {
+                asn += 1;
+                let roa = sample_roa(asn, "10.0.0.0/8", None);
+                fs::write(dir.join(sub).join(name), seal_roa(&roa)).unwrap();
+            }
+        }
+        let mut files = Vec::new();
+        reference(&dir, &mut files);
+        let expect: Vec<Roa> = files
+            .iter()
+            .map(|f| open_roa(&fs::read(f).unwrap()).unwrap())
+            .collect();
+        assert_eq!(expect.len(), names.len() * dirs.len());
+        for threads in [1, 2] {
+            let result = scan_dir_parallel(&dir, threads).unwrap();
+            assert_eq!(result.roas, expect, "{threads} threads");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

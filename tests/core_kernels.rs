@@ -95,13 +95,15 @@ fn table1_is_identical_for_every_thread_count() {
 
 /// `BgpTable` is its input sorted: both queries answer like a scan of the
 /// announcement list — here unsorted, with a duplicate, MOAS, both
-/// families and both default routes.
+/// families, both default routes and an AS0 pair, the first key of its
+/// prefix.
 #[test]
 fn bgp_table_answers_like_a_scan_of_its_input() {
     let mut routes: Vec<RouteOrigin> = [
         "2001:db8::/32 => AS2",
         "10.0.0.0/8 => AS3",
         "10.1.0.0/16 => AS1",
+        "10.1.0.0/16 => AS0",
         "10.0.0.0/8 => AS1",
         "::/0 => AS2",
         "10.1.2.0/24 => AS1",
@@ -117,15 +119,26 @@ fn bgp_table_answers_like_a_scan_of_its_input() {
     let bgp: BgpTable = routes.iter().collect();
     routes.sort_unstable();
     routes.dedup();
-    assert_eq!(bgp.len(), 10);
+    assert_eq!(bgp.len(), 11);
     assert!(bgp.iter().eq(routes.iter().copied()));
 
     for prefix in routes.iter().map(|r| r.prefix) {
-        for asn in (1..=3).map(Asn) {
+        for asn in (0..=3).map(Asn) {
             let pair = RouteOrigin::new(prefix, asn);
             assert_eq!(bgp.contains(&pair), routes.contains(&pair), "{pair}");
             let vrp = Vrp::new(prefix, prefix.len() + 8, asn);
-            let validated = routes.iter().filter(|r| vrp.matches(r));
+            // `Vrp::matches` is the oracle except for an AS0 VRP, which
+            // it never lets match (RFC 7607) while `routes_validated_by`
+            // returns the AS0 pairs under it. The AS0 probes pin that
+            // behaviour, which the parent commit shares; they are
+            // expected to change once the two agree on AS0.
+            let validated = routes.iter().filter(|r| {
+                if vrp.asn == Asn(0) {
+                    vrp.covers(r) && r.prefix.len() <= vrp.max_len && r.origin == vrp.asn
+                } else {
+                    vrp.matches(r)
+                }
+            });
             let by_vrp = bgp.routes_validated_by(&vrp);
             assert!(by_vrp.eq(validated.copied()), "{vrp}");
         }
