@@ -21,8 +21,11 @@
 #
 #   bash .github/mutants.sh [.github/mutants/NAME.patch ...]
 #
-# The builds go to CARGO_TARGET_DIR if it is set (a warm one saves the
-# first full build), else to the temporary directory.
+# The builds go to CARGO_TARGET_DIR if it is set, else to the temporary
+# directory. The copy's files are stamped with the time of the copy, so
+# the first build of a run recompiles the workspace even in a target
+# directory that an earlier run left: cargo judges path crates by mtime,
+# and that directory may still hold the earlier run's last mutant.
 set -euo pipefail
 
 repo="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
@@ -43,7 +46,7 @@ export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$work/target}"
 while IFS= read -r -d '' f; do
     [ -e "$f" ] && printf '%s\0' "$f"
 done < <(git ls-files -z --cached --others --exclude-standard) |
-    tar --null -T - -cf - | tar -xf - -C "$tree"
+    tar --null -T - -cf - | tar -xmf - -C "$tree"
 
 # `cargo test` in the copy; its output goes to the log.
 run() { (cd "$tree" && cargo test -q "$@") >"$log" 2>&1; }

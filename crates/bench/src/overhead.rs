@@ -5,11 +5,11 @@
 //! The paper (authors' implementation, Intel i7-6700): 2.4 s / 19 MB for
 //! the partially-deployed RPKI; 36 s / 290 MB for full deployment.
 //! Measured here at scale 1.0 (2 vCPUs, one thread): 3–4 ms for the
-//! 39,949 deployed tuples and ≈ 34 ms for the 776,945 full-deployment
-//! tuples, with a peak RSS of 158 MB for the whole process including the
+//! 39,949 deployed tuples and ≈ 38 ms for the 776,945 full-deployment
+//! tuples, with a peak RSS of 104 MB for the whole process including the
 //! generated dataset (the sweep itself holds one 2-byte maxLength slot per
 //! tuple beside its input and output, and a stack as deep as the prefixes
-//! nest; tuples and routes are 40 bytes each). The *ratio* between the
+//! nest; tuples and routes are 32 bytes each). The *ratio* between the
 //! two scenarios (~11x here, ~15x in the paper) is the comparable shape.
 
 use maxlength_core::bounds::full_deployment_minimal;

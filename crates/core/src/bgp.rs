@@ -16,7 +16,7 @@
 //! The table is its keys. Within IPv4, `RouteOrigin`'s derived order is
 //! `(bits, length, origin)`, which is the order of the 70-bit key
 //! `bits << 38 | length << 32 | origin`. So the IPv4 pairs (95 % of a
-//! real table) are kept as 16-byte `u128` keys instead of 40-byte
+//! real table) are kept as 16-byte `u128` keys instead of 32-byte
 //! records, and unpacked only as a query or a walk reads them; the IPv6
 //! pairs are kept as records and follow, since every IPv4 prefix sorts
 //! before every IPv6 one.

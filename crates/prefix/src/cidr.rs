@@ -1,4 +1,6 @@
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::num::NonZeroU8;
 use std::str::FromStr;
 
 use crate::family::sealed::Int;
@@ -19,10 +21,15 @@ use crate::{Family, Ipv4, Ipv6, PrefixError};
 /// steps backwards from `q` (`rpki_rov::VrpIndex::covering`). Property-tested
 /// in `tests/props.rs`. `Debug` prints what a derive on a struct named
 /// `Prefix4` or `Prefix6` would (see the crate docs' layout contract).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// The length is stored as `len + 1` in a [`NonZeroU8`], which orders
+/// like `len`. The zero it never holds is the niche in which
+/// [`Prefix`](crate::Prefix) keeps its address family, so the enum is no
+/// larger than [`Prefix6`]. `Hash` is written out to hash `len` itself.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PrefixOf<F: Family> {
     bits: F::Word,
-    len: u8,
+    len: NonZeroU8,
 }
 
 /// An IPv4 CIDR prefix: 8 bytes, its bits in a `u32`.
@@ -39,15 +46,16 @@ impl<F: Family> PrefixOf<F> {
     /// The default route, `0.0.0.0/0` or `::/0`.
     pub const DEFAULT: Self = PrefixOf {
         bits: F::ZERO,
-        len: 0,
+        len: NonZeroU8::MIN,
     };
 
-    /// The one constructor: callers have cleared the host bits.
+    /// The one constructor: callers have cleared the host bits and keep
+    /// `len` within `MAX_LEN`, so `len + 1` never saturates.
     #[inline]
     fn at(bits: F::Bits, len: u8) -> Self {
         PrefixOf {
             bits: bits.into(),
-            len,
+            len: NonZeroU8::MIN.saturating_add(len),
         }
     }
 
@@ -102,7 +110,7 @@ impl<F: Family> PrefixOf<F> {
     #[inline]
     #[allow(clippy::len_without_is_empty)]
     pub const fn len(self) -> u8 {
-        self.len
+        self.len.get() - 1
     }
 
     /// The network address.
@@ -116,7 +124,7 @@ impl<F: Family> PrefixOf<F> {
     /// a ROA for `10.0.0.0/8` covers a route for `10.1.0.0/16`.
     #[inline]
     pub fn covers(self, other: Self) -> bool {
-        self.len <= other.len && other.bits() & mask::<F>(self.len) == self.bits()
+        self.len() <= other.len() && other.bits() & mask::<F>(self.len()) == self.bits()
     }
 
     /// `true` if `self` is covered by `other` (the converse of
@@ -129,7 +137,7 @@ impl<F: Family> PrefixOf<F> {
     /// `true` if the prefix contains the given address.
     #[inline]
     pub fn contains_addr(self, addr: F::Addr) -> bool {
-        addr.into() & mask::<F>(self.len) == self.bits()
+        addr.into() & mask::<F>(self.len()) == self.bits()
     }
 
     /// The value of the bit at `index` (0-based from the most significant
@@ -149,7 +157,7 @@ impl<F: Family> PrefixOf<F> {
     /// ```
     #[inline]
     pub fn parent(self) -> Option<Self> {
-        self.ancestor_at(self.len.checked_sub(1)?)
+        self.ancestor_at(self.len().checked_sub(1)?)
     }
 
     /// The ancestor at exactly `len` bits, or `None` if `len` exceeds
@@ -157,7 +165,7 @@ impl<F: Family> PrefixOf<F> {
     /// `len == self.len()`.
     #[inline]
     pub fn ancestor_at(self, len: u8) -> Option<Self> {
-        if len > self.len {
+        if len > self.len() {
             return None;
         }
         Some(Self::at(self.bits() & mask::<F>(len), len))
@@ -166,37 +174,37 @@ impl<F: Family> PrefixOf<F> {
     /// The sibling prefix: same parent, final bit flipped. `None` for `/0`.
     #[inline]
     pub fn sibling(self) -> Option<Self> {
-        if self.len == 0 {
+        if self.len() == 0 {
             return None;
         }
-        let last = F::Bits::TOP >> u32::from(self.len - 1);
-        Some(Self::at(self.bits() ^ last, self.len))
+        let last = F::Bits::TOP >> u32::from(self.len() - 1);
+        Some(Self::at(self.bits() ^ last, self.len()))
     }
 
     /// `true` if this prefix is the left (0-bit) child of its parent.
     /// Returns `false` for `/0`, which has no parent.
     #[inline]
     pub fn is_left_child(self) -> bool {
-        self.len > 0 && !self.bit(self.len - 1)
+        self.len() > 0 && !self.bit(self.len() - 1)
     }
 
     /// The left child (appending a 0 bit), or `None` at the maximum length.
     #[inline]
     pub fn left_child(self) -> Option<Self> {
-        if self.len >= F::MAX_LEN {
+        if self.len() >= F::MAX_LEN {
             return None;
         }
-        Some(Self::at(self.bits(), self.len + 1))
+        Some(Self::at(self.bits(), self.len() + 1))
     }
 
     /// The right child (appending a 1 bit), or `None` at the maximum length.
     #[inline]
     pub fn right_child(self) -> Option<Self> {
-        if self.len >= F::MAX_LEN {
+        if self.len() >= F::MAX_LEN {
             return None;
         }
-        let next = F::Bits::TOP >> u32::from(self.len);
-        Some(Self::at(self.bits() | next, self.len + 1))
+        let next = F::Bits::TOP >> u32::from(self.len());
+        Some(Self::at(self.bits() | next, self.len() + 1))
     }
 
     /// Both children as `(left, right)`, or `None` at the maximum length.
@@ -216,7 +224,7 @@ impl<F: Family> PrefixOf<F> {
     pub fn subprefixes(self, max_len: u8) -> SubPrefixes<F> {
         SubPrefixes {
             base: self,
-            cur_len: self.len,
+            cur_len: self.len(),
             cur_index: 0,
             max_len: max_len.min(F::MAX_LEN),
         }
@@ -227,10 +235,10 @@ impl<F: Family> PrefixOf<F> {
     /// `u128::MAX`, or 0 when `max_len < self.len()`.
     pub fn subprefix_count(self, max_len: u8) -> u128 {
         let max_len = max_len.min(F::MAX_LEN);
-        if max_len < self.len {
+        if max_len < self.len() {
             return 0;
         }
-        let levels = u32::from(max_len - self.len + 1);
+        let levels = u32::from(max_len - self.len() + 1);
         if levels >= 128 {
             u128::MAX
         } else {
@@ -242,7 +250,7 @@ impl<F: Family> PrefixOf<F> {
     /// common ancestor in the prefix trie).
     pub fn common_ancestor(self, other: Self) -> Self {
         let diff = (self.bits() ^ other.bits()).leading_zeros();
-        let len = self.len.min(other.len).min(diff as u8);
+        let len = self.len().min(other.len()).min(diff as u8);
         Self::at(self.bits() & mask::<F>(len), len)
     }
 }
@@ -272,7 +280,7 @@ impl<F: Family> Iterator for SubPrefixes<F> {
         };
         let item = PrefixOf::at(bits, self.cur_len);
         self.cur_index += 1;
-        let level = self.cur_len - self.base.len;
+        let level = self.cur_len - self.base.len();
         if level >= 127 || self.cur_index >= (1u128 << level) {
             self.cur_index = 0;
             self.cur_len += 1;
@@ -291,18 +299,27 @@ fn mask<F: Family>(len: u8) -> F::Bits {
     }
 }
 
+impl<F: Family> Hash for PrefixOf<F> {
+    /// What a derive over `(bits, len: u8)` feeds the hasher: the word
+    /// (`write_u32` or `write_u128`), then `write_u8(len)`.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bits.hash(state);
+        self.len().hash(state);
+    }
+}
+
 impl<F: Family> fmt::Debug for PrefixOf<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct(F::NAME)
             .field("bits", &self.bits)
-            .field("len", &self.len)
+            .field("len", &self.len())
             .finish()
     }
 }
 
 impl<F: Family> fmt::Display for PrefixOf<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.addr(), self.len)
+        write!(f, "{}/{}", self.addr(), self.len())
     }
 }
 

@@ -51,9 +51,9 @@ impl Family for Ipv6 {
 }
 
 /// A `u128` stored at 8-byte alignment. `u128`'s own 16-byte alignment
-/// would pad [`Prefix6`](crate::Prefix6) to 32 bytes and everything built
-/// on it ([`Prefix`](crate::Prefix), VRPs, route origins) to a full cache
-/// line. The field is only ever read by value, so no reference to the
+/// would pad [`Prefix6`](crate::Prefix6) from 24 bytes to 32,
+/// [`Prefix`](crate::Prefix) to 48, and VRPs and route origins from 32
+/// bytes to a full cache line. The field is only ever read by value, so no reference to the
 /// under-aligned integer exists, and the derives compare and hash a copy
 /// of it exactly as they would the bare `u128`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -29,21 +29,29 @@
 //! |-------------|-----:|----------:|
 //! | [`Prefix4`] |    8 |         4 |
 //! | [`Prefix6`] |   24 |         8 |
-//! | [`Prefix`]  |   32 |         8 |
+//! | [`Prefix`]  |   24 |         8 |
 //!
 //! `rpki_roa::Vrp` and `RouteOrigin` add an ASN (and a maxLength) and
-//! come to 40 bytes. [`Prefix6`] gets there because [`Ipv6`] stores its
-//! `u128` at 8-byte alignment — a `repr(packed(8))` newtype that is
-//! `Copy` and only ever read by value — because `u128`'s own 16-byte
-//! alignment pads `Prefix` to 48 bytes and a VRP to a whole 64-byte
-//! cache line. Neither the alignment nor the shared generic type changes
-//! anything observable: `Ord` and `Eq` are derived on the same `(bits,
-//! len)` pair; `Debug` is written to print what a derive on a struct
-//! named `Prefix4` or `Prefix6` would, in every form; and `Hash` feeds
-//! the hasher the same bytes through the same calls (`write_u32` or
-//! `write_u128`, then `write_u8`). So the FNV-1a digests of `Debug` text
-//! in `tests/core_kernels.rs` are unaffected; `tests/props.rs` checks
-//! each family against a plain derived struct of the same name.
+//! come to 32 bytes. Two choices get them there:
+//!
+//! - [`Ipv6`] stores its `u128` at 8-byte alignment — a
+//!   `repr(packed(8))` newtype that is `Copy` and only ever read by
+//!   value — because `u128`'s own 16-byte alignment pads [`Prefix6`] to
+//!   32 bytes, `Prefix` to 48 and a VRP to a whole 64-byte cache line.
+//! - A prefix stores its length as `len + 1` in a `NonZeroU8`. The zero
+//!   it never holds is a niche, and `Prefix` keeps its V4/V6 variant in
+//!   it, where a tag byte of its own would pad `Prefix` to 32 bytes and
+//!   a VRP to 40.
+//!
+//! Neither changes anything observable. `Ord` and `Eq` are derived on
+//! the same `(bits, len)` pair, and `len + 1` orders like `len`. `Debug`
+//! is written to print what a derive on a struct named `Prefix4` or
+//! `Prefix6` would, in every form. `Hash` is written to feed the hasher
+//! the same bytes through the same calls as that derive (`write_u32` or
+//! `write_u128`, then `write_u8(len)`). So the FNV-1a digests of `Debug`
+//! text in `tests/core_kernels.rs` are unaffected; `tests/props.rs`
+//! checks each family against a plain derived struct of the same name,
+//! and the root `tests/layout.rs` pins the sizes.
 //!
 //! # Examples
 //!

@@ -310,14 +310,15 @@ mod tests {
         assert!(p("255.0.0.0/8") < p("::/0"));
     }
 
-    /// The layout contract in the crate docs (ISSUE 15): a `u128` at
-    /// its natural alignment anywhere under `Prefix` brings back 48
-    /// bytes here and a 64-byte cache line per VRP.
+    /// The layout contract in the crate docs: a `u128` at its natural
+    /// alignment anywhere under `Prefix` brings back 48 bytes here and a
+    /// 64-byte cache line per VRP, and a stored length without its niche
+    /// gives the variant a byte of its own, 32 bytes here.
     #[test]
     fn layout_is_pinned() {
         use std::mem::{align_of, size_of};
         assert_eq!((size_of::<Prefix4>(), align_of::<Prefix4>()), (8, 4));
         assert_eq!((size_of::<Prefix6>(), align_of::<Prefix6>()), (24, 8));
-        assert_eq!((size_of::<Prefix>(), align_of::<Prefix>()), (32, 8));
+        assert_eq!((size_of::<Prefix>(), align_of::<Prefix>()), (24, 8));
     }
 }

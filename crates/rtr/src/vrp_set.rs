@@ -2,7 +2,7 @@
 //!
 //! A router applies every PDU of every epoch to this table, so its cost
 //! per insert/remove is the unit the whole fan-out multiplies. A [`Vrp`]
-//! is 40 bytes, most of them the IPv6-sized prefix slot; the table keeps
+//! is 32 bytes, most of them the IPv6-sized prefix slot; the table keeps
 //! one hash set per address family of keys holding only its fields:
 //! IPv4 `[u32; 3]` (address bits, `len << 8 | max_len`, ASN) and IPv6
 //! `[u32; 6]` (the address as four big-endian words, then the same two).

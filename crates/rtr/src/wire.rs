@@ -561,17 +561,21 @@ pub fn decode_frame(data: &[u8]) -> Result<Option<Frame<'_>>, PduError> {
             }
             // The fixed part (flags, length, maxLength, a reserved zero,
             // the address, the ASN) is read in one piece; the fields are
-            // then checked in wire order.
+            // then checked in wire order. Each branch makes the ASN a
+            // `u32` itself: carried out as four bytes, it was stored and
+            // read back a byte at a time.
             let (flags, max_len, reserved, prefix, asn) = if type_code == 4 {
                 let [flags, len, max_len, reserved, addr @ .., a0, a1, a2, a3] =
                     *fixed_part::<12>(&mut body, type_code, length)?;
                 let prefix = Prefix4::new(u32::from_be_bytes(addr), len).map(Prefix::V4);
-                (flags, max_len, reserved, prefix, [a0, a1, a2, a3])
+                let asn = Asn(u32::from_be_bytes([a0, a1, a2, a3]));
+                (flags, max_len, reserved, prefix, asn)
             } else {
                 let [flags, len, max_len, reserved, addr @ .., a0, a1, a2, a3] =
                     *fixed_part::<24>(&mut body, type_code, length)?;
                 let prefix = Prefix6::new(u128::from_be_bytes(addr), len).map(Prefix::V6);
-                (flags, max_len, reserved, prefix, [a0, a1, a2, a3])
+                let asn = Asn(u32::from_be_bytes([a0, a1, a2, a3]));
+                (flags, max_len, reserved, prefix, asn)
             };
             let flags = Flags::from_byte(flags)?;
             if reserved != 0 {
@@ -589,7 +593,7 @@ pub fn decode_frame(data: &[u8]) -> Result<Option<Frame<'_>>, PduError> {
             }
             PduRef::Prefix {
                 flags,
-                vrp: Vrp::new(prefix, max_len, Asn(u32::from_be_bytes(asn))),
+                vrp: Vrp::new(prefix, max_len, asn),
             }
         }
         7 => {

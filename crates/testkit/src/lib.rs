@@ -111,7 +111,7 @@ pub const ROUNDS: usize = 16;
 
 /// Bytes a decoder may allocate at once per input byte: a decoded value
 /// may be larger than its encoding (a 5-byte text entry becomes a
-/// 40-byte struct) and vectors grow by doubling.
+/// 32-byte struct) and vectors grow by doubling.
 pub const ALLOC_PER_BYTE: usize = 16;
 
 /// Bytes a decoder may allocate at once whatever its input length.
